@@ -6,7 +6,7 @@ and can be widened with environment variables:
 
 * ``VRD_BENCH_MEASUREMENTS`` — series length (paper: 1000; default 1000);
 * ``VRD_BENCH_FOUNDATIONAL`` — foundational series length (paper: 100000;
-  default 20000);
+  default 100000);
 * ``VRD_BENCH_ROWS`` — rows per block in campaigns (paper: 50; default 5);
 * ``VRD_BENCH_MIXES`` — four-core workload mixes for Fig. 14 (paper: 15;
   default 5).

@@ -267,11 +267,11 @@ class FastRdtMeter:
     ) -> np.ndarray:
         """:meth:`guess_rdt` for many victims in one call, bit-identical.
 
-        Routes through the fault model's batched probe, which mirrors the
-        per-row process construction and guess draws without materializing
-        :class:`~repro.dram.faults.RowVrdProcess` objects (or warming the
-        module's per-row process cache). Row selection probes thousands of
-        rows per module; this is its fast path.
+        Routes through the fault model's batched probe, which serves the
+        guess draws from a packed :class:`~repro.dram.fastfaults.BankVrdState`
+        without materializing :class:`~repro.dram.faults.RowVrdProcess`
+        objects (or warming the module's per-row process cache). Row
+        selection probes thousands of rows per module; this is its fast path.
         """
         mapping = self.module.bank(self.bank).mapping
         physical = [mapping.to_physical(victim) for victim in victims]
@@ -317,9 +317,9 @@ class FastRdtMeter:
         fast path.
 
         Bit-identical to looping ``guess_rdt`` + ``measure_series`` per
-        victim: guesses come from the batched probe mirror and latent
-        series from the packed :class:`~repro.dram.fastfaults.BankVrdState`,
-        both stream-exact against the scalar
+        victim: latent series and guesses both come from the packed
+        :class:`~repro.dram.fastfaults.BankVrdState` of these rows (built
+        once, then reused by the probe), stream-exact against the scalar
         :class:`~repro.dram.faults.RowVrdProcess` route. This is what the
         campaign loop and the engine workers consume.
         """
@@ -334,11 +334,11 @@ class FastRdtMeter:
         mapping = self.module.bank(self.bank).mapping
         physical = [mapping.to_physical(victim) for victim in victims]
         model = self.module.fault_model
-        guesses = model.probe_guess_means(
-            self.bank, physical, condition, repeats=guess_repeats
-        )
         latent = model.latent_series_bank(
             self.bank, physical, condition, n, stream=stream
+        )
+        guesses = model.probe_guess_means(
+            self.bank, physical, condition, repeats=guess_repeats
         )
         series: List[RdtSeries] = []
         for index, victim in enumerate(victims):

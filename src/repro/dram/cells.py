@@ -75,18 +75,29 @@ class CellLayout:
             return ((bit >> 3) + row) % 2 == 0
         return self.row_is_true_cell(row)
 
-    def bits_are_true_cells(self, row: int, bits: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`bit_is_true_cell` over an array of bit indices.
+    def bits_are_true_cells(self, rows, bits: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`bit_is_true_cell`: ``rows`` (one row or an
+        array of rows) broadcasts against the array of bit indices.
 
-        Element-for-element equal to the scalar method; the batched row
-        probe uses this to classify a row's weak cells in one shot.
+        Element-for-element equal to the scalar method; the packed device
+        fast path uses this to classify a whole bank's weak cells at once.
         """
+        rows = np.asarray(rows)
         bits = np.asarray(bits)
         if bits.size and int(bits.min()) < 0:
             raise ConfigurationError("negative bit index")
         if self.kind is CellLayoutKind.MIXED:
-            return ((bits >> 3) + row) % 2 == 0
-        return np.full(bits.shape, self.row_is_true_cell(row), dtype=bool)
+            return ((bits >> 3) + rows) % 2 == 0
+        if rows.size and int(rows.min()) < 0:
+            raise ConfigurationError(f"negative row {int(rows.min())}")
+        if self.kind is CellLayoutKind.ALL_TRUE:
+            true_rows = np.ones(rows.shape, dtype=bool)
+        elif self.kind is CellLayoutKind.ALTERNATE_ROWS:
+            true_rows = rows % 2 == 0
+        else:
+            true_rows = (rows // self.block_rows) % 2 == 0
+        shape = np.broadcast_shapes(rows.shape, bits.shape)
+        return np.broadcast_to(true_rows, shape).copy()
 
     def charged_mask(self, row: int, data_bits: np.ndarray) -> np.ndarray:
         """Boolean mask of cells that hold charge for the stored bits.

@@ -13,10 +13,11 @@ the same ``numpy.random.Generator`` streams draw for draw.
 coefficients, and weak-cell tables of many rows into flat arrays once, then
 serves whole-bank latent-series queries (what ``module_campaign``, the
 Fig. 3-7 histograms/ACF, and the Fig. 25 scatter consume) without
-re-deriving per-row state. The per-row series itself is generated by a
-mirror of ``traps.sample_occupancy_series`` that replaces the scalar
-``rng.geometric`` search recurrence with a precomputed cumulative
-run-length table and one ``np.searchsorted`` per batch.
+re-deriving per-row state, and the batched ``guess_RDT`` probe of row
+selection. The per-row series itself is generated by a mirror of
+``traps.sample_occupancy_series``: short series replay numpy's geometric
+sampler value by value, longer ones replace its search recurrence with a
+cumulative run-length table and one ``np.searchsorted`` per batch.
 
 The stream-mirror rule
 ----------------------
@@ -24,30 +25,37 @@ The stream-mirror rule
 Anything that draws from a ``Generator`` in ``RowVrdProcess.__init__``,
 ``latent_series``, or the sequential path (``_state`` /
 ``begin_measurement`` / ``_refresh_latent`` / ``trial_flips``) MUST be
-mirrored here (and in ``faults.probe_guess_means``) in the exact same draw
-order, because numpy Generators consume their bit stream
-element-sequentially: a run of scalar draws equals one array draw of the
-same distributions, and vice versa. The mirrors used here are:
+mirrored here in the exact same draw order. This module is the only
+mirror of the specification: bulk series, the sequential twin, and the
+batched row probe (``ModuleFaultModel.probe_guess_means``) all run on
+:class:`BankVrdState`. numpy Generators consume their bit stream
+element-sequentially, so a run of scalar draws equals one array draw of
+the same distributions, and vice versa. The mirrors used here are:
 
 * ``standard_normal(k) * sigmas`` for a run of ``normal(0, sigma_i)``
   draws (``loc + scale * z`` with ``loc == 0``);
-* for ``rng.geometric(p)`` with ``p >= 1/3`` (numpy's search branch, one
-  uniform per value): ``np.searchsorted(T, u, side="left") + 1`` where
-  ``T`` is the cumulative table of the search recurrence, built with the
-  same sequential IEEE operations by ``np.multiply.accumulate`` /
-  ``np.add.accumulate`` (see :func:`_build_run_tables`);
+* for ``rng.geometric(p)`` in short series (``n <= 16``, which one batch
+  always covers): numpy's own algorithm, value by value — one uniform and
+  the search recurrence for ``p >= 1/3``, one standard exponential and
+  ``ceil(-e / log1p(-p))`` below it (see :func:`_short_column`);
+* for ``rng.geometric(p)`` with ``p >= 1/3`` in longer series:
+  ``np.searchsorted(T, u, side="left") + 1`` where ``T`` is the
+  cumulative table of the search recurrence, built with the same
+  sequential IEEE operations by ``np.multiply.accumulate`` /
+  ``np.add.accumulate`` (see :func:`_build_run_tables`) on the first
+  such query;
 * everything else falls back to the reference's own numpy calls with
   identical argument arrays.
 
-The searchsorted shortcut is gated on
+Both geometric mirrors are gated on
 :func:`repro.dram.faults.geometric_mirror_ok` (a once-per-process probe of
-numpy's private geometric sampler, overridable with
-``VRD_GEOMETRIC_MIRROR``); when the mirror is off, run lengths come from
-``rng.geometric`` itself — slower, still bit-identical.
+numpy's private geometric sampler); when the mirror is off, run lengths
+come from ``rng.geometric`` itself — slower, still bit-identical.
 
 ``tests/dram/test_fastfaults.py`` asserts exact equality against the
-scalar path across patterns, tAggOn, temperatures, voltages, and both
-series streams, plus the sequential begin/threshold/flip trials.
+scalar path across patterns, tAggOn, temperatures, voltages, series
+lengths on both sides of the short-series limit, and both series
+streams, plus the sequential begin/threshold/flip trials.
 """
 
 from __future__ import annotations
@@ -66,11 +74,12 @@ from repro.dram.faults import (
     REFERENCE_TEMPERATURE,
     REFERENCE_WORDLINE_VOLTAGE,
     _GEOM_SEARCH_P,
+    _INT64_MAX,
     Condition,
     VrdModelParams,
     geometric_mirror_ok,
 )
-from repro.dram.traps import _MAX_P, _MIN_P
+from repro.dram.traps import _MAX_P, _MIN_BATCH, _MIN_P
 from repro.errors import ConfigurationError
 from repro.rng import encode_element, hasher_prefix, seed_from_prefix
 
@@ -78,8 +87,8 @@ from repro.rng import encode_element, hasher_prefix, seed_from_prefix
 #: search branch only applies for ``p >= 1/3`` (``q <= 2/3``), where the
 #: residual tail ``q**K`` drops below one double ULP after at most
 #: ``ceil(53 / -log2(2/3)) ~ 91`` terms; 128 leaves generous margin, and a
-#: construction-time saturation check (below) demotes any table that still
-#: fails to cover the largest possible uniform.
+#: saturation check (below) demotes any table that still fails to cover
+#: the largest possible uniform.
 _RUN_TABLE_K = 128
 
 #: The largest value ``Generator.random()`` can return (1 - 2**-53). A run
@@ -197,7 +206,7 @@ def _trap_column(plan: _TrapPlan, n: int, rng: Generator) -> np.ndarray:
     states_list = None
     covered = 0
     while True:
-        batch = max(16, int((n - covered) / mean_run * 1.5) + 8)
+        batch = max(_MIN_BATCH, int((n - covered) / mean_run * 1.5) + 8)
         if plan.table_occ is not None:
             table_a = plan.table_rel if state else plan.table_occ
             table_b = plan.table_occ if state else plan.table_rel
@@ -211,6 +220,8 @@ def _trap_column(plan: _TrapPlan, n: int, rng: Generator) -> np.ndarray:
             leave_probs[0::2] = plan.p_rel if state else plan.p_occ
             leave_probs[1::2] = plan.p_occ if state else plan.p_rel
             batch_lengths = rng.geometric(leave_probs)
+        # Same run cap as the reference: memory bounded by n, not by 1/p.
+        np.minimum(batch_lengths, n - covered, out=batch_lengths)
         template = _alt(batch)[:batch]
         batch_states = template if state else ~template
         covered += int(batch_lengths.sum())
@@ -230,6 +241,79 @@ def _trap_column(plan: _TrapPlan, n: int, rng: Generator) -> np.ndarray:
                 )[:n]
 
 
+def _short_column(plan: _TrapPlan, n: int, rng: Generator) -> List[bool]:
+    """Mirror of ``traps.sample_occupancy_series`` for one planned trap,
+    replaying numpy's geometric sampler value by value.
+
+    ``rng.geometric(p)`` consumes one uniform and runs the search
+    recurrence for ``p >= 1/3``, and otherwise one standard exponential
+    ``e`` with value ``ceil(-e / log1p(-p))`` clipped to int64. A batch is
+    drawn whole, in one bulk ``rng.random`` call when both leave
+    probabilities are on the search branch, but run lengths are only
+    evaluated until the series is covered. For ``n <= _MIN_BATCH`` the
+    first batch always covers it, so this costs a few Python operations
+    per run where :func:`_trap_column` pays numpy call overhead per batch.
+    """
+    state = rng.random() < plan.stationary
+    column: List[bool] = []
+    while len(column) < n:
+        batch = max(_MIN_BATCH, int((n - len(column)) / plan.mean_run * 1.5) + 8)
+        leave = (plan.p_rel, plan.p_occ) if state else (plan.p_occ, plan.p_rel)
+        search = (leave[0] >= _GEOM_SEARCH_P, leave[1] >= _GEOM_SEARCH_P)
+        if search[0] and search[1]:
+            draws = rng.random(batch).tolist()
+        else:
+            random, exponential = rng.random, rng.standard_exponential
+            draws = [
+                random() if search[i & 1] else exponential()
+                for i in range(batch)
+            ]
+        occupied = state
+        for i, draw in enumerate(draws):
+            p = leave[i & 1]
+            if search[i & 1]:
+                total = prod = p
+                q = 1.0 - p
+                length = 1
+                while draw > total:
+                    prod *= q
+                    total += prod
+                    length += 1
+            else:
+                length = min(math.ceil(-draw / math.log1p(-p)), _INT64_MAX)
+            column.extend([occupied] * min(length, n - len(column)))
+            if len(column) >= n:
+                break
+            occupied = not occupied
+        if batch & 1:  # the next batch opens opposite the last run's state
+            state = not state
+    return column
+
+
+def _weak_cell_polarity(
+    true_cell_lookup, rows: Sequence[int], bits: np.ndarray
+) -> np.ndarray:
+    """``RowVrdProcess.weak_cell_true`` for every row: one vectorized call
+    when the lookup is a :class:`~repro.dram.cells.CellLayout`'s
+    ``bit_is_true_cell``, one lookup per cell for any other callable."""
+    if true_cell_lookup is None:
+        return np.ones(bits.shape, dtype=bool)
+    layout = getattr(true_cell_lookup, "__self__", None)
+    if getattr(true_cell_lookup, "__name__", None) == "bit_is_true_cell" and (
+        hasattr(layout, "bits_are_true_cells")
+    ):
+        return layout.bits_are_true_cells(
+            np.array(rows, dtype=np.int64)[:, None], bits
+        )
+    return np.array(
+        [
+            [true_cell_lookup(row, int(bit)) for bit in row_bits]
+            for row, row_bits in zip(rows, bits)
+        ],
+        dtype=bool,
+    ).reshape(bits.shape)
+
+
 class _SeqRowState:
     """Sequential latent state of one row under one condition."""
 
@@ -246,12 +330,13 @@ class BankVrdState:
     """All rows of one bank, packed for bulk device-model queries.
 
     Construction mirrors ``RowVrdProcess.__init__`` draw for draw per row
-    (reusing the batched-normal technique of ``faults.probe_guess_means``)
-    and stores the results columnar: base RDTs, residual sigmas, jittered
-    condition-response coefficients, weak-cell bit/margin/polarity tables,
-    and per-trap sampling plans. Condition factors are then resolved once
-    per canonical condition for every row at once, and
-    :meth:`latent_series_bulk` emits a whole bank's series matrix.
+    — the only such mirror in the repository — and stores the results
+    columnar: base RDTs, residual sigmas, jittered condition-response
+    coefficients, weak-cell bit/margin/polarity tables, and per-trap
+    sampling plans. Condition factors are then resolved once per canonical
+    condition for every row at once, :meth:`latent_series_bulk` emits a
+    whole bank's series matrix, and :meth:`guess_means` serves the batched
+    row probe of Algorithm 1's ``guess_RDT``.
 
     The sequential path (:meth:`begin_measurement` /
     :meth:`current_threshold` / :meth:`trial_flips`) is mirrored too, so
@@ -291,10 +376,10 @@ class BankVrdState:
         # ---- constants of the per-row constructor mirror
         depth_keys = list(params.pattern_depth)
         rdt_keys = list(params.pattern_rdt)
-        depth_values = [params.pattern_depth[key] for key in depth_keys]
-        rdt_values = [params.pattern_rdt[key] for key in rdt_keys]
         # One batched standard_normal covers the constructor's run of
-        # scalar normal draws (see probe_guess_means for the argument).
+        # scalar normal draws (sigma_resid, pattern depth/rdt jitters,
+        # taggon slope, temp coeff): ``standard_normal(k) * sigmas``
+        # reproduces ``normal(0, sigma)`` value for value.
         normal_sigmas = np.array(
             [0.4] + [0.30] * len(depth_keys) + [0.02] * len(rdt_keys) + [0.01, 0.3]
         )
@@ -304,23 +389,18 @@ class BankVrdState:
         log_big_lo = np.log(0.002)
         log_big_hi = np.log(0.2)
         n_cells = params.weak_cells
-        growth = 2.0 ** np.arange(n_cells)
         small_scale = params.depth_scale * params.severity
 
         base_rdt = np.empty(n_rows)
-        sigma_resid = np.empty(n_rows)
-        slope_col = np.empty(n_rows)
-        temp_depth_col = np.empty(n_rows)
+        coupling_col = np.empty(n_rows)
         penalty_col = np.empty(n_rows)
-        pattern_depth_cols = {key: np.empty(n_rows) for key in depth_keys}
-        pattern_rdt_cols = {key: np.empty(n_rows) for key in rdt_keys}
+        normals = np.empty((n_rows, len(normal_sigmas)))
         weak_bits = np.empty((n_rows, n_cells), dtype=np.int64)
-        weak_margins = np.empty((n_rows, n_cells))
-        weak_true = np.empty((n_rows, n_cells), dtype=bool)
+        gaps = np.empty((n_rows, n_cells))
         row_plans: List[List[_TrapPlan]] = []
         row_depths: List[np.ndarray] = []
 
-        for index, row in enumerate(self.rows):
+        for index in range(n_rows):
             rng = Generator(PCG64(seed_from_prefix(row_prefix, self._row_tails[index])))
 
             # -- draw mirror of RowVrdProcess.__init__ -------------------
@@ -354,78 +434,73 @@ class BankVrdState:
                     depth, max(1e-6, speed * pi), max(1e-6, speed * (1.0 - pi))
                 ))
 
-            normals = rng.standard_normal(len(normal_sigmas)) * normal_sigmas
-            exp_normals = np.exp(normals)
-            sigma_resid[index] = params.sigma_resid * coupling * float(exp_normals[0])
-            for j, key in enumerate(depth_keys):
-                pattern_depth_cols[key][index] = (
-                    depth_values[j] * float(exp_normals[1 + j])
-                )
-            for j, key in enumerate(rdt_keys):
-                pattern_rdt_cols[key][index] = (
-                    rdt_values[j] * float(exp_normals[1 + len(depth_keys) + j])
-                )
-            slope_col[index] = params.taggon_depth_slope + float(normals[i_slope])
-            temp_depth_col[index] = (
-                params.temp_depth_coeff * float(exp_normals[i_slope + 1])
-            )
-
+            normals[index] = rng.standard_normal(len(normal_sigmas))
             positions = rng.choice(row_bits, size=n_cells, replace=False)
             bits = np.sort(positions.astype(np.int64))
             rng.shuffle(bits)
-            gaps = rng.exponential(params.cell_margin_scale, n_cells)
-            gaps = gaps * growth
-            gaps[0] = 0.0
             weak_bits[index] = bits
-            weak_margins[index] = np.cumsum(gaps)
-            if true_cell_lookup is None:
-                weak_true[index] = True
-            else:
-                weak_true[index] = [
-                    true_cell_lookup(row, int(bit)) for bit in bits
-                ]
+            gaps[index] = rng.exponential(params.cell_margin_scale, n_cells)
             penalty_col[index] = float(rng.uniform(0.03, 0.15))
             # -- end of the constructor mirror ---------------------------
 
             base_rdt[index] = base
+            coupling_col[index] = coupling
             row_plans.append(plans)
             row_depths.append(np.array([plan.depth for plan in plans]))
 
-        all_plans = [plan for plans in row_plans for plan in plans]
-        _attach_run_tables(all_plans)
+        # The draw-free remainder of the constructor, for every row at
+        # once: elementwise numpy ops and row-wise cumulative sums perform
+        # the reference's IEEE operations in the reference's order.
+        normals *= normal_sigmas
+        exp_normals = np.exp(normals)
+        self.sigma_resid = params.sigma_resid * coupling_col * exp_normals[:, 0]
+        self._pattern_depth = {
+            key: params.pattern_depth[key] * exp_normals[:, 1 + j]
+            for j, key in enumerate(depth_keys)
+        }
+        self._pattern_rdt = {
+            key: params.pattern_rdt[key] * exp_normals[:, 1 + len(depth_keys) + j]
+            for j, key in enumerate(rdt_keys)
+        }
+        self._taggon_depth_slope = params.taggon_depth_slope + normals[:, i_slope]
+        self._temp_depth_coeff = params.temp_depth_coeff * exp_normals[:, i_slope + 1]
+        gaps *= 2.0 ** np.arange(n_cells)
+        gaps[:, 0] = 0.0
+        self.weak_cell_margins = np.cumsum(gaps, axis=1)
+        self.weak_cell_bits = weak_bits
+        self.weak_cell_true = _weak_cell_polarity(
+            true_cell_lookup, self.rows, weak_bits
+        )
 
         recorder = obs.active()
         if recorder.enabled:
-            mirrored = sum(
-                1 for plan in all_plans if plan.table_occ is not None
-            )
             recorder.counter_add("fastfaults.states_built")
             recorder.counter_add("fastfaults.rows_packed", n_rows)
-            recorder.counter_add("fastfaults.traps.mirror", mirrored)
-            recorder.counter_add(
-                "fastfaults.traps.fallback", len(all_plans) - mirrored
-            )
-            recorder.gauge_set(
-                "faults.geometric_mirror",
-                1.0 if geometric_mirror_ok() else 0.0,
-            )
 
         self.base_rdt = base_rdt
-        self.sigma_resid = sigma_resid
-        self._pattern_depth = pattern_depth_cols
-        self._pattern_rdt = pattern_rdt_cols
-        self._taggon_depth_slope = slope_col
-        self._temp_depth_coeff = temp_depth_col
-        self.weak_cell_bits = weak_bits
-        self.weak_cell_margins = weak_margins
-        self.weak_cell_true = weak_true
         self.uncharged_penalty = penalty_col
         self._row_plans = row_plans
         self._row_depths = row_depths
+        self._tables_attached = False
         self._ones = np.ones(n_rows)
         self._factors_cache: Dict[Condition, tuple] = {}
         self._suffix_cache: Dict[Tuple[Condition, str], bytes] = {}
         self._seq_states: Dict[Tuple[int, Condition], _SeqRowState] = {}
+
+    def _attach_tables(self) -> None:
+        """Build the searchsorted run tables of every trap, once, on the
+        first series query too long for :func:`_short_column`."""
+        self._tables_attached = True
+        plans = [plan for row in self._row_plans for plan in row]
+        _attach_run_tables(plans)
+        recorder = obs.active()
+        if recorder.enabled:
+            mirrored = sum(1 for plan in plans if plan.table_occ is not None)
+            recorder.counter_add("fastfaults.traps.mirror", mirrored)
+            recorder.counter_add("fastfaults.traps.fallback", len(plans) - mirrored)
+            recorder.gauge_set(
+                "faults.geometric_mirror", 1.0 if geometric_mirror_ok() else 0.0
+            )
 
     # ------------------------------------------------------------------
     # Condition factors, resolved for every row at once
@@ -535,13 +610,16 @@ class BankVrdState:
         if recorder.enabled:
             recorder.counter_add("fastfaults.series_rows", len(indices))
             recorder.counter_add("fastfaults.series_values", len(indices) * n)
+        short = 0 < n <= _MIN_BATCH and geometric_mirror_ok()
+        if not short and not self._tables_attached:
+            self._attach_tables()
         out = np.empty((len(indices), n))
         for k, i in enumerate(indices):
             srng = Generator(PCG64(seed_from_prefix(
                 self._series_prefix, self._row_tails[i], suffix
             )))
             out[k] = self._series_row(
-                i, float(depth_factor[i]), float(level[i]), n, srng
+                i, float(depth_factor[i]), float(level[i]), n, srng, short
             )
         return out
 
@@ -562,6 +640,8 @@ class BankVrdState:
         rows: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """Guess-stream series means (the ``guess_rdt`` quantity) per row."""
+        if repeats < 1:
+            raise ConfigurationError(f"probe repeats must be >= 1, got {repeats}")
         samples = self.latent_series_bulk(
             condition, repeats, stream="guess", rows=rows
         )
@@ -574,15 +654,21 @@ class BankVrdState:
         level: float,
         n: int,
         srng: Generator,
+        short: bool,
     ) -> np.ndarray:
         """Mirror of ``latent_series`` for packed row ``i`` (canonical
-        condition already folded into ``depth_factor``/``level``)."""
+        condition already folded into ``depth_factor``/``level``); ``short``
+        selects :func:`_short_column` over :func:`_trap_column`."""
         plans = self._row_plans[i]
         if not plans:
             mult = np.ones(n)
         else:
-            columns = [_trap_column(plan, n, srng) for plan in plans]
-            occupancy = np.stack(columns, axis=1)
+            if short:
+                columns = [_short_column(plan, n, srng) for plan in plans]
+                occupancy = np.array(columns, dtype=bool).T.copy()
+            else:
+                columns = [_trap_column(plan, n, srng) for plan in plans]
+                occupancy = np.stack(columns, axis=1)
             effective = np.minimum(self._row_depths[i] * depth_factor, 0.95)
             log_terms = np.log1p(-effective)
             mult = np.exp(occupancy @ log_terms)

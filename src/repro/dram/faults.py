@@ -29,7 +29,6 @@ Two consumption paths share this model and agree by construction:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -40,7 +39,7 @@ from numpy.random import PCG64, Generator
 from repro import obs
 from repro.dram.traps import Trap, multiplier_series
 from repro.errors import ConfigurationError
-from repro.rng import derive, encode_element, hasher_prefix, seed_from_prefix
+from repro.rng import derive
 
 #: Canonical data-pattern keys (paper Table 2). ``pattern_byte`` maps each to
 #: the byte written to the *victim* row; aggressors hold the complement.
@@ -70,25 +69,20 @@ REFERENCE_WORDLINE_VOLTAGE = 2.5
 #: numpy's ``Generator.geometric`` branch threshold: for ``p`` at or above
 #: this value it uses the search method, which consumes exactly one uniform
 #: double from the bit stream per drawn value; below it, the inversion
-#: method consumes one ziggurat standard exponential instead. The batched
-#: row probe exploits the search branch to fulfil whole trap draw blocks
-#: from a single bulk ``rng.random()`` call, and mirrors the inversion
-#: branch with scalar ``standard_exponential`` draws.
+#: method consumes one ziggurat standard exponential instead. The packed
+#: fast path (:mod:`repro.dram.fastfaults`) serves search-branch traps from
+#: bulk ``rng.random()`` calls and mirrors the inversion branch with scalar
+#: ``standard_exponential`` draws.
 _GEOM_SEARCH_P = 0.333333333333333333
 
 #: numpy clips geometric inversion values to the int64 ceiling.
 _INT64_MAX = 9223372036854775807
 
-#: Upper clamp applied to trap transition probabilities before sampling
-#: run lengths (the lower 1e-9 clamp never binds: creation already
-#: enforces >= 1e-7).
-_P_CLAMP_HI = 1.0 - 1e-9
-
 
 def _geometric_search_mirror_ok() -> bool:
     """One-time check that our geometric sampler mirror is exact.
 
-    The probe's fast path re-derives ``rng.geometric(p)``:
+    The fast path re-derives ``rng.geometric(p)``:
 
     * search branch (``p >= 1/3``): draw ``u = rng.random()``, run numpy's
       search recurrence (``sum/prod`` accumulation in double precision);
@@ -97,11 +91,11 @@ def _geometric_search_mirror_ok() -> bool:
 
     Array draws consume the bit stream element-sequentially, so alternating
     branches mirror as alternating scalar draws. The mirror is tied to
-    numpy's private sampling algorithm, so we verify it at import against a
+    numpy's private sampling algorithm, so we verify it once against a
     few seeds covering both branches, the boundary, and a mixed-branch
     array; on any mismatch (e.g. a future numpy changes the sampler) the
-    probe silently falls back to calling ``rng.geometric`` for every trap —
-    slower, but still bit-identical to the reference path.
+    fast path silently falls back to calling ``rng.geometric`` for every
+    trap — slower, but still bit-identical to the reference path.
     """
     cases = [
         (1234, (0.7,) * 8),
@@ -138,44 +132,19 @@ def _geometric_search_mirror_ok() -> bool:
     return True
 
 
-#: Environment override for the mirror self-probe: ``"0"`` forces the
-#: slow-but-safe fallback (every geometric draw goes through
-#: ``rng.geometric``), ``"1"`` trusts the mirror without probing, anything
-#: else (or unset) probes lazily on first use.
-GEOMETRIC_MIRROR_ENV_VAR = "VRD_GEOMETRIC_MIRROR"
-
-#: Lazily filled probe result; ``None`` means "not yet evaluated". The
-#: probe costs ~1 ms, which is irrelevant once but used to run at *import*
-#: time in every process — including campaign-engine workers and test
-#: collection — whether or not a fast path ever executed.
+#: Lazily filled probe result; ``None`` means "not yet evaluated", so the
+#: ~1 ms probe only runs in processes that reach a fast path. Tests set it
+#: to ``False`` to exercise the fallback paths.
 _MIRROR_OK: Optional[bool] = None
 
 
 def geometric_mirror_ok() -> bool:
     """Whether the geometric-sampler mirror is exact, probed once per
-    process (see :func:`_geometric_search_mirror_ok`) and cached.
-
-    ``VRD_GEOMETRIC_MIRROR=0`` skips the probe and disables the mirror
-    (tests use this to exercise the fallback paths); ``=1`` skips the
-    probe and enables it.
-    """
+    process (see :func:`_geometric_search_mirror_ok`) and cached."""
     global _MIRROR_OK
     if _MIRROR_OK is None:
-        override = os.environ.get(GEOMETRIC_MIRROR_ENV_VAR, "").strip()
-        if override == "0":
-            _MIRROR_OK = False
-        elif override == "1":
-            _MIRROR_OK = True
-        else:
-            _MIRROR_OK = _geometric_search_mirror_ok()
+        _MIRROR_OK = _geometric_search_mirror_ok()
     return _MIRROR_OK
-
-
-def __getattr__(name: str):
-    # Compatibility alias for the pre-lazy module constant.
-    if name == "_BULK_UNIFORM_OK":
-        return geometric_mirror_ok()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def classify_pattern(victim_byte: int, aggressor_byte: int) -> str:
@@ -775,464 +744,6 @@ class RowVrdProcess:
         return flips
 
 
-def probe_guess_means(
-    params: VrdModelParams,
-    row_bits: int,
-    seed: int,
-    module_id: str,
-    bank: int,
-    rows: "list[int]",
-    condition: Condition,
-    repeats: int = 10,
-    true_cell_lookup=None,
-) -> np.ndarray:
-    """Guess-stream latent means for many rows, without full processes.
-
-    Bit-identical to ``RowVrdProcess(...).latent_series(condition, repeats,
-    stream="guess").mean()`` for every row: each row's construction and
-    series streams are derived and consumed in exact lockstep with
-    :class:`RowVrdProcess` (see the draw-by-draw mirror below), but only
-    the state the guess path needs is materialized, per-element ``np.clip``
-    calls become scalar clamps, runs of equal-distribution draws are
-    batched, and the shared BLAKE2b path prefixes are hashed once instead
-    of per row. Row selection probes thousands of rows per module
-    (3 x 1024 in the paper's protocol), which makes per-row constructor
-    cost the dominant term of campaign wall-time; this is the campaign
-    engine's fast path for it.
-
-    Any new draw added to ``RowVrdProcess.__init__`` or the guess path of
-    :meth:`RowVrdProcess.latent_series` MUST be mirrored here;
-    ``tests/core/test_engine.py`` asserts exact equality against the full
-    path to catch drift.
-    """
-    if repeats < 1:
-        raise ConfigurationError(f"probe repeats must be >= 1, got {repeats}")
-    condition = condition.canonical()
-    pattern = condition.pattern
-
-    # ---- row-independent condition terms (mirrors RowVrdProcess.factors)
-    def g(t: float) -> float:
-        return 1.0 / (1.0 + (t / params.taggon_rdt_tau_ns) ** params.taggon_rdt_alpha)
-
-    taggon_rdt_factor = g(condition.t_agg_on) / g(REFERENCE_T_AGG_ON)
-    delta_t = condition.temperature - REFERENCE_TEMPERATURE
-    undervolt = REFERENCE_WORDLINE_VOLTAGE - condition.wordline_voltage
-    temp_rdt_term = max(0.05, 1.0 + params.temp_rdt_coeff * delta_t)
-    volt_rdt_term = max(0.05, 1.0 + params.voltage_rdt_coeff * undervolt)
-    volt_depth_term = max(0.05, 1.0 + params.voltage_depth_coeff * undervolt)
-    decades = math.log10(condition.t_agg_on / REFERENCE_T_AGG_ON)
-
-    # ---- constants consumed by the per-row draw mirror
-    depth_keys = list(params.pattern_depth)
-    rdt_keys = list(params.pattern_rdt)
-    depth_values = [params.pattern_depth[key] for key in depth_keys]
-    rdt_values = [params.pattern_rdt[key] for key in rdt_keys]
-    i_depth = depth_keys.index(pattern) if pattern in params.pattern_depth else -1
-    i_rdt = rdt_keys.index(pattern) if pattern in params.pattern_rdt else -1
-    # One batched call replaces the constructor's run of scalar normals
-    # (sigma_resid, pattern depth/rdt jitters, taggon slope, temp coeff);
-    # numpy Generators consume the bit stream identically either way, and
-    # ``standard_normal(n) * sigmas`` reproduces ``normal(0, sigmas)``
-    # value-for-value (``loc + scale * z`` with ``loc == 0``) without the
-    # two-array broadcast machinery.
-    normal_sigmas = np.array(
-        [0.4] + [0.30] * len(depth_keys) + [0.02] * len(rdt_keys) + [0.01, 0.3]
-    )
-    n_normals = len(normal_sigmas)
-    i_slope = 1 + len(depth_keys) + len(rdt_keys)
-    log_rare_lo = np.log(params.rare_pi_lo)
-    log_rare_hi = np.log(params.rare_pi_hi)
-    log_big_lo = np.log(0.002)
-    log_big_hi = np.log(0.2)
-    growth = 2.0 ** np.arange(params.weak_cells)
-    pattern_byte = PATTERN_VICTIM_BYTE.get(pattern)
-    small_scale = params.depth_scale * params.severity
-    n_cells = params.weak_cells
-
-    row_prefix = hasher_prefix(seed, "vrd-row", module_id, bank)
-    series_prefix = hasher_prefix(seed, "vrd-series", module_id, bank)
-    series_suffix = b"".join(
-        encode_element(element)
-        for element in (
-            pattern, str(condition.t_agg_on), str(condition.temperature),
-            str(condition.wordline_voltage), "guess",
-        )
-    )
-
-    # Inline polarity lookup when the callable is a CellLayout method
-    # (weak-cell bits come from ``rng.choice`` and are never negative, so
-    # the public method's validation is redundant here); per-bit Python
-    # calls otherwise (third-party lookups keep working).
-    from repro.dram.cells import CellLayoutKind
-
-    layout = None
-    if true_cell_lookup is not None:
-        lookup_owner = getattr(true_cell_lookup, "__self__", None)
-        if lookup_owner is not None and getattr(
-            true_cell_lookup, "__func__", None
-        ) is getattr(type(lookup_owner), "bit_is_true_cell", None):
-            layout = lookup_owner
-
-    # Charged-mask dispatch, resolved once: 0 = every cell charged (no
-    # victim byte for the pattern), 1 = all cells true, 2 = MIXED layout,
-    # 3 = row-uniform layout, 4 = generic per-bit callable.
-    if pattern_byte is None:
-        charge_mode = 0
-    elif true_cell_lookup is None:
-        charge_mode = 1
-    elif layout is not None:
-        charge_mode = 2 if layout.kind is CellLayoutKind.MIXED else 3
-    else:
-        charge_mode = 4
-
-    use_fast = repeats <= 16 and geometric_mirror_ok()
-    recorder = obs.active()
-    if recorder.enabled:
-        recorder.counter_add("faults.probe_rows", len(rows))
-        recorder.counter_add(
-            "faults.probe.geometric" if use_fast else "faults.probe.fallback"
-        )
-    states_buf = np.empty(64, dtype=bool)
-    run_cums_buf = np.empty((64, repeats), dtype=np.int64)
-    guesses = np.empty(len(rows))
-    arange_repeats = np.arange(repeats)
-    for index, row in enumerate(rows):
-        row_tail = encode_element(row)
-        rng = Generator(PCG64(seed_from_prefix(row_prefix, row_tail)))
-
-        # -- draw mirror of RowVrdProcess.__init__ -----------------------
-        base_rdt = float(params.mean_rdt * np.exp(rng.normal(0.0, params.spatial_sigma)))
-        coupling = (params.mean_rdt / base_rdt) ** params.vulnerability_coupling
-        coupling = min(max(coupling, 0.5), 3.0)
-
-        # Traps as bare (depth, p_occupy, p_release) triples; Trap object
-        # construction/validation is dead weight at probe volume. In the
-        # fast (single-batch) regime the per-trap sampling plan is built
-        # here too, in the same pass. Transition probabilities are already
-        # >= 1e-7 at creation, so only the upper 1 - 1e-9 clamp can bind.
-        traps: "list[tuple[float, float, float]]" = []
-        plans: "list[tuple[float, float, float, int, bool]]" = []
-        n_small = int(rng.poisson(params.trap_count_mean))
-        trap_scale = small_scale * coupling
-        for _ in range(n_small):
-            depth = float(min(max(rng.exponential(trap_scale), 1e-4), 0.5))
-            pi = float(rng.beta(2.0, 2.0))
-            p_occupy = max(1e-6, pi)
-            p_release = max(1e-6, 1.0 - pi)
-            traps.append((depth, p_occupy, p_release))
-            if use_fast:
-                p_occ = min(p_occupy, _P_CLAMP_HI)
-                p_rel = min(p_release, _P_CLAMP_HI)
-                plans.append((
-                    p_occ, p_rel, p_occupy / (p_occupy + p_release),
-                    max(16, int(repeats / (
-                        0.5 * (1.0 / p_occ + 1.0 / p_rel)
-                    ) * 1.5) + 8),
-                    p_occ >= _GEOM_SEARCH_P and p_rel >= _GEOM_SEARCH_P,
-                ))
-        if rng.random() < params.rare_trap_prob:
-            depth = float(min(max(
-                rng.uniform(0.85, 1.15) * params.rare_trap_depth * coupling,
-                5e-3), 0.3))
-            pi = float(np.exp(rng.uniform(log_rare_lo, log_rare_hi)))
-            speed = float(rng.uniform(0.8, 1.0))
-            p_occupy = max(1e-7, speed * pi)
-            p_release = max(1e-7, speed * (1.0 - pi))
-            traps.append((depth, p_occupy, p_release))
-            if use_fast:
-                p_occ = min(p_occupy, _P_CLAMP_HI)
-                p_rel = min(p_release, _P_CLAMP_HI)
-                plans.append((
-                    p_occ, p_rel, p_occupy / (p_occupy + p_release),
-                    max(16, int(repeats / (
-                        0.5 * (1.0 / p_occ + 1.0 / p_rel)
-                    ) * 1.5) + 8),
-                    p_occ >= _GEOM_SEARCH_P and p_rel >= _GEOM_SEARCH_P,
-                ))
-        if rng.random() < params.big_trap_prob:
-            depth = float(min(max(
-                rng.uniform(0.5, 1.0) * params.big_trap_depth * params.severity,
-                0.02), 0.8))
-            pi = float(np.exp(rng.uniform(log_big_lo, log_big_hi)))
-            speed = float(rng.uniform(0.2, 1.0))
-            p_occupy = max(1e-6, speed * pi)
-            p_release = max(1e-6, speed * (1.0 - pi))
-            traps.append((depth, p_occupy, p_release))
-            if use_fast:
-                p_occ = min(p_occupy, _P_CLAMP_HI)
-                p_rel = min(p_release, _P_CLAMP_HI)
-                plans.append((
-                    p_occ, p_rel, p_occupy / (p_occupy + p_release),
-                    max(16, int(repeats / (
-                        0.5 * (1.0 / p_occ + 1.0 / p_rel)
-                    ) * 1.5) + 8),
-                    p_occ >= _GEOM_SEARCH_P and p_rel >= _GEOM_SEARCH_P,
-                ))
-
-        normals = rng.standard_normal(n_normals) * normal_sigmas
-        # One vectorized exp; element-wise equal to per-element np.exp.
-        exp_normals = np.exp(normals)
-        sigma_resid = float(params.sigma_resid * coupling * exp_normals[0])
-        pattern_depth_j = (
-            depth_values[i_depth] * float(exp_normals[1 + i_depth])
-            if i_depth >= 0 else 1.0
-        )
-        pattern_rdt_j = (
-            rdt_values[i_rdt] * float(exp_normals[1 + len(depth_keys) + i_rdt])
-            if i_rdt >= 0 else 1.0
-        )
-        slope = params.taggon_depth_slope + float(normals[i_slope])
-        temp_depth_coeff = params.temp_depth_coeff * float(exp_normals[i_slope + 1])
-
-        positions = rng.choice(row_bits, size=n_cells, replace=False)
-        weak_bits = np.sort(positions.astype(np.int64))
-        rng.shuffle(weak_bits)
-        gaps = rng.exponential(params.cell_margin_scale, n_cells)
-        uncharged_penalty = float(rng.uniform(0.03, 0.15))
-        # -- end of the constructor mirror -------------------------------
-
-        if charge_mode == 4:
-            gaps = gaps * growth
-            gaps[0] = 0.0
-            margins = np.cumsum(gaps)
-            bit_values = (pattern_byte >> (weak_bits % 8)) & 1
-            weak_true = np.array(
-                [true_cell_lookup(row, int(bit)) for bit in weak_bits],
-                dtype=bool,
-            )
-            charged = (bit_values == 1) == weak_true
-            margins = margins + np.where(charged, 0.0, uncharged_penalty)
-            first_flip_margin = float(margins.min())
-        else:
-            # Scalar fold of the reference margin pipeline (cumsum of
-            # scaled gaps with gaps[0] zeroed, uncharged penalty, min).
-            # Sequential Python float adds perform the identical IEEE
-            # operations as np.cumsum / the np.where add, and only the
-            # minimum feeds the guess level.
-            scaled = (gaps * growth).tolist()
-            bits_list = weak_bits.tolist()
-            row_true = (
-                layout.row_is_true_cell(row) if charge_mode == 3 else True
-            )
-            cum = 0.0
-            first_flip_margin = math.inf
-            for i in range(n_cells):
-                if i:
-                    cum += scaled[i]
-                if charge_mode == 0:
-                    value = cum
-                else:
-                    bit = bits_list[i]
-                    bit_value = (pattern_byte >> (bit & 7)) & 1
-                    if charge_mode == 2:
-                        # MIXED polarity: true cell iff (bit//8 + row)
-                        # is even; charged iff stored bit XOR anti-cell.
-                        charged = (bit_value ^ (bit >> 3) ^ row) & 1
-                    elif charge_mode == 1:
-                        charged = bit_value == 1
-                    else:
-                        charged = (bit_value == 1) == row_true
-                    value = cum if charged else cum + uncharged_penalty
-                if value < first_flip_margin:
-                    first_flip_margin = value
-
-        taggon_term = 1.0 + slope * decades + params.taggon_depth_quad * decades * decades
-        rdt_factor = float(
-            pattern_rdt_j * taggon_rdt_factor * temp_rdt_term * volt_rdt_term
-        )
-        depth_factor = float(
-            pattern_depth_j * max(0.05, taggon_term)
-            * max(0.05, 1.0 + temp_depth_coeff * delta_t)
-            * volt_depth_term
-        )
-
-        # -- guess path of latent_series ---------------------------------
-        # Inline mirror of traps.multiplier_series / sample_occupancy_series
-        # with per-call overhead stripped; draw-for-draw identical.
-        srng = Generator(PCG64(
-            seed_from_prefix(series_prefix, row_tail, series_suffix)
-        ))
-        if not traps:
-            mult = np.ones(repeats)
-        elif use_fast:
-            # Single-batch regime: every trap's batch is >= 16 >= repeats and
-            # run lengths are >= 1, so one geometric batch always covers the
-            # series. A trap whose clamped transition probabilities both sit
-            # on the geometric search branch (p >= 1/3) consumes exactly one
-            # uniform per batch element plus one for the initial-state gate —
-            # a straight run of ``next_double`` calls that a single bulk
-            # ``srng.random()`` serves for whole stretches of adjacent traps.
-            # Traps with an inversion-branch probability (p < 1/3) alternate
-            # draw kinds element by element, so they mirror with scalar
-            # ``random()`` / ``standard_exponential()`` calls instead.
-            n_traps = len(traps)
-            if n_traps > states_buf.shape[0]:
-                states_buf = np.empty(2 * n_traps, dtype=bool)
-                run_cums_buf = np.empty((2 * n_traps, repeats), dtype=np.int64)
-            states = states_buf[:n_traps]
-            # Cumulative run boundaries per trap; runs have length >= 1, so
-            # at most ``repeats`` of them matter. Unset tail entries stay at
-            # ``repeats`` (past every measurement index).
-            run_cums = run_cums_buf[:n_traps]
-            run_cums.fill(repeats)
-            k = 0
-            while k < n_traps:
-                end = k
-                total = 0
-                while end < n_traps and plans[end][4]:
-                    total += 1 + plans[end][3]
-                    end += 1
-                if end < n_traps:
-                    total += 1  # the fallback trap's initial-state gate
-                bulk = (
-                    (srng.random(),) if total == 1
-                    else srng.random(total).tolist()
-                )
-                offset = 0
-                while k < end:
-                    p_occ, p_rel, stationary, batch, _ = plans[k]
-                    state = bulk[offset] < stationary
-                    offset += 1
-                    # Leave probabilities alternate with the run state.
-                    a = p_rel if state else p_occ
-                    b = p_occ if state else p_rel
-                    qa = 1.0 - a
-                    qb = 1.0 - b
-                    row_cums = run_cums[k]
-                    cum = 0
-                    element = 0
-                    while cum < repeats:
-                        # numpy's geometric search recurrence, verbatim;
-                        # elements past coverage only need their uniforms
-                        # consumed (already done by the bulk draw).
-                        u = bulk[offset + element]
-                        if element & 1:
-                            total_p = b
-                            prod = b
-                            q = qb
-                        else:
-                            total_p = a
-                            prod = a
-                            q = qa
-                        length = 1
-                        while u > total_p:
-                            prod *= q
-                            total_p += prod
-                            length += 1
-                        cum += length
-                        row_cums[element] = cum
-                        element += 1
-                    offset += batch
-                    states[k] = state
-                    k += 1
-                if k < n_traps:
-                    p_occ, p_rel, stationary, batch, _ = plans[k]
-                    state = bulk[offset] < stationary
-                    a = p_rel if state else p_occ
-                    b = p_occ if state else p_rel
-                    a_inv = a < _GEOM_SEARCH_P
-                    b_inv = b < _GEOM_SEARCH_P
-                    la = math.log1p(-a) if a_inv else 0.0
-                    lb = math.log1p(-b) if b_inv else 0.0
-                    qa = 1.0 - a
-                    qb = 1.0 - b
-                    srandom = srng.random
-                    sexp = srng.standard_exponential
-                    row_cums = run_cums[k]
-                    cum = 0
-                    # All `batch` elements must be consumed (the reference
-                    # path draws the full geometric batch); values are only
-                    # computed until the series is covered.
-                    for element in range(batch):
-                        odd = element & 1
-                        if b_inv if odd else a_inv:
-                            draw = sexp()
-                            if cum >= repeats:
-                                continue
-                            length = math.ceil(-draw / (lb if odd else la))
-                            if length > _INT64_MAX:
-                                length = _INT64_MAX
-                        else:
-                            u = srandom()
-                            if cum >= repeats:
-                                continue
-                            if odd:
-                                total_p = prod = b
-                                q = qb
-                            else:
-                                total_p = prod = a
-                                q = qa
-                            length = 1
-                            while u > total_p:
-                                prod *= q
-                                total_p += prod
-                                length += 1
-                        cum += length
-                        if element < repeats:
-                            row_cums[element] = cum
-                    if cum < repeats:
-                        # Unreachable short of a zero-length inversion draw
-                        # (requires standard_exponential() == 0.0, ~2^-64);
-                        # fail loudly rather than diverge from the
-                        # reference path's multi-batch continuation.
-                        raise ConfigurationError(
-                            "probe fast path under-covered a trap series"
-                        )
-                    states[k] = state
-                    k += 1
-            # Measurement j falls in run #(cum boundaries <= j); runs
-            # alternate state, so even run indices carry the initial state.
-            run_index = (run_cums[:, :, None] <= arange_repeats).sum(axis=1)
-            occ = ((run_index & 1) == 0) == states[:, None]
-            occupancy = np.ascontiguousarray(occ.T)
-            depths_arr = np.array([trap[0] for trap in traps])
-            effective = np.minimum(depths_arr * depth_factor, 0.95)
-            mult = np.exp(occupancy @ np.log1p(-effective))
-        else:
-            columns = []
-            for _depth, p_occupy, p_release in traps:
-                state = srng.random() < p_occupy / (p_occupy + p_release)
-                p_occ = min(max(p_occupy, 1e-9), 1.0 - 1e-9)
-                p_rel = min(max(p_release, 1e-9), 1.0 - 1e-9)
-                mean_run = 0.5 * (1.0 / p_occ + 1.0 / p_rel)
-                states_list = None
-                covered = 0
-                while True:
-                    batch = max(16, int((repeats - covered) / mean_run * 1.5) + 8)
-                    batch_states = np.empty(batch, dtype=bool)
-                    batch_states[0::2] = state
-                    batch_states[1::2] = not state
-                    leave_probs = np.where(batch_states, p_rel, p_occ)
-                    batch_lengths = srng.geometric(leave_probs)
-                    covered += int(batch_lengths.sum())
-                    state = not bool(batch_states[-1])
-                    if states_list is None:
-                        if covered >= repeats:  # single-batch common case
-                            columns.append(
-                                np.repeat(batch_states, batch_lengths)[:repeats]
-                            )
-                            break
-                        states_list = [batch_states]
-                        lengths_list = [batch_lengths]
-                    else:
-                        states_list.append(batch_states)
-                        lengths_list.append(batch_lengths)
-                        if covered >= repeats:
-                            columns.append(np.repeat(
-                                np.concatenate(states_list),
-                                np.concatenate(lengths_list),
-                            )[:repeats])
-                            break
-            occupancy = np.stack(columns, axis=1)
-            depths_arr = np.array([trap[0] for trap in traps])
-            effective = np.minimum(depths_arr * depth_factor, 0.95)
-            mult = np.exp(occupancy @ np.log1p(-effective))
-        noise = np.exp(srng.normal(0.0, sigma_resid, repeats))
-        level = base_rdt * rdt_factor * (1.0 + first_flip_margin)
-        guesses[index] = (level * mult * noise).mean()
-    return guesses
-
-
 def effective_hammers(left_acts: float, right_acts: float) -> float:
     """Combine per-aggressor activation counts into one disturbance drive.
 
@@ -1302,23 +813,19 @@ class ModuleFaultModel:
         condition: Condition,
         repeats: int = 10,
     ) -> np.ndarray:
-        """Batched guess-stream probe over physical rows (see
-        :func:`probe_guess_means`).
+        """Guess-stream means (the ``guess_rdt`` quantity) of many physical
+        rows: entry ``k`` equals ``process(bank, rows[k]).latent_series(
+        condition, repeats, stream="guess").mean()`` bit for bit.
 
-        Unlike :meth:`process`, probed rows are *not* cached: row selection
-        touches thousands of rows per module and retaining a full
-        :class:`RowVrdProcess` for each would hold ~MBs of dead state.
+        Served by the packed state of :meth:`bank_state` when the bank's
+        cached state holds exactly these rows, and by a throwaway one
+        otherwise: row selection probes thousands of rows per module, and
+        caching them would both hold dead state and evict the campaign's
+        measured rows.
         """
-        return probe_guess_means(
-            self.params,
-            self.row_bits,
-            self._seed_for_rows(),
-            self.module_id,
-            bank,
-            rows,
-            condition,
-            repeats=repeats,
-            true_cell_lookup=self._true_cell_lookup,
+        obs.active().counter_add("faults.probe_rows", len(rows))
+        return self._packed_state(bank, rows, cache=False).guess_means(
+            condition, repeats
         )
 
     def bank_state(self, bank: int, rows: "list[int]"):
@@ -1328,6 +835,9 @@ class ModuleFaultModel:
         .BankVrdState`); bit-identical to per-row :meth:`process` queries.
         One state per bank is cached, keyed by the exact rows tuple.
         """
+        return self._packed_state(bank, rows, cache=True)
+
+    def _packed_state(self, bank: int, rows: "list[int]", cache: bool):
         from repro.dram.fastfaults import BankVrdState
 
         rows = tuple(int(row) for row in rows)
@@ -1345,7 +855,8 @@ class ModuleFaultModel:
             rows,
             true_cell_lookup=self._true_cell_lookup,
         )
-        self._bank_states[bank] = (rows, state)
+        if cache:
+            self._bank_states[bank] = (rows, state)
         return state
 
     def latent_series_bank(

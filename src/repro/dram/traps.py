@@ -22,6 +22,11 @@ from repro.errors import ConfigurationError
 _MIN_P = 1e-9
 _MAX_P = 1.0 - 1e-9
 
+#: Smallest geometric batch :func:`sample_occupancy_series` draws. Every
+#: run lasts at least one step, so a series of at most this many steps is
+#: always covered by the first batch.
+_MIN_BATCH = 16
+
 
 @dataclass(frozen=True)
 class Trap:
@@ -104,13 +109,17 @@ def sample_occupancy_series(
         # Expected steps per run alternate between the two sojourn means;
         # draw a batch sized to likely finish in one pass.
         mean_run = 0.5 * (1.0 / p_occupy + 1.0 / p_release)
-        batch = max(16, int((n - covered) / mean_run * 1.5) + 8)
+        batch = max(_MIN_BATCH, int((n - covered) / mean_run * 1.5) + 8)
         # Alternating states within the batch.
         batch_states = np.empty(batch, dtype=bool)
         batch_states[0::2] = state
         batch_states[1::2] = not state
         leave_probs = np.where(batch_states, p_release, p_occupy)
         batch_lengths = rng.geometric(leave_probs)
+        # A run reaching past the end of the series only matters up to it:
+        # capping every run at the remaining length bounds the expansion
+        # by ``n`` instead of by ~1/p, and leaves ``series[:n]`` unchanged.
+        np.minimum(batch_lengths, n - covered, out=batch_lengths)
         states.append(batch_states)
         lengths.append(batch_lengths)
         covered += int(batch_lengths.sum())

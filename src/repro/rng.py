@@ -41,8 +41,8 @@ def encode_element(element: PathElement) -> bytes:
 def hasher_prefix(root_seed: int, *path: PathElement) -> "hashlib.blake2b":
     """Partially evaluated :func:`child_seed` hasher over a path prefix.
 
-    Batched consumers (the campaign engine's row probe derives two streams
-    per probed row) copy the returned hasher and feed only the varying path
+    Batched consumers (the packed bank state derives three streams per
+    row) copy the returned hasher and feed only the varying path
     tail, instead of rehashing the shared prefix thousands of times.
     ``seed_from_prefix(hasher_prefix(s, *head), *tail)`` is equal to
     ``child_seed(s, *head, *tail)`` by construction.

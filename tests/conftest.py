@@ -1,8 +1,30 @@
-"""Shared fixtures: small, fast simulated devices."""
+"""Shared fixtures: small, fast simulated devices, plus a memory fence."""
 
 from __future__ import annotations
 
 import pytest
+
+#: Address-space cap for the test session. Every public entry point must
+#: stay within bounded memory, so a runaway allocation should fail one
+#: test with ``MemoryError`` rather than get the whole run OOM-killed.
+ADDRESS_SPACE_CAP = 2 * 1024 ** 3
+
+
+def _fence_address_space(cap: int = ADDRESS_SPACE_CAP) -> None:
+    """Lower ``RLIMIT_AS`` to ``cap``; never raise an existing lower limit,
+    and do nothing where the ``resource`` module is unavailable."""
+    try:
+        import resource
+    except ImportError:  # non-POSIX platforms
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    if soft == resource.RLIM_INFINITY or soft > cap:
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+_fence_address_space()
 
 from repro.core.config import TestConfig
 from repro.core.patterns import CHECKERED0

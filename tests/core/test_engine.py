@@ -20,6 +20,7 @@ from repro.core.engine import (
     _measure_units,
     resolve_jobs,
 )
+from repro.core.patterns import DataPattern
 from repro.errors import ConfigurationError, MeasurementError
 
 MODULE_ID = "M1"
@@ -133,19 +134,47 @@ def test_engine_rejects_empty_rows():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("module_id", ["M1", "S3", "Chip0"])
-def test_batched_probe_equals_per_row_guesses(module_id):
-    """guess_rdt_batch must reproduce guess_rdt bit-for-bit, including on
-    modules with non-identity logical-to-physical row mappings (S3,
-    Chip0)."""
+#: (module, pattern, keep the module's cell-polarity lookup)
+PROBE_CASES = {
+    # Non-identity logical-to-physical row mappings.
+    "S3": ("S3", CHECKERED0, True),
+    "Chip0": ("Chip0", CHECKERED0, True),
+    # Row-uniform polarity: M0's 512-row true/anti blocks.
+    "M0-row-blocks": ("M0", CHECKERED0, True),
+    # Byte-wise mixed polarity within every row.
+    "M1-mixed": ("M1", CHECKERED0, True),
+    # A pattern outside Table 2 canonicalizes to "other".
+    "M1-other-pattern": ("M1", DataPattern("custom", 0x3C), True),
+    # No polarity lookup at all: every cell is a true cell.
+    "M1-no-lookup": ("M1", ROWSTRIPE0, False),
+}
+
+
+@pytest.mark.parametrize("case", list(PROBE_CASES), ids=list(PROBE_CASES))
+def test_batched_probe_equals_per_row_guesses(case):
+    """guess_rdt_batch must reproduce guess_rdt bit-for-bit across row
+    mappings, cell-polarity layouts, pattern canonicalization, and models
+    without a polarity lookup."""
+    module_id, pattern, keep_lookup = PROBE_CASES[case]
     module = build_module(module_id, seed=7)
     module.disable_interference_sources()
+    if not keep_lookup:
+        module.fault_model._true_cell_lookup = None
     meter = FastRdtMeter(module, bank=0)
-    config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
-    rows = [0, 5, 9, 13, 64, 200]
+    config = TestConfig(pattern, t_agg_on_ns=module.timing.tRAS)
+    rows = [0, 5, 9, 13, 64, 200, 600, 1030]
     batch = meter.guess_rdt_batch(rows, config, repeats=10)
     singles = np.array([meter.guess_rdt(row, config) for row in rows])
     np.testing.assert_array_equal(batch, singles)
+
+
+@pytest.mark.parametrize("repeats", [0, -3])
+def test_batched_probe_rejects_empty_guess(repeats):
+    module = build_module(MODULE_ID, seed=SEED)
+    meter = FastRdtMeter(module, bank=0)
+    config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
+    with pytest.raises(ConfigurationError):
+        meter.guess_rdt_batch([1, 2], config, repeats=repeats)
 
 
 def test_batched_selection_equals_reference_selection():
@@ -160,13 +189,13 @@ def test_batched_selection_equals_reference_selection():
 
 
 def test_geometric_mirror_self_check_passes():
-    """The probe fast path relies on an exact mirror of numpy's geometric
-    sampler; the import-time self-check must accept this numpy build
-    (otherwise the probe silently degrades to the slow path)."""
+    """The device fast path relies on an exact mirror of numpy's geometric
+    sampler; the self-check must accept this numpy build (otherwise the
+    fast path silently degrades to direct ``rng.geometric`` calls)."""
     from repro.dram import faults
 
     assert faults._geometric_search_mirror_ok()
-    assert faults._BULK_UNIFORM_OK
+    assert faults.geometric_mirror_ok()
 
 
 # ----------------------------------------------------------------------

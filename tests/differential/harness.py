@@ -16,6 +16,7 @@ name                oracle                              fast path
 engine              serial ``Campaign.run``             ``CampaignEngine`` (2 jobs)
 memsim              ``MemorySystem.run``                ``memsim.fastcore.run_fast``
 fastfaults          per-row ``RowVrdProcess``           packed ``BankVrdState``
+probe               per-row ``guess_rdt``               batched ``guess_rdt_batch``
 bender              scalar ``Interpreter`` trials       compiled trial replay
 ecc                 per-codeword encode/decode          ``encode_batch``/``decode_batch``
 adaptive            serial ``AdaptiveScheduler``        ``CampaignEngine`` adaptive (2 jobs)
@@ -236,6 +237,42 @@ def fastfaults_hbm2_oracle(seed: int) -> tuple:
 
 def fastfaults_hbm2_fast(seed: int) -> tuple:
     return _catalog_fault_series(seed, "Chip0", fast=True)
+
+
+# ----------------------------------------------------------------------
+# probe: per-row guess_rdt vs the batched row probe of row selection
+# ----------------------------------------------------------------------
+
+_PROBE_MODULES = ["M0", "M1", "H1", "S0", "S3", "Chip0"]
+
+
+def _probe_workload(seed: int):
+    """A catalog module (row-block or mixed polarity, identity or
+    scrambled row mapping), a random row set, and a random condition."""
+    from repro.chips import build_module
+    from repro.core import FastRdtMeter, TestConfig
+    from repro.core.patterns import ALL_PATTERNS
+
+    pick = random.Random(seed + 8)
+    module = build_module(pick.choice(_PROBE_MODULES), seed=seed)
+    module.disable_interference_sources()
+    rows = sorted(pick.sample(range(module.geometry.n_rows), 12))
+    config = TestConfig(
+        pick.choice(ALL_PATTERNS),
+        t_agg_on_ns=pick.choice([module.timing.tRAS, 2_000.0]),
+        temperature_c=pick.choice([50.0, 80.0]),
+    )
+    return FastRdtMeter(module, bank=0), rows, config
+
+
+def probe_oracle(seed: int) -> tuple:
+    meter, rows, config = _probe_workload(seed)
+    return tuple(meter.guess_rdt(row, config) for row in rows)
+
+
+def probe_fast(seed: int) -> tuple:
+    meter, rows, config = _probe_workload(seed)
+    return tuple(meter.guess_rdt_batch(rows, config).tolist())
 
 
 # ----------------------------------------------------------------------
@@ -617,6 +654,7 @@ CASES: List[DifferentialCase] = [
     DifferentialCase(
         "fastfaults-hbm2", fastfaults_hbm2_oracle, fastfaults_hbm2_fast
     ),
+    DifferentialCase("probe", probe_oracle, probe_fast),
     DifferentialCase("bender", bender_oracle, bender_fast),
     DifferentialCase("bender-ddr5", bender_ddr5_oracle, bender_ddr5_fast),
     DifferentialCase("bender-hbm2", bender_hbm2_oracle, bender_hbm2_fast),

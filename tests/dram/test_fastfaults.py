@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.dram import faults, fastfaults, traps
+from repro.dram.cells import CellLayout, CellLayoutKind
 from repro.dram.faults import (
     Condition,
     ModuleFaultModel,
@@ -20,6 +21,7 @@ from repro.dram.faults import (
 from repro.dram.fastfaults import (
     BankVrdState,
     _attach_run_tables,
+    _short_column,
     _trap_column,
     _TrapPlan,
     build_bank_state,
@@ -60,14 +62,24 @@ def make_process(row: int, params=None) -> RowVrdProcess:
 
 
 class TestLatentSeriesBitIdentity:
+    @pytest.fixture(autouse=True, params=["mirror", "fallback"])
+    def mirror(self, request, monkeypatch):
+        """Run every case with the geometric mirror on and forced off."""
+        if request.param == "fallback":
+            monkeypatch.setattr(faults, "_MIRROR_OK", False)
+        return request.param
+
+    # Both sides of the short-series limit (traps._MIN_BATCH == 16), plus
+    # a long series that needs the run tables.
+    @pytest.mark.parametrize("n", [1, 10, 16, 17, 200])
     @pytest.mark.parametrize("condition", CONDITIONS)
     @pytest.mark.parametrize("stream", ["series", "guess"])
-    def test_matches_scalar_process(self, condition, stream):
+    def test_matches_scalar_process(self, condition, stream, n):
         state = make_state()
-        bulk = state.latent_series_bulk(condition, 200, stream=stream)
+        bulk = state.latent_series_bulk(condition, n, stream=stream)
         for index, row in enumerate(ROWS):
             reference = make_process(row).latent_series(
-                condition, 200, stream=stream
+                condition, n, stream=stream
             )
             np.testing.assert_array_equal(bulk[index], reference)
 
@@ -174,6 +186,18 @@ class TestTrapColumnMirror:
         np.testing.assert_array_equal(fast, reference)
 
     @pytest.mark.parametrize("trap", EDGE_TRAPS)
+    @pytest.mark.parametrize("n", [1, 7, 16, 40])
+    def test_short_column(self, trap, n):
+        plan = _TrapPlan(trap.depth, trap.p_occupy, trap.p_release)
+        rng = derive(5, "short", n)
+        fast = _short_column(plan, n, rng)
+        ref_rng = derive(5, "short", n)
+        reference = sample_occupancy_series(trap, n, ref_rng)
+        assert fast == reference.tolist()
+        # The whole batch is consumed, exactly as the reference draws it.
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("trap", EDGE_TRAPS)
     def test_direct_route_without_tables(self, trap):
         plan = _TrapPlan(trap.depth, trap.p_occupy, trap.p_release)
         assert plan.table_occ is None and plan.table_rel is None
@@ -197,22 +221,19 @@ class TestMirrorGate:
                 bulk[index], make_process(row).latent_series(REF, 150)
             )
 
-    def test_env_var_overrides_probe(self, monkeypatch):
-        monkeypatch.setattr(faults, "_MIRROR_OK", None)
-        monkeypatch.setenv(faults.GEOMETRIC_MIRROR_ENV_VAR, "0")
-        assert faults.geometric_mirror_ok() is False
-        monkeypatch.setattr(faults, "_MIRROR_OK", None)
-        monkeypatch.setenv(faults.GEOMETRIC_MIRROR_ENV_VAR, "1")
-        assert faults.geometric_mirror_ok() is True
-
     def test_probe_result_cached_per_process(self, monkeypatch):
         monkeypatch.setattr(faults, "_MIRROR_OK", None)
-        monkeypatch.delenv(faults.GEOMETRIC_MIRROR_ENV_VAR, raising=False)
         first = faults.geometric_mirror_ok()
         assert faults._MIRROR_OK is first
         assert faults.geometric_mirror_ok() is first
-        # The legacy module attribute stays readable through the facade.
-        assert faults._BULK_UNIFORM_OK is first
+
+    def test_run_tables_built_on_first_long_query(self):
+        state = make_state()
+        plans = [plan for row in state._row_plans for plan in row]
+        state.guess_means(REF, repeats=10)
+        assert all(plan.table_occ is None for plan in plans)
+        state.latent_series_bulk(REF, 17)
+        assert any(plan.table_occ is not None for plan in plans)
 
 
 class TestModuleFacade:
@@ -230,3 +251,47 @@ class TestModuleFacade:
         other = model.bank_state(BANK, ROWS[:4])
         assert other is not first
         assert model.bank_state(BANK, ROWS[:4]) is other
+
+    def test_probe_reads_cached_state_without_evicting_it(self):
+        model = ModuleFaultModel(make_params(), ROW_BITS, SEED, MODULE)
+        state = model.bank_state(BANK, ROWS)
+        np.testing.assert_array_equal(
+            model.probe_guess_means(BANK, ROWS, REF), state.guess_means(REF)
+        )
+        others = [1, 2, 4000]
+        guesses = model.probe_guess_means(BANK, others, REF)
+        assert model.bank_state(BANK, ROWS) is state
+        for guess, row in zip(guesses, others):
+            series = model.process(BANK, row).latent_series(
+                REF, 10, stream="guess"
+            )
+            assert guess == float(series.mean())
+
+
+@pytest.mark.parametrize(
+    "lookup",
+    [
+        CellLayout(CellLayoutKind.MIXED).bit_is_true_cell,
+        CellLayout(CellLayoutKind.ROW_BLOCKS, block_rows=4).bit_is_true_cell,
+        CellLayout(CellLayoutKind.ALTERNATE_ROWS).bit_is_true_cell,
+        CellLayout(CellLayoutKind.ALL_TRUE).bit_is_true_cell,
+        lambda row, bit: (bit + row) % 3 == 0,  # any other callable
+    ],
+    ids=["mixed", "row-blocks", "alternate-rows", "all-true", "callable"],
+)
+def test_weak_cell_polarity_matches_process(lookup):
+    params = make_params()
+    state = build_bank_state(
+        params, ROW_BITS, SEED, MODULE, BANK, ROWS, true_cell_lookup=lookup
+    )
+    condition = Condition("rowstripe1", 35.0, 50.0)
+    means = state.guess_means(condition)
+    for index, row in enumerate(ROWS):
+        process = RowVrdProcess(
+            params, ROW_BITS, SEED, (MODULE, BANK, row), true_cell_lookup=lookup
+        )
+        np.testing.assert_array_equal(
+            state.weak_cell_true[index], process.weak_cell_true
+        )
+        series = process.latent_series(condition, 10, stream="guess")
+        assert means[index] == float(series.mean())
