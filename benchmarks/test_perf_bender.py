@@ -1,7 +1,7 @@
-"""Bender perf baseline: compiled trial replay and batched extension hot loops.
+"""Bender perf baseline: compiled trial replay and the batched guardband loop.
 
-Times the faithful measurement stack and the two batched extension-study
-paths against their scalar references:
+Times the faithful measurement stack and the batched guardband extension
+study against their scalar references:
 
 * **trial series** — a full :meth:`RdtMeter.measure_series` (Algorithm 1,
   every trial executed on the simulated testbed) on a victim with a
@@ -9,8 +9,6 @@ paths against their scalar references:
   :mod:`repro.bender.compiler` replay (``RdtMeter(compiled=True)``). Both
   routes share one sweep (from the device-model guess) so the series must
   be bit-identical, NaNs included.
-* **attack windows** — :func:`attack_escape` with per-window scalar draws
-  vs the pre-drawn :func:`exposure_windows` batch.
 * **guardband margins** — :func:`margin_bitflip_experiment`'s scalar
   trial loop vs the :meth:`RowVrdProcess.trial_flip_series` kernel.
 
@@ -18,8 +16,7 @@ Results land in ``BENCH_bender.json`` at the repo root.
 
 Scale knobs: ``VRD_BENCH_BENDER_RADIUS`` (neighborhood radius, default 32
 — a 64-row blast neighborhood), ``VRD_BENCH_BENDER_MEASUREMENTS`` (series
-length, default 100), ``VRD_BENCH_BENDER_WINDOWS`` (attack windows,
-default 4000), ``VRD_BENCH_BENDER_TRIALS`` (guardband trials per margin,
+length, default 100), ``VRD_BENCH_BENDER_TRIALS`` (guardband trials per margin,
 default 2000), ``VRD_BENCH_BENDER_REPS`` (timing repetitions, default 1),
 ``VRD_BENCH_BENDER_MIN_SPEEDUP`` (asserted compiled-series speedup,
 default 5).
@@ -42,11 +39,9 @@ from repro.core.rdt import FastRdtMeter, HammerSweep, RdtMeter
 from repro.dram.faults import VrdModelParams
 from repro.dram.geometry import DramGeometry
 from repro.dram.module import DramModule
-from repro.security.attack import attack_escape
 
 RADIUS = int(os.environ.get("VRD_BENCH_BENDER_RADIUS", 32))
 N_MEASUREMENTS = int(os.environ.get("VRD_BENCH_BENDER_MEASUREMENTS", 100))
-N_WINDOWS = int(os.environ.get("VRD_BENCH_BENDER_WINDOWS", 4000))
 N_TRIALS = int(os.environ.get("VRD_BENCH_BENDER_TRIALS", 2000))
 REPS = int(os.environ.get("VRD_BENCH_BENDER_REPS", 1))
 MIN_SPEEDUP = float(os.environ.get("VRD_BENCH_BENDER_MIN_SPEEDUP", 5.0))
@@ -95,14 +90,6 @@ def _series_route(compiled: bool) -> np.ndarray:
     return series.values
 
 
-def _attack_route(batched: bool):
-    module = _module()
-    return attack_escape(
-        module, VICTIM, _config(module), "para", threshold=1500.0,
-        windows=N_WINDOWS, seed=9, batched=batched,
-    )
-
-
 def _guardband_route(batched: bool):
     module = _module()
     results = margin_bitflip_experiment(
@@ -132,10 +119,6 @@ def test_bender_batched_speedups():
     # NaNs of failed sweeps as equal).
     np.testing.assert_array_equal(compiled_series, scalar_series)
 
-    scalar_attack_s, scalar_attack = _best_of(lambda: _attack_route(False))
-    batched_attack_s, batched_attack = _best_of(lambda: _attack_route(True))
-    assert batched_attack == scalar_attack
-
     scalar_margin_s, scalar_margin = _best_of(lambda: _guardband_route(False))
     batched_margin_s, batched_margin = _best_of(lambda: _guardband_route(True))
     assert batched_margin == scalar_margin
@@ -143,15 +126,11 @@ def test_bender_batched_speedups():
     record = {
         "radius": RADIUS,
         "measurements": N_MEASUREMENTS,
-        "attack_windows": N_WINDOWS,
         "guardband_trials": N_TRIALS,
         "reps": REPS,
         "scalar_series_s": round(scalar_series_s, 4),
         "compiled_series_s": round(compiled_series_s, 4),
         "compiled_speedup": round(scalar_series_s / compiled_series_s, 2),
-        "scalar_attack_s": round(scalar_attack_s, 4),
-        "batched_attack_s": round(batched_attack_s, 4),
-        "attack_speedup": round(scalar_attack_s / batched_attack_s, 2),
         "scalar_guardband_s": round(scalar_margin_s, 4),
         "batched_guardband_s": round(batched_margin_s, 4),
         "guardband_speedup": round(scalar_margin_s / batched_margin_s, 2),
@@ -160,5 +139,4 @@ def test_bender_batched_speedups():
     print(f"\nbender perf: {json.dumps(record)}")
 
     assert record["compiled_speedup"] >= MIN_SPEEDUP
-    assert record["attack_speedup"] >= 1.0
     assert record["guardband_speedup"] >= 1.0

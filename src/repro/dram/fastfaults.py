@@ -22,13 +22,15 @@ cumulative run-length table and one ``np.searchsorted`` per batch.
 The stream-mirror rule
 ----------------------
 
-Anything that draws from a ``Generator`` in ``RowVrdProcess.__init__``,
-``latent_series``, or the sequential path (``_state`` /
-``begin_measurement`` / ``_refresh_latent`` / ``trial_flips``) MUST be
-mirrored here in the exact same draw order. This module is the only
-mirror of the specification: bulk series, the sequential twin, and the
-batched row probe (``ModuleFaultModel.probe_guess_means``) all run on
-:class:`BankVrdState`. numpy Generators consume their bit stream
+Anything that draws from a ``Generator`` in ``RowVrdProcess.__init__``
+or ``latent_series`` MUST be mirrored here in the exact same draw order.
+This module is the only mirror of the specification: bulk series and the
+batched row probe (``ModuleFaultModel.probe_guess_means``) both run on
+:class:`BankVrdState`. The sequential path (``_state`` /
+``begin_measurement`` / ``trial_flips`` and their batched walks
+``threshold_series`` / ``trial_flip_series``) has no mirror: it lives on
+``RowVrdProcess`` alone, whose per-row chain state carries over between
+callers. numpy Generators consume their bit stream
 element-sequentially, so a run of scalar draws equals one array draw of
 the same distributions, and vice versa. The mirrors used here are:
 
@@ -55,7 +57,7 @@ come from ``rng.geometric`` itself — slower, still bit-identical.
 ``tests/dram/test_fastfaults.py`` asserts exact equality against the
 scalar path across patterns, tAggOn, temperatures, voltages, series
 lengths on both sides of the short-series limit, and both series
-streams, plus the sequential begin/threshold/flip trials.
+streams.
 """
 
 from __future__ import annotations
@@ -139,23 +141,21 @@ def _build_run_tables(ps: np.ndarray) -> np.ndarray:
 class _TrapPlan:
     """Precomputed sampling plan for one trap of one row.
 
-    Raw transition probabilities feed the stationary distribution and the
-    sequential path (``Trap.step`` uses them unclamped); the clamped pair
-    feeds run-length sampling, mirroring ``sample_occupancy_series``.
+    Raw transition probabilities feed the stationary distribution
+    (``Trap.sample_initial`` uses them unclamped); the clamped pair feeds
+    run-length sampling, mirroring ``sample_occupancy_series``.
     ``table_occ``/``table_rel`` are the searchsorted run tables, or ``None``
     when this trap must use ``rng.geometric`` directly (inversion-branch
     probability, unsaturated table, or mirror disabled).
     """
 
     __slots__ = (
-        "depth", "p_occupy", "p_release", "p_occ", "p_rel",
-        "stationary", "mean_run", "table_occ", "table_rel",
+        "depth", "p_occ", "p_rel", "stationary", "mean_run",
+        "table_occ", "table_rel",
     )
 
     def __init__(self, depth: float, p_occupy: float, p_release: float):
         self.depth = depth
-        self.p_occupy = p_occupy
-        self.p_release = p_release
         self.p_occ = min(max(p_occupy, _MIN_P), _MAX_P)
         self.p_rel = min(max(p_release, _MIN_P), _MAX_P)
         self.stationary = p_occupy / (p_occupy + p_release)
@@ -314,18 +314,6 @@ def _weak_cell_polarity(
     ).reshape(bits.shape)
 
 
-class _SeqRowState:
-    """Sequential latent state of one row under one condition."""
-
-    __slots__ = ("occupancy", "latent_rdt", "rng", "measurement_index")
-
-    def __init__(self, occupancy: List[bool], rng: Generator):
-        self.occupancy = occupancy
-        self.rng = rng
-        self.latent_rdt: float = math.nan
-        self.measurement_index: int = 0
-
-
 class BankVrdState:
     """All rows of one bank, packed for bulk device-model queries.
 
@@ -337,10 +325,6 @@ class BankVrdState:
     condition for every row at once, :meth:`latent_series_bulk` emits a
     whole bank's series matrix, and :meth:`guess_means` serves the batched
     row probe of Algorithm 1's ``guess_RDT``.
-
-    The sequential path (:meth:`begin_measurement` /
-    :meth:`current_threshold` / :meth:`trial_flips`) is mirrored too, so
-    engine workers can stay on the packed state for bit-level trials.
 
     Rows may repeat (deterministic streams make re-measurement identical);
     ``rows``-keyed lookups resolve to the *last* occurrence.
@@ -370,7 +354,6 @@ class BankVrdState:
 
         row_prefix = hasher_prefix(seed, "vrd-row", module_id, bank)
         self._series_prefix = hasher_prefix(seed, "vrd-series", module_id, bank)
-        self._seq_prefix = hasher_prefix(seed, "vrd-seq", module_id, bank)
         self._row_tails = [encode_element(row) for row in self.rows]
 
         # ---- constants of the per-row constructor mirror
@@ -485,7 +468,6 @@ class BankVrdState:
         self._ones = np.ones(n_rows)
         self._factors_cache: Dict[Condition, tuple] = {}
         self._suffix_cache: Dict[Tuple[Condition, str], bytes] = {}
-        self._seq_states: Dict[Tuple[int, Condition], _SeqRowState] = {}
 
     def _attach_tables(self) -> None:
         """Build the searchsorted run tables of every trap, once, on the
@@ -571,9 +553,8 @@ class BankVrdState:
             elements = [
                 condition.pattern, str(condition.t_agg_on),
                 str(condition.temperature), str(condition.wordline_voltage),
+                stream,
             ]
-            if stream:  # the sequential stream has no stream element
-                elements.append(stream)
             suffix = b"".join(encode_element(element) for element in elements)
             self._suffix_cache[key] = suffix
         return suffix
@@ -674,95 +655,6 @@ class BankVrdState:
             mult = np.exp(occupancy @ log_terms)
         noise = np.exp(srng.normal(0.0, float(self.sigma_resid[i]), n))
         return level * mult * noise
-
-    # ------------------------------------------------------------------
-    # Sequential path: bit-level trials on packed state
-    # ------------------------------------------------------------------
-
-    def _seq_state(self, i: int, condition: Condition) -> _SeqRowState:
-        key = (i, condition)
-        state = self._seq_states.get(key)
-        if state is None:
-            rng = Generator(PCG64(seed_from_prefix(
-                self._seq_prefix, self._row_tails[i],
-                self._series_suffix(condition, ""),
-            )))
-            occupancy = [
-                bool(rng.random() < plan.stationary)
-                for plan in self._row_plans[i]
-            ]
-            state = _SeqRowState(occupancy, rng)
-            self._refresh_latent(i, condition, state)
-            self._seq_states[key] = state
-        return state
-
-    def _refresh_latent(
-        self, i: int, condition: Condition, state: _SeqRowState
-    ) -> None:
-        rdt_factor, depth_factor, _, _, _ = self._factors(condition)
-        df = float(depth_factor[i])
-        log_mult = 0.0
-        for plan, occupied in zip(self._row_plans[i], state.occupancy):
-            if occupied:
-                log_mult += math.log1p(-min(plan.depth * df, 0.95))
-        noise = math.exp(state.rng.normal(0.0, float(self.sigma_resid[i])))
-        state.latent_rdt = (
-            float(self.base_rdt[i]) * float(rdt_factor[i])
-            * math.exp(log_mult) * noise
-        )
-
-    def begin_measurement(self, row: int, condition: Condition) -> None:
-        """Mirror of ``RowVrdProcess.begin_measurement``."""
-        condition = condition.canonical()
-        i = self._index_of[int(row)]
-        state = self._seq_state(i, condition)
-        random = state.rng.random
-        occupancy = []
-        for plan, occupied in zip(self._row_plans[i], state.occupancy):
-            p_leave = plan.p_release if occupied else plan.p_occupy
-            occupancy.append(not occupied if random() < p_leave else occupied)
-        state.occupancy = occupancy
-        self._refresh_latent(i, condition, state)
-        state.measurement_index += 1
-
-    def current_threshold(self, row: int, condition: Condition) -> float:
-        """Mirror of ``RowVrdProcess.current_threshold``."""
-        condition = condition.canonical()
-        i = self._index_of[int(row)]
-        state = self._seq_state(i, condition)
-        _, _, _, first_flip_margin, _ = self._factors(condition)
-        return state.latent_rdt * (1.0 + float(first_flip_margin[i]))
-
-    def trial_flips(
-        self,
-        row: int,
-        condition: Condition,
-        effective_hammers: float,
-        already_flipped: Optional[set] = None,
-    ) -> List[int]:
-        """Mirror of ``RowVrdProcess.trial_flips``."""
-        if effective_hammers < 0:
-            raise ConfigurationError("effective hammer count must be >= 0")
-        condition = condition.canonical()
-        i = self._index_of[int(row)]
-        state = self._seq_state(i, condition)
-        margins = self._factors(condition)[2][i]
-        weakest = int(np.argmin(margins))
-        jitter_sigma = self.params.cell_jitter_sigma
-        flips: List[int] = []
-        for index, (bit, margin) in enumerate(
-            zip(self.weak_cell_bits[i], margins)
-        ):
-            bit = int(bit)
-            if already_flipped is not None and bit in already_flipped:
-                continue
-            threshold = state.latent_rdt * (1.0 + margin)
-            if index != weakest:
-                jitter = math.exp(abs(state.rng.normal(0.0, jitter_sigma)))
-                threshold *= jitter
-            if effective_hammers >= threshold:
-                flips.append(bit)
-        return flips
 
 
 def build_bank_state(

@@ -621,6 +621,80 @@ class RowVrdProcess:
         factors = self.factors(condition)
         return state.latent_rdt * (1.0 + factors.first_flip_margin)
 
+    def _trap_constants(
+        self, factors: ConditionFactors
+    ) -> Tuple[List[float], List[float], List[float]]:
+        """Per-trap ``(p_occupy, p_release, log_term)`` lists for the
+        batched sequential walks.
+
+        ``log_term`` is a pure function of (depth, factors); the scalar
+        :meth:`_refresh_latent` recomputes it every measurement with these
+        exact operations, so hoisting it keeps every float identical.
+        """
+        traps = self.traps
+        return (
+            [trap.p_occupy for trap in traps],
+            [trap.p_release for trap in traps],
+            [
+                math.log1p(-min(trap.depth * factors.depth_factor, 0.95))
+                for trap in traps
+            ],
+        )
+
+    def threshold_series(
+        self, condition: Condition, exposures: np.ndarray
+    ) -> np.ndarray:
+        """Thresholds of successive measurements until one is exceeded.
+
+        Window ``k`` advances the sequential chain one step and compares
+        ``exposures[k]`` with the new threshold; the walk stops after the
+        first window with ``exposure >= threshold``. Returns that prefix of
+        thresholds (all of them when no window is exceeded).
+
+        State- and stream-identical to the same number of
+        ``begin_measurement(condition)`` + ``current_threshold(condition)``
+        pairs: one uniform per trap (``rng.random(n_traps)`` draws them
+        element-sequentially, in ``Trap.step`` order), then the residual
+        normal, then the reference's scalar ``math`` recurrence. What the
+        walk saves is the per-window overhead — condition factors,
+        canonicalization, per-trap method calls — not the draws.
+        """
+        condition = condition.canonical()
+        state = self._state(condition)
+        factors = self.factors(condition)
+        p_occupy, p_release, log_terms = self._trap_constants(factors)
+        n_traps = len(log_terms)
+        base = self.base_rdt * factors.rdt_factor
+        margin_plus1 = 1.0 + factors.first_flip_margin
+        sigma_resid = self.sigma_resid
+        random, normal = state.rng.random, state.rng.normal
+        occupancy = list(state.occupancy)
+        latent = state.latent_rdt
+        thresholds: List[float] = []
+        for exposure in np.asarray(exposures, dtype=float).tolist():
+            u = random(n_traps).tolist()
+            log_mult = 0.0
+            for index in range(n_traps):
+                occupied = occupancy[index]
+                if u[index] < (
+                    p_release[index] if occupied else p_occupy[index]
+                ):
+                    occupied = not occupied
+                    occupancy[index] = occupied
+                if occupied:
+                    log_mult += log_terms[index]
+            noise = math.exp(normal(0.0, sigma_resid))
+            latent = base * math.exp(log_mult) * noise
+            threshold = latent * margin_plus1
+            thresholds.append(threshold)
+            if exposure >= threshold:
+                break
+        if thresholds:
+            state.occupancy = occupancy
+            state.latent_rdt = latent
+            state.measurement_index += len(thresholds)
+        return np.array(thresholds)
+
     def trial_flips(
         self,
         condition: Condition,
@@ -692,16 +766,8 @@ class RowVrdProcess:
         weakest = int(np.argmin(margins))
         n_cells = len(margins)
         margins_plus1 = 1.0 + margins
-        traps = self.traps
-        n_traps = len(traps)
-        p_occupy = [trap.p_occupy for trap in traps]
-        p_release = [trap.p_release for trap in traps]
-        # Pure per-trap function of (depth, factors); the scalar refresh
-        # recomputes it every measurement with these exact operations.
-        log_terms = [
-            math.log1p(-min(trap.depth * factors.depth_factor, 0.95))
-            for trap in traps
-        ]
+        p_occupy, p_release, log_terms = self._trap_constants(factors)
+        n_traps = len(log_terms)
         base = self.base_rdt * factors.rdt_factor
         sigma_resid = self.sigma_resid
         jitter_sigma = self.params.cell_jitter_sigma

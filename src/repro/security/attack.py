@@ -35,7 +35,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import TestConfig
-from repro.dram.faults import geometric_mirror_ok
 from repro.dram.module import DramModule
 from repro.errors import ConfigurationError
 from repro.mitigations.para import para_probability
@@ -99,10 +98,9 @@ def exposure_windows(
 
     Bit-identical to ``windows`` successive :func:`exposure_per_window`
     calls on the same generator: the deterministic kinds never touch the
-    RNG, and the geometric kinds use numpy's element-sequential batched
-    sampler (verified by the :func:`repro.dram.faults.geometric_mirror_ok`
-    probe; when that probe fails on an exotic numpy build, this falls back
-    to scalar draws and stays exact).
+    RNG, and numpy's batched geometric sampler draws element-sequentially,
+    so ``rng.geometric(p, size=n)`` equals ``n`` scalar draws (the same
+    stream-mirror rule :mod:`repro.dram.fastfaults` relies on).
     """
     if windows < 1:
         raise ConfigurationError("need at least one window")
@@ -122,28 +120,23 @@ def exposure_windows(
         per_hammer = 1.0 - (1.0 - p) ** 2
         if per_hammer >= 1.0:
             return np.full(windows, 1.0)
-        if not geometric_mirror_ok():
-            return np.array(
-                [
-                    min(float(rng.geometric(per_hammer)), max_exposure)
-                    for _ in range(windows)
-                ]
-            )
         draws = rng.geometric(per_hammer, size=windows).astype(float)
         return np.minimum(draws, max_exposure)
     if key == "mint":
         interval = quantize_pow2(threshold / 4.0)
         survive = min(max(mint_dilution, 0.0), 0.999)
         per_interval = interval * (1.0 - survive) / 2.0
-        if not geometric_mirror_ok():
-            intervals = np.array(
-                [float(rng.geometric(1.0 - survive)) for _ in range(windows)]
-            )
-        else:
-            intervals = rng.geometric(1.0 - survive, size=windows).astype(float)
+        intervals = rng.geometric(1.0 - survive, size=windows).astype(float)
         # Same elementwise op order as the scalar expression.
         return np.minimum(intervals * interval / 2.0 + per_interval, max_exposure)
     raise ConfigurationError(f"unknown mitigation kind {kind!r}")
+
+
+#: Exposure chunk sizes of :func:`attack_escape`: the first chunk is
+#: small because most attacks that flip do so early, and later chunks
+#: double up to the cap that bounds the run's memory.
+_MIN_CHUNK = 256
+_MAX_CHUNK = 4096
 
 
 @dataclass
@@ -173,16 +166,17 @@ def attack_escape(
     bank: int = 0,
     seed: int = 0,
     mint_dilution: float = 0.5,
-    batched: bool = True,
 ) -> AttackOutcome:
     """Attack one victim row for ``windows`` refresh windows.
 
     Returns at the first bitflip (the mitigation failed) or after all
-    windows (it held). ``batched=True`` (the default) pre-draws every
-    window's exposure in one :func:`exposure_windows` call — bit-identical
-    outcomes, since the per-window generator is local to this run and the
-    device process still ticks window by window; ``batched=False`` keeps
-    the original scalar draw-per-window reference.
+    windows (it held). Exposures are drawn in chunks of at most
+    :data:`_MAX_CHUNK` windows from the run-local generator (values do not
+    depend on the chunking: the draws are element-sequential), and each
+    chunk is fed to :meth:`~repro.dram.faults.RowVrdProcess
+    .threshold_series`, which ticks the victim's fault clock once per
+    window exactly as ``begin_measurement`` + ``current_threshold`` would.
+    Memory stays bounded by the chunk size for any ``windows``.
     """
     if windows < 1:
         raise ConfigurationError("need at least one window")
@@ -190,38 +184,34 @@ def attack_escape(
     process = module.fault_model.process(bank, mapping.to_physical(victim))
     condition = config.condition(module.timing)
     rng = derive(seed, "attack", module.module_id, bank, victim, kind)
-    exposures = (
-        exposure_windows(
-            kind, threshold, rng, windows, mint_dilution=mint_dilution
-        )
-        if batched
-        else None
-    )
 
     min_rdt = math.inf
     min_margin = math.inf
-    for window in range(windows):
-        process.begin_measurement(condition)
-        rdt = process.current_threshold(condition)
-        min_rdt = min(min_rdt, rdt)
-        if exposures is None:
-            exposure = exposure_per_window(
-                kind, threshold, rng, mint_dilution=mint_dilution
-            )
-        else:
-            exposure = float(exposures[window])
-        margin = (rdt - exposure) / rdt
-        min_margin = min(min_margin, margin)
-        if exposure >= rdt:
+    done = 0
+    chunk = _MIN_CHUNK
+    while done < windows:
+        exposures = exposure_windows(
+            kind, threshold, rng, min(chunk, windows - done),
+            mint_dilution=mint_dilution,
+        )
+        rdts = process.threshold_series(condition, exposures)
+        seen = len(rdts)
+        exposures = exposures[:seen]
+        # Same elementwise ops as the scalar margin; a min is exact.
+        min_rdt = min(min_rdt, float(rdts.min()))
+        min_margin = min(min_margin, float(((rdts - exposures) / rdts).min()))
+        done += seen
+        if exposures[-1] >= rdts[-1]:
             return AttackOutcome(
                 kind=kind,
                 threshold=threshold,
-                windows=window + 1,
+                windows=done,
                 flipped=True,
-                first_flip_window=window,
+                first_flip_window=done - 1,
                 min_rdt_seen=min_rdt,
                 min_exposure_margin=min_margin,
             )
+        chunk = min(2 * chunk, _MAX_CHUNK)
     return AttackOutcome(
         kind=kind,
         threshold=threshold,

@@ -22,6 +22,7 @@ ecc                 per-codeword encode/decode          ``encode_batch``/``decod
 adaptive            serial ``AdaptiveScheduler``        ``CampaignEngine`` adaptive (2 jobs)
 store               legacy file-per-entry caches        sqlite ``ResultStore`` shims
 fleet               ``run_fleet_naive`` (materialized)  ``run_fleet`` streamed (2 jobs)
+attack              per-window ``begin_measurement``    ``threshold_series`` walk
 ==================  ==================================  =========================
 
 Cross-protocol variants rerun the fastfaults and bender pairs on catalog
@@ -643,6 +644,127 @@ def fleet_fast(seed: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
+# attack: per-window scalar stepping vs the hoisted threshold walk
+# ----------------------------------------------------------------------
+
+_ATTACK_KINDS = ("graphene", "prac", "para", "mint")
+_ATTACK_SCENARIOS = ((5, 0.0), (5, 0.5))
+#: More than one exposure chunk of ``attack_escape``, so chunk
+#: boundaries are compared too.
+_ATTACK_WINDOWS = 600
+
+
+def attack_window_loop(
+    module,
+    victim: int,
+    config,
+    kind: str,
+    threshold: float,
+    windows: int = 10_000,
+    bank: int = 0,
+    seed: int = 0,
+    mint_dilution: float = 0.5,
+):
+    """The scalar reference of :func:`repro.security.attack.attack_escape`:
+    one ``begin_measurement`` + ``current_threshold`` + scalar exposure
+    draw per refresh window."""
+    import math
+
+    from repro.rng import derive
+    from repro.security.attack import AttackOutcome, exposure_per_window
+
+    mapping = module.bank(bank).mapping
+    process = module.fault_model.process(bank, mapping.to_physical(victim))
+    condition = config.condition(module.timing)
+    rng = derive(seed, "attack", module.module_id, bank, victim, kind)
+    min_rdt = math.inf
+    min_margin = math.inf
+    for window in range(windows):
+        process.begin_measurement(condition)
+        rdt = process.current_threshold(condition)
+        min_rdt = min(min_rdt, rdt)
+        exposure = exposure_per_window(
+            kind, threshold, rng, mint_dilution=mint_dilution
+        )
+        min_margin = min(min_margin, (rdt - exposure) / rdt)
+        if exposure >= rdt:
+            return AttackOutcome(
+                kind, threshold, window + 1, True, window, min_rdt, min_margin
+            )
+    return AttackOutcome(
+        kind, threshold, windows, False, None, min_rdt, min_margin
+    )
+
+
+def sequential_state(module, victim: int, config, bank: int = 0) -> tuple:
+    """The victim's sequential chain under ``config``: occupancy, latent
+    threshold, measurement count, and RNG position."""
+    mapping = module.bank(bank).mapping
+    process = module.fault_model.process(bank, mapping.to_physical(victim))
+    state = process._state(config.condition(module.timing))
+    rng_state = state.rng.bit_generator.state["state"]
+    return (
+        tuple(state.occupancy),
+        state.latent_rdt,
+        state.measurement_index,
+        rng_state["state"],
+        rng_state["inc"],
+    )
+
+
+def _attack_matrix(seed: int, fast: bool) -> tuple:
+    """Consecutive profile-and-attack calls on one shared module,
+    victim-major as in the security matrix, so each victim's chain carries
+    over between calls; the chain state is fingerprinted after every
+    call."""
+    from repro.chips import build_module
+    from repro.core import CHECKERED0, TestConfig
+    from repro.core.rdt import FastRdtMeter, HammerSweep
+    from repro.security.attack import profile_and_attack
+
+    module = build_module("M1", seed=seed)
+    module.disable_interference_sources()
+    config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
+    victims = sorted(random.Random(seed + 9).sample(range(64, 192), 2))
+    fingerprint = []
+    for victim in victims:
+        for kind in _ATTACK_KINDS:
+            for n, margin in _ATTACK_SCENARIOS:
+                if fast:
+                    outcome = profile_and_attack(
+                        module, victim, config, kind,
+                        profile_measurements=n, margin=margin,
+                        windows=_ATTACK_WINDOWS, seed=victim + seed,
+                    )
+                else:
+                    # profile_and_attack's profiling, then the window loop.
+                    meter = FastRdtMeter(module, 0)
+                    sweep = HammerSweep.from_guess(
+                        meter.guess_rdt(victim, config)
+                    )
+                    series = meter.measure_series(
+                        victim, config, n, sweep=sweep, stream="security"
+                    )
+                    outcome = attack_window_loop(
+                        module, victim, config, kind,
+                        max(1.0, series.min * (1.0 - margin)),
+                        windows=_ATTACK_WINDOWS, seed=victim + seed,
+                    )
+                fingerprint.append(
+                    (outcome, sequential_state(module, victim, config))
+                )
+    return tuple(fingerprint)
+
+
+def attack_oracle(seed: int) -> tuple:
+    return _attack_matrix(seed, fast=False)
+
+
+def attack_fast(seed: int) -> tuple:
+    return _attack_matrix(seed, fast=True)
+
+
+# ----------------------------------------------------------------------
 
 CASES: List[DifferentialCase] = [
     DifferentialCase("engine", engine_oracle, engine_fast),
@@ -668,4 +790,5 @@ CASES: List[DifferentialCase] = [
     DifferentialCase("adaptive", adaptive_oracle, adaptive_fast),
     DifferentialCase("store", store_oracle, store_fast),
     DifferentialCase("fleet", fleet_oracle, fleet_fast),
+    DifferentialCase("attack", attack_oracle, attack_fast),
 ]

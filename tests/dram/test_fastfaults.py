@@ -130,40 +130,6 @@ class TestLatentSeriesBitIdentity:
             np.testing.assert_array_equal(bulk[index], reference)
 
 
-class TestSequentialMirror:
-    def test_stepping_and_thresholds(self):
-        state = make_state()
-        for row in ROWS[:4]:
-            process = make_process(row)
-            for _ in range(30):
-                process.begin_measurement(REF)
-                state.begin_measurement(row, REF)
-                assert state.current_threshold(row, REF) == (
-                    process.current_threshold(REF)
-                )
-
-    def test_trial_flips_with_accumulating_set(self):
-        state = make_state()
-        for row in ROWS[:4]:
-            process = make_process(row)
-            flipped_ref, flipped_fast = set(), set()
-            for step in range(5):
-                process.begin_measurement(REF)
-                state.begin_measurement(row, REF)
-                hammers = process.current_threshold(REF) * (
-                    1.0 + 0.05 * step
-                )
-                ref_flips = process.trial_flips(
-                    REF, hammers, already_flipped=flipped_ref
-                )
-                fast_flips = state.trial_flips(
-                    row, REF, hammers, already_flipped=flipped_fast
-                )
-                assert fast_flips == ref_flips
-                flipped_ref.update(ref_flips)
-                flipped_fast.update(fast_flips)
-
-
 class TestTrapColumnMirror:
     # Edge cases around the traps module's probability clamps plus one
     # probability on each geometric-sampler branch.

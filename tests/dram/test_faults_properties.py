@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dram.faults import Condition, RowVrdProcess, VrdModelParams
+from repro.dram.traps import Trap
 
 
 def make_process(seed=7):
@@ -107,3 +108,122 @@ def test_weak_cell_margins_sorted_and_growing():
     nonzero = gaps[gaps > 0]
     if nonzero.size >= 2:
         assert nonzero[-1] > nonzero[0]
+
+
+# ----------------------------------------------------------------------
+# threshold_series: the hoisted chain walk vs the scalar pair
+# ----------------------------------------------------------------------
+
+#: Device parameters at their documented bounds: zero-trap rows (no
+#: shallow, rare, or deep trap), every trap kind forced on, zero severity
+#: and zero residual noise.
+walk_params = st.builds(
+    VrdModelParams,
+    mean_rdt=st.just(2000.0),
+    trap_count_mean=st.sampled_from([0.0, 3.0, 12.0]),
+    rare_trap_prob=st.sampled_from([0.0, 0.85, 1.0]),
+    big_trap_prob=st.sampled_from([0.0, 0.06, 1.0]),
+    severity=st.sampled_from([0.0, 1.0, 3.0]),
+    sigma_resid=st.sampled_from([0.0, 0.006]),
+)
+
+#: Transition probabilities at the constructor floors (1e-6 for fast and
+#: deep traps, 1e-7 for the rare trap), near and at 1, and in between.
+trap_probabilities = st.one_of(
+    st.sampled_from([1e-7, 1e-6, 1.0 - 1e-9, 1.0]),
+    st.floats(min_value=1e-7, max_value=1.0),
+)
+
+#: ``None`` keeps the constructor's traps; a list replaces them.
+trap_overrides = st.one_of(
+    st.none(),
+    st.lists(
+        st.builds(
+            Trap,
+            depth=st.floats(min_value=1e-4, max_value=0.99),
+            p_occupy=trap_probabilities,
+            p_release=trap_probabilities,
+        ),
+        max_size=4,
+    ),
+)
+
+
+def _walk_process(params, traps, seed):
+    process = RowVrdProcess(params, 8192, seed, ("W", 0, 5))
+    if traps is not None:
+        process.traps = list(traps)
+    return process
+
+
+def _chain_state(process, condition):
+    state = process._state(condition)
+    return (
+        list(state.occupancy),
+        state.latent_rdt,
+        state.measurement_index,
+        state.rng.bit_generator.state,
+    )
+
+
+def _scalar_pair(process, condition, exposures):
+    thresholds = []
+    for exposure in exposures:
+        process.begin_measurement(condition)
+        threshold = process.current_threshold(condition)
+        thresholds.append(threshold)
+        if exposure >= threshold:
+            break
+    return thresholds
+
+
+@given(
+    params=walk_params,
+    traps=trap_overrides,
+    windows=st.sampled_from([1, 2, 17, 300]),
+    exposure_kind=st.sampled_from(["never", "at_once", "mixed"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    condition=conditions,
+)
+@settings(max_examples=60, deadline=None)
+def test_threshold_series_matches_scalar_pair(
+    params, traps, windows, exposure_kind, seed, condition
+):
+    if exposure_kind == "never":
+        exposures = np.zeros(windows)
+    elif exposure_kind == "at_once":
+        exposures = np.full(windows, 1e12)
+    else:
+        exposures = np.random.default_rng(seed).uniform(0.0, 4000.0, windows)
+    walk = _walk_process(params, traps, seed)
+    reference = _walk_process(params, traps, seed)
+    # Two calls on the same chain: the second resumes where the first
+    # stopped, as consecutive attacks on one victim do.
+    for _ in range(2):
+        thresholds = walk.threshold_series(condition, exposures)
+        assert thresholds.tolist() == _scalar_pair(
+            reference, condition, exposures
+        )
+        assert _chain_state(walk, condition) == _chain_state(
+            reference, condition
+        )
+    if exposure_kind == "never":
+        assert len(thresholds) == windows
+    elif exposure_kind == "at_once":
+        assert len(thresholds) == 1
+
+
+def test_threshold_series_empty_exposures_leave_state_untouched():
+    process = make_process()
+    condition = Condition("checkered0", 35.0, 50.0)
+    before = _chain_state(process, condition)
+    assert process.threshold_series(condition, np.zeros(0)).shape == (0,)
+    assert _chain_state(process, condition) == before
+
+
+def test_threshold_series_flips_when_exposure_equals_threshold():
+    """``exposure >= threshold`` flips, as in the scalar attack loop."""
+    condition = Condition("checkered0", 35.0, 50.0)
+    exact = _scalar_pair(make_process(), condition, np.zeros(5))
+    thresholds = make_process().threshold_series(condition, np.array(exact))
+    assert thresholds.tolist() == exact[:1]

@@ -13,6 +13,7 @@ from repro.security import (
     profile_and_attack,
 )
 from tests.conftest import make_module
+from tests.differential.harness import attack_window_loop, sequential_state
 
 
 class TestExposure:
@@ -132,7 +133,8 @@ class TestProfileAndAttack:
 
 
 class TestBatchedAttack:
-    """The batched exposure path must be bit-identical to scalar draws."""
+    """The batched exposure draws and the threshold walk must be
+    bit-identical to per-window scalar stepping."""
 
     def test_exposure_windows_match_scalar_draws(self):
         for kind, threshold in (
@@ -156,7 +158,7 @@ class TestBatchedAttack:
             # Both generators must have consumed the same stream.
             assert batched_rng.random() == scalar_rng.random()
 
-    def test_attack_escape_batched_equals_scalar(self, reference_config):
+    def test_attack_escape_batched_equals_scalar(self):
         for kind in ("para", "mint", "graphene", "none"):
             batched_module = make_module(seed=5)
             batched_module.disable_interference_sources()
@@ -165,15 +167,36 @@ class TestBatchedAttack:
             config = TestConfig(
                 CHECKERED0, t_agg_on_ns=batched_module.timing.tRAS
             )
-            batched = attack_escape(
-                batched_module, 100, config, kind, threshold=800.0,
-                windows=300, seed=3, batched=True,
-            )
-            scalar = attack_escape(
-                scalar_module, 100, config, kind, threshold=800.0,
-                windows=300, seed=3, batched=False,
-            )
-            assert batched == scalar
+            # Two calls per module: the second resumes the first's chain.
+            for windows in (300, 700):
+                batched = attack_escape(
+                    batched_module, 100, config, kind, threshold=800.0,
+                    windows=windows, seed=3,
+                )
+                scalar = attack_window_loop(
+                    scalar_module, 100, config, kind, threshold=800.0,
+                    windows=windows, seed=3,
+                )
+                assert batched == scalar
+                assert sequential_state(batched_module, 100, config) == (
+                    sequential_state(scalar_module, 100, config)
+                )
+
+    @pytest.mark.parametrize(
+        "kind, threshold", [("none", 1.0), ("para", 1e9), ("graphene", 1e9)]
+    )
+    def test_huge_window_budget_stays_bounded(
+        self, module, reference_config, kind, threshold
+    ):
+        # Exposures are drawn in bounded chunks, so an attack that flips
+        # at once returns without sizing anything by ``windows``.
+        outcome = attack_escape(
+            module, 80, reference_config, kind, threshold=threshold,
+            windows=10**9,
+        )
+        assert outcome.flipped
+        assert outcome.first_flip_window == 0
+        assert outcome.windows == 1
 
     def test_exposure_windows_validation(self):
         rng = np.random.default_rng(0)
