@@ -1,25 +1,19 @@
-"""Bender perf baseline: compiled trial replay and the batched guardband loop.
+"""Bender perf baseline: compiled trial replay.
 
-Times the faithful measurement stack and the batched guardband extension
-study against their scalar references:
-
-* **trial series** — a full :meth:`RdtMeter.measure_series` (Algorithm 1,
-  every trial executed on the simulated testbed) on a victim with a
-  ``2 * RADIUS``-row initialized neighborhood, scalar interpreter vs the
-  :mod:`repro.bender.compiler` replay (``RdtMeter(compiled=True)``). Both
-  routes share one sweep (from the device-model guess) so the series must
-  be bit-identical, NaNs included.
-* **guardband margins** — :func:`margin_bitflip_experiment`'s scalar
-  trial loop vs the :meth:`RowVrdProcess.trial_flip_series` kernel.
+Times a full :meth:`RdtMeter.measure_series` (Algorithm 1, every trial
+executed on the simulated testbed) on a victim with a ``2 * RADIUS``-row
+initialized neighborhood, scalar interpreter vs the
+:mod:`repro.bender.compiler` replay (``RdtMeter(compiled=True)``). Both
+routes share one sweep (from the device-model guess) so the series must be
+bit-identical, NaNs included.
 
 Results land in ``BENCH_bender.json`` at the repo root.
 
 Scale knobs: ``VRD_BENCH_BENDER_RADIUS`` (neighborhood radius, default 32
 — a 64-row blast neighborhood), ``VRD_BENCH_BENDER_MEASUREMENTS`` (series
-length, default 100), ``VRD_BENCH_BENDER_TRIALS`` (guardband trials per margin,
-default 2000), ``VRD_BENCH_BENDER_REPS`` (timing repetitions, default 1),
-``VRD_BENCH_BENDER_MIN_SPEEDUP`` (asserted compiled-series speedup,
-default 5).
+length, default 100), ``VRD_BENCH_BENDER_REPS`` (timing repetitions,
+default 1), ``VRD_BENCH_BENDER_MIN_SPEEDUP`` (asserted compiled-series
+speedup, default 5).
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ import numpy as np
 
 from repro.bender.host import DramBender
 from repro.core.config import TestConfig
-from repro.core.guardband import margin_bitflip_experiment
 from repro.core.patterns import CHECKERED0
 from repro.core.rdt import FastRdtMeter, HammerSweep, RdtMeter
 from repro.dram.faults import VrdModelParams
@@ -42,7 +35,6 @@ from repro.dram.module import DramModule
 
 RADIUS = int(os.environ.get("VRD_BENCH_BENDER_RADIUS", 32))
 N_MEASUREMENTS = int(os.environ.get("VRD_BENCH_BENDER_MEASUREMENTS", 100))
-N_TRIALS = int(os.environ.get("VRD_BENCH_BENDER_TRIALS", 2000))
 REPS = int(os.environ.get("VRD_BENCH_BENDER_REPS", 1))
 MIN_SPEEDUP = float(os.environ.get("VRD_BENCH_BENDER_MIN_SPEEDUP", 5.0))
 
@@ -90,18 +82,6 @@ def _series_route(compiled: bool) -> np.ndarray:
     return series.values
 
 
-def _guardband_route(batched: bool):
-    module = _module()
-    results = margin_bitflip_experiment(
-        module, VICTIM, _config(module), margins=(0.2, 0.4),
-        trials=N_TRIALS, batched=batched,
-    )
-    return [
-        (r.margin, r.hammer_count, r.flipping_trials, sorted(r.unique_flips))
-        for r in results
-    ]
-
-
 def _best_of(route):
     best, result = None, None
     for _ in range(max(1, REPS)):
@@ -112,31 +92,22 @@ def _best_of(route):
     return best, result
 
 
-def test_bender_batched_speedups():
+def test_bender_compiled_speedup():
     scalar_series_s, scalar_series = _best_of(lambda: _series_route(False))
     compiled_series_s, compiled_series = _best_of(lambda: _series_route(True))
     # Bit-identical measurement series (assert_array_equal treats the
     # NaNs of failed sweeps as equal).
     np.testing.assert_array_equal(compiled_series, scalar_series)
 
-    scalar_margin_s, scalar_margin = _best_of(lambda: _guardband_route(False))
-    batched_margin_s, batched_margin = _best_of(lambda: _guardband_route(True))
-    assert batched_margin == scalar_margin
-
     record = {
         "radius": RADIUS,
         "measurements": N_MEASUREMENTS,
-        "guardband_trials": N_TRIALS,
         "reps": REPS,
         "scalar_series_s": round(scalar_series_s, 4),
         "compiled_series_s": round(compiled_series_s, 4),
         "compiled_speedup": round(scalar_series_s / compiled_series_s, 2),
-        "scalar_guardband_s": round(scalar_margin_s, 4),
-        "batched_guardband_s": round(batched_margin_s, 4),
-        "guardband_speedup": round(scalar_margin_s / batched_margin_s, 2),
     }
     RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
     print(f"\nbender perf: {json.dumps(record)}")
 
     assert record["compiled_speedup"] >= MIN_SPEEDUP
-    assert record["guardband_speedup"] >= 1.0

@@ -9,6 +9,7 @@ suite and the examples.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -24,8 +25,8 @@ from repro.core.campaign import Campaign, CampaignResult
 from repro.core.config import standard_configs
 from repro.core.engine import CampaignCache, CampaignEngine, resolve_jobs
 from repro.core.patterns import ALL_PATTERNS, CHECKERED0
-from repro.core.rdt import find_victim
 from repro.dram.module import DramModule
+from repro.errors import MeasurementError
 from repro.rng import DEFAULT_SEED
 
 
@@ -52,25 +53,31 @@ def foundational_victim(
     Algorithm 1's find_victim accepts any row under the vulnerability
     threshold; per the paper's footnote the tested row is "relatively more
     read-disturbance-vulnerable", so scan a candidate block and take the
-    most vulnerable qualifying row.
+    most vulnerable qualifying row: the lowest ``(guess, row)`` pair of one
+    batched probe (bit-identical to per-row ``guess_rdt``), which qualifies
+    iff any row does.
 
     Returns:
         ``(module, victim_row, config)``.
+
+    Raises:
+        MeasurementError: When no candidate's mean RDT is below the
+            device's vulnerability threshold.
     """
     device = spec(module_id)
     module = build_module(device, seed=seed)
     module.disable_interference_sources()
     meter = FastRdtMeter(module, bank=0)
     config = _reference_config(module)
-    guesses = sorted(
-        (meter.guess_rdt(row, config), row) for row in range(candidate_rows)
-    )
-    _, victim = find_victim(
-        meter,
-        rows=[row for _, row in guesses],
-        config=config,
-        threshold=victim_threshold_for(device),
-    )
+    rows = range(candidate_rows)
+    guesses = meter.guess_rdt_batch(rows, config)
+    guess, victim = min(zip(guesses.tolist(), rows), default=(math.inf, None))
+    threshold = victim_threshold_for(device)
+    if not guess < threshold:
+        raise MeasurementError(
+            f"no row among {candidate_rows} candidates has mean RDT below "
+            f"{threshold}"
+        )
     return module, victim, config
 
 

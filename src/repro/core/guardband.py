@@ -27,6 +27,11 @@ from repro.errors import MeasurementError
 #: Fig. 15's safety margins.
 STANDARD_MARGINS = (0.10, 0.20, 0.30, 0.40, 0.50)
 
+#: Most trials one :meth:`~repro.dram.faults.RowVrdProcess.trial_flip_series`
+#: call resolves in :func:`margin_bitflip_experiment`; bounds the per-call
+#: ``trials x (traps + weak cells)`` arrays.
+TRIAL_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class GuardbandProbability:
@@ -148,7 +153,6 @@ def margin_bitflip_experiment(
     baseline_measurements: int = 5,
     trials: int = 10_000,
     bank: int = 0,
-    batched: bool = True,
 ) -> List[MarginBitflipResult]:
     """The Sec. 6.4 experiment for one row.
 
@@ -159,14 +163,17 @@ def margin_bitflip_experiment(
 
     Runs at the fault-model level (one latent sample + weak-cell evaluation
     per trial), which is exactly what a Bender trial at a fixed hammer count
-    observes, without the per-trial row rewrites. ``batched=True`` (the
-    default) runs each margin's trial loop through the device's
-    :meth:`~repro.dram.faults.RowVrdProcess.trial_flip_series` kernel —
-    bit-identical results and device state; ``batched=False`` keeps the
-    scalar measurement-per-trial reference.
+    observes, without the per-trial row rewrites. Each margin's trials run
+    through the device's
+    :meth:`~repro.dram.faults.RowVrdProcess.trial_flip_series` kernel in
+    chunks of at most :data:`TRIAL_CHUNK`, so memory stays bounded for any
+    ``trials``; consecutive chunks are state- and stream-identical to one
+    call.
     """
     if baseline_measurements < 1:
         raise MeasurementError("need at least one baseline measurement")
+    if trials < 0:
+        raise MeasurementError("trials must be >= 0")
     mapping = module.bank(bank).mapping
     physical = mapping.to_physical(row)
     process = module.fault_model.process(bank, physical)
@@ -191,20 +198,17 @@ def margin_bitflip_experiment(
             hammer_count=hammer_count,
             trials=trials,
         )
-        if batched:
+        flipped = np.zeros(len(weak_bits), dtype=bool)
+        for start in range(0, trials, TRIAL_CHUNK):
             matrix = process.trial_flip_series(
-                condition, float(hammer_count), trials
+                condition,
+                float(hammer_count),
+                min(TRIAL_CHUNK, trials - start),
             )
-            result.flipping_trials = int(matrix.any(axis=1).sum())
-            for column in np.nonzero(matrix.any(axis=0))[0]:
-                result.unique_flips.add(weak_bits[column])
-        else:
-            for _ in range(trials):
-                process.begin_measurement(condition)
-                flips = process.trial_flips(condition, float(hammer_count))
-                if flips:
-                    result.flipping_trials += 1
-                    result.unique_flips.update(flips)
+            result.flipping_trials += int(matrix.any(axis=1).sum())
+            flipped |= matrix.any(axis=0)
+        for column in np.nonzero(flipped)[0]:
+            result.unique_flips.add(weak_bits[column])
         results.append(result)
     return results
 

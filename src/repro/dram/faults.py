@@ -748,14 +748,25 @@ class RowVrdProcess:
         trials, as :func:`repro.core.guardband.margin_bitflip_experiment`
         does.
 
-        The batching replaces ~(traps + cells) scalar RNG calls per trial
-        with two array draws; the latent chain itself stays a scalar
-        ``math`` recurrence because its sequential ``+=``/``math.exp`` ops
-        cannot be re-associated without breaking bit-identity (``np.exp``
-        may differ from ``math.exp`` in the last ULP). Cell jitters are
-        only exponentiated for candidate cells: ``exp(abs(z)) >= 1``, so a
-        cell with ``effective_hammers`` below its unjittered threshold can
-        never flip.
+        The only per-trial Python is the RNG draws: one uniform per trap
+        (``Trap.step`` order), then the residual normal, then one jitter
+        normal per non-weakest cell, drawn trial by trial because the two
+        samplers interleave. Everything else is resolved over all ``n``
+        trials at once, without reordering a single float operation:
+
+        * A trap's next state is ``u < p_occupy`` when that equals
+          ``u >= p_release`` (the old state does not matter), the old
+          state toggled when ``u < p_occupy`` but ``u < p_release``, and
+          the old state otherwise. Each trial's occupancy is therefore the
+          value set at the last setting trial (or the initial occupancy),
+          XOR the parity of the toggles since.
+        * ``log_mult`` accumulates trap by trap with a masked ``np.add``,
+          the scalar ``+=`` sequence; a sum across traps would reorder it.
+        * Exponentials go through ``math.exp`` (``np.exp`` may differ in
+          the last ULP), and cell jitters are only exponentiated for
+          candidate cells: ``exp(abs(z)) >= 1``, so a cell with
+          ``effective_hammers`` below its unjittered threshold can never
+          flip.
         """
         if effective_hammers < 0:
             raise ConfigurationError("effective hammer count must be >= 0")
@@ -765,49 +776,66 @@ class RowVrdProcess:
         margins = self._cell_margins_for(condition.pattern)
         weakest = int(np.argmin(margins))
         n_cells = len(margins)
-        margins_plus1 = 1.0 + margins
+        flips = np.zeros((n, n_cells), dtype=bool)
+        if n == 0:
+            return flips
         p_occupy, p_release, log_terms = self._trap_constants(factors)
         n_traps = len(log_terms)
+        u = np.empty((n, n_traps))
+        z = np.empty((n, n_cells))
+        random, standard_normal = state.rng.random, state.rng.standard_normal
+        for u_trial, z_trial in zip(u, z):
+            random(out=u_trial)
+            standard_normal(out=z_trial)
+
+        trial_numbers = np.arange(1, n + 1)
+        value_at = np.empty(n + 1, dtype=bool)
+        toggles_through = np.zeros(n + 1, dtype=np.int64)
+        log_mult = np.zeros(n)
+        occupancy = []
+        for index in range(n_traps):
+            column = u[:, index]
+            value_at[0] = state.occupancy[index]
+            occupy = value_at[1:]
+            np.less(column, p_occupy[index], out=occupy)
+            keep = column >= p_release[index]
+            last_set = np.maximum.accumulate(
+                np.where(occupy == keep, trial_numbers, 0)
+            )
+            np.cumsum(occupy & ~keep, out=toggles_through[1:])
+            occupied = value_at[last_set] ^ (
+                (toggles_through[1:] - toggles_through[last_set]) & 1
+            ).astype(bool)
+            np.add(log_mult, log_terms[index], out=log_mult, where=occupied)
+            occupancy.append(bool(occupied[-1]))
+
         base = self.base_rdt * factors.rdt_factor
-        sigma_resid = self.sigma_resid
-        jitter_sigma = self.params.cell_jitter_sigma
-        rng = state.rng
-        occupancy = list(state.occupancy)
-        flips = np.zeros((n, n_cells), dtype=bool)
-        latent = state.latent_rdt
-        for trial in range(n):
-            # One uniform per trap (Trap.step order), then the residual
-            # normal, then one jitter normal per non-weakest cell.
-            u = rng.random(n_traps)
-            z = rng.standard_normal(n_cells)
-            log_mult = 0.0
-            for index in range(n_traps):
-                occupied = occupancy[index]
-                if u[index] < (
-                    p_release[index] if occupied else p_occupy[index]
-                ):
-                    occupied = not occupied
-                    occupancy[index] = occupied
-                if occupied:
-                    log_mult += log_terms[index]
-            noise = math.exp(sigma_resid * z[0])
-            latent = base * math.exp(log_mult) * noise
-            thresholds = latent * margins_plus1
-            row = flips[trial]
-            if effective_hammers >= thresholds[weakest]:
-                row[weakest] = True
-            for index in np.nonzero(effective_hammers >= thresholds)[0]:
-                if index == weakest:
-                    continue
-                slot = 1 + (index if index < weakest else index - 1)
-                jitter = math.exp(abs(jitter_sigma * z[slot]))
-                if effective_hammers >= thresholds[index] * jitter:
-                    row[index] = True
-        if n > 0:
-            state.occupancy = occupancy
-            state.latent_rdt = latent
-            state.measurement_index += n
+        noise = _math_exp(self.sigma_resid * z[:, 0])
+        latent = (base * _math_exp(log_mult)) * noise
+        thresholds = latent[:, None] * (1.0 + margins)
+        candidates = effective_hammers >= thresholds
+        flips[:, weakest] = candidates[:, weakest]
+        candidates[:, weakest] = False
+        trials, cells = np.nonzero(candidates)
+        # Jitter normals follow the residual one, skipping the weakest cell.
+        slots = 1 + cells - (cells > weakest)
+        jitter = _math_exp(
+            np.abs(self.params.cell_jitter_sigma * z[trials, slots])
+        )
+        flips[trials, cells] = (
+            effective_hammers >= thresholds[trials, cells] * jitter
+        )
+
+        state.occupancy = occupancy
+        state.latent_rdt = float(latent[-1])
+        state.measurement_index += n
         return flips
+
+
+def _math_exp(values: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each element: ``np.exp`` may differ in the last ULP
+    from the scalar recurrences that batched walks must reproduce."""
+    return np.fromiter(map(math.exp, values.tolist()), float, values.size)
 
 
 def effective_hammers(left_acts: float, right_acts: float) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import TestConfig
 from repro.core.guardband import (
+    TRIAL_CHUNK,
     GuardbandProbability,
     bit_error_rate,
     guardband_probability_analysis,
@@ -13,8 +14,14 @@ from repro.core.guardband import (
 from repro.core.montecarlo import probability_of_min
 from repro.core.patterns import CHECKERED0
 from repro.core.series import RdtSeries
+from repro.dram.faults import RowVrdProcess
 from repro.errors import MeasurementError
 from tests.conftest import make_module
+from tests.differential.harness import (
+    margin_fingerprint,
+    margin_trial_loop,
+    sequential_state,
+)
 
 
 def synthetic_series(count=20, seed=0):
@@ -178,27 +185,85 @@ class TestVectorizedEquality:
             )
 
     def test_margin_experiment_batched_equals_scalar(self):
-        margins = (0.2, 0.4)
+        """The kernel route equals the per-trial oracle, results and chain
+        state, over consecutive calls that carry one row's chain over."""
         outcomes = {}
-        for batched in (True, False):
+        for name, run in (
+            ("kernel", margin_bitflip_experiment),
+            ("oracle", margin_trial_loop),
+        ):
             module = make_module(seed=21)
             module.disable_interference_sources()
             config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
-            results = margin_bitflip_experiment(
-                module, 120, config, margins=margins,
-                trials=400, batched=batched,
-            )
-            outcomes[batched] = [
-                (r.margin, r.hammer_count, r.flipping_trials,
-                 sorted(r.unique_flips))
-                for r in results
+            outcomes[name] = [
+                (
+                    margin_fingerprint(run(
+                        module, row, config, margins=(0.02, 0.2, 0.4),
+                        trials=400,
+                    )),
+                    sequential_state(module, row, config),
+                )
+                for row in (120, 57, 120)
             ]
-            # Post-experiment device state must also agree: drain one more
-            # latent value from the (stateful) vrd-seq stream.
-            process = module.fault_model.process(
-                0, module.bank(0).mapping.to_physical(120)
+        assert outcomes["kernel"] == outcomes["oracle"]
+        assert any(
+            flipping for results, _ in outcomes["oracle"]
+            for _, _, _, flipping, _ in results
+        )
+
+
+class TestMarginChunks:
+    """``margin_bitflip_experiment`` feeds the kernel bounded chunks."""
+
+    def _setup(self):
+        module = make_module(seed=5)
+        module.disable_interference_sources()
+        config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
+        return module, config
+
+    def test_no_kernel_call_exceeds_the_chunk(self, monkeypatch):
+        sizes = []
+        kernel = RowVrdProcess.trial_flip_series
+
+        def spy(self, condition, effective_hammers, n):
+            sizes.append(n)
+            return kernel(self, condition, effective_hammers, n)
+
+        monkeypatch.setattr(RowVrdProcess, "trial_flip_series", spy)
+        module, config = self._setup()
+        margin_bitflip_experiment(
+            module, 30, config, margins=(0.1, 0.3), trials=10_000
+        )
+        assert sizes == [TRIAL_CHUNK, TRIAL_CHUNK, 10_000 - 2 * TRIAL_CHUNK] * 2
+        sizes.clear()
+        margin_bitflip_experiment(module, 30, config, margins=(0.1,), trials=2000)
+        assert sizes == [2000]
+
+    def test_chunked_run_equals_oracle(self):
+        outcomes = {}
+        for name, run in (
+            ("kernel", margin_bitflip_experiment),
+            ("oracle", margin_trial_loop),
+        ):
+            module, config = self._setup()
+            results = run(
+                module, 30, config, margins=(0.02, 0.1), trials=10_000
             )
-            condition = config.condition(module.timing)
-            process.begin_measurement(condition)
-            outcomes[batched].append(process.current_threshold(condition))
-        assert outcomes[True] == outcomes[False]
+            outcomes[name] = (
+                margin_fingerprint(results),
+                sequential_state(module, 30, config),
+            )
+        assert outcomes["kernel"] == outcomes["oracle"]
+
+    def test_zero_and_negative_trials(self):
+        module, config = self._setup()
+        before = sequential_state(module, 30, config)
+        (result,) = margin_bitflip_experiment(
+            module, 30, config, margins=(0.1,), trials=0
+        )
+        assert result.flipping_trials == 0 and not result.unique_flips
+        assert sequential_state(module, 30, config) == before
+        with pytest.raises(MeasurementError):
+            margin_bitflip_experiment(
+                module, 30, config, margins=(0.1,), trials=-1
+            )

@@ -23,6 +23,7 @@ adaptive            serial ``AdaptiveScheduler``        ``CampaignEngine`` adapt
 store               legacy file-per-entry caches        sqlite ``ResultStore`` shims
 fleet               ``run_fleet_naive`` (materialized)  ``run_fleet`` streamed (2 jobs)
 attack              per-window ``begin_measurement``    ``threshold_series`` walk
+guardband           per-trial ``trial_flips``           ``trial_flip_series`` kernel
 ==================  ==================================  =========================
 
 Cross-protocol variants rerun the fastfaults and bender pairs on catalog
@@ -765,6 +766,100 @@ def attack_fast(seed: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
+# guardband: per-trial scalar rounds vs the trial-flip kernel
+# ----------------------------------------------------------------------
+
+_GUARDBAND_MARGINS = (0.01, 0.05, 0.3)
+_GUARDBAND_TRIALS = 300
+
+
+def margin_trial_loop(
+    module,
+    row: int,
+    config,
+    margins=(0.10, 0.20, 0.30, 0.40, 0.50),
+    baseline_measurements: int = 5,
+    trials: int = 10_000,
+    bank: int = 0,
+):
+    """The scalar reference of
+    :func:`repro.core.guardband.margin_bitflip_experiment`: one
+    ``begin_measurement`` + ``trial_flips`` round per trial."""
+    from repro.core.guardband import MarginBitflipResult
+
+    mapping = module.bank(bank).mapping
+    process = module.fault_model.process(bank, mapping.to_physical(row))
+    condition = config.condition(module.timing)
+    baseline = process.latent_series(
+        condition, baseline_measurements, stream="guardband-baseline"
+    )
+    observed_min = float(baseline.min())
+    results = []
+    for margin in margins:
+        hammer_count = int(observed_min * (1.0 - margin))
+        result = MarginBitflipResult(
+            module_id=module.module_id,
+            bank=bank,
+            row=row,
+            margin=margin,
+            hammer_count=hammer_count,
+            trials=trials,
+        )
+        for _ in range(trials):
+            process.begin_measurement(condition)
+            flips = process.trial_flips(condition, float(hammer_count))
+            if flips:
+                result.flipping_trials += 1
+                result.unique_flips.update(flips)
+        results.append(result)
+    return results
+
+
+def margin_fingerprint(results) -> tuple:
+    return tuple(
+        (r.margin, r.hammer_count, r.trials, r.flipping_trials,
+         tuple(sorted(r.unique_flips)))
+        for r in results
+    )
+
+
+def _guardband_matrix(seed: int, fast: bool) -> tuple:
+    """Fig. 16 calls on one shared module over both checkered patterns;
+    the first row is visited twice per pattern, so its chain carries over
+    between calls. The chain state is fingerprinted after every call."""
+    from repro.chips import build_module
+    from repro.core import CHECKERED0, TestConfig
+    from repro.core.guardband import margin_bitflip_experiment
+    from repro.core.patterns import CHECKERED1
+
+    module = build_module("M1", seed=seed)
+    module.disable_interference_sources()
+    rows = sorted(random.Random(seed + 10).sample(range(64, 192), 3))
+    run = margin_bitflip_experiment if fast else margin_trial_loop
+    fingerprint = []
+    for pattern in (CHECKERED0, CHECKERED1):
+        config = TestConfig(pattern, t_agg_on_ns=module.timing.tRAS)
+        for row in rows + rows[:1]:
+            results = run(
+                module, row, config, margins=_GUARDBAND_MARGINS,
+                trials=_GUARDBAND_TRIALS,
+            )
+            fingerprint.append((
+                margin_fingerprint(results),
+                sequential_state(module, row, config),
+            ))
+    return tuple(fingerprint)
+
+
+def guardband_oracle(seed: int) -> tuple:
+    return _guardband_matrix(seed, fast=False)
+
+
+def guardband_fast(seed: int) -> tuple:
+    return _guardband_matrix(seed, fast=True)
+
+
+# ----------------------------------------------------------------------
 
 CASES: List[DifferentialCase] = [
     DifferentialCase("engine", engine_oracle, engine_fast),
@@ -791,4 +886,5 @@ CASES: List[DifferentialCase] = [
     DifferentialCase("store", store_oracle, store_fast),
     DifferentialCase("fleet", fleet_oracle, fleet_fast),
     DifferentialCase("attack", attack_oracle, attack_fast),
+    DifferentialCase("guardband", guardband_oracle, guardband_fast),
 ]

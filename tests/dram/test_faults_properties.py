@@ -1,5 +1,7 @@
 """Property-based tests on the VRD fault model's invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,3 +229,76 @@ def test_threshold_series_flips_when_exposure_equals_threshold():
     exact = _scalar_pair(make_process(), condition, np.zeros(5))
     thresholds = make_process().threshold_series(condition, np.array(exact))
     assert thresholds.tolist() == exact[:1]
+
+
+# ----------------------------------------------------------------------
+# trial_flip_series: the array-resolved trial kernel vs the scalar pair
+# ----------------------------------------------------------------------
+
+#: ``walk_params`` plus the weak-cell axes the kernel resolves: a lone
+#: (always weakest) cell or the default 16, and no, the calibrated, or a
+#: wide per-trial jitter.
+trial_params = st.tuples(
+    walk_params,
+    st.sampled_from([1, 16]),
+    st.sampled_from([0.0, 0.02, 0.5]),
+).map(
+    lambda drawn: dataclasses.replace(
+        drawn[0], weak_cells=drawn[1], cell_jitter_sigma=drawn[2]
+    )
+)
+
+
+def _scalar_trials(process, condition, drive, n):
+    bits = [int(bit) for bit in process.weak_cell_bits]
+    flips = np.zeros((n, len(bits)), dtype=bool)
+    for trial in range(n):
+        process.begin_measurement(condition)
+        for bit in process.trial_flips(condition, drive):
+            flips[trial, bits.index(bit)] = True
+    return flips
+
+
+@given(
+    params=trial_params,
+    traps=trap_overrides,
+    n=st.sampled_from([0, 1, 2, 17, 300]),
+    drive_kind=st.sampled_from(["zero", "huge", "near", "second"]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    condition=conditions,
+)
+@settings(max_examples=60, deadline=None)
+def test_trial_flip_series_matches_scalar_pair(
+    params, traps, n, drive_kind, seed, condition
+):
+    kernel = _walk_process(params, traps, seed)
+    reference = _walk_process(params, traps, seed)
+    if drive_kind == "zero":
+        drive = 0.0
+    elif drive_kind == "huge":
+        drive = 1e12
+    else:
+        # About 1.1x the row's trap-free threshold, so the weakest cell
+        # flips on most trials; or just past the second-weakest cell's
+        # unjittered threshold, so its jitter decides.
+        margins = np.sort(kernel._cell_margins_for(condition.canonical().pattern))
+        level = kernel.base_rdt * kernel.factors(condition).rdt_factor
+        if drive_kind == "near" or margins.size == 1:
+            drive = 1.1 * level
+        else:
+            drive = 1.02 * level * (1.0 + margins[1])
+    # Two calls on the same chain: the second resumes where the first
+    # stopped, as consecutive margins on one row do.
+    for _ in range(2):
+        flips = kernel.trial_flip_series(condition, drive, n)
+        assert flips.shape == (n, params.weak_cells)
+        assert np.array_equal(
+            flips, _scalar_trials(reference, condition, drive, n)
+        )
+        assert _chain_state(kernel, condition) == _chain_state(
+            reference, condition
+        )
+    if drive_kind == "huge":
+        assert flips.all()
+    elif drive_kind == "zero":
+        assert not flips.any()
