@@ -9,6 +9,11 @@ Implements exactly the analyses the paper runs on its measurement series:
 * the autocorrelation function and white-noise comparison (Fig. 6 and
   Finding 4);
 * box-and-whisker summaries (Fig. 3 and most later figures).
+
+Distribution functions call the ``scipy.special`` kernels that
+``scipy.stats`` wraps (``ndtr``, ``ndtri``, ``chdtrc``), bit-identical to
+the wrappers on this module's arguments, so importing it never loads
+``scipy.stats`` or ``scipy.fft``.
 """
 
 from __future__ import annotations
@@ -17,8 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy import fft as scipy_fft
-from scipy import stats as scipy_stats
+from scipy import special
 
 from repro.errors import MeasurementError
 
@@ -139,7 +143,7 @@ def chi_square_normal_fit(
     )
     # Expected probabilities per bin under the derived normal; the outer
     # tails are folded into the edge bins so probabilities sum to 1.
-    cdf = scipy_stats.norm.cdf(edges, loc=mean, scale=std)
+    cdf = special.ndtr((edges - mean) / std)
     probabilities = np.diff(cdf)
     probabilities[0] += cdf[0]
     probabilities[-1] += 1.0 - cdf[-1]
@@ -175,8 +179,26 @@ def chi_square_normal_fit(
     dof = observed_arr.size - 1 - 2  # two parameters estimated from data
     if dof < 1:
         raise MeasurementError("non-positive degrees of freedom")
-    p_value = float(scipy_stats.chi2.sf(statistic, dof))
+    p_value = float(special.chdtrc(dof, statistic))
     return statistic, p_value
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 2·3·5-smooth integer >= ``target``: the sizes a real FFT
+    factors fastest (``scipy.fft.next_fast_len(target, real=True)``)."""
+    if target <= 6:
+        return target
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # The smallest power-of-two multiple of p35 reaching target.
+            quotient = -(-target // p35)
+            best = min(best, p35 << (quotient - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _autocorrelation_direct(
@@ -217,7 +239,7 @@ def autocorrelation(values: np.ndarray, max_lag: int = 100) -> np.ndarray:
     # Zero-pad to at least n + max_lag so the circular convolution's
     # wrap-around never reaches the lags we keep; next_fast_len picks a
     # fast FFT size at or above that.
-    size = scipy_fft.next_fast_len(n + max_lag, real=True)
+    size = _next_fast_len(n + max_lag)
     spectrum = np.fft.rfft(centered, size)
     power = spectrum.real**2 + spectrum.imag**2
     acov = np.fft.irfft(power, size)[: max_lag + 1]
@@ -230,7 +252,9 @@ def white_noise_acf_bound(n: int, confidence: float = 0.95) -> float:
     """Large-sample ACF confidence bound for white noise: z / sqrt(n)."""
     if n < 2:
         raise MeasurementError("need at least 2 points")
-    z = scipy_stats.norm.ppf(0.5 + confidence / 2.0)
+    if not 0.0 < confidence < 1.0:
+        raise MeasurementError(f"confidence must be in (0, 1), got {confidence}")
+    z = special.ndtri(0.5 + confidence / 2.0)
     return float(z / np.sqrt(n))
 
 
@@ -276,7 +300,7 @@ def ljung_box_test(
     # Vectorized lag sum: sum_k acf_k^2 / (n - k) as one weighted dot.
     weights = 1.0 / (n - np.arange(1, lags + 1))
     q = n * (n + 2.0) * float(acf[1:] ** 2 @ weights)
-    p_value = float(scipy_stats.chi2.sf(q, lags))
+    p_value = float(special.chdtrc(lags, q))
     return q, p_value
 
 

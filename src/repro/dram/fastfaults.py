@@ -254,6 +254,8 @@ def _short_column(plan: _TrapPlan, n: int, rng: Generator) -> List[bool]:
     first batch always covers it, so this costs a few Python operations
     per run where :func:`_trap_column` pays numpy call overhead per batch.
     """
+    if n == 0:
+        return []
     state = rng.random() < plan.stationary
     column: List[bool] = []
     while len(column) < n:

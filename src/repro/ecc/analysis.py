@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special._ufuncs import _binom_sf
 
 from repro import obs
 from repro.ecc.base import OUTCOME_DETECTED, DecodeOutcome, EccCode
@@ -60,10 +60,17 @@ class EccOutcomeProbabilities:
 
 
 def _at_least(k: int, n: int, p: float) -> float:
-    """P(Binomial(n, p) >= k)."""
+    """P(Binomial(n, p) >= k).
+
+    Calls the Boost kernel ``scipy.stats.binom.sf`` wraps, with the
+    wrapper's support rule (the raw kernel returns NaN at both edges)."""
     if not 0.0 <= p <= 1.0:
         raise EccError(f"bit error rate {p} outside [0, 1]")
-    return float(scipy_stats.binom.sf(k - 1, n, p))
+    if k <= 0:
+        return 1.0
+    if k - 1 >= n:
+        return 0.0
+    return float(np.clip(_binom_sf(k - 1, n, p), 0.0, 1.0))
 
 
 def outcome_probabilities(scheme: str, ber: float) -> EccOutcomeProbabilities:

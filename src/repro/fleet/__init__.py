@@ -13,7 +13,8 @@ Three layers (see ``docs/fleet.md``):
   materialize-everything oracle it is differentially tested against.
 
 The package deliberately never imports :mod:`repro.core` (whose package
-``__init__`` pulls scipy): fleet workers stay small enough that a
+``__init__`` pulls ``scipy.special``, about 26 MB of RSS and 0.3 s of
+import time on top of numpy): fleet workers stay small enough that a
 10k-module run fits in <100 MB of RSS.
 """
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from repro.core import stats
 from repro.errors import MeasurementError
@@ -105,9 +106,19 @@ class TestAutocorrelation:
     def test_bounds_and_errors(self):
         assert stats.white_noise_acf_bound(10_000) == pytest.approx(0.0196, abs=1e-3)
         with pytest.raises(MeasurementError):
+            stats.white_noise_acf_bound(1)
+        with pytest.raises(MeasurementError):
             stats.autocorrelation(np.array([1.0]), max_lag=1)
         with pytest.raises(MeasurementError):
             stats.autocorrelation(np.full(100, 3.0), max_lag=5)
+
+    @pytest.mark.parametrize(
+        "confidence", [0.0, 1.0, -0.5, 1.5, float("nan"), float("inf")]
+    )
+    def test_bound_rejects_confidence_outside_unit_interval(self, confidence):
+        # 1.0 would give an infinite bound, 1.5 NaN, 0.0 a zero band.
+        with pytest.raises(MeasurementError, match="confidence"):
+            stats.white_noise_acf_bound(100, confidence)
 
 
 def _fig06_like_series(rng, n=3000, nan_fraction=0.02):
@@ -174,3 +185,59 @@ class TestBoxStats:
     def test_empty_raises(self):
         with pytest.raises(MeasurementError):
             stats.box_stats(np.array([]))
+
+
+class TestScipyKernelPins:
+    """The ``scipy.special`` kernels (and the smooth-size search) this
+    module calls must equal the ``scipy.stats``/``scipy.fft`` wrappers
+    bit for bit: the golden figure digests depend on it."""
+
+    def test_ndtr_equals_norm_cdf_with_loc_and_scale(self):
+        from scipy.stats import norm
+
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            mean = rng.normal(4000.0, 500.0)
+            std = rng.uniform(1e-3, 300.0)
+            edges = np.sort(rng.normal(mean, 4.0 * std, 64))
+            edges[[0, -1]] = [mean - 40.0 * std, mean + 40.0 * std]
+            expected = norm.cdf(edges, loc=mean, scale=std)
+            actual = special.ndtr((edges - mean) / std)
+            np.testing.assert_array_equal(actual, expected)
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 17, 20, 250])
+    def test_chdtrc_equals_chi2_sf(self, dof):
+        from scipy.stats import chi2
+
+        xs = [0.0, 1e-300, 1e-8, 0.5, float(dof), 3.0 * dof, 1e4, np.inf]
+        for x in xs:
+            assert special.chdtrc(dof, x) == chi2.sf(x, dof)
+        assert special.chdtrc(dof, 0.0) == chi2.sf(0.0, dof) == 1.0
+
+    def test_ndtri_equals_norm_ppf_and_bound(self):
+        from scipy.stats import norm
+
+        for confidence in np.linspace(0.001, 0.999, 999):
+            q = 0.5 + confidence / 2.0
+            assert special.ndtri(q) == norm.ppf(q)
+            assert stats.white_noise_acf_bound(3000, confidence) == float(
+                norm.ppf(q) / np.sqrt(3000)
+            )
+
+    def test_ljung_box_p_value_equals_chi2_sf(self):
+        from scipy.stats import chi2
+
+        values = _fig06_like_series(np.random.default_rng(10))
+        for lags in (1, 5, 20):
+            q, p = stats.ljung_box_test(values, lags=lags)
+            assert p == float(chi2.sf(q, lags))
+
+    def test_next_fast_len_equals_scipy_fft(self):
+        from scipy.fft import next_fast_len
+
+        targets = list(range(1, 20_000)) + list(range(99_990, 100_201))
+        mismatched = [
+            m for m in targets
+            if stats._next_fast_len(m) != next_fast_len(m, real=True)
+        ]
+        assert mismatched == []

@@ -6,8 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dram.faults import Condition, RowVrdProcess, VrdModelParams
-from repro.dram.traps import Trap
+from repro.dram.faults import (
+    _GEOM_SEARCH_P,
+    Condition,
+    RowVrdProcess,
+    VrdModelParams,
+    geometric_mirror_ok,
+)
+from repro.dram.fastfaults import (
+    _attach_run_tables,
+    _short_column,
+    _trap_column,
+    _TrapPlan,
+)
+from repro.dram.traps import _MAX_P, _MIN_P, Trap, sample_occupancy_series
 
 
 def make_process(seed=7):
@@ -302,3 +314,51 @@ def test_trial_flip_series_matches_scalar_pair(
         assert flips.all()
     elif drive_kind == "zero":
         assert not flips.any()
+
+
+# ----------------------------------------------------------------------
+# Series samplers: the packed mirrors vs sample_occupancy_series
+# ----------------------------------------------------------------------
+
+#: Transition probabilities at and past both clamps (1e-12 and 1.0 are
+#: clamped to ``_MIN_P``/``_MAX_P``), on both sides of numpy's geometric
+#: branch point (inversion below 1/3, search at and above it), and free.
+sampler_probabilities = st.one_of(
+    st.sampled_from([
+        1e-12, _MIN_P, 1e-6, float(np.nextafter(_GEOM_SEARCH_P, 0.0)),
+        _GEOM_SEARCH_P, 0.5, _MAX_P, 1.0,
+    ]),
+    st.floats(min_value=1e-12, max_value=1.0),
+)
+
+
+@pytest.mark.skipif(
+    not geometric_mirror_ok(),
+    reason="numpy's geometric sampler is not mirrored on this platform",
+)
+@given(
+    trap=st.builds(
+        Trap,
+        depth=st.just(0.2),
+        p_occupy=sampler_probabilities,
+        p_release=sampler_probabilities,
+    ),
+    n=st.sampled_from([0, 1, 16, 17, 300]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_series_samplers_match_reference(trap, n, seed):
+    """``_trap_column`` (with and without run tables) and
+    ``_short_column`` draw exactly what ``sample_occupancy_series`` draws:
+    the same column and the same generator state afterwards."""
+    reference_rng = np.random.default_rng(seed)
+    reference = sample_occupancy_series(trap, n, reference_rng).tolist()
+    routes = [(_trap_column, False), (_trap_column, True), (_short_column, False)]
+    for sampler, tables in routes:
+        plan = _TrapPlan(trap.depth, trap.p_occupy, trap.p_release)
+        if tables:
+            _attach_run_tables([plan])
+        rng = np.random.default_rng(seed)
+        column = np.asarray(sampler(plan, n, rng), dtype=bool)
+        assert column.tolist() == reference, (sampler.__name__, tables)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state

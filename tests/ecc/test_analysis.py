@@ -5,6 +5,7 @@ import pytest
 
 from repro.ecc.analysis import (
     PAPER_WORST_BER,
+    _at_least,
     default_codec,
     monte_carlo_outcomes,
     outcome_probabilities,
@@ -33,6 +34,17 @@ def test_table3_reproduces_paper_values():
     assert rows["SSC"].uncorrectable == pytest.approx(5.66e-5, rel=0.01)
     assert rows["SSC"].undetectable == pytest.approx(5.66e-5, rel=0.01)
     assert rows["SSC"].detectable_uncorrectable is None
+
+
+@pytest.mark.parametrize("n", [1, 18, 72])
+@pytest.mark.parametrize("p", [0.0, 1e-300, 7.6e-5, 0.5, 1.0])
+def test_at_least_equals_binom_sf(n, p):
+    """The raw Boost kernel plus the support rule is ``binom.sf`` bit for
+    bit, including at k <= 0 and k > n where the kernel alone gives NaN."""
+    from scipy.stats import binom
+
+    for k in (0, 1, 2, 3, n, n + 1, n + 2):
+        assert _at_least(k, n, p) == float(binom.sf(k - 1, n, p)), k
 
 
 def test_as_row_formats_na():
