@@ -9,9 +9,9 @@ suite and the examples.
 
 from __future__ import annotations
 
-import math
+import functools
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.chips import ModuleSpec, build_module, spec
@@ -43,6 +43,29 @@ def victim_threshold_for(device: ModuleSpec) -> float:
     return max(40_000.0, 1.8 * device.min_rdt_tras)
 
 
+#: Victim scans :func:`_victim_probe` keeps per process; the figure suite
+#: scans 14 foundational devices at one seed.
+_VICTIM_PROBE_MEMO = 64
+
+
+@functools.lru_cache(maxsize=_VICTIM_PROBE_MEMO)
+def _victim_probe(
+    module_id: str, seed: int, candidate_rows: int
+) -> Tuple[float, int]:
+    """The lowest ``(guess, row)`` pair of one batched probe over the first
+    ``candidate_rows`` rows of bank 0, memoized per catalog identity.
+
+    Only the pair is kept: the probe leaves its throwaway module untouched,
+    and a cached module would share per-row chain state between callers.
+    """
+    module = build_module(spec(module_id), seed=seed)
+    module.disable_interference_sources()
+    meter = FastRdtMeter(module, bank=0)
+    rows = range(candidate_rows)
+    guesses = meter.guess_rdt_batch(rows, _reference_config(module))
+    return min(zip(guesses.tolist(), rows))
+
+
 def foundational_victim(
     module_id: str,
     seed: int = DEFAULT_SEED,
@@ -55,30 +78,37 @@ def foundational_victim(
     read-disturbance-vulnerable", so scan a candidate block and take the
     most vulnerable qualifying row: the lowest ``(guess, row)`` pair of one
     batched probe (bit-identical to per-row ``guess_rdt``), which qualifies
-    iff any row does.
+    iff any row does. The scan runs once per ``(module_id, seed,
+    candidate_rows)`` in a process; every call still returns a fresh
+    module.
 
     Returns:
         ``(module, victim_row, config)``.
 
     Raises:
-        MeasurementError: When no candidate's mean RDT is below the
-            device's vulnerability threshold.
+        MeasurementError: When ``candidate_rows`` is outside ``[1, n_rows]``
+            or no candidate's mean RDT is below the device's vulnerability
+            threshold.
     """
     device = spec(module_id)
     module = build_module(device, seed=seed)
     module.disable_interference_sources()
-    meter = FastRdtMeter(module, bank=0)
-    config = _reference_config(module)
-    rows = range(candidate_rows)
-    guesses = meter.guess_rdt_batch(rows, config)
-    guess, victim = min(zip(guesses.tolist(), rows), default=(math.inf, None))
+    n_rows = module.geometry.n_rows
+    if not 1 <= candidate_rows <= n_rows:
+        raise MeasurementError(
+            f"{candidate_rows} candidate rows outside [1, {n_rows}]"
+        )
+    misses = _victim_probe.cache_info().misses
+    guess, victim = _victim_probe(module_id, seed, candidate_rows)
+    outcome = "miss" if _victim_probe.cache_info().misses > misses else "hit"
+    obs.active().counter_add(f"figures.victim_probe.{outcome}")
     threshold = victim_threshold_for(device)
     if not guess < threshold:
         raise MeasurementError(
             f"no row among {candidate_rows} candidates has mean RDT below "
             f"{threshold}"
         )
-    return module, victim, config
+    return module, victim, _reference_config(module)
 
 
 def foundational_victim_series(

@@ -24,6 +24,7 @@ store               legacy file-per-entry caches        sqlite ``ResultStore`` s
 fleet               ``run_fleet_naive`` (materialized)  ``run_fleet`` streamed (2 jobs)
 attack              per-window ``begin_measurement``    ``threshold_series`` walk
 guardband           per-trial ``trial_flips``           ``trial_flip_series`` kernel
+victim              per-row scan + ``find_victim``      memoized batched scan
 ==================  ==================================  =========================
 
 Cross-protocol variants rerun the fastfaults and bender pairs on catalog
@@ -860,6 +861,78 @@ def guardband_fast(seed: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
+# victim: per-row scalar scan vs the memoized batched victim probe
+# ----------------------------------------------------------------------
+
+_VICTIM_CANDIDATES = (16, 64)
+
+
+def scalar_victim_scan(module_id, seed, candidate_rows, threshold=None):
+    """The per-row victim scan: scalar ``guess_rdt`` on every candidate,
+    then Algorithm 1's find_victim over the rows sorted by guess."""
+    from repro.analysis.figures import victim_threshold_for
+    from repro.chips import build_module, spec
+    from repro.core import CHECKERED0, FastRdtMeter, TestConfig
+    from repro.core.rdt import find_victim
+
+    device = spec(module_id)
+    module = build_module(device, seed=seed)
+    module.disable_interference_sources()
+    meter = FastRdtMeter(module, bank=0)
+    config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
+    guesses = sorted(
+        (meter.guess_rdt(row, config), row) for row in range(candidate_rows)
+    )
+    if threshold is None:
+        threshold = victim_threshold_for(device)
+    _, victim = find_victim(
+        meter, rows=[row for _, row in guesses], config=config,
+        threshold=threshold,
+    )
+    return victim
+
+
+def _victim_workload(seed: int):
+    """A Sec. 4 catalog device and a small candidate block."""
+    from repro.chips import FOUNDATIONAL_SPECS
+
+    pick = random.Random(seed + 11)
+    device = pick.choice(FOUNDATIONAL_SPECS)
+    return device.module_id, pick.choice(_VICTIM_CANDIDATES)
+
+
+def _victim_outcome(scan: Callable[[], int]):
+    """The victim row, or the error text when no candidate qualifies."""
+    from repro.errors import MeasurementError
+
+    try:
+        return scan()
+    except MeasurementError as error:
+        return str(error)
+
+
+def victim_oracle(seed: int) -> tuple:
+    module_id, rows = _victim_workload(seed)
+    outcome = _victim_outcome(lambda: scalar_victim_scan(module_id, seed, rows))
+    return (outcome, outcome)
+
+
+def victim_fast(seed: int) -> tuple:
+    """Two scans of one key, the first missing the memo, the second hitting
+    it."""
+    from repro.analysis import figures
+
+    module_id, rows = _victim_workload(seed)
+    figures._victim_probe.cache_clear()
+    return tuple(
+        _victim_outcome(
+            lambda: figures.foundational_victim(module_id, seed, rows)[1]
+        )
+        for _ in range(2)
+    )
+
+
+# ----------------------------------------------------------------------
 
 CASES: List[DifferentialCase] = [
     DifferentialCase("engine", engine_oracle, engine_fast),
@@ -887,4 +960,5 @@ CASES: List[DifferentialCase] = [
     DifferentialCase("fleet", fleet_oracle, fleet_fast),
     DifferentialCase("attack", attack_oracle, attack_fast),
     DifferentialCase("guardband", guardband_oracle, guardband_fast),
+    DifferentialCase("victim", victim_oracle, victim_fast),
 ]
