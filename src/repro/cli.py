@@ -713,8 +713,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
     from repro.core.montecarlo import STANDARD_N_VALUES
     from repro.core.store import load_campaign
+    from repro.errors import MeasurementError
 
-    result = load_campaign(args.file)
+    try:
+        result = load_campaign(args.file)
+    except MeasurementError as error:
+        print(f"cannot analyze {args.file}: {error}; re-save it with "
+              "`python -m repro profile --output`", file=sys.stderr)
+        return 2
     print(f"campaign: {result.module_id}, {len(result)} series over "
           f"{len(result.rows())} rows")
     rows = []

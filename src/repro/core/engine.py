@@ -66,6 +66,11 @@ SCHEDULES = ("exhaustive", "adaptive")
 #: Environment variable consulted when a job count is not given explicitly.
 JOBS_ENV_VAR = "VRD_JOBS"
 
+#: Version of the cache-key recipe. It moves with the payload format
+#: (:data:`repro.core.store.FORMAT_VERSION`), so entries written in an
+#: older format are never looked up and read as plain misses.
+RECIPE_FORMAT = 3
+
 
 def resolve_jobs(n_jobs: Optional[int] = None) -> int:
     """Worker count to use: explicit value, else ``VRD_JOBS``, else 1."""
@@ -540,10 +545,14 @@ class CampaignCache:
     Keys hash the complete recomputation recipe — root seed, module id,
     configuration grid, row list (or a driver-supplied selection recipe),
     and series length — so any parameter change is a clean miss. Values
-    are :mod:`repro.core.store` JSON payloads in one
-    :class:`~repro.store.db.ResultStore` (WAL sqlite) that any number of
-    worker processes and service clients share concurrently. A corrupted
-    entry (bad checksum, tampered payload, torn database page) is
+    are :mod:`repro.core.store` JSON payloads (format 2: each series a
+    base64 float64 column, so a hit decodes buffers, not float lists) in
+    one :class:`~repro.store.db.ResultStore` (WAL sqlite) that any number
+    of worker processes and service clients share concurrently. The
+    recipe carries :data:`RECIPE_FORMAT`, so entries written in an older
+    payload format are never looked up: they read as plain misses and
+    recompute. A corrupted entry (bad checksum, tampered payload, torn
+    database page, or an unknown format version under a current key) is
     detected on load, counted under the ``cache.corrupt`` metric,
     *evicted*, and treated as a miss so the campaign recomputes cleanly —
     ``tests/core/test_engine.py`` and ``tests/store/`` corrupt entries on
@@ -625,7 +634,7 @@ class CampaignCache:
                 "adaptive cache-key parameters require schedule='adaptive'"
             )
         payload = {
-            "format": 2,
+            "format": RECIPE_FORMAT,
             "seed": int(seed),
             "module_id": module_id,
             "configs": [config_to_dict(config) for config in configs],

@@ -4,12 +4,23 @@ Characterization campaigns are expensive; a real deployment measures once
 and analyzes many times. This module round-trips the library's result
 artifacts through plain JSON (no pickle: results are data, and the format
 stays inspectable and diffable).
+
+Format 2 stores each series' ``values`` as one base64 string of its
+little-endian float64 bytes (``<f8``), not as a list of JSON floats.
+Decoding a column is a single buffer copy instead of one Python float
+per measurement, and every IEEE value (NaN, ±inf, −0.0, subnormals)
+round-trips bit for bit. The column stays inside the JSON object rather
+than in a separate binary blob, so the result store's canonical-JSON
+checksum, its service wire protocol and every JSON reader of the store
+keep working unchanged. There is one decoder: a payload of another
+format version is rejected, and the campaign cache's recipe keys are
+versioned with it, so format-1 entries are never looked up again.
 """
 
 from __future__ import annotations
 
+import base64
 import json
-import math
 from pathlib import Path
 from typing import Union
 
@@ -22,18 +33,49 @@ from repro.core.series import RdtSeries
 from repro.errors import MeasurementError
 
 #: Format version written into every file, checked on load.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+#: On-disk dtype of a series column: little-endian IEEE 754 binary64.
+_VALUES_DTYPE = np.dtype("<f8")
 
 PathLike = Union[str, Path]
 
 
+def _encode_values(values: np.ndarray) -> str:
+    """Base64 of ``values`` as little-endian float64 bytes."""
+    raw = np.ascontiguousarray(values, dtype=_VALUES_DTYPE).tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _decode_values(encoded: object) -> np.ndarray:
+    """Inverse of :func:`_encode_values`: a writable float64 array.
+
+    Raises :class:`MeasurementError` for anything that is not a strict
+    base64 string of whole float64 values.
+    """
+    if not isinstance(encoded, str):
+        raise MeasurementError(
+            "series values must be a base64 string, not "
+            f"{type(encoded).__name__}"
+        )
+    try:
+        raw = base64.b64decode(encoded, validate=True)
+    except ValueError as error:  # binascii.Error, or non-ASCII text
+        raise MeasurementError(
+            f"series values are not base64: {error}"
+        ) from error
+    if len(raw) % _VALUES_DTYPE.itemsize:
+        raise MeasurementError(
+            f"series values hold {len(raw)} bytes, not a whole number of "
+            "float64 values"
+        )
+    return np.frombuffer(raw, dtype=_VALUES_DTYPE).astype(np.float64)
+
+
 def series_to_dict(series: RdtSeries) -> dict:
-    """Serialize one series (NaN encoded as ``None`` for valid JSON)."""
+    """Serialize one series (values as one base64 float64 column)."""
     return {
-        "values": [
-            None if math.isnan(value) else value
-            for value in series.values.tolist()
-        ],
+        "values": _encode_values(series.values),
         "module_id": series.module_id,
         "bank": series.bank,
         "row": series.row,
@@ -44,12 +86,8 @@ def series_to_dict(series: RdtSeries) -> dict:
 
 def series_from_dict(payload: dict) -> RdtSeries:
     try:
-        values = np.array(
-            [math.nan if value is None else float(value)
-             for value in payload["values"]]
-        )
         return RdtSeries(
-            values,
+            _decode_values(payload["values"]),
             module_id=payload["module_id"],
             bank=int(payload["bank"]),
             row=int(payload["row"]),
@@ -98,23 +136,30 @@ def campaign_to_dict(result: CampaignResult) -> dict:
 
 
 def campaign_from_dict(payload: dict) -> CampaignResult:
+    if not isinstance(payload, dict):
+        raise MeasurementError("a campaign payload must be a JSON object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise MeasurementError(
             f"unsupported campaign format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    result = CampaignResult(module_id=payload["module_id"])
-    for entry in payload["observations"]:
-        result.observations.append(
-            RowObservation(
-                module_id=payload["module_id"],
-                bank=int(entry["bank"]),
-                row=int(entry["row"]),
-                config=config_from_dict(entry["config"]),
-                series=series_from_dict(entry["series"]),
+    try:
+        result = CampaignResult(module_id=payload["module_id"])
+        for entry in payload["observations"]:
+            result.observations.append(
+                RowObservation(
+                    module_id=payload["module_id"],
+                    bank=int(entry["bank"]),
+                    row=int(entry["row"]),
+                    config=config_from_dict(entry["config"]),
+                    series=series_from_dict(entry["series"]),
+                )
             )
-        )
+    except (KeyError, TypeError, ValueError) as error:
+        raise MeasurementError(
+            f"malformed campaign payload: {error!r}"
+        ) from error
     return result
 
 

@@ -7,6 +7,8 @@ was stored. These tests assert that contract directly — array equality,
 not statistical closeness.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.core.engine import (
     resolve_jobs,
 )
 from repro.core.patterns import DataPattern
+from repro.core.store import FORMAT_VERSION
 from repro.errors import ConfigurationError, MeasurementError
 
 MODULE_ID = "M1"
@@ -380,7 +383,8 @@ def _inject_raw(cache, key, blob, kind="campaign"):
     "{not json",                         # truncated writer
     "[]",                                # wrong payload root
     '{"format_version": 999}',           # unsupported version
-    '{"format_version": 1}',             # right version, missing body
+    # right version, missing body
+    json.dumps({"format_version": FORMAT_VERSION}),
 ], ids=["truncated", "wrong-root", "wrong-version", "missing-body"])
 def test_corrupt_cache_entry_is_counted_evicted_and_missed(tmp_path, blob):
     from repro import obs

@@ -547,7 +547,8 @@ _STORE_WORKLOADS: dict = {}
 
 def _store_roundtrip(seed: int, backend: str) -> tuple:
     """Store the seed's three results through ``backend``, reload them,
-    and fingerprint the reloaded payloads as canonical JSON."""
+    check the reloaded campaign's series bytes against the in-memory
+    campaign, and fingerprint the reloaded payloads as canonical JSON."""
     import json
     import tempfile
     from pathlib import Path
@@ -586,8 +587,18 @@ def _store_roundtrip(seed: int, backend: str) -> tuple:
         campaign_cache.store_adaptive(adaptive_key, adaptive)
         sweep_cache.store(sweep_key, sweep)
 
+        loaded = campaign_cache.load(campaign_key)
+        # Both backends share the payload codec, so the pair alone cannot
+        # see a codec bug: hold the reload to the in-memory campaign too.
+        if [o.series.values.tobytes() for o in loaded.observations] != [
+            o.series.values.tobytes() for o in campaign.observations
+        ]:
+            raise AssertionError(
+                f"{backend} store did not round-trip the campaign's series "
+                "bit for bit"
+            )
         reloaded = {
-            "campaign": campaign_to_dict(campaign_cache.load(campaign_key)),
+            "campaign": campaign_to_dict(loaded),
             "adaptive": campaign_cache.load_adaptive(
                 adaptive_key
             ).to_payload(),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core.store import FORMAT_VERSION
 
 
 def test_devices(capsys):
@@ -58,6 +59,29 @@ def test_analyze_saved_campaign(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "minimum-RDT identification" in out
     assert "CV S-curve" in out
+
+
+@pytest.mark.parametrize("content, problem", [
+    (
+        '{"format_version": 1, "module_id": "H2", "observations": '
+        '[{"bank": 0, "row": 3, "series": {"values": [100.0, null]}}]}',
+        "unsupported campaign format version 1 "
+        f"(expected {FORMAT_VERSION})",
+    ),
+    ("{not json", "not a campaign file"),
+    ("[]", "must be a JSON object"),
+    (f'{{"format_version": {FORMAT_VERSION}}}', "malformed campaign payload"),
+], ids=["format-1", "not-json", "wrong-root", "missing-body"])
+def test_analyze_rejects_unreadable_campaign(capsys, tmp_path, content,
+                                             problem):
+    path = tmp_path / "old.json"
+    path.write_text(content)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert problem in line
+    assert "profile --output" in line
 
 
 def test_verify(capsys):
