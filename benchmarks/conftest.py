@@ -13,10 +13,11 @@ and can be widened with environment variables:
 
 Campaigns additionally go through the on-disk result cache
 (:class:`repro.core.engine.CampaignCache`): re-running a benchmark session
-with unchanged knobs reloads each campaign from ``$VRD_CACHE_DIR`` (default
-``.vrd-cache/``) instead of recomputing it. Set ``VRD_CACHE_DIR=`` (empty)
-to disable. ``VRD_JOBS`` routes campaign measurement through the parallel
-engine; results are bit-identical either way.
+with unchanged knobs reloads each campaign from the result store at
+``$VRD_STORE_PATH`` (default ``.vrd-cache/results.sqlite``) instead of
+recomputing it. Set ``VRD_STORE_PATH=`` (empty) to disable. ``VRD_JOBS``
+routes campaign measurement through the parallel engine; results are
+bit-identical either way.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ N_FOUNDATIONAL = _env_int("VRD_BENCH_FOUNDATIONAL", 100_000)
 ROWS_PER_BLOCK = _env_int("VRD_BENCH_ROWS", 5)
 N_MIXES = _env_int("VRD_BENCH_MIXES", 5)
 
-#: Shared on-disk campaign cache (None when disabled via VRD_CACHE_DIR="").
+#: Shared on-disk campaign cache (None when disabled via VRD_STORE_PATH="").
 CAMPAIGN_CACHE = CampaignCache.resolve()
 
 #: Modules carried through the campaign-based figures (one per vendor plus

@@ -144,7 +144,7 @@ def _measure_rss_mb() -> float:
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
-        env=dict(os.environ, VRD_CACHE_DIR=""),
+        env=dict(os.environ, VRD_STORE_PATH=""),
     )
     peak_kb = json.loads(out.stdout.strip().splitlines()[-1])["peak_kb"]
     return peak_kb / 1024.0  # both VmHWM and Linux ru_maxrss are in KB

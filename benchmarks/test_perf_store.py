@@ -1,9 +1,9 @@
 """Shared-store concurrency guard: N clients, one sqlite store, one pool.
 
 The scenario the store + service exist for: several clients measuring
-overlapping campaign workloads at once. The baseline is today's layout —
-each client is its own process with its own isolated file-per-entry
-cache, so shared jobs are computed once *per client*. The store route
+overlapping campaign workloads at once. The baseline is isolated
+per-client caches — each client is its own process with its own private
+result store, so shared jobs are computed once *per client*. The store route
 runs the same per-client job lists through one ``ServiceThread`` over
 one sqlite store: shared jobs are computed once *total* (in-flight dedup
 collapses concurrent submissions; the store answers every later one).
@@ -37,7 +37,6 @@ from repro.core.engine import CampaignCache, CampaignEngine
 from repro.core.store import config_to_dict
 from repro.service import ServiceThread
 from repro.store import DEFAULT_STORE_FILENAME, ResultStore
-from repro.store.legacy import FileCampaignCache
 
 CLIENTS = int(os.environ.get("VRD_BENCH_STORE_CLIENTS", 4))
 COMMON = int(os.environ.get("VRD_BENCH_STORE_COMMON", 8))
@@ -92,30 +91,27 @@ def _client_jobs(client_id: int) -> "list[dict]":
     return common + unique
 
 
-def _file_route_client(task) -> int:
-    """Baseline client process: isolated file caches, sequential jobs."""
+def _isolated_route_client(task) -> int:
+    """Baseline client process: its own private store, sequential jobs."""
     from repro.memsim.sweep import SweepCache, run_sweep
     from repro.service.jobs import sweep_spec_from_payload
-    from repro.store.legacy import FileSweepCache
 
     root, client_id = task
     client_dir = Path(root) / f"client{client_id}"
-    cache = FileCampaignCache(client_dir)
-    sweep_cache = FileSweepCache(client_dir)
-    keyer = CampaignCache.resolve(".")
-    sweep_keyer = SweepCache(client_dir / "unused")
+    cache = CampaignCache(client_dir)
+    sweep_cache = SweepCache(store=cache.result_store)
     computed = 0
     for job in _client_jobs(client_id):
         if job["kind"] == "sweep":
             spec = sweep_spec_from_payload(job["spec"])
-            key = sweep_keyer.key(spec)
+            key = sweep_cache.key(spec)
             if sweep_cache.load(key) is not None:
                 continue
             sweep_cache.store(key, run_sweep(spec))
             computed += 1
             continue
         configs = [TestConfig(CHECKERED0, t_agg_on_ns=35.0)]
-        key = keyer.key(
+        key = cache.key(
             seed=job["seed"], module_id=job["module_id"], configs=configs,
             n_measurements=job["n_measurements"], pairs=PAIRS,
         )
@@ -140,14 +136,14 @@ def _warmup_worker(_=None) -> int:
     return os.getpid()
 
 
-def _run_file_route(tmp_root: Path) -> "tuple[float, int]":
+def _run_isolated_route(tmp_root: Path) -> "tuple[float, int]":
     tasks = [(str(tmp_root), client_id) for client_id in range(CLIENTS)]
     with ProcessPoolExecutor(max_workers=CLIENTS) as pool:
         # Warm every worker before timing: both routes pay pool startup
         # once; the benchmark compares steady-state throughput.
         list(pool.map(_warmup_worker, range(2 * CLIENTS), chunksize=1))
         t0 = time.perf_counter()
-        computed = sum(pool.map(_file_route_client, tasks))
+        computed = sum(pool.map(_isolated_route_client, tasks))
         elapsed = time.perf_counter() - t0
     return elapsed, computed
 
@@ -185,14 +181,16 @@ def _run_store_route(service: ServiceThread) -> "tuple[float, list[tuple]]":
 
 
 def test_store_concurrent_throughput_and_warm_resubmit(tmp_path):
-    file_s, file_computed = _run_file_route(tmp_path / "files")
+    isolated_s, isolated_computed = _run_isolated_route(
+        tmp_path / "clients"
+    )
     # Every baseline client computes every one of its jobs itself.
-    assert file_computed == CLIENTS * (COMMON + UNIQUE)
+    assert isolated_computed == CLIENTS * (COMMON + UNIQUE)
 
     store = ResultStore(tmp_path / DEFAULT_STORE_FILENAME)
     with ServiceThread(store=store, n_jobs=SERVICE_JOBS) as service:
-        # Warm the service's worker pool the same way the file route's
-        # pool is warmed: a multi-pair job shards across every worker.
+        # Warm the service's worker pool the same way the isolated
+        # route's pool is warmed: a multi-pair job shards across every worker.
         with service.client() as client:
             client.submit({
                 "kind": "campaign", "module_id": MODULE_ID,
@@ -218,15 +216,15 @@ def test_store_concurrent_throughput_and_warm_resubmit(tmp_path):
             warm_ms = (time.perf_counter() - t0) * 1000.0
         assert warm["status"] == "hit"
 
-    speedup = file_s / store_s
+    speedup = isolated_s / store_s
     record = {
         "clients": CLIENTS,
         "common_jobs": COMMON,
         "unique_jobs_per_client": UNIQUE,
         "n_measurements": N_MEASUREMENTS,
-        "file_route_s": round(file_s, 3),
+        "isolated_route_s": round(isolated_s, 3),
         "store_route_s": round(store_s, 3),
-        "file_computes": file_computed,
+        "isolated_computes": isolated_computed,
         "store_computes": computed,
         "throughput_speedup": round(speedup, 2),
         "warm_resubmit_ms": round(warm_ms, 2),

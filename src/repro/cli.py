@@ -13,8 +13,7 @@ Small, scriptable entry points onto the library's main experiments:
   aggregation) and print guardband/ECC tables;
 * ``serve`` — concurrent campaign service over the shared result store;
 * ``submit`` — send one job to a running service and stream its events;
-* ``store`` — result-store maintenance (``migrate``, ``stats``,
-  ``prune``);
+* ``store`` — result-store maintenance (``stats``, ``prune``);
 * ``report`` — instrumented smoke workload + observability run report;
 * ``bench`` — aggregate every ``BENCH_*.json`` into one perf trajectory.
 
@@ -145,8 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--cache-dir", default=None,
-        help="campaign cache directory (default: $VRD_CACHE_DIR, else "
-             ".vrd-cache/)",
+        help="campaign cache directory; the store is DIR/results.sqlite "
+             "(default: $VRD_STORE_PATH, else .vrd-cache/results.sqlite)",
     )
     profile.add_argument(
         "--no-cache", action="store_true",
@@ -228,8 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fig14.add_argument(
         "--cache-dir", default=None,
-        help="sweep cache directory (default: $VRD_CACHE_DIR, else "
-             ".vrd-cache/)",
+        help="sweep cache directory; the store is DIR/results.sqlite "
+             "(default: $VRD_STORE_PATH, else .vrd-cache/results.sqlite)",
     )
     fig14.add_argument(
         "--no-cache", action="store_true",
@@ -279,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--store", default=None, metavar="FILE",
         help="checkpoint store (default: $VRD_STORE_PATH, else "
-             "$VRD_CACHE_DIR/results.sqlite, else .vrd-cache/results.sqlite)",
+             ".vrd-cache/results.sqlite)",
     )
     fleet.add_argument(
         "--no-checkpoint", action="store_true",
@@ -321,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store", default=None, metavar="FILE",
         help="sqlite store file (default: $VRD_STORE_PATH, else "
-             "$VRD_CACHE_DIR/results.sqlite, else .vrd-cache/results.sqlite)",
+             ".vrd-cache/results.sqlite)",
     )
 
     submit = sub.add_parser(
@@ -343,20 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "store", help="result-store maintenance (sqlite, shared)"
     )
     store_sub = store_cmd.add_subparsers(dest="store_command", required=True)
-    migrate = store_sub.add_parser(
-        "migrate",
-        help="import legacy one-file-per-entry .vrd-cache/ entries into "
-             "the sqlite store",
-    )
-    migrate.add_argument(
-        "--cache-dir", default=None,
-        help="legacy cache directory to import from (default: the store's "
-             "own directory)",
-    )
-    migrate.add_argument(
-        "--store", default=None, metavar="FILE",
-        help="sqlite store file (default: resolved via the environment)",
-    )
     store_stats = store_sub.add_parser(
         "stats", help="entry counts and payload bytes per result kind"
     )
@@ -880,7 +865,7 @@ def _resolve_store(path):
     store = ResultStore.resolve(store_path=path)
     if store is None:
         raise ConfigurationError(
-            "storage is disabled (empty VRD_STORE_PATH/VRD_CACHE_DIR); "
+            "storage is disabled (empty VRD_STORE_PATH); "
             "pass --store explicitly"
         )
     return store
@@ -948,17 +933,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 def _cmd_store(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
+    from repro.errors import ConfigurationError
 
     store = _resolve_store(args.store)
-    if args.store_command == "migrate":
-        from repro.store.legacy import import_legacy_entries
-
-        root = args.cache_dir if args.cache_dir else store.path.parent
-        added = import_legacy_entries(store, root)
-        stats = store.stats()
-        print(f"imported {added} legacy entries from {root}; store now "
-              f"holds {stats['entries']} entries")
-        return 0
     if args.store_command == "stats":
         stats = store.stats()
         rows = [
@@ -989,7 +966,16 @@ def _cmd_store(args: argparse.Namespace) -> int:
         older_than_s = (
             args.older_than * 86400.0 if args.older_than is not None else None
         )
-        pruned = store.prune(kind=args.kind, older_than_s=older_than_s)
+        try:
+            pruned = store.prune(kind=args.kind, older_than_s=older_than_s)
+        except ConfigurationError:
+            # --kind is already restricted by argparse; only the age is left.
+            print(
+                "store prune: --older-than must be a finite non-negative "
+                f"number of days, got {args.older_than:g}",
+                file=sys.stderr,
+            )
+            return 1
         stats = store.stats()
         scope = args.kind if args.kind else "all kinds"
         print(f"pruned {pruned} {scope} entries; store now holds "

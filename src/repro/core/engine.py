@@ -11,9 +11,8 @@ a nested serial loop. This module scales the same protocol out:
   back together with the existing ``merge``.
 * :class:`CampaignCache` stores finished campaigns content-addressed in
   the shared sqlite result store (:mod:`repro.store` — ``VRD_STORE_PATH``,
-  else ``VRD_CACHE_DIR/results.sqlite``, default
-  ``.vrd-cache/results.sqlite``), so repeated benchmark/CLI sessions —
-  and concurrent worker/service processes — reload instead of
+  default ``.vrd-cache/results.sqlite``), so repeated benchmark/CLI
+  sessions — and concurrent worker/service processes — reload instead of
   recomputing.
 
 **Determinism contract.** Every stochastic quantity in a campaign flows
@@ -51,9 +50,7 @@ from repro.core.store import (
 )
 from repro.errors import ConfigurationError, MeasurementError
 from repro.rng import DEFAULT_SEED
-from repro.store.db import (  # noqa: F401  (re-exported legacy names)
-    CACHE_DIR_ENV_VAR,
-    DEFAULT_CACHE_DIR,
+from repro.store.db import (
     DEFAULT_STORE_FILENAME,
     KIND_ADAPTIVE,
     KIND_CAMPAIGN,
@@ -556,9 +553,7 @@ class CampaignCache:
     detected on load, counted under the ``cache.corrupt`` metric,
     *evicted*, and treated as a miss so the campaign recomputes cleanly —
     ``tests/core/test_engine.py`` and ``tests/store/`` corrupt entries on
-    disk to prove it. The previous one-file-per-entry backend lives on as
-    :class:`repro.store.legacy.FileCampaignCache`; its entries are
-    imported transparently when a store is first created next to them.
+    disk to prove it.
     """
 
     #: Exceptions that mark a decoded payload as corrupt (structurally
@@ -592,9 +587,8 @@ class CampaignCache:
         cls, cache_dir: "Path | str | None" = None
     ) -> "Optional[CampaignCache]":
         """Cache under ``cache_dir``, else at ``$VRD_STORE_PATH``, else
-        under ``$VRD_CACHE_DIR``, else ``.vrd-cache/``. An empty
-        ``VRD_STORE_PATH`` or ``VRD_CACHE_DIR`` disables caching
-        (returns ``None``)."""
+        under ``.vrd-cache/``. An empty ``VRD_STORE_PATH`` disables
+        caching (returns ``None``)."""
         store = ResultStore.resolve(cache_dir)
         return None if store is None else cls(store=store)
 

@@ -284,7 +284,7 @@ def run_fleet(
             bit-identical for any value.
         store: Checkpoint store — a :class:`ResultStore`, a database
             path, or ``None`` to resolve via the environment precedence
-            (``$VRD_STORE_PATH`` → ``$VRD_CACHE_DIR`` → ``.vrd-cache/``).
+            (``$VRD_STORE_PATH`` → ``.vrd-cache/``).
         checkpoint: Disable to run without any store traffic.
         fail_after_shards: Test hook — raise :class:`FleetInterrupted`
             after checkpointing that many freshly computed shards.

@@ -19,8 +19,8 @@ that grid the way :mod:`repro.core.engine` runs bit-flip campaigns:
   bit-identical for any job count.
 * **On-disk cache.** :class:`SweepCache` stores finished sweeps as
   content-addressed rows in the same sqlite :class:`~repro.store.db.
-  ResultStore` the campaign cache uses (``$VRD_STORE_PATH``, else
-  ``$VRD_CACHE_DIR/results.sqlite``, default ``.vrd-cache/``). The key
+  ResultStore` the campaign cache uses (``$VRD_STORE_PATH``, default
+  ``.vrd-cache/results.sqlite``). The key
   hashes the full recipe — grid, mix count, window, geometry, seed, and
   engine — so any parameter change is a clean miss, and corrupt entries
   degrade to misses.
@@ -162,9 +162,7 @@ class SweepResult:
 class SweepCache:
     """Content-addressed sweep cache: a thin shim over the shared sqlite
     :class:`~repro.store.db.ResultStore` (kind ``sweep``), sharing keys
-    and conventions with :class:`repro.core.engine.CampaignCache`. The
-    previous one-file-per-entry backend lives on as
-    :class:`repro.store.legacy.FileSweepCache`."""
+    and conventions with :class:`repro.core.engine.CampaignCache`."""
 
     #: Exceptions that mark a decoded payload as corrupt even though its
     #: checksum matched (tampering or version skew).
@@ -196,8 +194,8 @@ class SweepCache:
         cls, cache_dir: "Path | str | None" = None
     ) -> "Optional[SweepCache]":
         """Cache under ``cache_dir``, else at ``$VRD_STORE_PATH``, else
-        under ``$VRD_CACHE_DIR``, else ``.vrd-cache/``; an empty
-        ``VRD_STORE_PATH`` or ``VRD_CACHE_DIR`` disables (``None``)."""
+        under ``.vrd-cache/``; an empty ``VRD_STORE_PATH`` disables
+        (``None``)."""
         store = ResultStore.resolve(cache_dir)
         return None if store is None else cls(store=store)
 

@@ -203,8 +203,7 @@ class CampaignService:
 
     Args:
         store: Shared result store; ``None`` resolves via the usual
-            precedence (``$VRD_STORE_PATH`` → ``$VRD_CACHE_DIR`` →
-            ``.vrd-cache/``).
+            precedence (``$VRD_STORE_PATH`` → ``.vrd-cache/``).
         n_jobs: Worker processes for the measurement pool; ``None``
             resolves via ``$VRD_JOBS`` (default 1).
         host/port: Bind address; port 0 picks a free port (see
@@ -223,7 +222,7 @@ class CampaignService:
             if store is None:
                 raise ConfigurationError(
                     "the service needs a result store; unset the empty "
-                    "VRD_STORE_PATH/VRD_CACHE_DIR or pass one explicitly"
+                    "VRD_STORE_PATH or pass one explicitly"
                 )
         self.store = store
         self.cache = CampaignCache(store=store)

@@ -2,33 +2,21 @@
 
 One sqlite database (WAL mode, pragma-tuned, busy-timeout retried) holds
 every cached result the reproduction produces, content-addressed by the
-same format-2 recipe keys the old one-file-per-entry ``.vrd-cache/``
-directories used, with a ``kind`` column discriminating campaign,
-adaptive, sweep, and fleet-checkpoint payloads. Many worker processes
-and many clients share the database concurrently without aliasing or
-corruption:
-
-* :class:`~repro.store.db.ResultStore` — the store itself: checksummed
-  payloads, batched multi-row writes inside one transaction, corrupt
-  entries (bad checksum, torn page, tampered payload) detected, counted,
-  evicted, and recomputed — never served.
-* :mod:`repro.store.legacy` — the previous file-per-entry caches
-  (:class:`~repro.store.legacy.FileCampaignCache`,
-  :class:`~repro.store.legacy.FileSweepCache`), kept as the migration
-  source, the differential-harness oracle, and the benchmark baseline.
-* Legacy ``.vrd-cache/*.json`` entries are imported transparently the
-  first time a store is created next to them (and on demand via
-  ``python -m repro store migrate``), so existing benchmark/CI caches
-  keep their hits.
+recipe keys of :class:`~repro.core.engine.CampaignCache` and
+:class:`~repro.memsim.sweep.SweepCache`, with a ``kind`` column
+discriminating campaign, adaptive, sweep, and fleet-checkpoint payloads.
+Many worker processes and many clients share the database concurrently
+without aliasing or corruption. :class:`~repro.store.db.ResultStore` is
+the store itself: checksummed payloads, batched multi-row writes inside
+one transaction, corrupt entries (bad checksum, torn page, tampered
+payload) detected, counted, evicted, and recomputed — never served.
 
 Resolution precedence: an explicit path, else ``$VRD_STORE_PATH`` (the
-database file), else ``$VRD_CACHE_DIR/results.sqlite``, else
-``.vrd-cache/results.sqlite``. An empty ``VRD_STORE_PATH`` or
-``VRD_CACHE_DIR`` disables storage entirely.
+database file), else ``.vrd-cache/results.sqlite``. An empty
+``VRD_STORE_PATH`` disables storage entirely.
 """
 
 from repro.store.db import (  # noqa: F401
-    CACHE_DIR_ENV_VAR,
     DEFAULT_CACHE_DIR,
     DEFAULT_STORE_FILENAME,
     KIND_ADAPTIVE,
@@ -42,7 +30,6 @@ from repro.store.db import (  # noqa: F401
 )
 
 __all__ = [
-    "CACHE_DIR_ENV_VAR",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_STORE_FILENAME",
     "KIND_ADAPTIVE",

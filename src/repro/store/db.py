@@ -12,14 +12,14 @@ Design notes (the concurrency story):
   racing between processes).
 * **Batched writes.** :meth:`ResultStore.put_many` lands any number of
   entries inside one ``BEGIN IMMEDIATE`` transaction — one fsync for a
-  whole migration or service flush instead of one per entry.
+  whole service flush instead of one per entry.
 * **Checksummed payloads.** Every row stores a blake2b digest of its
   payload blob. A mismatch (torn write, tampering, bit rot) is detected
   on read, counted (``store.corrupt``), the row is evicted, and the
-  caller sees a miss — the recompute path of the old file caches,
-  preserved. A malformed database *file* (truncated page, overwritten
-  header) is detected the same way; recovery resets the whole database
-  so subsequent work recomputes cleanly instead of crashing.
+  caller sees a miss and recomputes. A malformed database *file*
+  (truncated page, overwritten header) is detected the same way;
+  recovery resets the whole database so subsequent work recomputes
+  cleanly instead of crashing.
 * **Lazy open.** Constructing a store (or resolving one for pure key
   computation) touches no files; the database and its schema are created
   on the first read or write.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sqlite3
 import threading
@@ -42,13 +43,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro import obs
 from repro.errors import ConfigurationError
 
-#: Environment variable naming the database file directly (takes
-#: precedence over ``VRD_CACHE_DIR``; empty disables storage).
+#: Environment variable naming the database file (empty disables storage).
 STORE_PATH_ENV_VAR = "VRD_STORE_PATH"
-
-#: Environment variable overriding the default cache directory (legacy
-#: name, still honored; re-exported by :mod:`repro.core.engine`).
-CACHE_DIR_ENV_VAR = "VRD_CACHE_DIR"
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".vrd-cache"
@@ -110,10 +106,9 @@ def resolve_store_path(
 
     Explicit ``store_path`` wins, then an explicit ``cache_dir`` (the
     database lands at ``cache_dir/results.sqlite``), then
-    ``$VRD_STORE_PATH``, then ``$VRD_CACHE_DIR``, then the default
-    ``.vrd-cache/results.sqlite``. An *empty* environment value disables
-    storage entirely (returns ``None``), matching the old cache
-    convention.
+    ``$VRD_STORE_PATH``, then the default ``.vrd-cache/results.sqlite``.
+    An *empty* ``VRD_STORE_PATH`` disables storage entirely (returns
+    ``None``).
     """
     if store_path is not None:
         return Path(store_path)
@@ -124,10 +119,7 @@ def resolve_store_path(
         if not env_path.strip():
             return None
         return Path(env_path)
-    env_dir = os.environ.get(CACHE_DIR_ENV_VAR)
-    if env_dir is not None and not env_dir.strip():
-        return None
-    return Path(env_dir or DEFAULT_CACHE_DIR) / DEFAULT_STORE_FILENAME
+    return Path(DEFAULT_CACHE_DIR) / DEFAULT_STORE_FILENAME
 
 
 class ResultStore:
@@ -135,14 +127,10 @@ class ResultStore:
 
     Args:
         path: Database file (created lazily, with parent directories).
-        auto_migrate: Import legacy ``*.json`` cache entries from the
-            database's directory the first time the database is created
-            there (see :mod:`repro.store.legacy`).
     """
 
-    def __init__(self, path: "Path | str", auto_migrate: bool = True):
+    def __init__(self, path: "Path | str"):
         self.path = Path(path)
-        self.auto_migrate = auto_migrate
         self._local = threading.local()
         self._generation = 0
         self._open_lock = threading.Lock()
@@ -189,12 +177,10 @@ class ResultStore:
         return conn
 
     def _ensure_created(self) -> None:
-        """Create the database file, schema, and (once) import legacy
-        file-cache entries sitting next to it."""
+        """Create the database file and its schema (once per file)."""
         with self._open_lock:
             if self._opened and self.path.exists():
                 return
-            created = not self.path.exists()
             self.path.parent.mkdir(parents=True, exist_ok=True)
             conn = sqlite3.connect(
                 str(self.path), timeout=BUSY_TIMEOUT_S, isolation_level=None
@@ -209,22 +195,6 @@ class ResultStore:
             finally:
                 conn.close()
             self._opened = True
-        if created and self.auto_migrate:
-            # Outside the lock: the import reads legacy files and writes
-            # through the normal (already-created) path.
-            from repro.store.legacy import import_legacy_entries
-
-            import_legacy_entries(self, self.path.parent)
-
-    def _legacy_neighbors(self) -> bool:
-        """Whether legacy file-cache entries sit next to the database
-        (worth creating it just to import them)."""
-        if not self.auto_migrate:
-            return False
-        parent = self.path.parent
-        if not parent.is_dir():
-            return False
-        return next(parent.glob("*.json"), None) is not None
 
     def close(self) -> None:
         """Close this thread's connection (other threads close their own)."""
@@ -277,10 +247,8 @@ class ResultStore:
         its status, without decoding (and without counting hits — the
         callers count once decoding, if any, succeeded)."""
         recorder = obs.active()
-        if not self.path.exists() and not self._legacy_neighbors():
-            # Nothing stored and nothing to migrate: stay lazy. (With
-            # legacy files present, falling through creates the database
-            # and imports them — first-open reads keep their hits.)
+        if not self.path.exists():
+            # Nothing stored yet: stay lazy.
             recorder.counter_add("store.miss")
             return None, "miss"
         try:
@@ -498,7 +466,7 @@ class ResultStore:
         """Insert or replace many entries inside one transaction.
 
         Returns the number of entries written. Batching is the fast path
-        for migrations and service flushes: one transaction, one fsync.
+        for service flushes: one transaction, one fsync.
         """
         rows = []
         now = time.time()
@@ -533,53 +501,6 @@ class ResultStore:
         obs.active().counter_add("store.put", written)
         return written
 
-    def put_many_if_absent(
-        self, entries: Iterable[Tuple[str, str, dict]]
-    ) -> int:
-        """Like :meth:`put_many` but never clobbers existing entries
-        (``INSERT OR IGNORE``) — the migration semantics: the store is
-        the newer authority. Returns how many rows were actually added.
-        """
-        rows = []
-        now = time.time()
-        for key, kind, payload in entries:
-            if kind not in KINDS:
-                raise ConfigurationError(
-                    f"unknown result kind {kind!r}; expected one of {KINDS}"
-                )
-            blob = encode_payload(payload)
-            rows.append(
-                (key, kind, payload_checksum(blob), blob, len(blob), now)
-            )
-        if not rows:
-            return 0
-
-        def write(conn: sqlite3.Connection):
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                before = conn.execute(
-                    "SELECT COUNT(*) FROM results"
-                ).fetchone()[0]
-                conn.executemany(
-                    "INSERT OR IGNORE INTO results "
-                    "(key, kind, checksum, payload, nbytes, created_at) "
-                    "VALUES (?, ?, ?, ?, ?, ?)",
-                    rows,
-                )
-                after = conn.execute(
-                    "SELECT COUNT(*) FROM results"
-                ).fetchone()[0]
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
-            return int(after - before)
-
-        added = self._with_retry(write)
-        if added:
-            obs.active().counter_add("store.put", added)
-        return added
-
     def prune(
         self,
         kind: Optional[str] = None,
@@ -588,7 +509,9 @@ class ResultStore:
         """Delete entries by kind and/or age; returns how many went.
 
         ``older_than_s`` keeps entries written within the last that-many
-        seconds (the ``created_at`` column). With both arguments ``None``
+        seconds (the ``created_at`` column); it must be finite and
+        non-negative, since a negative age would put the cutoff in the
+        future and select every entry. With both arguments ``None``
         every entry is deleted. Long fleet runs use this to evict stale
         shard checkpoints (``kind="fleet"``) without touching campaign or
         sweep results.
@@ -596,6 +519,13 @@ class ResultStore:
         if kind is not None and kind not in KINDS:
             raise ConfigurationError(
                 f"unknown result kind {kind!r}; expected one of {KINDS}"
+            )
+        if older_than_s is not None and not (
+            math.isfinite(older_than_s) and older_than_s >= 0
+        ):
+            raise ConfigurationError(
+                f"older_than_s must be a finite non-negative age, got "
+                f"{older_than_s!r}"
             )
         if not self.path.exists():
             return 0

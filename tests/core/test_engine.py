@@ -443,19 +443,14 @@ def test_unreadable_store_is_a_plain_miss(tmp_path):
 
 
 def test_cache_resolve_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("VRD_CACHE_DIR", str(tmp_path / "env-cache"))
-    cache = CampaignCache.resolve()
-    assert cache is not None and cache.root == tmp_path / "env-cache"
-    monkeypatch.setenv("VRD_CACHE_DIR", "")
-    assert CampaignCache.resolve() is None
-    assert CampaignCache.resolve(tmp_path / "explicit") is not None
-
-    # VRD_STORE_PATH names the database file directly and outranks
-    # VRD_CACHE_DIR; empty disables like the legacy variable.
-    monkeypatch.setenv("VRD_CACHE_DIR", str(tmp_path / "ignored"))
-    monkeypatch.setenv("VRD_STORE_PATH", str(tmp_path / "direct.sqlite"))
+    # VRD_STORE_PATH names the database file directly; empty disables.
+    monkeypatch.setenv("VRD_STORE_PATH", str(tmp_path / "env" / "db.sqlite"))
     cache = CampaignCache.resolve()
     assert cache is not None
-    assert cache.result_store.path == tmp_path / "direct.sqlite"
+    assert cache.result_store.path == tmp_path / "env" / "db.sqlite"
+    assert cache.root == tmp_path / "env"
     monkeypatch.setenv("VRD_STORE_PATH", "")
     assert CampaignCache.resolve() is None
+    # An explicit directory outranks the environment.
+    explicit = CampaignCache.resolve(tmp_path / "explicit")
+    assert explicit is not None and explicit.root == tmp_path / "explicit"

@@ -20,7 +20,7 @@ probe               per-row ``guess_rdt``               batched ``guess_rdt_batc
 bender              scalar ``Interpreter`` trials       compiled trial replay
 ecc                 per-codeword encode/decode          ``encode_batch``/``decode_batch``
 adaptive            serial ``AdaptiveScheduler``        ``CampaignEngine`` adaptive (2 jobs)
-store               legacy file-per-entry caches        sqlite ``ResultStore`` shims
+store               in-memory result payloads           sqlite ``ResultStore`` round trip
 fleet               ``run_fleet_naive`` (materialized)  ``run_fleet`` streamed (2 jobs)
 attack              per-window ``begin_measurement``    ``threshold_series`` walk
 guardband           per-trial ``trial_flips``           ``trial_flip_series`` kernel
@@ -501,7 +501,7 @@ def ecc_fast(seed: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# store: legacy file-per-entry caches vs sqlite ResultStore shims
+# store: in-memory result payloads vs sqlite ResultStore round trip
 # ----------------------------------------------------------------------
 
 _STORE_ROWS = [3, 11]
@@ -510,9 +510,8 @@ _STORE_N = 10
 
 def _store_workloads(seed: int):
     """One (campaign, adaptive, sweep) result triple per seed, computed
-    once and round-tripped through both storage backends. Cached because
-    the backends must see the *same* in-memory results — the case is
-    about storage fidelity, not measurement."""
+    once. Cached because both sides must see the *same* in-memory
+    results — the case is about storage fidelity, not measurement."""
     cached = _STORE_WORKLOADS.get(seed)
     if cached is not None:
         return cached
@@ -545,74 +544,60 @@ def _store_workloads(seed: int):
 _STORE_WORKLOADS: dict = {}
 
 
-def _store_roundtrip(seed: int, backend: str) -> tuple:
-    """Store the seed's three results through ``backend``, reload them,
-    check the reloaded campaign's series bytes against the in-memory
-    campaign, and fingerprint the reloaded payloads as canonical JSON."""
+def _store_fingerprint(campaign, adaptive, sweep) -> tuple:
+    """The three results' payloads as one canonical JSON string. A
+    campaign payload carries each series as its float64 bytes, so equal
+    fingerprints mean bit-identical series."""
     import json
+
+    from repro.core.store import campaign_to_dict
+
+    return (json.dumps({
+        "campaign": campaign_to_dict(campaign),
+        "adaptive": adaptive.to_payload(),
+        "sweep": sweep.to_payload(),
+    }, sort_keys=True),)
+
+
+def store_oracle(seed: int) -> tuple:
+    _, campaign, adaptive, _, sweep = _store_workloads(seed)
+    return _store_fingerprint(campaign, adaptive, sweep)
+
+
+def store_fast(seed: int) -> tuple:
+    """Store the seed's three results in a fresh sqlite store, reload
+    them, and fingerprint what came back."""
     import tempfile
     from pathlib import Path
 
     from repro.core.engine import CampaignCache
-    from repro.core.store import campaign_to_dict
     from repro.memsim.sweep import SweepCache
 
     configs, campaign, adaptive, spec, sweep = _store_workloads(seed)
     pairs = [(0, row) for row in _STORE_ROWS]
-    keyer = CampaignCache.resolve(".")  # key() is pure: no I/O
-    campaign_key = keyer.key(
-        seed=seed, module_id="M1", configs=configs,
-        n_measurements=_STORE_N, pairs=pairs,
-    )
-    adaptive_key = keyer.key(
-        seed=seed, module_id="M1", configs=configs,
-        n_measurements=_STORE_N * 2, pairs=pairs,
-        schedule="adaptive", adaptive=adaptive.adaptive,
-    )
-
     with tempfile.TemporaryDirectory() as tmp:
-        sweep_key = SweepCache(Path(tmp)).key(spec)
-        if backend == "file":
-            from repro.store.legacy import FileCampaignCache, FileSweepCache
-
-            caches = FileCampaignCache(tmp), FileSweepCache(tmp)
-        else:
-            campaign_cache = CampaignCache(Path(tmp))
-            caches = (
-                campaign_cache,
-                SweepCache(store=campaign_cache.result_store),
-            )
-        campaign_cache, sweep_cache = caches
+        campaign_cache = CampaignCache(Path(tmp))
+        sweep_cache = SweepCache(store=campaign_cache.result_store)
+        campaign_key = campaign_cache.key(
+            seed=seed, module_id="M1", configs=configs,
+            n_measurements=_STORE_N, pairs=pairs,
+        )
+        adaptive_key = campaign_cache.key(
+            seed=seed, module_id="M1", configs=configs,
+            n_measurements=_STORE_N * 2, pairs=pairs,
+            schedule="adaptive", adaptive=adaptive.adaptive,
+        )
+        sweep_key = sweep_cache.key(spec)
         campaign_cache.store(campaign_key, campaign)
         campaign_cache.store_adaptive(adaptive_key, adaptive)
         sweep_cache.store(sweep_key, sweep)
-
-        loaded = campaign_cache.load(campaign_key)
-        # Both backends share the payload codec, so the pair alone cannot
-        # see a codec bug: hold the reload to the in-memory campaign too.
-        if [o.series.values.tobytes() for o in loaded.observations] != [
-            o.series.values.tobytes() for o in campaign.observations
-        ]:
-            raise AssertionError(
-                f"{backend} store did not round-trip the campaign's series "
-                "bit for bit"
-            )
-        reloaded = {
-            "campaign": campaign_to_dict(loaded),
-            "adaptive": campaign_cache.load_adaptive(
-                adaptive_key
-            ).to_payload(),
-            "sweep": sweep_cache.load(sweep_key).to_payload(),
-        }
-    return (json.dumps(reloaded, sort_keys=True),)
-
-
-def store_oracle(seed: int) -> tuple:
-    return _store_roundtrip(seed, "file")
-
-
-def store_fast(seed: int) -> tuple:
-    return _store_roundtrip(seed, "sqlite")
+        fingerprint = _store_fingerprint(
+            campaign_cache.load(campaign_key),
+            campaign_cache.load_adaptive(adaptive_key),
+            sweep_cache.load(sweep_key),
+        )
+        campaign_cache.result_store.close()
+    return fingerprint
 
 
 # ----------------------------------------------------------------------

@@ -149,10 +149,11 @@ def test_payload_roundtrip(sweep):
 
 
 def test_cache_resolve_env(monkeypatch, tmp_path):
-    monkeypatch.setenv("VRD_CACHE_DIR", str(tmp_path / "env-cache"))
+    monkeypatch.setenv("VRD_STORE_PATH", str(tmp_path / "env" / "db.sqlite"))
     cache = SweepCache.resolve()
-    assert cache is not None and cache.root == tmp_path / "env-cache"
-    monkeypatch.setenv("VRD_CACHE_DIR", "")
+    assert cache is not None and cache.root == tmp_path / "env"
+    assert cache.result_store.path == tmp_path / "env" / "db.sqlite"
+    monkeypatch.setenv("VRD_STORE_PATH", "")
     assert SweepCache.resolve() is None
     explicit = SweepCache.resolve(tmp_path / "explicit")
     assert explicit is not None and explicit.root == tmp_path / "explicit"

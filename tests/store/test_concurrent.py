@@ -2,21 +2,17 @@
 
 The VRD_JOBS=4 story: four writer processes and concurrent readers share
 one database file with no lost or torn entries. Plus corruption
-injection — a truncated database page and a bad payload checksum — with
-the same detect/evict/recompute behavior the old file caches had.
+injection: a truncated database page is detected, the file is reset, and
+a recompute lands cleanly. (Bad payload checksums are covered in
+``tests/store/test_store.py`` and ``tests/core/test_engine.py``.)
 """
 
 import os
-import sqlite3
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 from repro import obs
-from repro.core import CHECKERED0, TestConfig
-from repro.core.engine import CampaignCache, CampaignEngine
-from repro.core.store import campaign_to_dict
 from repro.store import DEFAULT_STORE_FILENAME, KIND_CAMPAIGN, ResultStore
-from repro.store.legacy import FileCampaignCache
 
 N_PROCS = max(2, int(os.environ.get("VRD_JOBS", "4")))
 ENTRIES_PER_WRITER = 40
@@ -31,7 +27,7 @@ def _expected_payload(writer_id: int, i: int) -> dict:
 def _write_batch(task):
     """Writer process: put one batch of distinct keys into the shared db."""
     db_path, writer_id = task
-    store = ResultStore(db_path, auto_migrate=False)
+    store = ResultStore(db_path)
     entries = [
         (f"w{writer_id}-k{i}", KIND_CAMPAIGN, _expected_payload(writer_id, i))
         for i in range(ENTRIES_PER_WRITER)
@@ -47,7 +43,7 @@ def _write_batch(task):
 def _read_loop(task):
     """Reader process: hammer fetches while writers run; report anomalies."""
     db_path, n_writers, deadline_s = task
-    store = ResultStore(db_path, auto_migrate=False)
+    store = ResultStore(db_path)
     anomalies = []
     deadline = time.monotonic() + deadline_s
     i = 0
@@ -79,7 +75,7 @@ def test_multiprocess_writers_and_readers_no_lost_or_torn_entries(tmp_path):
 
     # No lost entries: every key every writer claimed to write is present,
     # byte-exact.
-    store = ResultStore(db_path, auto_migrate=False)
+    store = ResultStore(db_path)
     assert store.entry_count() == N_PROCS * ENTRIES_PER_WRITER
     for writer_id in range(N_PROCS):
         for i in range(ENTRIES_PER_WRITER):
@@ -89,7 +85,7 @@ def test_multiprocess_writers_and_readers_no_lost_or_torn_entries(tmp_path):
 
 def test_truncated_database_page_detect_reset_recompute(tmp_path):
     db_path = tmp_path / DEFAULT_STORE_FILENAME
-    store = ResultStore(db_path, auto_migrate=False)
+    store = ResultStore(db_path)
     # Enough payload bytes to span several database pages, so a torn-off
     # tail removes real table content.
     store.put_many(
@@ -113,55 +109,3 @@ def test_truncated_database_page_detect_reset_recompute(tmp_path):
     # recompute lands cleanly.
     store.put("k0", KIND_CAMPAIGN, {"i": 0, "recomputed": True})
     assert store.get("k0", KIND_CAMPAIGN) == {"i": 0, "recomputed": True}
-
-
-def test_bad_checksum_parity_with_file_cache(tmp_path):
-    """Detect/evict/recompute must look identical from the caller's seat
-    whether a corrupt entry lives in the sqlite store or in the old
-    file-per-entry cache."""
-    configs = [TestConfig(CHECKERED0, t_agg_on_ns=35.0)]
-    pairs = [(0, 3), (0, 9)]
-
-    def run():
-        return CampaignEngine(
-            "M1", configs, n_measurements=8, seed=11, n_jobs=1,
-        ).run_pairs(pairs)
-
-    result = run()
-    key = CampaignCache.resolve(".").key(
-        seed=11, module_id="M1", configs=configs,
-        n_measurements=8, pairs=pairs,
-    )
-
-    file_cache = FileCampaignCache(tmp_path / "files")
-    store_cache = CampaignCache(tmp_path / "store")
-    file_cache.store(key, result)
-    store_cache.store(key, result)
-
-    # Corrupt both backends: parseable-but-wrong file content, flipped
-    # payload bytes (checksum mismatch) in the store.
-    file_cache.path_for(key).write_text('{"format_version": 999}')
-    with sqlite3.connect(store_cache.result_store.path) as conn:
-        conn.execute(
-            "UPDATE results SET payload = ? WHERE key = ?",
-            (b'{"format_version": 999}', key),
-        )
-
-    outcomes = {}
-    for name, cache in (("file", file_cache), ("store", store_cache)):
-        with obs.tracing() as recorder:
-            loaded = cache.load(key)
-        assert loaded is None
-        assert recorder.counters.get("cache.corrupt") == 1
-        # Evicted: the next load is a plain miss, not corrupt again.
-        with obs.tracing() as recorder:
-            assert cache.load(key) is None
-        assert recorder.counters.get("cache.miss") == 1
-        assert "cache.corrupt" not in recorder.counters
-        # Recompute and re-store: back to a clean hit.
-        cache.store(key, run())
-        reloaded = cache.load(key)
-        assert reloaded is not None
-        outcomes[name] = campaign_to_dict(reloaded)
-
-    assert outcomes["file"] == outcomes["store"]

@@ -1,8 +1,8 @@
 """The sqlite ResultStore's core contract.
 
 Content addressing, kind discrimination, checksum verification, lazy
-open, resolution precedence, batched writes, and the corrupt-entry
-detect/evict/recompute behavior the old file caches promised.
+open, resolution precedence, batched writes, age-based pruning, and the
+corrupt-entry detect/evict/recompute behavior.
 """
 
 import json
@@ -40,6 +40,22 @@ def test_lazy_open_touches_nothing(tmp_path):
     assert store.entry_count() == 0
     assert store.stats()["entries"] == 0
     assert not (tmp_path / "sub").exists()
+
+    # JSON files sitting next to the database path are not store entries:
+    # a campaign ``<key>.json`` and a ``fig14-<key>.json`` sweep file are
+    # plain misses, read without creating the database.
+    root = tmp_path / "cache"
+    root.mkdir()
+    (root / "k.json").write_text(
+        json.dumps({"format_version": 2, "observations": []})
+    )
+    (root / "fig14-k.json").write_text(json.dumps({"kind": "fig14-sweep"}))
+    store = ResultStore(root / DEFAULT_STORE_FILENAME)
+    assert store.get("k", KIND_CAMPAIGN) is None
+    assert store.fetch("k", KIND_SWEEP) == (None, "miss")
+    assert not store.path.exists()
+    store.put("other", KIND_CAMPAIGN, {"x": 1})
+    assert store.keys() == ["other"]
 
 
 def test_put_fetch_roundtrip(store):
@@ -146,15 +162,20 @@ def test_put_many_rejects_unknown_kind(store):
         store.put_many([("k", "bogus", {})])
 
 
-def test_put_many_if_absent_never_clobbers(store):
-    store.put("k1", KIND_CAMPAIGN, {"authority": "store"})
-    added = store.put_many_if_absent([
-        ("k1", KIND_CAMPAIGN, {"authority": "legacy"}),
-        ("k2", KIND_ADAPTIVE, {"fresh": True}),
-    ])
-    assert added == 1
-    assert store.get("k1", KIND_CAMPAIGN) == {"authority": "store"}
-    assert store.get("k2", KIND_ADAPTIVE) == {"fresh": True}
+@pytest.mark.parametrize(
+    "older_than_s", [-1.0, float("nan"), float("inf"), float("-inf")]
+)
+def test_prune_rejects_negative_or_non_finite_age(store, older_than_s):
+    # A negative age would put the cutoff in the future and select every
+    # entry; NaN would silently select none.
+    store.put("c", KIND_CAMPAIGN, {})
+    store.put("s", KIND_SWEEP, {})
+    with pytest.raises(ConfigurationError):
+        store.prune(older_than_s=older_than_s)
+    with pytest.raises(ConfigurationError):
+        store.prune(kind=KIND_CAMPAIGN, older_than_s=older_than_s)
+    assert store.keys() == ["c", "s"]
+    assert store.prune(older_than_s=0.0) == 2
 
 
 def test_keys_filter_by_kind(store):
@@ -181,12 +202,9 @@ def test_encode_payload_is_canonical():
 
 def test_resolve_store_path_precedence(tmp_path, monkeypatch):
     monkeypatch.delenv("VRD_STORE_PATH", raising=False)
-    monkeypatch.delenv("VRD_CACHE_DIR", raising=False)
     assert resolve_store_path() == (
         __import__("pathlib").Path(".vrd-cache") / DEFAULT_STORE_FILENAME
     )
-    monkeypatch.setenv("VRD_CACHE_DIR", str(tmp_path / "dir"))
-    assert resolve_store_path() == tmp_path / "dir" / DEFAULT_STORE_FILENAME
     monkeypatch.setenv("VRD_STORE_PATH", str(tmp_path / "db.sqlite"))
     assert resolve_store_path() == tmp_path / "db.sqlite"
     # Explicit arguments outrank the environment entirely.
@@ -200,8 +218,7 @@ def test_resolve_store_path_precedence(tmp_path, monkeypatch):
     monkeypatch.setenv("VRD_STORE_PATH", "")
     assert resolve_store_path() is None
     assert ResultStore.resolve() is None
-    monkeypatch.delenv("VRD_STORE_PATH")
-    monkeypatch.setenv("VRD_CACHE_DIR", " ")
+    monkeypatch.setenv("VRD_STORE_PATH", " ")
     assert resolve_store_path() is None
 
 

@@ -317,3 +317,21 @@ def test_store_prune_command(capsys, tmp_path):
     assert "pruned 3 fleet entries" in capsys.readouterr().out
     assert main(["store", "stats", "--store", store]) == 0
     assert "fleet" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("age", ["-1", "nan", "inf"])
+def test_store_prune_rejects_bad_age_without_deleting(capsys, tmp_path, age):
+    from repro.store import KIND_CAMPAIGN, KIND_FLEET, ResultStore
+
+    path = tmp_path / "results.sqlite"
+    store = ResultStore(path)
+    store.put("c", KIND_CAMPAIGN, {})
+    store.put("f", KIND_FLEET, {})
+    for extra in ([], ["--kind", "fleet"]):
+        assert main(["store", "prune", "--store", str(path),
+                     "--older-than", age, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "--older-than" in captured.err
+    assert store.keys() == ["c", "f"]
