@@ -7,7 +7,8 @@ core with per-mix shared address streams, sharded across ``VRD_JOBS``
 workers and cached on disk alongside the campaign cache. The sweep's
 speedups are bit-identical to driving the reference
 :meth:`~repro.memsim.system.MemorySystem.run` loop cell by cell
-(``benchmarks/test_perf_memsim.py`` and the tier-1 suite assert this).
+(the ``memsim`` pair of ``tests/differential`` and
+``tests/memsim/test_sweep.py`` assert this).
 """
 
 from repro.analysis.tables import format_table

@@ -14,8 +14,13 @@ Small, scriptable entry points onto the library's main experiments:
 * ``serve`` — concurrent campaign service over the shared result store;
 * ``submit`` — send one job to a running service and stream its events;
 * ``store`` — result-store maintenance (``stats``, ``prune``);
-* ``report`` — instrumented smoke workload + observability run report;
-* ``bench`` — aggregate every ``BENCH_*.json`` into one perf trajectory.
+* ``report`` — instrumented smoke workload + observability run report.
+
+The cost of reproducing the paper is measured by ``bench/run.py``
+(workloads and bounds in ``BENCHMARK.json``).
+
+A library error (any :class:`repro.errors.ReproError`) prints one line,
+``repro <command>: <message>``, to stderr and exits 2.
 
 ``measure`` and ``profile`` accept ``--adaptive`` (plus ``--budget``,
 ``--confidence``, ``--precision``): the run switches to the DiscoRD-style
@@ -158,20 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_adaptive_flags(profile)
     _add_timing_check_flag(profile)
     _add_trace_flags(profile)
-
-    bench = sub.add_parser(
-        "bench",
-        help="aggregate all BENCH_*.json records into one perf trajectory "
-             "table",
-    )
-    bench.add_argument(
-        "--dir", default=".", metavar="DIR",
-        help="directory holding BENCH_*.json files (default: .)",
-    )
-    bench.add_argument(
-        "--json", action="store_true",
-        help="print the aggregated records as JSON instead of a table",
-    )
 
     table3_cmd = sub.add_parser(
         "table3", help="ECC outcome probabilities (Table 3)"
@@ -544,99 +535,6 @@ def _cmd_profile_adaptive(args: argparse.Namespace, cache) -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             json_module.dump(result.to_payload(), handle)
         print(f"adaptive result saved to {args.output}")
-    return 0
-
-
-#: Preferred headline metric per BENCH record, first match wins; files
-#: without any fall back to their first ``*_speedup``-like key.
-_BENCH_HEADLINES = (
-    "speedup",
-    "trial_reduction",
-    "compiled_speedup",
-    "combined_speedup",
-    "fast_speedup",
-    "stepping_speedup",
-    "throughput_speedup",
-    "traced_overhead",
-)
-
-
-def _bench_metrics(record: dict) -> "List[tuple]":
-    suffixes = ("speedup", "_reduction", "_overhead")
-    return [
-        (key, value)
-        for key, value in sorted(record.items())
-        if isinstance(value, (int, float))
-        and any(key == s or key.endswith(s) for s in suffixes)
-    ]
-
-
-def _bench_commit(path) -> str:
-    import subprocess
-
-    try:
-        out = subprocess.run(
-            ["git", "log", "-n", "1", "--pretty=%h", "--", path.name],
-            cwd=path.parent, capture_output=True, text=True, timeout=10,
-        )
-        return out.stdout.strip() or "-"
-    except (OSError, subprocess.SubprocessError):
-        return "-"
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import datetime
-    import json
-    from pathlib import Path
-
-    from repro.analysis.tables import format_table
-
-    root = Path(args.dir)
-    records = []
-    for path in sorted(root.glob("BENCH_*.json")):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"skipping {path.name}: {error}", file=sys.stderr)
-            continue
-        metrics = _bench_metrics(record)
-        headline = next(
-            (name for name in _BENCH_HEADLINES if record.get(name)), None
-        )
-        if headline is None and metrics:
-            headline = metrics[0][0]
-        date = record.get("date") or datetime.date.fromtimestamp(
-            path.stat().st_mtime
-        ).isoformat()
-        records.append({
-            "bench": path.stem[len("BENCH_"):],
-            "metric": headline or "-",
-            "value": record.get(headline) if headline else None,
-            "all_metrics": dict(metrics),
-            "date": date,
-            "commit": record.get("commit") or _bench_commit(path),
-        })
-    if args.json:
-        print(json.dumps(records, indent=2, sort_keys=True))
-        return 0
-    if not records:
-        print(f"no BENCH_*.json files under {root}")
-        return 1
-    rows = [
-        (
-            record["bench"],
-            record["metric"],
-            "-" if record["value"] is None else f"{record['value']:g}x",
-            record["date"],
-            record["commit"],
-        )
-        for record in records
-    ]
-    print(format_table(
-        ["bench", "metric", "speedup", "date", "commit"],
-        rows, title=f"perf trajectory ({len(records)} benchmarks)",
-    ))
     return 0
 
 
@@ -1147,8 +1045,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_measure(args)
     if args.command == "profile":
         return _cmd_profile(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "table3":
         return _cmd_table3(args)
     if args.command == "testtime":
@@ -1174,16 +1070,26 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 
+def _run(args: argparse.Namespace) -> int:
+    from repro.errors import ReproError
+
+    try:
+        return _dispatch(args)
+    except ReproError as error:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     trace_out = getattr(args, "trace_out", None)
     if not (getattr(args, "trace", False) or trace_out):
-        return _dispatch(args)
+        return _run(args)
 
     from repro import obs
 
     with obs.tracing() as recorder:
-        code = _dispatch(args)
+        code = _run(args)
         report = obs.RunReport.from_recorder(
             recorder, command=args.command, exit_code=code
         )

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.config import TestConfig
 from repro.core.montecarlo import expected_normalized_min, probability_of_min
-from repro.core.rdt import FastRdtMeter, HammerSweep
+from repro.core.rdt import FastRdtMeter
 from repro.core.series import RdtSeries
 from repro.dram.module import DramModule
 from repro.errors import MeasurementError
@@ -32,7 +32,6 @@ def select_vulnerable_rows(
     block_rows: int = 1024,
     per_block: int = 50,
     probe_repeats: int = 10,
-    batched: bool = True,
 ) -> List[int]:
     """The paper's row-selection protocol.
 
@@ -40,12 +39,10 @@ def select_vulnerable_rows(
     the bank ``probe_repeats`` times and returns the ``per_block`` rows with
     the smallest mean RDT from each block.
 
-    ``batched=True`` (the default) probes each block through
-    :meth:`~repro.core.rdt.FastRdtMeter.guess_rdt_batch`, which is
-    bit-identical to per-row probing but several times faster — selection
-    probes 3 x ``block_rows`` rows and dominates campaign wall-time.
-    ``batched=False`` keeps the reference per-row path (the engine's
-    benchmarks use it as the serial baseline).
+    Each block is probed in one
+    :meth:`~repro.core.rdt.FastRdtMeter.guess_rdt_batch` call, which is
+    bit-identical to per-row ``guess_rdt`` probing (the differential
+    harness's ``campaign`` pair holds them equal).
     """
     n_rows = module.geometry.n_rows
     if block_rows > n_rows:
@@ -63,16 +60,10 @@ def select_vulnerable_rows(
     seen = set()
     for block in blocks:
         probe_rows = [row for row in block if row not in seen]
-        if batched:
-            guesses = meter.guess_rdt_batch(
-                probe_rows, config, repeats=probe_repeats
-            )
-            means = [(float(guess), row) for guess, row in zip(guesses, probe_rows)]
-        else:
-            means = [
-                (meter.guess_rdt(row, config, repeats=probe_repeats), row)
-                for row in probe_rows
-            ]
+        guesses = meter.guess_rdt_batch(
+            probe_rows, config, repeats=probe_repeats
+        )
+        means = [(float(guess), row) for guess, row in zip(guesses, probe_rows)]
         means.sort()
         for _, row in means[:per_block]:
             selected.append(row)
@@ -254,12 +245,12 @@ class Campaign:
         set_temperature: Optional callback (e.g. the Bender host's
             temperature control) invoked before measuring each
             configuration; defaults to setting the module directly.
-        batched: Route each configuration's rows through
-            :meth:`~repro.core.rdt.FastRdtMeter.measure_series_batch`
-            (the packed device fast path) instead of the per-row
-            guess + measure loop. Bit-identical either way;
-            ``batched=False`` keeps the reference loop (the perf
-            benchmarks use it as the scalar baseline).
+
+    Each configuration's rows are measured per bank through
+    :meth:`~repro.core.rdt.FastRdtMeter.measure_series_batch` (the packed
+    device fast path), bit-identical to a per-row ``guess_rdt`` +
+    ``measure_series`` loop (the differential harness's ``campaign``
+    pair).
     """
 
     def __init__(
@@ -269,7 +260,6 @@ class Campaign:
         n_measurements: int = 1000,
         bank: int = 0,
         set_temperature: Optional[Callable[[float], None]] = None,
-        batched: bool = True,
     ):
         if n_measurements < 2:
             raise MeasurementError("campaigns need at least 2 measurements")
@@ -277,9 +267,7 @@ class Campaign:
         self.configs = list(configs)
         self.n_measurements = n_measurements
         self.bank = bank
-        self.batched = batched
         self._set_temperature = set_temperature or module.set_temperature
-        self._meter = FastRdtMeter(module, bank)
 
     @property
     def protocol(self) -> str:
@@ -303,38 +291,26 @@ class Campaign:
         pairs = list(pairs)
         if not pairs:
             raise MeasurementError("campaign needs at least one row")
-        meters = {
-            bank: FastRdtMeter(self.module, bank)
-            for bank in {bank for bank, _ in pairs}
-        }
+        # One bulk probe + bulk latent-series query per bank and
+        # configuration; the per-bank iterators hand results back in pair
+        # order (duplicate pairs re-measure identically — streams are
+        # deterministic — so positional pairing is exact).
+        per_bank: Dict[int, List[int]] = {}
+        for bank, row in pairs:
+            per_bank.setdefault(bank, []).append(row)
+        meters = {bank: FastRdtMeter(self.module, bank) for bank in per_bank}
         for config in self.configs:
             self._set_temperature(config.temperature_c)
-            if self.batched:
-                # One bulk probe + bulk latent-series query per bank; the
-                # per-bank iterators hand results back in pair order
-                # (duplicate pairs re-measure identically — streams are
-                # deterministic — so positional pairing is exact).
-                per_bank: Dict[int, List[int]] = {}
-                for bank, row in pairs:
-                    per_bank.setdefault(bank, []).append(row)
-                queues = {
-                    bank: iter(
-                        meters[bank].measure_series_batch(
-                            bank_rows, config, self.n_measurements
-                        )
+            queues = {
+                bank: iter(
+                    meters[bank].measure_series_batch(
+                        bank_rows, config, self.n_measurements
                     )
-                    for bank, bank_rows in per_bank.items()
-                }
+                )
+                for bank, bank_rows in per_bank.items()
+            }
             for bank, row in pairs:
-                if self.batched:
-                    series = next(queues[bank])
-                else:
-                    meter = meters[bank]
-                    guess = meter.guess_rdt(row, config)
-                    sweep = HammerSweep.from_guess(guess)
-                    series = meter.measure_series(
-                        row, config, self.n_measurements, sweep=sweep
-                    )
+                series = next(queues[bank])
                 if series.n_failed_sweeps == len(series):
                     # Row never flipped inside the sweep under this
                     # configuration; record nothing, as the paper's test

@@ -14,8 +14,9 @@ Three design rules keep it safe to wire through every hot loop:
   shared null context manager — no allocation, no branching beyond the
   method call. Hot loops additionally gate per-iteration recording on
   ``recorder.enabled`` (a plain attribute) and record aggregates once per
-  batch/run instead of per element. ``benchmarks/test_perf_obs.py`` guards
-  both properties.
+  batch/run instead of per element. ``tests/obs/test_obs_properties.py``
+  budgets a NOOP call, and ``benchmarks/test_perf_budgets.py`` budgets
+  a traced sweep against an untraced one.
 * **Deterministic-safe.** Metrics never touch the seeded
   :mod:`repro.rng` streams: timings come from ``time.perf_counter_ns`` /
   ``time.process_time_ns`` (injectable for tests), and every other value

@@ -8,6 +8,7 @@ from repro.core.config import TestConfig, standard_configs
 from repro.core.patterns import ALL_PATTERNS, CHECKERED0
 from repro.errors import MeasurementError
 from tests.conftest import make_module
+from tests.differential.harness import reference_campaign
 
 
 def small_configs(module, patterns=ALL_PATTERNS[:2]):
@@ -88,9 +89,9 @@ def test_batched_campaign_identical_to_reference(module):
     configs = small_configs(module)
     rows = [10, 20, 20, 30]  # duplicate pair re-measures identically
     batched = Campaign(module, configs, n_measurements=60).run(rows)
-    reference = Campaign(
-        module, configs, n_measurements=60, batched=False
-    ).run(rows)
+    reference = reference_campaign(
+        module, configs, 60, [(0, row) for row in rows]
+    )
     assert len(batched) == len(reference)
     for fast, slow in zip(batched.observations, reference.observations):
         assert (fast.bank, fast.row, fast.config) == (

@@ -25,6 +25,7 @@ from repro.core.engine import (
 from repro.core.patterns import DataPattern
 from repro.core.store import FORMAT_VERSION
 from repro.errors import ConfigurationError, MeasurementError
+from tests.differential.harness import reference_selection
 
 MODULE_ID = "M1"
 SEED = 1234
@@ -185,9 +186,7 @@ def test_batched_selection_equals_reference_selection():
     module.disable_interference_sources()
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     fast = select_vulnerable_rows(module, config, block_rows=48, per_block=6)
-    reference = select_vulnerable_rows(
-        module, config, block_rows=48, per_block=6, batched=False
-    )
+    reference = reference_selection(module, config, block_rows=48, per_block=6)
     assert fast == reference
 
 

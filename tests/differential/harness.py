@@ -14,6 +14,7 @@ The pairs covered:
 name                oracle                              fast path
 ==================  ==================================  =========================
 engine              serial ``Campaign.run``             ``CampaignEngine`` (2 jobs)
+campaign            per-row selection + campaign loops  bank-batched selection/run
 memsim              ``MemorySystem.run``                ``memsim.fastcore.run_fast``
 fastfaults          per-row ``RowVrdProcess``           packed ``BankVrdState``
 probe               per-row ``guess_rdt``               batched ``guess_rdt_batch``
@@ -101,6 +102,113 @@ def engine_fast(seed: int) -> tuple:
         "M1", configs, n_measurements=_ENGINE_N, seed=seed, n_jobs=2,
     )
     return _campaign_fingerprint(engine.run(_ENGINE_ROWS))
+
+
+# ----------------------------------------------------------------------
+# campaign: per-row selection and measurement loops vs the bank batches
+# ----------------------------------------------------------------------
+
+#: Bank 0 carries the duplicate-pair case; bank 1 rows interleave with it,
+#: so the pairs exercise per-bank queues handed back in pair order.
+_CAMPAIGN_PAIRS = [(0, 10), (1, 7), (0, 20), (0, 20), (1, 33), (0, 30)]
+_CAMPAIGN_N = 30
+_SELECTION_BLOCK = 48
+_SELECTION_PER_BLOCK = 6
+
+
+def reference_selection(
+    module, config, block_rows: int, per_block: int, probe_repeats: int = 10
+) -> list:
+    """The row-selection protocol on bank 0 with one ``guess_rdt`` per
+    probed row."""
+    from repro.core import FastRdtMeter
+
+    n_rows = module.geometry.n_rows
+    meter = FastRdtMeter(module, bank=0)
+    middle_start = max(0, n_rows // 2 - block_rows // 2)
+    blocks = (
+        range(0, block_rows),
+        range(middle_start, middle_start + block_rows),
+        range(n_rows - block_rows, n_rows),
+    )
+    selected: list = []
+    for block in blocks:
+        means = sorted(
+            (meter.guess_rdt(row, config, repeats=probe_repeats), row)
+            for row in block
+            if row not in selected
+        )
+        selected.extend(row for _, row in means[:per_block])
+    return selected
+
+
+def reference_campaign(module, configs, n_measurements: int, pairs):
+    """A campaign measured pair by pair: ``guess_rdt``, then
+    ``measure_series`` over the sweep that guess picks."""
+    from repro.core import FastRdtMeter
+    from repro.core.campaign import CampaignResult, RowObservation
+    from repro.core.rdt import HammerSweep
+
+    result = CampaignResult(module_id=module.module_id)
+    for config in configs:
+        module.set_temperature(config.temperature_c)
+        for bank, row in pairs:
+            meter = FastRdtMeter(module, bank)
+            sweep = HammerSweep.from_guess(meter.guess_rdt(row, config))
+            series = meter.measure_series(
+                row, config, n_measurements, sweep=sweep
+            )
+            if series.n_failed_sweeps == len(series):
+                continue
+            result.observations.append(RowObservation(
+                module_id=module.module_id, bank=bank, row=row,
+                config=config, series=series,
+            ))
+    return result
+
+
+def _campaign_workload(seed: int):
+    """M1 and two random conditions (pattern, tAggOn, temperature)."""
+    from repro.chips import build_module
+    from repro.core import TestConfig
+    from repro.core.patterns import ALL_PATTERNS
+
+    pick = random.Random(seed + 12)
+    module = build_module("M1", seed=seed)
+    module.disable_interference_sources()
+    configs = [
+        TestConfig(
+            pick.choice(ALL_PATTERNS),
+            t_agg_on_ns=pick.choice([module.timing.tRAS, 2_000.0]),
+            temperature_c=pick.choice([50.0, 80.0]),
+        )
+        for _ in range(2)
+    ]
+    return module, configs
+
+
+def campaign_oracle(seed: int) -> tuple:
+    module, configs = _campaign_workload(seed)
+    selection = reference_selection(
+        module, configs[0], _SELECTION_BLOCK, _SELECTION_PER_BLOCK
+    )
+    result = reference_campaign(
+        module, configs, _CAMPAIGN_N, _CAMPAIGN_PAIRS
+    )
+    return tuple(selection), _campaign_fingerprint(result)
+
+
+def campaign_fast(seed: int) -> tuple:
+    from repro.core.campaign import Campaign, select_vulnerable_rows
+
+    module, configs = _campaign_workload(seed)
+    selection = select_vulnerable_rows(
+        module, configs[0], block_rows=_SELECTION_BLOCK,
+        per_block=_SELECTION_PER_BLOCK,
+    )
+    campaign = Campaign(module, configs, n_measurements=_CAMPAIGN_N)
+    result = campaign.run_pairs(_CAMPAIGN_PAIRS)
+    return tuple(selection), _campaign_fingerprint(result)
 
 
 # ----------------------------------------------------------------------
@@ -932,6 +1040,7 @@ def victim_fast(seed: int) -> tuple:
 
 CASES: List[DifferentialCase] = [
     DifferentialCase("engine", engine_oracle, engine_fast),
+    DifferentialCase("campaign", campaign_oracle, campaign_fast),
     DifferentialCase("memsim", memsim_oracle, memsim_fast),
     DifferentialCase("fastfaults", fastfaults_oracle, fastfaults_fast),
     DifferentialCase(

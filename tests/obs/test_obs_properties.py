@@ -10,6 +10,7 @@ exactly associative and snapshot equality can be ``==``.
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -272,6 +273,22 @@ def test_noop_is_default_and_inert():
     span_b = obs.NOOP.span("b")
     assert span_a is span_b  # one shared null span, no allocation
     assert obs.NOOP.snapshot()["counters"] == {}
+
+
+def test_noop_call_cost_within_budget():
+    """The disabled recorder is what every instrumented hot loop calls: a
+    stray allocation or dict write there fails this budget (1500 ns per
+    call, best of 3; tens of ns is typical)."""
+    calls = 200_000
+
+    def ns_per_call() -> float:
+        t0 = time.perf_counter_ns()
+        for _ in range(calls):
+            obs.NOOP.counter_add("bench.noop")
+            obs.NOOP.span("bench.noop")
+        return (time.perf_counter_ns() - t0) / (2 * calls)
+
+    assert min(ns_per_call() for _ in range(3)) <= 1500.0
 
 
 def test_tracing_scope_installs_and_restores():

@@ -169,86 +169,18 @@ def test_profile_adaptive_deterministic_across_jobs(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def _write_bench_records(root):
-    import json
-
-    (root / "BENCH_alpha.json").write_text(json.dumps({
-        "speedup": 4.2, "cache_hit_speedup": 900.0,
-        "date": "2026-08-01", "commit": "abc1234",
-    }))
-    (root / "BENCH_beta.json").write_text(json.dumps({
-        "trial_reduction": 35.0, "date": "2026-08-02", "commit": "def5678",
-    }))
-
-
-def test_bench_golden_output(capsys, tmp_path):
-    """Exact golden output: the trajectory table's selection of headline
-    metrics, formatting, and ordering are all part of the contract."""
-    _write_bench_records(tmp_path)
-    assert main(["bench", "--dir", str(tmp_path)]) == 0
-    golden = (
-        "perf trajectory (2 benchmarks)\n"
-        "bench  metric           speedup  date        commit \n"
-        "-----  ---------------  -------  ----------  -------\n"
-        "alpha  speedup          4.2x     2026-08-01  abc1234\n"
-        "beta   trial_reduction  35x      2026-08-02  def5678\n"
-    )
-    assert capsys.readouterr().out == golden
-
-
-def test_bench_json_output(capsys, tmp_path):
-    import json
-
-    _write_bench_records(tmp_path)
-    assert main(["bench", "--dir", str(tmp_path), "--json"]) == 0
-    records = json.loads(capsys.readouterr().out)
-    assert [record["bench"] for record in records] == ["alpha", "beta"]
-    # The headline skips cache_hit_speedup but keeps it in all_metrics.
-    assert records[0]["metric"] == "speedup"
-    assert records[0]["all_metrics"]["cache_hit_speedup"] == 900.0
-
-
-def test_bench_skips_corrupt_records(capsys, tmp_path):
-    _write_bench_records(tmp_path)
-    (tmp_path / "BENCH_broken.json").write_text("{not json")
-    assert main(["bench", "--dir", str(tmp_path)]) == 0
+@pytest.mark.parametrize("argv", [
+    ["measure", "M1", "--row", "-1", "-n", "10"],
+    ["fig14", "--mixes", "0", "--window", "2000", "--no-cache"],
+    ["table3", "--ber", "2"],
+    ["fleet", "-m", "0", "--quiet"],
+])
+def test_library_error_prints_one_line_and_exits_2(capsys, argv):
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "broken" not in captured.out
-    assert "skipping BENCH_broken.json" in captured.err
-
-
-def test_bench_empty_dir_fails(capsys, tmp_path):
-    assert main(["bench", "--dir", str(tmp_path)]) == 1
-    assert "no BENCH_*.json" in capsys.readouterr().out
-
-
-def test_bench_repo_records(capsys):
-    """The repo's own committed BENCH_*.json files aggregate cleanly."""
-    assert main(["bench", "--dir", "."]) == 0
-    out = capsys.readouterr().out
-    assert "adaptive" in out
-    assert "engine" in out
-    assert "fleet" in out
-
-
-def test_bench_auto_discovers_new_records(capsys, tmp_path):
-    """Any newly dropped BENCH_*.json joins the trajectory unchanged —
-    the fleet benchmark rides the same auto-discovery as every other."""
-    import json
-
-    _write_bench_records(tmp_path)
-    (tmp_path / "BENCH_fleet.json").write_text(json.dumps({
-        "speedup": 9.5, "rss_10k_mb": 72.0,
-        "date": "2026-08-08", "commit": "0123abc",
-    }))
-    assert main(["bench", "--dir", str(tmp_path), "--json"]) == 0
-    records = json.loads(capsys.readouterr().out)
-    assert [record["bench"] for record in records] == [
-        "alpha", "beta", "fleet",
-    ]
-    fleet = records[-1]
-    assert fleet["metric"] == "speedup"
-    assert fleet["value"] == 9.5
+    assert captured.err.startswith(f"repro {argv[0]}: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 FLEET_ARGS = [
