@@ -390,62 +390,3 @@ def cross_protocol_campaigns(
         for protocol in protocols
     }
 
-
-def fleet_guardband(
-    n_modules: int = 1000,
-    seed: int = DEFAULT_SEED,
-    rows_per_module: int = 6,
-    n_measurements: int = 48,
-    guardband_margin: float = 0.30,
-    shard_size: int = 256,
-    n_jobs: Optional[int] = None,
-    store=None,
-    checkpoint: bool = True,
-    protocols: Optional[Sequence[str]] = None,
-) -> dict:
-    """Fleet-level guardband failure probability and ECC escape figure.
-
-    Streams a catalog-sampled fleet (see :mod:`repro.fleet`) and returns
-    the figure payload: the per-margin fleet failure-probability curve
-    (the spatial analogue of the per-module guardband analysis), the ECC
-    undetectable-escape distribution, and per-region/per-workload
-    breakdowns. All numbers are bit-identical for any worker count and
-    across checkpoint resumes.
-
-    ``protocols`` restricts (or widens) the device pool the population
-    samples — e.g. ``("DDR4", "DDR5", "HBM2")`` for a protocol-mixed
-    deployment. ``None`` keeps the historical DDR4+HBM2 catalog and its
-    exact population draws.
-    """
-    from repro.fleet import FleetSpec, run_fleet
-    from repro.fleet.population import DEFAULT_PROTOCOLS
-
-    recorder = obs.active()
-    with recorder.span("figures.fleet_guardband"):
-        fleet_spec = FleetSpec(
-            n_modules=n_modules,
-            seed=seed,
-            rows_per_module=rows_per_module,
-            n_measurements=n_measurements,
-            guardband_margin=guardband_margin,
-            shard_size=shard_size,
-            protocols=(
-                DEFAULT_PROTOCOLS if protocols is None
-                else tuple(protocols)
-            ),
-        )
-        result = run_fleet(
-            fleet_spec, n_jobs=n_jobs, store=store, checkpoint=checkpoint
-        )
-        summary = result.summary
-        return {
-            "result": result,
-            "margin_failure_rates": dict(sorted(result.margins.items())),
-            "deployed_margin": guardband_margin,
-            "deployed_failure_rate": summary["guardband_failure_rate"],
-            "ecc_escape": summary["ecc_escape"],
-            "min_rdt": summary["min_rdt"],
-            "mitigation_overhead": summary["mitigation_overhead"],
-            "regions": summary["regions"],
-            "workloads": summary["workloads"],
-        }

@@ -9,10 +9,6 @@ Small, scriptable entry points onto the library's main experiments:
 * ``testtime`` — Appendix A testing-cost headline scenarios;
 * ``attack`` — profile-and-attack security check for one mitigation;
 * ``fig14`` — mitigation-overhead sweep (cached, sharded, fast core);
-* ``fleet`` — stream a catalog-sampled fleet (constant-memory online
-  aggregation) and print guardband/ECC tables;
-* ``serve`` — concurrent campaign service over the shared result store;
-* ``submit`` — send one job to a running service and stream its events;
 * ``store`` — result-store maintenance (``stats``, ``prune``);
 * ``report`` — instrumented smoke workload + observability run report.
 
@@ -228,106 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_timing_check_flag(fig14)
     _add_trace_flags(fig14)
 
-    fleet = sub.add_parser(
-        "fleet",
-        help="stream a catalog-sampled module fleet and print fleet-level "
-             "guardband failure and ECC escape tables",
-    )
-    fleet.add_argument(
-        "-m", "--modules", type=int, default=1000,
-        help="fleet size (default 1000)",
-    )
-    fleet.add_argument("--seed", type=int, default=None)
-    fleet.add_argument(
-        "--protocols", default=None, metavar="LIST",
-        help="comma-separated protocols the population samples devices "
-             "from, e.g. DDR4,DDR5,HBM2 (default: the historical "
-             "DDR4+HBM2 catalog)",
-    )
-    fleet.add_argument(
-        "--rows", type=int, default=6,
-        help="sampled rows per module (default 6)",
-    )
-    fleet.add_argument(
-        "-n", "--measurements", type=int, default=48,
-        help="RDT measurements per row (default 48)",
-    )
-    fleet.add_argument(
-        "--margin", type=float, default=0.30,
-        help="deployed guardband margin (default 0.30)",
-    )
-    fleet.add_argument(
-        "--shard-size", type=int, default=256,
-        help="modules per checkpoint shard (default 256; part of the "
-             "recipe — resumes only reuse checkpoints of the same layout)",
-    )
-    fleet.add_argument(
-        "-j", "--jobs", type=int, default=None,
-        help="worker processes (default: $VRD_JOBS, else 1); results are "
-             "bit-identical for any job count",
-    )
-    fleet.add_argument(
-        "--store", default=None, metavar="FILE",
-        help="checkpoint store (default: $VRD_STORE_PATH, else "
-             ".vrd-cache/results.sqlite)",
-    )
-    fleet.add_argument(
-        "--no-checkpoint", action="store_true",
-        help="run without writing or reading shard checkpoints",
-    )
-    fleet.add_argument(
-        "--fail-after-shards", type=int, default=None, metavar="K",
-        help="testing hook: abort (exit 3) after K freshly computed "
-             "shards have been checkpointed, simulating a killed run",
-    )
-    fleet.add_argument(
-        "--quiet", action="store_true",
-        help="suppress per-shard progress lines on stderr",
-    )
-    fleet.add_argument(
-        "--json", action="store_true",
-        help="print the fleet summary as JSON instead of tables",
-    )
-    fleet.add_argument(
-        "-o", "--output", default=None,
-        help="also save the JSON fleet summary to this file",
-    )
-    _add_trace_flags(fleet)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the concurrent campaign service over the shared result "
-             "store (JSON lines over a local TCP socket)",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=7341,
-        help="listen port (0 picks a free one; default 7341)",
-    )
-    serve.add_argument(
-        "-j", "--jobs", type=int, default=None,
-        help="measurement worker processes (default: $VRD_JOBS, else 1)",
-    )
-    serve.add_argument(
-        "--store", default=None, metavar="FILE",
-        help="sqlite store file (default: $VRD_STORE_PATH, else "
-             ".vrd-cache/results.sqlite)",
-    )
-
-    submit = sub.add_parser(
-        "submit",
-        help="send one job request to a running service and stream events",
-    )
-    submit.add_argument(
-        "file", nargs="?", default=None,
-        help="JSON request file (default: read one object from stdin)",
-    )
-    submit.add_argument("--host", default="127.0.0.1")
-    submit.add_argument("--port", type=int, default=7341)
-    submit.add_argument(
-        "--quiet", action="store_true",
-        help="suppress progress events; print only the result summary",
-    )
+    from repro.store.db import KINDS
 
     store_cmd = sub.add_parser(
         "store", help="result-store maintenance (sqlite, shared)"
@@ -338,13 +235,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     store_stats.add_argument("--store", default=None, metavar="FILE")
     prune = store_sub.add_parser(
-        "prune",
-        help="delete stored entries by kind and/or age (e.g. stale fleet "
-             "shard checkpoints)",
+        "prune", help="delete stored entries by kind and/or age"
     )
     prune.add_argument(
-        "--kind", default=None,
-        choices=["campaign", "adaptive", "sweep", "fleet"],
+        "--kind", default=None, choices=KINDS,
         help="only this result kind (default: every kind)",
     )
     prune.add_argument(
@@ -601,7 +495,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         result = load_campaign(args.file)
     except MeasurementError as error:
-        print(f"cannot analyze {args.file}: {error}; re-save it with "
+        print(f"repro analyze: {args.file}: {error}; re-save it with "
               "`python -m repro profile --output`", file=sys.stderr)
         return 2
     print(f"campaign: {result.module_id}, {len(result)} series over "
@@ -654,186 +548,17 @@ def _cmd_fig14(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json as json_module
-
+def _cmd_store(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
-    from repro.fleet import (
-        DEFAULT_PROTOCOLS,
-        FleetInterrupted,
-        FleetSpec,
-        run_fleet,
-    )
-    from repro.rng import DEFAULT_SEED
-
-    protocols = DEFAULT_PROTOCOLS
-    if args.protocols:
-        protocols = tuple(
-            token.strip().upper()
-            for token in args.protocols.split(",")
-            if token.strip()
-        )
-    spec = FleetSpec(
-        n_modules=args.modules,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        rows_per_module=args.rows,
-        n_measurements=args.measurements,
-        guardband_margin=args.margin,
-        shard_size=args.shard_size,
-        protocols=protocols,
-    )
-
-    def progress(event: dict) -> None:
-        if not args.quiet:
-            start, stop = event["shard"]
-            print(
-                f"fleet shard {start}-{stop} {event['source']} "
-                f"({event['modules']} modules, {event['shards']} shards "
-                f"total)",
-                file=sys.stderr,
-            )
-
-    try:
-        result = run_fleet(
-            spec,
-            n_jobs=args.jobs,
-            store=args.store,
-            checkpoint=not args.no_checkpoint,
-            fail_after_shards=args.fail_after_shards,
-            progress=progress,
-        )
-    except FleetInterrupted as error:
-        print(f"fleet: {error}", file=sys.stderr)
-        return 3
-
-    summary = result.summary
-    payload = result.to_payload()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json_module.dump(payload, handle, sort_keys=True)
-        print(f"fleet summary saved to {args.output}", file=sys.stderr)
-    if args.json:
-        print(json_module.dumps(payload, sort_keys=True))
-        return 0
-
-    print(format_table(
-        ["margin", "fleet failure probability"],
-        [(f"{margin:.0%}", rate)
-         for margin, rate in sorted(result.margins.items())],
-        title=f"fleet guardband failure ({spec.n_modules} "
-              f"{'+'.join(spec.protocols)} modules, "
-              f"{result.resumed_shards}/{result.n_shards} shards resumed)",
-    ))
-    dip = summary["worst_dip"]
-    ecc = summary["ecc_escape"]
-    overhead = summary["mitigation_overhead"]
-    print(format_table(
-        ["metric", "mean", "p99", "p999", "max"],
-        [
-            ("worst revisit dip", dip["mean"], dip["p99"], dip["p999"],
-             dip["max"]),
-            ("mitigation overhead", overhead["mean"], overhead["p99"],
-             overhead["p999"], overhead["max"]),
-        ],
-        title="fleet distributions",
-    ))
-    print(format_table(
-        ["region", "modules", "failures", "rate"],
-        [
-            (name, group["modules"], group["guardband_failures"],
-             group["failure_rate"])
-            for name, group in summary["regions"].items()
-        ],
-        title="per-region guardband failures "
-              f"(deployed margin {spec.guardband_margin:.0%})",
-    ))
-    print(
-        f"ECC undetectable escape: mean {ecc['mean']:.3e}, max "
-        f"{ecc['max']:.3e} | min RDT {summary['min_rdt']['min']:,.0f} | "
-        f"{summary['flip_events']} sub-guardband flip events | "
-        f"{result.elapsed_s:.2f} s"
-    )
-    return 0
-
-
-def _resolve_store(path):
     from repro.errors import ConfigurationError
     from repro.store import ResultStore
 
-    store = ResultStore.resolve(store_path=path)
+    store = ResultStore.resolve(store_path=args.store)
     if store is None:
         raise ConfigurationError(
             "storage is disabled (empty VRD_STORE_PATH); "
             "pass --store explicitly"
         )
-    return store
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.service import CampaignService
-
-    service = CampaignService(
-        store=_resolve_store(args.store),
-        n_jobs=args.jobs,
-        host=args.host,
-        port=args.port,
-    )
-
-    async def run() -> None:
-        host, port = await service.start()
-        print(f"serving on {host}:{port} | store {service.store.path} | "
-              f"{service.n_jobs} worker(s)", file=sys.stderr)
-        try:
-            await service.serve_forever()
-        finally:
-            await service.stop()
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        print("interrupted; shutting down", file=sys.stderr)
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service.client import ServiceClient, ServiceError
-
-    if args.file:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            request = json.load(handle)
-    else:
-        request = json.load(sys.stdin)
-
-    def on_event(event):
-        if not args.quiet:
-            print(json.dumps(event, sort_keys=True), file=sys.stderr)
-
-    try:
-        with ServiceClient(args.host, args.port) as client:
-            result = client.submit(request, on_event=on_event)
-    except (ConnectionError, OSError) as error:
-        print(f"cannot reach service at {args.host}:{args.port}: {error}",
-              file=sys.stderr)
-        return 1
-    except ServiceError as error:
-        print(f"service error: {error}", file=sys.stderr)
-        return 1
-    print(json.dumps(result["payload"], sort_keys=True))
-    print(f"{result['kind']} job {result['job_id']}: {result['status']} in "
-          f"{result['elapsed_ms']:.1f} ms (key {result['key']})",
-          file=sys.stderr)
-    return 0
-
-
-def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import format_table
-    from repro.errors import ConfigurationError
-
-    store = _resolve_store(args.store)
     if args.store_command == "stats":
         stats = store.stats()
         rows = [
@@ -948,11 +673,14 @@ def _report_workload(seed: int, jobs: Optional[int]) -> None:
     """A small deterministic workload touching every instrumented layer:
     probe + bulk series (faults/fastfaults), compiled and interpreted
     Bender trials, fast and reference memsim cells, both ECC decode
-    paths, and a service round-trip over a throwaway sqlite store
-    (compute, then a warm store hit) for the ``service.*``/``store.*``
-    metrics."""
+    paths, and the same campaign run twice over a throwaway sqlite store
+    (compute, then a warm store hit) for the ``engine.*``/``cache.*``/
+    ``store.*`` metrics."""
+    import tempfile
+
     from repro.bender.host import DramBender
     from repro.core import CHECKERED0, FastRdtMeter, TestConfig
+    from repro.core.engine import CampaignCache, CampaignEngine
     from repro.core.rdt import HammerSweep, RdtMeter, find_victim
     from repro.dram.faults import VrdModelParams
     from repro.dram.geometry import DramGeometry
@@ -991,31 +719,15 @@ def _report_workload(seed: int, jobs: Optional[int]) -> None:
 
     monte_carlo_outcomes(default_codec("SECDED"), 1e-4, trials=2048)
 
-    # Service + store round-trip: one computed job, one warm store hit.
-    import tempfile
-    from pathlib import Path
-
-    from repro.core import CHECKERED0 as _PATTERN
-    from repro.core.store import config_to_dict
-    from repro.service import ServiceThread
-    from repro.store import DEFAULT_STORE_FILENAME, ResultStore
-
+    # Campaign + store round trip: the first run computes, the second hits.
+    campaign_config = TestConfig(CHECKERED0, t_agg_on_ns=35.0)
     with tempfile.TemporaryDirectory(prefix="vrd-report-") as tmp:
-        store = ResultStore(Path(tmp) / DEFAULT_STORE_FILENAME)
-        request = {
-            "kind": "campaign",
-            "module_id": "M1",
-            "seed": seed,
-            "pairs": [[0, 3], [0, 17]],
-            "configs": [config_to_dict(
-                TestConfig(_PATTERN, t_agg_on_ns=35.0)
-            )],
-            "n_measurements": 20,
-        }
-        with ServiceThread(store=store, n_jobs=jobs) as service:
-            with service.client() as client:
-                client.submit(request)
-                client.submit(request)  # warm-store resubmit: a hit
+        cache = CampaignCache(tmp)
+        for _ in range(2):
+            CampaignEngine(
+                "M1", [campaign_config], n_measurements=20, seed=seed,
+                n_jobs=jobs, cache=cache,
+            ).run_pairs([(0, 3), (0, 17)])
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -1055,12 +767,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_analyze(args)
     if args.command == "fig14":
         return _cmd_fig14(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
     if args.command == "store":
         return _cmd_store(args)
     if args.command == "verify":

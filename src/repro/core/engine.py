@@ -12,8 +12,7 @@ a nested serial loop. This module scales the same protocol out:
 * :class:`CampaignCache` stores finished campaigns content-addressed in
   the shared sqlite result store (:mod:`repro.store` — ``VRD_STORE_PATH``,
   default ``.vrd-cache/results.sqlite``), so repeated benchmark/CLI
-  sessions — and concurrent worker/service processes — reload instead of
-  recomputing.
+  sessions — and concurrent processes — reload instead of recomputing.
 
 **Determinism contract.** Every stochastic quantity in a campaign flows
 from per-(module, row, condition) streams derived via :func:`repro.rng`
@@ -207,7 +206,7 @@ def _measure_units_body(
 
 
 # ----------------------------------------------------------------------
-# Work planning and stitching (shared with repro.service)
+# Work planning and stitching
 # ----------------------------------------------------------------------
 
 
@@ -545,13 +544,13 @@ class CampaignCache:
     are :mod:`repro.core.store` JSON payloads (format 2: each series a
     base64 float64 column, so a hit decodes buffers, not float lists) in
     one :class:`~repro.store.db.ResultStore` (WAL sqlite) that any number
-    of worker processes and service clients share concurrently. The
-    recipe carries :data:`RECIPE_FORMAT`, so entries written in an older
-    payload format are never looked up: they read as plain misses and
-    recompute. A corrupted entry (bad checksum, tampered payload, torn
-    database page, or an unknown format version under a current key) is
-    detected on load, counted under the ``cache.corrupt`` metric,
-    *evicted*, and treated as a miss so the campaign recomputes cleanly —
+    of processes share concurrently. The recipe carries
+    :data:`RECIPE_FORMAT`, so entries written in an older payload format
+    are never looked up: they read as plain misses and recompute. A
+    corrupted entry (bad checksum, tampered payload, torn database page,
+    or an unknown format version under a current key) is detected on
+    load, counted under the ``cache.corrupt`` metric, *evicted*, and
+    treated as a miss so the campaign recomputes cleanly —
     ``tests/core/test_engine.py`` and ``tests/store/`` corrupt entries on
     disk to prove it.
     """

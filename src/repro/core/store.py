@@ -11,10 +11,10 @@ Decoding a column is a single buffer copy instead of one Python float
 per measurement, and every IEEE value (NaN, ±inf, −0.0, subnormals)
 round-trips bit for bit. The column stays inside the JSON object rather
 than in a separate binary blob, so the result store's canonical-JSON
-checksum, its service wire protocol and every JSON reader of the store
-keep working unchanged. There is one decoder: a payload of another
-format version is rejected, and the campaign cache's recipe keys are
-versioned with it, so format-1 entries are never looked up again.
+checksum and every JSON reader of the store keep working unchanged.
+There is one decoder: a payload of another format version is rejected,
+and the campaign cache's recipe keys are versioned with it, so format-1
+entries are never looked up again.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.core.campaign import CampaignResult, RowObservation
 from repro.core.config import TestConfig
 from repro.core.patterns import pattern_by_name
 from repro.core.series import RdtSeries
-from repro.errors import MeasurementError
+from repro.errors import ConfigurationError, MeasurementError
 
 #: Format version written into every file, checked on load.
 FORMAT_VERSION = 2
@@ -164,14 +164,31 @@ def campaign_from_dict(payload: dict) -> CampaignResult:
 
 
 def save_campaign(result: CampaignResult, path: PathLike) -> None:
-    """Write a campaign result to a JSON file."""
-    Path(path).write_text(json.dumps(campaign_to_dict(result)))
+    """Write a campaign result to a JSON file.
+
+    Raises :class:`ConfigurationError` if the file cannot be written.
+    """
+    text = json.dumps(campaign_to_dict(result))
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as error:
+        raise ConfigurationError(
+            f"cannot write campaign file: {error}"
+        ) from error
 
 
 def load_campaign(path: PathLike) -> CampaignResult:
-    """Read a campaign result back from a JSON file."""
+    """Read a campaign result back from a JSON file.
+
+    Raises :class:`MeasurementError` if the file cannot be read or is not
+    a campaign payload.
+    """
     try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as error:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as error:
+        raise MeasurementError(
+            f"cannot read campaign file: {error}"
+        ) from error
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
         raise MeasurementError(f"not a campaign file: {error}") from error
     return campaign_from_dict(payload)

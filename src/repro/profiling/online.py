@@ -77,18 +77,6 @@ class OnlineRdtProfiler:
             and ``RowProfile.history`` stays ``None``.
         history_limit: Ring size of each row's history. ``None`` keeps an
             unbounded deque (only for short analysis runs).
-        prefetch: ``0`` (the default) measures one value at a time through
-            the scalar device process — the legacy reference behavior.
-            A positive value batches measurement rounds through
-            :meth:`~repro.core.rdt.FastRdtMeter.measure_series_batch`:
-            whenever a row's buffer runs dry, one bulk call refills
-            ``prefetch`` measurements for every same-epoch row at once,
-            and ``idle_tick`` consumes the buffers. Batched rounds draw
-            from per-epoch ``"online-{epoch}"`` streams, so the measured
-            values are not bitwise-equal to the ``prefetch=0`` sequence
-            (which ticks the device process measurement by measurement) —
-            statistically they sample the same VRD process, and within
-            prefetch mode runs are fully deterministic.
     """
 
     def __init__(
@@ -100,7 +88,6 @@ class OnlineRdtProfiler:
         strategy: str = "round_robin",
         keep_history: bool = False,
         history_limit: Optional[int] = DEFAULT_HISTORY_LIMIT,
-        prefetch: int = 0,
     ):
         if strategy not in ("round_robin", "focus_min"):
             raise ConfigurationError(f"unknown strategy {strategy!r}")
@@ -108,17 +95,12 @@ class OnlineRdtProfiler:
             raise ConfigurationError(
                 f"history_limit must be positive, got {history_limit}"
             )
-        if prefetch < 0:
-            raise ConfigurationError(
-                f"prefetch must be >= 0, got {prefetch}"
-            )
         self.module = module
         self.config = config
         self.bank = bank
         self.strategy = strategy
         self.keep_history = keep_history
         self.history_limit = history_limit
-        self.prefetch = prefetch
         self._meter = FastRdtMeter(module, bank)
         self._condition = config.condition(module.timing)
         self._profiles: Dict[int, RowProfile] = {
@@ -131,11 +113,7 @@ class OnlineRdtProfiler:
         if not self._profiles:
             raise ConfigurationError("profiler needs at least one row")
         self._order: List[int] = list(self._profiles)
-        self._buffers: Dict[int, Deque[float]] = {
-            row: deque() for row in self._order
-        }
         self._cost_tables: Dict[int, "np.ndarray"] = {}
-        self._epochs: Dict[int, int] = {row: 0 for row in self._order}
         self._cursor = 0
         self._toggle = False
         self.time_spent_ns = 0.0
@@ -193,46 +171,16 @@ class OnlineRdtProfiler:
             return 0.0
         return float(table[trials - 1])
 
-    def _refill(self, row: int) -> None:
-        """Bulk-measure one prefetch round for ``row``'s epoch group.
-
-        All rows still on ``row``'s epoch whose buffers have run dry are
-        refilled by a single
-        :meth:`~repro.core.rdt.FastRdtMeter.measure_series_batch` call of
-        ``prefetch`` measurements each, drawn from that epoch's
-        ``"online-{epoch}"`` stream. Grouping keeps round-robin schedules
-        down to one bulk call per epoch; uneven schedules (``focus_min``)
-        simply refill smaller groups more often.
-        """
-        epoch = self._epochs[row]
-        group = [
-            member
-            for member in self._order
-            if self._epochs[member] == epoch and not self._buffers[member]
-        ]
-        series_list = self._meter.measure_series_batch(
-            group, self.config, self.prefetch, stream=f"online-{epoch}"
-        )
-        for member, series in zip(group, series_list):
-            self._buffers[member].extend(float(v) for v in series.values)
-            self._epochs[member] += 1
-
     def _measure_row(self, profile: RowProfile) -> float:
         """One RDT measurement of one row; returns its cost in ns."""
         sweep = self._sweep_for(profile)
-        if self.prefetch > 0:
-            buffer = self._buffers[profile.row]
-            if not buffer:
-                self._refill(profile.row)
-            measured = buffer.popleft()
-        else:
-            mapping = self.module.bank(self.bank).mapping
-            process = self.module.fault_model.process(
-                self.bank, mapping.to_physical(profile.row)
-            )
-            process.begin_measurement(self._condition)
-            latent = process.current_threshold(self._condition)
-            measured = float(sweep.quantize([latent])[0])
+        mapping = self.module.bank(self.bank).mapping
+        process = self.module.fault_model.process(
+            self.bank, mapping.to_physical(profile.row)
+        )
+        process.begin_measurement(self._condition)
+        latent = process.current_threshold(self._condition)
+        measured = float(sweep.quantize([latent])[0])
         cost = self._measurement_cost_ns(sweep, measured)
         profile.n_measurements += 1
         profile.last_rdt = measured

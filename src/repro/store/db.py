@@ -3,7 +3,7 @@
 Design notes (the concurrency story):
 
 * **WAL journal.** Readers never block the single writer and vice versa;
-  concurrent campaign workers and service clients share one database
+  concurrent CLI runs and benchmark processes share one database
   file. ``synchronous=NORMAL`` is the documented safe pairing with WAL —
   a crash can lose the last transactions but can never tear the database.
 * **Busy handling.** Every connection sets ``busy_timeout``; on top of
@@ -12,7 +12,7 @@ Design notes (the concurrency story):
   racing between processes).
 * **Batched writes.** :meth:`ResultStore.put_many` lands any number of
   entries inside one ``BEGIN IMMEDIATE`` transaction — one fsync for a
-  whole service flush instead of one per entry.
+  whole batch instead of one per entry.
 * **Checksummed payloads.** Every row stores a blake2b digest of its
   payload blob. A mismatch (torn write, tampering, bit rot) is detected
   on read, counted (``store.corrupt``), the row is evicted, and the
@@ -56,8 +56,7 @@ DEFAULT_STORE_FILENAME = "results.sqlite"
 KIND_CAMPAIGN = "campaign"
 KIND_ADAPTIVE = "adaptive"
 KIND_SWEEP = "sweep"
-KIND_FLEET = "fleet"
-KINDS = (KIND_CAMPAIGN, KIND_ADAPTIVE, KIND_SWEEP, KIND_FLEET)
+KINDS = (KIND_CAMPAIGN, KIND_ADAPTIVE, KIND_SWEEP)
 
 #: Schema version recorded in the ``meta`` table.
 SCHEMA_VERSION = 1
@@ -242,10 +241,15 @@ class ResultStore:
 
     # -- reads ---------------------------------------------------------
 
-    def _fetch_blob(self, key: str, kind: str) -> Tuple[Optional[bytes], str]:
-        """Shared read path: the checksum/kind-verified payload blob and
-        its status, without decoding (and without counting hits — the
-        callers count once decoding, if any, succeeded)."""
+    def fetch(self, key: str, kind: str) -> Tuple[Optional[dict], str]:
+        """``(payload, status)`` for one entry.
+
+        Status is ``"hit"`` (payload verified and decoded), ``"miss"``
+        (absent, or the database is unreadable — permissions/races — in
+        which case nothing is evicted), or ``"corrupt"`` (checksum or
+        kind mismatch, undecodable payload, or a malformed database;
+        counted under ``store.corrupt``, evicted, payload ``None``).
+        """
         recorder = obs.active()
         if not self.path.exists():
             # Nothing stored yet: stay lazy.
@@ -276,21 +280,6 @@ class ResultStore:
             recorder.counter_add("store.corrupt")
             self.evict(key)
             return None, "corrupt"
-        return blob, "hit"
-
-    def fetch(self, key: str, kind: str) -> Tuple[Optional[dict], str]:
-        """``(payload, status)`` for one entry.
-
-        Status is ``"hit"`` (payload verified and decoded), ``"miss"``
-        (absent, or the database is unreadable — permissions/races — in
-        which case nothing is evicted), or ``"corrupt"`` (checksum or
-        kind mismatch, undecodable payload, or a malformed database;
-        counted under ``store.corrupt``, evicted, payload ``None``).
-        """
-        recorder = obs.active()
-        blob, status = self._fetch_blob(key, kind)
-        if blob is None:
-            return None, status
         try:
             payload = json.loads(blob.decode("utf-8"))
             if not isinstance(payload, dict):
@@ -301,18 +290,6 @@ class ResultStore:
             return None, "corrupt"
         recorder.counter_add("store.hit")
         return payload, "hit"
-
-    def fetch_raw(self, key: str, kind: str) -> Tuple[Optional[bytes], str]:
-        """Like :meth:`fetch` but returns the verified payload *blob*
-        (canonical JSON bytes) without decoding it — the service splices
-        this straight into its wire protocol on warm hits, skipping a
-        decode/re-encode round trip per answer. The checksum guarantees
-        the bytes are exactly what :func:`encode_payload` stored.
-        """
-        blob, status = self._fetch_blob(key, kind)
-        if blob is not None:
-            obs.active().counter_add("store.hit")
-        return blob, status
 
     def get(self, key: str, kind: str) -> Optional[dict]:
         """The payload for ``key`` of ``kind``, or ``None`` (miss or
@@ -402,9 +379,6 @@ class ResultStore:
 
         * ``campaign``/``adaptive`` — the payload's ``module_id``
           resolved through the device catalog;
-        * ``fleet`` — the checkpoint spec's ``protocols`` tuple (its
-          absence means the historical DDR4+HBM2 pool), labelled e.g.
-          ``"DDR4+HBM2"``;
         * ``sweep`` — ``"DDR5"`` (the memory-system model's substrate).
 
         Entries that cannot be attributed (non-catalog module ids,
@@ -433,14 +407,6 @@ class ResultStore:
             return "unknown"
         if not isinstance(payload, dict):
             return "unknown"
-        if kind == KIND_FLEET:
-            spec = payload.get("spec")
-            if not isinstance(spec, dict):
-                return "unknown"
-            protocols = spec.get("protocols", ["DDR4", "HBM2"])
-            if not isinstance(protocols, (list, tuple)) or not protocols:
-                return "unknown"
-            return "+".join(str(p) for p in protocols)
         module_id = payload.get("module_id")
         if not isinstance(module_id, str):
             return "unknown"
@@ -465,8 +431,8 @@ class ResultStore:
     ) -> int:
         """Insert or replace many entries inside one transaction.
 
-        Returns the number of entries written. Batching is the fast path
-        for service flushes: one transaction, one fsync.
+        Returns the number of entries written: one transaction, one
+        fsync for the whole batch.
         """
         rows = []
         now = time.time()
@@ -512,9 +478,8 @@ class ResultStore:
         seconds (the ``created_at`` column); it must be finite and
         non-negative, since a negative age would put the cutoff in the
         future and select every entry. With both arguments ``None``
-        every entry is deleted. Long fleet runs use this to evict stale
-        shard checkpoints (``kind="fleet"``) without touching campaign or
-        sweep results.
+        every entry is deleted. Rows of a kind outside :data:`KINDS`,
+        left by older versions, are still selected by age alone.
         """
         if kind is not None and kind not in KINDS:
             raise ConfigurationError(

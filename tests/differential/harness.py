@@ -22,7 +22,6 @@ bender              scalar ``Interpreter`` trials       compiled trial replay
 ecc                 per-codeword encode/decode          ``encode_batch``/``decode_batch``
 adaptive            serial ``AdaptiveScheduler``        ``CampaignEngine`` adaptive (2 jobs)
 store               in-memory result payloads           sqlite ``ResultStore`` round trip
-fleet               ``run_fleet_naive`` (materialized)  ``run_fleet`` streamed (2 jobs)
 attack              per-window ``begin_measurement``    ``threshold_series`` walk
 guardband           per-trial ``trial_flips``           ``trial_flip_series`` kernel
 victim              per-row scan + ``find_victim``      memoized batched scan
@@ -709,47 +708,6 @@ def store_fast(seed: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# fleet: materialize-everything oracle vs streamed shard-merge runner
-# ----------------------------------------------------------------------
-
-def _fleet_spec(seed: int):
-    from repro.fleet import FleetSpec
-
-    pick = random.Random(seed + 6)
-    return FleetSpec(
-        n_modules=pick.choice([5, 9]),
-        seed=seed,
-        rows_per_module=2,
-        n_measurements=pick.choice([6, 10]),
-        shard_size=pick.choice([2, 3]),
-    )
-
-
-def _fleet_fingerprint(result) -> tuple:
-    import json
-
-    return (json.dumps(
-        {"summary": result.summary,
-         "margins": {f"{m:g}": v for m, v in sorted(result.margins.items())}},
-        sort_keys=True,
-    ),)
-
-
-def fleet_oracle(seed: int) -> tuple:
-    from repro.fleet import run_fleet_naive
-
-    return _fleet_fingerprint(run_fleet_naive(_fleet_spec(seed)))
-
-
-def fleet_fast(seed: int) -> tuple:
-    from repro.fleet import run_fleet
-
-    return _fleet_fingerprint(
-        run_fleet(_fleet_spec(seed), n_jobs=2, checkpoint=False)
-    )
-
-
-# ----------------------------------------------------------------------
 # attack: per-window scalar stepping vs the hoisted threshold walk
 # ----------------------------------------------------------------------
 
@@ -1062,7 +1020,6 @@ CASES: List[DifferentialCase] = [
     DifferentialCase("ecc", ecc_oracle, ecc_fast),
     DifferentialCase("adaptive", adaptive_oracle, adaptive_fast),
     DifferentialCase("store", store_oracle, store_fast),
-    DifferentialCase("fleet", fleet_oracle, fleet_fast),
     DifferentialCase("attack", attack_oracle, attack_fast),
     DifferentialCase("guardband", guardband_oracle, guardband_fast),
     DifferentialCase("victim", victim_oracle, victim_fast),

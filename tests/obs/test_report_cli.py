@@ -49,8 +49,11 @@ def test_report_json_matches_golden_schema(capsys):
     assert "report.workload" in payload["spans"]
     # The mini-workload must exercise every instrumented subsystem.
     counters = payload["counters"]
-    for prefix in ("memsim.", "rdt.", "bender.", "ecc.", "fastfaults."):
+    for prefix in ("memsim.", "rdt.", "bender.", "ecc.", "fastfaults.",
+                   "store.", "engine.", "cache."):
         assert any(name.startswith(prefix) for name in counters), prefix
+    # The campaign runs twice over one store: the second run is a hit.
+    assert counters["store.hit"] >= 1
 
 
 def test_report_output_file_round_trips(capsys, tmp_path):

@@ -165,61 +165,18 @@ class TestHistoryAllocation:
         assert all(p.history is None for p in profiler.profile().values())
 
 
-class TestPrefetch:
-    def test_validation(self, module, reference_config):
-        with pytest.raises(ConfigurationError):
-            make_profiler(module, reference_config, prefetch=-1)
-
-    def test_prefetch_matches_per_epoch_series(self, reference_config):
-        """Buffered measurements equal the per-epoch batch streams: each
-        row's consumed values are exactly the concatenation of its
-        ``online-{epoch}`` series."""
-        module = make_module()
-        module.disable_interference_sources()
-        k = 3
-        profiler = make_profiler(
-            module, reference_config, keep_history=True,
-            history_limit=None, prefetch=k,
-        )
-        for _ in range(25):
-            profiler.idle_tick(1.0)
-
-        reference_module = make_module()
-        reference_module.disable_interference_sources()
-        meter = FastRdtMeter(reference_module)
-        for row, profile in profiler.profile().items():
-            n = profile.n_measurements
-            reference = []
-            for epoch in range((n + k - 1) // k):
-                series = meter.measure_series(
-                    row, reference_config, k, stream=f"online-{epoch}"
-                )
-                reference.extend(float(v) for v in series.values)
-            consumed = reference[:n]
-            valid = [v for v in consumed if not math.isnan(v)]
-            assert list(profile.history) == valid
-            assert profile.failed_sweeps == sum(
-                1 for v in consumed if math.isnan(v)
-            )
-            if valid:
-                assert profile.min_rdt == min(valid)
-
-    def test_prefetch_zero_is_the_scalar_reference(
-        self, module, reference_config
-    ):
-        scalar = make_profiler(module, reference_config, keep_history=True)
-        # Fresh module with the same seed for the explicit prefetch=0 twin.
+class TestDeterminism:
+    def test_same_seed_runs_are_identical(self, module, reference_config):
+        first = make_profiler(module, reference_config, keep_history=True)
+        # Fresh module with the same seed for the twin profiler.
         twin_module = make_module()
         twin_module.disable_interference_sources()
-        twin = OnlineRdtProfiler(
-            twin_module, ROWS, reference_config,
-            keep_history=True, prefetch=0,
-        )
+        twin = make_profiler(twin_module, reference_config, keep_history=True)
         for _ in range(10):
-            scalar.idle_tick(1.0)
+            first.idle_tick(1.0)
             twin.idle_tick(1.0)
         for row in ROWS:
-            assert list(scalar.profile()[row].history) == list(
+            assert list(first.profile()[row].history) == list(
                 twin.profile()[row].history
             )
 

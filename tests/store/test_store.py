@@ -17,7 +17,6 @@ from repro.store import (
     DEFAULT_STORE_FILENAME,
     KIND_ADAPTIVE,
     KIND_CAMPAIGN,
-    KIND_FLEET,
     KIND_SWEEP,
     ResultStore,
     resolve_store_path,
@@ -258,17 +257,35 @@ def test_stats_protocol_breakdown(store):
     store.put("c1", KIND_CAMPAIGN, {"module_id": "M1", "observations": []})
     store.put("c2", KIND_CAMPAIGN, {"module_id": "D0", "observations": []})
     store.put("sw", KIND_SWEEP, {"mixes": []})
-    store.put("fl", KIND_FLEET, {"spec": {"n_modules": 4}})
-    store.put(
-        "fl5", KIND_FLEET, {"spec": {"n_modules": 4, "protocols": ["DDR5"]}}
-    )
     store.put("??", KIND_CAMPAIGN, {"module_id": "NOT-A-DEVICE"})
     breakdown = store.stats()["per_protocol"]
-    # M1 is DDR4; D0 is DDR5 and the memsim sweep substrate is DDR5 too;
-    # fleet checkpoints are labelled by their sampling pool.
-    assert breakdown == {
-        "DDR4": 1,
-        "DDR4+HBM2": 1,
-        "DDR5": 3,
-        "unknown": 1,
-    }
+    # M1 is DDR4; D0 is DDR5 and the memsim sweep substrate is DDR5 too.
+    assert breakdown == {"DDR4": 1, "DDR5": 2, "unknown": 1}
+
+
+def test_legacy_kind_rows_are_counted_and_prunable(store):
+    """Rows of a kind this version no longer writes (older releases
+    stored ``kind='fleet'`` checkpoints) stay visible to ``stats`` and
+    ``prune`` and do not disturb campaign reads and writes."""
+    store.put("c1", KIND_CAMPAIGN, {"module_id": "M1"})
+    blob = encode_payload({"spec": {"n_modules": 4}})
+    with sqlite3.connect(store.path) as conn:
+        conn.execute(
+            "INSERT INTO results "
+            "(key, kind, checksum, payload, nbytes, created_at) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
+            ("legacy", "fleet", payload_checksum(blob), blob, len(blob),
+             time.time() - 60.0),
+        )
+    store.put("c2", KIND_CAMPAIGN, {"module_id": "M1"})
+    assert store.get("c1", KIND_CAMPAIGN) == {"module_id": "M1"}
+    assert store.get("c2", KIND_CAMPAIGN) == {"module_id": "M1"}
+    stats = store.stats()
+    assert stats["entries"] == 3
+    assert stats["per_kind"] == {KIND_CAMPAIGN: 2, "fleet": 1}
+    assert stats["per_protocol"] == {"DDR4": 2, "unknown": 1}
+
+    assert store.prune(older_than_s=0) == 3
+    assert store.keys() == []
+    store.put("c3", KIND_CAMPAIGN, {"module_id": "M1"})
+    assert store.get("c3", KIND_CAMPAIGN) == {"module_id": "M1"}

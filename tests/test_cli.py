@@ -173,9 +173,16 @@ def test_profile_adaptive_deterministic_across_jobs(capsys, tmp_path):
     ["measure", "M1", "--row", "-1", "-n", "10"],
     ["fig14", "--mixes", "0", "--window", "2000", "--no-cache"],
     ["table3", "--ber", "2"],
-    ["fleet", "-m", "0", "--quiet"],
+    ["attack", "M1", "--windows", "0"],
+    ["analyze", "{tmp}/nope.json"],
+    ["analyze", "{tmp}"],
+    ["analyze", "{tmp}/latin1.json"],
+    ["profile", "M1", "--rows-per-block", "1", "-n", "20", "--no-cache",
+     "-o", "{tmp}/missing/x.json"],
 ])
-def test_library_error_prints_one_line_and_exits_2(capsys, argv):
+def test_library_error_prints_one_line_and_exits_2(capsys, tmp_path, argv):
+    (tmp_path / "latin1.json").write_bytes(b'{"module_id": "\xe9"}')
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"repro {argv[0]}: ")
@@ -183,87 +190,46 @@ def test_library_error_prints_one_line_and_exits_2(capsys, argv):
     assert "Traceback" not in captured.err
 
 
-FLEET_ARGS = [
-    "fleet", "-m", "6", "--rows", "2", "-n", "6", "--shard-size", "2",
-    "--seed", "77",
-]
-
-
-def test_fleet_command_tables_and_json(capsys, tmp_path):
-    import json
-
-    store = str(tmp_path / "fleet.sqlite")
-    assert main(FLEET_ARGS + ["--store", store, "--quiet"]) == 0
-    out = capsys.readouterr().out
-    assert "fleet guardband failure" in out
-    assert "per-region guardband failures" in out
-    assert "ECC undetectable escape" in out
-
-    output = tmp_path / "fleet.json"
-    assert main(FLEET_ARGS + [
-        "--store", store, "--quiet", "--json", "-o", str(output),
-    ]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload == json.loads(output.read_text())
-    assert payload["resumed_shards"] == 3  # second run rode checkpoints
-    assert payload["summary"]["modules"] == 6
-
-
-def test_fleet_command_interrupt_then_resume(capsys, tmp_path):
-    import json
-
-    store = str(tmp_path / "fleet.sqlite")
-    assert main(FLEET_ARGS + [
-        "--store", store, "--quiet", "--fail-after-shards", "1",
-    ]) == 3
-    assert "interrupted" in capsys.readouterr().err
-    assert main(FLEET_ARGS + ["--store", store, "--json"]) == 0
-    captured = capsys.readouterr()
-    resumed = json.loads(captured.out)
-    assert resumed["resumed_shards"] == 1
-    assert "resumed" in captured.err
-
-    clean = str(tmp_path / "clean.sqlite")
-    assert main(FLEET_ARGS + ["--store", clean, "--quiet", "--json"]) == 0
-    uninterrupted = json.loads(capsys.readouterr().out)
-    for payload in (resumed, uninterrupted):
-        payload.pop("computed_shards")
-        payload.pop("resumed_shards")
-    assert resumed == uninterrupted
-
-
 def test_store_prune_command(capsys, tmp_path):
+    from repro.store import KIND_CAMPAIGN, KIND_SWEEP, ResultStore
+
     store = str(tmp_path / "results.sqlite")
-    assert main(FLEET_ARGS + ["--store", store, "--quiet"]) == 0
-    capsys.readouterr()
+    results = ResultStore(store)
+    results.put("c", KIND_CAMPAIGN, {"module_id": "M1"})
+    for key in ("s1", "s2", "s3"):
+        results.put(key, KIND_SWEEP, {})
 
     # Refuses a filterless wipe.
     assert main(["store", "prune", "--store", store]) == 1
     assert "refusing" in capsys.readouterr().err
 
-    assert main(["store", "prune", "--store", store, "--kind", "fleet",
+    assert main(["store", "prune", "--store", store, "--kind", "sweep",
                  "--older-than", "1"]) == 0
-    assert "pruned 0 fleet entries" in capsys.readouterr().out
+    assert "pruned 0 sweep entries" in capsys.readouterr().out
 
-    assert main(["store", "prune", "--store", store, "--kind", "fleet"]) == 0
-    assert "pruned 3 fleet entries" in capsys.readouterr().out
+    assert main(["store", "prune", "--store", store, "--kind", "sweep"]) == 0
+    out = capsys.readouterr().out
+    assert "pruned 3 sweep entries" in out
+    assert "store now holds 1 entries" in out
     assert main(["store", "stats", "--store", store]) == 0
-    assert "fleet" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "sweep" not in out
+    assert "campaign" in out
 
 
 @pytest.mark.parametrize("age", ["-1", "nan", "inf"])
 def test_store_prune_rejects_bad_age_without_deleting(capsys, tmp_path, age):
-    from repro.store import KIND_CAMPAIGN, KIND_FLEET, ResultStore
+    from repro.store import KIND_CAMPAIGN, KIND_SWEEP, ResultStore
 
     path = tmp_path / "results.sqlite"
     store = ResultStore(path)
     store.put("c", KIND_CAMPAIGN, {})
-    store.put("f", KIND_FLEET, {})
-    for extra in ([], ["--kind", "fleet"]):
+    store.put("s", KIND_SWEEP, {})
+    for extra in ([], ["--kind", "sweep"]):
         assert main(["store", "prune", "--store", str(path),
                      "--older-than", age, *extra]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert "--older-than" in captured.err
-    assert store.keys() == ["c", "f"]
+    assert store.keys() == ["c", "s"]
