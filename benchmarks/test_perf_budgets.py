@@ -9,7 +9,7 @@ path lives in ``tests/differential``.
 * **traced sweep** — a Fig. 14 sweep under :func:`repro.obs.tracing`
   stays within ``VRD_BENCH_OBS_MAX_OVERHEAD`` (default 1.25x) of the
   untraced run.
-* **timing checker** — a compiled Bender series with
+* **timing checker** — a Bender series with
   ``VRD_TIMING_CHECK=1`` stays within ``VRD_BENCH_PROTOCOL_MAX_OVERHEAD``
   (default 1.3x) of the unchecked series.
 
@@ -70,7 +70,7 @@ def _checker_series(checked: bool, sweep) -> np.ndarray:
     os.environ[TIMING_CHECK_ENV_VAR] = "1" if checked else "0"
     try:
         module, config = _checker_module()
-        meter = RdtMeter(DramBender(module, init_radius=16), 0, compiled=True)
+        meter = RdtMeter(DramBender(module, init_radius=16), 0)
         return meter.measure_series(200, config, 100, sweep=sweep).values
     finally:
         if previous is None:

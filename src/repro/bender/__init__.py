@@ -9,10 +9,12 @@ modules of :mod:`repro.dram`:
 * :mod:`repro.bender.isa` / :mod:`repro.bender.program` — the test-program
   instruction set and builder;
 * :mod:`repro.bender.interpreter` — executes programs with tight JEDEC
-  scheduling and full command/time accounting;
-* :mod:`repro.bender.compiler` — lowers straight-line programs to batched
-  replay plans, bit-identical to the interpreter (the fast path real
-  DRAM-Bender deployments get from FPGA-side command streams);
+  scheduling and full command/time accounting; the specification every
+  trial replay is held to;
+* :mod:`repro.bender.compiler` — lowers the Algorithm 1 trial program to a
+  cached replay plan with the hammer count as an operand, bit-identical to
+  interpreting it (the throughput real DRAM-Bender deployments get from
+  FPGA-side command streams); every ``DramBender.run_trial`` replays one;
 * :mod:`repro.bender.temperature` — the heater-pad + PID controller loop
   (MaxWell FT200-style, +/-0.5 C precision);
 * :mod:`repro.bender.host` — the high-level host API used by the
@@ -33,12 +35,7 @@ from repro.bender.isa import (
 )
 from repro.bender.program import Program, ProgramBuilder
 from repro.bender.interpreter import ExecutionResult, Interpreter
-from repro.bender.compiler import (
-    CompiledProgram,
-    CompiledTrial,
-    compile_program,
-    compile_trial,
-)
+from repro.bender.compiler import CompiledTrial, compile_trial
 from repro.bender.temperature import PidTemperatureController
 from repro.bender.host import DramBender
 from repro.bender.platform import ALVEO_U200, ALVEO_U50, XUPVVH, FpgaBoard, Testbed
@@ -55,9 +52,7 @@ __all__ = [
     "ProgramBuilder",
     "Interpreter",
     "ExecutionResult",
-    "CompiledProgram",
     "CompiledTrial",
-    "compile_program",
     "compile_trial",
     "PidTemperatureController",
     "DramBender",

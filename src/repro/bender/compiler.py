@@ -1,21 +1,26 @@
-"""Trace compiler for DRAM Bender programs.
+"""Trace compiler for DRAM Bender trials.
 
 Real DRAM-Bender-style testbeds (and SoftMC before them) get their
 throughput by compiling whole test loops into dense command streams that
 the FPGA replays in bulk. This module is the software analogue for the
-simulated Bender: it takes a straight-line :class:`~repro.bender.program.
-Program`, validates it once against the same rules the interpreter and the
-bank enforce, and lowers it to a flat list of pre-resolved steps — physical
-row addresses, shared fill templates, constant timing operands — that can
-be executed without per-instruction dispatch, per-write ``np.full``
-allocations, or per-trial program rebuilds.
+simulated Bender: it takes the straight-line Algorithm 1 trial
+:class:`~repro.bender.program.Program` that
+:meth:`~repro.bender.host.DramBender.trial_program` builds, validates it
+once against the same rules the interpreter and the bank enforce, and
+lowers it to a flat list of pre-resolved steps — physical row addresses,
+shared fill templates, constant timing operands — that can be executed
+without per-instruction dispatch, per-write ``np.full`` allocations, or
+per-trial program rebuilds. Every ``DramBender.run_trial`` replays such a
+plan.
 
 The scalar :class:`~repro.bender.interpreter.Interpreter` remains the
-specification. Everything the compiled path produces — ``reads``,
-``elapsed_ns``, ``command_counts``, bank timing state, stress accounting,
-RNG consumption of the fault model — is bit-identical to ``Interpreter.run``
-on the same program, and ``tests/bender/test_compiler.py`` asserts exactly
-that over a randomized program corpus. Two consequences shape the design:
+specification. Everything a replay produces — the victim's flipped bits,
+the interpreter clock, command counts, bank timing state, stress
+accounting, RNG consumption of the fault model — is bit-identical to
+``Interpreter.run`` on the same trial program followed by a byte compare
+of the victim; ``tests/bender/test_compiler.py`` and the ``bender`` pairs
+of ``tests/differential`` assert exactly that. Two consequences shape the
+design:
 
 * **Timing is replayed, not re-associated.** IEEE floats make
   ``fl(fl(a + x) + y) != fl(a + (x + y))`` in general, so the JEDEC
@@ -26,22 +31,21 @@ that over a randomized program corpus. Two consequences shape the design:
   data movement: shared fill templates instead of per-instruction
   ``np.full``, skip-copy row writes, and flips read off the bank's stress
   ledger instead of an 8 KiB ``unpackbits`` compare.
-* **Malformed programs fail at compile time.** ``compile_program`` raises
+* **Malformed programs fail at compile time.** ``compile_trial`` raises
   the same exception classes the scalar path would (``ProgramError`` for
   column access with no open row or duplicate read tags,
   ``CommandSequenceError`` for ACT-while-open, ``AddressError`` for bad
   addresses) — but *before* executing anything, where the interpreter
-  raises mid-run after earlier instructions took effect. Compiled programs
-  also require every touched bank to be closed when ``run`` starts (the
-  builder idioms always end closed); ``run`` checks and refuses otherwise.
+  raises mid-run after earlier instructions took effect. A replay also
+  requires the trial's bank to be closed when it starts (the builder
+  idioms always end closed) and refuses otherwise.
 
-:class:`CompiledTrial` specializes the plan for ``DramBender.run_trial``:
-the hammer count becomes a replay operand, so one compilation serves a
-whole ``RdtMeter.measure_series`` sweep grid, and row writes skip the
-template copy entirely when the stored row is provably unchanged since the
-previous replay (tracked through the stress ledger's ``flipped`` set; the
-skip is disabled while refresh is enabled, since ``refresh_row`` clears the
-ledger without restoring content).
+:class:`CompiledTrial` makes the hammer count a replay operand, so one
+compilation serves a whole ``RdtMeter.measure_series`` sweep grid, and row
+writes skip the template copy entirely when the stored row is provably
+unchanged since the previous replay (tracked through the stress ledger's
+``flipped`` set; the skip is disabled while refresh is enabled, since
+``refresh_row`` clears the ledger without restoring content).
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.bender.interpreter import ExecutionResult, Interpreter
+from repro.bender.interpreter import Interpreter
 from repro.bender.isa import Act, Hammer, Pre, ReadRow, Wait, WriteRow
 from repro.bender.program import Program
 from repro.dram.bank import _RowStress
@@ -210,151 +214,15 @@ def _lower(program: Program, module: DramModule) -> Tuple[List[Step], Dict[str, 
     return steps, counts
 
 
-class CompiledProgram:
-    """A lowered straight-line program, replayable without re-validation.
-
-    ``run`` executes against the real module state through the same
-    module-level calls the interpreter issues, so the result — and every
-    side effect on banks, stress ledgers, the TRR sampler, and the fault
-    model's RNG streams — is bit-identical to ``Interpreter.run`` on the
-    source program.
-    """
-
-    def __init__(self, program: Program, module: DramModule):
-        self.name = program.name
-        self.module = module
-        self.steps, self.static_counts = _lower(program, module)
-        self.touched_banks = sorted(
-            {step[1] for step in self.steps if step[0] != OP_WAIT}
-        )
-
-    def run(self, interpreter: Interpreter) -> ExecutionResult:
-        """Execute the compiled plan; mirror of ``Interpreter.run``."""
-        module = self.module
-        if interpreter.module is not module:
-            raise ProgramError(
-                "compiled program executed against a different module"
-            )
-        for bank_index in self.touched_banks:
-            open_row = module.bank(bank_index).open_row
-            if open_row is not None:
-                raise CommandSequenceError(
-                    f"bank {bank_index}: compiled program requires a closed "
-                    f"bank at entry, but row {open_row} is open (run the "
-                    "scalar interpreter instead)"
-                )
-        timing = module.timing
-        tRP = timing.tRP
-        tRC = timing.tRC
-        tRAS = timing.tRAS
-        tWR = timing.tWR
-        tRCD = timing.tRCD
-        tRTP = timing.tRTP
-        columns = module.geometry.columns_per_row
-        # Pure products of constants: value-identical to the per-step
-        # evaluation in the interpreter.
-        write_tail = (columns - 1) * timing.tCCD_L_WR
-        read_tail = (columns - 1) * timing.tCCD_L
-
-        now = interpreter.now
-        start = now
-        reads: Dict[str, np.ndarray] = {}
-        banks = module.banks
-        # Timing-check pass: record the same logical stream the scalar
-        # interpreter would; None on the (default) unchecked path.
-        record = interpreter.record if interpreter.log is not None else None
-        tCCD_L_WR = timing.tCCD_L_WR
-        tCCD_L = timing.tCCD_L
-
-        for step in self.steps:
-            op = step[0]
-            if op == OP_WRITE:
-                bank = banks[step[1]]
-                first_wr = max(now, bank.opened_at + tRCD)
-                finish = first_wr + write_tail
-                module.write_row(step[1], step[2], step[4], finish)
-                if record is not None:
-                    record(CommandBurst(
-                        CommandKind.WR, first_wr, tCCD_L_WR, columns,
-                        bank=step[1], row=step[2],
-                    ))
-                now = finish
-            elif op == OP_ACT:
-                bank = banks[step[1]]
-                ready = max(
-                    now, bank.last_precharge + tRP, bank.last_activate + tRC
-                )
-                module.activate(step[1], step[2], ready)
-                if record is not None:
-                    record(Command(
-                        CommandKind.ACT, ready, bank=step[1], row=step[2]
-                    ))
-                now = ready
-            elif op == OP_PRE:
-                bank = banks[step[1]]
-                ready = max(
-                    now, bank.opened_at + tRAS, bank.last_write_end + tWR
-                )
-                if step[2] is not None:
-                    ready = max(ready, bank.opened_at + step[2])
-                module.precharge(step[1], ready)
-                if record is not None:
-                    record(Command(CommandKind.PRE, ready, bank=step[1]))
-                now = ready
-            elif op == OP_PRE_IDLE:
-                module.precharge(step[1], now)
-                if record is not None:
-                    record(Command(CommandKind.PRE, now, bank=step[1]))
-            elif op == OP_READ:
-                bank = banks[step[1]]
-                first_rd = max(now, bank.opened_at + tRCD)
-                finish = first_rd + read_tail + tRTP
-                reads[step[4]] = module.read_row(step[1], step[2], finish)
-                if record is not None:
-                    record(CommandBurst(
-                        CommandKind.RD, first_rd, tCCD_L, columns,
-                        bank=step[1], row=step[2],
-                    ))
-                now = finish
-            elif op == OP_WAIT:
-                now += step[1]
-            else:  # OP_HAMMER
-                if record is not None:
-                    first_act = max(
-                        now, banks[step[1]].last_precharge + tRP
-                    )
-                now = module.bulk_hammer(step[1], step[2], step[4], step[3], now)
-                if record is not None and step[4] > 0 and step[2]:
-                    record(HammerBlock(
-                        step[1], tuple(step[2]), step[4], step[3], tRP,
-                        first_act,
-                    ))
-
-        interpreter.now = now
-        for kind, amount in self.static_counts.items():
-            interpreter._bump(kind, amount)
-        return ExecutionResult(
-            program_name=self.name,
-            elapsed_ns=now - start,
-            reads=reads,
-            command_counts=dict(self.static_counts),
-        )
-
-
-def compile_program(program: Program, module: DramModule) -> CompiledProgram:
-    """Compile a program for repeated execution against ``module``."""
-    return CompiledProgram(program, module)
-
-
 class CompiledTrial:
     """A compiled Algorithm 1 trial with the hammer count as an operand.
 
     One compilation covers a whole measurement sweep: ``replay`` executes
     the init → double-sided hammer → readback trace with a per-call hammer
     count and returns the victim's flipped bit positions — bit-identical to
-    ``DramBender.run_trial`` (which stays the oracle), including the bank
-    timing state, stress accounting, TRR sampling, and fault-model RNG
-    consumption it leaves behind.
+    interpreting the same trial program and comparing the victim byte for
+    byte, including the bank timing state, stress accounting, TRR
+    sampling, and fault-model RNG consumption it leaves behind.
 
     Beyond dispatch, two trial-specific shortcuts hold the speedup:
 
@@ -363,10 +231,10 @@ class CompiledTrial:
       the row's stress ledger records no materialized flips, the row
       provably equals the template (flips only materialize on read and are
       always ledgered), so the 1–8 KiB copy is skipped. Any external write
-      replaces the object and any read that flips is ledgered, so mixed
-      compiled/scalar use stays exact; the shortcut disarms while refresh
-      is enabled because ``refresh_row`` clears the ledger without
-      restoring content.
+      replaces the object and any read that flips is ledgered, so mixing
+      replays with interpreted programs stays exact; the shortcut disarms
+      while refresh is enabled because ``refresh_row`` clears the ledger
+      without restoring content.
     * **Ledger reads.** The victim is written with the pattern byte each
       trial, so its post-read XOR against the expected image is exactly
       the stress ledger's ``flipped`` set — no row copy, no ``unpackbits``.
@@ -529,6 +397,8 @@ class CompiledTrial:
             raise ProgramError(
                 "compiled trial executed against a different module"
             )
+        if hammer_count < 0:
+            raise ProgramError(f"negative hammer count {hammer_count}")
         bank = module.banks[self.bank_index]
         if bank.open_row is not None:
             raise CommandSequenceError(

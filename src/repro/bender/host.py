@@ -3,11 +3,15 @@
 The host is what the characterization methodology programs against: it
 prepares the device (disabling interference sources per Sec. 3.1), controls
 temperature, reverse-engineers row adjacency, and executes the
-initialize / hammer / compare trials that Algorithm 1 is built from.
+initialize / hammer / compare trials that Algorithm 1 is built from. Each
+trial replays a cached compiled plan of its program
+(:mod:`repro.bender.compiler`); other programs, such as the adjacency
+probes, run on the interpreter.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -16,13 +20,19 @@ from repro import obs
 from repro.bender.compiler import CompiledTrial, compile_trial
 from repro.bender.interpreter import Interpreter
 from repro.bender.platform import FpgaBoard, board_for
-from repro.bender.program import ProgramBuilder
+from repro.bender.program import Program, ProgramBuilder
 from repro.bender.temperature import PidTemperatureController
 from repro.core.patterns import DataPattern
 from repro.dram.faults import Condition
 from repro.dram.mapping import reverse_engineer_adjacency
 from repro.dram.module import DramModule
 from repro.errors import MeasurementError
+
+#: Compiled trial plans one host keeps, least recently used evicted first.
+#: A measurement sweep replays a single plan, so a small bound loses
+#: nothing; without one, a scan over many victims holds a plan (step list
+#: and row templates) per victim for the host's lifetime.
+TRIAL_PLAN_CACHE_SIZE = 64
 
 
 class DramBender:
@@ -53,7 +63,9 @@ class DramBender:
         self.init_radius = init_radius
         self.interpreter = Interpreter(module)
         self._adjacency: Dict[int, Dict[int, List[int]]] = {}
-        self._compiled_trials: Dict[tuple, CompiledTrial] = {}
+        self._compiled_trials: "OrderedDict[tuple, CompiledTrial]" = (
+            OrderedDict()
+        )
 
     # ------------------------------------------------------------------
     # Testbed preparation (paper Sec. 3.1)
@@ -165,71 +177,17 @@ class DramBender:
             bank, physical, self.condition_for(pattern, t_agg_on)
         )
 
-    def compiled_trial(
-        self, bank: int, victim: int, pattern: DataPattern, t_agg_on: float
-    ) -> CompiledTrial:
-        """The compiled replay plan for ``run_trial`` at these operands.
-
-        Plans are cached per (bank, victim, pattern, effective tAggOn,
-        aggressor set): one compilation serves every hammer count of a
-        measurement sweep. See :mod:`repro.bender.compiler`.
-        """
-        aggressors = self.aggressors_for(bank, victim)
-        if not aggressors:
-            raise MeasurementError(
-                f"victim row {victim} has no physical neighbors to hammer"
-            )
-        effective_on = max(t_agg_on, self.module.timing.tRAS)
-        key = (
-            bank, victim, pattern.name, effective_on, tuple(aggressors),
-            self.init_radius,
-        )
-        plan = self._compiled_trials.get(key)
-        if plan is None:
-            builder = ProgramBuilder(f"trial-b{bank}-r{victim}")
-            builder.initialize_neighborhood(
-                bank,
-                victim,
-                aggressors,
-                pattern,
-                self.module.geometry.n_rows,
-                radius=self.init_radius,
-            )
-            # The hammer count is a replay operand; compile a placeholder.
-            builder.double_sided_round(bank, aggressors, 1, effective_on)
-            builder.read_row(bank, victim, "victim")
-            plan = compile_trial(builder.build(), self.module)
-            self._compiled_trials[key] = plan
-            obs.active().counter_add("bender.trial.compile")
-        return plan
-
-    def run_trial(
+    def trial_program(
         self,
         bank: int,
         victim: int,
         pattern: DataPattern,
         hammer_count: int,
         t_agg_on: float,
-        compiled: bool = False,
-    ) -> List[int]:
-        """One Algorithm 1 trial: initialize, hammer double-sided, compare.
-
-        With ``compiled=True`` the trial replays a cached compiled plan
-        (bit-identical results and device state; the scalar interpreter
-        below stays the oracle — see :mod:`repro.bender.compiler`).
-
-        Returns:
-            Bit positions (within the module row) that flipped in the
-            victim; empty when the row survived.
-        """
-        recorder = obs.active()
-        if compiled:
-            if recorder.enabled:
-                recorder.counter_add("bender.trial.compiled")
-            plan = self.compiled_trial(bank, victim, pattern, t_agg_on)
-            return plan.replay(self.interpreter, hammer_count)
-        if recorder.enabled:
-            recorder.counter_add("bender.trial.interpreted")
+    ) -> Program:
+        """The Algorithm 1 trial as a Bender program: initialize the
+        Table 2 neighborhood, hammer double-sided, read the victim back
+        under the tag ``"victim"``."""
         aggressors = self.aggressors_for(bank, victim)
         if not aggressors:
             raise MeasurementError(
@@ -247,13 +205,61 @@ class DramBender:
         effective_on = max(t_agg_on, self.module.timing.tRAS)
         builder.double_sided_round(bank, aggressors, hammer_count, effective_on)
         builder.read_row(bank, victim, "victim")
-        result = self.interpreter.run(builder.build())
-        observed = result.reads["victim"]
-        expected = np.full(
-            self.module.geometry.row_bytes, pattern.victim_byte, dtype=np.uint8
+        return builder.build()
+
+    def compiled_trial(
+        self, bank: int, victim: int, pattern: DataPattern, t_agg_on: float
+    ) -> CompiledTrial:
+        """The compiled replay plan for ``run_trial`` at these operands.
+
+        Plans are cached per (bank, victim, pattern, effective tAggOn,
+        aggressor set): one compilation serves every hammer count of a
+        measurement sweep. The cache keeps the
+        :data:`TRIAL_PLAN_CACHE_SIZE` most recently used plans. See
+        :mod:`repro.bender.compiler`.
+        """
+        key = (
+            bank, victim, pattern.name,
+            max(t_agg_on, self.module.timing.tRAS),
+            tuple(self.aggressors_for(bank, victim)), self.init_radius,
         )
-        delta = np.unpackbits(observed ^ expected, bitorder="little")
-        return [int(bit) for bit in np.nonzero(delta)[0]]
+        plans = self._compiled_trials
+        plan = plans.get(key)
+        if plan is None:
+            # The hammer count is a replay operand; compile a placeholder.
+            plan = compile_trial(
+                self.trial_program(bank, victim, pattern, 1, t_agg_on),
+                self.module,
+            )
+            plans[key] = plan
+            if len(plans) > TRIAL_PLAN_CACHE_SIZE:
+                plans.popitem(last=False)
+            obs.active().counter_add("bender.trial.compile")
+        else:
+            plans.move_to_end(key)
+        return plan
+
+    def run_trial(
+        self,
+        bank: int,
+        victim: int,
+        pattern: DataPattern,
+        hammer_count: int,
+        t_agg_on: float,
+    ) -> List[int]:
+        """One Algorithm 1 trial: initialize, hammer double-sided, compare.
+
+        Replays the cached compiled plan of :meth:`trial_program` with
+        ``hammer_count`` as its operand. Results and device state are
+        bit-identical to interpreting the program and comparing the
+        victim byte for byte (see :mod:`repro.bender.compiler`).
+
+        Returns:
+            Bit positions (within the module row) that flipped in the
+            victim; empty when the row survived.
+        """
+        plan = self.compiled_trial(bank, victim, pattern, t_agg_on)
+        return plan.replay(self.interpreter, hammer_count)
 
     def trial_time_ns(
         self, hammer_count: int, t_agg_on: float, aggressors: int = 2

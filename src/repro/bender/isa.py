@@ -9,6 +9,7 @@ command counts and timing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -98,8 +99,10 @@ class Hammer:
             raise ProgramError(f"negative hammer count {self.count}")
         if not self.rows:
             raise ProgramError("hammer needs at least one aggressor row")
-        if self.t_agg_on <= 0:
-            raise ProgramError(f"non-positive t_agg_on {self.t_agg_on}")
+        if not 0 < self.t_agg_on < math.inf:
+            raise ProgramError(
+                f"t_agg_on must be positive and finite, got {self.t_agg_on}"
+            )
 
     @property
     def total_activations(self) -> int:

@@ -671,8 +671,8 @@ def _cmd_verify() -> int:
 
 def _report_workload(seed: int, jobs: Optional[int]) -> None:
     """A small deterministic workload touching every instrumented layer:
-    probe + bulk series (faults/fastfaults), compiled and interpreted
-    Bender trials, fast and reference memsim cells, both ECC decode
+    probe + bulk series (faults/fastfaults), one Bender measurement (its
+    trials replay one compiled plan), fast and reference memsim cells, both ECC decode
     paths, and the same campaign run twice over a throwaway sqlite store
     (compute, then a warm store hit) for the ``engine.*``/``cache.*``/
     ``store.*`` metrics."""
@@ -706,8 +706,7 @@ def _report_workload(seed: int, jobs: Optional[int]) -> None:
 
     bender = DramBender(module)
     sweep = HammerSweep.from_guess(guess)
-    RdtMeter(bender, compiled=True).measure(victim, config, sweep)
-    RdtMeter(bender, compiled=False).measure(victim, config, sweep)
+    RdtMeter(bender).measure(victim, config, sweep)
 
     cell = dict(mitigations=("PARA",), rdts=(1024.0,), margins=(0.0,),
                 n_mixes=1)

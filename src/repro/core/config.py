@@ -7,6 +7,7 @@ on-times (min tRAS, tREFI, 9 x tREFI), and three temperatures (50/65/80 C).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
@@ -34,9 +35,9 @@ class TestConfig:
     wordline_voltage_v: float = 2.5
 
     def __post_init__(self) -> None:
-        if self.t_agg_on_ns <= 0:
+        if not 0 < self.t_agg_on_ns < math.inf:
             raise ConfigurationError(
-                f"t_agg_on must be positive, got {self.t_agg_on_ns}"
+                f"t_agg_on must be positive and finite, got {self.t_agg_on_ns}"
             )
 
     def condition(self, timing: TimingParams) -> Condition:

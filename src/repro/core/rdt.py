@@ -30,7 +30,7 @@ from repro.core.series import RdtSeries
 # loaded module instead of each paying the import lazily per pool.
 from repro.dram import fastfaults  # noqa: F401
 from repro.dram.module import DramModule
-from repro.errors import MeasurementError
+from repro.errors import ConfigurationError, MeasurementError
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
     from repro.bender.host import DramBender
@@ -40,6 +40,12 @@ DEFAULT_VICTIM_THRESHOLD = 40_000.0
 
 #: Hammer-count ceiling for the coarse initial search.
 DEFAULT_SEARCH_CEILING = 1_000_000
+
+
+def _check_repeats(repeats: int) -> None:
+    """The ``repeats`` rule of the batched probe, for the per-row guesses."""
+    if repeats < 1:
+        raise ConfigurationError(f"probe repeats must be >= 1, got {repeats}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,11 @@ class HammerSweep:
     step: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.start, self.stop, self.step))):
+            raise MeasurementError(
+                f"sweep bounds must be finite, got start={self.start}, "
+                f"stop={self.stop}, step={self.step}"
+            )
         if self.step <= 0:
             raise MeasurementError(f"sweep step must be positive, got {self.step}")
         if self.stop <= self.start:
@@ -63,8 +74,10 @@ class HammerSweep:
     @classmethod
     def from_guess(cls, guess: float) -> "HammerSweep":
         """The paper's sweep for a guessed RDT."""
-        if guess <= 0:
-            raise MeasurementError(f"RDT guess must be positive, got {guess}")
+        if not 0 < guess < math.inf:
+            raise MeasurementError(
+                f"RDT guess must be positive and finite, got {guess}"
+            )
         return cls(start=guess / 2.0, stop=guess * 3.0, step=guess / 100.0)
 
     @property
@@ -113,17 +126,14 @@ class RdtMeasurementResult:
 class RdtMeter:
     """Algorithm 1 over the full DRAM Bender trial path.
 
-    ``compiled=True`` routes every trial through the host's compiled replay
-    plans (:mod:`repro.bender.compiler`): the trial program is compiled
-    once per (victim, pattern, tAggOn) and replayed with per-trial hammer
-    counts — bit-identical results and device state, with the scalar
-    interpreter retained as the oracle.
+    Every trial is ``DramBender.run_trial``: the host compiles the trial
+    program once per (victim, pattern, tAggOn) and replays it with
+    per-trial hammer counts (:mod:`repro.bender.compiler`).
     """
 
-    def __init__(self, bender: "DramBender", bank: int = 0, compiled: bool = False):
+    def __init__(self, bender: "DramBender", bank: int = 0):
         self.bender = bender
         self.bank = bank
-        self.compiled = compiled
 
     @property
     def module(self) -> DramModule:
@@ -148,7 +158,6 @@ class RdtMeter:
                 config.pattern,
                 int(hammer_count),
                 config.t_agg_on_ns,
-                compiled=self.compiled,
             )
             if flips:
                 return RdtMeasurementResult(
@@ -164,6 +173,8 @@ class RdtMeter:
         sweep: Optional[HammerSweep] = None,
     ) -> RdtSeries:
         """``n`` successive measurements (Algorithm 1's test_loop)."""
+        if n < 0:
+            raise ConfigurationError(f"series length must be >= 0, got {n}")
         if sweep is None:
             guess = self.guess_rdt(victim, config)
             sweep = HammerSweep.from_guess(guess)
@@ -191,6 +202,7 @@ class RdtMeter:
         Bootstraps with a coarse doubling search to locate the right order
         of magnitude, then refines with the standard sweep.
         """
+        _check_repeats(repeats)
         coarse = self._coarse_search(victim, config)
         sweep = HammerSweep.from_guess(coarse)
         values = []
@@ -219,7 +231,6 @@ class RdtMeter:
                 config.pattern,
                 hammer_count,
                 config.t_agg_on_ns,
-                compiled=self.compiled,
             )
             if flips:
                 return float(hammer_count)
@@ -253,6 +264,7 @@ class FastRdtMeter:
 
     def guess_rdt(self, victim: int, config: TestConfig, repeats: int = 10) -> float:
         """Mean of ``repeats`` latent samples from a dedicated guess stream."""
+        _check_repeats(repeats)
         process = self._process(victim)
         samples = process.latent_series(
             self._condition(config), repeats, stream="guess"

@@ -1,8 +1,8 @@
 """Table-driven DRAM command-stream timing validation.
 
-The :class:`TimingChecker` replays any command stream — scalar interpreter,
-compiled Bender plan, or the memory-system simulator's synthesized
-activity — against the declarative rule table its protocol induces
+The :class:`TimingChecker` replays any command stream — a Bender program
+on the interpreter, a Bender trial replay, or the memory-system
+simulator's synthesized activity — against the declarative rule table its protocol induces
 (:func:`repro.dram.timing.rule_table`), reporting violations with logical
 command indices. The idiom follows the controller test models of real
 LPDDR4/LiteX-style verification environments: the rules are plain data,
@@ -15,17 +15,17 @@ history, the internal step against cadence rules). A hammer block feeds
 only its leading ACT/PRE pairs through the full rule walk — enough to
 cover every pair class against pre-block history and, because the loop's
 spacing is uniform, every later pair — then fast-forwards the state to
-the loop's closed-form end. Compiled trial plans go further: their
-command stream is a rigid time-translation between replays, so the full
-walk runs once and later replays are validated through
-:meth:`TimingChecker.feed_certified` junction checks (logged as
-:class:`~repro.dram.commands.RepeatBlock` entries). That keeps a
-checker-on measurement sweep O(1) per trial instead of O(commands),
-which is how the compiled Bender series stays within its overhead
-budget.
+the loop's closed-form end. Bender trials go further: every
+``DramBender.run_trial`` replays a compiled plan whose command stream is
+a rigid time-translation between replays, so the full walk runs once and
+later replays are validated through :meth:`TimingChecker.feed_certified`
+junction checks (logged as :class:`~repro.dram.commands.RepeatBlock`
+entries). That keeps a checker-on measurement sweep O(1) per trial
+instead of O(commands), which is how a Bender series stays within its
+overhead budget.
 
 Opt-in wiring: set ``VRD_TIMING_CHECK=1`` (or pass ``check_timing=True`` /
-``--check-timing``) and the Bender interpreter, the compiled plans, and
+``--check-timing``) and the Bender interpreter, the trial replays, and
 the memory-system reference loop record their streams and raise
 :class:`~repro.errors.TimingViolationError` on the first violation. With
 the flag off (the default), no log exists and every path is bit-identical

@@ -77,11 +77,12 @@ class SweepSpec:
             raise ConfigurationError(
                 f"engine must be 'fast' or 'reference', got {self.engine!r}"
             )
-        # Validate every (rdt, margin) pair eagerly so a bad grid fails
-        # before any simulation runs.
+        # Validate every (rdt, margin) pair and the system parameters
+        # eagerly so a bad grid fails before any simulation runs.
         for rdt in self.rdts:
             for margin in self.margins:
                 apply_guardband(rdt, margin)
+        self.config()
 
     def config(self) -> SystemConfig:
         return SystemConfig(

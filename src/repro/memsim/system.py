@@ -15,6 +15,7 @@ multicore workloads:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -100,10 +101,14 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.n_banks < 1 or self.n_rows < 2:
             raise SimulationError("need at least 1 bank and 2 rows")
-        if self.window_ns <= 0:
-            raise SimulationError("window must be positive")
-        if self.t_refw_ns <= 0:
-            raise SimulationError("tREFW must be positive")
+        if not 0 < self.window_ns < math.inf:
+            raise SimulationError(
+                f"window must be positive and finite, got {self.window_ns}"
+            )
+        if not 0 < self.t_refw_ns < math.inf:
+            raise SimulationError(
+                f"tREFW must be positive and finite, got {self.t_refw_ns}"
+            )
 
 
 @dataclass

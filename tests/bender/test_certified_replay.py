@@ -1,6 +1,6 @@
 """Certified checked replays must agree with the full per-command walk.
 
-With ``VRD_TIMING_CHECK=1``, a compiled trial's first replay feeds every
+With ``VRD_TIMING_CHECK=1``, a Bender trial plan's first replay feeds every
 command through the :class:`~repro.dram.checker.TimingChecker`; later
 replays of the same rigid plan are validated through junction checks and
 logged as :class:`~repro.dram.commands.RepeatBlock` entries. The ground
@@ -37,9 +37,7 @@ def _run_sweep(bender, counts):
     module = bender.module
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     for count in counts:
-        bender.run_trial(
-            0, 40, config.pattern, count, config.t_agg_on_ns, compiled=True
-        )
+        bender.run_trial(0, 40, config.pattern, count, config.t_agg_on_ns)
 
 
 def test_certified_replays_match_full_walk(monkeypatch):

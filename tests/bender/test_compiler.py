@@ -1,30 +1,31 @@
 """Equality tests for the Bender trace compiler.
 
 The scalar :class:`~repro.bender.interpreter.Interpreter` is the
-specification; :mod:`repro.bender.compiler` must reproduce it bit for bit —
-same reads, same ``elapsed_ns``, same command counts, same device state, and
-the same exception classes on malformed programs (raised up front at
-compile time instead of mid-run).
+specification: ``DramBender.run_trial`` replays a compiled plan of
+``DramBender.trial_program`` and must match interpreting that program
+(``tests.differential.harness.interpreted_trial``) bit for bit — same
+flips, same clock, same command counts, same device state — and malformed
+programs must fail with the interpreter's exception classes (raised up
+front at compile time instead of mid-run).
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bender.compiler import (
-    CompiledProgram,
-    compile_program,
-    compile_trial,
-)
-from repro.bender.host import DramBender
+from repro.bender.compiler import compile_trial
+from repro.bender.host import TRIAL_PLAN_CACHE_SIZE, DramBender
 from repro.bender.interpreter import Interpreter
 from repro.bender.isa import ReadRow
 from repro.bender.program import Program, ProgramBuilder
 from repro.core.config import TestConfig
-from repro.core.patterns import CHECKERED0, ROWSTRIPE0
+from repro.core.patterns import ALL_PATTERNS, CHECKERED0, ROWSTRIPE0
 from repro.core.rdt import FastRdtMeter, HammerSweep, RdtMeter
-from repro.errors import CommandSequenceError, ReproError
+from repro.errors import CommandSequenceError, ProgramError, ReproError
 from tests.conftest import make_module
+from tests.differential.harness import interpreted_trial
 
 
 def fresh_module(seed=1234, **kwargs):
@@ -51,118 +52,59 @@ def snapshot(interpreter):
     return state
 
 
-def run_both(program, seed=1234):
-    """Run ``program`` scalar and compiled on twin modules.
+def assert_same_error(program):
+    """Interpreting ``program`` and compiling it raise the same class."""
+    with pytest.raises(ReproError) as scalar:
+        Interpreter(fresh_module()).run(program)
+    with pytest.raises(ReproError) as compiled:
+        compile_trial(program, fresh_module())
+    assert type(compiled.value) is type(scalar.value)
 
-    Returns ``(outcome, scalar_state, compiled_state)`` where outcome is
-    ``("ok", scalar_result, compiled_result)`` or ``("err", exc_type)``
-    with both routes agreeing on the exception class.
-    """
-    scalar_interp = Interpreter(fresh_module(seed=seed))
-    compiled_interp = Interpreter(fresh_module(seed=seed))
 
-    scalar_exc = scalar_result = None
-    try:
-        scalar_result = scalar_interp.run(program)
-    except ReproError as exc:
-        scalar_exc = exc
+class InterpretedBender(DramBender):
+    """A host whose trials run on the interpreter (the oracle route)."""
 
-    compiled_exc = compiled_result = None
-    try:
-        plan = compile_program(program, compiled_interp.module)
-        compiled_result = plan.run(compiled_interp)
-    except ReproError as exc:
-        compiled_exc = exc
-
-    if scalar_exc is not None or compiled_exc is not None:
-        assert type(scalar_exc) is type(compiled_exc), (
-            f"scalar raised {scalar_exc!r}, compiled raised {compiled_exc!r}"
+    def run_trial(self, bank, victim, pattern, hammer_count, t_agg_on):
+        return interpreted_trial(
+            self, bank, victim, pattern, hammer_count, t_agg_on
         )
-        return ("err", type(scalar_exc)), None, None
-    return (
-        ("ok", scalar_result, compiled_result),
-        snapshot(scalar_interp),
-        snapshot(compiled_interp),
-    )
-
-
-def assert_results_equal(scalar, compiled):
-    assert compiled.elapsed_ns == scalar.elapsed_ns
-    assert compiled.command_counts == scalar.command_counts
-    assert sorted(compiled.reads) == sorted(scalar.reads)
-    for tag, data in scalar.reads.items():
-        np.testing.assert_array_equal(compiled.reads[tag], data)
 
 
 # ---------------------------------------------------------------------------
 # Randomized property equality
 # ---------------------------------------------------------------------------
 
-# Builder-level operations. write/read idioms emit valid ACT/op/PRE bursts;
-# raw act/pre/read ops inject the interpreter's error paths (ACT while open,
-# ReadRow with no open row, row mismatches); a tiny tag alphabet makes
-# duplicate read tags common.
-ops = st.one_of(
-    st.tuples(st.just("act"), st.integers(0, 1), st.integers(0, 63)),
-    st.tuples(st.just("pre"), st.integers(0, 1),
-              st.one_of(st.none(), st.floats(35.0, 500.0))),
-    st.tuples(st.just("wait"), st.floats(0.0, 1e5)),
-    st.tuples(st.just("write"), st.integers(0, 1), st.integers(0, 63),
-              st.integers(0, 255)),
-    st.tuples(st.just("read"), st.integers(0, 1), st.integers(0, 63),
-              st.sampled_from(["a", "b", "c", "d"])),
-    st.tuples(st.just("raw_read"), st.integers(0, 1), st.integers(0, 63),
-              st.sampled_from(["a", "b", "c", "d"])),
-    st.tuples(st.just("hammer"), st.integers(0, 1),
-              st.lists(st.integers(0, 63), min_size=1, max_size=2),
-              st.integers(0, 500), st.floats(35.0, 1e3)),
+trials = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # bank
+        st.integers(0, 1023),  # victim (edge rows included)
+        st.sampled_from(ALL_PATTERNS),
+        st.integers(0, 6000),  # hammer count
+        st.sampled_from([1.0, 35.0, 300.0, 7800.0]),  # tAggOn
+    ),
+    min_size=1,
+    max_size=6,
 )
 
 
-def build(sequence):
-    builder = ProgramBuilder("prop")
-    for op in sequence:
-        kind = op[0]
-        if kind == "act":
-            builder.act(op[1], op[2])
-        elif kind == "pre":
-            builder.pre(op[1], op[2])
-        elif kind == "wait":
-            builder.wait(op[1])
-        elif kind == "write":
-            builder.write_row(op[1], op[2], op[3])
-        elif kind == "read":
-            builder.read_row(op[1], op[2], op[3])
-        elif kind == "raw_read":
-            builder._program.instructions.append(ReadRow(op[1], op[2], op[3]))
-        elif kind == "hammer":
-            builder.hammer(op[1], op[2], op[3], op[4])
-    return builder.build()
-
-
-@given(sequence=st.lists(ops, max_size=16))
-@settings(max_examples=150, deadline=None)
-def test_compiled_matches_interpreter_on_random_programs(sequence):
-    program = build(sequence)
-    outcome, scalar_state, compiled_state = run_both(program)
-    if outcome[0] == "ok":
-        assert_results_equal(outcome[1], outcome[2])
-        assert compiled_state == scalar_state
-
-
-@given(sequence=st.lists(ops, max_size=16), seed=st.integers(0, 2**16))
-@settings(max_examples=40, deadline=None)
-def test_compiled_matches_interpreter_across_seeds(sequence, seed):
-    program = build(sequence)
-    outcome, scalar_state, compiled_state = run_both(program, seed=seed)
-    if outcome[0] == "ok":
-        assert_results_equal(outcome[1], outcome[2])
-        assert compiled_state == scalar_state
+@given(sequence=trials, seed=st.integers(0, 2**16), radius=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_trial_plans_match_interpreter_on_random_operands(
+    sequence, seed, radius
+):
+    oracle = DramBender(fresh_module(seed=seed), init_radius=radius)
+    replay = DramBender(fresh_module(seed=seed), init_radius=radius)
+    for operands in sequence:
+        assert replay.run_trial(*operands) == interpreted_trial(
+            oracle, *operands
+        )
+    assert snapshot(replay.interpreter) == snapshot(oracle.interpreter)
 
 
 def test_command_estimate_matches_executed_counts():
     """``Program.command_estimate`` equals the executed command totals for
-    builder-generated sweep programs (Appendix A accounting)."""
+    builder-generated sweep programs (Appendix A accounting), on the
+    interpreter and on a trial plan replayed at the same hammer count."""
     module = fresh_module()
     columns = module.geometry.columns_per_row
     for hammers in (0, 1, 777):
@@ -179,10 +121,10 @@ def test_command_estimate_matches_executed_counts():
             columns
         )
 
-        plan = compile_program(program, module)
-        compiled = plan.run(Interpreter(module))
-        assert sum(compiled.command_counts.values()) == program.command_estimate(
-            columns
+        interpreter = Interpreter(module)
+        compile_trial(program, module).replay(interpreter, hammers)
+        assert sum(interpreter.total_counts.values()) == (
+            program.command_estimate(columns)
         )
         module = fresh_module()
 
@@ -196,34 +138,30 @@ def test_duplicate_read_tags_raise_like_interpreter():
     builder = ProgramBuilder("dup")
     builder.write_row(0, 5, 0xAA)
     builder.read_row(0, 5, "same").read_row(0, 5, "same")
-    outcome, _, _ = run_both(builder.build())
-    assert outcome[0] == "err"
+    assert_same_error(builder.build())
 
 
 def test_read_without_open_row_raises_like_interpreter():
-    program = Program(name="no-open", instructions=[ReadRow(0, 5, "t")])
-    outcome, _, _ = run_both(program)
-    assert outcome[0] == "err"
+    assert_same_error(
+        Program(name="no-open", instructions=[ReadRow(0, 5, "t")])
+    )
 
 
 def test_compiled_requires_closed_bank_at_entry():
-    module = fresh_module()
-    interpreter = Interpreter(module)
-    program = ProgramBuilder("p").write_row(0, 5, 0xAA).build()
-    plan = compile_program(program, module)
-    # Open the touched bank behind the plan's back.
-    module.activate(0, 9, interpreter.now + 10.0)
+    bender = DramBender(fresh_module())
+    module = bender.module
+    plan = bender.compiled_trial(0, 40, CHECKERED0, module.timing.tRAS)
+    # Open the trial's bank behind the plan's back.
+    module.activate(0, 9, bender.interpreter.now + 10.0)
     with pytest.raises(CommandSequenceError):
-        plan.run(interpreter)
+        plan.replay(bender.interpreter, 100)
 
 
 def test_compiled_rejects_foreign_module():
-    from repro.errors import ProgramError
-
-    program = ProgramBuilder("p").write_row(0, 5, 0xAA).build()
-    plan = compile_program(program, fresh_module())
+    bender = DramBender(fresh_module())
+    plan = bender.compiled_trial(0, 40, CHECKERED0, 35.0)
     with pytest.raises(ProgramError):
-        plan.run(Interpreter(fresh_module()))
+        plan.replay(Interpreter(fresh_module()), 100)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +170,13 @@ def test_compiled_rejects_foreign_module():
 
 
 def test_compiled_trial_matches_run_trial_over_hammer_range():
+    """``run_trial`` (a plan replay) against the interpreted trial."""
     scalar = DramBender(fresh_module())
     compiled = DramBender(fresh_module())
     t_on = scalar.module.timing.tRAS
     for count in (0, 1, 500, 1500, 2500):
-        flips_scalar = scalar.run_trial(0, 40, CHECKERED0, count, t_on)
-        flips_compiled = compiled.run_trial(
-            0, 40, CHECKERED0, count, t_on, compiled=True
-        )
+        flips_scalar = interpreted_trial(scalar, 0, 40, CHECKERED0, count, t_on)
+        flips_compiled = compiled.run_trial(0, 40, CHECKERED0, count, t_on)
         assert flips_compiled == flips_scalar
     assert compiled.interpreter.now == scalar.interpreter.now
     assert dict(compiled.interpreter.total_counts) == dict(
@@ -255,28 +192,32 @@ def test_compiled_trial_with_interference_sources_enabled():
     t_on = scalar.module.timing.tRAS
     for count in (800, 1600, 2400):
         assert compiled.run_trial(
-            0, 52, ROWSTRIPE0, count, t_on, compiled=True
-        ) == scalar.run_trial(0, 52, ROWSTRIPE0, count, t_on)
+            0, 52, ROWSTRIPE0, count, t_on
+        ) == interpreted_trial(scalar, 0, 52, ROWSTRIPE0, count, t_on)
     assert compiled.module._trr.counts == scalar.module._trr.counts
 
 
 def test_mixed_scalar_and_compiled_trials_share_state():
+    """Interpreted trials between replays on one host (they rewrite the
+    plan's rows) leave every later replay exact."""
     scalar = DramBender(fresh_module())
     mixed = DramBender(fresh_module())
     t_on = scalar.module.timing.tRAS
     for index, count in enumerate((300, 900, 1500, 2100)):
-        use_compiled = index % 2 == 1
-        assert mixed.run_trial(
-            0, 44, CHECKERED0, count, t_on, compiled=use_compiled
-        ) == scalar.run_trial(0, 44, CHECKERED0, count, t_on)
-    assert mixed.interpreter.now == scalar.interpreter.now
+        trial = (
+            mixed.run_trial if index % 2 else partial(interpreted_trial, mixed)
+        )
+        assert trial(0, 44, CHECKERED0, count, t_on) == interpreted_trial(
+            scalar, 0, 44, CHECKERED0, count, t_on
+        )
+    assert snapshot(mixed.interpreter) == snapshot(scalar.interpreter)
 
 
 def test_rdt_meter_series_compiled_equals_scalar():
     config_of = lambda module: TestConfig(
         CHECKERED0, t_agg_on_ns=module.timing.tRAS
     )
-    scalar_bender = DramBender(fresh_module())
+    scalar_bender = InterpretedBender(fresh_module())
     compiled_bender = DramBender(fresh_module())
     sweep = HammerSweep.from_guess(
         FastRdtMeter(fresh_module()).guess_rdt(40, config_of(scalar_bender.module))
@@ -284,8 +225,41 @@ def test_rdt_meter_series_compiled_equals_scalar():
     scalar = RdtMeter(scalar_bender).measure_series(
         40, config_of(scalar_bender.module), 12, sweep=sweep
     )
-    compiled = RdtMeter(compiled_bender, compiled=True).measure_series(
+    compiled = RdtMeter(compiled_bender).measure_series(
         40, config_of(compiled_bender.module), 12, sweep=sweep
     )
     np.testing.assert_array_equal(compiled.values, scalar.values)
     assert compiled_bender.interpreter.now == scalar_bender.interpreter.now
+
+
+# ---------------------------------------------------------------------------
+# The bounded plan cache
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("checked", ["0", "1"])
+def test_plan_cache_stays_bounded_and_exact_across_evictions(
+    monkeypatch, checked
+):
+    """More distinct victims than the cache holds, then the first ones
+    again (their plans were evicted and are rebuilt): the cache never
+    exceeds its bound and every trial matches the interpreted oracle,
+    with the timing checker off and on."""
+    monkeypatch.setenv("VRD_TIMING_CHECK", checked)
+    oracle = DramBender(fresh_module())
+    replay = DramBender(fresh_module())
+    t_on = replay.module.timing.tRAS
+    victims = list(range(2, 2 + 3 * (TRIAL_PLAN_CACHE_SIZE + 8), 3))
+    victims += victims[:8]
+    for index, victim in enumerate(victims):
+        count = 400 + 37 * (index % 50)
+        assert replay.run_trial(0, victim, CHECKERED0, count, t_on) == (
+            interpreted_trial(oracle, 0, victim, CHECKERED0, count, t_on)
+        )
+        assert len(replay._compiled_trials) <= TRIAL_PLAN_CACHE_SIZE
+    assert len(replay._compiled_trials) == TRIAL_PLAN_CACHE_SIZE
+    assert replay.interpreter.now == oracle.interpreter.now
+    assert dict(replay.interpreter.total_counts) == dict(
+        oracle.interpreter.total_counts
+    )
+    assert (replay.interpreter.log is None) == (checked == "0")

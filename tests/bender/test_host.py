@@ -8,7 +8,7 @@ from repro.core.patterns import CHECKERED0
 from repro.dram.faults import Condition
 from repro.dram.mapping import ScrambledBlockMapping
 from repro.dram.module import DramModule
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, ProgramError
 from tests.conftest import SMALL_GEOMETRY, make_module
 
 
@@ -78,6 +78,27 @@ def test_run_trial_above_and_below_threshold():
     assert bender.run_trial(0, victim, CHECKERED0, int(threshold * 0.6), t_ras) == []
     flips = bender.run_trial(0, victim, CHECKERED0, int(threshold * 1.1), t_ras)
     assert flips
+
+
+def test_run_trial_rejects_negative_hammer_count():
+    """Same error class as interpreting a trial program with that count."""
+    bender = make_bender()
+    t_ras = bender.module.timing.tRAS
+    with pytest.raises(ProgramError):
+        bender.trial_program(0, 100, CHECKERED0, -1, t_ras)
+    bender.run_trial(0, 100, CHECKERED0, 100, t_ras)  # plan now cached
+    before = bender.elapsed_ns
+    with pytest.raises(ProgramError):
+        bender.run_trial(0, 100, CHECKERED0, -1, t_ras)
+    assert bender.elapsed_ns == before
+
+
+@pytest.mark.parametrize("t_agg_on", [float("nan"), float("inf")])
+def test_run_trial_rejects_non_finite_on_time(t_agg_on):
+    bender = make_bender()
+    with pytest.raises(ProgramError):
+        bender.run_trial(0, 100, CHECKERED0, 100, t_agg_on)
+    assert bender.elapsed_ns == 0.0
 
 
 def test_trial_advances_testbed_clock():

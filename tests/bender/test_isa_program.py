@@ -39,6 +39,9 @@ def test_hammer_validation():
         Hammer(0, [], 10, 35.0)
     with pytest.raises(ProgramError):
         Hammer(0, [1], -1, 35.0)
+    for t_agg_on in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ProgramError):
+            Hammer(0, [1], 10, t_agg_on)
     hammer = Hammer(0, [1, 3], 10, 35.0)
     assert hammer.total_activations == 20
 

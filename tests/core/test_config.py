@@ -44,8 +44,9 @@ def test_label_formats_units():
 
 
 def test_invalid_on_time():
-    with pytest.raises(ConfigurationError):
-        TestConfig(CHECKERED0, t_agg_on_ns=0.0)
+    for value in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            TestConfig(CHECKERED0, t_agg_on_ns=value)
 
 
 def test_subset_grid():

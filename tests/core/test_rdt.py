@@ -13,7 +13,7 @@ from repro.core.rdt import (
     RdtMeter,
     find_victim,
 )
-from repro.errors import MeasurementError
+from repro.errors import ConfigurationError, MeasurementError
 from tests.conftest import make_module
 
 
@@ -48,6 +48,14 @@ class TestHammerSweep:
             HammerSweep(100.0, 200.0, 0.0)
         with pytest.raises(MeasurementError):
             HammerSweep.from_guess(0.0)
+        for value in (np.nan, np.inf, -np.inf):
+            for bounds in (
+                (value, 200.0, 10.0), (100.0, value, 10.0), (100.0, 200.0, value)
+            ):
+                with pytest.raises(MeasurementError):
+                    HammerSweep(*bounds)
+            with pytest.raises(MeasurementError):
+                HammerSweep.from_guess(value)
 
     @given(
         guess=st.floats(min_value=100.0, max_value=1e6),
@@ -87,6 +95,14 @@ class TestFastRdtMeter:
         series = meter.measure_series(100, REF, 500)
         assert guess == pytest.approx(series.mean, rel=0.1)
 
+    def test_guess_repeats_rule_matches_batch(self, module):
+        meter = FastRdtMeter(module)
+        with pytest.raises(ConfigurationError) as batch:
+            meter.guess_rdt_batch([100], REF, repeats=0)
+        with pytest.raises(ConfigurationError) as single:
+            meter.guess_rdt(100, REF, repeats=0)
+        assert str(single.value) == str(batch.value)
+
 
 class TestBenderMeter:
     def test_measure_series_agrees_with_fast_path(self, module):
@@ -116,6 +132,25 @@ class TestBenderMeter:
         meter = RdtMeter(DramBender(module))
         with pytest.raises(MeasurementError):
             meter.guess_rdt(100, REF)
+
+    def test_argument_errors_match_fast_meter(self, module):
+        """Bad ``n`` and ``repeats`` fail like :class:`FastRdtMeter`, before
+        any trial runs."""
+        fast = FastRdtMeter(module)
+        bender = DramBender(module)
+        meter = RdtMeter(bender)
+        sweep = HammerSweep.from_guess(2000.0)
+        with pytest.raises(ConfigurationError) as expected:
+            fast.measure_series(100, REF, -1, sweep=sweep)
+        with pytest.raises(ConfigurationError) as got:
+            meter.measure_series(100, REF, -1, sweep=sweep)
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(ConfigurationError) as expected:
+            fast.guess_rdt(100, REF, repeats=0)
+        with pytest.raises(ConfigurationError) as got:
+            meter.guess_rdt(100, REF, repeats=0)
+        assert str(got.value) == str(expected.value)
+        assert bender.elapsed_ns == 0.0
 
 
 class TestFindVictim:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.memsim.sweep import SweepCache, SweepResult, SweepSpec, run_sweep
 
 #: A grid small enough for test runtimes but with >1 of everything.
@@ -32,6 +32,8 @@ def test_spec_validation():
         SweepSpec(engine="turbo")
     with pytest.raises(ConfigurationError):
         SweepSpec(margins=(1.5,))  # invalid guardband fails eagerly
+    with pytest.raises(SimulationError):
+        SweepSpec(window_ns=float("nan"))  # so does the system config
 
 
 def test_cells_cover_grid_in_order():

@@ -106,3 +106,8 @@ def test_config_validation():
         SystemConfig(window_ns=0.0)
     with pytest.raises(SimulationError):
         SystemConfig(n_banks=0)
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(SimulationError):
+            SystemConfig(window_ns=value)
+        with pytest.raises(SimulationError):
+            SystemConfig(t_refw_ns=value)

@@ -179,6 +179,8 @@ def test_profile_adaptive_deterministic_across_jobs(capsys, tmp_path):
     ["analyze", "{tmp}/latin1.json"],
     ["profile", "M1", "--rows-per-block", "1", "-n", "20", "--no-cache",
      "-o", "{tmp}/missing/x.json"],
+    ["fig14", "--mixes", "1", "--window", "nan", "--no-cache"],
+    ["fig14", "--mixes", "1", "--window", "inf", "--no-cache"],
 ])
 def test_library_error_prints_one_line_and_exits_2(capsys, tmp_path, argv):
     (tmp_path / "latin1.json").write_bytes(b'{"module_id": "\xe9"}')
