@@ -87,11 +87,9 @@ trials = st.lists(
 )
 
 
-@given(sequence=trials, seed=st.integers(0, 2**16), radius=st.integers(1, 4))
-@settings(max_examples=60, deadline=None)
-def test_trial_plans_match_interpreter_on_random_operands(
-    sequence, seed, radius
-):
+def assert_trials_match(sequence, seed, radius):
+    """``run_trial`` (a plan replay) equals the interpreted trial program
+    for every trial of ``sequence``, and both hosts end in the same state."""
     oracle = DramBender(fresh_module(seed=seed), init_radius=radius)
     replay = DramBender(fresh_module(seed=seed), init_radius=radius)
     for operands in sequence:
@@ -99,6 +97,18 @@ def test_trial_plans_match_interpreter_on_random_operands(
             oracle, *operands
         )
     assert snapshot(replay.interpreter) == snapshot(oracle.interpreter)
+
+
+@given(sequence=trials, radius=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_compiled_matches_interpreter_on_random_programs(sequence, radius):
+    assert_trials_match(sequence, seed=1234, radius=radius)
+
+
+@given(sequence=trials, seed=st.integers(0, 2**16), radius=st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_compiled_matches_interpreter_across_seeds(sequence, seed, radius):
+    assert_trials_match(sequence, seed=seed, radius=radius)
 
 
 def test_command_estimate_matches_executed_counts():
