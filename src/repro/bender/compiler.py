@@ -36,9 +36,13 @@ design:
   column access with no open row or duplicate read tags,
   ``CommandSequenceError`` for ACT-while-open, ``AddressError`` for bad
   addresses) — but *before* executing anything, where the interpreter
-  raises mid-run after earlier instructions took effect. A replay also
-  requires the trial's bank to be closed when it starts (the builder
-  idioms always end closed) and refuses otherwise.
+  raises mid-run after earlier instructions took effect. Programs the
+  interpreter accepts but that are not a trial — a ``Wait``, a precharge
+  of an idle bank, more than one bank, hammer or read, or a command
+  stream that is not rigid (see :meth:`CompiledTrial._rigid_stream`) —
+  raise ``ProgramError``. A replay also requires the trial's bank to be
+  closed when it starts (the builder idioms always end closed) and
+  refuses otherwise.
 
 :class:`CompiledTrial` makes the hammer count a replay operand, so one
 compilation serves a whole ``RdtMeter.measure_series`` sweep grid, and row
@@ -71,20 +75,16 @@ from repro.errors import CommandSequenceError, ProgramError
 
 # Lowered opcodes (plain ints: tuple dispatch beats isinstance chains).
 OP_ACT = 0
-OP_PRE = 1  # precharge with an open row (stress accrual)
-OP_PRE_IDLE = 2  # precharge of an idle bank (PREab semantics)
-OP_WRITE = 3
-OP_READ = 4
-OP_WAIT = 5
-OP_HAMMER = 6
+OP_PRE = 1
+OP_WRITE = 2
+OP_READ = 3
+OP_HAMMER = 4
 
 #: Step tuples, by opcode:
 #:   (OP_ACT, bank, logical, physical)
 #:   (OP_PRE, bank, min_on_ns|None, below_victim|-1, above_victim|-1)
-#:   (OP_PRE_IDLE, bank)
 #:   (OP_WRITE, bank, logical, physical, template)
 #:   (OP_READ, bank, logical, physical, tag)
-#:   (OP_WAIT, duration_ns)
 #:   (OP_HAMMER, bank, logical_rows, t_on, count)
 Step = Tuple
 
@@ -94,7 +94,10 @@ def _lower(program: Program, module: DramModule) -> Tuple[List[Step], Dict[str, 
 
     Tracks per-bank symbolic open-row state under the compiled-path entry
     precondition (every touched bank starts closed) and raises the same
-    exception classes the scalar route would, at compile time.
+    exception classes the scalar route would, at compile time. A ``Wait``
+    or an idle-bank precharge is valid but not a trial step: it raises
+    ``ProgramError`` only after the whole program validated, so any error
+    the interpreter would raise takes precedence.
     """
     geometry = module.geometry
     timing = module.timing
@@ -105,6 +108,7 @@ def _lower(program: Program, module: DramModule) -> Tuple[List[Step], Dict[str, 
     counts: Dict[str, int] = {}
     open_rows: Dict[int, Optional[int]] = {}
     tags: set = set()
+    unsupported: Optional[str] = None
 
     def bump(kind: str, amount: int = 1) -> None:
         counts[kind] = counts.get(kind, 0) + amount
@@ -130,14 +134,14 @@ def _lower(program: Program, module: DramModule) -> Tuple[List[Step], Dict[str, 
             module.bank(instruction.bank)
             open_physical = open_rows.get(instruction.bank)
             if open_physical is None:
-                steps.append((OP_PRE_IDLE, instruction.bank))
-            else:
-                below = open_physical + 1 if open_physical + 1 < n_rows else -1
-                above = open_physical - 1  # already -1 when out of range
-                steps.append(
-                    (OP_PRE, instruction.bank, instruction.min_on_ns, below, above)
-                )
-                open_rows[instruction.bank] = None
+                unsupported = unsupported or f"PRE of idle bank {instruction.bank}"
+                continue
+            below = open_physical + 1 if open_physical + 1 < n_rows else -1
+            above = open_physical - 1  # already -1 when out of range
+            steps.append(
+                (OP_PRE, instruction.bank, instruction.min_on_ns, below, above)
+            )
+            open_rows[instruction.bank] = None
             bump("PRE")
         elif isinstance(instruction, WriteRow):
             bank = module.bank(instruction.bank)
@@ -189,7 +193,7 @@ def _lower(program: Program, module: DramModule) -> Tuple[List[Step], Dict[str, 
             )
             bump("RD", columns)
         elif isinstance(instruction, Wait):
-            steps.append((OP_WAIT, instruction.duration_ns))
+            unsupported = unsupported or "WAIT"
         elif isinstance(instruction, Hammer):
             module.bank(instruction.bank)
             open_physical = open_rows.get(instruction.bank)
@@ -211,6 +215,8 @@ def _lower(program: Program, module: DramModule) -> Tuple[List[Step], Dict[str, 
         else:
             raise ProgramError(f"unknown instruction {instruction!r}")
 
+    if unsupported is not None:
+        raise ProgramError(f"a compiled trial cannot contain {unsupported}")
     return steps, counts
 
 
@@ -227,7 +233,8 @@ class CompiledTrial:
     Beyond dispatch, two trial-specific shortcuts hold the speedup:
 
     * **Skip-copy writes.** The plan remembers the exact array object it
-      placed in bank storage per row. When that object is still stored and
+      placed in bank storage per row, and its template. When that object
+      is still stored, the write's template is the same, and
       the row's stress ledger records no materialized flips, the row
       provably equals the template (flips only materialize on read and are
       always ledgered), so the 1–8 KiB copy is skipped. Any external write
@@ -246,7 +253,7 @@ class CompiledTrial:
         self.name = program.name
         self.module = module
         steps, counts = _lower(program, module)
-        banks = {step[1] for step in steps if step[0] != OP_WAIT}
+        banks = {step[1] for step in steps}
         if len(banks) != 1:
             raise ProgramError(
                 f"a compiled trial must target exactly one bank, got {sorted(banks)}"
@@ -256,6 +263,13 @@ class CompiledTrial:
         if len(hammers) != 1 or len(read_steps) != 1:
             raise ProgramError(
                 "a compiled trial needs exactly one Hammer and one ReadRow"
+            )
+        if read_steps[0][3] not in {s[3] for s in steps if s[0] == OP_WRITE}:
+            raise ProgramError("a compiled trial must write the row it reads")
+        if not self._rigid_stream(steps):
+            raise ProgramError(
+                "a compiled trial must open with ACT, precharge only after "
+                "a write, write nothing after its hammer and end closed"
             )
         self.bank_index = banks.pop()
         self._steps = steps
@@ -267,17 +281,11 @@ class CompiledTrial:
         self._static_counts["ACT"] = counts.get("ACT", 0) - placeholder
         self._static_counts["PRE"] = counts.get("PRE", 0) - placeholder
         self._static_acts = sum(1 for step in steps if step[0] == OP_ACT)
-        self._placed: Dict[int, np.ndarray] = {}
+        self._placed: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         # Checked replays: a rigid plan's command stream is a pure time
         # translation of any earlier replay's stream (parametric in the
         # hammer count), so the full rule walk runs once and later
         # replays are validated from junction checks alone.
-        self._rigid = self._rigid_stream(steps)
-        self._lead_wait = 0.0
-        for step in steps:
-            if step[0] != OP_WAIT:
-                break
-            self._lead_wait += step[1]
         self._certified: Optional[dict] = None
 
     @staticmethod
@@ -287,45 +295,32 @@ class CompiledTrial:
 
         Holds when only the opening ACT can read pre-entry bank state:
         the plan opens with ACT, every PRE follows an in-plan WRITE (so
-        ``last_write_end`` is plan-internal), row state is statically
-        consistent, and no WRITE follows the hammer. Trial plans built by
-        ``DramBender`` satisfy all of this; anything else falls back to
-        the full per-command walk.
+        ``last_write_end`` is plan-internal) and no WRITE follows the
+        hammer. A replay also leaves its bank closed, so the plan must end
+        with it closed. ``_lower`` already guarantees statically
+        consistent row state. Trial programs built by ``DramBender``
+        satisfy all of this.
         """
+        if not steps or steps[0][0] != OP_ACT:
+            return False
         is_open = False
         seen_write = False
         seen_hammer = False
-        first = True
         for step in steps:
             op = step[0]
-            if op == OP_WAIT:
-                continue
-            if first:
-                if op != OP_ACT:
-                    return False
-                first = False
             if op == OP_ACT:
-                if is_open:
-                    return False
                 is_open = True
             elif op == OP_WRITE:
-                if not is_open or seen_hammer:
+                if seen_hammer:
                     return False
                 seen_write = True
-            elif op == OP_READ:
-                if not is_open:
-                    return False
             elif op == OP_PRE:
-                if not is_open or not seen_write:
+                if not seen_write:
                     return False
-                is_open = False
-            elif op == OP_PRE_IDLE:
                 is_open = False
             elif op == OP_HAMMER:
-                if is_open:
-                    return False
                 seen_hammer = True
-        return not first
+        return not is_open
 
     @staticmethod
     def _segment_template(entries, anchor: float):
@@ -439,8 +434,7 @@ class CompiledTrial:
         cert = None
         capture_start = None
         hammer_end = 0.0
-        if record is not None and self._rigid and hammer_count > 0 \
-                and self._hammer_rows:
+        if record is not None and hammer_count > 0:
             checker = interpreter._checker
             if checker.supports_certified:
                 template = self._certified
@@ -451,7 +445,7 @@ class CompiledTrial:
                     cert = template
                     record = None
                     t0 = max(
-                        now + self._lead_wait,
+                        now,
                         last_precharge + tRP,
                         last_activate + tRC,
                     )
@@ -480,14 +474,15 @@ class CompiledTrial:
                 if (
                     skip_ok
                     and mine is not None
-                    and storage.get(physical) is mine
+                    and mine[1] is step[4]
+                    and storage.get(physical) is mine[0]
                     and (stress is None or not stress.flipped)
                 ):
                     pass  # stored content still equals the template
                 else:
                     image = step[4].copy()
                     storage[physical] = image
-                    placed[physical] = image
+                    placed[physical] = (image, step[4])
                 if stress is not None and (
                     stress.below_acts or stress.above_acts or stress.flipped
                 ):
@@ -531,11 +526,6 @@ class CompiledTrial:
                     stress.above_on_ns += on_time
                 last_precharge = ready
                 now = ready
-            elif op == OP_PRE_IDLE:
-                if now > last_precharge:
-                    last_precharge = now
-                if record is not None:
-                    record(Command(CommandKind.PRE, now, bank=bank_index))
             elif op == OP_READ:
                 physical = step[3]
                 first_rd = max(now, opened_at + tRCD)
@@ -555,8 +545,6 @@ class CompiledTrial:
                 if stress is not None and stress.flipped:
                     flips = sorted(stress.flipped)
                 now = finish
-            elif op == OP_WAIT:
-                now += step[1]
             else:  # OP_HAMMER — the real module call keeps TRR/stress exact
                 bank.last_precharge = last_precharge
                 bank.last_activate = last_activate
@@ -566,7 +554,7 @@ class CompiledTrial:
                     self.bank_index, step[2], hammer_count, step[3], now
                 )
                 hammer_end = now
-                if record_hammer is not None and hammer_count > 0 and step[2]:
+                if record_hammer is not None and hammer_count > 0:
                     record_hammer(HammerBlock(
                         bank_index, tuple(step[2]), hammer_count, step[3],
                         tRP, first_act,

@@ -11,7 +11,6 @@ probes, run on the interpreter.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -27,12 +26,6 @@ from repro.dram.faults import Condition
 from repro.dram.mapping import reverse_engineer_adjacency
 from repro.dram.module import DramModule
 from repro.errors import MeasurementError
-
-#: Compiled trial plans one host keeps, least recently used evicted first.
-#: A measurement sweep replays a single plan, so a small bound loses
-#: nothing; without one, a scan over many victims holds a plan (step list
-#: and row templates) per victim for the host's lifetime.
-TRIAL_PLAN_CACHE_SIZE = 64
 
 
 class DramBender:
@@ -63,9 +56,10 @@ class DramBender:
         self.init_radius = init_radius
         self.interpreter = Interpreter(module)
         self._adjacency: Dict[int, Dict[int, List[int]]] = {}
-        self._compiled_trials: "OrderedDict[tuple, CompiledTrial]" = (
-            OrderedDict()
-        )
+        # The last trial plan and its key: a measurement sweep replays one
+        # plan, and a scan over many victims holds one plan, not one each.
+        self._trial_key: Optional[tuple] = None
+        self._trial_plan: Optional[CompiledTrial] = None
 
     # ------------------------------------------------------------------
     # Testbed preparation (paper Sec. 3.1)
@@ -212,10 +206,9 @@ class DramBender:
     ) -> CompiledTrial:
         """The compiled replay plan for ``run_trial`` at these operands.
 
-        Plans are cached per (bank, victim, pattern, effective tAggOn,
-        aggressor set): one compilation serves every hammer count of a
-        measurement sweep. The cache keeps the
-        :data:`TRIAL_PLAN_CACHE_SIZE` most recently used plans. See
+        The host keeps the last plan, keyed by (bank, victim, pattern,
+        effective tAggOn, aggressor set, init radius): one compilation
+        serves every hammer count of a measurement sweep. See
         :mod:`repro.bender.compiler`.
         """
         key = (
@@ -223,21 +216,15 @@ class DramBender:
             max(t_agg_on, self.module.timing.tRAS),
             tuple(self.aggressors_for(bank, victim)), self.init_radius,
         )
-        plans = self._compiled_trials
-        plan = plans.get(key)
-        if plan is None:
+        if key != self._trial_key:
             # The hammer count is a replay operand; compile a placeholder.
-            plan = compile_trial(
+            self._trial_plan = compile_trial(
                 self.trial_program(bank, victim, pattern, 1, t_agg_on),
                 self.module,
             )
-            plans[key] = plan
-            if len(plans) > TRIAL_PLAN_CACHE_SIZE:
-                plans.popitem(last=False)
+            self._trial_key = key
             obs.active().counter_add("bender.trial.compile")
-        else:
-            plans.move_to_end(key)
-        return plan
+        return self._trial_plan
 
     def run_trial(
         self,

@@ -26,11 +26,13 @@ from repro import obs
 from repro.core.config import TestConfig
 from repro.core.patterns import CHECKERED0, DataPattern  # noqa: F401 (DataPattern re-exported for callers)
 from repro.core.series import RdtSeries
-# Imported for the side effect: the engine's forked workers inherit the
-# loaded module instead of each paying the import lazily per pool.
-from repro.dram import fastfaults  # noqa: F401
+# Imported at module load also for its side effect: the engine's forked
+# workers inherit the loaded module instead of each paying the import
+# lazily per pool.
+from repro.dram import fastfaults
 from repro.dram.module import DramModule
-from repro.errors import ConfigurationError, MeasurementError
+from repro.dram.traps import check_series_length
+from repro.errors import MeasurementError
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
     from repro.bender.host import DramBender
@@ -40,12 +42,6 @@ DEFAULT_VICTIM_THRESHOLD = 40_000.0
 
 #: Hammer-count ceiling for the coarse initial search.
 DEFAULT_SEARCH_CEILING = 1_000_000
-
-
-def _check_repeats(repeats: int) -> None:
-    """The ``repeats`` rule of the batched probe, for the per-row guesses."""
-    if repeats < 1:
-        raise ConfigurationError(f"probe repeats must be >= 1, got {repeats}")
 
 
 @dataclass(frozen=True)
@@ -173,8 +169,7 @@ class RdtMeter:
         sweep: Optional[HammerSweep] = None,
     ) -> RdtSeries:
         """``n`` successive measurements (Algorithm 1's test_loop)."""
-        if n < 0:
-            raise ConfigurationError(f"series length must be >= 0, got {n}")
+        check_series_length(n)
         if sweep is None:
             guess = self.guess_rdt(victim, config)
             sweep = HammerSweep.from_guess(guess)
@@ -202,7 +197,7 @@ class RdtMeter:
         Bootstraps with a coarse doubling search to locate the right order
         of magnitude, then refines with the standard sweep.
         """
-        _check_repeats(repeats)
+        fastfaults.check_probe_repeats(repeats)
         coarse = self._coarse_search(victim, config)
         sweep = HammerSweep.from_guess(coarse)
         values = []
@@ -264,7 +259,7 @@ class FastRdtMeter:
 
     def guess_rdt(self, victim: int, config: TestConfig, repeats: int = 10) -> float:
         """Mean of ``repeats`` latent samples from a dedicated guess stream."""
-        _check_repeats(repeats)
+        fastfaults.check_probe_repeats(repeats)
         process = self._process(victim)
         samples = process.latent_series(
             self._condition(config), repeats, stream="guess"
@@ -300,6 +295,7 @@ class FastRdtMeter:
         stream: str = "series",
     ) -> RdtSeries:
         """``n`` successive grid-quantized measurements."""
+        check_series_length(n)
         if sweep is None:
             sweep = HammerSweep.from_guess(self.guess_rdt(victim, config))
         recorder = obs.active()

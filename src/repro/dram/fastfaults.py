@@ -81,7 +81,7 @@ from repro.dram.faults import (
     VrdModelParams,
     geometric_mirror_ok,
 )
-from repro.dram.traps import _MAX_P, _MIN_BATCH, _MIN_P
+from repro.dram.traps import _MAX_P, _MIN_BATCH, _MIN_P, check_series_length
 from repro.errors import ConfigurationError
 from repro.rng import encode_element, hasher_prefix, seed_from_prefix
 
@@ -105,6 +105,12 @@ _MAX_UNIFORM = 1.0 - 2.0 ** -53
 _ALT = np.empty(1 << 16, dtype=bool)
 _ALT[0::2] = True
 _ALT[1::2] = False
+
+
+def check_probe_repeats(repeats: int) -> None:
+    """The rule every guess probe's ``repeats`` obeys."""
+    if repeats < 1:
+        raise ConfigurationError(f"probe repeats must be >= 1, got {repeats}")
 
 
 def _alt(size: int) -> np.ndarray:
@@ -583,8 +589,7 @@ class BankVrdState:
         ``RowVrdProcess(...).latent_series(condition, n, stream)`` for the
         corresponding physical row.
         """
-        if n < 0:
-            raise ConfigurationError(f"series length must be >= 0, got {n}")
+        check_series_length(n)
         condition = condition.canonical()
         _, depth_factor, _, _, level = self._factors(condition)
         suffix = self._series_suffix(condition, stream)
@@ -623,8 +628,7 @@ class BankVrdState:
         rows: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """Guess-stream series means (the ``guess_rdt`` quantity) per row."""
-        if repeats < 1:
-            raise ConfigurationError(f"probe repeats must be >= 1, got {repeats}")
+        check_probe_repeats(repeats)
         samples = self.latent_series_bulk(
             condition, repeats, stream="guess", rows=rows
         )

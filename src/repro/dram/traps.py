@@ -77,6 +77,12 @@ class Trap:
         return bool(rng.random() < self.stationary_occupancy)
 
 
+def check_series_length(n: int) -> None:
+    """The rule every measurement-series length obeys."""
+    if n < 0:
+        raise ConfigurationError(f"series length must be >= 0, got {n}")
+
+
 def sample_occupancy_series(
     trap: Trap,
     n: int,
@@ -93,8 +99,7 @@ def sample_occupancy_series(
     Returns:
         Boolean array of length ``n``; ``True`` means occupied.
     """
-    if n < 0:
-        raise ConfigurationError(f"series length must be >= 0, got {n}")
+    check_series_length(n)
     if n == 0:
         return np.zeros(0, dtype=bool)
 

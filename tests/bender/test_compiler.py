@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bender.compiler import compile_trial
-from repro.bender.host import TRIAL_PLAN_CACHE_SIZE, DramBender
+from repro.bender.host import DramBender
 from repro.bender.interpreter import Interpreter
-from repro.bender.isa import ReadRow
+from repro.bender.isa import Hammer, ReadRow, WriteRow
 from repro.bender.program import Program, ProgramBuilder
 from repro.core.config import TestConfig
 from repro.core.patterns import ALL_PATTERNS, CHECKERED0, ROWSTRIPE0
@@ -99,6 +99,106 @@ def assert_trials_match(sequence, seed, radius):
     assert snapshot(replay.interpreter) == snapshot(oracle.interpreter)
 
 
+# Builder-level operations. write/read idioms emit valid ACT/op/PRE bursts;
+# raw act/pre/read ops inject the interpreter's error paths (ACT while open,
+# ReadRow with no open row, row mismatches, hammer while open); rows up to
+# 63 reach past the test geometry (AddressError); a tiny tag alphabet makes
+# duplicate read tags common.
+ops = st.one_of(
+    st.tuples(st.just("act"), st.integers(0, 1), st.integers(0, 63)),
+    st.tuples(st.just("pre"), st.integers(0, 1),
+              st.one_of(st.none(), st.floats(35.0, 500.0))),
+    st.tuples(st.just("wait"), st.floats(0.0, 1e5)),
+    st.tuples(st.just("write"), st.integers(0, 1), st.integers(0, 63),
+              st.integers(0, 255)),
+    st.tuples(st.just("read"), st.integers(0, 1), st.integers(0, 63),
+              st.sampled_from(["a", "b", "c", "d"])),
+    st.tuples(st.just("raw_read"), st.integers(0, 1), st.integers(0, 63),
+              st.sampled_from(["a", "b", "c", "d"])),
+    st.tuples(st.just("hammer"), st.integers(0, 1),
+              st.lists(st.integers(0, 63), min_size=1, max_size=2),
+              st.integers(0, 500), st.floats(35.0, 1e3)),
+)
+
+# Trial-shaped programs on bank 0 (writes, one hammer, a read of a written
+# row) with a few random operations spliced in, so that some compile and
+# replay.
+@st.composite
+def trial_shaped(draw):
+    writes = draw(st.lists(
+        st.tuples(st.just("write"), st.just(0), st.integers(0, 63),
+                  st.integers(0, 255)),
+        min_size=1, max_size=4,
+    ))
+    hammer = draw(st.tuples(
+        st.just("hammer"), st.just(0),
+        st.lists(st.integers(0, 63), min_size=1, max_size=2),
+        st.integers(0, 500), st.floats(35.0, 1e3),
+    ))
+    read = ("read", 0, draw(st.sampled_from(writes))[2], "victim")
+    sequence = writes + [hammer, read]
+    at = draw(st.integers(0, len(sequence)))
+    return sequence[:at] + draw(st.lists(ops, max_size=2)) + sequence[at:]
+
+
+def build(sequence):
+    builder = ProgramBuilder("prop")
+    for op in sequence:
+        kind = op[0]
+        if kind == "act":
+            builder.act(op[1], op[2])
+        elif kind == "pre":
+            builder.pre(op[1], op[2])
+        elif kind == "wait":
+            builder.wait(op[1])
+        elif kind == "write":
+            builder.write_row(op[1], op[2], op[3])
+        elif kind == "read":
+            builder.read_row(op[1], op[2], op[3])
+        elif kind == "raw_read":
+            builder._program.instructions.append(ReadRow(op[1], op[2], op[3]))
+        elif kind == "hammer":
+            builder.hammer(op[1], op[2], op[3], op[4])
+    return builder.build()
+
+
+@given(sequence=st.one_of(st.lists(ops, max_size=16), trial_shaped()))
+@settings(max_examples=200, deadline=None)
+def test_compile_trial_raises_like_interpreter_on_random_programs(sequence):
+    """Random builder programs, malformed ones included. Where the
+    interpreter raises, ``compile_trial`` raises the same class; where it
+    runs, ``compile_trial`` either refuses a program that is not a trial
+    with ``ProgramError`` or returns a plan whose replay at the program's
+    hammer count leaves the interpreter's state and reports the read row's
+    flips against its last written image."""
+    program = build(sequence)
+    scalar = Interpreter(fresh_module())
+    scalar_error = None
+    try:
+        result = scalar.run(program)
+    except ReproError as exc:
+        scalar_error = exc
+    module = fresh_module()
+    try:
+        plan = compile_trial(program, module)
+    except ReproError as exc:
+        expected = ProgramError if scalar_error is None else type(scalar_error)
+        assert type(exc) is expected, (scalar_error, exc)
+        return
+    assert scalar_error is None
+    (hammer,) = [step for step in program if isinstance(step, Hammer)]
+    (read,) = [step for step in program if isinstance(step, ReadRow)]
+    before_read = program.instructions[:program.instructions.index(read)]
+    image = [
+        step for step in before_read
+        if isinstance(step, WriteRow) and step.row == read.row
+    ][-1].data(module.geometry.row_bytes)
+    delta = np.unpackbits(result.reads[read.tag] ^ image, bitorder="little")
+    replay = Interpreter(module)
+    assert plan.replay(replay, hammer.count) == list(np.nonzero(delta)[0])
+    assert snapshot(replay) == snapshot(scalar)
+
+
 @given(sequence=trials, radius=st.integers(1, 4))
 @settings(max_examples=60, deadline=None)
 def test_compiled_matches_interpreter_on_random_programs(sequence, radius):
@@ -155,6 +255,38 @@ def test_read_without_open_row_raises_like_interpreter():
     assert_same_error(
         Program(name="no-open", instructions=[ReadRow(0, 5, "t")])
     )
+
+
+HAMMER = ("hammer", 0, [4, 6], 10, 35.0)
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [
+        [("write", 0, 5, 1), ("wait", 10.0), HAMMER, ("read", 0, 5, "v")],
+        [("write", 0, 5, 1), ("pre", 0, None), HAMMER, ("read", 0, 5, "v")],
+        [("write", 0, 5, 1), HAMMER, ("read", 0, 5, "v"), ("act", 0, 7)],
+        [("write", 0, 5, 1), HAMMER, ("write", 0, 7, 2), ("read", 0, 5, "v")],
+        [("act", 0, 3), ("pre", 0, None), ("write", 0, 5, 1), HAMMER,
+         ("read", 0, 5, "v")],
+        [HAMMER, ("write", 0, 5, 1), ("read", 0, 5, "v")],
+        [("write", 0, 5, 1), HAMMER, ("read", 0, 9, "v")],
+        [("write", 0, 5, 1), ("write", 1, 5, 1), HAMMER, ("read", 0, 5, "v")],
+        [("write", 0, 5, 1), HAMMER, HAMMER, ("read", 0, 5, "v")],
+    ],
+    ids=[
+        "wait", "idle-pre", "ends-open", "write-after-hammer",
+        "pre-before-write", "hammer-first", "read-unwritten", "two-banks",
+        "two-hammers",
+    ],
+)
+def test_compile_trial_refuses_programs_that_are_not_trials(sequence):
+    """Valid programs outside the trial shape run on the interpreter but
+    do not compile."""
+    program = build(sequence)
+    Interpreter(fresh_module()).run(program)
+    with pytest.raises(ProgramError):
+        compile_trial(program, fresh_module())
 
 
 def test_compiled_requires_closed_bank_at_entry():
@@ -243,33 +375,32 @@ def test_rdt_meter_series_compiled_equals_scalar():
 
 
 # ---------------------------------------------------------------------------
-# The bounded plan cache
+# The host's one cached plan
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("checked", ["0", "1"])
-def test_plan_cache_stays_bounded_and_exact_across_evictions(
+def test_host_recompiles_its_one_plan_exactly_across_victims(
     monkeypatch, checked
 ):
-    """More distinct victims than the cache holds, then the first ones
-    again (their plans were evicted and are rebuilt): the cache never
-    exceeds its bound and every trial matches the interpreted oracle,
-    with the timing checker off and on."""
+    """Trials that alternate between victims recompile the host's single
+    plan, repeats of one victim reuse it, and every trial matches the
+    interpreted oracle, with the timing checker off and on."""
     monkeypatch.setenv("VRD_TIMING_CHECK", checked)
     oracle = DramBender(fresh_module())
     replay = DramBender(fresh_module())
     t_on = replay.module.timing.tRAS
-    victims = list(range(2, 2 + 3 * (TRIAL_PLAN_CACHE_SIZE + 8), 3))
-    victims += victims[:8]
+    victims = [40, 40, 52, 40, 70, 70, 52, 40]
+    plans = []
     for index, victim in enumerate(victims):
-        count = 400 + 37 * (index % 50)
+        count = 400 + 700 * index
         assert replay.run_trial(0, victim, CHECKERED0, count, t_on) == (
             interpreted_trial(oracle, 0, victim, CHECKERED0, count, t_on)
         )
-        assert len(replay._compiled_trials) <= TRIAL_PLAN_CACHE_SIZE
-    assert len(replay._compiled_trials) == TRIAL_PLAN_CACHE_SIZE
-    assert replay.interpreter.now == oracle.interpreter.now
-    assert dict(replay.interpreter.total_counts) == dict(
-        oracle.interpreter.total_counts
-    )
+        plans.append(replay._trial_plan)
+    for index in range(1, len(victims)):
+        assert (plans[index] is plans[index - 1]) == (
+            victims[index] == victims[index - 1]
+        )
+    assert snapshot(replay.interpreter) == snapshot(oracle.interpreter)
     assert (replay.interpreter.log is None) == (checked == "0")
