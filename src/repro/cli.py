@@ -672,10 +672,10 @@ def _cmd_verify() -> int:
 def _report_workload(seed: int, jobs: Optional[int]) -> None:
     """A small deterministic workload touching every instrumented layer:
     probe + bulk series (faults/fastfaults), one Bender measurement (its
-    trials replay one compiled plan), fast and reference memsim cells, both ECC decode
-    paths, and the same campaign run twice over a throwaway sqlite store
-    (compute, then a warm store hit) for the ``engine.*``/``cache.*``/
-    ``store.*`` metrics."""
+    trials replay one compiled plan), fast and reference memsim cells, the
+    ECC Monte Carlo, and the same campaign run twice over a throwaway
+    sqlite store (compute, then a warm store hit) for the
+    ``engine.*``/``cache.*``/``store.*`` metrics."""
     import tempfile
 
     from repro.bender.host import DramBender

@@ -16,11 +16,23 @@ detectable-but-uncorrectable. With independent bit errors at rate p:
   detection beyond one symbol).
 
 :func:`monte_carlo_outcomes` validates both the closed forms and the real
-codecs against ground truth.
+codecs against ground truth. Its transient memory is set by two fixed
+constants, not by the trial count: per chunk of ``_MC_CHUNK`` trials it
+draws one ``(chunk, k_bits)`` data batch, then fills one reused
+``(_MC_BLOCK, n_bits)`` uniform buffer block after block. Row-major
+consecutive ``random`` calls consume the stream exactly as one
+``(chunk, n_bits)`` call does, so a seed yields the same trials as one
+whole-chunk draw would. Only codewords that took an error are encoded and
+decoded: a clean codeword of these linear codes decodes CLEAN to its own
+data, so skipping it changes no tally.
+
+Both entry points share one input rule: the bit error rate is a number in
+``[0, 1]`` (NaN is rejected), and the trial count an integer >= 1.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -28,7 +40,7 @@ import numpy as np
 from scipy.special._ufuncs import _binom_sf
 
 from repro import obs
-from repro.ecc.base import OUTCOME_DETECTED, DecodeOutcome, EccCode
+from repro.ecc.base import OUTCOME_DETECTED, EccCode
 from repro.ecc.chipkill import ChipkillSsc
 from repro.ecc.hamming import Sec72, Secded72
 from repro.errors import EccError
@@ -59,13 +71,18 @@ class EccOutcomeProbabilities:
         }
 
 
+def _check_ber(ber: float) -> None:
+    """The bit error rate rule of both entry points: in ``[0, 1]``, not
+    NaN (every comparison with NaN is false)."""
+    if not 0.0 <= ber <= 1.0:
+        raise EccError(f"bit error rate {ber} outside [0, 1]")
+
+
 def _at_least(k: int, n: int, p: float) -> float:
-    """P(Binomial(n, p) >= k).
+    """P(Binomial(n, p) >= k) for a probability ``p`` in ``[0, 1]``.
 
     Calls the Boost kernel ``scipy.stats.binom.sf`` wraps, with the
     wrapper's support rule (the raw kernel returns NaN at both edges)."""
-    if not 0.0 <= p <= 1.0:
-        raise EccError(f"bit error rate {p} outside [0, 1]")
     if k <= 0:
         return 1.0
     if k - 1 >= n:
@@ -75,6 +92,7 @@ def _at_least(k: int, n: int, p: float) -> float:
 
 def outcome_probabilities(scheme: str, ber: float) -> EccOutcomeProbabilities:
     """Closed-form Table 3 entry for one scheme at a bit error rate."""
+    _check_ber(ber)
     key = scheme.strip().lower()
     if key == "sec":
         uncorrectable = _at_least(2, 72, ber)
@@ -116,11 +134,58 @@ class MonteCarloOutcome:
 
 
 #: Trials per internal chunk of :func:`monte_carlo_outcomes`. Fixed rather
-#: than tunable because the chunk boundaries define the RNG draw order —
-#: each chunk draws one ``(chunk, k_bits)`` data batch followed by one
-#: ``(chunk, n_bits)`` uniform batch — so a given seed always produces the
-#: same trials regardless of how the decode work is dispatched.
+#: than tunable because the chunk boundaries define the RNG draw order:
+#: each chunk draws one ``(chunk, k_bits)`` uint8 data batch, then the
+#: chunk's ``(chunk, n_bits)`` uniforms. The data draw is never split —
+#: bounded uint8 ``integers`` buffers 32-bit words within one call, so two
+#: smaller calls are not one larger call — and never interleaved with the
+#: uniforms.
 _MC_CHUNK = 32_768
+
+#: Rows per uniform block inside a chunk. The chunk's uniforms are drawn
+#: into one reused ``(_MC_BLOCK, n_bits)`` buffer, block after block in row
+#: order; float64 ``random`` buffers nothing between calls, so the blocks
+#: reproduce one ``(chunk, n_bits)`` draw value for value. The buffer, not
+#: the trial count, bounds the transient memory.
+_MC_BLOCK = 2_048
+
+
+def _chunk_tallies(
+    code: EccCode,
+    ber: float,
+    chunk: int,
+    rng: np.random.Generator,
+    uniforms: np.ndarray,
+    flips: np.ndarray,
+) -> np.ndarray:
+    """Draw and classify one chunk of trials.
+
+    Returns ``[decoded rows, wrong, silent wrong, detected]``. The chunk's
+    data batch lives only for this call, so two chunks' data never
+    coexist; ``uniforms`` and ``flips`` are the reused block buffers.
+    """
+    tallies = np.zeros(4, dtype=np.int64)
+    data = rng.integers(0, 2, (chunk, code.k_bits), dtype=np.uint8)
+    for first in range(0, chunk, _MC_BLOCK):
+        rows = min(_MC_BLOCK, chunk - first)
+        rng.random(out=uniforms[:rows])
+        errors = np.less(uniforms[:rows], ber, out=flips[:rows])
+        hit = np.flatnonzero(errors.any(axis=1))
+        if not hit.size:
+            continue
+        truth = data[first + hit]
+        decoded, outcomes = code.decode_batch(
+            code.encode_batch(truth) ^ errors[hit]
+        )
+        is_detected = outcomes == OUTCOME_DETECTED
+        data_wrong = np.any(decoded != truth, axis=1)
+        tallies += (
+            hit.size,
+            np.count_nonzero(data_wrong),
+            np.count_nonzero(data_wrong & ~is_detected),
+            np.count_nonzero(is_detected),
+        )
+    return tallies
 
 
 def monte_carlo_outcomes(
@@ -136,49 +201,34 @@ def monte_carlo_outcomes(
     decoder believes everything is fine (a silent data corruption).
 
     Trials are drawn in fixed chunks of ``_MC_CHUNK`` (data batch, then
-    error-mask batch). Codecs exposing ``encode_batch``/``decode_batch``
-    run through the vectorized path; others fall back to per-codeword
-    ``encode``/``decode`` on the *same* batched draws, so per-trial
-    outcomes are identical either way for a fixed seed.
+    error masks in blocks of ``_MC_BLOCK`` rows); only rows whose mask has
+    a set bit are encoded and decoded, through ``encode_batch`` and
+    ``decode_batch``.
     """
+    _check_ber(ber)
+    if (
+        not isinstance(trials, numbers.Integral)
+        or isinstance(trials, bool)
+        or trials < 1
+    ):
+        raise EccError(f"trials must be an integer >= 1, got {trials!r}")
     if rng is None:
         rng = np.random.default_rng(0)
-    batched = hasattr(code, "encode_batch") and hasattr(code, "decode_batch")
-    wrong = 0
-    silent_wrong = 0
-    detected = 0
-    done = 0
-    while done < trials:
-        chunk = min(_MC_CHUNK, trials - done)
-        data = rng.integers(0, 2, (chunk, code.k_bits), dtype=np.uint8)
-        errors = (rng.random((chunk, code.n_bits)) < ber).astype(np.uint8)
-        if batched:
-            received = code.encode_batch(data) ^ errors
-            decoded, outcomes = code.decode_batch(received)
-            is_detected = outcomes == OUTCOME_DETECTED
-            data_wrong = np.any(decoded != data, axis=1)
-        else:
-            is_detected = np.zeros(chunk, dtype=bool)
-            data_wrong = np.zeros(chunk, dtype=bool)
-            for index in range(chunk):
-                received = code.encode(data[index]) ^ errors[index]
-                result = code.decode(received)
-                is_detected[index] = result.outcome is DecodeOutcome.DETECTED
-                data_wrong[index] = not np.array_equal(
-                    result.data, data[index]
-                )
-        detected += int(np.count_nonzero(is_detected))
-        wrong += int(np.count_nonzero(data_wrong))
-        silent_wrong += int(np.count_nonzero(data_wrong & ~is_detected))
-        done += chunk
+    uniforms = np.empty((min(_MC_BLOCK, trials), code.n_bits))
+    flips = np.empty(uniforms.shape, dtype=bool)
+    tallies = sum(
+        _chunk_tallies(
+            code, ber, min(_MC_CHUNK, trials - done), rng, uniforms, flips
+        )
+        for done in range(0, trials, _MC_CHUNK)
+    )
+    decoded_rows, wrong, silent_wrong, detected = (int(t) for t in tallies)
 
     recorder = obs.active()
     if recorder.enabled:
         scheme = type(code).__name__
-        recorder.counter_add(
-            "ecc.decode.batched" if batched else "ecc.decode.scalar", trials
-        )
         recorder.counter_add(f"ecc.{scheme}.trials", trials)
+        recorder.counter_add(f"ecc.{scheme}.decoded", decoded_rows)
         recorder.counter_add(f"ecc.{scheme}.uncorrectable", wrong)
         recorder.counter_add(f"ecc.{scheme}.undetectable", silent_wrong)
         recorder.counter_add(f"ecc.{scheme}.detected", detected)

@@ -105,6 +105,21 @@ class EccCode(ABC):
     def decode(self, codeword: np.ndarray) -> DecodeResult:
         """Decode a (possibly corrupted) codeword."""
 
+    @abstractmethod
+    def encode_batch(self, data: np.ndarray) -> np.ndarray:
+        """:meth:`encode` over a ``(trials, k_bits)`` batch."""
+
+    @abstractmethod
+    def decode_batch(
+        self, codewords: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """:meth:`decode` over a ``(trials, n_bits)`` batch.
+
+        Returns the ``(trials, k_bits)`` data estimates and a ``(trials,)``
+        int8 array of outcome codes, matching :meth:`decode` codeword for
+        codeword.
+        """
+
     def roundtrip_clean(self, data: np.ndarray) -> bool:
         """Sanity: encode-decode of clean data returns the data as CLEAN."""
         result = self.decode(self.encode(data))

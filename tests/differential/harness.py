@@ -19,7 +19,7 @@ memsim              ``MemorySystem.run``                ``memsim.fastcore.run_fa
 fastfaults          per-row ``RowVrdProcess``           packed ``BankVrdState``
 probe               per-row ``guess_rdt``               batched ``guess_rdt_batch``
 bender              ``interpreted_trial``               ``DramBender.run_trial``
-ecc                 per-codeword encode/decode          ``encode_batch``/``decode_batch``
+ecc                 ``reference_monte_carlo``           ``monte_carlo_outcomes``
 adaptive            serial ``AdaptiveScheduler``        ``CampaignEngine`` adaptive (2 jobs)
 store               in-memory result payloads           sqlite ``ResultStore`` round trip
 attack              per-window ``begin_measurement``    ``threshold_series`` walk
@@ -37,7 +37,7 @@ opt-in timing validation pass never perturbs a single bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 from typing import Callable, List
 
@@ -583,51 +583,85 @@ def adaptive_fast(seed: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# ecc: scalar per-codeword decode vs vectorized batch decode
+# ecc: whole-chunk draws + per-codeword decode vs blocked batch decode
 # ----------------------------------------------------------------------
 
-_ECC_TRIALS = 4096
 
-
-class _ScalarOnly:
-    """Hides ``encode_batch``/``decode_batch`` to force the scalar path."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def __getattr__(self, name):
-        if name in ("encode_batch", "decode_batch"):
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-
-def _ecc_outcomes(seed: int, scalar: bool) -> tuple:
+def reference_monte_carlo(code, ber: float, trials: int, rng):
+    """The unblocked Monte Carlo loop: per chunk, one ``(chunk, k_bits)``
+    data draw and one ``(chunk, n_bits)`` uniform draw, then every codeword
+    encoded and decoded one at a time."""
     import numpy as np
 
-    from repro.ecc.analysis import default_codec, monte_carlo_outcomes
+    from repro.ecc.analysis import _MC_CHUNK, MonteCarloOutcome
+    from repro.ecc.base import DecodeOutcome
+
+    wrong = silent_wrong = detected = 0
+    for done in range(0, trials, _MC_CHUNK):
+        chunk = min(_MC_CHUNK, trials - done)
+        data = rng.integers(0, 2, (chunk, code.k_bits), dtype=np.uint8)
+        errors = (rng.random((chunk, code.n_bits)) < ber).astype(np.uint8)
+        for index in range(chunk):
+            result = code.decode(code.encode(data[index]) ^ errors[index])
+            is_detected = result.outcome is DecodeOutcome.DETECTED
+            data_wrong = not np.array_equal(result.data, data[index])
+            detected += is_detected
+            wrong += data_wrong
+            silent_wrong += data_wrong and not is_detected
+    return MonteCarloOutcome(
+        scheme=type(code).__name__,
+        trials=trials,
+        uncorrectable=wrong / trials,
+        undetectable=silent_wrong / trials,
+        detected=detected / trials,
+    )
+
+
+def _ecc_runs(seed: int) -> list:
+    """One codec and three (BER, trials) runs per seed: BER 0 (no row
+    decoded) across a block boundary, a low BER across a chunk and a block
+    boundary, and BER 0.05 (nearly every SSC row decoded)."""
+    from repro.ecc.analysis import _MC_BLOCK, _MC_CHUNK, default_codec
 
     pick = random.Random(seed + 2)
     code = default_codec(pick.choice(["SEC", "SECDED", "SSC"]))
-    ber = pick.choice([5e-5, 2e-4, 1e-3])
-    if scalar:
-        code = _ScalarOnly(code)
-    outcome = monte_carlo_outcomes(
-        code, ber, trials=_ECC_TRIALS, rng=np.random.default_rng(seed)
-    )
-    return (
-        outcome.trials,
-        outcome.uncorrectable,
-        outcome.undetectable,
-        outcome.detected,
-    )
+    return [
+        (code, 0.0, _MC_BLOCK + pick.randrange(1, _MC_BLOCK)),
+        (
+            code,
+            pick.choice([5e-5, 2e-4, 1e-3]),
+            _MC_CHUNK + pick.randrange(_MC_BLOCK + 1, 2 * _MC_BLOCK),
+        ),
+        (code, 0.05, _MC_BLOCK + pick.randrange(1, _MC_BLOCK)),
+    ]
 
 
 def ecc_oracle(seed: int) -> tuple:
-    return _ecc_outcomes(seed, scalar=True)
+    import numpy as np
+
+    return tuple(
+        astuple(
+            reference_monte_carlo(
+                code, ber, trials, np.random.default_rng(seed)
+            )
+        )
+        for code, ber, trials in _ecc_runs(seed)
+    )
 
 
 def ecc_fast(seed: int) -> tuple:
-    return _ecc_outcomes(seed, scalar=False)
+    import numpy as np
+
+    from repro.ecc.analysis import monte_carlo_outcomes
+
+    return tuple(
+        astuple(
+            monte_carlo_outcomes(
+                code, ber, trials=trials, rng=np.random.default_rng(seed)
+            )
+        )
+        for code, ber, trials in _ecc_runs(seed)
+    )
 
 
 # ----------------------------------------------------------------------
