@@ -45,7 +45,7 @@ def test_traced_sweep_overhead():
     from repro import obs
     from repro.memsim.sweep import SweepSpec, run_sweep
 
-    spec = SweepSpec(n_mixes=2, engine="fast", window_ns=30_000.0)
+    spec = SweepSpec(n_mixes=2, window_ns=30_000.0)
     assert not obs.enabled()
 
     def traced():

@@ -8,7 +8,7 @@ Small, scriptable entry points onto the library's main experiments:
 * ``table3`` — the ECC outcome probabilities at a chosen bit error rate;
 * ``testtime`` — Appendix A testing-cost headline scenarios;
 * ``attack`` — profile-and-attack security check for one mitigation;
-* ``fig14`` — mitigation-overhead sweep (cached, sharded, fast core);
+* ``fig14`` — mitigation-overhead sweep (cached, sharded);
 * ``store`` — result-store maintenance (``stats``, ``prune``);
 * ``report`` — instrumented smoke workload + observability run report.
 
@@ -201,11 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fig14.add_argument(
         "--window", type=float, default=60_000.0,
         help="simulated window per run in ns (default 60000)",
-    )
-    fig14.add_argument(
-        "--engine", default="fast", choices=["fast", "reference"],
-        help="simulation core; both produce bit-identical speedups "
-             "(default: fast)",
     )
     fig14.add_argument(
         "-j", "--jobs", type=int, default=None,
@@ -523,9 +518,7 @@ def _cmd_fig14(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
     from repro.memsim.sweep import SweepCache, SweepSpec, run_sweep
 
-    spec = SweepSpec(
-        n_mixes=args.mixes, window_ns=args.window, engine=args.engine
-    )
+    spec = SweepSpec(n_mixes=args.mixes, window_ns=args.window)
     cache = None if args.no_cache else SweepCache.resolve(args.cache_dir)
     result = run_sweep(spec, n_jobs=args.jobs, cache=cache)
     rows = []
@@ -543,7 +536,7 @@ def _cmd_fig14(args: argparse.Namespace) -> int:
         ["RDT", "margin", *spec.mitigations],
         rows,
         title=f"Fig. 14 | normalized weighted speedup ({spec.n_mixes} "
-              f"four-core mixes, {args.engine} engine)",
+              "four-core mixes)",
     ))
     return 0
 
@@ -672,8 +665,8 @@ def _cmd_verify() -> int:
 def _report_workload(seed: int, jobs: Optional[int]) -> None:
     """A small deterministic workload touching every instrumented layer:
     probe + bulk series (faults/fastfaults), one Bender measurement (its
-    trials replay one compiled plan), fast and reference memsim cells, the
-    ECC Monte Carlo, and the same campaign run twice over a throwaway
+    trials replay one compiled plan), one memsim sweep cell, the ECC Monte
+    Carlo, and the same campaign run twice over a throwaway
     sqlite store (compute, then a warm store hit) for the
     ``engine.*``/``cache.*``/``store.*`` metrics."""
     import tempfile
@@ -708,13 +701,9 @@ def _report_workload(seed: int, jobs: Optional[int]) -> None:
     sweep = HammerSweep.from_guess(guess)
     RdtMeter(bender).measure(victim, config, sweep)
 
-    cell = dict(mitigations=("PARA",), rdts=(1024.0,), margins=(0.0,),
-                n_mixes=1)
-    run_sweep(SweepSpec(window_ns=10_000.0, **cell), n_jobs=jobs, cache=None)
-    run_sweep(
-        SweepSpec(window_ns=5_000.0, engine="reference", **cell),
-        n_jobs=jobs, cache=None,
-    )
+    spec = SweepSpec(mitigations=("PARA",), rdts=(1024.0,), margins=(0.0,),
+                     n_mixes=1, window_ns=10_000.0)
+    run_sweep(spec, n_jobs=jobs, cache=None)
 
     monte_carlo_outcomes(default_codec("SECDED"), 1e-4, trials=2048)
 

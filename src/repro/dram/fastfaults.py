@@ -4,7 +4,7 @@
 device: readable, row-at-a-time, trap-object-per-trap. This module is the
 third leg of the repository's equivalence-contract family — alongside
 ``repro.core.engine`` (parallel campaigns == serial campaigns) and
-``repro.memsim.fastcore`` (epoch-batched simulation == per-request loop) —
+``MemorySystem.run`` (epoch-batched simulation == per-request loop) —
 and promises the same thing at the device layer: every float produced here
 is **bit-identical** to the scalar reference, because both paths consume
 the same ``numpy.random.Generator`` streams draw for draw.

@@ -9,20 +9,22 @@ benchmark reports weighted speedup normalized to a mitigation-free
 baseline, reproducing Fig. 14's overhead-vs-guardband curves.
 """
 
-from repro.memsim.request import MemRequest
 from repro.memsim.trace import (
     HIGH_MPKI_WORKLOADS,
     SyntheticWorkload,
     WorkloadMix,
     standard_mixes,
 )
-from repro.memsim.system import MemorySystem, SimulationResult, SystemConfig
+from repro.memsim.system import (
+    CoreStream,
+    MemorySystem,
+    SimulationResult,
+    SystemConfig,
+)
 from repro.memsim.metrics import normalized_weighted_speedup
-from repro.memsim.fastcore import CoreStream, run_fast
 from repro.memsim.sweep import SweepCache, SweepResult, SweepSpec, run_sweep
 
 __all__ = [
-    "MemRequest",
     "SyntheticWorkload",
     "WorkloadMix",
     "HIGH_MPKI_WORKLOADS",
@@ -32,7 +34,6 @@ __all__ = [
     "SimulationResult",
     "normalized_weighted_speedup",
     "CoreStream",
-    "run_fast",
     "SweepSpec",
     "SweepResult",
     "SweepCache",

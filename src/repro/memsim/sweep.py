@@ -4,13 +4,11 @@ The Fig. 14 study is a grid — mitigation x RDT x guardband, geomean'd over
 four-core workload mixes — of independent simulations. This module runs
 that grid the way :mod:`repro.core.engine` runs bit-flip campaigns:
 
-* **Fast core per cell.** Every simulation goes through
-  :func:`repro.memsim.fastcore.run_fast` (``engine="fast"``, the default),
-  with one set of materialized per-core address streams *shared by every
-  run of a mix* — the stream depends only on the (workload, core, geometry,
-  seed) recipe, never on the mitigation. ``engine="reference"`` instead
-  drives :meth:`~repro.memsim.system.MemorySystem.run`; both engines
-  produce bit-identical speedups.
+* **Shared streams per mix.** Every cell runs
+  :meth:`~repro.memsim.system.MemorySystem.run` over one set of per-core
+  address streams *shared by every run of a mix* — the stream depends
+  only on the (workload, core, geometry, seed) recipe, never on the
+  mitigation.
 * **Process sharding.** Cells are dealt round-robin across a
   ``ProcessPoolExecutor`` (``n_jobs``/``$VRD_JOBS``, same convention as the
   campaign engine). Only the :class:`SweepSpec` and cell tuples cross the
@@ -21,9 +19,9 @@ that grid the way :mod:`repro.core.engine` runs bit-flip campaigns:
   content-addressed rows in the same sqlite :class:`~repro.store.db.
   ResultStore` the campaign cache uses (``$VRD_STORE_PATH``, default
   ``.vrd-cache/results.sqlite``). The key
-  hashes the full recipe — grid, mix count, window, geometry, seed, and
-  engine — so any parameter change is a clean miss, and corrupt entries
-  degrade to misses.
+  hashes the full recipe — grid, mix count, window, geometry and seed —
+  so any parameter change is a clean miss, and corrupt entries degrade
+  to misses.
 """
 
 from __future__ import annotations
@@ -37,9 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ConfigurationError
-from repro.memsim.fastcore import CoreStream, run_fast
 from repro.memsim.metrics import geometric_mean, normalized_weighted_speedup
-from repro.memsim.system import MemorySystem, SystemConfig
+from repro.memsim.system import CoreStream, MemorySystem, SystemConfig
 from repro.memsim.trace import WorkloadMix, standard_mixes
 from repro.mitigations import apply_guardband, build_mitigation
 from repro.store.db import DEFAULT_STORE_FILENAME, KIND_SWEEP, ResultStore
@@ -66,17 +63,16 @@ class SweepSpec:
     n_banks: int = 8
     n_rows: int = 1 << 14
     seed: int = 11
-    engine: str = "fast"
+    #: Fixed tag, not a parameter: it keeps the recipe's stored shape, so
+    #: payloads and result digests recorded by earlier versions still
+    #: compare equal.
+    engine: str = field(default="fast", init=False)
 
     def __post_init__(self) -> None:
         if not self.mitigations or not self.rdts or not self.margins:
             raise ConfigurationError("sweep grid must be non-empty")
         if self.n_mixes < 1:
             raise ConfigurationError("sweep needs at least one mix")
-        if self.engine not in ("fast", "reference"):
-            raise ConfigurationError(
-                f"engine must be 'fast' or 'reference', got {self.engine!r}"
-            )
         # Validate every (rdt, margin) pair and the system parameters
         # eagerly so a bad grid fails before any simulation runs.
         for rdt in self.rdts:
@@ -144,6 +140,7 @@ class SweepResult:
     @classmethod
     def from_payload(cls, payload: dict) -> "SweepResult":
         spec_fields = dict(payload["spec"])
+        spec_fields.pop("engine")
         for key in ("mitigations", "rdts", "margins"):
             spec_fields[key] = tuple(spec_fields[key])
         result = cls(spec=SweepSpec(**spec_fields))
@@ -200,22 +197,9 @@ class SweepCache:
         store = ResultStore.resolve(cache_dir)
         return None if store is None else cls(store=store)
 
-    def key(self, spec: SweepSpec, schedule: str = "exhaustive",
-            schedule_params: Optional[dict] = None) -> str:
-        """Hex digest of the sweep recipe.
-
-        ``schedule``/``schedule_params`` discriminate the measurement
-        schedule that produced the thresholds feeding the sweep (e.g.
-        ``"adaptive"`` with its budget/confidence knobs), so sweeps over
-        adaptive-estimated and exhaustively-measured inputs never alias.
-        """
-        payload = {
-            "format": 2,
-            "kind": "fig14-sweep",
-            "spec": asdict(spec),
-            "schedule": schedule,
-            "schedule_params": schedule_params,
-        }
+    def key(self, spec: SweepSpec) -> str:
+        """Hex digest of the sweep recipe."""
+        payload = {"format": 2, "kind": "fig14-sweep", "spec": asdict(spec)}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
@@ -278,15 +262,10 @@ def _worker_state(spec: SweepSpec):
         baselines = {}
         for mix in mixes:
             baseline_system = MemorySystem(mix, config)
-            if spec.engine == "fast":
-                mix_streams = [
-                    CoreStream(source)
-                    for source in baseline_system._generators
-                ]
-                streams[mix.name] = mix_streams
-                baselines[mix.name] = run_fast(baseline_system, mix_streams)
-            else:
-                baselines[mix.name] = baseline_system.run()
+            streams[mix.name] = [
+                CoreStream(source) for source in baseline_system._generators
+            ]
+            baselines[mix.name] = baseline_system.run(streams[mix.name])
         state = (config, mixes, streams, baselines)
         _WORKER_STATE[spec] = state
     return state
@@ -319,10 +298,7 @@ def _sweep_cells_body(
         for mix in mixes:
             mitigation = build_mitigation(name, threshold)
             system = MemorySystem(mix, config, mitigation)
-            if spec.engine == "fast":
-                result = run_fast(system, streams[mix.name])
-            else:
-                result = system.run()
+            result = system.run(streams[mix.name])
             mix_speedups[mix.name] = normalized_weighted_speedup(
                 result, baselines[mix.name]
             )

@@ -11,18 +11,34 @@ multicore workloads:
 * periodic refresh (tREFI/tRFC) plus the mitigation hook on every row
   activation;
 * performance metric: weighted speedup versus a mitigation-free baseline.
+
+:meth:`MemorySystem.run` is one epoch-batched loop. Each core's addresses
+are drawn :data:`STREAM_CHUNK` at a time into a :class:`CoreStream`, which
+a sweep shares across every run of a mix. The mitigation's counters live
+in the array-backed batchers of :mod:`repro.mitigations.fast`: the loop
+buffers every activation the batcher proves action-free (outside its
+*danger set*, within its epoch *budget*) and absorbs the buffer in one
+``on_activate_many`` call; only the other activations step exactly. Bank
+state is three flat lists and actions travel as plain tuples.
+
+Its oracle is ``reference_memsim_run`` in ``tests/differential/
+harness.py``, one iteration per request and one ``on_activate`` per
+activation: same requests and latency sums per core (the same float
+operations in the same order), hit/miss split, preventive-refresh and
+rank-block counts, and the same REF/PRE/ACT stream for the timing checker.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.errors import SimulationError
 from repro.memsim.trace import AddressGenerator, WorkloadMix
 from repro.mitigations.base import Mitigation, VICTIM_REFRESH_NS
+from repro.mitigations.fast import make_batcher
 
 #: DDR5-class access latencies in nanoseconds.
 _T_RCD = 14.1
@@ -33,6 +49,16 @@ _T_RC = 46.1
 _T_RFC = 295.0
 _T_REFI = 3_900.0
 _T_REFW = 32_000_000.0
+
+#: Pre-summed row-miss access latency: ``start + _MISS_LATENCY`` rounds
+#: once, where ``start + _T_RCD + _T_CL`` would round twice.
+_MISS_LATENCY = _T_RCD + _T_CL
+
+#: Effectively-infinite epoch budget used when no mitigation is attached.
+_NO_MITIGATION = 1 << 62
+
+#: Requests materialized per stream-growth step.
+STREAM_CHUNK = 4096
 
 #: The model only schedules bank-level row cycling and the rank-level
 #: refresh cadence, so the opt-in timing check validates exactly those
@@ -112,13 +138,6 @@ class SystemConfig:
 
 
 @dataclass
-class _BankState:
-    ready: float = 0.0
-    open_row: Optional[int] = None
-    last_act: float = -1e9
-
-
-@dataclass
 class SimulationResult:
     """Outcome of one run."""
 
@@ -155,6 +174,56 @@ class SimulationResult:
         return self.row_hits / accesses if accesses else 0.0
 
 
+class CoreStream:
+    """One core's address stream, materialized :data:`STREAM_CHUNK`
+    addresses at a time as the simulation consumes it.
+
+    Wraps any per-core address source. For
+    :class:`~repro.memsim.trace.AddressGenerator` sources a chunk is one
+    vectorized ``take``; other sources (e.g.
+    :class:`~repro.memsim.tracefile.TracePlayer`) are drained through
+    ``next_address``. A stream depends only on the (workload, core,
+    geometry, seed) recipe, never on the mitigation, so a sweep shares one
+    instance across every run of a mix: a shared stream (``retain=True``)
+    keeps every address it has drawn, and each run reads it from the
+    start. A private stream (``retain=False``) keeps only its current
+    chunk.
+    """
+
+    __slots__ = ("source", "banks", "rows", "synthetic", "retain")
+
+    def __init__(self, source, retain: bool = True):
+        self.source = source
+        self.banks: List[int] = []
+        self.rows: List[int] = []
+        self.synthetic = isinstance(source, AddressGenerator)
+        self.retain = retain
+
+    def grow(self, consumed: int) -> int:
+        """Draw the next chunk once ``consumed`` addresses of
+        :attr:`banks`/:attr:`rows` are used up; returns the index in the
+        (possibly replaced) lists where the new chunk starts."""
+        if self.synthetic:
+            bank_array, row_array = self.source.take(STREAM_CHUNK)
+            banks = bank_array.tolist()
+            rows = row_array.tolist()
+        else:
+            banks = []
+            rows = []
+            next_address = self.source.next_address
+            for _ in range(STREAM_CHUNK):
+                bank, row = next_address()
+                banks.append(bank)
+                rows.append(row)
+        if not self.retain:
+            self.banks = banks
+            self.rows = rows
+            return 0
+        self.banks.extend(banks)
+        self.rows.extend(rows)
+        return consumed
+
+
 class MemorySystem:
     """One four-core system instance; ``run`` simulates one window."""
 
@@ -173,7 +242,6 @@ class MemorySystem:
         self.mix = mix
         self.config = config or SystemConfig()
         self.mitigation = mitigation
-        self._banks = [_BankState() for _ in range(self.config.n_banks)]
         if address_sources is not None:
             if len(address_sources) != 4:
                 raise SimulationError("need one address source per core")
@@ -194,43 +262,38 @@ class MemorySystem:
             for workload in mix.workloads
         ]
 
-    def run(self) -> SimulationResult:
+    def run(
+        self, streams: Optional[Sequence[CoreStream]] = None
+    ) -> SimulationResult:
         """Simulate one window and return per-core request throughput.
 
-        This is the *reference* engine: one Python iteration per request.
-        :meth:`run_fast` produces bit-identical results through the
-        epoch-batched core in :mod:`repro.memsim.fastcore`.
+        Args:
+            streams: Optional per-core address streams (one per core),
+                e.g. shared across the runs of a sweep. They must come
+                from the same generator recipe as this system's. Without
+                them the system's own address sources are consumed, so
+                each instance should be run once.
+
+        With ``config.check_timing`` (or ``VRD_TIMING_CHECK=1``) every
+        REF, PRE and ACT the loop schedules is fed to a
+        :class:`~repro.dram.checker.TimingChecker`, which raises on the
+        first violation.
         """
         recorder = obs.active()
-        with recorder.span("memsim.run_reference"):
-            result = self._run_reference()
-        if recorder.enabled:
-            recorder.counter_add("memsim.runs.reference")
-            recorder.counter_add("memsim.requests", result.total_requests)
-            recorder.counter_add("memsim.row_hits", result.row_hits)
-            recorder.counter_add("memsim.row_misses", result.row_misses)
-            if self.mitigation is not None:
-                name = self.mitigation.name
-                recorder.counter_add(
-                    f"mitigations.{name}.preventive_refreshes",
-                    result.preventive_refreshes,
-                )
-                recorder.counter_add(
-                    f"mitigations.{name}.rank_blocks", result.rank_blocks
-                )
-        return result
+        with recorder.span("memsim.run"):
+            return self._run(streams, recorder)
 
-    def _run_reference(self) -> SimulationResult:
+    def _run(
+        self, streams: Optional[Sequence[CoreStream]], recorder
+    ) -> SimulationResult:
         config = self.config
-        arrivals = [0.0] * 4  # next request arrival per core
-        completed = [0] * 4
-        latency_sums = [0.0] * 4
-        row_hits = 0
-        row_misses = 0
-        bus_free = 0.0
-        rank_blocked_until = 0.0
-        next_ref = _T_REFI if config.refresh_enabled else float("inf")
-        next_window = config.t_refw_ns
+        mitigation = self.mitigation
+        if streams is None:
+            streams = [
+                CoreStream(source, retain=False) for source in self._generators
+            ]
+        elif len(streams) != 4:
+            raise SimulationError("need one stream per core")
 
         from repro.dram.checker import timing_check_enabled
 
@@ -240,15 +303,92 @@ class MemorySystem:
 
             checker = _checker_for(config)
 
-        while True:
-            core = min(range(4), key=lambda c: arrivals[c])
-            arrival = arrivals[core]
-            if arrival >= config.window_ns:
-                break
-            bank_index, row = self._generators[core].next_address()
-            bank = self._banks[bank_index]
+        # Aggregates are recorded once per run, after the loop; the only
+        # tracing state the hot loop carries is two plain int increments on
+        # rare branches (epoch flush, exact step).
+        epochs = 0
+        exact_steps = 0
 
-            start = max(arrival, bank.ready, rank_blocked_until)
+        # Array-backed batchers index (bank, row) tables, so they require
+        # rows below config.n_rows — guaranteed for synthetic generators,
+        # unknown for custom sources, which therefore take the exact
+        # generic path.
+        batcher = None
+        if mitigation is not None:
+            tables_safe = all(stream.synthetic for stream in streams)
+            batcher = make_batcher(
+                mitigation, config.n_banks, config.n_rows,
+                allow_tables=tables_safe,
+            )
+
+        window_ns = config.window_ns
+        t_refw = config.t_refw_ns
+        n_banks = config.n_banks
+        n_rows = config.n_rows
+        gaps = list(self._gaps)
+
+        arrivals = [0.0, 0.0, 0.0, 0.0]
+        completed = [0, 0, 0, 0]
+        latency_sums = [0.0, 0.0, 0.0, 0.0]
+        positions = [0, 0, 0, 0]
+        stream_banks = [stream.banks for stream in streams]
+        stream_rows = [stream.rows for stream in streams]
+
+        bank_ready = [0.0] * n_banks
+        bank_open: List[Optional[int]] = [None] * n_banks
+        bank_last = [-1e9] * n_banks
+        row_hits = 0
+        row_misses = 0
+        bus_free = 0.0
+        rank_blocked_until = 0.0
+        next_ref = _T_REFI if config.refresh_enabled else float("inf")
+        next_window = t_refw
+
+        pending_banks: List[int] = []
+        pending_rows: List[int] = []
+        if batcher is not None:
+            budget = batcher.budget()
+            danger = batcher.danger  # mutated in place, never rebound
+            danger_by_bank = batcher.danger_by_bank
+        else:
+            budget = _NO_MITIGATION
+            danger = ()
+            danger_by_bank = False
+
+        while True:
+            # Inlined 4-way arbiter: earliest arrival, lowest core on ties.
+            core = 0
+            arrival = arrivals[0]
+            if arrivals[1] < arrival:
+                core = 1
+                arrival = arrivals[1]
+            if arrivals[2] < arrival:
+                core = 2
+                arrival = arrivals[2]
+            if arrivals[3] < arrival:
+                core = 3
+                arrival = arrivals[3]
+            if arrival >= window_ns:
+                break
+
+            position = positions[core]
+            try:
+                bank_index = stream_banks[core][position]
+            except IndexError:  # this core's chunk is used up
+                stream = streams[core]
+                position = stream.grow(position)
+                stream_banks[core] = stream.banks
+                stream_rows[core] = stream.rows
+                bank_index = stream.banks[position]
+            row = stream_rows[core][position]
+            positions[core] = position + 1
+
+            start = arrival
+            ready = bank_ready[bank_index]
+            if ready > start:
+                start = ready
+            if rank_blocked_until > start:
+                start = rank_blocked_until
 
             # Periodic refresh stalls the rank.
             while next_ref <= start:
@@ -259,103 +399,139 @@ class MemorySystem:
                     _feed(checker, Command(CommandKind.REF, next_ref))
                 next_ref += _T_REFI
             # Tracking-window boundary for the mitigation.
-            if self.mitigation is not None and start >= next_window:
-                self.mitigation.on_refresh_window(start)
-                next_window += config.t_refw_ns
+            if batcher is not None and start >= next_window:
+                if pending_banks:
+                    batcher.on_activate_many(pending_banks, pending_rows)
+                    pending_banks = []
+                    pending_rows = []
+                batcher.on_refresh_window(start)
+                next_window += t_refw
+                budget = batcher.budget()
+                epochs += 1
 
-            needs_act = bank.open_row != row
+            open_row = bank_open[bank_index]
+            needs_act = open_row != row
             if needs_act:
                 row_misses += 1
-            else:
-                row_hits += 1
-            if needs_act:
-                if bank.open_row is not None:
+                if open_row is not None:
                     start += _T_RP
-                start = max(start, bank.last_act + _T_RC)
+                paced = bank_last[bank_index] + _T_RC
+                if paced > start:
+                    start = paced
                 if checker is not None:
                     # Closing an open row precharges exactly tRP before
                     # the new activation (tRAS then holds via tRC - tRP).
-                    if bank.open_row is not None:
+                    if open_row is not None:
                         _feed(checker, Command(
                             CommandKind.PRE, start - _T_RP, bank=bank_index
                         ))
                     _feed(checker, Command(
                         CommandKind.ACT, start, bank=bank_index, row=row
                     ))
-                bank.last_act = start
-                access_latency = _T_RCD + _T_CL
+                bank_last[bank_index] = start
+                completion = start + _MISS_LATENCY
             else:
-                access_latency = _T_CL
-
-            completion = start + access_latency
+                row_hits += 1
+                completion = start + _T_CL
             # Shared data bus serializes bursts.
-            completion = max(completion, bus_free + _T_BL)
+            burst = bus_free + _T_BL
+            if burst > completion:
+                completion = burst
             bus_free = completion
 
-            bank.open_row = row
-            bank.ready = completion
+            bank_open[bank_index] = row
+            bank_ready[bank_index] = completion
 
-            if needs_act and self.mitigation is not None:
-                action = self.mitigation.on_activate(bank_index, row, start)
-                if not action.is_noop:
-                    for victim_bank, victim_row in action.victim_refreshes:
-                        if not 0 <= victim_bank < config.n_banks:
-                            continue
-                        target = self._banks[victim_bank]
-                        busy_from = max(target.ready, completion)
-                        target.ready = busy_from + VICTIM_REFRESH_NS
-                        # The refresh activates the victim row, closing
-                        # whatever was open in that bank.
-                        target.open_row = None
-                    if action.rank_block_ns > 0:
-                        rank_blocked_until = max(
-                            rank_blocked_until, completion
-                        ) + action.rank_block_ns
-                    for delayed_bank, delay_ns in action.bank_delays:
-                        if 0 <= delayed_bank < config.n_banks:
-                            target = self._banks[delayed_bank]
-                            target.ready = max(target.ready, completion) + delay_ns
+            if needs_act and batcher is not None:
+                key = bank_index if danger_by_bank else bank_index * n_rows + row
+                take_step = key in danger
+                if not take_step:
+                    if budget < 0:  # stale since the last exact step
+                        budget = batcher.budget()
+                    if budget > 0:
+                        pending_banks.append(bank_index)
+                        pending_rows.append(row)
+                        budget -= 1
+                        if budget == 0:
+                            batcher.on_activate_many(pending_banks, pending_rows)
+                            pending_banks = []
+                            pending_rows = []
+                            budget = batcher.budget()
+                    else:
+                        take_step = True
+                if take_step:
+                    exact_steps += 1
+                    if pending_banks:
+                        batcher.on_activate_many(pending_banks, pending_rows)
+                        pending_banks = []
+                        pending_rows = []
+                    action = batcher.step(bank_index, row, start)
+                    if action is not None:
+                        victims, rank_block_ns, bank_delays = action
+                        for victim_bank, victim_row in victims:
+                            if 0 <= victim_bank < n_banks:
+                                busy_from = bank_ready[victim_bank]
+                                if completion > busy_from:
+                                    busy_from = completion
+                                bank_ready[victim_bank] = (
+                                    busy_from + VICTIM_REFRESH_NS
+                                )
+                                # The refresh activates the victim row,
+                                # closing whatever was open in that bank.
+                                bank_open[victim_bank] = None
+                        if rank_block_ns > 0:
+                            blocked = rank_blocked_until
+                            if completion > blocked:
+                                blocked = completion
+                            rank_blocked_until = blocked + rank_block_ns
+                        for delayed_bank, delay_ns in bank_delays:
+                            if 0 <= delayed_bank < n_banks:
+                                busy_from = bank_ready[delayed_bank]
+                                if completion > busy_from:
+                                    busy_from = completion
+                                bank_ready[delayed_bank] = busy_from + delay_ns
+                    budget = -1  # recompute lazily at the next buffered miss
 
             completed[core] += 1
             latency_sums[core] += completion - arrival
-            arrivals[core] = completion + self._gaps[core]
+            arrivals[core] = completion + gaps[core]
+
+        if batcher is not None:
+            if pending_banks:
+                batcher.on_activate_many(pending_banks, pending_rows)
+            batcher.finalize()
 
         result = SimulationResult(
             mix_name=self.mix.name,
-            mitigation_name=(
-                self.mitigation.name if self.mitigation else "baseline"
-            ),
-            window_ns=config.window_ns,
+            mitigation_name=(mitigation.name if mitigation else "baseline"),
+            window_ns=window_ns,
             requests_per_core=completed,
             total_latency_per_core=latency_sums,
             row_hits=row_hits,
             row_misses=row_misses,
         )
-        if self.mitigation is not None:
-            result.preventive_refreshes = self.mitigation.preventive_refreshes
-            result.rank_blocks = self.mitigation.rank_blocks
+        if mitigation is not None:
+            result.preventive_refreshes = mitigation.preventive_refreshes
+            result.rank_blocks = mitigation.rank_blocks
+
+        if recorder.enabled:
+            recorder.counter_add("memsim.runs")
+            recorder.counter_add("memsim.requests", sum(completed))
+            recorder.counter_add("memsim.row_hits", row_hits)
+            recorder.counter_add("memsim.row_misses", row_misses)
+            if batcher is not None:
+                recorder.counter_add("memsim.epochs", epochs)
+                recorder.counter_add("memsim.exact_steps", exact_steps)
+                recorder.counter_add(
+                    "memsim.batched_activations", row_misses - exact_steps
+                )
+            if mitigation is not None:
+                recorder.counter_add(
+                    f"mitigations.{mitigation.name}.preventive_refreshes",
+                    result.preventive_refreshes,
+                )
+                recorder.counter_add(
+                    f"mitigations.{mitigation.name}.rank_blocks",
+                    result.rank_blocks,
+                )
         return result
-
-    def run_fast(self) -> SimulationResult:
-        """Simulate one window through the epoch-batched fast core.
-
-        Bit-identical to :meth:`run` on a freshly constructed system —
-        request counts, latency sums, hit/miss counts, preventive
-        refreshes, and rank blocks all match the reference loop exactly
-        (``tests/memsim/test_fastcore.py`` asserts this across the Fig. 14
-        grid). Like :meth:`run`, it consumes the system's address streams,
-        so each :class:`MemorySystem` instance should be run once.
-
-        With timing checking requested, the reference engine runs
-        instead: the fast core is bit-identical but synthesizes no
-        command stream for the checker to validate.
-        """
-        from repro.dram.checker import timing_check_enabled
-
-        if timing_check_enabled(
-            True if self.config.check_timing else None
-        ):
-            return self.run()
-        from repro.memsim.fastcore import run_fast
-
-        return run_fast(self)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -51,9 +51,12 @@ class PreventiveAction:
 class Mitigation(ABC):
     """A preventive read-disturbance mitigation.
 
-    The memory system calls :meth:`on_activate` for every row activation
-    and :meth:`on_refresh_window` at every tREFW boundary (tracking-window
-    reset, as the real mechanisms synchronize with refresh).
+    :meth:`on_activate` defines the reaction to one row activation and
+    :meth:`on_refresh_window` the tREFW boundary (tracking-window reset,
+    as the real mechanisms synchronize with refresh). The memory system
+    drives them through an array-backed batcher
+    (:mod:`repro.mitigations.fast`) where one exists, and directly
+    otherwise.
     """
 
     name: str = "mitigation"
@@ -73,26 +76,6 @@ class Mitigation(ABC):
 
     def on_refresh_window(self, now: float) -> None:
         """tREFW boundary: counters that reset with refresh do so here."""
-
-    def on_activate_many(
-        self,
-        banks: "Sequence[int]",
-        rows: "Sequence[int]",
-        starts: "Sequence[float]",
-    ) -> List[PreventiveAction]:
-        """React to a batch of ACTs; returns one action per activation.
-
-        The default walks :meth:`on_activate` sequentially, so any
-        mitigation batches correctly. Array-backed fast paths live in
-        :mod:`repro.mitigations.fast`: the simulation fast core batches
-        *action-free* stretches of activations there (where counter
-        updates commute), falling back to per-activation stepping around
-        preventive actions.
-        """
-        return [
-            self.on_activate(bank, row, start)
-            for bank, row, start in zip(banks, rows, starts)
-        ]
 
     def _count_action(self, action: PreventiveAction) -> PreventiveAction:
         self.preventive_refreshes += len(action.victim_refreshes)

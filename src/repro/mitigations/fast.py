@@ -1,11 +1,11 @@
-"""Array-backed mitigation batchers for the memory-system fast core.
+"""Array-backed mitigation batchers for the memory-system simulation loop.
 
 The reference mitigations (:mod:`repro.mitigations`) keep per-activation
 state in Python dicts and return a :class:`~repro.mitigations.base.
 PreventiveAction` per ACT — exactly what a per-request simulation loop
 wants, and exactly what makes it slow at sweep scale. Each batcher here
 re-implements one mechanism's state as preallocated numpy counter tables
-plus O(1) bookkeeping, and exposes the epoch protocol the fast core
+plus O(1) bookkeeping, and exposes the epoch protocol the simulation loop
 drives:
 
 * :meth:`MitigationBatcher.budget` — how many further activations may be
@@ -66,7 +66,7 @@ from repro.mitigations.mint import Mint
 from repro.mitigations.para import Para
 from repro.mitigations.prac import Prac
 
-#: One fast-core action: (victim refreshes, rank stall ns, bank delays).
+#: One simulation-loop action: (victim refreshes, rank stall ns, bank delays).
 Action = Tuple[List[Tuple[int, int]], float, Sequence[Tuple[int, float]]]
 
 #: RNG draws pre-generated per batch by the stochastic batchers.
@@ -139,9 +139,10 @@ class MitigationBatcher:
 class GenericBatcher(MitigationBatcher):
     """Exact fallback for mitigations without an array fast path.
 
-    Advertises a zero budget, so the fast core steps every activation
-    through the mitigation's own ``on_activate`` — bit-identical by
-    definition (the wrapped instance keeps counting its own actions).
+    Advertises a zero budget, so the simulation loop steps every
+    activation through the mitigation's own ``on_activate`` —
+    bit-identical by definition (the wrapped instance keeps counting its
+    own actions).
     """
 
     def budget(self) -> int:
@@ -231,6 +232,9 @@ class ParaBatcher(MitigationBatcher):
             return None
         self._gaps.popleft()
         return self._refresh_action(bank, row)
+
+    def on_refresh_window(self, now: float) -> None:
+        pass  # PARA keeps no per-window state
 
 
 class MintBatcher(MitigationBatcher):
@@ -415,7 +419,7 @@ class GrapheneBatcher(MitigationBatcher):
     increments (table max, histogram-maintained), *fresh inserts starting
     at the bank's spillover baseline* (``max_spill``), and table capacity
     (an epoch of all-new rows must not force an eviction). Near any
-    boundary the fast core steps through the exact Misra-Gries logic,
+    boundary the simulation loop steps through the exact Misra-Gries logic,
     including the spillover-eviction branch.
     """
 
@@ -692,8 +696,9 @@ def make_batcher(
     mechanisms (e.g. :class:`~repro.mitigations.adaptive.
     AdaptiveMitigation`) fall back to :class:`GenericBatcher`, which is
     slower but exact for anything. ``allow_tables=False`` forces the
-    generic path — the fast core uses it when row indices are not known to
-    fit the ``n_rows`` tables (custom trace-driven address sources).
+    generic path — the simulation loop uses it when row indices are not
+    known to fit the ``n_rows`` tables (custom trace-driven address
+    sources).
     """
     batcher: MitigationBatcher
     if allow_tables:

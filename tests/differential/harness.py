@@ -15,7 +15,7 @@ name                oracle                              fast path
 ==================  ==================================  =========================
 engine              serial ``Campaign.run``             ``CampaignEngine`` (2 jobs)
 campaign            per-row selection + campaign loops  bank-batched selection/run
-memsim              ``MemorySystem.run``                ``memsim.fastcore.run_fast``
+memsim              ``reference_memsim_run``            ``MemorySystem.run``
 fastfaults          per-row ``RowVrdProcess``           packed ``BankVrdState``
 probe               per-row ``guess_rdt``               batched ``guess_rdt_batch``
 bender              ``interpreted_trial``               ``DramBender.run_trial``
@@ -30,7 +30,7 @@ victim              per-row scan + ``find_victim``      memoized batched scan
 Cross-protocol variants rerun the fastfaults and bender pairs on catalog
 devices whose geometry exercises DDR5 bank groups (``D0``) and HBM2
 pseudo channels (``Chip0``); the ``checker-*`` pairs run the same
-workload with ``VRD_TIMING_CHECK=1`` forced on versus off, proving the
+fast path with ``VRD_TIMING_CHECK=1`` forced on versus off, proving the
 opt-in timing validation pass never perturbs a single bit.
 """
 
@@ -212,14 +212,144 @@ def campaign_fast(seed: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# memsim: reference request loop vs epoch-batched fast core
+# memsim: per-request loop vs the epoch-batched MemorySystem.run
 # ----------------------------------------------------------------------
 
+
+@dataclass
+class _BankState:
+    ready: float = 0.0
+    open_row: "int | None" = None
+    last_act: float = -1e9
+
+
+def reference_memsim_run(system, checker=None):
+    """One simulation window, one Python iteration per request, calling the
+    mitigation's own ``on_activate`` on every activation.
+
+    ``MemorySystem.run`` is held to this loop: requests and latency sums
+    per core, row hits/misses, preventive refreshes and rank blocks. With a
+    ``checker`` (anything with the ``TimingChecker.feed`` shape), every REF,
+    PRE and ACT is fed to it in issue order. Consumes ``system``'s address
+    sources, so each system should be run once.
+    """
+    from repro.dram.commands import Command, CommandKind
+    from repro.memsim.system import (
+        _T_BL, _T_CL, _T_RC, _T_RCD, _T_REFI, _T_RFC, _T_RP,
+        SimulationResult, _feed,
+    )
+    from repro.mitigations.base import VICTIM_REFRESH_NS
+
+    config = system.config
+    mitigation = system.mitigation
+    banks = [_BankState() for _ in range(config.n_banks)]
+    arrivals = [0.0] * 4  # next request arrival per core
+    completed = [0] * 4
+    latency_sums = [0.0] * 4
+    row_hits = 0
+    row_misses = 0
+    bus_free = 0.0
+    rank_blocked_until = 0.0
+    next_ref = _T_REFI if config.refresh_enabled else float("inf")
+    next_window = config.t_refw_ns
+
+    while True:
+        core = min(range(4), key=lambda c: arrivals[c])
+        arrival = arrivals[core]
+        if arrival >= config.window_ns:
+            break
+        bank_index, row = system._generators[core].next_address()
+        bank = banks[bank_index]
+
+        start = max(arrival, bank.ready, rank_blocked_until)
+
+        # Periodic refresh stalls the rank.
+        while next_ref <= start:
+            ref_end = next_ref + _T_RFC
+            if start < ref_end:
+                start = ref_end
+            if checker is not None:
+                _feed(checker, Command(CommandKind.REF, next_ref))
+            next_ref += _T_REFI
+        # Tracking-window boundary for the mitigation.
+        if mitigation is not None and start >= next_window:
+            mitigation.on_refresh_window(start)
+            next_window += config.t_refw_ns
+
+        needs_act = bank.open_row != row
+        if needs_act:
+            row_misses += 1
+            if bank.open_row is not None:
+                start += _T_RP
+            start = max(start, bank.last_act + _T_RC)
+            if checker is not None:
+                if bank.open_row is not None:
+                    _feed(checker, Command(
+                        CommandKind.PRE, start - _T_RP, bank=bank_index
+                    ))
+                _feed(checker, Command(
+                    CommandKind.ACT, start, bank=bank_index, row=row
+                ))
+            bank.last_act = start
+            access_latency = _T_RCD + _T_CL
+        else:
+            row_hits += 1
+            access_latency = _T_CL
+
+        completion = start + access_latency
+        # Shared data bus serializes bursts.
+        completion = max(completion, bus_free + _T_BL)
+        bus_free = completion
+
+        bank.open_row = row
+        bank.ready = completion
+
+        if needs_act and mitigation is not None:
+            action = mitigation.on_activate(bank_index, row, start)
+            for victim_bank, _ in action.victim_refreshes:
+                if not 0 <= victim_bank < config.n_banks:
+                    continue
+                target = banks[victim_bank]
+                target.ready = max(target.ready, completion) + VICTIM_REFRESH_NS
+                # The refresh activates the victim row, closing whatever
+                # was open in that bank.
+                target.open_row = None
+            if action.rank_block_ns > 0:
+                rank_blocked_until = (
+                    max(rank_blocked_until, completion) + action.rank_block_ns
+                )
+            for delayed_bank, delay_ns in action.bank_delays:
+                if 0 <= delayed_bank < config.n_banks:
+                    target = banks[delayed_bank]
+                    target.ready = max(target.ready, completion) + delay_ns
+
+        completed[core] += 1
+        latency_sums[core] += completion - arrival
+        arrivals[core] = completion + system._gaps[core]
+
+    result = SimulationResult(
+        mix_name=system.mix.name,
+        mitigation_name=mitigation.name if mitigation else "baseline",
+        window_ns=config.window_ns,
+        requests_per_core=completed,
+        total_latency_per_core=latency_sums,
+        row_hits=row_hits,
+        row_misses=row_misses,
+    )
+    if mitigation is not None:
+        result.preventive_refreshes = mitigation.preventive_refreshes
+        result.rank_blocks = mitigation.rank_blocks
+    return result
+
+
 _MEMSIM_MITIGATIONS = ["Graphene", "PRAC", "PARA", "MINT", "BlockHammer"]
+_MEMSIM_WINDOW_NS = 5_000.0
 
 
 def _memsim_workload(seed: int):
-    from repro.memsim.system import MemorySystem, SystemConfig
+    """A 5 us run; two of three tREFW choices put tracking-window
+    boundaries inside it."""
+    from repro.memsim.system import _T_REFW, MemorySystem, SystemConfig
     from repro.memsim.trace import standard_mixes
     from repro.mitigations import build_mitigation
 
@@ -227,11 +357,14 @@ def _memsim_workload(seed: int):
     mix = pick.choice(standard_mixes(3))
     name = pick.choice(_MEMSIM_MITIGATIONS)
     threshold = pick.choice([256.0, 1024.0])
-    config = SystemConfig(window_ns=5_000.0, seed=seed)
+    t_refw_ns = pick.choice([_T_REFW, 1_200.0, 2_700.0])
+    config = SystemConfig(
+        window_ns=_MEMSIM_WINDOW_NS, seed=seed, t_refw_ns=t_refw_ns
+    )
     return MemorySystem(mix, config, build_mitigation(name, threshold))
 
 
-def _memsim_fingerprint(result) -> tuple:
+def memsim_fingerprint(result) -> tuple:
     return (
         result.mix_name,
         result.mitigation_name,
@@ -245,11 +378,11 @@ def _memsim_fingerprint(result) -> tuple:
 
 
 def memsim_oracle(seed: int) -> tuple:
-    return _memsim_fingerprint(_memsim_workload(seed).run())
+    return memsim_fingerprint(reference_memsim_run(_memsim_workload(seed)))
 
 
 def memsim_fast(seed: int) -> tuple:
-    return _memsim_fingerprint(_memsim_workload(seed).run_fast())
+    return memsim_fingerprint(_memsim_workload(seed).run())
 
 
 # ----------------------------------------------------------------------
@@ -515,11 +648,11 @@ def checker_bender_fast(seed: int) -> tuple:
 
 
 def checker_memsim_oracle(seed: int) -> tuple:
-    return memsim_oracle(seed)
+    return memsim_fast(seed)
 
 
 def checker_memsim_fast(seed: int) -> tuple:
-    return _checked(memsim_oracle, seed)
+    return _checked(memsim_fast, seed)
 
 
 # ----------------------------------------------------------------------

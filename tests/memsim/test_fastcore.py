@@ -1,6 +1,7 @@
-"""Fast-core equivalence: run_fast is bit-identical to MemorySystem.run.
+"""Loop equivalence: MemorySystem.run is bit-identical to the per-request
+oracle ``reference_memsim_run``.
 
-The contract under test (see :mod:`repro.memsim.fastcore`): same requests
+The contract under test (see :mod:`repro.memsim.system`): same requests
 per core, same latency sums (same floats), same hit/miss split, same
 preventive-refresh and rank-block counts — for every mitigation and for
 custom address sources.
@@ -10,7 +11,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.memsim import CoreStream, MemorySystem, SystemConfig, standard_mixes
-from repro.memsim.fastcore import run_fast
 from repro.memsim.tracefile import TracePlayer, TraceRecord
 from repro.mitigations import (
     AdaptiveMitigation,
@@ -20,25 +20,25 @@ from repro.mitigations import (
     build_mitigation,
 )
 from repro.profiling.policy import StaticThresholdPolicy
+from tests.differential.harness import (
+    memsim_fingerprint as fingerprint,
+    reference_memsim_run,
+)
 
 MIXES = standard_mixes(2)
 CONFIG = SystemConfig(window_ns=20_000.0)
 
 
-def fingerprint(result):
-    return (
-        result.requests_per_core,
-        result.total_latency_per_core,
-        result.row_hits,
-        result.row_misses,
-        result.preventive_refreshes,
-        result.rank_blocks,
-    )
+@pytest.fixture(autouse=True)
+def small_stream_chunks(monkeypatch):
+    # Every run crosses many stream-chunk boundaries, private and shared
+    # (100 does not divide the generators' 1024-address batches).
+    monkeypatch.setattr("repro.memsim.system.STREAM_CHUNK", 100)
 
 
 def assert_equivalent(mix, config, build):
-    reference = MemorySystem(mix, config, build()).run()
-    fast = MemorySystem(mix, config, build()).run_fast()
+    reference = reference_memsim_run(MemorySystem(mix, config, build()))
+    fast = MemorySystem(mix, config, build()).run()
     assert fingerprint(fast) == fingerprint(reference)
     return reference
 
@@ -76,10 +76,10 @@ def test_blockhammer_equivalence(rdt):
 
 def test_blockhammer_throttle_counter_writeback():
     reference = MemorySystem(MIXES[0], CONFIG, BlockHammer(48))
-    reference.run()
+    reference_memsim_run(reference)
     assert reference.mitigation.throttled_activations > 0
     fast = MemorySystem(MIXES[0], CONFIG, BlockHammer(48))
-    fast.run_fast()
+    fast.run()
     assert (
         fast.mitigation.throttled_activations
         == reference.mitigation.throttled_activations
@@ -97,16 +97,24 @@ def test_adaptive_mitigation_generic_path():
     assert_equivalent(MIXES[0], CONFIG, build)
 
 
-@pytest.mark.parametrize("name", ["Graphene", "MINT", "PRAC"])
+@pytest.mark.parametrize(
+    "name", ["Graphene", "MINT", "PRAC", "PARA", "BlockHammer"]
+)
 def test_window_reset_equivalence(name):
     # A tREFW small enough to fire several tracking-window resets per run,
     # and a threshold low enough that the array-backed tracker tables
     # actually cross and issue preventive actions between resets.
+    # BlockHammer acts by throttling, which it counts on its own.
     config = SystemConfig(window_ns=20_000.0, t_refw_ns=4_000.0)
-    reference = assert_equivalent(
-        MIXES[0], config, lambda: build_mitigation(name, 12)
-    )
-    assert reference.preventive_refreshes + reference.rank_blocks > 0
+    built = []
+
+    def build():
+        built.append(build_mitigation(name, 12))
+        return built[-1]
+
+    reference = assert_equivalent(MIXES[0], config, build)
+    throttled = getattr(built[0], "throttled_activations", 0)
+    assert reference.preventive_refreshes + reference.rank_blocks + throttled > 0
 
 
 def test_trace_replay_equivalence():
@@ -121,12 +129,12 @@ def test_trace_replay_equivalence():
     def players():
         return [TracePlayer(records, core) for core in range(4)]
 
-    reference = MemorySystem(
+    reference = reference_memsim_run(MemorySystem(
         mix, CONFIG, Graphene(8), address_sources=players()
-    ).run()
+    ))
     fast = MemorySystem(
         mix, CONFIG, Graphene(8), address_sources=players()
-    ).run_fast()
+    ).run()
     assert fingerprint(fast) == fingerprint(reference)
     assert reference.preventive_refreshes > 0
 
@@ -140,8 +148,8 @@ def test_shared_streams_match_fresh_runs():
         for source in MemorySystem(mix, CONFIG)._generators
     ]
     for build in (lambda: None, lambda: Graphene(128), lambda: build_mitigation("MINT", 96)):
-        shared = run_fast(MemorySystem(mix, CONFIG, build()), streams)
-        fresh = MemorySystem(mix, CONFIG, build()).run()
+        shared = MemorySystem(mix, CONFIG, build()).run(streams)
+        fresh = reference_memsim_run(MemorySystem(mix, CONFIG, build()))
         assert fingerprint(shared) == fingerprint(fresh)
 
 
@@ -149,4 +157,4 @@ def test_run_fast_validates_stream_count():
     system = MemorySystem(MIXES[0], CONFIG)
     streams = [CoreStream(source) for source in system._generators]
     with pytest.raises(SimulationError):
-        run_fast(system, streams[:3])
+        system.run(streams[:3])

@@ -6,7 +6,12 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
+from repro.memsim import sweep as sweep_module
+from repro.memsim.metrics import normalized_weighted_speedup
 from repro.memsim.sweep import SweepCache, SweepResult, SweepSpec, run_sweep
+from repro.memsim.system import MemorySystem
+from repro.mitigations import apply_guardband, build_mitigation
+from tests.differential.harness import reference_memsim_run
 
 #: A grid small enough for test runtimes but with >1 of everything.
 SPEC = SweepSpec(
@@ -23,13 +28,40 @@ def sweep():
     return run_sweep(SPEC)
 
 
+def oracle_sweep(spec, checker=None):
+    """``spec``'s per-mix speedups from the per-request oracle, running
+    the systems in the sweep's order: baselines first, then cells."""
+    config = spec.config()
+    mixes = spec.mixes()
+    baselines = {
+        mix.name: reference_memsim_run(MemorySystem(mix, config), checker)
+        for mix in mixes
+    }
+    per_mix = {}
+    for rdt, margin, name in spec.cells():
+        threshold = apply_guardband(rdt, margin)
+        per_mix[(rdt, margin, name)] = {
+            mix.name: normalized_weighted_speedup(
+                reference_memsim_run(
+                    MemorySystem(
+                        mix, config, build_mitigation(name, threshold)
+                    ),
+                    checker,
+                ),
+                baselines[mix.name],
+            )
+            for mix in mixes
+        }
+    return per_mix
+
+
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
         SweepSpec(mitigations=())
     with pytest.raises(ConfigurationError):
         SweepSpec(n_mixes=0)
-    with pytest.raises(ConfigurationError):
-        SweepSpec(engine="turbo")
+    with pytest.raises(TypeError):
+        SweepSpec(engine="reference")  # one simulation loop, no choice
     with pytest.raises(ConfigurationError):
         SweepSpec(margins=(1.5,))  # invalid guardband fails eagerly
     with pytest.raises(SimulationError):
@@ -59,10 +91,41 @@ def test_sweep_shape_and_values(sweep):
 
 
 def test_engines_bit_identical(sweep):
-    reference = run_sweep(
-        replace(SPEC, engine="reference")
+    assert oracle_sweep(SPEC) == sweep.per_mix
+
+
+class CommandRecorder:
+    """Stands in for the TimingChecker: records every command fed."""
+
+    def __init__(self):
+        self.commands = []
+
+    def feed(self, entry):
+        self.commands.append(entry)
+        return []
+
+
+def test_checked_sweep_feeds_the_oracle_command_stream(monkeypatch):
+    from repro.dram.checker import TIMING_CHECK_ENV_VAR
+    from repro.dram.commands import CommandKind
+
+    spec = SweepSpec(
+        mitigations=("PARA", "Graphene"), rdts=(128.0,), margins=(0.0,),
+        n_mixes=2, window_ns=5_000.0,
     )
-    assert reference.per_mix == sweep.per_mix
+    fed = CommandRecorder()
+    monkeypatch.setattr(sweep_module, "_WORKER_STATE", {})
+    monkeypatch.setattr(
+        "repro.memsim.system._checker_for", lambda config: fed
+    )
+    monkeypatch.setenv(TIMING_CHECK_ENV_VAR, "1")
+    checked = run_sweep(spec, n_jobs=1)
+
+    expected = CommandRecorder()
+    assert oracle_sweep(spec, expected) == checked.per_mix
+    assert fed.commands == expected.commands
+    kinds = {command.kind for command in fed.commands}
+    assert kinds == {CommandKind.REF, CommandKind.PRE, CommandKind.ACT}
 
 
 def test_jobs_invariance(sweep):

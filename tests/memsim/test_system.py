@@ -111,3 +111,18 @@ def test_config_validation():
             SystemConfig(window_ns=value)
         with pytest.raises(SimulationError):
             SystemConfig(t_refw_ns=value)
+
+
+def test_run_memory_is_bounded_by_the_stream_chunk():
+    # A private run keeps only each core's current chunk of addresses, so
+    # peak memory does not grow with the window (about 1 MB at 2 ms).
+    import tracemalloc
+
+    system = MemorySystem(MIX, SystemConfig(window_ns=2e6), Para(1024))
+    tracemalloc.start()
+    try:
+        system.run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

@@ -1,9 +1,10 @@
 """Edge cases in the MemorySystem timing loop.
 
-Each scenario asserts the reference engine's behavior AND that the fast
-core reproduces it bit-for-bit — these are exactly the branches (refresh
-stalls, rank blocks overlapping victim refreshes, empty tracking windows,
-out-of-range victims) where the two loops could plausibly diverge.
+Each scenario asserts the per-request oracle's behavior AND that
+``MemorySystem.run`` reproduces it bit-for-bit — these are exactly the
+branches (refresh stalls, rank blocks overlapping victim refreshes, empty
+tracking windows, out-of-range victims) where the two loops could
+plausibly diverge.
 """
 
 from typing import List, Tuple
@@ -13,24 +14,17 @@ from repro.memsim.system import _T_RFC
 from repro.memsim.trace import SyntheticWorkload, WorkloadMix
 from repro.mitigations import Mint
 from repro.mitigations.base import Mitigation, PreventiveAction
+from tests.differential.harness import (
+    memsim_fingerprint as fingerprint,
+    reference_memsim_run,
+)
 
 MIX = standard_mixes(1)[0]
 
 
-def fingerprint(result):
-    return (
-        result.requests_per_core,
-        result.total_latency_per_core,
-        result.row_hits,
-        result.row_misses,
-        result.preventive_refreshes,
-        result.rank_blocks,
-    )
-
-
 def run_both(mix, config, build):
-    reference = MemorySystem(mix, config, build()).run()
-    fast = MemorySystem(mix, config, build()).run_fast()
+    reference = reference_memsim_run(MemorySystem(mix, config, build()))
+    fast = MemorySystem(mix, config, build()).run()
     assert fingerprint(fast) == fingerprint(reference)
     return reference
 
@@ -89,9 +83,9 @@ def test_refresh_window_fires_without_actions():
     # action-free mitigated run matches the baseline's timing exactly.
     config = SystemConfig(window_ns=20_000.0, t_refw_ns=3_000.0)
     reference_system = MemorySystem(MIX, config, WindowCounter())
-    reference = reference_system.run()
+    reference = reference_memsim_run(reference_system)
     fast_system = MemorySystem(MIX, config, WindowCounter())
-    fast = fast_system.run_fast()
+    fast = fast_system.run()
     assert fingerprint(fast) == fingerprint(reference)
     assert reference_system.mitigation.windows_seen >= 4
     assert (

@@ -1,11 +1,12 @@
 """Batcher-vs-reference equivalence for the array-backed fast paths.
 
-Drives each :mod:`repro.mitigations.fast` batcher exactly the way the
-simulation fast core does — screened epochs absorbed through
+Drives each :mod:`repro.mitigations.fast` batcher exactly the way
+``MemorySystem.run`` does — screened epochs absorbed through
 ``on_activate_many``, dangerous or budget-exhausted activations stepped —
 against a twin reference instance fed one ``on_activate`` per activation,
 and asserts identical actions at identical positions plus identical final
-counters. This is the contract that makes the fast core bit-identical.
+counters. This is the contract that makes the simulation loop
+bit-identical to its per-request oracle.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.mitigations.fast import (
     GenericBatcher,
     GrapheneBatcher,
     MintBatcher,
+    MitigationBatcher,
     ParaBatcher,
     PracBatcher,
     make_batcher,
@@ -45,7 +47,8 @@ def hot_sequence(length, n_hot_rows=20, seed=3):
 
 
 def drive_and_compare(batcher, reference, sequence, windows_at=()):
-    """Run the fast core's epoch protocol; compare with per-act reference."""
+    """Run the simulation loop's epoch protocol; compare with per-act
+    reference."""
     windows_at = set(windows_at)
     budget = batcher.budget()
     danger = batcher.danger
@@ -136,7 +139,16 @@ def test_mint_batcher_equivalence(threshold):
 @pytest.mark.parametrize("threshold", [512, 64])
 def test_para_batcher_equivalence(threshold):
     batcher = ParaBatcher(Para(threshold, seed=9))
-    drive_and_compare(batcher, Para(threshold, seed=9), hot_sequence(4000))
+    drive_and_compare(
+        batcher, Para(threshold, seed=9), hot_sequence(4000),
+        windows_at=(1500, 3000),
+    )
+
+
+def test_base_batcher_refuses_window_reset():
+    # A new batcher must say what it resets at a tREFW boundary.
+    with pytest.raises(NotImplementedError):
+        MitigationBatcher(Para(64)).on_refresh_window(0.0)
 
 
 @pytest.mark.parametrize("threshold", [256, 48])
