@@ -94,17 +94,21 @@ class HammerSweep:
             object.__setattr__(self, "_grid", cached)
         return cached
 
-    def quantize(self, latent: np.ndarray) -> np.ndarray:
+    def quantize(
+        self, latent: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Measured value for each latent threshold, NaN past the grid.
 
         The measured RDT is the first grid hammer count at which the row
         flips, i.e. the smallest grid point >= the latent threshold (or the
-        grid start when the threshold sits below it).
+        grid start when the threshold sits below it). Written into ``out``
+        when given.
         """
         grid = self.grid()
         latent = np.asarray(latent, dtype=float)
         indices = np.searchsorted(grid, latent, side="left")
-        measured = np.full(latent.shape, np.nan)
+        measured = np.empty(latent.shape) if out is None else out
+        measured.fill(np.nan)
         in_range = indices < grid.size
         measured[in_range] = grid[indices[in_range]]
         return measured
@@ -294,7 +298,8 @@ class FastRdtMeter:
         sweep: Optional[HammerSweep] = None,
         stream: str = "series",
     ) -> RdtSeries:
-        """``n`` successive grid-quantized measurements."""
+        """``n`` successive grid-quantized measurements, quantized block by
+        block into one output array."""
         check_series_length(n)
         if sweep is None:
             sweep = HammerSweep.from_guess(self.guess_rdt(victim, config))
@@ -303,9 +308,13 @@ class FastRdtMeter:
             recorder.counter_add("rdt.series.fast")
             recorder.counter_add("rdt.measurements", n)
         process = self._process(victim)
-        latent = process.latent_series(self._condition(config), n, stream=stream)
+        values = np.empty(n)
+        for start, latent in process.latent_blocks(
+            self._condition(config), n, stream=stream
+        ):
+            sweep.quantize(latent, out=values[start:start + latent.size])
         return RdtSeries(
-            sweep.quantize(latent),
+            values,
             module_id=self.module.module_id,
             bank=self.bank,
             row=victim,

@@ -13,6 +13,9 @@ import numpy as np
 
 from repro.errors import MeasurementError
 
+#: Values per block of the block-wise statistics.
+_BLOCK = 1 << 16
+
 
 @dataclass
 class RdtSeries:
@@ -39,8 +42,17 @@ class RdtSeries:
 
     @property
     def valid(self) -> np.ndarray:
-        """Measurements that observed a bitflip (non-NaN)."""
-        return self.values[~np.isnan(self.values)]
+        """Measurements that observed a bitflip (non-NaN).
+
+        A read-only view of :attr:`values` when no sweep failed, so the
+        statistics below make no full-size copy of a long series.
+        """
+        failed = np.isnan(self.values)
+        if failed.any():
+            return self.values[~failed]
+        view = self.values.view()
+        view.flags.writeable = False
+        return view
 
     @property
     def n_failed_sweeps(self) -> int:
@@ -92,8 +104,13 @@ class RdtSeries:
 
     @property
     def n_unique(self) -> int:
-        """Distinct measured RDT values (Finding 2: multiple states)."""
-        return int(np.unique(self.require_valid()).size)
+        """Distinct measured RDT values (Finding 2: multiple states),
+        merged block by block so memory follows the distinct values."""
+        data = self.require_valid()
+        seen = np.unique(data[:_BLOCK])
+        for start in range(_BLOCK, data.size, _BLOCK):
+            seen = np.union1d(seen, data[start:start + _BLOCK])
+        return int(seen.size)
 
     @property
     def min_count(self) -> int:

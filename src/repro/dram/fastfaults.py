@@ -15,9 +15,11 @@ serves whole-bank latent-series queries (what ``module_campaign``, the
 Fig. 3-7 histograms/ACF, and the Fig. 25 scatter consume) without
 re-deriving per-row state, and the batched ``guess_RDT`` probe of row
 selection. The per-row series itself is generated by a mirror of
-``traps.sample_occupancy_series``: short series replay numpy's geometric
-sampler value by value, longer ones replace its search recurrence with a
-cumulative run-length table and one ``np.searchsorted`` per batch.
+``traps.sample_occupancy``: short series replay numpy's geometric
+sampler value by value, longer ones feed the one sampler
+(``traps.fill_occupancy``) with run lengths resolved by a cumulative
+run-length table and one ``np.searchsorted`` per sub-draw, and take the
+same blocked product (``traps.latent_blocks``).
 
 The stream-mirror rule
 ----------------------
@@ -81,7 +83,19 @@ from repro.dram.faults import (
     VrdModelParams,
     geometric_mirror_ok,
 )
-from repro.dram.traps import _MAX_P, _MIN_BATCH, _MIN_P, check_series_length
+from repro.dram.traps import (
+    _MAX_P,
+    _MIN_BATCH,
+    _MIN_P,
+    block_values,
+    check_series_length,
+    fill_occupancy,
+    geometric_runs,
+    latent_blocks,
+    log_depth_terms,
+    new_occupancy,
+    trap_outputs,
+)
 from repro.errors import ConfigurationError
 from repro.rng import encode_element, hasher_prefix, seed_from_prefix
 
@@ -98,30 +112,10 @@ _RUN_TABLE_K = 128
 #: ``searchsorted`` can never fall off its end.
 _MAX_UNIFORM = 1.0 - 2.0 ** -53
 
-# Prebuilt alternating-state template: sample_occupancy_series fills a
-# fresh bool array with [state, not state, state, ...] per batch; slicing a
-# shared template yields the same values without the per-batch strided
-# stores. Grown on demand by _alt() for very long series.
-_ALT = np.empty(1 << 16, dtype=bool)
-_ALT[0::2] = True
-_ALT[1::2] = False
-
-
 def check_probe_repeats(repeats: int) -> None:
     """The rule every guess probe's ``repeats`` obeys."""
     if repeats < 1:
         raise ConfigurationError(f"probe repeats must be >= 1, got {repeats}")
-
-
-def _alt(size: int) -> np.ndarray:
-    """The alternating template, at least ``size`` elements long."""
-    global _ALT
-    if size > _ALT.shape[0]:
-        grown = np.empty(1 << int(size - 1).bit_length(), dtype=bool)
-        grown[0::2] = True
-        grown[1::2] = False
-        _ALT = grown
-    return _ALT
 
 
 def _build_run_tables(ps: np.ndarray) -> np.ndarray:
@@ -197,54 +191,46 @@ def _attach_run_tables(plans: Sequence[_TrapPlan]) -> None:
             plan.table_rel = tables[2 * i + 1]
 
 
-def _trap_column(plan: _TrapPlan, n: int, rng: Generator) -> np.ndarray:
-    """Mirror of ``traps.sample_occupancy_series`` for one planned trap.
+def _table_runs(plan: _TrapPlan, rng: Generator):
+    """Run-length drawer for :func:`~repro.dram.traps.fill_occupancy`:
+    one bulk uniform array resolved against the plan's run tables, the
+    values ``rng.geometric`` draws on the search branch."""
+
+    def draw(state: bool, size: int) -> np.ndarray:
+        table_a = plan.table_rel if state else plan.table_occ
+        table_b = plan.table_occ if state else plan.table_rel
+        u = rng.random(size)
+        lengths = np.empty(size, dtype=np.int64)
+        lengths[0::2] = np.searchsorted(table_a, u[0::2], side="left")
+        lengths[1::2] = np.searchsorted(table_b, u[1::2], side="left")
+        lengths += 1
+        return lengths
+
+    return draw
+
+
+def _trap_column(
+    plan: _TrapPlan, n: int, rng: Generator, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Mirror of ``traps.sample_occupancy`` for one planned trap.
 
     Same draws in the same order: the initial-state uniform, then per batch
-    either one bulk uniform array resolved against the run tables (search
-    branch) or the reference's own ``rng.geometric`` on the identical
-    alternating probability array.
+    either bulk uniforms resolved against the run tables (search branch)
+    or the reference's own ``rng.geometric`` on the identical alternating
+    probability array. Writes ``out`` (a bool array of ``n`` steps unless
+    given) and returns it.
     """
+    if out is None:
+        out = np.empty(n, dtype=bool)
     if n == 0:
-        return np.zeros(0, dtype=bool)
+        return out
     state = rng.random() < plan.stationary
-    mean_run = plan.mean_run
-    states_list = None
-    covered = 0
-    while True:
-        batch = max(_MIN_BATCH, int((n - covered) / mean_run * 1.5) + 8)
-        if plan.table_occ is not None:
-            table_a = plan.table_rel if state else plan.table_occ
-            table_b = plan.table_occ if state else plan.table_rel
-            u = rng.random(batch)
-            batch_lengths = np.empty(batch, dtype=np.int64)
-            batch_lengths[0::2] = np.searchsorted(table_a, u[0::2], side="left")
-            batch_lengths[1::2] = np.searchsorted(table_b, u[1::2], side="left")
-            batch_lengths += 1
-        else:
-            leave_probs = np.empty(batch)
-            leave_probs[0::2] = plan.p_rel if state else plan.p_occ
-            leave_probs[1::2] = plan.p_occ if state else plan.p_rel
-            batch_lengths = rng.geometric(leave_probs)
-        # Same run cap as the reference: memory bounded by n, not by 1/p.
-        np.minimum(batch_lengths, n - covered, out=batch_lengths)
-        template = _alt(batch)[:batch]
-        batch_states = template if state else ~template
-        covered += int(batch_lengths.sum())
-        state = not bool(batch_states[-1])
-        if states_list is None:
-            if covered >= n:  # single-batch common case
-                return np.repeat(batch_states, batch_lengths)[:n]
-            states_list = [batch_states]
-            lengths_list = [batch_lengths]
-        else:
-            states_list.append(batch_states)
-            lengths_list.append(batch_lengths)
-            if covered >= n:
-                return np.repeat(
-                    np.concatenate(states_list),
-                    np.concatenate(lengths_list),
-                )[:n]
+    if plan.table_occ is not None:
+        draw_runs = _table_runs(plan, rng)
+    else:
+        draw_runs = geometric_runs(rng, plan.p_occ, plan.p_rel)
+    fill_occupancy(out, n, bool(state), plan.mean_run, draw_runs)
+    return out
 
 
 def _short_column(plan: _TrapPlan, n: int, rng: Generator) -> List[bool]:
@@ -606,8 +592,8 @@ class BankVrdState:
             srng = Generator(PCG64(seed_from_prefix(
                 self._series_prefix, self._row_tails[i], suffix
             )))
-            out[k] = self._series_row(
-                i, float(depth_factor[i]), float(level[i]), n, srng, short
+            self._series_row(
+                i, float(depth_factor[i]), float(level[i]), n, srng, short, out[k]
             )
         return out
 
@@ -642,25 +628,26 @@ class BankVrdState:
         n: int,
         srng: Generator,
         short: bool,
-    ) -> np.ndarray:
+        out: np.ndarray,
+    ) -> None:
         """Mirror of ``latent_series`` for packed row ``i`` (canonical
-        condition already folded into ``depth_factor``/``level``); ``short``
-        selects :func:`_short_column` over :func:`_trap_column`."""
+        condition already folded into ``depth_factor``/``level``), written
+        into ``out``; ``short`` selects :func:`_short_column` over
+        :func:`_trap_column`."""
         plans = self._row_plans[i]
-        if not plans:
-            mult = np.ones(n)
-        else:
-            if short:
-                columns = [_short_column(plan, n, srng) for plan in plans]
-                occupancy = np.array(columns, dtype=bool).T.copy()
-            else:
-                columns = [_trap_column(plan, n, srng) for plan in plans]
-                occupancy = np.stack(columns, axis=1)
-            effective = np.minimum(self._row_depths[i] * depth_factor, 0.95)
-            log_terms = np.log1p(-effective)
-            mult = np.exp(occupancy @ log_terms)
-        noise = np.exp(srng.normal(0.0, float(self.sigma_resid[i]), n))
-        return level * mult * noise
+        log_terms = log_depth_terms(self._row_depths[i], depth_factor)
+        sigma = float(self.sigma_resid[i])
+        if short:
+            columns = [_short_column(plan, n, srng) for plan in plans]
+            occupancy = np.array(columns, dtype=bool).reshape(len(plans), n)
+            out[:] = block_values(occupancy.T.copy(), log_terms, level, sigma, srng)
+            return
+        occupancy = new_occupancy(len(plans), n)
+        for plan, plan_out in zip(plans, trap_outputs(occupancy)):
+            _trap_column(plan, n, srng, plan_out)
+        blocks = latent_blocks(occupancy, n, log_terms, level, sigma, srng)
+        for start, values in blocks:
+            out[start:start + values.size] = values
 
 
 def build_bank_state(

@@ -37,7 +37,15 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from repro import obs
-from repro.dram.traps import Trap, multiplier_series
+from repro.dram.traps import (
+    Trap,
+    check_series_length,
+    latent_blocks,
+    log_depth_terms,
+    new_occupancy,
+    sample_occupancy,
+    trap_outputs,
+)
 from repro.errors import ConfigurationError
 from repro.rng import derive
 
@@ -547,6 +555,41 @@ class RowVrdProcess:
     # Fast path: vectorized measurement series
     # ------------------------------------------------------------------
 
+    def latent_blocks(
+        self,
+        condition: Condition,
+        n: int,
+        stream: str = "series",
+    ):
+        """:meth:`latent_series` in blocks: an iterator of ``(start,
+        values)`` pairs, one per :data:`~repro.dram.traps.SERIES_BLOCK`
+        measurements.
+
+        Every trap's occupancy is drawn before this returns (bit-packed
+        when the series spans several blocks);
+        the residual normals are drawn block by block as the iterator is
+        consumed, after all traps, so the stream order is that of one
+        ``normal(0, sigma, n)`` draw.
+        """
+        check_series_length(n)
+        condition = condition.canonical()
+        factors = self.factors(condition)
+        module_id, bank, row = self.identity
+        rng = derive(
+            self._seed, "vrd-series", module_id, bank, row,
+            condition.pattern, str(condition.t_agg_on),
+            str(condition.temperature), str(condition.wordline_voltage),
+            stream,
+        )
+        occupancy = new_occupancy(len(self.traps), n)
+        for trap, out in zip(self.traps, trap_outputs(occupancy)):
+            sample_occupancy(trap, n, rng, out)
+        log_terms = log_depth_terms(
+            np.array([trap.depth for trap in self.traps]), factors.depth_factor
+        )
+        level = self.base_rdt * factors.rdt_factor * (1.0 + factors.first_flip_margin)
+        return latent_blocks(occupancy, n, log_terms, level, self.sigma_resid, rng)
+
     def latent_series(
         self,
         condition: Condition,
@@ -558,19 +601,11 @@ class RowVrdProcess:
         One entry corresponds to one RDT measurement of Algorithm 1; the
         measurement layer quantizes these onto its hammer-count grid.
         """
-        condition = condition.canonical()
-        factors = self.factors(condition)
-        module_id, bank, row = self.identity
-        rng = derive(
-            self._seed, "vrd-series", module_id, bank, row,
-            condition.pattern, str(condition.t_agg_on),
-            str(condition.temperature), str(condition.wordline_voltage),
-            stream,
-        )
-        mult = multiplier_series(self.traps, factors.depth_factor, n, rng)
-        noise = np.exp(rng.normal(0.0, self.sigma_resid, n))
-        level = self.base_rdt * factors.rdt_factor * (1.0 + factors.first_flip_margin)
-        return level * mult * noise
+        blocks = self.latent_blocks(condition, n, stream)
+        out = np.empty(n)
+        for start, values in blocks:
+            out[start:start + values.size] = values
+        return out
 
     # ------------------------------------------------------------------
     # Sequential path: bit-level trials

@@ -88,6 +88,17 @@ def test_job_counts_agree_with_each_other(serial_result):
     assert_identical(_engine(n_jobs=2).run(ROWS), _engine(n_jobs=3).run(ROWS))
 
 
+def test_parallel_observations_carry_serial_pattern_objects(serial_result):
+    """Figures filter observations with ``config.pattern is p``; a result
+    unpickled from worker processes must keep the canonical Table 2
+    pattern objects the serial loop holds."""
+    parallel = _engine(n_jobs=2).run(ROWS)
+    assert len(parallel) == len(serial_result)
+    for ours, theirs in zip(parallel.observations, serial_result.observations):
+        assert ours.config == theirs.config
+        assert ours.config.pattern is theirs.config.pattern
+
+
 def test_worker_shards_merge_to_serial_under_any_order(serial_result):
     """Shard the unit list arbitrarily, run shards through the worker
     entry point in scrambled order, and merge in every rotation: the

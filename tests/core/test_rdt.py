@@ -191,3 +191,27 @@ class TestFindVictim:
         monkeypatch.setattr(rdt_module, "FIND_VICTIM_CHUNK", 7)
         chunked = find_victim(meter, rows=range(50), threshold=40_000)
         assert chunked == full
+
+
+def test_measure_series_memory_is_bounded_per_value():
+    """A long series is generated and quantized block by block: peak
+    traced memory stays near the 8-byte output value, not the ~116 bytes
+    per value of one full-size occupancy matrix and product."""
+    import tracemalloc
+
+    from repro.chips import build_module
+
+    module = build_module("M1")
+    module.disable_interference_sources()
+    meter = FastRdtMeter(module)
+    config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
+    sweep = HammerSweep.from_guess(meter.guess_rdt(100, config))
+    n = 2_000_000
+    tracemalloc.start()
+    try:
+        series = meter.measure_series(100, config, n, sweep=sweep)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(series) == n
+    assert peak / n <= 16

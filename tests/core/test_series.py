@@ -79,3 +79,12 @@ def test_invariants_property(values):
     assert 1 <= series.n_unique <= len(values)
     assert 1 <= series.min_count <= len(values)
     assert 0 <= series.first_min_index() < len(values)
+
+
+def test_valid_is_a_read_only_view_without_failed_sweeps():
+    series = make([100, 110, 90])
+    assert np.shares_memory(series.valid, series.values)
+    with pytest.raises(ValueError):
+        series.valid[0] = 1.0
+    # With a failed sweep, ``valid`` is a copy of the flipped entries.
+    assert make([100, np.nan]).valid.tolist() == [100.0]

@@ -241,3 +241,27 @@ class TestScipyKernelPins:
             if stats._next_fast_len(m) != next_fast_len(m, real=True)
         ]
         assert mismatched == []
+
+
+@given(
+    st.lists(st.sampled_from([1.0, 2.0, np.nan]), min_size=1, max_size=60),
+    st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_block_counts_equal_whole_series_counts(values, block):
+    """Counted in blocks of any size, the single-change fraction and the
+    distinct-value count are those of the whole series."""
+    from unittest import mock
+
+    from repro.core import series as series_module
+    from repro.core.series import RdtSeries
+
+    data = np.array(values)
+    lengths = stats.run_lengths(data)
+    expected = float((lengths == 1).sum() / lengths.size)
+    with mock.patch.object(stats, "_BLOCK", block), \
+            mock.patch.object(series_module, "_BLOCK", block):
+        assert stats.fraction_single_measurement_changes(data) == expected
+        measured = RdtSeries(data)
+        if measured.valid.size:
+            assert measured.n_unique == np.unique(measured.valid).size

@@ -17,6 +17,7 @@ engine              serial ``Campaign.run``             ``CampaignEngine`` (2 jo
 campaign            per-row selection + campaign loops  bank-batched selection/run
 memsim              ``reference_memsim_run``            ``MemorySystem.run``
 fastfaults          per-row ``RowVrdProcess``           packed ``BankVrdState``
+long-series         ``reference_latent_series``         block-wise ``latent_series``
 probe               per-row ``guess_rdt``               batched ``guess_rdt_batch``
 bender              ``interpreted_trial``               ``DramBender.run_trial``
 ecc                 ``reference_monte_carlo``           ``monte_carlo_outcomes``
@@ -36,9 +37,10 @@ opt-in timing validation pass never perturbs a single bit.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import astuple, dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, List
 
 #: Deterministically randomized seeds: drawn from a fixed-seed PRNG so runs
@@ -481,6 +483,198 @@ def fastfaults_hbm2_oracle(seed: int) -> tuple:
 
 def fastfaults_hbm2_fast(seed: int) -> tuple:
     return _catalog_fault_series(seed, "Chip0", fast=True)
+
+
+# ----------------------------------------------------------------------
+# long-series: block-wise latent generation vs the one-shot product
+# ----------------------------------------------------------------------
+
+
+def reference_occupancy_series(trap, n: int, rng):
+    """One trap's occupancy as one bool array: whole geometric batches,
+    each expanded with ``np.repeat`` (the sampler before bit packing)."""
+    import numpy as np
+
+    from repro.dram.traps import _MAX_P, _MIN_BATCH, _MIN_P, check_series_length
+
+    check_series_length(n)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    state = trap.sample_initial(rng)
+    p_occupy = min(max(trap.p_occupy, _MIN_P), _MAX_P)
+    p_release = min(max(trap.p_release, _MIN_P), _MAX_P)
+    states, lengths = [], []
+    covered = 0
+    while covered < n:
+        mean_run = 0.5 * (1.0 / p_occupy + 1.0 / p_release)
+        batch = max(_MIN_BATCH, int((n - covered) / mean_run * 1.5) + 8)
+        batch_states = np.empty(batch, dtype=bool)
+        batch_states[0::2] = state
+        batch_states[1::2] = not state
+        batch_lengths = rng.geometric(np.where(batch_states, p_release, p_occupy))
+        np.minimum(batch_lengths, n - covered, out=batch_lengths)
+        states.append(batch_states)
+        lengths.append(batch_lengths)
+        covered += int(batch_lengths.sum())
+        state = not bool(batch_states[-1])
+    return np.repeat(np.concatenate(states), np.concatenate(lengths))[:n]
+
+
+@lru_cache(maxsize=None)
+def _openblas_thread_controls():
+    """``(get, set)`` thread-count functions of the OpenBLAS this process
+    loaded, or ``None`` where none is found (other BLAS, non-Linux)."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({
+                line.split()[-1] for line in maps
+                if "openblas" in line.lower() and ".so" in line
+            })
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            try:
+                getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+                setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getter, setter
+    return None
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Run the enclosed BLAS calls on one OpenBLAS thread.
+
+    With more threads, OpenBLAS splits a large ``gemv`` (460,800 elements
+    or more) between them at an arbitrary row, and the rows just before the
+    split take the remainder kernel, whose sums can differ in the last
+    bit. Pinned to one thread, the one-shot product is the same function
+    of its inputs on every host.
+    """
+    controls = _openblas_thread_controls()
+    if controls is None:
+        yield
+        return
+    getter, setter = controls
+    threads = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(threads)
+
+
+def reference_latent_series(process, condition, n: int, stream: str = "series"):
+    """``RowVrdProcess.latent_series`` as one product: every trap's bool
+    column, ``np.stack``, one ``@`` with the log depth terms, then one
+    ``normal(0, sigma, n)`` draw."""
+    import numpy as np
+
+    from repro.rng import derive
+
+    condition = condition.canonical()
+    factors = process.factors(condition)
+    module_id, bank, row = process.identity
+    rng = derive(
+        process._seed, "vrd-series", module_id, bank, row,
+        condition.pattern, str(condition.t_agg_on),
+        str(condition.temperature), str(condition.wordline_voltage),
+        stream,
+    )
+    if process.traps:
+        columns = [
+            reference_occupancy_series(trap, n, rng) for trap in process.traps
+        ]
+        occupancy = np.stack(columns, axis=1)
+        depths = np.array([trap.depth for trap in process.traps])
+        log_terms = np.log1p(-np.minimum(depths * factors.depth_factor, 0.95))
+        with single_threaded_blas():
+            mult = np.exp(occupancy @ log_terms)
+    else:
+        mult = np.ones(n)
+    noise = np.exp(rng.normal(0.0, process.sigma_resid, n))
+    level = process.base_rdt * factors.rdt_factor * (1.0 + factors.first_flip_margin)
+    return level * mult * noise
+
+
+def _long_lengths() -> tuple:
+    """Series lengths around the block size (up to ``block + 1`` a series
+    is one block), two blocks whose one-row tail joins the second, and
+    three blocks plus a tail."""
+    from repro.dram.traps import SERIES_BLOCK as block
+
+    return (0, 1, block - 1, block, block + 1, 2 * block + 1, 3 * block + 17)
+
+
+#: Trap counts of the rows the pair measures.
+_LONG_TRAP_COUNTS = (0, 1, 2, 5, 12, 20, 32)
+
+
+def _long_series_rows(seed: int) -> list:
+    """One ``(module, row)`` per trap count of :data:`_LONG_TRAP_COUNTS`:
+    the first row of a module whose trap-count mean centers on it. Small
+    counts come without the rare and deep traps, large ones with them."""
+    from tests.conftest import make_module
+
+    found = []
+    for count in _LONG_TRAP_COUNTS:
+        extra = 2 if count >= 5 else 0
+        module = make_module(
+            "LONG", seed=seed + count,
+            trap_count_mean=float(max(count - extra, 0)),
+            rare_trap_prob=1.0 if extra else 0.0,
+            big_trap_prob=1.0 if extra else 0.0,
+        )
+        module.disable_interference_sources()
+        row = next(
+            row for row in range(module.geometry.n_rows)
+            if len(module.fault_model.process(0, row).traps) == count
+        )
+        found.append((module, row))
+    return found
+
+
+def _long_series(seed: int, route: str) -> tuple:
+    from repro.core import CHECKERED0, TestConfig
+
+    out = []
+    for module, row in _long_series_rows(seed):
+        condition = TestConfig(
+            CHECKERED0, t_agg_on_ns=module.timing.tRAS
+        ).condition(module.timing)
+        model = module.fault_model
+        for n in _long_lengths():
+            if route == "oracle":
+                series = reference_latent_series(
+                    model.process(0, row), condition, n
+                )
+            elif route == "row":
+                series = model.process(0, row).latent_series(condition, n)
+            else:
+                series = model.latent_series_bank(0, [row], condition, n)[0]
+            out.append(series.tobytes())
+    return tuple(out)
+
+
+def long_series_oracle(seed: int) -> tuple:
+    series = _long_series(seed, "oracle")
+    return series + series
+
+
+def long_series_fast(seed: int) -> tuple:
+    """The block-wise ``RowVrdProcess`` route, then the packed
+    ``BankVrdState`` route, over the same rows and lengths."""
+    return _long_series(seed, "row") + _long_series(seed, "bank")
 
 
 # ----------------------------------------------------------------------
@@ -1197,6 +1391,7 @@ CASES: List[DifferentialCase] = [
     DifferentialCase(
         "fastfaults-hbm2", fastfaults_hbm2_oracle, fastfaults_hbm2_fast
     ),
+    DifferentialCase("long-series", long_series_oracle, long_series_fast),
     DifferentialCase("probe", probe_oracle, probe_fast),
     DifferentialCase("bender", bender_oracle, bender_fast),
     DifferentialCase("bender-ddr5", bender_ddr5_oracle, bender_ddr5_fast),

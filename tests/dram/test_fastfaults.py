@@ -29,6 +29,7 @@ from repro.dram.fastfaults import (
 from repro.dram.traps import Trap, sample_occupancy_series
 from repro.errors import ConfigurationError
 from repro.rng import derive
+from tests.differential.harness import reference_occupancy_series
 
 ROW_BITS = 8192
 SEED = 11
@@ -143,13 +144,17 @@ class TestTrapColumnMirror:
     ]
 
     @pytest.mark.parametrize("trap", EDGE_TRAPS)
-    @pytest.mark.parametrize("n", [0, 1, 5, 500])
+    @pytest.mark.parametrize("n", [0, 1, 5, 500, 150_001])
     def test_with_run_tables(self, trap, n):
+        """At ``n = 150_001`` a batch spans several sub-draws."""
         plan = _TrapPlan(trap.depth, trap.p_occupy, trap.p_release)
         _attach_run_tables([plan])
-        fast = _trap_column(plan, n, derive(3, "trapcol", n))
-        reference = sample_occupancy_series(trap, n, derive(3, "trapcol", n))
+        rng = derive(3, "trapcol", n)
+        fast = _trap_column(plan, n, rng)
+        ref_rng = derive(3, "trapcol", n)
+        reference = reference_occupancy_series(trap, n, ref_rng)
         np.testing.assert_array_equal(fast, reference)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("trap", EDGE_TRAPS)
     @pytest.mark.parametrize("n", [1, 7, 16, 40])

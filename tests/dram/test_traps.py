@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dram.traps import (
+    SERIES_BLOCK,
     Trap,
-    multiplier_series,
-    occupancy_matrix,
+    latent_blocks,
+    log_depth_terms,
+    new_occupancy,
+    sample_occupancy,
     sample_occupancy_series,
+    trap_outputs,
 )
 from repro.errors import ConfigurationError
+from tests.differential.harness import reference_occupancy_series
 
 
 def test_trap_validation():
@@ -85,11 +90,64 @@ def test_series_length_property(p_occupy, p_release, n):
     assert series.dtype == bool
 
 
+def _occupancy(traps, n, rng):
+    """Every trap's occupancy, in the form :func:`latent_blocks` takes."""
+    occupancy = new_occupancy(len(traps), n)
+    for trap, out in zip(traps, trap_outputs(occupancy)):
+        sample_occupancy(trap, n, rng, out)
+    return occupancy
+
+
+def multiplier_series(traps, depth_factor, n, rng):
+    """The RDT multiplier per step: the latent blocks at level 1 with no
+    residual (``normal(0, 0)`` draws zeros)."""
+    log_terms = log_depth_terms(np.array([t.depth for t in traps]), depth_factor)
+    blocks = latent_blocks(_occupancy(traps, n, rng), n, log_terms, 1.0, 0.0, rng)
+    return np.concatenate([values for _, values in blocks] or [np.ones(0)])
+
+
 def test_occupancy_matrix_shape():
     traps = [Trap(0.1, 0.5, 0.5), Trap(0.2, 0.3, 0.7)]
-    matrix = occupancy_matrix(traps, 100, np.random.default_rng(0))
-    assert matrix.shape == (100, 2)
-    assert occupancy_matrix([], 100, np.random.default_rng(0)).shape == (100, 0)
+    # One block: a (steps, traps) bool matrix; longer: packed rows.
+    assert _occupancy(traps, 100, np.random.default_rng(0)).shape == (100, 2)
+    assert _occupancy([], 100, np.random.default_rng(0)).shape == (100, 0)
+    n = SERIES_BLOCK + 2
+    assert _occupancy(traps, n, np.random.default_rng(0)).shape == (2, (n + 7) // 8)
+
+
+@pytest.mark.parametrize("packed", [False, True])
+@pytest.mark.parametrize("trap", [
+    Trap(0.1, 1.0, 1.0),  # one-step runs: batches of several sub-draws
+    Trap(0.1, 0.4, 0.6),
+    Trap(0.1, 0.02, 0.05),  # geometric inversion branch
+    Trap(0.1, 1e-6, 1e-5),  # runs spanning many packing windows
+])
+def test_long_series_matches_one_shot_sampler(trap, packed):
+    """Into bools or packed bits, the sampler draws what whole batches
+    expanded with ``np.repeat`` draw, past the sub-draw and window sizes."""
+    n = 200_003
+    rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+    if packed:
+        bits = sample_occupancy(trap, n, rng, np.empty((n + 7) // 8, np.uint8))
+        series = np.unpackbits(bits, count=n).view(bool)
+    else:
+        series = sample_occupancy_series(trap, n, rng)
+    assert np.array_equal(series, reference_occupancy_series(trap, n, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_latent_blocks_cover_the_series():
+    traps = [Trap(0.1, 0.5, 0.5)]
+    n = 2 * SERIES_BLOCK + 1
+    rng = np.random.default_rng(0)
+    blocks = latent_blocks(
+        _occupancy(traps, n, rng), n, log_depth_terms(np.array([0.1]), 1.0),
+        1.0, 0.0, rng,
+    )
+    # The one-row tail joins the last full block.
+    assert [(start, values.size) for start, values in blocks] == [
+        (0, SERIES_BLOCK), (SERIES_BLOCK, SERIES_BLOCK + 1),
+    ]
 
 
 def test_multiplier_series_bounds():
@@ -110,4 +168,4 @@ def test_multiplier_depth_factor_scaling():
 
 def test_negative_depth_factor_rejected():
     with pytest.raises(ConfigurationError):
-        multiplier_series([Trap(0.1, 0.5, 0.5)], -1.0, 10, np.random.default_rng(0))
+        log_depth_terms(np.array([0.1]), -1.0)

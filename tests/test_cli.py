@@ -235,3 +235,26 @@ def test_store_prune_rejects_bad_age_without_deleting(capsys, tmp_path, age):
         assert len(captured.err.strip().splitlines()) == 1
         assert "--older-than" in captured.err
     assert store.keys() == ["c", "s"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "M1", "-n", "300000000"],
+    ["measure", "M1", "-n", "0"],
+    ["measure", "M1", "-n", "300000000", "--adaptive"],
+    ["profile", "M1", "-n", "1000001"],
+    ["profile", "M1", "-n", "-5", "--adaptive"],
+])
+def test_measurement_count_outside_documented_range(capsys, argv):
+    """Checked before any work: one line on stderr and exit 2, even for a
+    count whose series would not fit in memory."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "-n must be between 1 and" in captured.err
+
+
+def test_measurement_range_is_documented(capsys):
+    with pytest.raises(SystemExit):
+        main(["measure", "--help"])
+    assert "1 to 10,000,000" in capsys.readouterr().out
