@@ -15,9 +15,7 @@ Campaigns additionally go through the on-disk result cache
 (:class:`repro.core.engine.CampaignCache`): re-running a benchmark session
 with unchanged knobs reloads each campaign from the result store at
 ``$VRD_STORE_PATH`` (default ``.vrd-cache/results.sqlite``) instead of
-recomputing it. Set ``VRD_STORE_PATH=`` (empty) to disable. ``VRD_JOBS``
-routes campaign measurement through the parallel engine; results are
-bit-identical either way.
+recomputing it. Set ``VRD_STORE_PATH=`` (empty) to disable.
 """
 
 from __future__ import annotations

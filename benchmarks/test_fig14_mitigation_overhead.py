@@ -2,12 +2,11 @@
 normalized to a mitigation-free baseline, for RDT 1024 and 128 with 0-50%
 guardbands.
 
-Runs through :func:`repro.memsim.sweep.run_sweep` — the epoch-batched fast
-core with per-mix shared address streams, sharded across ``VRD_JOBS``
-workers and cached on disk alongside the campaign cache. The sweep's
-speedups are bit-identical to driving the reference
-:meth:`~repro.memsim.system.MemorySystem.run` loop cell by cell
-(the ``memsim`` pair of ``tests/differential`` and
+Runs through :func:`repro.memsim.sweep.run_sweep` — the epoch-batched
+:meth:`~repro.memsim.system.MemorySystem.run` loop with per-mix shared
+address streams, in one process, cached on disk alongside the campaign
+cache. The sweep's speedups are bit-identical to the per-request oracle
+loop run cell by cell (the ``memsim`` pair of ``tests/differential`` and
 ``tests/memsim/test_sweep.py`` assert this).
 """
 

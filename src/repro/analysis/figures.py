@@ -23,7 +23,7 @@ from repro.core.adaptive import (
 )
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.config import standard_configs
-from repro.core.engine import CampaignCache, CampaignEngine, resolve_jobs
+from repro.core.engine import CampaignCache
 from repro.core.patterns import ALL_PATTERNS, CHECKERED0
 from repro.dram.module import DramModule
 from repro.errors import MeasurementError
@@ -174,7 +174,6 @@ def module_campaign(
     temperatures: Sequence[float] = (50.0,),
     t_agg_on_values: Optional[Sequence[float]] = None,
     seed: int = DEFAULT_SEED,
-    n_jobs: Optional[int] = None,
     cache: Union[CampaignCache, str, Path, None] = None,
     select_block_rows: int = 256,
 ) -> CampaignResult:
@@ -183,9 +182,6 @@ def module_campaign(
     Defaults are scaled down from the paper's 150 rows x 36 configurations
     to keep benchmark runtimes reasonable; every axis is widenable.
 
-    ``n_jobs`` > 1 routes measurement through the parallel
-    :class:`~repro.core.engine.CampaignEngine` (``None`` resolves via
-    ``VRD_JOBS``, default serial); results are bit-identical either way.
     ``cache`` (a :class:`~repro.core.engine.CampaignCache` or a directory
     path) short-circuits the whole campaign — including row selection,
     which dominates its cost — when an identical recipe was stored before.
@@ -194,14 +190,13 @@ def module_campaign(
     with recorder.span("figures.module_campaign"):
         return _module_campaign(
             module_id, rows_per_block, n_measurements, patterns,
-            temperatures, t_agg_on_values, seed, n_jobs, cache,
-            select_block_rows,
+            temperatures, t_agg_on_values, seed, cache, select_block_rows,
         )
 
 
 def _module_campaign(
     module_id, rows_per_block, n_measurements, patterns, temperatures,
-    t_agg_on_values, seed, n_jobs, cache, select_block_rows,
+    t_agg_on_values, seed, cache, select_block_rows,
 ) -> CampaignResult:
     device = spec(module_id)
     module = build_module(device, seed=seed)
@@ -240,18 +235,8 @@ def _module_campaign(
     rows = select_test_rows(
         module, per_block=rows_per_block, block_rows=select_block_rows
     )
-    jobs = resolve_jobs(n_jobs)
-    if jobs == 1:
-        campaign = Campaign(module, configs, n_measurements=n_measurements)
-        result = campaign.run(rows)
-    else:
-        result = CampaignEngine(
-            module_id,
-            configs,
-            n_measurements=n_measurements,
-            seed=seed,
-            n_jobs=jobs,
-        ).run(rows)
+    campaign = Campaign(module, configs, n_measurements=n_measurements)
+    result = campaign.run(rows)
     if cache is not None and cache_key is not None:
         cache.store(cache_key, result)
     return result
@@ -265,7 +250,6 @@ def adaptive_module_campaign(
     temperatures: Sequence[float] = (50.0,),
     t_agg_on_values: Optional[Sequence[float]] = None,
     seed: int = DEFAULT_SEED,
-    n_jobs: Optional[int] = None,
     cache: Union[CampaignCache, str, Path, None] = None,
     select_block_rows: int = 256,
     adaptive: Optional[AdaptiveConfig] = None,
@@ -325,19 +309,7 @@ def adaptive_module_campaign(
         rows = select_test_rows(
             module, per_block=rows_per_block, block_rows=select_block_rows
         )
-        jobs = resolve_jobs(n_jobs)
-        if jobs == 1:
-            result = AdaptiveScheduler(module, configs, adaptive).run(rows)
-        else:
-            result = CampaignEngine(
-                module_id,
-                configs,
-                n_measurements=n_measurements,
-                seed=seed,
-                n_jobs=jobs,
-                schedule="adaptive",
-                adaptive=adaptive,
-            ).run(rows)
+        result = AdaptiveScheduler(module, configs, adaptive).run(rows)
         if cache is not None and cache_key is not None:
             cache.store_adaptive(cache_key, result)
         return result

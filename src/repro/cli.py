@@ -8,7 +8,7 @@ Small, scriptable entry points onto the library's main experiments:
 * ``table3`` — the ECC outcome probabilities at a chosen bit error rate;
 * ``testtime`` — Appendix A testing-cost headline scenarios;
 * ``attack`` — profile-and-attack security check for one mitigation;
-* ``fig14`` — mitigation-overhead sweep (cached, sharded);
+* ``fig14`` — mitigation-overhead sweep (cached);
 * ``store`` — result-store maintenance (``stats``, ``prune``);
 * ``report`` — instrumented smoke workload + observability run report.
 
@@ -63,8 +63,7 @@ def _add_timing_check_flag(command: argparse.ArgumentParser) -> None:
 
 def _apply_timing_check(args: argparse.Namespace) -> None:
     """Propagate ``--check-timing`` to the process environment so every
-    execution path (interpreter, compiled Bender, memsim) sees it —
-    including worker processes, which inherit the environment."""
+    execution path (interpreter, compiled Bender, memsim) sees it."""
     if getattr(args, "check_timing", False):
         import os
 
@@ -109,18 +108,52 @@ def _adaptive_config(args: argparse.Namespace):
 #: a 2-core x86 host (the output plus the one temporary of ``np.std``).
 MEASURE_MAX_N = 10_000_000
 
-#: Longest series ``profile`` accepts: about 30 s and 430 MB peak RSS at
+#: Longest series ``profile`` accepts: about 30 s and 390 MB peak RSS at
 #: the default ``--rows-per-block 3`` (36 series) on the same host.
 PROFILE_MAX_N = 1_000_000
+
+#: Most rows ``profile`` selects per block: the selection block
+#: (``module_campaign``'s ``select_block_rows``).
+PROFILE_MAX_ROWS_PER_BLOCK = 256
+
+#: Largest ``--rows-per-block`` x ``-n`` product ``profile`` accepts: the
+#: ``-n`` cap at the default 3 rows per block.
+PROFILE_MAX_ROW_MEASUREMENTS = 3 * PROFILE_MAX_N
+
+#: Most refresh windows ``attack`` simulates: about 55 s and 59 MB peak
+#: RSS (about 5.4 us per window, a victim that survives all of them) on a
+#: 2-core x86 host.
+ATTACK_MAX_WINDOWS = 10_000_000
+
+
+def _check_range(flag: str, value: int, maximum: int, error: type) -> None:
+    """Raise ``error`` for a ``value`` outside ``1..maximum``, before any
+    work."""
+    if not 1 <= value <= maximum:
+        raise error(f"{flag} must be between 1 and {maximum:,}, got {value:,}")
 
 
 def _check_measurements(n: int, maximum: int) -> None:
     """Reject a ``-n`` outside the documented range, before any work."""
     from repro.errors import MeasurementError
 
-    if not 1 <= n <= maximum:
+    _check_range("-n", n, maximum, MeasurementError)
+
+
+def _check_profile_size(rows_per_block: int, n: int) -> None:
+    """Reject a ``profile`` outside its documented size, before any work."""
+    from repro.errors import MeasurementError
+
+    _check_measurements(n, PROFILE_MAX_N)
+    _check_range(
+        "--rows-per-block", rows_per_block, PROFILE_MAX_ROWS_PER_BLOCK,
+        MeasurementError,
+    )
+    if rows_per_block * n > PROFILE_MAX_ROW_MEASUREMENTS:
         raise MeasurementError(
-            f"-n must be between 1 and {maximum:,}, got {n:,}"
+            f"--rows-per-block x -n must be at most "
+            f"{PROFILE_MAX_ROW_MEASUREMENTS:,}, got {rows_per_block} x "
+            f"{n:,}"
         )
 
 
@@ -157,18 +190,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "profile", help="characterize a device's VRD profile (Sec. 5)"
     )
     profile.add_argument("module")
-    profile.add_argument("--rows-per-block", type=int, default=3)
+    profile.add_argument(
+        "--rows-per-block", type=int, default=3,
+        help="rows selected per selection block, 1 to "
+             f"{PROFILE_MAX_ROWS_PER_BLOCK} (the block size), with "
+             "rows-per-block x -n at most "
+             f"{PROFILE_MAX_ROW_MEASUREMENTS:,} (default 3)",
+    )
     profile.add_argument(
         "-n", "--measurements", type=int, default=500,
         help=f"series length per row and condition, 1 to {PROFILE_MAX_N:,} "
              "(default 500)",
     )
     profile.add_argument("--seed", type=int, default=None)
-    profile.add_argument(
-        "-j", "--jobs", type=int, default=None,
-        help="worker processes (default: $VRD_JOBS, else 1); results are "
-             "bit-identical for any job count",
-    )
     profile.add_argument(
         "--cache-dir", default=None,
         help="campaign cache directory; the store is DIR/results.sqlite "
@@ -207,9 +241,16 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["graphene", "prac", "para", "mint", "none"],
     )
     attack.add_argument("--row", type=int, default=100)
-    attack.add_argument("--profile-n", type=int, default=5)
+    attack.add_argument(
+        "--profile-n", type=int, default=5,
+        help=f"profiling measurements, 1 to {MEASURE_MAX_N:,} (default 5)",
+    )
     attack.add_argument("--margin", type=float, default=0.0)
-    attack.add_argument("--windows", type=int, default=2000)
+    attack.add_argument(
+        "--windows", type=int, default=2000,
+        help=f"refresh windows to attack, 1 to {ATTACK_MAX_WINDOWS:,} "
+             "(default 2000)",
+    )
     _add_timing_check_flag(attack)
 
     analyze = sub.add_parser(
@@ -227,11 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fig14.add_argument(
         "--window", type=float, default=60_000.0,
         help="simulated window per run in ns (default 60000)",
-    )
-    fig14.add_argument(
-        "-j", "--jobs", type=int, default=None,
-        help="worker processes (default: $VRD_JOBS, else 1); results are "
-             "bit-identical for any job count",
     )
     fig14.add_argument(
         "--cache-dir", default=None,
@@ -285,11 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "-o", "--output", default=None,
         help="also save the JSON report to this file",
-    )
-    report.add_argument(
-        "-j", "--jobs", type=int, default=None,
-        help="worker processes for the sweep stage (default: $VRD_JOBS, "
-             "else 1)",
     )
     report.add_argument("--seed", type=int, default=1234)
 
@@ -372,7 +403,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.montecarlo import STANDARD_N_VALUES
     from repro.rng import DEFAULT_SEED
 
-    _check_measurements(args.measurements, PROFILE_MAX_N)
+    _check_profile_size(args.rows_per_block, args.measurements)
     cache = None if args.no_cache else CampaignCache.resolve(args.cache_dir)
     if args.adaptive:
         return _cmd_profile_adaptive(args, cache)
@@ -381,7 +412,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         rows_per_block=args.rows_per_block,
         n_measurements=args.measurements,
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        n_jobs=args.jobs,
         cache=cache,
     )
     rows = []
@@ -417,7 +447,6 @@ def _cmd_profile_adaptive(args: argparse.Namespace, cache) -> int:
         rows_per_block=args.rows_per_block,
         n_measurements=args.measurements,
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        n_jobs=args.jobs,
         cache=cache,
         adaptive=_adaptive_config(args),
     )
@@ -488,7 +517,13 @@ def _cmd_testtime() -> int:
 def _cmd_attack(args: argparse.Namespace) -> int:
     from repro.chips import build_module
     from repro.core import CHECKERED0, TestConfig
+    from repro.errors import ConfigurationError
     from repro.security import profile_and_attack
+
+    _check_range("--windows", args.windows, ATTACK_MAX_WINDOWS,
+                 ConfigurationError)
+    _check_range("--profile-n", args.profile_n, MEASURE_MAX_N,
+                 ConfigurationError)
 
     module = build_module(args.module)
     module.disable_interference_sources()
@@ -548,7 +583,7 @@ def _cmd_fig14(args: argparse.Namespace) -> int:
 
     spec = SweepSpec(n_mixes=args.mixes, window_ns=args.window)
     cache = None if args.no_cache else SweepCache.resolve(args.cache_dir)
-    result = run_sweep(spec, n_jobs=args.jobs, cache=cache)
+    result = run_sweep(spec, cache=cache)
     rows = []
     for rdt in spec.rdts:
         for margin in spec.margins:
@@ -690,18 +725,19 @@ def _cmd_verify() -> int:
     return 1 if failures else 0
 
 
-def _report_workload(seed: int, jobs: Optional[int]) -> None:
+def _report_workload(seed: int) -> None:
     """A small deterministic workload touching every instrumented layer:
     probe + bulk series (faults/fastfaults), one Bender measurement (its
     trials replay one compiled plan), one memsim sweep cell, the ECC Monte
-    Carlo, and the same campaign run twice over a throwaway
+    Carlo, and the same small catalog campaign run twice over a throwaway
     sqlite store (compute, then a warm store hit) for the
-    ``engine.*``/``cache.*``/``store.*`` metrics."""
+    ``cache.*``/``store.*`` metrics."""
     import tempfile
 
     from repro.bender.host import DramBender
+    from repro.analysis.figures import module_campaign
     from repro.core import CHECKERED0, FastRdtMeter, TestConfig
-    from repro.core.engine import CampaignCache, CampaignEngine
+    from repro.core.engine import CampaignCache
     from repro.core.rdt import HammerSweep, RdtMeter, find_victim
     from repro.dram.faults import VrdModelParams
     from repro.dram.geometry import DramGeometry
@@ -731,19 +767,19 @@ def _report_workload(seed: int, jobs: Optional[int]) -> None:
 
     spec = SweepSpec(mitigations=("PARA",), rdts=(1024.0,), margins=(0.0,),
                      n_mixes=1, window_ns=10_000.0)
-    run_sweep(spec, n_jobs=jobs, cache=None)
+    run_sweep(spec, cache=None)
 
     monte_carlo_outcomes(default_codec("SECDED"), 1e-4, trials=2048)
 
     # Campaign + store round trip: the first run computes, the second hits.
-    campaign_config = TestConfig(CHECKERED0, t_agg_on_ns=35.0)
     with tempfile.TemporaryDirectory(prefix="vrd-report-") as tmp:
         cache = CampaignCache(tmp)
         for _ in range(2):
-            CampaignEngine(
-                "M1", [campaign_config], n_measurements=20, seed=seed,
-                n_jobs=jobs, cache=cache,
-            ).run_pairs([(0, 3), (0, 17)])
+            module_campaign(
+                "M1", rows_per_block=1, n_measurements=20,
+                patterns=(CHECKERED0,), seed=seed, cache=cache,
+                select_block_rows=16,
+            )
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -751,12 +787,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     with obs.tracing() as recorder:
         with recorder.span("report.workload"):
-            _report_workload(args.seed, args.jobs)
+            _report_workload(args.seed)
         report = obs.RunReport.from_recorder(
-            recorder,
-            command="report",
-            seed=args.seed,
-            jobs=args.jobs if args.jobs is not None else "auto",
+            recorder, command="report", seed=args.seed
         )
     print(report.to_json() if args.json else report.render())
     if args.output:

@@ -40,7 +40,7 @@ from repro.core.adaptive import (
     adaptive_search_trials,
 )
 from repro.core.campaign import Campaign, CampaignResult, RowObservation
-from repro.core.engine import CampaignCache, CampaignEngine, resolve_jobs
+from repro.core.engine import CampaignCache
 from repro.core.guardband import (
     GuardbandProbability,
     MarginBitflipResult,
@@ -78,8 +78,6 @@ __all__ = [
     "CampaignResult",
     "RowObservation",
     "CampaignCache",
-    "CampaignEngine",
-    "resolve_jobs",
     "GuardbandProbability",
     "MarginBitflipResult",
     "guardband_probability_analysis",

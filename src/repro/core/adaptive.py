@@ -11,7 +11,7 @@ measurement coarse-to-fine instead of sweeping the grid linearly, and stop
 measuring a row once a sequential confidence test bounds its estimate.
 
 This module layers that protocol over the existing batched measurement
-engine:
+path:
 
 * **Coarse-to-fine search** — each measurement locates the first flipping
   grid point by geometric bracketing from a warm start (the previous
@@ -35,9 +35,7 @@ order, stopping) are made centrally from per-row statistics, and every
 measurement block is drawn through
 :meth:`~repro.core.rdt.FastRdtMeter.measure_series_batch` with a
 cumulative target length that is a pure function of those decisions.
-Results are therefore bit-identical for any worker sharding
-(``tests/differential/test_adaptive.py`` asserts ``--jobs 1`` == ``--jobs
-4``). Trial counts are *modeled hardware cost* (what Appendix A prices),
+Results therefore do not depend on how requests are grouped. Trial counts are *modeled hardware cost* (what Appendix A prices),
 computed exactly from the measured grid indices.
 """
 
@@ -597,13 +595,13 @@ class _RowState:
 
 
 # ----------------------------------------------------------------------
-# Measurement requests (the worker protocol)
+# Measurement requests
 # ----------------------------------------------------------------------
 
-#: One measurement request: (key, bank, row, config, start, stop). The
-#: worker measures the row's series at cumulative length ``stop`` through
-#: the batched fast path and returns the ``[start:stop)`` tail. Plain
-#: tuples: they cross process boundaries in engine mode.
+#: One measurement request: (key, bank, row, config, start, stop).
+#: :func:`measure_requests` measures the row's series at cumulative length
+#: ``stop`` through the batched fast path and returns the ``[start:stop)``
+#: tail.
 MeasureRequest = Tuple[int, int, int, TestConfig, int, int]
 
 #: One reply: (key, guess, values_tail).
@@ -619,8 +617,7 @@ def measure_requests(
     each group costs one :meth:`~repro.core.rdt.FastRdtMeter.guess_rdt_batch`
     probe and one
     :meth:`~repro.core.rdt.FastRdtMeter.measure_series_batch` call. Per-row
-    results are independent of grouping (the fastfaults contract), so any
-    sharding of ``requests`` returns identical values.
+    results are independent of grouping (the fastfaults contract).
     """
     groups: Dict[Tuple[int, TestConfig, int], List[MeasureRequest]] = {}
     for request in requests:
@@ -655,12 +652,11 @@ class AdaptiveDriver:
     """Round-based adaptive scheduling over an external measurement
     executor.
 
-    The driver owns all state: call :meth:`next_requests`, measure them
-    (inline or sharded across workers), feed the replies to
-    :meth:`ingest`, and repeat until :meth:`next_requests` returns an
-    empty list; :meth:`finish` then yields the :class:`AdaptiveResult`.
-    Decisions depend only on ingested values, never on executor shape —
-    the engine's sharded mode is bit-identical to the serial loop.
+    The driver owns all state: call :meth:`next_requests`, measure them,
+    feed the replies to :meth:`ingest`, and repeat until
+    :meth:`next_requests` returns an empty list; :meth:`finish` then
+    yields the :class:`AdaptiveResult`. Decisions depend only on ingested
+    values.
     """
 
     def __init__(
@@ -682,7 +678,7 @@ class AdaptiveDriver:
             raise MeasurementError(
                 "adaptive run needs at least one configuration"
             )
-        # Serial (configuration-major) unit order, like the engine.
+        # Configuration-major unit order, like the campaign loop.
         self._states: List[_RowState] = [
             _RowState(
                 key=config_index * len(pairs) + pair_index,
@@ -831,10 +827,8 @@ class AdaptiveDriver:
 class AdaptiveScheduler:
     """Adaptive RDT discovery on one in-process module.
 
-    The serial counterpart of ``CampaignEngine(schedule="adaptive")``:
-    same driver, same decisions, measurements served inline through
-    :func:`measure_requests`. Results are bit-identical to the engine at
-    any worker count.
+    Runs :class:`AdaptiveDriver` rounds with measurements served inline
+    through :func:`measure_requests`.
     """
 
     def __init__(

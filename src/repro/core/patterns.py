@@ -40,8 +40,8 @@ class DataPattern:
         return self.name
 
     def __reduce__(self):
-        """A Table 2 pattern unpickles to its canonical instance, so results
-        built in a worker process filter with ``is`` like serial ones."""
+        """A Table 2 pattern unpickles to its canonical instance, so an
+        unpickled result filters with ``is`` like the original."""
         if _BY_NAME.get(self.name) == self:
             return pattern_by_name, (self.name,)
         return DataPattern, (self.name, self.victim_byte)

@@ -26,9 +26,6 @@ from repro import obs
 from repro.core.config import TestConfig
 from repro.core.patterns import CHECKERED0, DataPattern  # noqa: F401 (DataPattern re-exported for callers)
 from repro.core.series import RdtSeries
-# Imported at module load also for its side effect: the engine's forked
-# workers inherit the loaded module instead of each paying the import
-# lazily per pool.
 from repro.dram import fastfaults
 from repro.dram.module import DramModule
 from repro.dram.traps import check_series_length
@@ -102,15 +99,16 @@ class HammerSweep:
         The measured RDT is the first grid hammer count at which the row
         flips, i.e. the smallest grid point >= the latent threshold (or the
         grid start when the threshold sits below it). Written into ``out``
-        when given.
+        when given, which may be ``latent`` itself: the grid indices are
+        taken before anything is written, and the only temporaries are
+        the indices and one boolean mask.
         """
         grid = self.grid()
         latent = np.asarray(latent, dtype=float)
         indices = np.searchsorted(grid, latent, side="left")
         measured = np.empty(latent.shape) if out is None else out
-        measured.fill(np.nan)
-        in_range = indices < grid.size
-        measured[in_range] = grid[indices[in_range]]
+        np.take(grid, indices, out=measured, mode="clip")
+        measured[indices == grid.size] = np.nan
         return measured
 
 
@@ -338,7 +336,9 @@ class FastRdtMeter:
         :class:`~repro.dram.fastfaults.BankVrdState` of these rows (built
         once, then reused by the probe), stream-exact against the scalar
         :class:`~repro.dram.faults.RowVrdProcess` route. This is what the
-        campaign loop and the engine workers consume.
+        campaign loop consumes. Each row is quantized in place, so the
+        returned series are views of one ``(rows, n)`` matrix and no
+        second full-size copy exists.
         """
         victims = list(victims)
         if not victims:
@@ -362,7 +362,7 @@ class FastRdtMeter:
             sweep = HammerSweep.from_guess(float(guesses[index]))
             series.append(
                 RdtSeries(
-                    sweep.quantize(latent[index]),
+                    sweep.quantize(latent[index], out=latent[index]),
                     module_id=self.module.module_id,
                     bank=self.bank,
                     row=victim,

@@ -1,11 +1,9 @@
 """Array-backed fast path for the VRD device model.
 
 :class:`~repro.dram.faults.RowVrdProcess` is the *specification* of the
-device: readable, row-at-a-time, trap-object-per-trap. This module is the
-third leg of the repository's equivalence-contract family — alongside
-``repro.core.engine`` (parallel campaigns == serial campaigns) and
-``MemorySystem.run`` (epoch-batched simulation == per-request loop) —
-and promises the same thing at the device layer: every float produced here
+device: readable, row-at-a-time, trap-object-per-trap. Like
+``MemorySystem.run`` (epoch-batched simulation == per-request loop), this
+module carries an equivalence contract, here at the device layer: every float produced here
 is **bit-identical** to the scalar reference, because both paths consume
 the same ``numpy.random.Generator`` streams draw for draw.
 

@@ -912,8 +912,7 @@ class ModuleFaultModel:
         # Per-bank packed fast state (repro.dram.fastfaults), one entry per
         # bank keyed by the exact rows tuple it was built for: campaigns
         # iterate configs over a fixed row set, so the single entry hits
-        # across the whole config-major loop while staying bounded in
-        # long-lived engine workers.
+        # across the whole config-major loop while staying bounded.
         self._bank_states: Dict[int, Tuple[Tuple[int, ...], object]] = {}
 
     def process(self, bank: int, row: int) -> RowVrdProcess:

@@ -1,20 +1,14 @@
-"""Sharded, cached execution of the Fig. 14 mitigation-overhead sweep.
+"""Cached execution of the Fig. 14 mitigation-overhead sweep.
 
 The Fig. 14 study is a grid — mitigation x RDT x guardband, geomean'd over
-four-core workload mixes — of independent simulations. This module runs
-that grid the way :mod:`repro.core.engine` runs bit-flip campaigns:
+four-core workload mixes — of independent simulations:
 
 * **Shared streams per mix.** Every cell runs
   :meth:`~repro.memsim.system.MemorySystem.run` over one set of per-core
   address streams *shared by every run of a mix* — the stream depends
   only on the (workload, core, geometry, seed) recipe, never on the
-  mitigation.
-* **Process sharding.** Cells are dealt round-robin across a
-  ``ProcessPoolExecutor`` (``n_jobs``/``$VRD_JOBS``, same convention as the
-  campaign engine). Only the :class:`SweepSpec` and cell tuples cross the
-  process boundary; each worker rebuilds mixes, streams, and per-mix
-  baselines once and serves all of its cells from them. Results are
-  bit-identical for any job count.
+  mitigation. :func:`run_sweep` builds the mixes, streams and per-mix
+  baselines once per call and serves every cell from them.
 * **On-disk cache.** :class:`SweepCache` stores finished sweeps as
   content-addressed rows in the same sqlite :class:`~repro.store.db.
   ResultStore` the campaign cache uses (``$VRD_STORE_PATH``, default
@@ -28,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -245,53 +238,26 @@ class SweepCache:
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# Driver
 # ----------------------------------------------------------------------
 
-#: Per-process sweep state: mixes, shared streams, and baselines are built
-#: once per (spec) and serve every cell the worker is dealt.
-_WORKER_STATE: Dict[SweepSpec, tuple] = {}
 
-
-def _worker_state(spec: SweepSpec):
-    state = _WORKER_STATE.get(spec)
-    if state is None:
-        config = spec.config()
-        mixes = spec.mixes()
-        streams: Dict[str, List[CoreStream]] = {}
-        baselines = {}
-        for mix in mixes:
-            baseline_system = MemorySystem(mix, config)
-            streams[mix.name] = [
-                CoreStream(source) for source in baseline_system._generators
-            ]
-            baselines[mix.name] = baseline_system.run(streams[mix.name])
-        state = (config, mixes, streams, baselines)
-        _WORKER_STATE[spec] = state
-    return state
-
-
-def _sweep_cells(args):
-    """Run one shard of grid cells; runs inside a worker process.
-
-    Returns ``(cell_results, snapshot)`` where ``snapshot`` is the
-    worker-local recorder snapshot (``None`` when tracing is off).
-    """
-    spec, cells, trace = args
-    if not trace:
-        return _sweep_cells_body(spec, cells), None
-    with obs.tracing() as recorder:
-        with recorder.span("sweep.worker"):
-            results = _sweep_cells_body(spec, cells)
-        recorder.counter_add("sweep.worker_cells", len(cells))
-        return results, recorder.snapshot()
-
-
-def _sweep_cells_body(
+def _sweep_cells(
     spec: SweepSpec, cells: Sequence[Cell]
-) -> List[Tuple[Cell, Dict[str, float]]]:
-    config, mixes, streams, baselines = _worker_state(spec)
-    results = []
+) -> Dict[Cell, Dict[str, float]]:
+    """Every cell's per-mix speedups. Mixes, their shared streams and
+    baselines are built once and serve every cell."""
+    config = spec.config()
+    mixes = spec.mixes()
+    streams: Dict[str, List[CoreStream]] = {}
+    baselines = {}
+    for mix in mixes:
+        baseline_system = MemorySystem(mix, config)
+        streams[mix.name] = [
+            CoreStream(source) for source in baseline_system._generators
+        ]
+        baselines[mix.name] = baseline_system.run(streams[mix.name])
+    per_mix: Dict[Cell, Dict[str, float]] = {}
     for rdt, margin, name in cells:
         threshold = apply_guardband(rdt, margin)
         mix_speedups: Dict[str, float] = {}
@@ -302,13 +268,8 @@ def _sweep_cells_body(
             mix_speedups[mix.name] = normalized_weighted_speedup(
                 result, baselines[mix.name]
             )
-        results.append(((rdt, margin, name), mix_speedups))
-    return results
-
-
-# ----------------------------------------------------------------------
-# Driver
-# ----------------------------------------------------------------------
+        per_mix[(rdt, margin, name)] = mix_speedups
+    return per_mix
 
 
 def run_sweep(
@@ -321,15 +282,18 @@ def run_sweep(
     Args:
         spec: Grid recipe; defaults to the paper's Fig. 14 grid over 5
             mixes.
-        n_jobs: Worker processes; ``None`` resolves via ``$VRD_JOBS``
-            (default 1). One job runs inline without a pool. Results are
-            bit-identical for any job count.
+        n_jobs: ``None`` or ``1``; the sweep runs in one process and any
+            other value raises :class:`~repro.errors.ConfigurationError`.
+            Kept only because the benchmark harness (``bench/``) still
+            passes ``n_jobs=1``; ROADMAP item 5 removes it.
         cache: Optional :class:`SweepCache`; hits skip simulation entirely.
     """
-    from repro.core.engine import resolve_jobs
-
+    if n_jobs not in (None, 1):
+        raise ConfigurationError(
+            f"the sweep runs in one process; n_jobs must be None or 1, "
+            f"got {n_jobs!r}"
+        )
     spec = spec or SweepSpec()
-    n_jobs = resolve_jobs(n_jobs)
     recorder = obs.active()
 
     with recorder.span("sweep.run"):
@@ -342,37 +306,7 @@ def run_sweep(
 
         cells = spec.cells()
         recorder.counter_add("sweep.cells", len(cells))
-        recorder.gauge_set("sweep.jobs", n_jobs)
-        trace = obs.enabled()
-        if n_jobs == 1 or len(cells) == 1:
-            partials = [_sweep_cells((spec, cells, trace))]
-        else:
-            shards = [cells[start::n_jobs] for start in range(n_jobs)]
-            shards = [shard for shard in shards if shard]
-            recorder.counter_add("sweep.shards", len(shards))
-            with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-                partials = list(pool.map(
-                    _sweep_cells,
-                    [(spec, shard, trace) for shard in shards],
-                ))
-
-        if recorder.enabled:
-            for _, snapshot in partials:
-                if snapshot is None:
-                    continue
-                worker_span = snapshot["spans"].get("sweep.worker")
-                if worker_span is not None:
-                    recorder.histogram_observe(
-                        "sweep.worker_wall_ns", worker_span["wall_ns"]
-                    )
-                recorder.merge_snapshot(snapshot)
-
-        by_cell = {cell: speedups for partial, _ in partials
-                   for cell, speedups in partial}
-        result = SweepResult(
-            spec=spec,
-            per_mix={cell: by_cell[cell] for cell in cells},
-        )
+        result = SweepResult(spec=spec, per_mix=_sweep_cells(spec, cells))
 
         if cache is not None and cache_key is not None:
             cache.store(cache_key, result)

@@ -5,11 +5,11 @@ Usage from instrumented code::
     from repro import obs
 
     rec = obs.active()             # NOOP unless tracing is enabled
-    with rec.span("engine.run_pairs"):
+    with rec.span("sweep.run"):
         ...
         rec.counter_add("cache.hit")
         if rec.enabled:            # gate anything per-iteration
-            rec.histogram_observe("engine.worker_wall_ns", wall)
+            rec.histogram_observe("adaptive.row_measurements", n)
 
 Enable via ``VRD_TRACE=1``, :func:`enable`, or scoped :func:`tracing`.
 See :mod:`repro.obs.recorder` for the overhead/determinism/merge

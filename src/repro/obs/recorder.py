@@ -23,9 +23,8 @@ Three design rules keep it safe to wire through every hot loop:
   is derived from quantities the computation already produced. Tracing on
   vs. off therefore cannot change a scientific output;
   ``tests/differential`` asserts bit-identity with tracing toggled.
-* **Mergeable across shards.** Engine/sweep workers run in separate
-  processes; each records into a local recorder and ships a JSON-able
-  :meth:`Recorder.snapshot` home with its partial result. Counters add,
+* **Mergeable.** A JSON-able :meth:`Recorder.snapshot` folds into
+  another recorder with :meth:`Recorder.merge_snapshot`. Counters add,
   histograms add bucket-wise, span stats combine count/total/min/max —
   all associative and commutative, so merge order never matters
   (``tests/obs/test_obs_properties.py`` proves this over randomized
@@ -258,7 +257,7 @@ class Recorder:
     # -- recording -----------------------------------------------------
 
     def span(self, name: str) -> _Span:
-        """Time a block: ``with recorder.span("engine.run"): ...``."""
+        """Time a block: ``with recorder.span("sweep.run"): ...``."""
         return _Span(self, name)
 
     def counter_add(self, name: str, value: float = 1) -> None:
@@ -278,7 +277,7 @@ class Recorder:
     def snapshot(self) -> dict:
         """JSON-able copy of everything recorded so far.
 
-        Open spans are not included — snapshot at shard boundaries, not
+        Open spans are not included — snapshot after a span closes, not
         mid-span.
         """
         return {
@@ -295,7 +294,7 @@ class Recorder:
         }
 
     def merge_snapshot(self, payload: Optional[dict]) -> None:
-        """Fold a worker shard's snapshot into this recorder.
+        """Fold another recorder's snapshot into this one.
 
         Counters add, histograms add bucket-wise, span stats combine —
         associative and commutative, so shards can land in any order.

@@ -1,28 +1,22 @@
-"""The execution engine's correctness contract.
+"""The campaign cache's correctness contract, and batched probing.
 
-The engine promises results *bit-identical* to the serial
-:class:`~repro.core.campaign.Campaign` loop for any worker count and any
-shard order, and a cache that only ever returns exact round-trips of what
-was stored. These tests assert that contract directly — array equality,
-not statistical closeness.
+The cache only ever returns exact round-trips of what was stored, and the
+batched probe and selection equal their per-row forms. These tests assert
+both directly — array equality, not statistical closeness.
 """
 
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.chips import build_module
 from repro.core import CHECKERED0, ROWSTRIPE0, FastRdtMeter, TestConfig
+from repro.core.adaptive import AdaptiveScheduler
 from repro.core.campaign import Campaign, CampaignResult, select_vulnerable_rows
-from repro.core.engine import (
-    CampaignCache,
-    CampaignEngine,
-    JOBS_ENV_VAR,
-    _measure_units,
-    resolve_jobs,
-)
-from repro.core.patterns import DataPattern
+from repro.core.engine import CampaignCache
+from repro.core.patterns import ALL_PATTERNS, DataPattern
 from repro.core.store import FORMAT_VERSION
 from repro.errors import ConfigurationError, MeasurementError
 from tests.differential.harness import reference_selection
@@ -31,6 +25,12 @@ MODULE_ID = "M1"
 SEED = 1234
 N_MEASUREMENTS = 60
 ROWS = [3, 17, 40, 77, 105, 128]
+
+
+def _module(seed=SEED):
+    module = build_module(MODULE_ID, seed=seed)
+    module.disable_interference_sources()
+    return module
 
 
 def _configs(module):
@@ -43,22 +43,36 @@ def _configs(module):
 
 @pytest.fixture(scope="module")
 def serial_result():
-    module = build_module(MODULE_ID, seed=SEED)
-    module.disable_interference_sources()
+    module = _module()
     campaign = Campaign(module, _configs(module), n_measurements=N_MEASUREMENTS)
     return campaign.run(ROWS)
 
 
-def _engine(n_jobs, cache=None, seed=SEED):
-    module = build_module(MODULE_ID, seed=seed)
-    return CampaignEngine(
-        MODULE_ID,
-        _configs(module),
-        n_measurements=N_MEASUREMENTS,
-        seed=seed,
-        n_jobs=n_jobs,
-        cache=cache,
+def _cached_campaign(cache, seed=SEED, adaptive=None):
+    """The campaign over ``ROWS`` through ``cache``: a hit returns the
+    stored result; a miss runs it (the adaptive schedule when
+    ``adaptive`` is given) and stores it."""
+    module = _module(seed)
+    configs = _configs(module)
+    recipe = dict(
+        seed=seed, module_id=MODULE_ID, configs=configs,
+        n_measurements=N_MEASUREMENTS, pairs=[(0, row) for row in ROWS],
+        protocol="DDR4",
     )
+    if adaptive is not None:
+        key = cache.key(**recipe, schedule="adaptive", adaptive=adaptive)
+        result = cache.load_adaptive(key)
+        if result is None:
+            result = AdaptiveScheduler(module, configs, adaptive).run(ROWS)
+            cache.store_adaptive(key, result)
+        return result
+    key = cache.key(**recipe)
+    result = cache.load(key)
+    if result is None:
+        campaign = Campaign(module, configs, n_measurements=N_MEASUREMENTS)
+        result = campaign.run(ROWS)
+        cache.store(key, result)
+    return result
 
 
 def assert_identical(left: CampaignResult, right: CampaignResult):
@@ -71,77 +85,20 @@ def assert_identical(left: CampaignResult, right: CampaignResult):
         assert a.series.grid_step == b.series.grid_step
 
 
-# ----------------------------------------------------------------------
-# Bit-identical parallel execution
-# ----------------------------------------------------------------------
-
-
-def test_single_job_matches_serial_campaign(serial_result):
-    assert_identical(_engine(n_jobs=1).run(ROWS), serial_result)
-
-
-def test_four_jobs_match_serial_campaign(serial_result):
-    assert_identical(_engine(n_jobs=4).run(ROWS), serial_result)
-
-
-def test_job_counts_agree_with_each_other(serial_result):
-    assert_identical(_engine(n_jobs=2).run(ROWS), _engine(n_jobs=3).run(ROWS))
-
-
-def test_parallel_observations_carry_serial_pattern_objects(serial_result):
-    """Figures filter observations with ``config.pattern is p``; a result
-    unpickled from worker processes must keep the canonical Table 2
-    pattern objects the serial loop holds."""
-    parallel = _engine(n_jobs=2).run(ROWS)
-    assert len(parallel) == len(serial_result)
-    for ours, theirs in zip(parallel.observations, serial_result.observations):
-        assert ours.config == theirs.config
-        assert ours.config.pattern is theirs.config.pattern
-
-
-def test_worker_shards_merge_to_serial_under_any_order(serial_result):
-    """Shard the unit list arbitrarily, run shards through the worker
-    entry point in scrambled order, and merge in every rotation: the
-    stitched result must equal the serial loop regardless."""
-    module = build_module(MODULE_ID, seed=SEED)
-    configs = _configs(module)
-    units = [
-        (ci * len(ROWS) + pi, 0, row, config)
-        for ci, config in enumerate(configs)
-        for pi, row in enumerate(ROWS)
-    ]
-    # Deliberately unbalanced, interleaved, reversed shards.
-    shards = [units[0:1], units[5:2:-1], units[2:0:-1], units[6::2],
-              units[7::2]]
-    partials = [
-        _measure_units((MODULE_ID, SEED, True, N_MEASUREMENTS, shard, False))
-        for shard in shards
-    ]
-    assert all(snapshot is None for _, _, snapshot in partials)
-    partials = [(indices, partial) for indices, partial, _ in partials]
-    for rotation in range(len(partials)):
-        ordered = partials[rotation:] + partials[:rotation]
-        index_of = {}
-        for indices, partial in ordered:
-            for unit_index, obs in zip(indices, partial.observations):
-                index_of[(obs.bank, obs.row, obs.config)] = unit_index
-        merged = ordered[0][1]
-        for _, partial in ordered[1:]:
-            merged = merged.merge(partial)
-        merged.observations.sort(
-            key=lambda obs: index_of[(obs.bank, obs.row, obs.config)]
-        )
-        assert_identical(merged, serial_result)
-
-
-def test_engine_rejects_duplicate_pairs():
-    with pytest.raises(MeasurementError):
-        _engine(n_jobs=1).run_pairs([(0, 5), (0, 5)])
+def test_table2_patterns_unpickle_to_canonical_instances():
+    """Figures filter observations with ``config.pattern is p``; a pickled
+    copy of a result must keep the canonical Table 2 pattern objects."""
+    assert pickle.loads(pickle.dumps(CHECKERED0)) is CHECKERED0
+    for pattern in ALL_PATTERNS:
+        assert pickle.loads(pickle.dumps(pattern)) is pattern
+    custom = DataPattern("custom", 0x3C)
+    assert pickle.loads(pickle.dumps(custom)) == custom
 
 
 def test_engine_rejects_empty_rows():
+    module = _module()
     with pytest.raises(MeasurementError):
-        _engine(n_jobs=1).run([])
+        Campaign(module, _configs(module), n_measurements=N_MEASUREMENTS).run([])
 
 
 # ----------------------------------------------------------------------
@@ -212,52 +169,32 @@ def test_geometric_mirror_self_check_passes():
 
 
 # ----------------------------------------------------------------------
-# Job resolution
-# ----------------------------------------------------------------------
-
-
-def test_resolve_jobs_explicit_and_env(monkeypatch):
-    monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
-    assert resolve_jobs(None) == 1
-    assert resolve_jobs(3) == 3
-    monkeypatch.setenv(JOBS_ENV_VAR, "4")
-    assert resolve_jobs(None) == 4
-    assert resolve_jobs(2) == 2  # explicit wins
-    monkeypatch.setenv(JOBS_ENV_VAR, "zero")
-    with pytest.raises(ConfigurationError):
-        resolve_jobs(None)
-    with pytest.raises(ConfigurationError):
-        resolve_jobs(0)
-
-
-# ----------------------------------------------------------------------
 # On-disk cache
 # ----------------------------------------------------------------------
 
 
 def test_cache_round_trip(tmp_path, serial_result):
     cache = CampaignCache(tmp_path / "cache")
-    engine = _engine(n_jobs=1, cache=cache)
-    first = engine.run(ROWS)
+    first = _cached_campaign(cache)
     assert cache.has(
         cache.key(
             seed=SEED,
             module_id=MODULE_ID,
-            configs=engine.configs,
+            configs=_configs(_module()),
             n_measurements=N_MEASUREMENTS,
             pairs=[(0, row) for row in ROWS],
             protocol="DDR4",
         )
     )
-    reloaded = _engine(n_jobs=1, cache=cache).run(ROWS)
+    reloaded = _cached_campaign(cache)
     assert_identical(reloaded, first)
     assert_identical(reloaded, serial_result)
 
 
 def test_cache_misses_on_different_seed(tmp_path):
     cache = CampaignCache(tmp_path / "cache")
-    first = _engine(n_jobs=1, cache=cache, seed=SEED).run(ROWS)
-    other = _engine(n_jobs=1, cache=cache, seed=SEED + 1).run(ROWS)
+    first = _cached_campaign(cache, seed=SEED)
+    other = _cached_campaign(cache, seed=SEED + 1)
     assert cache.entry_count() == 2
     with pytest.raises(AssertionError):
         assert_identical(first, other)
@@ -323,31 +260,19 @@ def test_cache_key_separates_adaptive_parameters():
 
 def test_adaptive_and_exhaustive_never_alias_on_disk(tmp_path):
     """End-to-end: the same rows/configs/seed through both schedules must
-    produce two distinct cache entries, and each engine must reload its
+    produce two distinct cache entries, and each schedule must reload its
     own result exactly."""
     from repro.core.adaptive import AdaptiveConfig
 
     cache = CampaignCache(tmp_path / "cache")
     adaptive_config = AdaptiveConfig(max_measurements=N_MEASUREMENTS)
-    exhaustive = _engine(n_jobs=1, cache=cache).run(ROWS)
-
-    module = build_module(MODULE_ID, seed=SEED)
-    adaptive_engine = CampaignEngine(
-        MODULE_ID,
-        _configs(module),
-        n_measurements=N_MEASUREMENTS,
-        seed=SEED,
-        n_jobs=1,
-        cache=cache,
-        schedule="adaptive",
-        adaptive=adaptive_config,
-    )
-    adaptive = adaptive_engine.run(ROWS)
+    exhaustive = _cached_campaign(cache)
+    adaptive = _cached_campaign(cache, adaptive=adaptive_config)
     assert cache.entry_count() == 2
 
-    reloaded_exhaustive = _engine(n_jobs=1, cache=cache).run(ROWS)
+    reloaded_exhaustive = _cached_campaign(cache)
     assert_identical(reloaded_exhaustive, exhaustive)
-    reloaded_adaptive = adaptive_engine.run(ROWS)
+    reloaded_adaptive = _cached_campaign(cache, adaptive=adaptive_config)
     assert [e.to_dict() for e in reloaded_adaptive.estimates] == (
         [e.to_dict() for e in adaptive.estimates]
     )
@@ -358,7 +283,7 @@ def test_load_adaptive_rejects_exhaustive_payload(tmp_path):
     from repro import obs
 
     cache = CampaignCache(tmp_path / "cache")
-    first = _engine(n_jobs=1, cache=cache).run(ROWS)
+    first = _cached_campaign(cache)
     assert first is not None
     [key] = cache.result_store.keys()
     with obs.tracing() as recorder:
@@ -415,7 +340,7 @@ def test_corrupt_entry_recomputes_to_identical_result(tmp_path, serial_result):
     import sqlite3
 
     cache = CampaignCache(tmp_path / "cache")
-    _engine(n_jobs=1, cache=cache).run(ROWS)
+    _cached_campaign(cache)
     [key] = cache.result_store.keys()
     with sqlite3.connect(cache.result_store.path) as conn:
         (blob,) = conn.execute(
@@ -427,13 +352,13 @@ def test_corrupt_entry_recomputes_to_identical_result(tmp_path, serial_result):
         )
 
     with obs.tracing() as recorder:
-        recomputed = _engine(n_jobs=1, cache=cache).run(ROWS)
+        recomputed = _cached_campaign(cache)
     assert_identical(recomputed, serial_result)
     assert recorder.counters.get("cache.corrupt") == 1
     assert recorder.counters.get("cache.store") == 1  # re-stored after evict
 
     with obs.tracing() as recorder:
-        assert_identical(_engine(n_jobs=1, cache=cache).run(ROWS), serial_result)
+        assert_identical(_cached_campaign(cache), serial_result)
     assert recorder.counters.get("cache.hit") == 1
 
 

@@ -215,3 +215,27 @@ def test_measure_series_memory_is_bounded_per_value():
         tracemalloc.stop()
     assert len(series) == n
     assert peak / n <= 16
+
+
+def test_measure_series_batch_memory_is_bounded_by_its_output():
+    """Each batch row is quantized in place: the peak stays near the
+    output values, not the latent matrix plus a quantized copy (2x)."""
+    import tracemalloc
+
+    from repro.chips import build_module
+
+    module = build_module("M1")
+    module.disable_interference_sources()
+    meter = FastRdtMeter(module)
+    config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
+    rows = [100, 101, 102, 103]
+    n = 200_000
+    meter.measure_series_batch(rows, config, 10_000)  # attach tables
+    tracemalloc.start()
+    try:
+        series = meter.measure_series_batch(rows, config, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(s) for s in series] == [n] * len(rows)
+    assert peak <= 1.5 * len(rows) * n * 8

@@ -13,7 +13,7 @@ The pairs covered:
 ==================  ==================================  =========================
 name                oracle                              fast path
 ==================  ==================================  =========================
-engine              serial ``Campaign.run``             ``CampaignEngine`` (2 jobs)
+engine              uncached ``module_campaign``        ``CampaignCache`` hit, same recipe
 campaign            per-row selection + campaign loops  bank-batched selection/run
 memsim              ``reference_memsim_run``            ``MemorySystem.run``
 fastfaults          per-row ``RowVrdProcess``           packed ``BankVrdState``
@@ -21,7 +21,7 @@ long-series         ``reference_latent_series``         block-wise ``latent_seri
 probe               per-row ``guess_rdt``               batched ``guess_rdt_batch``
 bender              ``interpreted_trial``               ``DramBender.run_trial``
 ecc                 ``reference_monte_carlo``           ``monte_carlo_outcomes``
-adaptive            serial ``AdaptiveScheduler``        ``CampaignEngine`` adaptive (2 jobs)
+adaptive            per-row ``measure_requests``        batched ``measure_requests``
 store               in-memory result payloads           sqlite ``ResultStore`` round trip
 attack              per-window ``begin_measurement``    ``threshold_series`` walk
 guardband           per-trial ``trial_flips``           ``trial_flip_series`` kernel
@@ -58,21 +58,52 @@ class DifferentialCase:
 
 
 # ----------------------------------------------------------------------
-# engine: serial campaign loop vs parallel campaign engine
+# engine: uncached module_campaign vs a CampaignCache hit
 # ----------------------------------------------------------------------
 
-_ENGINE_ROWS = [3, 17, 40]
-_ENGINE_N = 25
+#: A small ``module_campaign`` recipe: selection over 48-row blocks, one
+#: row per block, one configuration.
+_ENGINE_CAMPAIGN = dict(
+    rows_per_block=1, n_measurements=25, select_block_rows=48,
+)
 
 
-def _engine_workload(seed: int):
-    from repro.chips import build_module
-    from repro.core import CHECKERED0, TestConfig
+def _engine_campaign(seed: int, cache):
+    from repro.analysis.figures import module_campaign
+    from repro.core import CHECKERED0
 
-    module = build_module("M1", seed=seed)
-    module.disable_interference_sources()
-    configs = [TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)]
-    return module, configs
+    return module_campaign(
+        "M1", patterns=(CHECKERED0,), seed=seed, cache=cache,
+        **_ENGINE_CAMPAIGN,
+    )
+
+
+def engine_oracle(seed: int) -> tuple:
+    return _campaign_fingerprint(_engine_campaign(seed, cache=None))
+
+
+def engine_fast(seed: int) -> tuple:
+    """The same recipe computed into a fresh store, then served from it:
+    the hit is keyed before row selection and skips all of it."""
+    import tempfile
+
+    from repro.core.engine import CampaignCache
+
+    class CountingCache(CampaignCache):
+        hits = 0
+
+        def load(self, key):
+            result = super().load(key)
+            self.hits += result is not None
+            return result
+
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = CountingCache(tmp)
+        _engine_campaign(seed, cache)
+        fingerprint = _campaign_fingerprint(_engine_campaign(seed, cache))
+        assert cache.hits == 1
+        cache.result_store.close()
+    return fingerprint
 
 
 def _campaign_fingerprint(result) -> tuple:
@@ -86,24 +117,6 @@ def _campaign_fingerprint(result) -> tuple:
         )
         for observation in result.observations
     )
-
-
-def engine_oracle(seed: int) -> tuple:
-    from repro.core.campaign import Campaign
-
-    module, configs = _engine_workload(seed)
-    campaign = Campaign(module, configs, n_measurements=_ENGINE_N)
-    return _campaign_fingerprint(campaign.run(_ENGINE_ROWS))
-
-
-def engine_fast(seed: int) -> tuple:
-    from repro.core.engine import CampaignEngine
-
-    module, configs = _engine_workload(seed)
-    engine = CampaignEngine(
-        "M1", configs, n_measurements=_ENGINE_N, seed=seed, n_jobs=2,
-    )
-    return _campaign_fingerprint(engine.run(_ENGINE_ROWS))
 
 
 # ----------------------------------------------------------------------
@@ -850,22 +863,26 @@ def checker_memsim_fast(seed: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# adaptive: serial scheduler vs sharded engine adaptive mode
+# adaptive: per-row measurement requests vs batched measure_requests
 # ----------------------------------------------------------------------
 
 _ADAPTIVE_N_MAX = 100
 
 
 def _adaptive_workload(seed: int):
-    from repro.core import AdaptiveConfig
+    from repro.chips import build_module
+    from repro.core import CHECKERED0, AdaptiveConfig, TestConfig
 
+    module = build_module("M1", seed=seed)
+    module.disable_interference_sources()
+    configs = [TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)]
     pick = random.Random(seed + 4)
     rows = sorted(pick.sample(range(256), 4))
     adaptive = AdaptiveConfig(
         max_measurements=_ADAPTIVE_N_MAX,
         budget=pick.choice([None, 400]),
     )
-    return rows, adaptive
+    return module, configs, rows, adaptive
 
 
 def _adaptive_fingerprint(result) -> tuple:
@@ -877,6 +894,7 @@ def _adaptive_fingerprint(result) -> tuple:
                 estimate.bank,
                 estimate.row,
                 estimate.config.label(),
+                estimate.guess,
                 estimate.estimate,
                 estimate.ci_half_width,
                 estimate.n_measured,
@@ -888,25 +906,42 @@ def _adaptive_fingerprint(result) -> tuple:
     )
 
 
-def adaptive_oracle(seed: int) -> tuple:
-    from repro.core import AdaptiveScheduler
+def reference_measure_requests(module, requests) -> list:
+    """``measure_requests`` one request at a time: a per-row
+    ``guess_rdt`` and a per-row ``measure_series``."""
+    from repro.core import FastRdtMeter
 
-    module, configs = _engine_workload(seed)
-    rows, adaptive = _adaptive_workload(seed)
-    scheduler = AdaptiveScheduler(module, configs, adaptive)
-    return _adaptive_fingerprint(scheduler.run(rows))
+    replies = []
+    for key, bank, row, config, start, stop in requests:
+        module.set_temperature(config.temperature_c)
+        meter = FastRdtMeter(module, bank)
+        guess = meter.guess_rdt(row, config)
+        series = meter.measure_series(row, config, stop)
+        replies.append((key, float(guess), series.values[start:].tolist()))
+    return replies
+
+
+def adaptive_oracle(seed: int) -> tuple:
+    from repro.core import AdaptiveDriver
+
+    module, configs, rows, adaptive = _adaptive_workload(seed)
+    driver = AdaptiveDriver(
+        module.module_id, [(0, row) for row in rows], configs, adaptive
+    )
+    while True:
+        requests = driver.next_requests()
+        if not requests:
+            break
+        driver.ingest(reference_measure_requests(module, requests))
+    return _adaptive_fingerprint(driver.finish())
 
 
 def adaptive_fast(seed: int) -> tuple:
-    from repro.core.engine import CampaignEngine
+    from repro.core import AdaptiveScheduler
 
-    _, configs = _engine_workload(seed)
-    rows, adaptive = _adaptive_workload(seed)
-    engine = CampaignEngine(
-        "M1", configs, n_measurements=_ADAPTIVE_N_MAX, seed=seed,
-        n_jobs=2, schedule="adaptive", adaptive=adaptive,
-    )
-    return _adaptive_fingerprint(engine.run(rows))
+    module, configs, rows, adaptive = _adaptive_workload(seed)
+    scheduler = AdaptiveScheduler(module, configs, adaptive)
+    return _adaptive_fingerprint(scheduler.run(rows))
 
 
 # ----------------------------------------------------------------------
@@ -1007,18 +1042,24 @@ def _store_workloads(seed: int):
     if cached is not None:
         return cached
 
-    from repro.core import AdaptiveConfig
-    from repro.core.engine import CampaignEngine
+    from repro.chips import build_module
+    from repro.core import (
+        CHECKERED0,
+        AdaptiveConfig,
+        AdaptiveScheduler,
+        Campaign,
+        TestConfig,
+    )
     from repro.memsim.sweep import SweepSpec, run_sweep
 
-    _, configs = _engine_workload(seed)
-    campaign = CampaignEngine(
-        "M1", configs, n_measurements=_STORE_N, seed=seed, n_jobs=1,
-    ).run(_STORE_ROWS)
-    adaptive = CampaignEngine(
-        "M1", configs, n_measurements=_STORE_N * 2, seed=seed, n_jobs=1,
-        schedule="adaptive",
-        adaptive=AdaptiveConfig(max_measurements=_STORE_N * 2),
+    module = build_module("M1", seed=seed)
+    module.disable_interference_sources()
+    configs = [TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)]
+    campaign = Campaign(module, configs, n_measurements=_STORE_N).run(
+        _STORE_ROWS
+    )
+    adaptive = AdaptiveScheduler(
+        module, configs, AdaptiveConfig(max_measurements=_STORE_N * 2)
     ).run(_STORE_ROWS)
     pick = random.Random(seed + 5)
     spec = SweepSpec(

@@ -2,9 +2,8 @@
 
 The observability layer records wall/CPU clocks and plain counters only —
 never anything from the seeded RNG streams. These tests run the same
-differential workloads with tracing off, tracing on, and under
-``VRD_TRACE=1`` in the environment (which worker processes inherit), and
-require exactly equal fingerprints each way.
+differential workloads with tracing off and on, and require exactly
+equal fingerprints each way.
 """
 
 import pytest
@@ -34,17 +33,3 @@ def test_tracing_does_not_disturb_oracle_paths(case):
     with obs.tracing():
         traced = case.oracle(seed)
     assert traced == plain
-
-
-def test_trace_env_var_keeps_parallel_engine_identical(monkeypatch):
-    """VRD_TRACE=1 is inherited by engine worker processes; shipping
-    snapshots back alongside partial results must not change them."""
-    case = CASES[0]
-    assert case.name == "engine"
-    seed = SEEDS[0]
-    plain = case.fast(seed)
-    monkeypatch.setenv(obs.TRACE_ENV_VAR, "1")
-    with obs.tracing() as recorder:
-        traced = case.fast(seed)
-    assert traced == plain
-    assert recorder.snapshot()["counters"].get("engine.units")

@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.memsim import sweep as sweep_module
 from repro.memsim.metrics import normalized_weighted_speedup
 from repro.memsim.sweep import SweepCache, SweepResult, SweepSpec, run_sweep
 from repro.memsim.system import MemorySystem
@@ -114,12 +113,11 @@ def test_checked_sweep_feeds_the_oracle_command_stream(monkeypatch):
         n_mixes=2, window_ns=5_000.0,
     )
     fed = CommandRecorder()
-    monkeypatch.setattr(sweep_module, "_WORKER_STATE", {})
     monkeypatch.setattr(
         "repro.memsim.system._checker_for", lambda config: fed
     )
     monkeypatch.setenv(TIMING_CHECK_ENV_VAR, "1")
-    checked = run_sweep(spec, n_jobs=1)
+    checked = run_sweep(spec)
 
     expected = CommandRecorder()
     assert oracle_sweep(spec, expected) == checked.per_mix
@@ -128,9 +126,11 @@ def test_checked_sweep_feeds_the_oracle_command_stream(monkeypatch):
     assert kinds == {CommandKind.REF, CommandKind.PRE, CommandKind.ACT}
 
 
-def test_jobs_invariance(sweep):
-    sharded = run_sweep(SPEC, n_jobs=2)
-    assert sharded.per_mix == sweep.per_mix
+@pytest.mark.parametrize("n_jobs", [0, 2])
+def test_run_sweep_runs_in_one_process(n_jobs):
+    """``n_jobs`` survives only as ``None``/``1`` for older callers."""
+    with pytest.raises(ConfigurationError):
+        run_sweep(SPEC, n_jobs=n_jobs)
 
 
 def test_cache_roundtrip(sweep, tmp_path):

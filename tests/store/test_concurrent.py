@@ -1,20 +1,19 @@
 """Concurrent access and on-disk corruption for the shared sqlite store.
 
-The VRD_JOBS=4 story: four writer processes and concurrent readers share
-one database file with no lost or torn entries. Plus corruption
+Several CLI runs can share one store: four writer processes and
+concurrent readers share one database file with no lost or torn entries. Plus corruption
 injection: a truncated database page is detected, the file is reset, and
 a recompute lands cleanly. (Bad payload checksums are covered in
 ``tests/store/test_store.py`` and ``tests/core/test_engine.py``.)
 """
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 from repro import obs
 from repro.store import DEFAULT_STORE_FILENAME, KIND_CAMPAIGN, ResultStore
 
-N_PROCS = max(2, int(os.environ.get("VRD_JOBS", "4")))
+N_PROCS = 4
 ENTRIES_PER_WRITER = 40
 
 

@@ -158,17 +158,6 @@ def test_profile_adaptive(capsys, tmp_path):
     assert payload["estimates"]
 
 
-def test_profile_adaptive_deterministic_across_jobs(capsys, tmp_path):
-    outputs = []
-    for jobs in ("1", "2"):
-        assert main([
-            "profile", "M1", "--rows-per-block", "1", "-n", "100",
-            "--adaptive", "--no-cache", "--jobs", jobs,
-        ]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-
-
 @pytest.mark.parametrize("argv", [
     ["measure", "M1", "--row", "-1", "-n", "10"],
     ["fig14", "--mixes", "0", "--window", "2000", "--no-cache"],
@@ -243,18 +232,40 @@ def test_store_prune_rejects_bad_age_without_deleting(capsys, tmp_path, age):
     ["measure", "M1", "-n", "300000000", "--adaptive"],
     ["profile", "M1", "-n", "1000001"],
     ["profile", "M1", "-n", "-5", "--adaptive"],
+    ["profile", "M1", "--rows-per-block", "0"],
+    ["profile", "M1", "--rows-per-block", "257", "-n", "10"],
+    ["profile", "M1", "--rows-per-block", "4", "-n", "1000000"],
+    ["profile", "M1", "--rows-per-block", "256", "-n", "20000", "--adaptive"],
+    ["attack", "M1", "--windows", "10000001"],
+    ["attack", "M1", "--windows", "1000000000"],
+    ["attack", "M1", "--profile-n", "0"],
+    ["attack", "M1", "--profile-n", "10000001"],
 ])
 def test_measurement_count_outside_documented_range(capsys, argv):
     """Checked before any work: one line on stderr and exit 2, even for a
-    count whose series would not fit in memory."""
+    count whose series would not fit in memory or would run for hours."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert "-n must be between 1 and" in captured.err
+    assert captured.err.startswith(f"repro {argv[0]}: ")
+    assert " must be between 1 and " in captured.err or (
+        "--rows-per-block x -n must be at most 3,000,000" in captured.err
+    )
+
+
+#: Each command's documented ranges, as its ``--help`` states them.
+DOCUMENTED_RANGES = {
+    "measure": ["1 to 10,000,000"],
+    "profile": ["1 to 1,000,000", "1 to 256", "at most 3,000,000"],
+    "attack": ["1 to 10,000,000 (default 2000)", "1 to 10,000,000 (default 5)"],
+}
 
 
 def test_measurement_range_is_documented(capsys):
-    with pytest.raises(SystemExit):
-        main(["measure", "--help"])
-    assert "1 to 10,000,000" in capsys.readouterr().out
+    for command, phrases in DOCUMENTED_RANGES.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for phrase in phrases:
+            assert phrase in text, (command, phrase)
