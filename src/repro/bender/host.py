@@ -88,39 +88,62 @@ class DramBender:
     # ------------------------------------------------------------------
 
     def probe_neighbors(
-        self, bank: int, row: int, hammer_count: int = 400_000
+        self, bank: int, row: int, hammer_count: int = 4_000_000
     ) -> List[int]:
         """Hammer one logical row hard and report which rows flipped.
 
         This is the reverse-engineering primitive of prior work the paper
         reuses: physical neighbors of the hammered row collect bitflips.
         Single-sided hammering is several times weaker than double-sided,
-        hence the very large default hammer count.
+        hence the very large default hammer count. The scan covers every
+        logical row within the bank mapping's ``adjacency_spread``.
+
+        Hammering that long outlasts the refresh window, so rows with a
+        short retention horizon decay as well. A control run repeats the
+        same writes, timing and reads but hammers a row whose neighbours
+        all lie outside the scan; a row counts as flipped only where its
+        read differs from the control's.
         """
         n_rows = self.module.geometry.n_rows
+        spread = self.module.bank(bank).mapping.adjacency_spread
         window = [
             candidate
-            for candidate in range(row - 4, row + 5)
+            for candidate in range(row - spread, row + spread + 1)
             if 0 <= candidate < n_rows and candidate != row
         ]
+        far = row + 2 * spread + 2
+        if far >= n_rows:
+            far = row - 2 * spread - 2
+        hammered = self._probe_reads(bank, row, window, row, hammer_count)
+        control = self._probe_reads(bank, row, window, far, hammer_count)
+        return [
+            candidate
+            for candidate in window
+            if not np.array_equal(hammered[candidate], control[candidate])
+        ]
+
+    def _probe_reads(
+        self,
+        bank: int,
+        row: int,
+        window: List[int],
+        target: int,
+        hammer_count: int,
+    ) -> Dict[int, np.ndarray]:
+        """Write the probe's data, hammer ``target``, read the window."""
         fill = 0x55
-        builder = ProgramBuilder(f"probe-{bank}-{row}")
+        builder = ProgramBuilder(f"probe-{bank}-{row}-{target}")
         for candidate in window:
             builder.write_row(bank, candidate, fill)
         builder.write_row(bank, row, fill ^ 0xFF)
-        builder.hammer(bank, [row], hammer_count, self.module.timing.tRAS)
+        builder.hammer(bank, [target], hammer_count, self.module.timing.tRAS)
         for candidate in window:
             builder.read_row(bank, candidate, f"r{candidate}")
-        result = self.interpreter.run(builder.build())
-        expected = np.full(self.module.geometry.row_bytes, fill, dtype=np.uint8)
-        flipped = []
-        for candidate in window:
-            if np.any(result.reads[f"r{candidate}"] != expected):
-                flipped.append(candidate)
-        return flipped
+        reads = self.interpreter.run(builder.build()).reads
+        return {candidate: reads[f"r{candidate}"] for candidate in window}
 
     def discover_adjacency(
-        self, bank: int, rows: Sequence[int], hammer_count: int = 400_000
+        self, bank: int, rows: Sequence[int], hammer_count: int = 4_000_000
     ) -> Dict[int, List[int]]:
         """Reverse-engineer the logical neighbors of the given rows."""
         adjacency = reverse_engineer_adjacency(

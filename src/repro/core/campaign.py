@@ -71,33 +71,6 @@ def select_vulnerable_rows(
     return selected
 
 
-def select_hbm2_rows(
-    module: DramModule,
-    per_channel: int = 50,
-    channels: Sequence[int] = (0, 1, 2),
-    seed: int = 0,
-) -> List["tuple[int, int]"]:
-    """The paper's HBM2 row selection: random rows from three channels.
-
-    Sec. 5: "150 DRAM rows from three HBM2 channels (50 randomly selected
-    DRAM rows from each channel)". Channels map onto the simulated module's
-    banks. Returns (bank, row) pairs for :meth:`Campaign.run_pairs`.
-    """
-    from repro.rng import derive
-
-    if per_channel < 1:
-        raise MeasurementError("need at least one row per channel")
-    n_rows = module.geometry.n_rows
-    pairs: List["tuple[int, int]"] = []
-    for channel in channels:
-        if not 0 <= channel < module.geometry.n_banks:
-            raise MeasurementError(f"channel {channel} out of range")
-        rng = derive(seed, "hbm2-rows", module.module_id, channel)
-        rows = rng.choice(n_rows, size=per_channel, replace=False)
-        pairs.extend((channel, int(row)) for row in np.sort(rows))
-    return pairs
-
-
 @dataclass
 class RowObservation:
     """One (row, configuration) measurement series with derived metrics."""
@@ -131,35 +104,6 @@ class CampaignResult:
 
     def rows(self) -> List[int]:
         return sorted({obs.row for obs in self.observations})
-
-    def merge(self, other: "CampaignResult") -> "CampaignResult":
-        """Combine two campaigns over the same module.
-
-        Campaigns parallelize naturally over rows and configurations
-        (e.g. one process per temperature); merge stitches the partial
-        results back together. Duplicate (row, configuration) pairs are
-        rejected — re-measuring the same pair yields a *different* series
-        under VRD, and silently keeping one would hide that.
-        """
-        if other.module_id != self.module_id:
-            raise MeasurementError(
-                f"cannot merge campaigns of {self.module_id} and "
-                f"{other.module_id}"
-            )
-        keys = {
-            (obs.bank, obs.row, obs.config) for obs in self.observations
-        }
-        for obs in other.observations:
-            if (obs.bank, obs.row, obs.config) in keys:
-                raise MeasurementError(
-                    f"duplicate observation for row {obs.row} under "
-                    f"{obs.config.label()}"
-                )
-        merged = CampaignResult(module_id=self.module_id)
-        merged.observations = list(self.observations) + list(
-            other.observations
-        )
-        return merged
 
     def for_row(self, row: int) -> List[RowObservation]:
         return [obs for obs in self.observations if obs.row == row]
@@ -285,7 +229,7 @@ class Campaign:
         """Measure every ((bank, row), configuration) pair.
 
         The multi-bank form serves the paper's HBM2 protocol, where the
-        tested rows span three channels (see :func:`select_hbm2_rows`).
+        tested rows span three channels (banks of the simulated module).
         """
         result = CampaignResult(module_id=self.module.module_id)
         pairs = list(pairs)

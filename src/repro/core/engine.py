@@ -153,14 +153,6 @@ class CampaignCache:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
-    def has(self, key: str) -> bool:
-        """Whether an entry (of any kind) exists under ``key``."""
-        return self.result_store.has(key)
-
-    def entry_count(self) -> int:
-        """Total entries in the backing store (all kinds)."""
-        return self.result_store.entry_count()
-
     def load(self, key: str) -> Optional[CampaignResult]:
         """The cached campaign for ``key``, or ``None`` on a miss.
 

@@ -20,7 +20,14 @@ from repro.errors import AddressError, ConfigurationError
 
 
 class RowMapping(ABC):
-    """Bijection between logical and physical row addresses of one bank."""
+    """Bijection between logical and physical row addresses of one bank.
+
+    Each family states :attr:`adjacency_spread`, the largest logical
+    distance between two physically adjacent rows, so adjacency discovery
+    knows how far from a hammered row its neighbours can sit.
+    """
+
+    adjacency_spread: int
 
     def __init__(self, n_rows: int):
         if n_rows <= 0 or n_rows & (n_rows - 1):
@@ -66,6 +73,8 @@ class RowMapping(ABC):
 class SequentialMapping(RowMapping):
     """Identity mapping: logical row i is physical row i."""
 
+    adjacency_spread = 1
+
     def to_physical(self, logical: int) -> int:
         self._check(logical)
         return logical
@@ -83,6 +92,9 @@ class MirroredFoldMapping(RowMapping):
     documented for real chips: logical +1 neighbors are not always physical
     +1 neighbors.
     """
+
+    #: Physical rows 7 and 8 of a 16-row block hold logical rows 7 and 14.
+    adjacency_spread = 7
 
     def to_physical(self, logical: int) -> int:
         self._check(logical)
@@ -111,6 +123,13 @@ class ScrambledBlockMapping(RowMapping):
         if not 0 <= key < 8:
             raise ConfigurationError("scramble key must fit in 3 bits")
         self.key = key
+        # The mask depends on address bits 3-5, so every physical
+        # neighbour pair occurs within the first 65 rows (10 for the
+        # default key).
+        self.adjacency_spread = max(
+            abs(self._scramble(physical) - self._scramble(physical + 1))
+            for physical in range(min(n_rows - 1, 64))
+        )
 
     def _scramble(self, address: int) -> int:
         mask = ((address >> 3) & 0b111) & self.key

@@ -196,10 +196,6 @@ class SweepCache:
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
-    def has(self, key: str) -> bool:
-        """Whether an entry (of any kind) exists under ``key``."""
-        return self.result_store.has(key)
-
     def load(self, key: str) -> Optional[SweepResult]:
         """The cached sweep for ``key``, or ``None`` on a miss.
 

@@ -176,45 +176,32 @@ class SimulationResult:
 
 class CoreStream:
     """One core's address stream, materialized :data:`STREAM_CHUNK`
-    addresses at a time as the simulation consumes it.
+    addresses at a time (one vectorized
+    :meth:`~repro.memsim.trace.AddressGenerator.take` each) as the
+    simulation consumes it.
 
-    Wraps any per-core address source. For
-    :class:`~repro.memsim.trace.AddressGenerator` sources a chunk is one
-    vectorized ``take``; other sources (e.g.
-    :class:`~repro.memsim.tracefile.TracePlayer`) are drained through
-    ``next_address``. A stream depends only on the (workload, core,
-    geometry, seed) recipe, never on the mitigation, so a sweep shares one
-    instance across every run of a mix: a shared stream (``retain=True``)
-    keeps every address it has drawn, and each run reads it from the
-    start. A private stream (``retain=False``) keeps only its current
-    chunk.
+    A stream depends only on the (workload, core, geometry, seed) recipe,
+    never on the mitigation, so a sweep shares one instance across every
+    run of a mix: a shared stream (``retain=True``) keeps every address it
+    has drawn, and each run reads it from the start. A private stream
+    (``retain=False``) keeps only its current chunk.
     """
 
-    __slots__ = ("source", "banks", "rows", "synthetic", "retain")
+    __slots__ = ("source", "banks", "rows", "retain")
 
-    def __init__(self, source, retain: bool = True):
+    def __init__(self, source: AddressGenerator, retain: bool = True):
         self.source = source
         self.banks: List[int] = []
         self.rows: List[int] = []
-        self.synthetic = isinstance(source, AddressGenerator)
         self.retain = retain
 
     def grow(self, consumed: int) -> int:
         """Draw the next chunk once ``consumed`` addresses of
         :attr:`banks`/:attr:`rows` are used up; returns the index in the
         (possibly replaced) lists where the new chunk starts."""
-        if self.synthetic:
-            bank_array, row_array = self.source.take(STREAM_CHUNK)
-            banks = bank_array.tolist()
-            rows = row_array.tolist()
-        else:
-            banks = []
-            rows = []
-            next_address = self.source.next_address
-            for _ in range(STREAM_CHUNK):
-                bank, row = next_address()
-                banks.append(bank)
-                rows.append(row)
+        bank_array, row_array = self.source.take(STREAM_CHUNK)
+        banks = bank_array.tolist()
+        rows = row_array.tolist()
         if not self.retain:
             self.banks = banks
             self.rows = rows
@@ -232,31 +219,20 @@ class MemorySystem:
         mix: WorkloadMix,
         config: Optional[SystemConfig] = None,
         mitigation: Optional[Mitigation] = None,
-        address_sources: Optional[list] = None,
     ):
-        """``address_sources`` optionally replaces the synthetic address
-        generators with four objects exposing ``next_address()`` — e.g.
-        :class:`~repro.memsim.tracefile.TracePlayer` instances for
-        trace-driven replay. Compute gaps still come from the mix's
-        workload models."""
         self.mix = mix
         self.config = config or SystemConfig()
         self.mitigation = mitigation
-        if address_sources is not None:
-            if len(address_sources) != 4:
-                raise SimulationError("need one address source per core")
-            self._generators = list(address_sources)
-        else:
-            self._generators = [
-                AddressGenerator(
-                    workload,
-                    core,
-                    self.config.n_banks,
-                    self.config.n_rows,
-                    self.config.seed,
-                )
-                for core, workload in enumerate(mix.workloads)
-            ]
+        self._generators = [
+            AddressGenerator(
+                workload,
+                core,
+                self.config.n_banks,
+                self.config.n_rows,
+                self.config.seed,
+            )
+            for core, workload in enumerate(mix.workloads)
+        ]
         self._gaps = [
             workload.gap_ns(self.config.core_freq_ghz, self.config.base_ipc)
             for workload in mix.workloads
@@ -271,7 +247,7 @@ class MemorySystem:
             streams: Optional per-core address streams (one per core),
                 e.g. shared across the runs of a sweep. They must come
                 from the same generator recipe as this system's. Without
-                them the system's own address sources are consumed, so
+                them the system's own address generators are consumed, so
                 each instance should be run once.
 
         With ``config.check_timing`` (or ``VRD_TIMING_CHECK=1``) every
@@ -309,17 +285,9 @@ class MemorySystem:
         epochs = 0
         exact_steps = 0
 
-        # Array-backed batchers index (bank, row) tables, so they require
-        # rows below config.n_rows — guaranteed for synthetic generators,
-        # unknown for custom sources, which therefore take the exact
-        # generic path.
         batcher = None
         if mitigation is not None:
-            tables_safe = all(stream.synthetic for stream in streams)
-            batcher = make_batcher(
-                mitigation, config.n_banks, config.n_rows,
-                allow_tables=tables_safe,
-            )
+            batcher = make_batcher(mitigation, config.n_banks, config.n_rows)
 
         window_ns = config.window_ns
         t_refw = config.t_refw_ns

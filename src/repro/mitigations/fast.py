@@ -685,36 +685,27 @@ class BlockHammerBatcher(MitigationBatcher):
 
 
 def make_batcher(
-    mitigation: Mitigation,
-    n_banks: int,
-    n_rows: int,
-    allow_tables: bool = True,
+    mitigation: Mitigation, n_banks: int, n_rows: int
 ) -> MitigationBatcher:
     """The fastest exact batcher for a mitigation instance.
 
     Exact type matches get their array fast path; subclasses and unknown
     mechanisms (e.g. :class:`~repro.mitigations.adaptive.
     AdaptiveMitigation`) fall back to :class:`GenericBatcher`, which is
-    slower but exact for anything. ``allow_tables=False`` forces the
-    generic path — the simulation loop uses it when row indices are not
-    known to fit the ``n_rows`` tables (custom trace-driven address
-    sources).
+    slower but exact for anything.
     """
     batcher: MitigationBatcher
-    if allow_tables:
-        kind = type(mitigation)
-        if kind is Para:
-            batcher = ParaBatcher(mitigation)
-        elif kind is Mint:
-            batcher = MintBatcher(mitigation, n_banks)
-        elif kind is Prac:
-            batcher = PracBatcher(mitigation, n_banks, n_rows)
-        elif kind is Graphene:
-            batcher = GrapheneBatcher(mitigation, n_banks, n_rows)
-        elif kind is BlockHammer:
-            batcher = BlockHammerBatcher(mitigation, n_banks)
-        else:
-            batcher = GenericBatcher(mitigation)
+    kind = type(mitigation)
+    if kind is Para:
+        batcher = ParaBatcher(mitigation)
+    elif kind is Mint:
+        batcher = MintBatcher(mitigation, n_banks)
+    elif kind is Prac:
+        batcher = PracBatcher(mitigation, n_banks, n_rows)
+    elif kind is Graphene:
+        batcher = GrapheneBatcher(mitigation, n_banks, n_rows)
+    elif kind is BlockHammer:
+        batcher = BlockHammerBatcher(mitigation, n_banks)
     else:
         batcher = GenericBatcher(mitigation)
     obs.active().counter_add(

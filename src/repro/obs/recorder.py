@@ -23,13 +23,10 @@ Three design rules keep it safe to wire through every hot loop:
   is derived from quantities the computation already produced. Tracing on
   vs. off therefore cannot change a scientific output;
   ``tests/differential`` asserts bit-identity with tracing toggled.
-* **Mergeable.** A JSON-able :meth:`Recorder.snapshot` folds into
-  another recorder with :meth:`Recorder.merge_snapshot`. Counters add,
-  histograms add bucket-wise, span stats combine count/total/min/max —
-  all associative and commutative, so merge order never matters
-  (``tests/obs/test_obs_properties.py`` proves this over randomized
-  shards). Gauges are last-write-wins by merge order and are only used
-  for process-wide facts (e.g. whether the geometric mirror is active).
+* **Aggregated, not logged.** Spans aggregate by path (count, total,
+  min/max), counters add, histograms count log2 buckets, and gauges are
+  last-write-wins process-wide facts (e.g. whether the geometric mirror
+  is active). :meth:`Recorder.snapshot` is their JSON-able copy.
 
 Enable tracing with ``VRD_TRACE=1`` (checked at import), programmatically
 via :func:`enable`/:func:`disable`, or scoped with :func:`tracing`.
@@ -51,8 +48,8 @@ SNAPSHOT_FORMAT = 1
 
 #: Histogram bucket count. Buckets are powers of two: observation ``v``
 #: lands in the bucket whose upper bound is the smallest ``2**k >= v``
-#: (clamped at both ends), giving a deterministic, merge-friendly
-#: log-scale summary without storing raw samples.
+#: (clamped at both ends), giving a deterministic log-scale summary
+#: without storing raw samples.
 N_BUCKETS = 64
 
 #: ``math.frexp(v)[1]`` exponent mapped to bucket 0. Offset 16 covers
@@ -112,28 +109,6 @@ class Histogram:
             "buckets": {str(index): count for index, count in sorted(self.buckets.items())},
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Histogram":
-        histogram = cls()
-        histogram.merge_payload(payload)
-        return histogram
-
-    def merge_payload(self, payload: dict) -> None:
-        count = int(payload["count"])
-        if count == 0:
-            return
-        self.count += count
-        self.total += float(payload["total"])
-        low = float(payload["min"])
-        high = float(payload["max"])
-        if low < self.min:
-            self.min = low
-        if high > self.max:
-            self.max = high
-        for index, bucket_count in payload["buckets"].items():
-            index = int(index)
-            self.buckets[index] = self.buckets.get(index, 0) + int(bucket_count)
-
 
 class SpanStats:
     """Aggregated timings of every entry into one span path."""
@@ -164,20 +139,6 @@ class SpanStats:
             "min_wall_ns": self.min_wall_ns,
             "max_wall_ns": self.max_wall_ns,
         }
-
-    def merge_payload(self, payload: dict) -> None:
-        count = int(payload["count"])
-        if count == 0:
-            return
-        self.count += count
-        self.wall_ns += int(payload["wall_ns"])
-        self.cpu_ns += int(payload["cpu_ns"])
-        low = int(payload["min_wall_ns"])
-        high = int(payload["max_wall_ns"])
-        if self.min_wall_ns is None or low < self.min_wall_ns:
-            self.min_wall_ns = low
-        if self.max_wall_ns is None or high > self.max_wall_ns:
-            self.max_wall_ns = high
 
 
 class _Span:
@@ -272,7 +233,7 @@ class Recorder:
             histogram = self.histograms[name] = Histogram()
         histogram.observe(value)
 
-    # -- snapshots and merging -----------------------------------------
+    # -- snapshots -----------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-able copy of everything recorded so far.
@@ -292,34 +253,6 @@ class Recorder:
                 for name, histogram in self.histograms.items()
             },
         }
-
-    def merge_snapshot(self, payload: Optional[dict]) -> None:
-        """Fold another recorder's snapshot into this one.
-
-        Counters add, histograms add bucket-wise, span stats combine —
-        associative and commutative, so shards can land in any order.
-        Gauges are last-write-wins by merge order.
-        """
-        if payload is None:
-            return
-        if payload.get("format") != SNAPSHOT_FORMAT:
-            raise ValueError(
-                f"unsupported obs snapshot format {payload.get('format')!r}"
-            )
-        for path, span_payload in payload["spans"].items():
-            stats = self.spans.get(path)
-            if stats is None:
-                stats = self.spans[path] = SpanStats()
-            stats.merge_payload(span_payload)
-        for name, value in payload["counters"].items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, value in payload["gauges"].items():
-            self.gauges[name] = value
-        for name, histogram_payload in payload["histograms"].items():
-            histogram = self.histograms.get(name)
-            if histogram is None:
-                histogram = self.histograms[name] = Histogram()
-            histogram.merge_payload(histogram_payload)
 
     def clear(self) -> None:
         self._stack.clear()
@@ -360,9 +293,6 @@ class NoopRecorder:
             "gauges": {},
             "histograms": {},
         }
-
-    def merge_snapshot(self, payload: Optional[dict]) -> None:
-        pass
 
     def clear(self) -> None:
         pass

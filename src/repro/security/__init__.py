@@ -11,14 +11,12 @@ exposure the victim accrues per window.
 from repro.security.attack import (
     AttackOutcome,
     attack_escape,
-    exposure_per_window,
     exposure_windows,
     profile_and_attack,
 )
 
 __all__ = [
     "AttackOutcome",
-    "exposure_per_window",
     "exposure_windows",
     "attack_escape",
     "profile_and_attack",

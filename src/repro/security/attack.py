@@ -45,47 +45,6 @@ from repro.rng import derive
 KINDS = ("graphene", "prac", "para", "mint", "none")
 
 
-def exposure_per_window(
-    kind: str,
-    threshold: float,
-    rng: np.random.Generator,
-    max_exposure: float = 1e7,
-    mint_dilution: float = 0.5,
-) -> float:
-    """Sample the victim's effective-hammer exposure for one window.
-
-    ``max_exposure`` caps the unmitigated case at what a refresh window
-    physically allows (~650K activations at DDR4 timings).
-    """
-    key = kind.strip().lower()
-    if key == "none":
-        return max_exposure
-    if threshold < 1.0:
-        raise ConfigurationError("threshold must be >= 1")
-    if key == "graphene":
-        return min(threshold / 2.0, max_exposure)
-    if key == "prac":
-        return min(float(quantize_pow2(threshold * 0.8)), max_exposure)
-    if key == "para":
-        p = para_probability(threshold)
-        # Two aggressors: each paired hammer escapes with (1-p)^2.
-        per_hammer = 1.0 - (1.0 - p) ** 2
-        if per_hammer >= 1.0:
-            return 1.0
-        return min(float(rng.geometric(per_hammer)), max_exposure)
-    if key == "mint":
-        interval = quantize_pow2(threshold / 4.0)
-        # The attacker dilutes the bank's stream so the single-entry
-        # sampler picks a decoy with probability `mint_dilution`; the
-        # victim survives a geometric number of RFM intervals, accruing
-        # its (undiluted-equivalent) share of each.
-        survive = min(max(mint_dilution, 0.0), 0.999)
-        intervals = float(rng.geometric(1.0 - survive))
-        per_interval = interval * (1.0 - survive) / 2.0
-        return min(intervals * interval / 2.0 + per_interval, max_exposure)
-    raise ConfigurationError(f"unknown mitigation kind {kind!r}")
-
-
 def exposure_windows(
     kind: str,
     threshold: float,
@@ -96,10 +55,11 @@ def exposure_windows(
 ) -> np.ndarray:
     """All per-window exposures of one attack run, drawn in one shot.
 
-    Bit-identical to ``windows`` successive :func:`exposure_per_window`
-    calls on the same generator: the deterministic kinds never touch the
-    RNG, and numpy's batched geometric sampler draws element-sequentially,
-    so ``rng.geometric(p, size=n)`` equals ``n`` scalar draws (the same
+    Bit-identical to ``windows`` successive scalar draws on the same
+    generator (the ``attack`` pair's oracle in ``tests/differential/
+    harness.py``): the deterministic kinds never touch the RNG, and
+    numpy's batched geometric sampler draws element-sequentially, so
+    ``rng.geometric(p, size=n)`` equals ``n`` scalar draws (the same
     stream-mirror rule :mod:`repro.dram.fastfaults` relies on).
     """
     if windows < 1:

@@ -38,7 +38,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro import obs
 from repro.errors import ConfigurationError
@@ -293,56 +293,21 @@ class ResultStore:
 
     def get(self, key: str, kind: str) -> Optional[dict]:
         """The payload for ``key`` of ``kind``, or ``None`` (miss or
-        corrupt — corruption is evicted so a recompute can restore)."""
+        corrupt — corruption is evicted so a recompute can restore).
+
+        This and :meth:`entry_count` serve the multi-process store test;
+        the package itself reads through :meth:`fetch` and :meth:`stats`.
+        """
         payload, _ = self.fetch(key, kind)
         return payload
 
-    def has(self, key: str) -> bool:
-        if not self.path.exists():
-            return False
-        try:
-            row = self._with_retry(
-                lambda conn: conn.execute(
-                    "SELECT 1 FROM results WHERE key = ?", (key,)
-                ).fetchone()
-            )
-        except sqlite3.DatabaseError:
-            return False
-        return row is not None
-
-    def keys(self, kind: Optional[str] = None) -> List[str]:
-        if not self.path.exists():
-            return []
-        if kind is None:
-            rows = self._with_retry(
-                lambda conn: conn.execute(
-                    "SELECT key FROM results ORDER BY key"
-                ).fetchall()
-            )
-        else:
-            rows = self._with_retry(
-                lambda conn: conn.execute(
-                    "SELECT key FROM results WHERE kind = ? ORDER BY key",
-                    (kind,),
-                ).fetchall()
-            )
-        return [key for (key,) in rows]
-
-    def entry_count(self, kind: Optional[str] = None) -> int:
+    def entry_count(self) -> int:
+        """Total entries (all kinds); 0 before the database exists."""
         if not self.path.exists():
             return 0
-        if kind is None:
-            row = self._with_retry(
-                lambda conn: conn.execute(
-                    "SELECT COUNT(*) FROM results"
-                ).fetchone()
-            )
-        else:
-            row = self._with_retry(
-                lambda conn: conn.execute(
-                    "SELECT COUNT(*) FROM results WHERE kind = ?", (kind,)
-                ).fetchone()
-            )
+        row = self._with_retry(
+            lambda conn: conn.execute("SELECT COUNT(*) FROM results").fetchone()
+        )
         return int(row[0])
 
     def stats(self) -> Dict[str, object]:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bender.host import DramBender
 from repro.bender.temperature import PidTemperatureController
+from repro.chips import build_module
 from repro.core.patterns import CHECKERED0
 from repro.dram.faults import Condition
 from repro.dram.mapping import ScrambledBlockMapping
@@ -51,6 +52,22 @@ def test_probe_neighbors_finds_physical_adjacency():
     flipped = bender.probe_neighbors(0, row)
     mapping = module.bank(0).mapping
     assert sorted(flipped) == sorted(mapping.aggressors_for_victim(row))
+
+
+@pytest.mark.parametrize("module_id", ["M1", "S0", "H1"])
+def test_discover_adjacency_matches_catalog_mapping(module_id):
+    """Sequential (M1), folded (S0) and scrambled (H1) mappings put a
+    row's physical neighbours up to 1, 7 and 10 logical rows away;
+    discovery must find both aggressors of every victim."""
+    module = build_module(module_id, seed=0)
+    bender = DramBender(module)
+    bender.prepare_for_characterization()
+    rows = range(100, 116)
+    adjacency = bender.discover_adjacency(0, rows)
+    mapping = module.bank(0).mapping
+    assert adjacency == {
+        row: sorted(mapping.aggressors_for_victim(row)) for row in rows
+    }
 
 
 def test_discover_adjacency_feeds_aggressors_for():

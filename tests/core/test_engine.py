@@ -19,6 +19,7 @@ from repro.core.engine import CampaignCache
 from repro.core.patterns import ALL_PATTERNS, DataPattern
 from repro.core.store import FORMAT_VERSION
 from repro.errors import ConfigurationError, MeasurementError
+from repro.store import KIND_CAMPAIGN
 from tests.differential.harness import reference_selection
 
 MODULE_ID = "M1"
@@ -48,25 +49,35 @@ def serial_result():
     return campaign.run(ROWS)
 
 
+def _campaign_key(cache, seed=SEED, adaptive=None):
+    """The cache key of the campaign over ``ROWS``."""
+    recipe = dict(
+        seed=seed, module_id=MODULE_ID, configs=_configs(_module(seed)),
+        n_measurements=N_MEASUREMENTS, pairs=[(0, row) for row in ROWS],
+        protocol="DDR4",
+    )
+    if adaptive is not None:
+        return cache.key(**recipe, schedule="adaptive", adaptive=adaptive)
+    return cache.key(**recipe)
+
+
+def _stored_entries(cache) -> int:
+    return cache.result_store.stats()["entries"]
+
+
 def _cached_campaign(cache, seed=SEED, adaptive=None):
     """The campaign over ``ROWS`` through ``cache``: a hit returns the
     stored result; a miss runs it (the adaptive schedule when
     ``adaptive`` is given) and stores it."""
     module = _module(seed)
     configs = _configs(module)
-    recipe = dict(
-        seed=seed, module_id=MODULE_ID, configs=configs,
-        n_measurements=N_MEASUREMENTS, pairs=[(0, row) for row in ROWS],
-        protocol="DDR4",
-    )
+    key = _campaign_key(cache, seed, adaptive)
     if adaptive is not None:
-        key = cache.key(**recipe, schedule="adaptive", adaptive=adaptive)
         result = cache.load_adaptive(key)
         if result is None:
             result = AdaptiveScheduler(module, configs, adaptive).run(ROWS)
             cache.store_adaptive(key, result)
         return result
-    key = cache.key(**recipe)
     result = cache.load(key)
     if result is None:
         campaign = Campaign(module, configs, n_measurements=N_MEASUREMENTS)
@@ -176,16 +187,8 @@ def test_geometric_mirror_self_check_passes():
 def test_cache_round_trip(tmp_path, serial_result):
     cache = CampaignCache(tmp_path / "cache")
     first = _cached_campaign(cache)
-    assert cache.has(
-        cache.key(
-            seed=SEED,
-            module_id=MODULE_ID,
-            configs=_configs(_module()),
-            n_measurements=N_MEASUREMENTS,
-            pairs=[(0, row) for row in ROWS],
-            protocol="DDR4",
-        )
-    )
+    _, status = cache.result_store.fetch(_campaign_key(cache), KIND_CAMPAIGN)
+    assert status == "hit"
     reloaded = _cached_campaign(cache)
     assert_identical(reloaded, first)
     assert_identical(reloaded, serial_result)
@@ -195,7 +198,7 @@ def test_cache_misses_on_different_seed(tmp_path):
     cache = CampaignCache(tmp_path / "cache")
     first = _cached_campaign(cache, seed=SEED)
     other = _cached_campaign(cache, seed=SEED + 1)
-    assert cache.entry_count() == 2
+    assert _stored_entries(cache) == 2
     with pytest.raises(AssertionError):
         assert_identical(first, other)
 
@@ -268,7 +271,7 @@ def test_adaptive_and_exhaustive_never_alias_on_disk(tmp_path):
     adaptive_config = AdaptiveConfig(max_measurements=N_MEASUREMENTS)
     exhaustive = _cached_campaign(cache)
     adaptive = _cached_campaign(cache, adaptive=adaptive_config)
-    assert cache.entry_count() == 2
+    assert _stored_entries(cache) == 2
 
     reloaded_exhaustive = _cached_campaign(cache)
     assert_identical(reloaded_exhaustive, exhaustive)
@@ -285,11 +288,11 @@ def test_load_adaptive_rejects_exhaustive_payload(tmp_path):
     cache = CampaignCache(tmp_path / "cache")
     first = _cached_campaign(cache)
     assert first is not None
-    [key] = cache.result_store.keys()
+    key = _campaign_key(cache)
     with obs.tracing() as recorder:
         assert cache.load_adaptive(key) is None
     assert recorder.counters.get("cache.corrupt") == 1
-    assert not cache.has(key)  # evicted
+    assert _stored_entries(cache) == 0  # evicted
 
 
 def _inject_raw(cache, key, blob, kind="campaign"):
@@ -331,7 +334,7 @@ def test_corrupt_cache_entry_is_counted_evicted_and_missed(tmp_path, blob):
         assert cache.load(key) is None
     assert recorder.counters.get("cache.corrupt") == 1
     assert "cache.hit" not in recorder.counters
-    assert not cache.has(key)  # evicted from the store
+    assert _stored_entries(cache) == 0  # evicted from the store
 
 
 def test_corrupt_entry_recomputes_to_identical_result(tmp_path, serial_result):
@@ -341,7 +344,7 @@ def test_corrupt_entry_recomputes_to_identical_result(tmp_path, serial_result):
 
     cache = CampaignCache(tmp_path / "cache")
     _cached_campaign(cache)
-    [key] = cache.result_store.keys()
+    key = _campaign_key(cache)
     with sqlite3.connect(cache.result_store.path) as conn:
         (blob,) = conn.execute(
             "SELECT payload FROM results WHERE key = ?", (key,)

@@ -6,14 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.montecarlo import (
     expected_normalized_min,
-    expected_normalized_min_monte_carlo,
     min_rdt_analysis,
     probability_of_min,
-    probability_of_min_monte_carlo,
     scatter_points,
 )
 from repro.core.series import RdtSeries
 from repro.errors import MeasurementError
+from tests.differential.harness import (
+    expected_normalized_min_monte_carlo,
+    probability_of_min_monte_carlo,
+)
 
 
 def test_probability_exact_single_min():
@@ -105,3 +107,34 @@ def test_invalid_inputs():
         probability_of_min(np.array([1.0, 2.0]), 1, within=-0.1)
     with pytest.raises(MeasurementError):
         expected_normalized_min(np.array([0.0, 1.0]), 1)
+
+
+def test_min_rdt_analysis_memory_is_bounded_per_value():
+    """The Fig. 8 analysis filters and sorts a series once and reuses one
+    log-factorial table and two buffers for every N: about four
+    series-sized float64 arrays (32 MB at a million values)."""
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    series = RdtSeries(np.round(rng.normal(1000, 15, 1_000_000)))
+    tracemalloc.start()
+    try:
+        estimates = min_rdt_analysis(series)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert set(estimates) == {1, 3, 5, 10, 50, 500}
+    assert peak <= 35 * 10**6
+
+
+def test_min_rdt_analysis_matches_per_n_closed_forms():
+    rng = np.random.default_rng(8)
+    values = np.round(rng.normal(1000, 15, 2000))
+    values[rng.random(values.size) < 0.05] = np.nan
+    estimates = min_rdt_analysis(RdtSeries(values), (1, 7, 1900, 5000))
+    assert set(estimates) == {1, 7, 1900}
+    for n, estimate in estimates.items():
+        assert estimate.probability_of_min == probability_of_min(values, n)
+        assert estimate.expected_normalized_min == (
+            expected_normalized_min(values, n)
+        )

@@ -3,35 +3,10 @@
 import pytest
 
 from repro.chips import build_module
-from repro.core.campaign import Campaign, select_hbm2_rows
+from repro.core.campaign import Campaign
 from repro.core.config import standard_configs
 from repro.core.patterns import ALL_PATTERNS
 from repro.errors import MeasurementError
-
-
-def test_select_hbm2_rows_spans_channels():
-    module = build_module("Chip0")
-    pairs = select_hbm2_rows(module, per_channel=10)
-    assert len(pairs) == 30
-    banks = {bank for bank, _ in pairs}
-    assert banks == {0, 1, 2}
-    # Rows within a channel are distinct.
-    for channel in banks:
-        rows = [row for bank, row in pairs if bank == channel]
-        assert len(set(rows)) == len(rows)
-
-
-def test_select_hbm2_rows_deterministic():
-    module = build_module("Chip0")
-    assert select_hbm2_rows(module, 5) == select_hbm2_rows(module, 5)
-
-
-def test_select_hbm2_rows_validation():
-    module = build_module("Chip0")
-    with pytest.raises(MeasurementError):
-        select_hbm2_rows(module, per_channel=0)
-    with pytest.raises(MeasurementError):
-        select_hbm2_rows(module, per_channel=5, channels=(99,))
 
 
 def test_run_pairs_across_banks():
@@ -46,7 +21,7 @@ def test_run_pairs_across_banks():
         )
     )
     campaign = Campaign(module, configs, n_measurements=100)
-    pairs = select_hbm2_rows(module, per_channel=2)
+    pairs = [(0, 100), (0, 2000), (1, 100), (1, 3000), (2, 100), (2, 4000)]
     result = campaign.run_pairs(pairs)
     assert len(result) == len(pairs)
     assert {obs.bank for obs in result.observations} == {0, 1, 2}

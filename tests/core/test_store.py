@@ -4,6 +4,7 @@ import base64
 import copy
 import json
 import math
+import sqlite3
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ def test_malformed_values_entry_is_corrupt_and_evicted(tmp_path, values):
         assert cache.load("deadbeef") is None
     assert recorder.counters.get("cache.corrupt") == 1
     assert "cache.hit" not in recorder.counters
-    assert not cache.has("deadbeef")
+    assert cache.result_store.fetch("deadbeef", KIND_CAMPAIGN) == (None, "miss")
 
 
 def _as_format_1(payload: dict) -> dict:
@@ -217,7 +218,8 @@ def test_format_1_entry_under_old_recipe_key_is_a_plain_miss(
     with monkeypatch.context() as patch:
         patch.setattr(engine, "RECIPE_FORMAT", 2)  # the format-1 code's key
         module_campaign("M1", cache=cache, **recipe)
-    [old_key] = cache.result_store.keys()
+    with sqlite3.connect(cache.result_store.path) as conn:
+        [(old_key,)] = conn.execute("SELECT key FROM results").fetchall()
     payload, _ = cache.result_store.fetch(old_key, KIND_CAMPAIGN)
     cache.result_store.put(old_key, KIND_CAMPAIGN, _as_format_1(payload))
 
@@ -225,6 +227,7 @@ def test_format_1_entry_under_old_recipe_key_is_a_plain_miss(
         cached = module_campaign("M1", cache=cache, **recipe)
     assert recorder.counters.get("cache.miss") == 1
     assert "cache.corrupt" not in recorder.counters
-    assert cache.has(old_key)  # never looked up, so never evicted
+    # Never looked up, so never evicted.
+    assert cache.result_store.fetch(old_key, KIND_CAMPAIGN)[1] == "hit"
     uncached = module_campaign("M1", **recipe)
     assert store.campaign_to_dict(cached) == store.campaign_to_dict(uncached)

@@ -33,6 +33,13 @@ devices whose geometry exercises DDR5 bank groups (``D0``) and HBM2
 pseudo channels (``Chip0``); the ``checker-*`` pairs run the same
 fast path with ``VRD_TIMING_CHECK=1`` forced on versus off, proving the
 opt-in timing validation pass never perturbs a single bit.
+
+Two oracles here are statistical rather than bit-identical: the paper's
+Monte Carlo minimum-RDT procedure (``probability_of_min_monte_carlo``,
+``expected_normalized_min_monte_carlo``), which ``tests/core/
+test_montecarlo.py`` holds the closed forms of
+:mod:`repro.core.montecarlo` to, and the scalar per-window exposure draw
+(``exposure_per_window``) behind the ``attack`` pair.
 """
 
 from __future__ import annotations
@@ -1143,6 +1150,52 @@ _ATTACK_SCENARIOS = ((5, 0.0), (5, 0.5))
 _ATTACK_WINDOWS = 600
 
 
+def exposure_per_window(
+    kind: str,
+    threshold: float,
+    rng,
+    max_exposure: float = 1e7,
+    mint_dilution: float = 0.5,
+) -> float:
+    """Sample the victim's effective-hammer exposure for one window: the
+    scalar reference of :func:`repro.security.attack.exposure_windows`.
+
+    ``max_exposure`` caps the unmitigated case at what a refresh window
+    physically allows (~650K activations at DDR4 timings).
+    """
+    from repro.errors import ConfigurationError
+    from repro.mitigations.para import para_probability
+    from repro.mitigations.prac import quantize_pow2
+
+    key = kind.strip().lower()
+    if key == "none":
+        return max_exposure
+    if threshold < 1.0:
+        raise ConfigurationError("threshold must be >= 1")
+    if key == "graphene":
+        return min(threshold / 2.0, max_exposure)
+    if key == "prac":
+        return min(float(quantize_pow2(threshold * 0.8)), max_exposure)
+    if key == "para":
+        p = para_probability(threshold)
+        # Two aggressors: each paired hammer escapes with (1-p)^2.
+        per_hammer = 1.0 - (1.0 - p) ** 2
+        if per_hammer >= 1.0:
+            return 1.0
+        return min(float(rng.geometric(per_hammer)), max_exposure)
+    if key == "mint":
+        interval = quantize_pow2(threshold / 4.0)
+        # The attacker dilutes the bank's stream so the single-entry
+        # sampler picks a decoy with probability `mint_dilution`; the
+        # victim survives a geometric number of RFM intervals, accruing
+        # its (undiluted-equivalent) share of each.
+        survive = min(max(mint_dilution, 0.0), 0.999)
+        intervals = float(rng.geometric(1.0 - survive))
+        per_interval = interval * (1.0 - survive) / 2.0
+        return min(intervals * interval / 2.0 + per_interval, max_exposure)
+    raise ConfigurationError(f"unknown mitigation kind {kind!r}")
+
+
 def attack_window_loop(
     module,
     victim: int,
@@ -1160,7 +1213,7 @@ def attack_window_loop(
     import math
 
     from repro.rng import derive
-    from repro.security.attack import AttackOutcome, exposure_per_window
+    from repro.security.attack import AttackOutcome
 
     mapping = module.bank(bank).mapping
     process = module.fault_model.process(bank, mapping.to_physical(victim))
@@ -1345,6 +1398,80 @@ def guardband_oracle(seed: int) -> tuple:
 
 def guardband_fast(seed: int) -> tuple:
     return _guardband_matrix(seed, fast=True)
+
+
+# ----------------------------------------------------------------------
+# min-RDT Monte Carlo: the paper's subset sampling behind Figs. 8 and 25
+# ----------------------------------------------------------------------
+
+
+def _subset_minima(data, n: int, iterations: int, rng):
+    """Minima of ``iterations`` uniform N-subsets drawn without replacement.
+
+    Ranking M iid uniform keys and keeping the n lowest-keyed positions is
+    a uniform N-subset, so one batched ``random`` + ``argpartition`` per
+    chunk replaces ``iterations`` ``rng.choice`` calls. Chunked to bound
+    the key matrix at a few megabytes for long series.
+    """
+    import numpy as np
+
+    from repro.errors import MeasurementError
+
+    m = data.size
+    if m == 0:
+        raise MeasurementError("empty series")
+    if not 1 <= n <= m:
+        raise MeasurementError(f"subset size {n} must be in [1, {m}]")
+    minima = np.empty(iterations)
+    chunk = max(1, min(iterations, (1 << 21) // m))
+    done = 0
+    while done < iterations:
+        batch = min(chunk, iterations - done)
+        keys = rng.random((batch, m))
+        picks = np.argpartition(keys, n - 1, axis=1)[:, :n]
+        minima[done:done + batch] = data[picks].min(axis=1)
+        done += batch
+    return minima
+
+
+def _valid_values(values):
+    import numpy as np
+
+    data = np.asarray(values, dtype=float)
+    return data[~np.isnan(data)]
+
+
+def probability_of_min_monte_carlo(
+    values, n: int, iterations: int = 10_000, rng=None, within: float = 0.0
+) -> float:
+    """The paper's Monte Carlo estimate of
+    :func:`repro.core.montecarlo.probability_of_min`."""
+    import numpy as np
+
+    from repro.errors import MeasurementError
+
+    data = _valid_values(values)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    if data.size == 0:
+        raise MeasurementError("empty series")
+    threshold = data.min() * (1.0 + within)
+    minima = _subset_minima(data, n, iterations, rng)
+    return float((minima <= threshold).sum() / iterations)
+
+
+def expected_normalized_min_monte_carlo(
+    values, n: int, iterations: int = 10_000, rng=None
+) -> float:
+    """The paper's Monte Carlo estimate of
+    :func:`repro.core.montecarlo.expected_normalized_min`."""
+    import numpy as np
+
+    data = _valid_values(values)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    minima = _subset_minima(data, n, iterations, rng)
+    return float(minima.mean() / data.min())
 
 
 # ----------------------------------------------------------------------

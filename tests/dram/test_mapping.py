@@ -75,3 +75,20 @@ def test_reverse_engineering_recovers_neighbors():
     # The identity mapping should NOT explain a scrambled chip's data for
     # at least one probed row.
     assert not verify_mapping_against_adjacency(SequentialMapping(256), adjacency)
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [SequentialMapping(1024), MirroredFoldMapping(1024)]
+    + [ScrambledBlockMapping(1024, key) for key in range(8)],
+    ids=lambda mapping: f"{type(mapping).__name__}-{getattr(mapping, 'key', '')}",
+)
+def test_adjacency_spread_is_the_largest_neighbour_distance(mapping):
+    """Adjacency discovery scans ``adjacency_spread`` logical rows either
+    side of a hammered row, so the stated spread must cover (and equal)
+    the largest logical distance between physically adjacent rows."""
+    distances = [
+        abs(mapping.to_logical(physical) - mapping.to_logical(physical + 1))
+        for physical in range(mapping.n_rows - 1)
+    ]
+    assert mapping.adjacency_spread == max(distances)

@@ -3,15 +3,13 @@ oracle ``reference_memsim_run``.
 
 The contract under test (see :mod:`repro.memsim.system`): same requests
 per core, same latency sums (same floats), same hit/miss split, same
-preventive-refresh and rank-block counts — for every mitigation and for
-custom address sources.
+preventive-refresh and rank-block counts — for every mitigation.
 """
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.memsim import CoreStream, MemorySystem, SystemConfig, standard_mixes
-from repro.memsim.tracefile import TracePlayer, TraceRecord
 from repro.mitigations import (
     AdaptiveMitigation,
     BlockHammer,
@@ -115,28 +113,6 @@ def test_window_reset_equivalence(name):
     reference = assert_equivalent(MIXES[0], config, build)
     throttled = getattr(built[0], "throttled_activations", 0)
     assert reference.preventive_refreshes + reference.rank_blocks + throttled > 0
-
-
-def test_trace_replay_equivalence():
-    records = []
-    for i in range(200):
-        for core in range(4):
-            records.append(
-                TraceRecord(core=core, bank=(i * 7 + core) % 8, row=(i * 3) % 40)
-            )
-    mix = MIXES[0]
-
-    def players():
-        return [TracePlayer(records, core) for core in range(4)]
-
-    reference = reference_memsim_run(MemorySystem(
-        mix, CONFIG, Graphene(8), address_sources=players()
-    ))
-    fast = MemorySystem(
-        mix, CONFIG, Graphene(8), address_sources=players()
-    ).run()
-    assert fingerprint(fast) == fingerprint(reference)
-    assert reference.preventive_refreshes > 0
 
 
 def test_shared_streams_match_fresh_runs():

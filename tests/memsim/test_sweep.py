@@ -10,6 +10,7 @@ from repro.memsim.metrics import normalized_weighted_speedup
 from repro.memsim.sweep import SweepCache, SweepResult, SweepSpec, run_sweep
 from repro.memsim.system import MemorySystem
 from repro.mitigations import apply_guardband, build_mitigation
+from repro.store import KIND_SWEEP
 from tests.differential.harness import reference_memsim_run
 
 #: A grid small enough for test runtimes but with >1 of everything.
@@ -193,7 +194,8 @@ def test_cache_corruption_is_counted_and_evicted(sweep, tmp_path):
             assert cache.load(key) is None
         assert recorder.counters.get("cache.corrupt") == 1, blob
         assert "cache.hit" not in recorder.counters, blob
-        assert not cache.has(key), blob  # evicted from the store
+        # Evicted from the store.
+        assert cache.result_store.fetch(key, KIND_SWEEP) == (None, "miss"), blob
 
     with obs.tracing() as recorder:
         recomputed = run_sweep(SPEC, cache=cache)

@@ -200,9 +200,6 @@ def test_make_batcher_dispatch():
     assert isinstance(make_batcher(Para(64), 8, 128), ParaBatcher)
     assert isinstance(make_batcher(Mint(64), 8, 128), MintBatcher)
     assert isinstance(make_batcher(BlockHammer(64), 8, 128), BlockHammerBatcher)
-    # Unknown mechanisms and table-unsafe streams take the generic path.
+    # Unknown mechanisms take the generic path.
     adaptive = AdaptiveMitigation(Graphene, StaticThresholdPolicy(64.0))
     assert isinstance(make_batcher(adaptive, 8, 128), GenericBatcher)
-    assert isinstance(
-        make_batcher(Graphene(64), 8, 128, allow_tables=False), GenericBatcher
-    )

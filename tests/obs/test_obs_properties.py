@@ -1,13 +1,12 @@
 """Property-based tests for the observability core.
 
 Driven by seeded :mod:`random` (no extra dependencies): random operation
-streams are applied to shard recorders and the merge laws are checked
-exactly — counters add, histograms add bucket-wise, span stats combine —
-for every merge order. Values are kept integral so float addition is
-exactly associative and snapshot equality can be ``==``.
+streams are applied to a recorder and its snapshot is checked against
+them exactly. Values are kept integral so snapshot equality can be
+``==``.
 """
 
-import itertools
+import json
 import math
 import random
 import time
@@ -42,8 +41,8 @@ def make_recorder():
 
 
 def random_ops(rng: random.Random, n: int):
-    """A stream of recorder operations with small shared name pools (so
-    shards genuinely collide on metric names) and integral values."""
+    """A stream of recorder operations with small name pools (so ops
+    collide on metric names) and integral values."""
     ops = []
     for _ in range(n):
         kind = rng.choice(("counter", "histogram", "span", "gauge"))
@@ -76,10 +75,6 @@ def apply_ops(recorder, wall, cpu, ops) -> None:
             with recorder.span(op[1]):
                 wall.advance(op[2])
                 cpu.advance(op[3])
-
-
-def strip_gauges(snapshot: dict) -> dict:
-    return {key: value for key, value in snapshot.items() if key != "gauges"}
 
 
 # ----------------------------------------------------------------------
@@ -150,74 +145,41 @@ def test_random_span_trees_close_their_stack(seed):
 
 
 # ----------------------------------------------------------------------
-# Merge semantics
+# Snapshots
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", [1, 12, 123, 1234])
-def test_shard_merge_equals_serial_in_any_order(seed):
-    """The core law behind cross-process snapshots: k worker shards merged
-    in ANY order produce exactly the serial recording of all their ops
-    (gauges excluded — they are documented last-write-wins)."""
-    rng = random.Random(seed)
-    shards = [random_ops(rng, rng.randint(5, 25)) for _ in range(3)]
-
-    serial, wall, cpu = make_recorder()
-    for ops in shards:
-        apply_ops(serial, wall, cpu, ops)
-    expected = strip_gauges(serial.snapshot())
-
-    snapshots = []
-    for ops in shards:
-        recorder, shard_wall, shard_cpu = make_recorder()
-        apply_ops(recorder, shard_wall, shard_cpu, ops)
-        snapshots.append(recorder.snapshot())
-
-    for order in itertools.permutations(range(len(shards))):
-        parent = obs.Recorder()
-        for index in order:
-            parent.merge_snapshot(snapshots[index])
-        assert strip_gauges(parent.snapshot()) == expected
-
-
-def test_gauges_are_last_write_wins_by_merge_order():
-    first = obs.Recorder()
-    first.gauge_set("g", 1.0)
-    second = obs.Recorder()
-    second.gauge_set("g", 2.0)
-    parent = obs.Recorder()
-    parent.merge_snapshot(first.snapshot())
-    parent.merge_snapshot(second.snapshot())
-    assert parent.gauges["g"] == 2.0
-
-
-def test_merge_none_is_noop_and_bad_format_raises():
-    recorder = obs.Recorder()
-    recorder.counter_add("c")
-    before = recorder.snapshot()
-    recorder.merge_snapshot(None)
-    assert recorder.snapshot() == before
-    with pytest.raises(ValueError):
-        recorder.merge_snapshot({"format": 999})
-
-
 @pytest.mark.parametrize("seed", [5, 55])
-def test_merge_through_json_round_trip(seed):
-    """Snapshots cross process boundaries as JSON; merging the decoded
-    payload must equal merging the original."""
-    import json
-
+def test_snapshot_totals_match_ops_and_survive_json(seed):
+    """A snapshot is the JSON-able aggregate of exactly the recorded ops:
+    counters sum, spans count their entries, histograms count their
+    observations, and gauges keep the last write."""
     rng = random.Random(seed)
     recorder, wall, cpu = make_recorder()
-    apply_ops(recorder, wall, cpu, random_ops(rng, 30))
+    ops = random_ops(rng, 30)
+    apply_ops(recorder, wall, cpu, ops)
     snapshot = recorder.snapshot()
-    decoded = json.loads(json.dumps(snapshot))
+    assert json.loads(json.dumps(snapshot)) == snapshot
 
-    direct = obs.Recorder()
-    direct.merge_snapshot(snapshot)
-    via_json = obs.Recorder()
-    via_json.merge_snapshot(decoded)
-    assert direct.snapshot() == via_json.snapshot()
+    counters, spans, histograms, gauges = {}, {}, {}, {}
+    for op in ops:
+        if op[0] == "counter":
+            counters[op[1]] = counters.get(op[1], 0) + op[2]
+        elif op[0] == "span":
+            spans[op[1]] = spans.get(op[1], 0) + 1
+        elif op[0] == "histogram":
+            histograms[op[1]] = histograms.get(op[1], 0) + 1
+        else:
+            gauges[op[1]] = float(op[2])
+    assert snapshot["counters"] == counters
+    assert snapshot["gauges"] == gauges
+    assert {
+        path: stats["count"] for path, stats in snapshot["spans"].items()
+    } == spans
+    assert {
+        name: payload["count"]
+        for name, payload in snapshot["histograms"].items()
+    } == histograms
 
 
 # ----------------------------------------------------------------------
@@ -249,15 +211,6 @@ def test_bucket_bounds_are_consistent():
             assert bucket_upper_bound(index - 1) <= value < bucket_upper_bound(index)
     assert bucket_upper_bound(N_BUCKETS - 1) == math.inf
     assert bucket_index(-5.0) == 0  # negatives clamp, never crash
-
-
-def test_empty_histogram_payload_merges_as_identity():
-    empty = obs.Histogram()
-    target = obs.Histogram()
-    target.observe(7)
-    before = target.to_payload()
-    target.merge_payload(empty.to_payload())
-    assert target.to_payload() == before
 
 
 # ----------------------------------------------------------------------

@@ -6,14 +6,13 @@ import pytest
 from repro.core.config import TestConfig
 from repro.core.patterns import CHECKERED0
 from repro.errors import ConfigurationError
-from repro.security import (
-    attack_escape,
-    exposure_per_window,
-    exposure_windows,
-    profile_and_attack,
-)
+from repro.security import attack_escape, exposure_windows, profile_and_attack
 from tests.conftest import make_module
-from tests.differential.harness import attack_window_loop, sequential_state
+from tests.differential.harness import (
+    attack_window_loop,
+    exposure_per_window,
+    sequential_state,
+)
 
 
 class TestExposure:

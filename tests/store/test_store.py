@@ -33,10 +33,7 @@ def test_lazy_open_touches_nothing(tmp_path):
     store = ResultStore(tmp_path / "sub" / DEFAULT_STORE_FILENAME)
     assert not (tmp_path / "sub").exists()
     # Reads against a nonexistent database are misses, not file creation.
-    assert store.get("k", KIND_CAMPAIGN) is None
-    assert store.has("k") is False
-    assert store.keys() == []
-    assert store.entry_count() == 0
+    assert store.fetch("k", KIND_CAMPAIGN) == (None, "miss")
     assert store.stats()["entries"] == 0
     assert not (tmp_path / "sub").exists()
 
@@ -50,11 +47,11 @@ def test_lazy_open_touches_nothing(tmp_path):
     )
     (root / "fig14-k.json").write_text(json.dumps({"kind": "fig14-sweep"}))
     store = ResultStore(root / DEFAULT_STORE_FILENAME)
-    assert store.get("k", KIND_CAMPAIGN) is None
+    assert store.fetch("k", KIND_CAMPAIGN) == (None, "miss")
     assert store.fetch("k", KIND_SWEEP) == (None, "miss")
     assert not store.path.exists()
     store.put("other", KIND_CAMPAIGN, {"x": 1})
-    assert store.keys() == ["other"]
+    assert store.stats()["per_kind"] == {KIND_CAMPAIGN: 1}
 
 
 def test_put_fetch_roundtrip(store):
@@ -71,7 +68,8 @@ def test_wrong_kind_is_corrupt_and_evicts(store):
         payload, status = store.fetch("k1", KIND_SWEEP)
     assert payload is None and status == "corrupt"
     assert recorder.counters.get("store.corrupt") == 1
-    assert not store.has("k1")  # evicted: the slot can recompute cleanly
+    # Evicted: the slot can recompute cleanly.
+    assert store.fetch("k1", KIND_CAMPAIGN) == (None, "miss")
 
 
 def test_absent_key_is_a_plain_miss(store):
@@ -94,7 +92,7 @@ def test_checksum_mismatch_is_corrupt(store):
         payload, status = store.fetch("k1", KIND_CAMPAIGN)
     assert payload is None and status == "corrupt"
     assert recorder.counters.get("store.corrupt") == 1
-    assert not store.has("k1")
+    assert store.fetch("k1", KIND_CAMPAIGN) == (None, "miss")
 
 
 def test_undecodable_payload_with_valid_checksum_is_corrupt(store):
@@ -110,7 +108,7 @@ def test_undecodable_payload_with_valid_checksum_is_corrupt(store):
         )
     payload, status = store.fetch("k1", KIND_CAMPAIGN)
     assert payload is None and status == "corrupt"
-    assert not store.has("k1")
+    assert store.fetch("k1", KIND_CAMPAIGN) == (None, "miss")
 
 
 def test_malformed_database_resets_and_recomputes(store):
@@ -130,8 +128,8 @@ def test_malformed_database_resets_and_recomputes(store):
     assert recorder.counters.get("store.corrupt") == 1
     # The reset leaves a working (empty) store behind.
     store.put("k2", KIND_CAMPAIGN, {"b": 2})
-    assert store.get("k2", KIND_CAMPAIGN) == {"b": 2}
-    assert store.get("k1", KIND_CAMPAIGN) is None
+    assert store.fetch("k2", KIND_CAMPAIGN) == ({"b": 2}, "hit")
+    assert store.fetch("k1", KIND_CAMPAIGN) == (None, "miss")
 
 
 def test_unopenable_database_path_is_a_miss(tmp_path):
@@ -151,9 +149,7 @@ def test_put_many_is_transactional_and_counted(store):
         written = store.put_many(entries)
     assert written == 10
     assert recorder.counters.get("store.put") == 10
-    assert store.entry_count() == 10
-    assert store.entry_count(KIND_CAMPAIGN) == 5
-    assert store.entry_count(KIND_SWEEP) == 5
+    assert store.stats()["per_kind"] == {KIND_CAMPAIGN: 5, KIND_SWEEP: 5}
 
 
 def test_put_many_rejects_unknown_kind(store):
@@ -173,15 +169,8 @@ def test_prune_rejects_negative_or_non_finite_age(store, older_than_s):
         store.prune(older_than_s=older_than_s)
     with pytest.raises(ConfigurationError):
         store.prune(kind=KIND_CAMPAIGN, older_than_s=older_than_s)
-    assert store.keys() == ["c", "s"]
+    assert store.stats()["per_kind"] == {KIND_CAMPAIGN: 1, KIND_SWEEP: 1}
     assert store.prune(older_than_s=0.0) == 2
-
-
-def test_keys_filter_by_kind(store):
-    store.put("c", KIND_CAMPAIGN, {})
-    store.put("s", KIND_SWEEP, {})
-    assert store.keys() == ["c", "s"]
-    assert store.keys(KIND_SWEEP) == ["s"]
 
 
 def test_stats_shape(store):
@@ -232,7 +221,7 @@ def test_threaded_connections_are_isolated(store):
     def reader():
         try:
             for _ in range(50):
-                payload = store.get("k", KIND_CAMPAIGN)
+                payload, _ = store.fetch("k", KIND_CAMPAIGN)
                 assert payload is not None and "v" in payload
         except Exception as error:  # noqa: BLE001 — surfaced to the test
             errors.append(error)
@@ -278,14 +267,14 @@ def test_legacy_kind_rows_are_counted_and_prunable(store):
              time.time() - 60.0),
         )
     store.put("c2", KIND_CAMPAIGN, {"module_id": "M1"})
-    assert store.get("c1", KIND_CAMPAIGN) == {"module_id": "M1"}
-    assert store.get("c2", KIND_CAMPAIGN) == {"module_id": "M1"}
+    assert store.fetch("c1", KIND_CAMPAIGN) == ({"module_id": "M1"}, "hit")
+    assert store.fetch("c2", KIND_CAMPAIGN) == ({"module_id": "M1"}, "hit")
     stats = store.stats()
     assert stats["entries"] == 3
     assert stats["per_kind"] == {KIND_CAMPAIGN: 2, "fleet": 1}
     assert stats["per_protocol"] == {"DDR4": 2, "unknown": 1}
 
     assert store.prune(older_than_s=0) == 3
-    assert store.keys() == []
+    assert store.stats()["entries"] == 0
     store.put("c3", KIND_CAMPAIGN, {"module_id": "M1"})
-    assert store.get("c3", KIND_CAMPAIGN) == {"module_id": "M1"}
+    assert store.fetch("c3", KIND_CAMPAIGN) == ({"module_id": "M1"}, "hit")

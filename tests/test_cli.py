@@ -223,7 +223,7 @@ def test_store_prune_rejects_bad_age_without_deleting(capsys, tmp_path, age):
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert "--older-than" in captured.err
-    assert store.keys() == ["c", "s"]
+    assert store.stats()["per_kind"] == {KIND_CAMPAIGN: 1, KIND_SWEEP: 1}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,0 +1,190 @@
+#!/usr/bin/env python3
+"""Reachability report: which ``src/repro`` functions does the paper's
+reproduction run?
+
+Runs, in this one process under a ``sys.setprofile`` hook:
+
+* the cold figure/table/extension suite (``pytest benchmarks`` without
+  the ``test_perf_*`` budgets, against a fresh result store);
+* every script in ``examples/``;
+* the CLI commands of CI's smoke job, plus ``devices``, ``table3`` and
+  ``attack``.
+
+It then prints every ``src/`` function that never started, with its line
+count, and the totals. A function is reached when its code starts; nested
+functions are entries of their own, and their lines also count toward the
+enclosing function's. Everything runs in a temporary working directory,
+with output discarded; each step's exit status is printed at the end.
+
+Run from anywhere (about two minutes on a 2-core x86 host)::
+
+    python tools/reach.py
+"""
+
+from __future__ import annotations
+
+import ast
+import contextlib
+import os
+import runpy
+import sys
+import tempfile
+import threading
+from pathlib import Path
+from typing import Dict, List, Set, Tuple
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
+
+#: CI's smoke-job CLI commands (``.github/workflows/ci.yml``) plus the
+#: documented ``devices``, ``table3`` and ``attack`` commands.
+CLI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
+    ("measure", "M1", "--row", "100", "-n", "200", "--adaptive"),
+    ("profile", "M1", "--rows-per-block", "1", "-n", "100", "--adaptive",
+     "--no-cache"),
+    ("report", "--json"),
+    ("fig14", "--mixes", "1", "--window", "2000", "--no-cache",
+     "--trace-out", "fig14-trace.json"),
+    ("profile", "M1", "--rows-per-block", "1", "-n", "100", "--cache-dir",
+     "ci-cache", "-o", "first.json"),
+    ("profile", "M1", "--rows-per-block", "1", "-n", "100", "--cache-dir",
+     "ci-cache", "-o", "second.json", "--trace"),
+    ("analyze", "second.json"),
+    ("store", "stats", "--store", "ci-cache/results.sqlite"),
+    ("measure", "M1", "--row", "100", "-n", "200", "--check-timing"),
+    ("measure", "D0", "--row", "100", "-n", "200", "--check-timing"),
+    ("measure", "Chip0", "--row", "100", "-n", "200", "--check-timing"),
+    ("fig14", "--mixes", "1", "--window", "5000", "--no-cache",
+     "--check-timing"),
+    ("devices",),
+    ("table3",),
+    ("attack", "M1"),
+)
+
+#: Pytest arguments of the cold figure suite, plus CI's Table 1 and 3
+#: steps (which it contains).
+SUITE_ARGS: Tuple[str, ...] = (
+    str(REPO / "benchmarks"),
+    f"--ignore-glob={REPO / 'benchmarks' / 'test_perf_*'}",
+    "--benchmark-disable",
+    "-q",
+    "-p", "no:cacheprovider",
+)
+
+Key = Tuple[str, int]
+
+
+def function_inventory(root: Path = SRC) -> Dict[Key, Tuple[str, int]]:
+    """``(file, first line) -> (qualified name, line count)`` for every
+    function in ``root``. The first line is a decorated function's first
+    decorator, matching ``code.co_firstlineno``."""
+    inventory: Dict[Key, Tuple[str, int]] = {}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node: ast.AST, prefix: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min(
+                        [child.lineno]
+                        + [d.lineno for d in child.decorator_list]
+                    )
+                    name = f"{prefix}{child.name}"
+                    inventory[(str(path), first)] = (
+                        name, child.end_lineno - first + 1
+                    )
+                    visit(child, f"{name}.")
+                elif isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                else:
+                    visit(child, prefix)
+
+        visit(tree, "")
+    return inventory
+
+
+def _run_quietly(label: str, step, statuses: List[str]) -> None:
+    with open(os.devnull, "w") as sink:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                status = step()
+            except SystemExit as stop:
+                status = stop.code
+            except Exception as error:  # noqa: BLE001 - reported, not fatal
+                status = f"{type(error).__name__}: {error}"
+    statuses.append(f"{label}: exit {status if status is not None else 0}")
+
+
+def run_workloads(statuses: List[str]) -> Set[Key]:
+    """Run every workload under the profile hook; the reached keys."""
+    import pytest
+
+    from repro.cli import main
+
+    codes: Set[object] = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(hook)
+    threading.setprofile(hook)
+    try:
+        _run_quietly(
+            "pytest benchmarks", lambda: int(pytest.main(list(SUITE_ARGS))),
+            statuses,
+        )
+        for example in sorted((REPO / "examples").glob("*.py")):
+            _run_quietly(
+                f"examples/{example.name}",
+                lambda: runpy.run_path(str(example), run_name="__main__")
+                and 0,
+                statuses,
+            )
+        for argv in CLI_COMMANDS:
+            _run_quietly(
+                "repro " + " ".join(argv), lambda: main(list(argv)), statuses
+            )
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    return {(code.co_filename, code.co_firstlineno) for code in codes}
+
+
+def main() -> int:
+    sys.path.insert(0, str(SRC))
+    inventory = function_inventory()
+    statuses: List[str] = []
+    with tempfile.TemporaryDirectory(prefix="vrd-reach-") as scratch:
+        previous = os.getcwd()
+        os.environ["VRD_STORE_PATH"] = str(Path(scratch) / "results.sqlite")
+        os.chdir(scratch)
+        try:
+            reached = run_workloads(statuses)
+        finally:
+            os.chdir(previous)
+    unreached = sorted(key for key in inventory if key not in reached)
+    per_file: Dict[str, List[int]] = {}
+    for path, line in unreached:
+        name, n_lines = inventory[(path, line)]
+        relative = os.path.relpath(path, REPO)
+        print(f"{relative}:{line}  {name}  ({n_lines} lines)")
+        per_file.setdefault(relative, [0, 0])
+        per_file[relative][0] += 1
+        per_file[relative][1] += n_lines
+    print()
+    for relative, (count, n_lines) in sorted(
+        per_file.items(), key=lambda item: -item[1][1]
+    ):
+        print(f"{n_lines:6d} lines  {count:4d} functions  {relative}")
+    lines = sum(inventory[key][1] for key in unreached)
+    print(
+        f"\nunreached: {len(unreached)} of {len(inventory)} functions, "
+        f"{lines} function lines"
+    )
+    print("\n".join(statuses), file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
