@@ -24,8 +24,8 @@ def test_fig09_density_and_revision(benchmark):
         output = []
         for vendor, group, module_id in GROUPS:
             result = reference_campaign(module_id)
-            for n in (1, 5, 50):
-                dist = result.expected_normalized_min_distribution(n)
+            distributions = result.min_rdt_distributions((1, 5, 50))
+            for n, (_, dist) in distributions.items():
                 output.append(
                     (
                         vendor,

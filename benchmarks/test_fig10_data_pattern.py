@@ -18,10 +18,10 @@ def test_fig10_data_pattern(benchmark):
             result = reference_campaign(module_id)
             per_pattern = {}
             for pattern in ALL_PATTERNS:
-                dist = result.expected_normalized_min_distribution(
-                    1,
+                _, dist = result.min_rdt_distributions(
+                    (1,),
                     predicate=lambda obs, p=pattern: obs.config.pattern is p,
-                )
+                )[1]
                 per_pattern[pattern.name] = (
                     float(np.median(dist)), float(dist.max())
                 )

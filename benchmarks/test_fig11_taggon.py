@@ -20,10 +20,10 @@ def test_fig11_aggressor_on_time(benchmark):
             )
             per_on = {}
             for t_on in on_values:
-                dist = result.expected_normalized_min_distribution(
-                    1,
+                _, dist = result.min_rdt_distributions(
+                    (1,),
                     predicate=lambda obs, t=t_on: obs.config.t_agg_on_ns == t,
-                )
+                )[1]
                 per_on[t_on] = float(np.median(dist))
             output[module_id] = per_on
         return output

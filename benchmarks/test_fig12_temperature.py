@@ -17,12 +17,12 @@ def test_fig12_temperature(benchmark):
             result = temperature_campaign(module_id)
             per_temp = {}
             for temperature in (50.0, 65.0, 80.0):
-                dist = result.expected_normalized_min_distribution(
-                    1,
+                _, dist = result.min_rdt_distributions(
+                    (1,),
                     predicate=lambda obs, t=temperature: (
                         obs.config.temperature_c == t
                     ),
-                )
+                )[1]
                 per_temp[temperature] = (
                     float(np.median(dist)), float(dist.max())
                 )

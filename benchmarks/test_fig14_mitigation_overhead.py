@@ -11,7 +11,8 @@ loop run cell by cell (the ``memsim`` pair of ``tests/differential`` and
 """
 
 from repro.analysis.tables import format_table
-from repro.memsim.sweep import SweepCache, SweepSpec, run_sweep
+from repro.memsim.sweep import SweepSpec, run_sweep
+from repro.store import ResultStore
 from benchmarks.conftest import N_MIXES
 
 MITIGATIONS = ("Graphene", "PRAC", "PARA", "MINT")
@@ -28,7 +29,7 @@ def test_fig14_mitigation_performance(benchmark):
     )
 
     def run():
-        result = run_sweep(spec, cache=SweepCache.resolve())
+        result = run_sweep(spec, cache=ResultStore.resolve())
         return result.table()
 
     table = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.analysis.figures import module_campaign
 from repro.analysis.tables import format_table
-from repro.core.montecarlo import STANDARD_N_VALUES
 
 
 def main() -> None:
@@ -41,9 +40,7 @@ def main() -> None:
 
     # Minimum-RDT identification (Fig. 8).
     rows = []
-    for n in STANDARD_N_VALUES:
-        probs = result.probability_of_min_distribution(n)
-        enorm = result.expected_normalized_min_distribution(n)
+    for n, (probs, enorm) in result.min_rdt_distributions().items():
         rows.append(
             (n, float(np.median(probs)), float(np.median(enorm)),
              float(enorm.max()))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.chips import ModuleSpec, build_module, spec
@@ -314,51 +314,4 @@ def adaptive_module_campaign(
             cache.store_adaptive(cache_key, result)
         return result
 
-
-def campaigns_for(
-    module_ids: Sequence[str],
-    **kwargs,
-) -> Dict[str, CampaignResult]:
-    """Campaigns over several devices (Figs. 9-12 aggregations)."""
-    return {
-        module_id: module_campaign(module_id, **kwargs)
-        for module_id in module_ids
-    }
-
-
-#: One representative catalog device per protocol. Cross-protocol figure
-#: sweeps and the CI protocol-smoke job run the campaign suite on these:
-#: a DDR4 DIMM, a projected DDR5 device, and an HBM2 stack whose compact
-#: build exercises the pseudo-channel geometry end-to-end.
-PROTOCOL_REPRESENTATIVES: Dict[str, str] = {
-    "DDR4": "M1",
-    "DDR5": "D0",
-    "HBM2": "Chip0",
-}
-
-
-def cross_protocol_campaigns(
-    protocols: Sequence[str] = ("DDR4", "DDR5", "HBM2"),
-    **kwargs,
-) -> Dict[str, CampaignResult]:
-    """:func:`module_campaign` on one representative device per protocol.
-
-    Returns ``{protocol: CampaignResult}``. Any :func:`module_campaign`
-    keyword applies to every protocol's run; cache entries never collide
-    across protocols (the key carries both module id and protocol).
-    """
-    from repro.errors import ConfigurationError
-
-    for protocol in protocols:
-        if protocol not in PROTOCOL_REPRESENTATIVES:
-            raise ConfigurationError(
-                f"unknown protocol {protocol!r}; choose from "
-                f"{sorted(PROTOCOL_REPRESENTATIVES)}"
-            )
-    return {
-        protocol: module_campaign(
-            PROTOCOL_REPRESENTATIVES[protocol], **kwargs
-        )
-        for protocol in protocols
-    }
 

@@ -264,19 +264,6 @@ def spec(module_id: str) -> ModuleSpec:
         ) from None
 
 
-def specs_for_protocol(protocol: str) -> Tuple[ModuleSpec, ...]:
-    """All known devices of one protocol family (catalog order)."""
-    matching = tuple(
-        s for s in EXTENDED_SPECS if s.standard == protocol
-    )
-    if not matching:
-        raise CatalogError(
-            f"no devices for protocol {protocol!r}; known: "
-            f"{sorted({s.standard for s in EXTENDED_SPECS})}"
-        )
-    return matching
-
-
 def vrd_params_for(device: ModuleSpec) -> VrdModelParams:
     """Derive the VRD model parameters from a device's Table 7 row."""
     profile = vendor(device.vendor_key)

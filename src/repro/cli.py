@@ -52,26 +52,6 @@ def _add_trace_flags(command: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_timing_check_flag(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--check-timing", action="store_true",
-        help="validate every synthesized DRAM command stream against the "
-             "protocol's JEDEC timing rule table (same switch as "
-             "VRD_TIMING_CHECK=1); the first violation aborts the run",
-    )
-
-
-def _apply_timing_check(args: argparse.Namespace) -> None:
-    """Propagate ``--check-timing`` to the process environment so every
-    execution path (interpreter, compiled Bender, memsim) sees it."""
-    if getattr(args, "check_timing", False):
-        import os
-
-        from repro.dram.checker import TIMING_CHECK_ENV_VAR
-
-        os.environ[TIMING_CHECK_ENV_VAR] = "1"
-
-
 def _add_adaptive_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--adaptive", action="store_true",
@@ -183,7 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     measure.add_argument("--voltage", type=float, default=2.5)
     measure.add_argument("--seed", type=int, default=None)
     _add_adaptive_flags(measure)
-    _add_timing_check_flag(measure)
     _add_trace_flags(measure)
 
     profile = sub.add_parser(
@@ -217,7 +196,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="save the campaign result to this JSON file",
     )
     _add_adaptive_flags(profile)
-    _add_timing_check_flag(profile)
     _add_trace_flags(profile)
 
     table3_cmd = sub.add_parser(
@@ -251,7 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"refresh windows to attack, 1 to {ATTACK_MAX_WINDOWS:,} "
              "(default 2000)",
     )
-    _add_timing_check_flag(attack)
 
     analyze = sub.add_parser(
         "analyze", help="analyze a saved campaign JSON (see profile -o)"
@@ -278,7 +255,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="recompute even if the sweep is cached",
     )
-    _add_timing_check_flag(fig14)
+    fig14.add_argument(
+        "--check-timing", action="store_true",
+        help="validate every simulated REF/PRE/ACT against the JEDEC "
+             "timing rule table (same switch as VRD_TIMING_CHECK=1); the "
+             "first violation aborts the run",
+    )
     _add_trace_flags(fig14)
 
     from repro.store.db import KINDS
@@ -415,11 +397,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         cache=cache,
     )
     rows = []
-    for n in STANDARD_N_VALUES:
-        if n > args.measurements:
-            continue
-        probs = result.probability_of_min_distribution(n)
-        enorm = result.expected_normalized_min_distribution(n)
+    ns = [n for n in STANDARD_N_VALUES if n <= args.measurements]
+    for n, (probs, enorm) in result.min_rdt_distributions(ns).items():
         rows.append((n, float(np.median(probs)), float(np.median(enorm)),
                      float(enorm.max())))
     print(format_table(
@@ -546,7 +525,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.analysis.tables import format_table
-    from repro.core.montecarlo import STANDARD_N_VALUES
     from repro.core.store import load_campaign
     from repro.errors import MeasurementError
 
@@ -559,11 +537,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"campaign: {result.module_id}, {len(result)} series over "
           f"{len(result.rows())} rows")
     rows = []
-    for n in STANDARD_N_VALUES:
-        enorm = result.expected_normalized_min_distribution(n)
+    for n, (probs, enorm) in result.min_rdt_distributions().items():
         if enorm.size == 0:
             continue
-        probs = result.probability_of_min_distribution(n)
         rows.append((n, float(np.median(probs)), float(np.median(enorm)),
                      float(enorm.max())))
     print(format_table(
@@ -579,10 +555,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_fig14(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_table
-    from repro.memsim.sweep import SweepCache, SweepSpec, run_sweep
+    from repro.memsim.sweep import SweepSpec, run_sweep
+    from repro.store import ResultStore
 
+    if args.check_timing:
+        import os
+
+        from repro.dram.checker import TIMING_CHECK_ENV_VAR
+
+        os.environ[TIMING_CHECK_ENV_VAR] = "1"
     spec = SweepSpec(n_mixes=args.mixes, window_ns=args.window)
-    cache = None if args.no_cache else SweepCache.resolve(args.cache_dir)
+    cache = None if args.no_cache else ResultStore.resolve(args.cache_dir)
     result = run_sweep(spec, cache=cache)
     rows = []
     for rdt in spec.rdts:
@@ -799,7 +782,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    _apply_timing_check(args)
     if args.command == "devices":
         return _cmd_devices()
     if args.command == "measure":

@@ -13,12 +13,12 @@ test configurations, reproducing the paper's protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import TestConfig
-from repro.core.montecarlo import expected_normalized_min, probability_of_min
+from repro.core.montecarlo import STANDARD_N_VALUES, min_rdt_analysis
 from repro.core.rdt import FastRdtMeter
 from repro.core.series import RdtSeries
 from repro.dram.module import DramModule
@@ -73,19 +73,13 @@ def select_vulnerable_rows(
 
 @dataclass
 class RowObservation:
-    """One (row, configuration) measurement series with derived metrics."""
+    """One (row, configuration) measurement series."""
 
     module_id: str
     bank: int
     row: int
     config: TestConfig
     series: RdtSeries
-
-    def expected_normalized_min(self, n: int) -> float:
-        return expected_normalized_min(self.series.require_valid(), n)
-
-    def probability_of_min(self, n: int) -> float:
-        return probability_of_min(self.series.require_valid(), n)
 
 
 @dataclass
@@ -143,38 +137,30 @@ class CampaignResult:
             raise MeasurementError("campaign has no observations")
         return 1.0 - len(constant_rows) / len(all_rows)
 
-    def expected_normalized_min_distribution(
+    def min_rdt_distributions(
         self,
-        n: int,
+        n_values: Sequence[int] = STANDARD_N_VALUES,
         predicate: Optional[Callable[[RowObservation], bool]] = None,
-    ) -> np.ndarray:
-        """The box-plot sample behind Figs. 9-12: one value per
-        observation (row x configuration) at subset size N. Series shorter
-        than N are skipped."""
-        values = []
+    ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+        """The box-plot samples behind Figs. 8-12: for each N, the
+        P(find min) and E[min]/min arrays with one value per observation
+        (row x configuration). Series with fewer than N valid values are
+        skipped. Each series is sorted once for all N
+        (:func:`~repro.core.montecarlo.min_rdt_analysis`)."""
+        per_n: Dict[int, Tuple[List[float], List[float]]] = {
+            n: ([], []) for n in n_values
+        }
         for obs in self.observations:
             if predicate is not None and not predicate(obs):
                 continue
-            valid = obs.series.require_valid()
-            if len(valid) < n:
-                continue
-            values.append(expected_normalized_min(valid, n))
-        return np.asarray(values)
-
-    def probability_of_min_distribution(
-        self,
-        n: int,
-        predicate: Optional[Callable[[RowObservation], bool]] = None,
-    ) -> np.ndarray:
-        values = []
-        for obs in self.observations:
-            if predicate is not None and not predicate(obs):
-                continue
-            valid = obs.series.require_valid()
-            if len(valid) < n:
-                continue
-            values.append(probability_of_min(valid, n))
-        return np.asarray(values)
+            for n, estimate in min_rdt_analysis(obs.series, n_values).items():
+                probabilities, normalized = per_n[n]
+                probabilities.append(estimate.probability_of_min)
+                normalized.append(estimate.expected_normalized_min)
+        return {
+            n: (np.asarray(probabilities), np.asarray(normalized))
+            for n, (probabilities, normalized) in per_n.items()
+        }
 
 
 class Campaign:

@@ -15,12 +15,9 @@ exactly what a recomputation returns.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro import obs
 from repro.core.adaptive import AdaptiveConfig, AdaptiveResult
 from repro.core.campaign import CampaignResult
 from repro.core.config import TestConfig
@@ -29,12 +26,14 @@ from repro.core.store import (
     campaign_to_dict,
     config_to_dict,
 )
-from repro.errors import ConfigurationError, MeasurementError
+from repro.errors import ConfigurationError
 from repro.store.db import (
     DEFAULT_STORE_FILENAME,
     KIND_ADAPTIVE,
     KIND_CAMPAIGN,
     ResultStore,
+    encode_payload,
+    payload_checksum,
 )
 
 #: Version of the cache-key recipe. It moves with the payload format
@@ -62,17 +61,6 @@ class CampaignCache:
     ``tests/core/test_engine.py`` and ``tests/store/`` corrupt entries on
     disk to prove it.
     """
-
-    #: Exceptions that mark a decoded payload as corrupt (structurally
-    #: mangled: wrong types, missing keys, bad version) even though its
-    #: checksum matched — possible via tampering or version skew.
-    _CORRUPT_ERRORS = (
-        MeasurementError,
-        ValueError,
-        KeyError,
-        TypeError,
-        AttributeError,
-    )
 
     def __init__(
         self,
@@ -150,68 +138,25 @@ class CampaignCache:
         }
         if protocol is not None:
             payload["protocol"] = str(protocol)
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
+        return payload_checksum(encode_payload(payload))
 
     def load(self, key: str) -> Optional[CampaignResult]:
-        """The cached campaign for ``key``, or ``None`` on a miss.
-
-        Corrupt entries are counted (``cache.corrupt``), evicted, and
-        reported as misses; plain misses and hits are counted too. An
-        entry of the wrong kind under the key is corrupt, not a hit.
-        """
-        recorder = obs.active()
-        payload, status = self.result_store.fetch(key, KIND_CAMPAIGN)
-        if status == "corrupt":
-            recorder.counter_add("cache.corrupt")
-            return None
-        if payload is None:
-            recorder.counter_add("cache.miss")
-            return None
-        try:
-            result = campaign_from_dict(payload)
-        except self._CORRUPT_ERRORS:
-            recorder.counter_add("cache.corrupt")
-            self.evict(key)
-            return None
-        recorder.counter_add("cache.hit")
-        return result
-
-    def evict(self, key: str) -> None:
-        """Remove one entry from the store (no-op if already gone)."""
-        self.result_store.evict(key)
+        """The cached campaign for ``key``, or ``None`` (see
+        :meth:`ResultStore.load <repro.store.db.ResultStore.load>`)."""
+        return self.result_store.load(key, KIND_CAMPAIGN, campaign_from_dict)
 
     def store(self, key: str, result: CampaignResult) -> None:
         """Persist a campaign under ``key`` (one store transaction)."""
-        self.result_store.put(key, KIND_CAMPAIGN, campaign_to_dict(result))
-        obs.active().counter_add("cache.store")
+        self.result_store.save(key, KIND_CAMPAIGN, campaign_to_dict(result))
 
     def load_adaptive(self, key: str) -> Optional[AdaptiveResult]:
-        """The cached adaptive run for ``key``, or ``None`` on a miss.
-
-        Same corrupt-entry contract as :meth:`load`; an exhaustive
-        campaign payload under the key is treated as corrupt (the ``kind``
-        discriminator rejects it) — with schedule-aware keys that can only
-        happen through tampering or a key collision.
-        """
-        recorder = obs.active()
-        payload, status = self.result_store.fetch(key, KIND_ADAPTIVE)
-        if status == "corrupt":
-            recorder.counter_add("cache.corrupt")
-            return None
-        if payload is None:
-            recorder.counter_add("cache.miss")
-            return None
-        try:
-            result = AdaptiveResult.from_payload(payload)
-        except self._CORRUPT_ERRORS:
-            recorder.counter_add("cache.corrupt")
-            self.evict(key)
-            return None
-        recorder.counter_add("cache.hit")
-        return result
+        """The cached adaptive run for ``key``, or ``None``; an exhaustive
+        campaign under the key is corrupt (the ``kind`` discriminator
+        rejects it)."""
+        return self.result_store.load(
+            key, KIND_ADAPTIVE, AdaptiveResult.from_payload
+        )
 
     def store_adaptive(self, key: str, result: AdaptiveResult) -> None:
         """Persist an adaptive run under ``key`` (like :meth:`store`)."""
-        self.result_store.put(key, KIND_ADAPTIVE, result.to_payload())
-        obs.active().counter_add("cache.store")
+        self.result_store.save(key, KIND_ADAPTIVE, result.to_payload())

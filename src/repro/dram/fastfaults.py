@@ -647,18 +647,3 @@ class BankVrdState:
         for start, values in blocks:
             out[start:start + values.size] = values
 
-
-def build_bank_state(
-    params: VrdModelParams,
-    row_bits: int,
-    seed: int,
-    module_id: str,
-    bank: int,
-    rows: Sequence[int],
-    true_cell_lookup=None,
-) -> BankVrdState:
-    """Build the packed state of one bank's rows (see :class:`BankVrdState`)."""
-    return BankVrdState(
-        params, row_bits, seed, module_id, bank, rows,
-        true_cell_lookup=true_cell_lookup,
-    )

@@ -29,7 +29,7 @@ Two consumption paths share this model and agree by construction:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -304,11 +304,6 @@ class VrdModelParams:
         for name in ("spatial_sigma", "depth_scale", "sigma_resid", "severity"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
-
-    def with_severity(self, severity: float) -> "VrdModelParams":
-        """Copy with a different technology-severity multiplier."""
-        return replace(self, severity=severity)
-
 
 @dataclass(frozen=True)
 class ConditionFactors:

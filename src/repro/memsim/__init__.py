@@ -22,7 +22,7 @@ from repro.memsim.system import (
     SystemConfig,
 )
 from repro.memsim.metrics import normalized_weighted_speedup
-from repro.memsim.sweep import SweepCache, SweepResult, SweepSpec, run_sweep
+from repro.memsim.sweep import SweepResult, SweepSpec, run_sweep, sweep_key
 
 __all__ = [
     "SyntheticWorkload",
@@ -36,6 +36,6 @@ __all__ = [
     "CoreStream",
     "SweepSpec",
     "SweepResult",
-    "SweepCache",
     "run_sweep",
+    "sweep_key",
 ]

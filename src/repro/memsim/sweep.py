@@ -9,21 +9,17 @@ four-core workload mixes — of independent simulations:
   only on the (workload, core, geometry, seed) recipe, never on the
   mitigation. :func:`run_sweep` builds the mixes, streams and per-mix
   baselines once per call and serves every cell from them.
-* **On-disk cache.** :class:`SweepCache` stores finished sweeps as
-  content-addressed rows in the same sqlite :class:`~repro.store.db.
-  ResultStore` the campaign cache uses (``$VRD_STORE_PATH``, default
-  ``.vrd-cache/results.sqlite``). The key
-  hashes the full recipe — grid, mix count, window, geometry and seed —
-  so any parameter change is a clean miss, and corrupt entries degrade
-  to misses.
+* **On-disk cache.** Given a :class:`~repro.store.db.ResultStore` (the
+  one the campaign cache uses: ``$VRD_STORE_PATH``, default
+  ``.vrd-cache/results.sqlite``), :func:`run_sweep` stores finished sweeps
+  under :func:`sweep_key`, which hashes the full recipe — grid, mix
+  count, window, geometry and seed — so any parameter change is a clean
+  miss, and corrupt entries degrade to misses.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -32,7 +28,12 @@ from repro.memsim.metrics import geometric_mean, normalized_weighted_speedup
 from repro.memsim.system import CoreStream, MemorySystem, SystemConfig
 from repro.memsim.trace import WorkloadMix, standard_mixes
 from repro.mitigations import apply_guardband, build_mitigation
-from repro.store.db import DEFAULT_STORE_FILENAME, KIND_SWEEP, ResultStore
+from repro.store.db import (
+    KIND_SWEEP,
+    ResultStore,
+    encode_payload,
+    payload_checksum,
+)
 
 #: The Fig. 14 grid (paper Sec. 6.3): four mitigations, a near-future and a
 #: far-future threshold, 0-50% guardbands.
@@ -132,6 +133,8 @@ class SweepResult:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SweepResult":
+        if payload.get("kind") != "fig14-sweep":
+            raise ValueError("not a fig14-sweep payload")
         spec_fields = dict(payload["spec"])
         spec_fields.pop("engine")
         for key in ("mitigations", "rdts", "margins"):
@@ -150,87 +153,11 @@ class SweepResult:
         return result
 
 
-class SweepCache:
-    """Content-addressed sweep cache: a thin shim over the shared sqlite
-    :class:`~repro.store.db.ResultStore` (kind ``sweep``), sharing keys
-    and conventions with :class:`repro.core.engine.CampaignCache`."""
-
-    #: Exceptions that mark a decoded payload as corrupt even though its
-    #: checksum matched (tampering or version skew).
-    _CORRUPT_ERRORS = (
-        ValueError,
-        KeyError,
-        TypeError,
-        AttributeError,
-        ConfigurationError,
-    )
-
-    def __init__(
-        self,
-        root: "Path | str | None" = None,
-        *,
-        store: "Optional[ResultStore]" = None,
-    ):
-        if (root is None) == (store is None):
-            raise ConfigurationError(
-                "pass exactly one of a cache directory or a ResultStore"
-            )
-        if store is None:
-            store = ResultStore(Path(root) / DEFAULT_STORE_FILENAME)
-        self.result_store = store
-        self.root = store.path.parent
-
-    @classmethod
-    def resolve(
-        cls, cache_dir: "Path | str | None" = None
-    ) -> "Optional[SweepCache]":
-        """Cache under ``cache_dir``, else at ``$VRD_STORE_PATH``, else
-        under ``.vrd-cache/``; an empty ``VRD_STORE_PATH`` disables
-        (``None``)."""
-        store = ResultStore.resolve(cache_dir)
-        return None if store is None else cls(store=store)
-
-    def key(self, spec: SweepSpec) -> str:
-        """Hex digest of the sweep recipe."""
-        payload = {"format": 2, "kind": "fig14-sweep", "spec": asdict(spec)}
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
-
-    def load(self, key: str) -> Optional[SweepResult]:
-        """The cached sweep for ``key``, or ``None`` on a miss.
-
-        Like :meth:`CampaignCache.load
-        <repro.core.engine.CampaignCache.load>`: a truncated/corrupted
-        entry is counted under ``cache.corrupt``, evicted from the store,
-        and recomputed as a miss instead of crashing the sweep.
-        """
-        recorder = obs.active()
-        payload, status = self.result_store.fetch(key, KIND_SWEEP)
-        if status == "corrupt":
-            recorder.counter_add("cache.corrupt")
-            return None
-        if payload is None:
-            recorder.counter_add("cache.miss")
-            return None
-        try:
-            if payload.get("kind") != "fig14-sweep":
-                raise ValueError("wrong cache entry kind")
-            result = SweepResult.from_payload(payload)
-        except self._CORRUPT_ERRORS:
-            recorder.counter_add("cache.corrupt")
-            self.evict(key)
-            return None
-        recorder.counter_add("cache.hit")
-        return result
-
-    def evict(self, key: str) -> None:
-        """Remove one entry from the store (no-op if already gone)."""
-        self.result_store.evict(key)
-
-    def store(self, key: str, result: SweepResult) -> None:
-        """Persist a sweep under ``key`` (one store transaction)."""
-        self.result_store.put(key, KIND_SWEEP, result.to_payload())
-        obs.active().counter_add("cache.store")
+def sweep_key(spec: SweepSpec) -> str:
+    """Hex digest of the sweep recipe: its result's key in the store."""
+    return payload_checksum(encode_payload(
+        {"format": 2, "kind": "fig14-sweep", "spec": asdict(spec)}
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +198,7 @@ def _sweep_cells(
 def run_sweep(
     spec: Optional[SweepSpec] = None,
     n_jobs: Optional[int] = None,
-    cache: Optional[SweepCache] = None,
+    cache: Optional[ResultStore] = None,
 ) -> SweepResult:
     """Run (or reload) one Fig. 14 sweep.
 
@@ -282,7 +209,8 @@ def run_sweep(
             other value raises :class:`~repro.errors.ConfigurationError`.
             Kept only because the benchmark harness (``bench/``) still
             passes ``n_jobs=1``; ROADMAP item 5 removes it.
-        cache: Optional :class:`SweepCache`; hits skip simulation entirely.
+        cache: Optional :class:`~repro.store.db.ResultStore`; a hit under
+            :func:`sweep_key` skips simulation entirely.
     """
     if n_jobs not in (None, 1):
         raise ConfigurationError(
@@ -293,10 +221,10 @@ def run_sweep(
     recorder = obs.active()
 
     with recorder.span("sweep.run"):
-        cache_key = None
         if cache is not None:
-            cache_key = cache.key(spec)
-            cached = cache.load(cache_key)
+            cached = cache.load(
+                sweep_key(spec), KIND_SWEEP, SweepResult.from_payload
+            )
             if cached is not None:
                 return cached
 
@@ -304,6 +232,6 @@ def run_sweep(
         recorder.counter_add("sweep.cells", len(cells))
         result = SweepResult(spec=spec, per_mix=_sweep_cells(spec, cells))
 
-        if cache is not None and cache_key is not None:
-            cache.store(cache_key, result)
+        if cache is not None:
+            cache.save(sweep_key(spec), KIND_SWEEP, result.to_payload())
         return result

@@ -2,14 +2,17 @@
 
 One sqlite database (WAL mode, pragma-tuned, busy-timeout retried) holds
 every cached result the reproduction produces, content-addressed by the
-recipe keys of :class:`~repro.core.engine.CampaignCache` and
-:class:`~repro.memsim.sweep.SweepCache`, with a ``kind`` column
+recipe keys of :meth:`~repro.core.engine.CampaignCache.key` and
+:func:`~repro.memsim.sweep.sweep_key`, with a ``kind`` column
 discriminating campaign, adaptive and sweep payloads. Concurrent
 processes share the database without aliasing or corruption.
 :class:`~repro.store.db.ResultStore` is the store itself: checksummed
-payloads, batched multi-row writes inside one transaction, corrupt
-entries (bad checksum, torn page, tampered payload) detected, counted,
-evicted, and recomputed — never served.
+payloads, batched multi-row writes inside one transaction, and one typed
+read/write pair (:meth:`~repro.store.db.ResultStore.load` /
+:meth:`~repro.store.db.ResultStore.save`) through which every cached
+result passes, so corrupt entries (bad checksum, torn page, tampered
+payload) are detected, counted, evicted, and recomputed in one place —
+never served.
 
 Resolution precedence: an explicit path, else ``$VRD_STORE_PATH`` (the
 database file), else ``.vrd-cache/results.sqlite``. An empty

@@ -38,10 +38,12 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple, TypeVar
 
 from repro import obs
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
+
+T = TypeVar("T")
 
 #: Environment variable naming the database file (empty disables storage).
 STORE_PATH_ENV_VAR = "VRD_STORE_PATH"
@@ -57,6 +59,17 @@ KIND_CAMPAIGN = "campaign"
 KIND_ADAPTIVE = "adaptive"
 KIND_SWEEP = "sweep"
 KINDS = (KIND_CAMPAIGN, KIND_ADAPTIVE, KIND_SWEEP)
+
+#: Exceptions by which a decoder rejects a payload whose checksum matched
+#: (wrong types, missing keys, an unknown format version): the entry is
+#: corrupt, not a hit.
+_CORRUPT_PAYLOAD_ERRORS = (
+    ReproError,
+    ValueError,
+    KeyError,
+    TypeError,
+    AttributeError,
+)
 
 #: Schema version recorded in the ``meta`` table.
 SCHEMA_VERSION = 1
@@ -291,24 +304,32 @@ class ResultStore:
         recorder.counter_add("store.hit")
         return payload, "hit"
 
-    def get(self, key: str, kind: str) -> Optional[dict]:
-        """The payload for ``key`` of ``kind``, or ``None`` (miss or
-        corrupt — corruption is evicted so a recompute can restore).
+    def load(
+        self, key: str, kind: str, decode: Callable[[dict], T]
+    ) -> Optional[T]:
+        """``decode(payload)`` of the entry for ``key``, or ``None``.
 
-        This and :meth:`entry_count` serve the multi-process store test;
-        the package itself reads through :meth:`fetch` and :meth:`stats`.
+        The one read path of every cached result: counts ``cache.hit``,
+        ``cache.miss`` or ``cache.corrupt``. An entry :meth:`fetch` finds
+        corrupt, or whose payload ``decode`` rejects (checksum intact,
+        structure mangled: tampering or version skew), counts as corrupt
+        and is evicted, so the caller recomputes.
         """
-        payload, _ = self.fetch(key, kind)
-        return payload
-
-    def entry_count(self) -> int:
-        """Total entries (all kinds); 0 before the database exists."""
-        if not self.path.exists():
-            return 0
-        row = self._with_retry(
-            lambda conn: conn.execute("SELECT COUNT(*) FROM results").fetchone()
-        )
-        return int(row[0])
+        recorder = obs.active()
+        payload, status = self.fetch(key, kind)
+        if status == "miss":
+            recorder.counter_add("cache.miss")
+            return None
+        if status == "hit":
+            try:
+                result = decode(payload)
+            except _CORRUPT_PAYLOAD_ERRORS:
+                self.evict(key)
+            else:
+                recorder.counter_add("cache.hit")
+                return result
+        recorder.counter_add("cache.corrupt")
+        return None
 
     def stats(self) -> Dict[str, object]:
         """Entry counts per kind plus total payload bytes.
@@ -390,6 +411,11 @@ class ResultStore:
     def put(self, key: str, kind: str, payload: dict) -> None:
         """Insert or replace one entry."""
         self.put_many([(key, kind, payload)])
+
+    def save(self, key: str, kind: str, payload: dict) -> None:
+        """:meth:`put` one computed result, counted under ``cache.store``."""
+        self.put(key, kind, payload)
+        obs.active().counter_add("cache.store")
 
     def put_many(
         self, entries: Iterable[Tuple[str, str, dict]]

@@ -5,7 +5,6 @@ import pytest
 from repro import obs
 from repro.analysis import figures
 from repro.analysis.figures import (
-    campaigns_for,
     foundational_latent_series,
     foundational_victim,
     foundational_victim_series,
@@ -134,23 +133,9 @@ def test_module_campaign_small():
     assert len(result.rows()) == 6
 
 
-def test_campaigns_for_multiple_modules():
-    results = campaigns_for(["M0", "S4"], rows_per_block=1, n_measurements=100)
-    assert set(results) == {"M0", "S4"}
-
-
-def test_cross_protocol_campaigns_cover_every_protocol():
-    from repro.analysis.figures import (
-        PROTOCOL_REPRESENTATIVES,
-        cross_protocol_campaigns,
-    )
-    from repro.errors import ConfigurationError
-
-    results = cross_protocol_campaigns(rows_per_block=1, n_measurements=100)
-    assert set(results) == {"DDR4", "DDR5", "HBM2"}
-    for protocol, result in results.items():
-        assert result.module_id == PROTOCOL_REPRESENTATIVES[protocol]
-        assert spec(result.module_id).protocol == protocol
-        assert len(result) > 0
-    with pytest.raises(ConfigurationError):
-        cross_protocol_campaigns(("LPDDR4",))
+@pytest.mark.parametrize("module_id", ["M1", "D0", "Chip0"])
+def test_module_campaign_on_every_protocol(module_id):
+    """One DDR4, one DDR5 and one HBM2 device run the campaign driver."""
+    result = module_campaign(module_id, rows_per_block=1, n_measurements=100)
+    assert result.module_id == module_id
+    assert len(result) > 0

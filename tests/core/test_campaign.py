@@ -61,10 +61,9 @@ def test_campaign_metrics(module):
     s_curve = result.cv_s_curve()
     assert list(s_curve) == sorted(s_curve)
     assert 0.0 <= result.fraction_always_varying() <= 1.0
-    dist = result.expected_normalized_min_distribution(1)
-    assert dist.shape == (len(result),)
+    probs, dist = result.min_rdt_distributions((1,))[1]
+    assert dist.shape == probs.shape == (len(result),)
     assert (dist >= 1.0).all()
-    probs = result.probability_of_min_distribution(1)
     assert ((probs > 0) & (probs <= 1)).all()
 
 

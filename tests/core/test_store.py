@@ -66,8 +66,8 @@ def test_campaign_roundtrip_preserves_metrics(module, tmp_path):
     assert restored.module_id == result.module_id
     assert len(restored) == len(result)
     assert restored.max_cv_per_row() == result.max_cv_per_row()
-    original = result.expected_normalized_min_distribution(1)
-    roundtripped = restored.expected_normalized_min_distribution(1)
+    original = result.min_rdt_distributions((1,))[1]
+    roundtripped = restored.min_rdt_distributions((1,))[1]
     assert np.allclose(original, roundtripped)
 
 

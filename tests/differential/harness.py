@@ -1110,13 +1110,14 @@ def store_fast(seed: int) -> tuple:
     from pathlib import Path
 
     from repro.core.engine import CampaignCache
-    from repro.memsim.sweep import SweepCache
+    from repro.memsim.sweep import SweepResult, sweep_key
+    from repro.store import KIND_SWEEP
 
     configs, campaign, adaptive, spec, sweep = _store_workloads(seed)
     pairs = [(0, row) for row in _STORE_ROWS]
     with tempfile.TemporaryDirectory() as tmp:
         campaign_cache = CampaignCache(Path(tmp))
-        sweep_cache = SweepCache(store=campaign_cache.result_store)
+        store = campaign_cache.result_store
         campaign_key = campaign_cache.key(
             seed=seed, module_id="M1", configs=configs,
             n_measurements=_STORE_N, pairs=pairs,
@@ -1126,16 +1127,15 @@ def store_fast(seed: int) -> tuple:
             n_measurements=_STORE_N * 2, pairs=pairs,
             schedule="adaptive", adaptive=adaptive.adaptive,
         )
-        sweep_key = sweep_cache.key(spec)
         campaign_cache.store(campaign_key, campaign)
         campaign_cache.store_adaptive(adaptive_key, adaptive)
-        sweep_cache.store(sweep_key, sweep)
+        store.save(sweep_key(spec), KIND_SWEEP, sweep.to_payload())
         fingerprint = _store_fingerprint(
             campaign_cache.load(campaign_key),
             campaign_cache.load_adaptive(adaptive_key),
-            sweep_cache.load(sweep_key),
+            store.load(sweep_key(spec), KIND_SWEEP, SweepResult.from_payload),
         )
-        campaign_cache.result_store.close()
+        store.close()
     return fingerprint
 
 

@@ -24,7 +24,6 @@ from repro.dram.fastfaults import (
     _short_column,
     _trap_column,
     _TrapPlan,
-    build_bank_state,
 )
 from repro.dram.traps import Trap, sample_occupancy_series
 from repro.errors import ConfigurationError
@@ -54,7 +53,7 @@ def make_params(**overrides) -> VrdModelParams:
 
 def make_state(params=None, rows=ROWS) -> BankVrdState:
     params = params or make_params()
-    return build_bank_state(params, ROW_BITS, SEED, MODULE, BANK, rows)
+    return BankVrdState(params, ROW_BITS, SEED, MODULE, BANK, rows)
 
 
 def make_process(row: int, params=None) -> RowVrdProcess:
@@ -252,7 +251,7 @@ class TestModuleFacade:
 )
 def test_weak_cell_polarity_matches_process(lookup):
     params = make_params()
-    state = build_bank_state(
+    state = BankVrdState(
         params, ROW_BITS, SEED, MODULE, BANK, ROWS, true_cell_lookup=lookup
     )
     condition = Condition("rowstripe1", 35.0, 50.0)

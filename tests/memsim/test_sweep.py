@@ -7,10 +7,10 @@ import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.memsim.metrics import normalized_weighted_speedup
-from repro.memsim.sweep import SweepCache, SweepResult, SweepSpec, run_sweep
+from repro.memsim.sweep import SweepResult, SweepSpec, run_sweep, sweep_key
 from repro.memsim.system import MemorySystem
 from repro.mitigations import apply_guardband, build_mitigation
-from repro.store import KIND_SWEEP
+from repro.store import DEFAULT_STORE_FILENAME, KIND_SWEEP, ResultStore
 from tests.differential.harness import reference_memsim_run
 
 #: A grid small enough for test runtimes but with >1 of everything.
@@ -134,20 +134,23 @@ def test_run_sweep_runs_in_one_process(n_jobs):
         run_sweep(SPEC, n_jobs=n_jobs)
 
 
+def _load(store, spec=SPEC):
+    return store.load(sweep_key(spec), KIND_SWEEP, SweepResult.from_payload)
+
+
 def test_cache_roundtrip(sweep, tmp_path):
-    cache = SweepCache(tmp_path)
-    first = run_sweep(SPEC, cache=cache)
+    store = ResultStore(tmp_path / DEFAULT_STORE_FILENAME)
+    first = run_sweep(SPEC, cache=store)
     assert first.per_mix == sweep.per_mix
-    assert cache.load(cache.key(SPEC)) is not None
+    assert _load(store) is not None
     # A hit returns the stored speedups without recomputing.
-    second = run_sweep(SPEC, cache=cache)
+    second = run_sweep(SPEC, cache=store)
     assert second.per_mix == sweep.per_mix
     # A different recipe is a clean miss.
-    other = replace(SPEC, window_ns=12_000.0)
-    assert cache.load(cache.key(other)) is None
+    assert _load(store, replace(SPEC, window_ns=12_000.0)) is None
 
 
-def _inject_raw(cache, key, blob, kind="sweep"):
+def _inject_raw(store, key, blob, kind="sweep"):
     """Plant a raw payload blob under ``key`` with a matching checksum
     (tampered/version-skewed entry: integrity passes, decoding fails)."""
     import sqlite3
@@ -155,7 +158,6 @@ def _inject_raw(cache, key, blob, kind="sweep"):
 
     from repro.store.db import payload_checksum
 
-    store = cache.result_store
     store._ensure_created()
     with sqlite3.connect(store.path) as conn:
         conn.execute(
@@ -168,43 +170,43 @@ def _inject_raw(cache, key, blob, kind="sweep"):
 
 
 def test_cache_corruption_degrades_to_miss(sweep, tmp_path):
-    cache = SweepCache(tmp_path)
-    run_sweep(SPEC, cache=cache)
-    _inject_raw(cache, cache.key(SPEC), b"{not json")
-    assert cache.load(cache.key(SPEC)) is None
-    recomputed = run_sweep(SPEC, cache=cache)  # recomputes and re-stores
+    store = ResultStore(tmp_path / DEFAULT_STORE_FILENAME)
+    run_sweep(SPEC, cache=store)
+    _inject_raw(store, sweep_key(SPEC), b"{not json")
+    assert _load(store) is None
+    recomputed = run_sweep(SPEC, cache=store)  # recomputes and re-stores
     assert recomputed.per_mix == sweep.per_mix
-    assert cache.load(cache.key(SPEC)) is not None
+    assert _load(store) is not None
 
 
 def test_cache_corruption_is_counted_and_evicted(sweep, tmp_path):
     from repro import obs
 
-    cache = SweepCache(tmp_path)
-    run_sweep(SPEC, cache=cache)
-    key = cache.key(SPEC)
+    store = ResultStore(tmp_path / DEFAULT_STORE_FILENAME)
+    run_sweep(SPEC, cache=store)
+    key = sweep_key(SPEC)
     for blob in (
         b"{not json",                    # truncated writer
         b"[]",                           # wrong payload root
         b'{"kind": "something-else"}',   # wrong entry kind
         b'{"kind": "fig14-sweep"}',      # right kind, missing body
     ):
-        _inject_raw(cache, key, blob)
+        _inject_raw(store, key, blob)
         with obs.tracing() as recorder:
-            assert cache.load(key) is None
+            assert _load(store) is None
         assert recorder.counters.get("cache.corrupt") == 1, blob
         assert "cache.hit" not in recorder.counters, blob
         # Evicted from the store.
-        assert cache.result_store.fetch(key, KIND_SWEEP) == (None, "miss"), blob
+        assert store.fetch(key, KIND_SWEEP) == (None, "miss"), blob
 
     with obs.tracing() as recorder:
-        recomputed = run_sweep(SPEC, cache=cache)
+        recomputed = run_sweep(SPEC, cache=store)
     assert recomputed.per_mix == sweep.per_mix
     assert recorder.counters.get("cache.miss") == 1
     assert recorder.counters.get("cache.store") == 1
 
     with obs.tracing() as recorder:
-        assert run_sweep(SPEC, cache=cache).per_mix == sweep.per_mix
+        assert run_sweep(SPEC, cache=store).per_mix == sweep.per_mix
     assert recorder.counters.get("cache.hit") == 1
 
 
@@ -216,11 +218,14 @@ def test_payload_roundtrip(sweep):
 
 
 def test_cache_resolve_env(monkeypatch, tmp_path):
+    """``fig14`` resolves its store like every cached command."""
     monkeypatch.setenv("VRD_STORE_PATH", str(tmp_path / "env" / "db.sqlite"))
-    cache = SweepCache.resolve()
-    assert cache is not None and cache.root == tmp_path / "env"
-    assert cache.result_store.path == tmp_path / "env" / "db.sqlite"
+    store = ResultStore.resolve()
+    assert store is not None
+    assert store.path == tmp_path / "env" / "db.sqlite"
+    run_sweep(SPEC, cache=store)
+    assert _load(store) is not None
     monkeypatch.setenv("VRD_STORE_PATH", "")
-    assert SweepCache.resolve() is None
-    explicit = SweepCache.resolve(tmp_path / "explicit")
-    assert explicit is not None and explicit.root == tmp_path / "explicit"
+    assert ResultStore.resolve() is None
+    explicit = ResultStore.resolve(tmp_path / "explicit")
+    assert explicit.path == tmp_path / "explicit" / DEFAULT_STORE_FILENAME

@@ -75,11 +75,11 @@ def test_multiprocess_writers_and_readers_no_lost_or_torn_entries(tmp_path):
     # No lost entries: every key every writer claimed to write is present,
     # byte-exact.
     store = ResultStore(db_path)
-    assert store.entry_count() == N_PROCS * ENTRIES_PER_WRITER
+    assert store.stats()["entries"] == N_PROCS * ENTRIES_PER_WRITER
     for writer_id in range(N_PROCS):
         for i in range(ENTRIES_PER_WRITER):
-            payload = store.get(f"w{writer_id}-k{i}", KIND_CAMPAIGN)
-            assert payload == _expected_payload(writer_id, i)
+            payload = store.fetch(f"w{writer_id}-k{i}", KIND_CAMPAIGN)
+            assert payload == (_expected_payload(writer_id, i), "hit")
 
 
 def test_truncated_database_page_detect_reset_recompute(tmp_path):
@@ -107,4 +107,6 @@ def test_truncated_database_page_detect_reset_recompute(tmp_path):
     # The malformed file was reset: the store is empty but usable, and a
     # recompute lands cleanly.
     store.put("k0", KIND_CAMPAIGN, {"i": 0, "recomputed": True})
-    assert store.get("k0", KIND_CAMPAIGN) == {"i": 0, "recomputed": True}
+    assert store.fetch("k0", KIND_CAMPAIGN) == (
+        {"i": 0, "recomputed": True}, "hit"
+    )

@@ -278,3 +278,66 @@ def test_legacy_kind_rows_are_counted_and_prunable(store):
     assert store.stats()["entries"] == 0
     store.put("c3", KIND_CAMPAIGN, {"module_id": "M1"})
     assert store.fetch("c3", KIND_CAMPAIGN) == ({"module_id": "M1"}, "hit")
+
+
+def test_load_and_save_count_every_outcome(store):
+    """``load``/``save`` are the one cached-result path: each call counts
+    exactly one of ``cache.hit``/``miss``/``corrupt``/``store``, and a
+    payload the decoder rejects is evicted."""
+
+    def decode(payload):
+        return payload["value"]
+
+    with obs.tracing() as recorder:
+        assert store.load("k", KIND_SWEEP, decode) is None
+        store.save("k", KIND_SWEEP, {"value": 7})
+        assert store.load("k", KIND_SWEEP, decode) == 7
+        assert store.load("k", KIND_CAMPAIGN, decode) is None  # wrong kind
+        store.save("k", KIND_SWEEP, {"other": 7})
+        assert store.load("k", KIND_SWEEP, decode) is None  # KeyError
+    assert {
+        name: count for name, count in recorder.counters.items()
+        if name.startswith("cache.")
+    } == {"cache.miss": 1, "cache.store": 2, "cache.hit": 1,
+          "cache.corrupt": 2}
+    assert store.fetch("k", KIND_SWEEP) == (None, "miss")
+
+
+#: Keys the campaign and sweep recipes hashed to before the cache layer
+#: was folded into ``ResultStore.load``/``save``: stores written then
+#: must still hit.
+RECORDED_KEYS = {
+    "module_campaign": "374b25f5cb526bbcb732f68e77222e30",
+    "adaptive_module_campaign": "8d21acabda40ba379f3bacad9dff0a12",
+    "sweep": "f8a82257ecba71e50f163390867e49a1",
+}
+
+
+def test_cache_keys_are_stable(tmp_path):
+    from repro.analysis.figures import adaptive_module_campaign, module_campaign
+    from repro.core.engine import CampaignCache
+    from repro.memsim.sweep import SweepSpec, sweep_key
+
+    keys = {}
+
+    class KeyCapture(CampaignCache):
+        """Records the driver's key and answers with a sentinel, so no
+        campaign runs."""
+
+        def load(self, key):
+            keys["module_campaign"] = key
+            return "sentinel"
+
+        def load_adaptive(self, key):
+            keys["adaptive_module_campaign"] = key
+            return "sentinel"
+
+    cache = KeyCapture(tmp_path)
+    assert module_campaign(
+        "M1", rows_per_block=1, n_measurements=100, cache=cache
+    ) == "sentinel"
+    assert adaptive_module_campaign(
+        "M1", rows_per_block=1, n_measurements=100, cache=cache
+    ) == "sentinel"
+    keys["sweep"] = sweep_key(SweepSpec())
+    assert keys == RECORDED_KEYS

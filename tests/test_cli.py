@@ -118,6 +118,47 @@ def test_attack_exit_codes(capsys):
     assert "FLIPPED" in capsys.readouterr().out
 
 
+#: A tiny run of every subcommand that takes ``--check-timing``.
+CHECKED_RUNS = {
+    "fig14": ["fig14", "--mixes", "1", "--window", "2000", "--no-cache"],
+}
+
+
+def test_check_timing_flag_feeds_the_checker(monkeypatch, capsys):
+    """A subcommand offers ``--check-timing`` only if its run feeds DRAM
+    commands to a :class:`~repro.dram.checker.TimingChecker`."""
+    import argparse
+
+    from repro.cli import _build_parser
+    from repro.dram.checker import TIMING_CHECK_ENV_VAR, TimingChecker
+
+    # The flag sets the variable for the process; restore it afterwards.
+    monkeypatch.setenv(TIMING_CHECK_ENV_VAR, "0")
+    built = []
+    original_init = TimingChecker.__init__
+
+    def recording_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(TimingChecker, "__init__", recording_init)
+    subparsers = next(
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    checked = sorted(
+        name for name, command in subparsers.choices.items()
+        if "--check-timing" in command._option_string_actions
+    )
+    assert checked == sorted(CHECKED_RUNS)
+    for name in checked:
+        built.clear()
+        assert main(CHECKED_RUNS[name] + ["--check-timing"]) == 0
+        fed = sum(checker.report.n_commands for checker in built)
+        assert fed > 0, f"{name} --check-timing fed no command"
+    capsys.readouterr()
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

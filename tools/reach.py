@@ -7,8 +7,8 @@ Runs, in this one process under a ``sys.setprofile`` hook:
 * the cold figure/table/extension suite (``pytest benchmarks`` without
   the ``test_perf_*`` budgets, against a fresh result store);
 * every script in ``examples/``;
-* the CLI commands of CI's smoke job, plus ``devices``, ``table3`` and
-  ``attack``.
+* the CLI commands of CI's smoke job, plus ``devices``, ``table3``,
+  ``attack``, ``testtime``, ``verify`` and one ``store prune``.
 
 It then prints every ``src/`` function that never started, with its line
 count, and the totals. A function is reached when its code starts; nested
@@ -37,7 +37,8 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 #: CI's smoke-job CLI commands (``.github/workflows/ci.yml``) plus the
-#: documented ``devices``, ``table3`` and ``attack`` commands.
+#: documented ``devices``, ``table3``, ``attack``, ``testtime``,
+#: ``verify`` and ``store prune`` commands.
 CLI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
     ("measure", "M1", "--row", "100", "-n", "200", "--adaptive"),
     ("profile", "M1", "--rows-per-block", "1", "-n", "100", "--adaptive",
@@ -51,14 +52,15 @@ CLI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
      "ci-cache", "-o", "second.json", "--trace"),
     ("analyze", "second.json"),
     ("store", "stats", "--store", "ci-cache/results.sqlite"),
-    ("measure", "M1", "--row", "100", "-n", "200", "--check-timing"),
-    ("measure", "D0", "--row", "100", "-n", "200", "--check-timing"),
-    ("measure", "Chip0", "--row", "100", "-n", "200", "--check-timing"),
     ("fig14", "--mixes", "1", "--window", "5000", "--no-cache",
      "--check-timing"),
     ("devices",),
     ("table3",),
     ("attack", "M1"),
+    ("testtime",),
+    ("verify",),
+    ("store", "prune", "--kind", "sweep", "--store",
+     "ci-cache/results.sqlite"),
 )
 
 #: Pytest arguments of the cold figure suite, plus CI's Table 1 and 3
