@@ -13,13 +13,17 @@ path lives in ``tests/differential``.
   ``VRD_TIMING_CHECK=1`` stays within ``VRD_BENCH_PROTOCOL_MAX_OVERHEAD``
   (default 1.3x) of the unchecked series.
 
-Every timing is the best of three runs. Run with
+Each budget is a median of ``PAIRS`` ratios: every pair times the off
+and the on route back to back, alternating which runs first, so a slow
+phase of a shared host lands on both sides of a ratio instead of on one
+side of a best-of. Each test prints the ratios' spread. Run with
 ``python -m pytest benchmarks/test_perf_budgets.py -q -s``.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -28,17 +32,25 @@ MAX_TRACE_OVERHEAD = float(os.environ.get("VRD_BENCH_OBS_MAX_OVERHEAD", 1.25))
 MAX_CHECK_OVERHEAD = float(
     os.environ.get("VRD_BENCH_PROTOCOL_MAX_OVERHEAD", 1.3)
 )
-REPS = 3
+PAIRS = 7
 
 
-def _best_of(route):
-    best, result = None, None
-    for _ in range(REPS):
-        t0 = time.perf_counter()
-        result = route()
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
+def _paired_overhead(label: str, off, on):
+    """Median ``on / off`` time ratio over :data:`PAIRS` interleaved
+    pairs, and the last pair's ``(off, on)`` results."""
+    ratios, results = [], [None, None]
+    for pair in range(PAIRS):
+        seconds = [0.0, 0.0]
+        for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+            t0 = time.perf_counter()
+            results[side] = (off, on)[side]()
+            seconds[side] = time.perf_counter() - t0
+        ratios.append(seconds[1] / seconds[0])
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    print(f"\n{label}: median {median:.3f}x over {PAIRS} pairs, "
+          f"quartiles {q1:.3f}-{q3:.3f}x, range {min(ratios):.3f}-"
+          f"{max(ratios):.3f}x")
+    return statistics.median(ratios), results
 
 
 def test_traced_sweep_overhead():
@@ -52,12 +64,10 @@ def test_traced_sweep_overhead():
         with obs.tracing():
             return run_sweep(spec)
 
-    untraced_s, untraced_result = _best_of(lambda: run_sweep(spec))
-    traced_s, traced_result = _best_of(traced)
+    overhead, (untraced_result, traced_result) = _paired_overhead(
+        "traced sweep", lambda: run_sweep(spec), traced
+    )
     assert traced_result.per_mix == untraced_result.per_mix
-    overhead = traced_s / untraced_s
-    print(f"\ntraced sweep: {untraced_s:.3f} s untraced, "
-          f"{traced_s:.3f} s traced, {overhead:.3f}x")
     assert overhead <= MAX_TRACE_OVERHEAD
 
 
@@ -104,11 +114,10 @@ def test_timing_checker_overhead():
     sweep = HammerSweep.from_guess(
         FastRdtMeter(module, 0).guess_rdt(200, config)
     )
-    unchecked_s, unchecked = _best_of(lambda: _checker_series(False, sweep))
-    checked_s, checked = _best_of(lambda: _checker_series(True, sweep))
+    overhead, (unchecked, checked) = _paired_overhead(
+        "timing checker",
+        lambda: _checker_series(False, sweep),
+        lambda: _checker_series(True, sweep),
+    )
     np.testing.assert_array_equal(checked, unchecked)
-    overhead = checked_s / unchecked_s
-    print(f"\ntiming checker: {unchecked_s:.3f} s unchecked, "
-          f"{checked_s:.3f} s checked, {overhead:.3f}x")
     assert overhead <= MAX_CHECK_OVERHEAD
-

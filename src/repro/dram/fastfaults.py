@@ -34,12 +34,24 @@ callers. numpy Generators consume their bit stream
 element-sequentially, so a run of scalar draws equals one array draw of
 the same distributions, and vice versa. The mirrors used here are:
 
+* ``Generator(PCG64(SeedSequence words))`` for ``derive``'s
+  ``Generator(PCG64(seed))``: :func:`repro.rng.generators` hashes every
+  row's seed into its four PCG64 state words in one array pass,
+  reproducing numpy's SeedSequence arithmetic, and hands them to PCG64
+  through numpy's public ``ISeedSequence`` interface (both the
+  ``vrd-row`` constructor streams and the ``vrd-series``/``guess``
+  streams);
 * ``standard_normal(k) * sigmas`` for a run of ``normal(0, sigma_i)``
-  draws (``loc + scale * z`` with ``loc == 0``);
+  draws (``loc + scale * z`` with ``loc == 0``), in the constructor and
+  for a short series' residual normals;
+* ``standard_exponential(k) * scale`` for ``exponential(scale, k)``
+  (the weak-cell margin gaps);
 * for ``rng.geometric(p)`` in short series (``n <= 16``, which one batch
   always covers): numpy's own algorithm, value by value — one uniform and
   the search recurrence for ``p >= 1/3``, one standard exponential and
-  ``ceil(-e / log1p(-p))`` below it (see :func:`_short_column`);
+  ``ceil(-e / log1p(-p))`` below it (see :func:`_short_column`); a trap
+  with both leave probabilities on the search branch draws its
+  initial-state uniform and its batch in one ``rng.random(batch + 1)``;
 * for ``rng.geometric(p)`` with ``p >= 1/3`` in longer series:
   ``np.searchsorted(T, u, side="left") + 1`` where ``T`` is the
   cumulative table of the search recurrence, built with the same
@@ -47,7 +59,11 @@ the same distributions, and vice versa. The mirrors used here are:
   ``np.add.accumulate`` (see :func:`_build_run_tables`) on the first
   such query;
 * everything else falls back to the reference's own numpy calls with
-  identical argument arrays.
+  identical argument arrays. Elementwise arithmetic (including
+  ``np.exp``/``np.log1p``, whose results do not depend on an element's
+  position in an array) may run over many rows at once; each row's
+  occupancy product stays its own ``(n, traps) @ (traps,)`` call, whose
+  BLAS summation order depends on the shape.
 
 Both geometric mirrors are gated on
 :func:`repro.dram.faults.geometric_mirror_ok` (a once-per-process probe of
@@ -63,11 +79,11 @@ streams.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from numpy.random import PCG64, Generator
+from numpy.random import Generator
 
 from repro import obs
 from repro.dram.faults import (
@@ -85,7 +101,6 @@ from repro.dram.traps import (
     _MAX_P,
     _MIN_BATCH,
     _MIN_P,
-    block_values,
     check_series_length,
     fill_occupancy,
     geometric_runs,
@@ -95,7 +110,7 @@ from repro.dram.traps import (
     trap_outputs,
 )
 from repro.errors import ConfigurationError
-from repro.rng import encode_element, hasher_prefix, seed_from_prefix
+from repro.rng import encode_element, generators, hasher_prefix, seed_from_prefix
 
 #: Uniform length of the precomputed cumulative run-length tables. The
 #: search branch only applies for ``p >= 1/3`` (``q <= 2/3``), where the
@@ -142,22 +157,35 @@ class _TrapPlan:
     Raw transition probabilities feed the stationary distribution
     (``Trap.sample_initial`` uses them unclamped); the clamped pair feeds
     run-length sampling, mirroring ``sample_occupancy_series``.
-    ``table_occ``/``table_rel`` are the searchsorted run tables, or ``None``
-    when this trap must use ``rng.geometric`` directly (inversion-branch
-    probability, unsaturated table, or mirror disabled).
+    ``c_occ``/``c_rel`` and ``s_occ``/``s_rel`` serve
+    :func:`_short_column`: ``s_*`` tells whether the clamped probability is
+    on numpy's geometric search branch, and ``c_*`` is then the search
+    recurrence's ``q = 1 - p``, otherwise the inversion divisor
+    ``log1p(-p)``; ``both_search`` is whether both are.
+    ``table_occ``/``table_rel`` are the searchsorted run tables, or
+    ``None`` when this trap must use ``rng.geometric`` directly
+    (inversion-branch probability, unsaturated table, or mirror
+    disabled).
     """
 
     __slots__ = (
-        "depth", "p_occ", "p_rel", "stationary", "mean_run",
-        "table_occ", "table_rel",
+        "depth", "p_occ", "p_rel", "stationary", "mean_run", "c_occ", "c_rel",
+        "s_occ", "s_rel", "both_search", "table_occ", "table_rel",
     )
 
     def __init__(self, depth: float, p_occupy: float, p_release: float):
         self.depth = depth
-        self.p_occ = min(max(p_occupy, _MIN_P), _MAX_P)
-        self.p_rel = min(max(p_release, _MIN_P), _MAX_P)
+        p_occ = min(max(p_occupy, _MIN_P), _MAX_P)
+        p_rel = min(max(p_release, _MIN_P), _MAX_P)
+        self.p_occ = p_occ
+        self.p_rel = p_rel
         self.stationary = p_occupy / (p_occupy + p_release)
-        self.mean_run = 0.5 * (1.0 / self.p_occ + 1.0 / self.p_rel)
+        self.mean_run = 0.5 * (1.0 / p_occ + 1.0 / p_rel)
+        self.s_occ = s_occ = p_occ >= _GEOM_SEARCH_P
+        self.s_rel = s_rel = p_rel >= _GEOM_SEARCH_P
+        self.c_occ = 1.0 - p_occ if s_occ else math.log1p(-p_occ)
+        self.c_rel = 1.0 - p_rel if s_rel else math.log1p(-p_rel)
+        self.both_search = s_occ and s_rel
         self.table_occ: Optional[np.ndarray] = None
         self.table_rel: Optional[np.ndarray] = None
 
@@ -237,49 +265,56 @@ def _short_column(plan: _TrapPlan, n: int, rng: Generator) -> List[bool]:
 
     ``rng.geometric(p)`` consumes one uniform and runs the search
     recurrence for ``p >= 1/3``, and otherwise one standard exponential
-    ``e`` with value ``ceil(-e / log1p(-p))`` clipped to int64. A batch is
-    drawn whole, in one bulk ``rng.random`` call when both leave
-    probabilities are on the search branch, but run lengths are only
-    evaluated until the series is covered. For ``n <= _MIN_BATCH`` the
-    first batch always covers it, so this costs a few Python operations
-    per run where :func:`_trap_column` pays numpy call overhead per batch.
+    ``e`` with value ``ceil(-e / log1p(-p))`` clipped to int64. Each
+    batch is drawn whole: when both leave probabilities are on the search
+    branch, in one ``rng.random`` call (the first one also carries the
+    initial-state uniform), otherwise one scalar draw per value. Run
+    lengths are only evaluated until the series is covered. For
+    ``n <= _MIN_BATCH`` the first batch always covers it, so this costs a
+    few Python operations per run where :func:`_trap_column` pays numpy
+    call overhead per batch.
     """
-    if n == 0:
-        return []
-    state = rng.random() < plan.stationary
     column: List[bool] = []
-    while len(column) < n:
-        batch = max(_MIN_BATCH, int((n - len(column)) / plan.mean_run * 1.5) + 8)
-        leave = (plan.p_rel, plan.p_occ) if state else (plan.p_occ, plan.p_rel)
-        search = (leave[0] >= _GEOM_SEARCH_P, leave[1] >= _GEOM_SEARCH_P)
-        if search[0] and search[1]:
-            draws = rng.random(batch).tolist()
-        else:
-            random, exponential = rng.random, rng.standard_exponential
-            draws = [
-                random() if search[i & 1] else exponential()
-                for i in range(batch)
-            ]
+    if n == 0:
+        return column
+    batch = max(_MIN_BATCH, int(n / plan.mean_run * 1.5) + 8)
+    if plan.both_search:
+        draws = rng.random(batch + 1).tolist()
+        state = draws.pop(0) < plan.stationary
+    else:
+        state = rng.random() < plan.stationary
+    occ = (plan.p_occ, plan.c_occ, plan.s_occ)
+    rel = (plan.p_rel, plan.c_rel, plan.s_rel)
+    samplers = (rng.standard_exponential, rng.random)  # indexed by ``search``
+    while True:
+        # An occupied trap's first run ends with ``p_rel``.
+        pair = (rel, occ) if state else (occ, rel)
+        if not plan.both_search:
+            calls = (samplers[pair[0][2]], samplers[pair[1][2]]) * ((batch + 1) // 2)
+            draws = [call() for call in calls[:batch]]
         occupied = state
         for i, draw in enumerate(draws):
-            p = leave[i & 1]
-            if search[i & 1]:
+            p, c, search = pair[i & 1]
+            if search:
                 total = prod = p
-                q = 1.0 - p
                 length = 1
                 while draw > total:
-                    prod *= q
+                    prod *= c
                     total += prod
                     length += 1
             else:
-                length = min(math.ceil(-draw / math.log1p(-p)), _INT64_MAX)
-            column.extend([occupied] * min(length, n - len(column)))
-            if len(column) >= n:
-                break
+                length = min(math.ceil(-draw / c), _INT64_MAX)
+            left = n - len(column)
+            if length >= left:
+                column.extend([occupied] * left)
+                return column
+            column.extend([occupied] * length)
             occupied = not occupied
         if batch & 1:  # the next batch opens opposite the last run's state
             state = not state
-    return column
+        batch = max(_MIN_BATCH, int((n - len(column)) / plan.mean_run * 1.5) + 8)
+        if plan.both_search:
+            draws = rng.random(batch).tolist()
 
 
 def _weak_cell_polarity(
@@ -354,7 +389,8 @@ class BankVrdState:
         # One batched standard_normal covers the constructor's run of
         # scalar normal draws (sigma_resid, pattern depth/rdt jitters,
         # taggon slope, temp coeff): ``standard_normal(k) * sigmas``
-        # reproduces ``normal(0, sigma)`` value for value.
+        # reproduces ``normal(0, sigma)`` value for value. The weak-cell
+        # gaps are standard exponentials, scaled for every row at once.
         normal_sigmas = np.array(
             [0.4] + [0.30] * len(depth_keys) + [0.02] * len(rdt_keys) + [0.01, 0.3]
         )
@@ -373,11 +409,11 @@ class BankVrdState:
         weak_bits = np.empty((n_rows, n_cells), dtype=np.int64)
         gaps = np.empty((n_rows, n_cells))
         row_plans: List[List[_TrapPlan]] = []
-        row_depths: List[np.ndarray] = []
+        row_rngs = generators(
+            [seed_from_prefix(row_prefix, tail) for tail in self._row_tails]
+        )
 
-        for index in range(n_rows):
-            rng = Generator(PCG64(seed_from_prefix(row_prefix, self._row_tails[index])))
-
+        for index, rng in enumerate(row_rngs):
             # -- draw mirror of RowVrdProcess.__init__ -------------------
             base = float(params.mean_rdt * np.exp(rng.normal(0.0, params.spatial_sigma)))
             coupling = (params.mean_rdt / base) ** params.vulnerability_coupling
@@ -409,19 +445,18 @@ class BankVrdState:
                     depth, max(1e-6, speed * pi), max(1e-6, speed * (1.0 - pi))
                 ))
 
-            normals[index] = rng.standard_normal(len(normal_sigmas))
-            positions = rng.choice(row_bits, size=n_cells, replace=False)
-            bits = np.sort(positions.astype(np.int64))
+            rng.standard_normal(out=normals[index])
+            bits = weak_bits[index]
+            bits[:] = rng.choice(row_bits, size=n_cells, replace=False)
+            bits.sort()
             rng.shuffle(bits)
-            weak_bits[index] = bits
-            gaps[index] = rng.exponential(params.cell_margin_scale, n_cells)
-            penalty_col[index] = float(rng.uniform(0.03, 0.15))
+            rng.standard_exponential(out=gaps[index])
+            penalty_col[index] = rng.uniform(0.03, 0.15)
             # -- end of the constructor mirror ---------------------------
 
             base_rdt[index] = base
             coupling_col[index] = coupling
             row_plans.append(plans)
-            row_depths.append(np.array([plan.depth for plan in plans]))
 
         # The draw-free remainder of the constructor, for every row at
         # once: elementwise numpy ops and row-wise cumulative sums perform
@@ -439,6 +474,7 @@ class BankVrdState:
         }
         self._taggon_depth_slope = params.taggon_depth_slope + normals[:, i_slope]
         self._temp_depth_coeff = params.temp_depth_coeff * exp_normals[:, i_slope + 1]
+        gaps *= params.cell_margin_scale
         gaps *= 2.0 ** np.arange(n_cells)
         gaps[:, 0] = 0.0
         self.weak_cell_margins = np.cumsum(gaps, axis=1)
@@ -455,7 +491,11 @@ class BankVrdState:
         self.base_rdt = base_rdt
         self.uncharged_penalty = penalty_col
         self._row_plans = row_plans
-        self._row_depths = row_depths
+        # Row ``i``'s traps are entries ``_trap_starts[i]:_trap_starts[i + 1]``
+        # of the flat per-trap arrays.
+        self._trap_counts = np.array([len(plans) for plans in row_plans], dtype=np.intp)
+        self._trap_starts = [0] + np.cumsum(self._trap_counts).tolist()
+        self._trap_depths = np.array([plan.depth for plans in row_plans for plan in plans])
         self._tables_attached = False
         self._ones = np.ones(n_rows)
         self._factors_cache: Dict[Condition, tuple] = {}
@@ -585,14 +625,21 @@ class BankVrdState:
         short = 0 < n <= _MIN_BATCH and geometric_mirror_ok()
         if not short and not self._tables_attached:
             self._attach_tables()
+        series_rngs = generators([
+            seed_from_prefix(self._series_prefix, self._row_tails[i], suffix)
+            for i in indices
+        ])
+        # Every trap's log multiplier at once: elementwise, each is the
+        # reference's ``log_depth_terms`` entry for its row.
+        log_terms = log_depth_terms(
+            self._trap_depths, np.repeat(depth_factor, self._trap_counts)
+        )
+        if short:
+            return self._short_series(indices, level, n, series_rngs, log_terms)
         out = np.empty((len(indices), n))
-        for k, i in enumerate(indices):
-            srng = Generator(PCG64(seed_from_prefix(
-                self._series_prefix, self._row_tails[i], suffix
-            )))
-            self._series_row(
-                i, float(depth_factor[i]), float(level[i]), n, srng, short, out[k]
-            )
+        level = level.tolist()
+        for k, (i, srng) in enumerate(zip(indices, series_rngs)):
+            self._series_row(i, log_terms, level[i], n, srng, out[k])
         return out
 
     def latent_series(
@@ -616,34 +663,72 @@ class BankVrdState:
         samples = self.latent_series_bulk(
             condition, repeats, stream="guess", rows=rows
         )
-        return np.array([float(series.mean()) for series in samples])
+        # A reduction along each row's contiguous axis sums it as
+        # ``series.mean()`` sums the row alone.
+        return samples.mean(axis=1)
+
+    def _short_series(
+        self,
+        indices: Sequence[int],
+        level: np.ndarray,
+        n: int,
+        series_rngs: Iterable[Generator],
+        log_terms: np.ndarray,
+    ) -> np.ndarray:
+        """Mirror of ``latent_series`` for ``0 < n <= _MIN_BATCH`` and the
+        packed rows ``indices``, as an ``(R, n)`` matrix.
+
+        Each row's stream draws what the reference draws, in its order:
+        every trap's column (:func:`_short_column`), then the residual
+        normals, as standard normals (``normal(0, sigma)`` is ``sigma *
+        z``). Each row's occupancy product is its own ``(n, traps) @
+        (traps,)`` call, as the reference makes it; the elementwise rest
+        of :func:`~repro.dram.traps.block_values` then runs once for all
+        rows.
+        """
+        starts = self._trap_starts
+        sums = np.zeros((len(indices), n))
+        normals = np.empty((len(indices), n))
+        for k, (i, srng) in enumerate(zip(indices, series_rngs)):
+            plans = self._row_plans[i]
+            columns: List[bool] = []
+            for plan in plans:
+                columns += _short_column(plan, n, srng)
+            if plans:
+                # C-ordered ``(n, traps)`` and a fresh term array: the
+                # reference's operand layout, so BLAS sums it the same way.
+                occupancy = np.array(columns, dtype=bool).reshape(len(plans), n)
+                np.matmul(
+                    occupancy.T.copy(), log_terms[starts[i]:starts[i + 1]].copy(),
+                    out=sums[k],
+                )
+            srng.standard_normal(out=normals[k])
+        rows = np.array(indices, dtype=np.intp)
+        normals *= self.sigma_resid[rows, None]
+        values = np.exp(sums)
+        values *= level[rows, None]
+        values *= np.exp(normals)
+        return values
 
     def _series_row(
         self,
         i: int,
-        depth_factor: float,
+        log_terms: np.ndarray,
         level: float,
         n: int,
         srng: Generator,
-        short: bool,
         out: np.ndarray,
     ) -> None:
         """Mirror of ``latent_series`` for packed row ``i`` (canonical
-        condition already folded into ``depth_factor``/``level``), written
-        into ``out``; ``short`` selects :func:`_short_column` over
-        :func:`_trap_column`."""
+        condition already folded into ``log_terms``/``level``), written
+        into ``out`` block by block."""
         plans = self._row_plans[i]
-        log_terms = log_depth_terms(self._row_depths[i], depth_factor)
-        sigma = float(self.sigma_resid[i])
-        if short:
-            columns = [_short_column(plan, n, srng) for plan in plans]
-            occupancy = np.array(columns, dtype=bool).reshape(len(plans), n)
-            out[:] = block_values(occupancy.T.copy(), log_terms, level, sigma, srng)
-            return
         occupancy = new_occupancy(len(plans), n)
         for plan, plan_out in zip(plans, trap_outputs(occupancy)):
             _trap_column(plan, n, srng, plan_out)
-        blocks = latent_blocks(occupancy, n, log_terms, level, sigma, srng)
+        row_terms = log_terms[self._trap_starts[i]:self._trap_starts[i + 1]].copy()
+        blocks = latent_blocks(
+            occupancy, n, row_terms, level, float(self.sigma_resid[i]), srng
+        )
         for start, values in blocks:
             out[start:start + values.size] = values
-

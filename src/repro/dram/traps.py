@@ -276,14 +276,15 @@ def trap_outputs(occupancy: np.ndarray) -> np.ndarray:
     return occupancy.T if occupancy.dtype == bool else occupancy
 
 
-def log_depth_terms(depths: np.ndarray, depth_factor: float) -> np.ndarray:
+def log_depth_terms(depths: np.ndarray, depth_factor) -> np.ndarray:
     """Per-trap ``log(1 - effective depth)``.
 
     ``depth_factor`` scales every trap's depth for the current test
-    condition (data pattern / tAggOn / temperature sensitivity); effective
-    depths are clipped below 0.95 so the multiplier stays positive.
+    condition (data pattern / tAggOn / temperature sensitivity), one
+    factor for all traps or one per trap; effective depths are clipped
+    below 0.95 so the multiplier stays positive.
     """
-    if depth_factor < 0:
+    if np.any(np.less(depth_factor, 0)):
         raise ConfigurationError(f"depth_factor must be >= 0, got {depth_factor}")
     return np.log1p(-np.minimum(depths * depth_factor, 0.95))
 

@@ -110,6 +110,36 @@ def encode_payload(payload: dict) -> bytes:
     ).encode("utf-8")
 
 
+#: Bytes of a payload read at a time by :func:`_is_nul_free_ascii`.
+_SCAN_CHUNK_BYTES = 16 * 1024
+
+
+def _is_nul_free_ascii(conn: sqlite3.Connection, rowid: int) -> bool:
+    """Whether row ``rowid``'s payload is ASCII without a NUL byte (as all
+    :func:`encode_payload` writes), read in chunks so no whole payload
+    is held."""
+    with conn.blobopen("results", "payload", rowid, readonly=True) as blob:
+        while chunk := blob.read(_SCAN_CHUNK_BYTES):
+            if not chunk.isascii() or b"\0" in chunk:
+                return False
+    return True
+
+
+def _protocol_of_module(module_id) -> str:
+    """The catalog protocol of a payload's ``module_id``, or
+    ``"unknown"`` for a non-string or non-catalog id."""
+    if not isinstance(module_id, str):
+        return "unknown"
+    # Lazy import: the catalog pulls numpy, which the store layer
+    # itself never needs.
+    from repro.chips.catalog import spec as catalog_spec
+
+    try:
+        return catalog_spec(module_id).protocol
+    except ReproError:
+        return "unknown"
+
+
 def resolve_store_path(
     cache_dir: "Path | str | None" = None,
     store_path: "Path | str | None" = None,
@@ -369,19 +399,59 @@ class ResultStore:
 
         Entries that cannot be attributed (non-catalog module ids,
         undecodable payloads) count under ``"unknown"``.
+
+        SQLite's JSON functions read each ``module_id`` in place, and the
+        payload is scanned in fixed-size chunks, so the count holds no
+        whole payload in memory. The SQL read is taken only where it must
+        agree with decoding the payload with ``json``: an ASCII payload
+        without NUL bytes (SQLite reads text up to the first) that SQLite
+        parses, names ``module_id`` at most once (SQLite keeps the first
+        of two, ``json`` the last) and yields an id that is valid UTF-8.
+        Every other payload (corrupt bytes, the ``NaN``/``Infinity``
+        literals ``json`` writes and reads) is decoded whole in Python,
+        one at a time, as the reader would.
         """
         if not self.path.exists():
             return {}
-        rows = self._with_retry(
-            lambda conn: conn.execute(
-                "SELECT kind, payload FROM results"
-            ).fetchall()
-        )
-        counts: Dict[str, int] = {}
-        for kind, blob in rows:
-            label = self._protocol_of_entry(kind, blob)
-            counts[label] = counts.get(label, 0) + 1
-        return dict(sorted(counts.items()))
+
+        def count(conn) -> Dict[str, int]:
+            counts: Dict[str, int] = {}
+            cursor = conn.execute(
+                "SELECT rowid, kind, parsed, CASE WHEN parsed THEN "
+                "CASE json_type(doc, '$.module_id') WHEN 'text' "
+                "THEN CAST(json_extract(doc, '$.module_id') AS BLOB) END END "
+                "FROM (SELECT rowid, kind, doc, CASE "
+                "WHEN kind = ? OR NOT json_valid(doc) THEN 0 "
+                "ELSE (SELECT COUNT(*) FROM json_each(doc) "
+                "WHERE key = 'module_id') < 2 END AS parsed "
+                "FROM (SELECT rowid, kind, CAST(payload AS TEXT) AS doc "
+                "FROM results))",
+                (KIND_SWEEP,),
+            )
+            for rowid, kind, parsed, module_id in cursor:
+                if kind == KIND_SWEEP:
+                    label = "DDR5"
+                elif parsed and _is_nul_free_ascii(conn, rowid):
+                    try:
+                        label = _protocol_of_module(
+                            None if module_id is None
+                            else module_id.decode("utf-8")
+                        )
+                    except UnicodeDecodeError:  # a lone surrogate escape
+                        label = self._protocol_of_rowid(conn, kind, rowid)
+                else:
+                    label = self._protocol_of_rowid(conn, kind, rowid)
+                counts[label] = counts.get(label, 0) + 1
+            return counts
+
+        return dict(sorted(self._with_retry(count).items()))
+
+    @classmethod
+    def _protocol_of_rowid(cls, conn, kind: str, rowid: int) -> str:
+        (blob,) = conn.execute(
+            "SELECT payload FROM results WHERE rowid = ?", (rowid,)
+        ).fetchone()
+        return cls._protocol_of_entry(kind, blob)
 
     @staticmethod
     def _protocol_of_entry(kind: str, blob: bytes) -> str:
@@ -393,18 +463,7 @@ class ResultStore:
             return "unknown"
         if not isinstance(payload, dict):
             return "unknown"
-        module_id = payload.get("module_id")
-        if not isinstance(module_id, str):
-            return "unknown"
-        # Lazy import: the catalog pulls numpy, which the store layer
-        # itself never needs.
-        from repro.chips.catalog import spec as catalog_spec
-        from repro.errors import ReproError
-
-        try:
-            return catalog_spec(module_id).protocol
-        except ReproError:
-            return "unknown"
+        return _protocol_of_module(payload.get("module_id"))
 
     # -- writes --------------------------------------------------------
 

@@ -411,7 +411,9 @@ def memsim_fast(seed: int) -> tuple:
 # fastfaults: per-row scalar VRD processes vs packed bank state
 # ----------------------------------------------------------------------
 
-_FAULT_SERIES_N = 40
+#: Series lengths of the fastfaults pairs: empty, one step, both sides of
+#: the short-series limit (``traps._MIN_BATCH``), and a longer series.
+_FAULT_SERIES_NS = (0, 1, 16, 17, 40)
 
 
 def _fault_workload(seed: int):
@@ -431,25 +433,48 @@ def _fault_workload(seed: int):
     return module, rows, config.condition(module.timing)
 
 
-def fastfaults_oracle(seed: int) -> tuple:
-    module, rows, condition = _fault_workload(seed)
-    model = module.fault_model
+def _fault_series(model, rows, condition, fast: bool) -> tuple:
+    """Every length of :data:`_FAULT_SERIES_NS` for ``rows`` of bank 0:
+    one packed bank query per length, or one ``RowVrdProcess`` per row."""
+    if fast:
+        return tuple(
+            tuple(
+                tuple(series.tolist())
+                for series in model.latent_series_bank(0, rows, condition, n)
+            )
+            for n in _FAULT_SERIES_NS
+        )
     return tuple(
         tuple(
-            model.process(0, row)
-            .latent_series(condition, _FAULT_SERIES_N)
-            .tolist()
+            tuple(model.process(0, row).latent_series(condition, n).tolist())
+            for row in rows
         )
-        for row in rows
+        for n in _FAULT_SERIES_NS
     )
+
+
+def _fastfaults(seed: int, fast: bool) -> tuple:
+    """The workload's rows, plus one row of a model without traps."""
+    from tests.conftest import make_module
+
+    module, rows, condition = _fault_workload(seed)
+    bare = make_module(
+        "DIFF", seed=seed,
+        trap_count_mean=0.0, rare_trap_prob=0.0, big_trap_prob=0.0,
+    )
+    bare.disable_interference_sources()
+    return (
+        _fault_series(module.fault_model, rows, condition, fast),
+        _fault_series(bare.fault_model, rows[:1], condition, fast),
+    )
+
+
+def fastfaults_oracle(seed: int) -> tuple:
+    return _fastfaults(seed, fast=False)
 
 
 def fastfaults_fast(seed: int) -> tuple:
-    module, rows, condition = _fault_workload(seed)
-    matrix = module.fault_model.latent_series_bank(
-        0, rows, condition, _FAULT_SERIES_N
-    )
-    return tuple(tuple(series.tolist()) for series in matrix)
+    return _fastfaults(seed, fast=True)
 
 
 def _catalog_fault_workload(seed: int, module_id: str):
@@ -473,20 +498,7 @@ def _catalog_fault_workload(seed: int, module_id: str):
 
 def _catalog_fault_series(seed: int, module_id: str, fast: bool) -> tuple:
     module, rows, condition = _catalog_fault_workload(seed, module_id)
-    model = module.fault_model
-    if fast:
-        matrix = model.latent_series_bank(
-            0, rows, condition, _FAULT_SERIES_N
-        )
-        return tuple(tuple(series.tolist()) for series in matrix)
-    return tuple(
-        tuple(
-            model.process(0, row)
-            .latent_series(condition, _FAULT_SERIES_N)
-            .tolist()
-        )
-        for row in rows
-    )
+    return _fault_series(module.fault_model, rows, condition, fast)
 
 
 def fastfaults_ddr5_oracle(seed: int) -> tuple:
@@ -723,14 +735,25 @@ def _probe_workload(seed: int):
     return FastRdtMeter(module, bank=0), rows, config
 
 
+#: Probe repeats: one sample, a few, the default 10, and the most that
+#: one geometric batch always covers (``traps._MIN_BATCH``).
+_PROBE_REPEATS = (1, 5, 10, 16)
+
+
 def probe_oracle(seed: int) -> tuple:
     meter, rows, config = _probe_workload(seed)
-    return tuple(meter.guess_rdt(row, config) for row in rows)
+    return tuple(
+        tuple(meter.guess_rdt(row, config, repeats=repeats) for row in rows)
+        for repeats in _PROBE_REPEATS
+    )
 
 
 def probe_fast(seed: int) -> tuple:
     meter, rows, config = _probe_workload(seed)
-    return tuple(meter.guess_rdt_batch(rows, config).tolist())
+    return tuple(
+        tuple(meter.guess_rdt_batch(rows, config, repeats=repeats).tolist())
+        for repeats in _PROBE_REPEATS
+    )
 
 
 # ----------------------------------------------------------------------

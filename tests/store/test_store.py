@@ -252,6 +252,126 @@ def test_stats_protocol_breakdown(store):
     assert breakdown == {"DDR4": 1, "DDR5": 2, "unknown": 1}
 
 
+def _insert_raw(store, key: str, kind: str, blob: bytes) -> None:
+    with sqlite3.connect(store.path) as conn:
+        conn.execute(
+            "INSERT INTO results "
+            "(key, kind, checksum, payload, nbytes, created_at) "
+            "VALUES (?, ?, ?, ?, ?, ?)",
+            (key, kind, payload_checksum(blob), blob, len(blob), time.time()),
+        )
+
+
+def test_protocol_breakdown_reads_module_ids_as_the_json_decoder_does(store):
+    """The in-SQL ``module_id`` read attributes every entry exactly as
+    decoding its payload with ``json`` does, corrupt ones included."""
+    store.put("ok", KIND_CAMPAIGN, {"module_id": "M1", "x": [1.5, "a"]})
+    store.put("nan", KIND_ADAPTIVE, {"module_id": "D0", "ci": float("nan")})
+    store.put("inf", KIND_CAMPAIGN, {"module_id": "M1", "ci": float("inf")})
+    store.put("num", KIND_CAMPAIGN, {"module_id": 7})
+    store.put("none", KIND_CAMPAIGN, {"module_id": None})
+    store.put("missing", KIND_CAMPAIGN, {"observations": []})
+    store.put("nested", KIND_CAMPAIGN, {"spec": {"module_id": "M1"}})
+    store.put("sweep", KIND_SWEEP, {"module_id": "M1"})
+    raw = {
+        "escaped": b'{"module_id": "M\\u0031"}',
+        "list": b'["M1"]',
+        "string": b'"M1"',
+        "truncated": b'{"module_id": "M1"',
+        "binary": b"\xff\xfe\x00{",
+        "empty": b"",
+        "bom": b'\xef\xbb\xbf{"module_id": "M1"}',
+        "unicode": '{"module_id": "Mé"}'.encode("utf-8"),
+        "flipped-id": b'{"module_id": "M\xb1"}',
+        "stray-byte": b'{"module_id": "M1", "x": "\xe1"}',
+        "surrogate": b'{"module_id": "\\ud800"}',
+        "pair": b'{"module_id": "\\ud83d\\ude00"}',
+        "duplicate": b'{"module_id": "M1", "module_id": "X"}',
+        "nul-tail": b'{"module_id": "M1"}\x00}',
+        "form-feed": b'\x0c{"module_id": "M1"}',
+    }
+    for key, blob in raw.items():
+        _insert_raw(store, key, KIND_CAMPAIGN, blob)
+    _insert_raw(store, "sweep-junk", KIND_SWEEP, b"\xff")
+
+    with sqlite3.connect(store.path) as conn:
+        rows = conn.execute("SELECT kind, payload FROM results").fetchall()
+    expected = {}
+    for kind, blob in rows:
+        label = ResultStore._protocol_of_entry(kind, blob)
+        expected[label] = expected.get(label, 0) + 1
+    assert store.protocol_breakdown() == dict(sorted(expected.items()))
+    assert store.stats()["per_protocol"] == {"DDR4": 4, "DDR5": 3, "unknown": 17}
+
+
+def test_protocol_breakdown_of_bit_flipped_payloads_matches_the_decoder(store):
+    """Every single-bit flip of a stored payload is attributed as
+    decoding it with ``json`` attributes it."""
+    payload = {"ci": [1.5, -2e-3], "module_id": "M1", "n": "a b"}
+    store.put("intact", KIND_CAMPAIGN, payload)
+    blob = encode_payload(payload)
+    for i in range(len(blob) * 8):
+        flipped = bytearray(blob)
+        flipped[i // 8] ^= 1 << (i % 8)
+        _insert_raw(store, f"flip{i}", KIND_CAMPAIGN, bytes(flipped))
+    with sqlite3.connect(store.path) as conn:
+        blobs = [b for (b,) in conn.execute("SELECT payload FROM results")]
+    expected = {}
+    for flipped in blobs:
+        label = ResultStore._protocol_of_entry(KIND_CAMPAIGN, flipped)
+        expected[label] = expected.get(label, 0) + 1
+    assert store.protocol_breakdown() == dict(sorted(expected.items()))
+
+
+def test_sqlite_json_valid_agrees_with_json_on_ascii_payloads():
+    """``protocol_breakdown`` trusts SQLite's ``json_valid`` for ASCII
+    payloads without NUL: every ASCII byte inserted at, or written over,
+    every position of a stored payload is accepted by both parsers or by
+    neither."""
+    blob = encode_payload({"ci": [1.5, -2e-3], "module_id": "M1", "n": "a b"})
+    conn = sqlite3.connect(":memory:")
+    for pos in range(len(blob) + 1):
+        for byte in range(1, 128):
+            for doc in (
+                blob[:pos] + bytes([byte]) + blob[pos:],
+                blob[:pos] + bytes([byte]) + blob[pos + 1:],
+            ):
+                (sqlite_ok,) = conn.execute(
+                    "SELECT json_valid(CAST(? AS TEXT))", (doc,)
+                ).fetchone()
+                try:
+                    json.loads(doc)
+                except ValueError:
+                    json_ok = False
+                else:
+                    json_ok = True
+                assert bool(sqlite_ok) == json_ok, doc
+
+
+def test_stats_memory_does_not_grow_with_payload_size(tmp_path):
+    """``stats()`` reads each entry's module id in SQL; its traced Python
+    peak stays flat when every payload is 200x larger."""
+    import tracemalloc
+
+    def peak(entry_bytes: int) -> int:
+        store = ResultStore(tmp_path / f"{entry_bytes}.sqlite")
+        store.put_many([
+            (f"k{i}", KIND_CAMPAIGN, {"module_id": "M1", "blob": "x" * entry_bytes})
+            for i in range(20)
+        ])
+        store.stats()  # warm: connection, catalog import
+        tracemalloc.start()
+        try:
+            assert store.stats()["per_protocol"] == {"DDR4": 20}
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1_000), peak(200_000)
+    # 20 decoded 200 kB payloads would be 4 MB; allow allocator noise only.
+    assert large < small + 64_000, (small, large)
+
+
 def test_legacy_kind_rows_are_counted_and_prunable(store):
     """Rows of a kind this version no longer writes (older releases
     stored ``kind='fleet'`` checkpoints) stay visible to ``stats`` and

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.rng import child_seed, derive
+from repro.rng import child_seed, derive, generators, seed_sequence_state
 
 
 def test_same_path_same_stream():
@@ -45,3 +45,35 @@ def test_rejects_non_str_int_path():
 def test_child_seed_is_64_bit(seed, name):
     value = child_seed(seed, name)
     assert 0 <= value < 2**64
+
+
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _seed_sequence_words(seed: int) -> np.ndarray:
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=40))
+def test_seed_sequence_state_matches_numpy(seeds):
+    """The array pass equals numpy's SeedSequence over the whole uint64
+    range, with the one/two 32-bit-word boundary pinned."""
+    seeds = SEED_EDGES + seeds
+    expected = np.array([_seed_sequence_words(seed) for seed in seeds])
+    state = seed_sequence_state(seeds)
+    assert state.dtype == np.uint64
+    np.testing.assert_array_equal(state, expected)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 40])
+def test_generators_equal_integer_seeded_generators(count):
+    """Each yielded generator is the one ``Generator(PCG64(seed))``
+    builds, draw for draw."""
+    seeds = (SEED_EDGES * 8)[:count]
+    built = list(generators(seeds))
+    assert len(built) == count
+    for rng, seed in zip(built, seeds):
+        reference = np.random.Generator(np.random.PCG64(seed))
+        assert rng.bit_generator.state == reference.bit_generator.state
+        np.testing.assert_array_equal(rng.random(5), reference.random(5))
+        assert rng.standard_exponential() == reference.standard_exponential()
