@@ -100,8 +100,8 @@ PROFILE_MAX_ROWS_PER_BLOCK = 256
 #: ``-n`` cap at the default 3 rows per block.
 PROFILE_MAX_ROW_MEASUREMENTS = 3 * PROFILE_MAX_N
 
-#: Most refresh windows ``attack`` simulates: about 55 s and 59 MB peak
-#: RSS (about 5.4 us per window, a victim that survives all of them) on a
+#: Most refresh windows ``attack`` simulates: about 12 s and 64 MB peak
+#: RSS (about 1.2 us per window, a victim that survives all of them) on a
 #: 2-core x86 host.
 ATTACK_MAX_WINDOWS = 10_000_000
 
@@ -223,7 +223,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile-n", type=int, default=5,
         help=f"profiling measurements, 1 to {MEASURE_MAX_N:,} (default 5)",
     )
-    attack.add_argument("--margin", type=float, default=0.0)
+    attack.add_argument(
+        "--margin", type=float, default=0.0,
+        help="guardband below the profiled minimum RDT, as a fraction in "
+             "[0, 1) (default 0)",
+    )
     attack.add_argument(
         "--windows", type=int, default=2000,
         help=f"refresh windows to attack, 1 to {ATTACK_MAX_WINDOWS:,} "

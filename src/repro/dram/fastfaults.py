@@ -24,15 +24,18 @@ The stream-mirror rule
 
 Anything that draws from a ``Generator`` in ``RowVrdProcess.__init__``
 or ``latent_series`` MUST be mirrored here in the exact same draw order.
-This module is the only mirror of the specification: bulk series and the
-batched row probe (``ModuleFaultModel.probe_guess_means``) both run on
-:class:`BankVrdState`. The sequential path (``_state`` /
-``begin_measurement`` / ``trial_flips`` and their batched walks
-``threshold_series`` / ``trial_flip_series``) has no mirror: it lives on
+This module is the only packed twin of the specification: bulk series
+and the batched row probe (``ModuleFaultModel.probe_guess_means``) both
+run on :class:`BankVrdState`. The sequential path (``_state`` /
+``begin_measurement`` / ``trial_flips``) has no packed twin: it lives on
 ``RowVrdProcess`` alone, whose per-row chain state carries over between
-callers. numpy Generators consume their bit stream
-element-sequentially, so a run of scalar draws equals one array draw of
-the same distributions, and vice versa. The mirrors used here are:
+callers. Its batched walks (``threshold_series`` /
+``trial_flip_series``) take each block of per-step draws from
+:func:`repro.rng.step_draws`, which resolves ``random`` and
+``standard_normal`` from raw PCG64 words. numpy Generators consume their
+bit stream element-sequentially, so a run of scalar draws equals one
+array draw of the same distributions, and vice versa. The mirrors used
+here are:
 
 * ``Generator(PCG64(SeedSequence words))`` for ``derive``'s
   ``Generator(PCG64(seed))``: :func:`repro.rng.generators` hashes every

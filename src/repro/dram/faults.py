@@ -47,7 +47,7 @@ from repro.dram.traps import (
     trap_outputs,
 )
 from repro.errors import ConfigurationError
-from repro.rng import derive
+from repro.rng import derive, step_draws
 
 #: Canonical data-pattern keys (paper Table 2). ``pattern_byte`` maps each to
 #: the byte written to the *victim* row; aggressors hold the complement.
@@ -651,25 +651,65 @@ class RowVrdProcess:
         factors = self.factors(condition)
         return state.latent_rdt * (1.0 + factors.first_flip_margin)
 
-    def _trap_constants(
-        self, factors: ConditionFactors
-    ) -> Tuple[List[float], List[float], List[float]]:
-        """Per-trap ``(p_occupy, p_release, log_term)`` lists for the
-        batched sequential walks.
+    def _chain_latents(
+        self,
+        state: _ConditionState,
+        factors: ConditionFactors,
+        uniforms: np.ndarray,
+        residuals: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Latent RDT and trap occupancy after each of ``n`` chain steps,
+        from the steps' ``(n, traps)`` uniforms and ``(n,)`` residual
+        standard normals, without reordering a float operation of the
+        scalar ``begin_measurement`` step:
 
-        ``log_term`` is a pure function of (depth, factors); the scalar
-        :meth:`_refresh_latent` recomputes it every measurement with these
-        exact operations, so hoisting it keeps every float identical.
+        * A trap's next state is ``u < p_occupy`` when that equals
+          ``u >= p_release`` (the old state does not matter), the old
+          state toggled when ``u < p_occupy`` but ``u < p_release``, and
+          the old state otherwise. Each step's occupancy is therefore the
+          value set at the last setting step (or the initial occupancy),
+          XOR the parity of the toggles since.
+        * ``log_mult`` adds trap by trap, left to right from 0.0
+          (``np.add.accumulate`` along the trap axis), the scalar ``+=``
+          sequence; a pairwise sum across traps would reorder it. An
+          unoccupied trap adds a signed zero, which changes no sum.
+        * The residual is ``normal(0, sigma)``, i.e. ``0.0 + sigma * z``,
+          and exponentials go through ``math.exp`` (``np.exp`` may differ
+          in the last ULP).
         """
-        traps = self.traps
-        return (
-            [trap.p_occupy for trap in traps],
-            [trap.p_release for trap in traps],
-            [
-                math.log1p(-min(trap.depth * factors.depth_factor, 0.95))
-                for trap in traps
-            ],
-        )
+        p_occupy = np.array([trap.p_occupy for trap in self.traps])
+        p_release = np.array([trap.p_release for trap in self.traps])
+        # ``_refresh_latent``'s per-trap term, with its exact operations.
+        log_terms = np.array([
+            math.log1p(-min(trap.depth * factors.depth_factor, 0.95))
+            for trap in self.traps
+        ])
+        n, traps = uniforms.shape
+        occupy = uniforms < p_occupy
+        keep = uniforms >= p_release
+        # Flat index, into the (n + 1, traps) tables below, of each
+        # trap's last setting step (row 0: the initial occupancy).
+        rows = np.arange(1, n + 1)[:, None] * traps
+        last_set = np.multiply(occupy == keep, rows)
+        last_set += np.arange(traps)
+        np.maximum.accumulate(last_set, axis=0, out=last_set)
+        value_at = np.empty((n + 1, traps), dtype=bool)
+        value_at[0] = state.occupancy
+        value_at[1:] = occupy
+        # Toggles (``u < p_occupy`` but ``u < p_release``) through each
+        # step, mod 2.
+        parity = np.empty((n + 1, traps), dtype=bool)
+        parity[0] = False
+        np.logical_xor.accumulate(occupy > keep, axis=0, out=parity[1:])
+        occupancy = value_at.ravel().take(last_set)
+        occupancy ^= parity.ravel().take(last_set)
+        occupancy ^= parity[1:]
+        log_mult = np.zeros((n, traps + 1))
+        np.multiply(occupancy, log_terms, out=log_mult[:, 1:])
+        log_mult = np.add.accumulate(log_mult, axis=1)[:, -1]
+        noise = _math_exp(0.0 + self.sigma_resid * residuals)
+        base = self.base_rdt * factors.rdt_factor
+        return (base * _math_exp(log_mult)) * noise, occupancy
 
     def threshold_series(
         self, condition: Condition, exposures: np.ndarray
@@ -683,47 +723,31 @@ class RowVrdProcess:
 
         State- and stream-identical to the same number of
         ``begin_measurement(condition)`` + ``current_threshold(condition)``
-        pairs: one uniform per trap (``rng.random(n_traps)`` draws them
-        element-sequentially, in ``Trap.step`` order), then the residual
-        normal, then the reference's scalar ``math`` recurrence. What the
-        walk saves is the per-window overhead — condition factors,
-        canonicalization, per-trap method calls — not the draws.
+        pairs. Every window's draws (one uniform per trap in ``Trap.step``
+        order, then the residual normal) come from one
+        :func:`repro.rng.step_draws` block, the chain is resolved over all
+        windows at once (:meth:`_chain_latents`), and the generator is
+        rewound to just after the first exceeded window.
         """
         condition = condition.canonical()
         state = self._state(condition)
+        exposures = np.asarray(exposures, dtype=float)
+        n = exposures.size
+        if n == 0:
+            return np.empty(0)
         factors = self.factors(condition)
-        p_occupy, p_release, log_terms = self._trap_constants(factors)
-        n_traps = len(log_terms)
-        base = self.base_rdt * factors.rdt_factor
-        margin_plus1 = 1.0 + factors.first_flip_margin
-        sigma_resid = self.sigma_resid
-        random, normal = state.rng.random, state.rng.normal
-        occupancy = list(state.occupancy)
-        latent = state.latent_rdt
-        thresholds: List[float] = []
-        for exposure in np.asarray(exposures, dtype=float).tolist():
-            u = random(n_traps).tolist()
-            log_mult = 0.0
-            for index in range(n_traps):
-                occupied = occupancy[index]
-                if u[index] < (
-                    p_release[index] if occupied else p_occupy[index]
-                ):
-                    occupied = not occupied
-                    occupancy[index] = occupied
-                if occupied:
-                    log_mult += log_terms[index]
-            noise = math.exp(normal(0.0, sigma_resid))
-            latent = base * math.exp(log_mult) * noise
-            threshold = latent * margin_plus1
-            thresholds.append(threshold)
-            if exposure >= threshold:
-                break
-        if thresholds:
-            state.occupancy = occupancy
-            state.latent_rdt = latent
-            state.measurement_index += len(thresholds)
-        return np.array(thresholds)
+        draws = step_draws(state.rng, n, len(self.traps), 1)
+        latent, occupancy = self._chain_latents(
+            state, factors, draws.uniforms, draws.normals[:, 0]
+        )
+        thresholds = latent * (1.0 + factors.first_flip_margin)
+        exceeded = np.flatnonzero(exposures >= thresholds)
+        stop = int(exceeded[0]) + 1 if exceeded.size else n
+        draws.rewind(stop)
+        state.occupancy = occupancy[stop - 1].tolist()
+        state.latent_rdt = float(latent[stop - 1])
+        state.measurement_index += stop
+        return thresholds[:stop]
 
     def trial_flips(
         self,
@@ -778,25 +802,14 @@ class RowVrdProcess:
         trials, as :func:`repro.core.guardband.margin_bitflip_experiment`
         does.
 
-        The only per-trial Python is the RNG draws: one uniform per trap
-        (``Trap.step`` order), then the residual normal, then one jitter
-        normal per non-weakest cell, drawn trial by trial because the two
-        samplers interleave. Everything else is resolved over all ``n``
-        trials at once, without reordering a single float operation:
-
-        * A trap's next state is ``u < p_occupy`` when that equals
-          ``u >= p_release`` (the old state does not matter), the old
-          state toggled when ``u < p_occupy`` but ``u < p_release``, and
-          the old state otherwise. Each trial's occupancy is therefore the
-          value set at the last setting trial (or the initial occupancy),
-          XOR the parity of the toggles since.
-        * ``log_mult`` accumulates trap by trap with a masked ``np.add``,
-          the scalar ``+=`` sequence; a sum across traps would reorder it.
-        * Exponentials go through ``math.exp`` (``np.exp`` may differ in
-          the last ULP), and cell jitters are only exponentiated for
-          candidate cells: ``exp(abs(z)) >= 1``, so a cell with
-          ``effective_hammers`` below its unjittered threshold can never
-          flip.
+        A trial draws one uniform per trap (``Trap.step`` order), then the
+        residual normal, then one jitter normal per non-weakest cell; all
+        ``n`` trials' draws come from one :func:`repro.rng.step_draws`
+        block. The chain is resolved over all trials at once
+        (:meth:`_chain_latents`), and cell jitters are only exponentiated
+        (``math.exp``) for candidate cells: ``exp(abs(z)) >= 1``, so a
+        cell with ``effective_hammers`` below its unjittered threshold can
+        never flip.
         """
         if effective_hammers < 0:
             raise ConfigurationError("effective hammer count must be >= 0")
@@ -809,39 +822,11 @@ class RowVrdProcess:
         flips = np.zeros((n, n_cells), dtype=bool)
         if n == 0:
             return flips
-        p_occupy, p_release, log_terms = self._trap_constants(factors)
-        n_traps = len(log_terms)
-        u = np.empty((n, n_traps))
-        z = np.empty((n, n_cells))
-        random, standard_normal = state.rng.random, state.rng.standard_normal
-        for u_trial, z_trial in zip(u, z):
-            random(out=u_trial)
-            standard_normal(out=z_trial)
-
-        trial_numbers = np.arange(1, n + 1)
-        value_at = np.empty(n + 1, dtype=bool)
-        toggles_through = np.zeros(n + 1, dtype=np.int64)
-        log_mult = np.zeros(n)
-        occupancy = []
-        for index in range(n_traps):
-            column = u[:, index]
-            value_at[0] = state.occupancy[index]
-            occupy = value_at[1:]
-            np.less(column, p_occupy[index], out=occupy)
-            keep = column >= p_release[index]
-            last_set = np.maximum.accumulate(
-                np.where(occupy == keep, trial_numbers, 0)
-            )
-            np.cumsum(occupy & ~keep, out=toggles_through[1:])
-            occupied = value_at[last_set] ^ (
-                (toggles_through[1:] - toggles_through[last_set]) & 1
-            ).astype(bool)
-            np.add(log_mult, log_terms[index], out=log_mult, where=occupied)
-            occupancy.append(bool(occupied[-1]))
-
-        base = self.base_rdt * factors.rdt_factor
-        noise = _math_exp(self.sigma_resid * z[:, 0])
-        latent = (base * _math_exp(log_mult)) * noise
+        draws = step_draws(state.rng, n, len(self.traps), n_cells)
+        z = draws.normals
+        latent, occupancy = self._chain_latents(
+            state, factors, draws.uniforms, z[:, 0]
+        )
         thresholds = latent[:, None] * (1.0 + margins)
         candidates = effective_hammers >= thresholds
         flips[:, weakest] = candidates[:, weakest]
@@ -856,7 +841,7 @@ class RowVrdProcess:
             effective_hammers >= thresholds[trials, cells] * jitter
         )
 
-        state.occupancy = occupancy
+        state.occupancy = occupancy[-1].tolist()
         state.latent_rdt = float(latent[-1])
         state.measurement_index += n
         return flips

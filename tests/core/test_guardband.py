@@ -255,6 +255,35 @@ class TestMarginChunks:
             )
         assert outcomes["kernel"] == outcomes["oracle"]
 
+    def test_chunk_size_changes_nothing(self, monkeypatch):
+        """Results, chain and generator do not depend on the chunk size."""
+        import repro.core.guardband as guardband
+
+        runs = []
+        for chunk in (1, 7, 4096):
+            monkeypatch.setattr(guardband, "TRIAL_CHUNK", chunk)
+            module, config = self._setup()
+            fingerprints = [
+                margin_fingerprint(margin_bitflip_experiment(
+                    module, 30, config, margins=(0.02, 0.1), trials=300
+                ))
+                for _ in range(2)
+            ]
+            process = module.fault_model.process(
+                0, module.bank(0).mapping.to_physical(30)
+            )
+            rng = process._state(config.condition(module.timing)).rng
+            runs.append((
+                fingerprints,
+                sequential_state(module, 30, config),
+                rng.bit_generator.state,
+            ))
+        assert runs[0] == runs[1] == runs[2]
+        assert any(
+            flipping for results in runs[0][0]
+            for _, _, _, flipping, _ in results
+        )
+
     def test_zero_and_negative_trials(self):
         module, config = self._setup()
         before = sequential_state(module, 30, config)

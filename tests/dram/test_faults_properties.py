@@ -1,10 +1,13 @@
 """Property-based tests on the VRD fault model's invariants."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import repro.rng
 
 from repro.dram.faults import (
     _GEOM_SEARCH_P,
@@ -314,6 +317,42 @@ def test_trial_flip_series_matches_scalar_pair(
         assert flips.all()
     elif drive_kind == "zero":
         assert not flips.any()
+
+
+def test_walks_add_trap_terms_left_to_right():
+    """Twelve always-occupied traps whose log terms sum differently
+    pairwise (numpy's ``sum``) than left to right (the scalar ``+=``):
+    both walks follow the scalar order."""
+    condition = Condition("checkered0", 35.0, 50.0)
+    depths = [0.773, 0.04, 0.659, 0.166, 0.778, 0.492, 0.277, 0.386,
+              0.035, 0.121, 0.607, 0.586]
+    traps = [Trap(depth=d, p_occupy=1.0, p_release=1e-9) for d in depths]
+    probe = make_process()
+    factor = probe.factors(condition).depth_factor
+    terms = [math.log1p(-min(d * factor, 0.95)) for d in depths]
+    left_to_right = 0.0
+    for term in terms:
+        left_to_right += term
+    assert left_to_right != float(np.sum(np.array([0.0] + terms)))
+    walk, reference = make_process(), make_process()
+    walk.traps = reference.traps = traps
+    exposures = np.zeros(50)
+    assert walk.threshold_series(condition, exposures).tolist() == (
+        _scalar_pair(reference, condition, exposures)
+    )
+    assert np.array_equal(
+        walk.trial_flip_series(condition, 1e12, 20),
+        _scalar_trials(reference, condition, 1e12, 20),
+    )
+    assert _chain_state(walk, condition) == _chain_state(reference, condition)
+
+
+def test_walks_match_scalar_pair_on_the_native_draw_route(monkeypatch):
+    """Both walks with the word mirror's probe forced false (numpy's own
+    per-step calls draw the blocks), bit-identical to the scalar pair."""
+    monkeypatch.setattr(repro.rng, "_WORD_MIRROR_OK", False)
+    test_threshold_series_matches_scalar_pair()
+    test_trial_flip_series_matches_scalar_pair()
 
 
 # ----------------------------------------------------------------------

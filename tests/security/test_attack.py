@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import TestConfig
 from repro.core.patterns import CHECKERED0
 from repro.errors import ConfigurationError
+from repro.security import attack as attack_module
 from repro.security import attack_escape, exposure_windows, profile_and_attack
 from tests.conftest import make_module
 from tests.differential.harness import (
@@ -205,3 +206,47 @@ class TestBatchedAttack:
             exposure_windows("para", 0.5, rng, 10)
         with pytest.raises(ConfigurationError):
             exposure_windows("blockhammer", 1000.0, rng, 10)
+
+
+class TestAttackChunks:
+    """``attack_escape``'s exposure chunk sizes change nothing: not the
+    outcome, the victim's chain, or the chain's generator, also when the
+    walk stops inside a chunk."""
+
+    @pytest.mark.parametrize(
+        "kind, threshold",
+        # graphene flips at windows 1081 and 1268, then holds; mint holds,
+        # flips at window 723, then holds.
+        [("graphene", 5720.0), ("mint", 2500.0)],
+    )
+    def test_chunk_sizes_change_nothing(self, monkeypatch, kind, threshold):
+        runs = []
+        for chunks in (
+            (1, 1), (3, 7),
+            (attack_module._MIN_CHUNK, attack_module._MAX_CHUNK),
+        ):
+            monkeypatch.setattr(attack_module, "_MIN_CHUNK", chunks[0])
+            monkeypatch.setattr(attack_module, "_MAX_CHUNK", chunks[1])
+            module = make_module(seed=5)
+            module.disable_interference_sources()
+            config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
+            outcomes = [
+                attack_escape(
+                    module, 100, config, kind, threshold, windows=1500, seed=3
+                )
+                for _ in range(3)
+            ]
+            process = module.fault_model.process(
+                0, module.bank(0).mapping.to_physical(100)
+            )
+            state = process._state(config.condition(module.timing))
+            runs.append((
+                outcomes,
+                list(state.occupancy),
+                state.latent_rdt,
+                state.measurement_index,
+                state.rng.bit_generator.state,
+            ))
+        assert runs[0] == runs[1] == runs[2]
+        assert any(outcome.flipped for outcome in runs[0][0])
+        assert not all(outcome.flipped for outcome in runs[0][0])

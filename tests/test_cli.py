@@ -204,6 +204,8 @@ def test_profile_adaptive(capsys, tmp_path):
     ["fig14", "--mixes", "0", "--window", "2000", "--no-cache"],
     ["table3", "--ber", "2"],
     ["attack", "M1", "--windows", "0"],
+    ["attack", "M1", "--margin", "1"],
+    ["attack", "M1", "--margin", "-0.1"],
     ["analyze", "{tmp}/nope.json"],
     ["analyze", "{tmp}"],
     ["analyze", "{tmp}/latin1.json"],
@@ -299,7 +301,10 @@ def test_measurement_count_outside_documented_range(capsys, argv):
 DOCUMENTED_RANGES = {
     "measure": ["1 to 10,000,000"],
     "profile": ["1 to 1,000,000", "1 to 256", "at most 3,000,000"],
-    "attack": ["1 to 10,000,000 (default 2000)", "1 to 10,000,000 (default 5)"],
+    "attack": [
+        "1 to 10,000,000 (default 2000)", "1 to 10,000,000 (default 5)",
+        "in [0, 1) (default 0)",
+    ],
 }
 
 
