@@ -334,11 +334,10 @@ class FastRdtMeter:
         Bit-identical to looping ``guess_rdt`` + ``measure_series`` per
         victim: latent series and guesses both come from the packed
         :class:`~repro.dram.fastfaults.BankVrdState` of these rows (built
-        once, then reused by the probe), stream-exact against the scalar
-        :class:`~repro.dram.faults.RowVrdProcess` route. This is what the
-        campaign loop consumes. Each row is quantized in place, so the
-        returned series are views of one ``(rows, n)`` matrix and no
-        second full-size copy exists.
+        once, then reused by the probe), as the per-row route's come from
+        one-row states. This is what the campaign loop consumes. Each row
+        is quantized in place, so the returned series are views of one
+        ``(rows, n)`` matrix and no second full-size copy exists.
         """
         victims = list(victims)
         if not victims:

@@ -1,34 +1,33 @@
-"""Array-backed fast path for the VRD device model.
+"""Array-backed device model: the one constructor of the VRD model.
 
-:class:`~repro.dram.faults.RowVrdProcess` is the *specification* of the
-device: readable, row-at-a-time, trap-object-per-trap. Like
-``MemorySystem.run`` (epoch-batched simulation == per-request loop), this
-module carries an equivalence contract, here at the device layer: every float produced here
-is **bit-identical** to the scalar reference, because both paths consume
-the same ``numpy.random.Generator`` streams draw for draw.
+The *specification* of the device is ``ReferenceRow`` in
+``tests/differential/harness.py``: row at a time, one ``Trap`` object per
+trap, with a scalar constructor, scalar condition factors and a one-shot
+series sampler. Every float produced here is **bit-identical** to it,
+because both consume the same ``numpy.random.Generator`` streams draw for
+draw.
 
-:class:`BankVrdState` packs the trap parameters, condition-response
-coefficients, and weak-cell tables of many rows into flat arrays once, then
-serves whole-bank latent-series queries (what ``module_campaign``, the
-Fig. 3-7 histograms/ACF, and the Fig. 25 scatter consume) without
-re-deriving per-row state, and the batched ``guess_RDT`` probe of row
-selection. The per-row series itself is generated by a mirror of
-``traps.sample_occupancy``: short series replay numpy's geometric
+:class:`BankVrdState` draws the parameters of many rows once and packs
+them into flat arrays, then serves whole-bank latent-series queries (what
+``module_campaign``, the Fig. 3-7 histograms/ACF, and the Fig. 25 scatter
+consume) and the batched ``guess_RDT`` probe of row selection;
+:class:`~repro.dram.faults.RowVrdProcess` takes one row's parameters from
+a one-row state. The per-row series is generated by a mirror of
+``traps.sample_occupancy_series``: short series replay numpy's geometric
 sampler value by value, longer ones feed the one sampler
 (``traps.fill_occupancy``) with run lengths resolved by a cumulative
 run-length table and one ``np.searchsorted`` per sub-draw, and take the
-same blocked product (``traps.latent_blocks``).
+blocked product (``traps.latent_blocks``).
 
 The stream-mirror rule
 ----------------------
 
-Anything that draws from a ``Generator`` in ``RowVrdProcess.__init__``
-or ``latent_series`` MUST be mirrored here in the exact same draw order.
-This module is the only packed twin of the specification: bulk series
-and the batched row probe (``ModuleFaultModel.probe_guess_means``) both
-run on :class:`BankVrdState`. The sequential path (``_state`` /
-``begin_measurement`` / ``trial_flips``) has no packed twin: it lives on
-``RowVrdProcess`` alone, whose per-row chain state carries over between
+Anything the reference row draws from a ``Generator`` in its constructor
+or ``latent_series`` MUST be drawn here in the exact same order;
+:class:`BankVrdState` is the only place in ``src/`` that draws the
+``vrd-row`` stream. The sequential chain (``_state`` /
+``begin_measurement`` / ``trial_flips``) lives on ``RowVrdProcess``, as
+the reference's does, and its per-row state carries over between
 callers. Its batched walks (``threshold_series`` /
 ``trial_flip_series``) take each block of per-step draws from
 :func:`repro.rng.step_draws`, which resolves ``random`` and
@@ -39,11 +38,11 @@ here are:
 
 * ``Generator(PCG64(SeedSequence words))`` for ``derive``'s
   ``Generator(PCG64(seed))``: :func:`repro.rng.generators` hashes every
-  row's seed into its four PCG64 state words in one array pass,
-  reproducing numpy's SeedSequence arithmetic, and hands them to PCG64
-  through numpy's public ``ISeedSequence`` interface (both the
-  ``vrd-row`` constructor streams and the ``vrd-series``/``guess``
-  streams);
+  row's seed into its four PCG64 state words in one array pass (numpy's
+  own SeedSequence below a few seeds), reproducing numpy's SeedSequence
+  arithmetic, and hands them to PCG64 through numpy's public
+  ``ISeedSequence`` interface (both the ``vrd-row`` constructor streams
+  and the ``vrd-series``/``guess`` streams);
 * ``standard_normal(k) * sigmas`` for a run of ``normal(0, sigma_i)``
   draws (``loc + scale * z`` with ``loc == 0``), in the constructor and
   for a short series' residual normals;
@@ -61,28 +60,31 @@ here are:
   sequential IEEE operations by ``np.multiply.accumulate`` /
   ``np.add.accumulate`` (see :func:`_build_run_tables`) on the first
   such query;
-* everything else falls back to the reference's own numpy calls with
+* everything else calls the same numpy functions as the reference, with
   identical argument arrays. Elementwise arithmetic (including
   ``np.exp``/``np.log1p``, whose results do not depend on an element's
   position in an array) may run over many rows at once; each row's
   occupancy product stays its own ``(n, traps) @ (traps,)`` call, whose
   BLAS summation order depends on the shape.
 
+Two float paths stay apart on purpose: the series takes its trap terms
+from ``np.log1p`` (``traps.log_depth_terms``), the chain from
+``math.log1p``/``math.exp``, each as its reference does.
+
 Both geometric mirrors are gated on
 :func:`repro.dram.faults.geometric_mirror_ok` (a once-per-process probe of
 numpy's private geometric sampler); when the mirror is off, run lengths
 come from ``rng.geometric`` itself — slower, still bit-identical.
 
-``tests/dram/test_fastfaults.py`` asserts exact equality against the
-scalar path across patterns, tAggOn, temperatures, voltages, series
-lengths on both sides of the short-series limit, and both series
-streams.
+``tests/dram/test_fastfaults.py`` and the ``fastfaults*``, ``probe`` and
+``long-series`` pairs of ``tests/differential`` assert exact equality
+with the reference row.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,16 +157,17 @@ def _build_run_tables(ps: np.ndarray) -> np.ndarray:
 
 
 class _TrapPlan:
-    """Precomputed sampling plan for one trap of one row.
+    """One trap of one row, with its precomputed sampling plan.
 
-    Raw transition probabilities feed the stationary distribution
-    (``Trap.sample_initial`` uses them unclamped); the clamped pair feeds
-    run-length sampling, mirroring ``sample_occupancy_series``.
-    ``c_occ``/``c_rel`` and ``s_occ``/``s_rel`` serve
-    :func:`_short_column`: ``s_*`` tells whether the clamped probability is
-    on numpy's geometric search branch, and ``c_*`` is then the search
-    recurrence's ``q = 1 - p``, otherwise the inversion divisor
-    ``log1p(-p)``; ``both_search`` is whether both are.
+    The raw transition probabilities ``p_occupy``/``p_release`` drive the
+    sequential chain (``RowVrdProcess.begin_measurement``) and the
+    stationary distribution (``Trap.sample_initial`` uses them unclamped);
+    the clamped pair ``p_occ``/``p_rel`` feeds run-length sampling,
+    mirroring ``sample_occupancy_series``. ``c_occ``/``c_rel`` and
+    ``s_occ``/``s_rel`` serve :func:`_short_column`: ``s_*`` tells whether
+    the clamped probability is on numpy's geometric search branch, and
+    ``c_*`` is then the search recurrence's ``q = 1 - p``, otherwise the
+    inversion divisor ``log1p(-p)``; ``both_search`` is whether both are.
     ``table_occ``/``table_rel`` are the searchsorted run tables, or
     ``None`` when this trap must use ``rng.geometric`` directly
     (inversion-branch probability, unsaturated table, or mirror
@@ -172,12 +175,15 @@ class _TrapPlan:
     """
 
     __slots__ = (
-        "depth", "p_occ", "p_rel", "stationary", "mean_run", "c_occ", "c_rel",
-        "s_occ", "s_rel", "both_search", "table_occ", "table_rel",
+        "depth", "p_occupy", "p_release", "p_occ", "p_rel", "stationary",
+        "mean_run", "c_occ", "c_rel", "s_occ", "s_rel", "both_search",
+        "table_occ", "table_rel",
     )
 
     def __init__(self, depth: float, p_occupy: float, p_release: float):
         self.depth = depth
+        self.p_occupy = p_occupy
+        self.p_release = p_release
         p_occ = min(max(p_occupy, _MIN_P), _MAX_P)
         p_rel = min(max(p_release, _MIN_P), _MAX_P)
         self.p_occ = p_occ
@@ -203,10 +209,7 @@ def _attach_run_tables(plans: Sequence[_TrapPlan]) -> None:
     """
     if not geometric_mirror_ok():
         return
-    eligible = [
-        plan for plan in plans
-        if plan.p_occ >= _GEOM_SEARCH_P and plan.p_rel >= _GEOM_SEARCH_P
-    ]
+    eligible = [plan for plan in plans if plan.both_search]
     if not eligible:
         return
     ps = np.empty(2 * len(eligible))
@@ -241,7 +244,7 @@ def _table_runs(plan: _TrapPlan, rng: Generator):
 def _trap_column(
     plan: _TrapPlan, n: int, rng: Generator, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Mirror of ``traps.sample_occupancy`` for one planned trap.
+    """Mirror of ``traps.sample_occupancy_series`` for one planned trap.
 
     Same draws in the same order: the initial-state uniform, then per batch
     either bulk uniforms resolved against the run tables (search branch)
@@ -323,8 +326,8 @@ def _short_column(plan: _TrapPlan, n: int, rng: Generator) -> List[bool]:
 def _weak_cell_polarity(
     true_cell_lookup, rows: Sequence[int], bits: np.ndarray
 ) -> np.ndarray:
-    """``RowVrdProcess.weak_cell_true`` for every row: one vectorized call
-    when the lookup is a :class:`~repro.dram.cells.CellLayout`'s
+    """Every row's weak-cell polarities (true cell or not): one vectorized
+    call when the lookup is a :class:`~repro.dram.cells.CellLayout`'s
     ``bit_is_true_cell``, one lookup per cell for any other callable."""
     if true_cell_lookup is None:
         return np.ones(bits.shape, dtype=bool)
@@ -345,16 +348,20 @@ def _weak_cell_polarity(
 
 
 class BankVrdState:
-    """All rows of one bank, packed for bulk device-model queries.
+    """Rows of one bank, packed for bulk device-model queries.
 
-    Construction mirrors ``RowVrdProcess.__init__`` draw for draw per row
-    — the only such mirror in the repository — and stores the results
-    columnar: base RDTs, residual sigmas, jittered condition-response
-    coefficients, weak-cell bit/margin/polarity tables, and per-trap
-    sampling plans. Condition factors are then resolved once per canonical
-    condition for every row at once, :meth:`latent_series_bulk` emits a
-    whole bank's series matrix, and :meth:`guess_means` serves the batched
-    row probe of Algorithm 1's ``guess_RDT``.
+    The one constructor of the device model: it draws every row's
+    parameters from the row's ``vrd-row`` stream, in the order of the
+    reference row's scalar constructor, and stores them columnar: base
+    RDTs, residual sigmas, jittered condition-response coefficients,
+    weak-cell bit/margin/polarity tables, and per-trap plans. Condition
+    factors are then resolved once per canonical condition for every row
+    at once (:meth:`_factors`, the one factor routine),
+    :meth:`latent_series_bulk` emits a whole bank's series matrix,
+    :meth:`latent_blocks` streams one row's, and :meth:`guess_means`
+    serves the batched row probe of Algorithm 1's ``guess_RDT``. A
+    :class:`~repro.dram.faults.RowVrdProcess` runs its sequential chain
+    over a one-row state.
 
     Rows may repeat (deterministic streams make re-measurement identical);
     ``rows``-keyed lookups resolve to the *last* occurrence.
@@ -376,6 +383,7 @@ class BankVrdState:
             )
         self.params = params
         self.row_bits = row_bits
+        self.seed = seed
         self.module_id = module_id
         self.bank = bank
         self.rows: Tuple[int, ...] = tuple(int(row) for row in rows)
@@ -417,7 +425,7 @@ class BankVrdState:
         )
 
         for index, rng in enumerate(row_rngs):
-            # -- draw mirror of RowVrdProcess.__init__ -------------------
+            # -- the reference row's constructor draws --------------------
             base = float(params.mean_rdt * np.exp(rng.normal(0.0, params.spatial_sigma)))
             coupling = (params.mean_rdt / base) ** params.vulnerability_coupling
             coupling = min(max(coupling, 0.5), 3.0)
@@ -455,7 +463,7 @@ class BankVrdState:
             rng.shuffle(bits)
             rng.standard_exponential(out=gaps[index])
             penalty_col[index] = rng.uniform(0.03, 0.15)
-            # -- end of the constructor mirror ---------------------------
+            # -- end of the constructor draws ----------------------------
 
             base_rdt[index] = base
             coupling_col[index] = coupling
@@ -506,7 +514,7 @@ class BankVrdState:
 
     def _attach_tables(self) -> None:
         """Build the searchsorted run tables of every trap, once, on the
-        first series query too long for :func:`_short_column`."""
+        first series query that :func:`_short_column` does not serve."""
         self._tables_attached = True
         plans = [plan for row in self._row_plans for plan in row]
         _attach_run_tables(plans)
@@ -527,10 +535,11 @@ class BankVrdState:
         """``(rdt_factor, depth_factor, margins, first_flip_margin, level)``
         arrays for a canonical condition; cached.
 
-        Every operation matches ``RowVrdProcess.factors`` elementwise: the
-        products keep the reference's left-to-right association (scalar *
-        array binary ops are applied per element in the same order), and
-        ``np.maximum`` equals the scalar ``max`` floor per element.
+        Every operation matches the reference row's scalar ``factors``
+        elementwise: the products keep its left-to-right association
+        (scalar * array binary ops are applied per element in the same
+        order), and ``np.maximum`` equals the scalar ``max`` floor per
+        element.
         """
         cached = self._factors_cache.get(condition)
         if cached is not None:
@@ -603,31 +612,20 @@ class BankVrdState:
     # Fast path: bulk latent series
     # ------------------------------------------------------------------
 
-    def latent_series_bulk(
-        self,
-        condition: Condition,
-        n: int,
-        stream: str = "series",
-        rows: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
-        """Latent series of every row (or a subset), as an ``(R, n)`` matrix.
-
-        Row ``k`` is bit-identical to
-        ``RowVrdProcess(...).latent_series(condition, n, stream)`` for the
-        corresponding physical row.
-        """
+    def _series_inputs(
+        self, condition: Condition, n: int, stream: str, indices: Sequence[int]
+    ) -> tuple:
+        """``(level, log_terms, rngs)`` of a series query over the packed
+        rows ``indices``: every row's level, every trap's log multiplier,
+        and one series generator per queried row."""
         check_series_length(n)
         condition = condition.canonical()
         _, depth_factor, _, _, level = self._factors(condition)
         suffix = self._series_suffix(condition, stream)
-        indices = self._local_indices(rows)
         recorder = obs.active()
         if recorder.enabled:
             recorder.counter_add("fastfaults.series_rows", len(indices))
             recorder.counter_add("fastfaults.series_values", len(indices) * n)
-        short = 0 < n <= _MIN_BATCH and geometric_mirror_ok()
-        if not short and not self._tables_attached:
-            self._attach_tables()
         series_rngs = generators([
             seed_from_prefix(self._series_prefix, self._row_tails[i], suffix)
             for i in indices
@@ -637,23 +635,51 @@ class BankVrdState:
         log_terms = log_depth_terms(
             self._trap_depths, np.repeat(depth_factor, self._trap_counts)
         )
-        if short:
-            return self._short_series(indices, level, n, series_rngs, log_terms)
-        out = np.empty((len(indices), n))
-        level = level.tolist()
-        for k, (i, srng) in enumerate(zip(indices, series_rngs)):
-            self._series_row(i, log_terms, level[i], n, srng, out[k])
-        return out
+        return level, log_terms, series_rngs
 
-    def latent_series(
+    def latent_series_bulk(
         self,
-        row: int,
         condition: Condition,
         n: int,
         stream: str = "series",
+        rows: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
-        """Single-row convenience wrapper around :meth:`latent_series_bulk`."""
-        return self.latent_series_bulk(condition, n, stream=stream, rows=[row])[0]
+        """Latent series of every row (or a subset), as an ``(R, n)`` matrix.
+
+        Row ``k`` is bit-identical to the reference row's
+        ``latent_series(condition, n, stream)`` for the corresponding
+        physical row.
+        """
+        indices = self._local_indices(rows)
+        level, log_terms, series_rngs = self._series_inputs(
+            condition, n, stream, indices
+        )
+        if 0 < n <= _MIN_BATCH and geometric_mirror_ok():
+            return self._short_series(indices, level, n, series_rngs, log_terms)
+        out = np.empty((len(indices), n))
+        for k, (i, srng) in enumerate(zip(indices, series_rngs)):
+            blocks = self._row_blocks(i, log_terms, float(level[i]), n, srng)
+            for start, values in blocks:
+                out[k, start:start + values.size] = values
+        return out
+
+    def latent_blocks(
+        self, row: int, condition: Condition, n: int, stream: str = "series"
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """One row's :meth:`latent_series_bulk` in blocks: an iterator of
+        ``(start, values)`` pairs, one per
+        :data:`~repro.dram.traps.SERIES_BLOCK` measurements, so a long
+        series never needs more than its bit-packed occupancy and one
+        block.
+
+        Every trap's occupancy is drawn before this returns; the residual
+        normals are drawn block by block as the iterator is consumed,
+        after all traps, so the stream order is that of one
+        ``normal(0, sigma, n)`` draw.
+        """
+        i = self._index_of[int(row)]
+        level, log_terms, (srng,) = self._series_inputs(condition, n, stream, [i])
+        return self._row_blocks(i, log_terms, float(level[i]), n, srng)
 
     def guess_means(
         self,
@@ -713,25 +739,25 @@ class BankVrdState:
         values *= np.exp(normals)
         return values
 
-    def _series_row(
+    def _row_blocks(
         self,
         i: int,
         log_terms: np.ndarray,
         level: float,
         n: int,
         srng: Generator,
-        out: np.ndarray,
-    ) -> None:
-        """Mirror of ``latent_series`` for packed row ``i`` (canonical
-        condition already folded into ``log_terms``/``level``), written
-        into ``out`` block by block."""
+    ) -> Iterator[Tuple[int, np.ndarray]]:
+        """Mirror of the reference series for packed row ``i`` (canonical
+        condition already folded into ``log_terms``/``level``), as
+        :func:`~repro.dram.traps.latent_blocks` yields it: every trap's
+        column (:func:`_trap_column`), then the blocked product."""
+        if not self._tables_attached:
+            self._attach_tables()
         plans = self._row_plans[i]
         occupancy = new_occupancy(len(plans), n)
         for plan, plan_out in zip(plans, trap_outputs(occupancy)):
             _trap_column(plan, n, srng, plan_out)
         row_terms = log_terms[self._trap_starts[i]:self._trap_starts[i + 1]].copy()
-        blocks = latent_blocks(
+        return latent_blocks(
             occupancy, n, row_terms, level, float(self.sigma_resid[i]), srng
         )
-        for start, values in blocks:
-            out[start:start + values.size] = values

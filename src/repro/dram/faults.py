@@ -4,7 +4,7 @@ This module is the device-level substitution for the paper's real DRAM chips
 (DESIGN.md Sec. 1). Each row owns:
 
 * a **base RDT** (spatial variation across rows, lognormal);
-* a set of fast, shallow :class:`~repro.dram.traps.Trap` objects plus an
+* a set of fast, shallow charge traps (:mod:`repro.dram.traps`) plus an
   occasional slow, deep trap — the paper's hypothesized trap-assisted
   mechanism (Sec. 4.2). Occupied traps lower the instantaneous RDT;
 * a small lognormal residual;
@@ -15,11 +15,15 @@ Test conditions (data pattern, aggressor-row on-time, temperature) scale the
 base RDT and the trap depths through per-row response factors, reproducing
 the paper's Findings 12-16 (condition-dependent VRD profiles).
 
-Two consumption paths share this model and agree by construction:
+One constructor draws every row's parameters and one routine resolves its
+condition factors, both on :class:`~repro.dram.fastfaults.BankVrdState`;
+a :class:`RowVrdProcess` is built from a one-row state. Two consumption
+paths share this model:
 
 * the **bit-level path**: the simulated bank asks for flips given
   accumulated aggressor activations and the stored data (used by the DRAM
-  Bender interpreter — the faithful Algorithm 1 route);
+  Bender interpreter — the faithful Algorithm 1 route), stepping the
+  row's sequential chain;
 * the **fast path**: :meth:`RowVrdProcess.latent_series` vectorizes the
   latent threshold over many measurements for statistics-heavy benchmarks
   (Figs. 1, 3-8). In both paths one latent sample corresponds to one RDT
@@ -37,15 +41,6 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from repro import obs
-from repro.dram.traps import (
-    Trap,
-    check_series_length,
-    latent_blocks,
-    log_depth_terms,
-    new_occupancy,
-    sample_occupancy,
-    trap_outputs,
-)
 from repro.errors import ConfigurationError
 from repro.rng import derive, step_draws
 
@@ -90,50 +85,27 @@ _INT64_MAX = 9223372036854775807
 def _geometric_search_mirror_ok() -> bool:
     """One-time check that our geometric sampler mirror is exact.
 
-    The fast path re-derives ``rng.geometric(p)``:
-
-    * search branch (``p >= 1/3``): draw ``u = rng.random()``, run numpy's
-      search recurrence (``sum/prod`` accumulation in double precision);
-    * inversion branch (``p < 1/3``): draw ``e = rng.standard_exponential()``
-      (one ziggurat draw), value ``ceil(-e / log1p(-p))`` clipped to int64.
-
-    Array draws consume the bit stream element-sequentially, so alternating
-    branches mirror as alternating scalar draws. The mirror is tied to
-    numpy's private sampling algorithm, so we verify it once against a
-    few seeds covering both branches, the boundary, and a mixed-branch
-    array; on any mismatch (e.g. a future numpy changes the sampler) the
-    fast path silently falls back to calling ``rng.geometric`` for every
-    trap — slower, but still bit-identical to the reference path.
+    The packed series re-derives ``rng.geometric(p)`` from numpy's private
+    algorithm (see :func:`repro.dram.fastfaults._short_column`): one
+    uniform and the search recurrence for ``p >= 1/3``, one ziggurat
+    standard exponential and ``ceil(-e / log1p(-p))`` below it. So we
+    verify once that the mirror samples what ``sample_occupancy_series``
+    samples (the same column, the same generator state after) for traps
+    on both branches, at the boundary and with one probability on each;
+    on any mismatch (e.g. a future numpy changes the sampler) the fast
+    path silently falls back to calling ``rng.geometric`` for every trap
+    — slower, but still bit-identical to the reference path.
     """
-    cases = [
-        (1234, (0.7,) * 8),
-        (99, (0.34,) * 8),
-        (7, (_GEOM_SEARCH_P,) * 8),
-        (3, (0.97,) * 8),
-        (21, (0.05,) * 8),
-        (45, (0.6, 0.02) * 4),  # alternating search/inversion
-    ]
-    for seed, probs in cases:
+    from repro.dram.fastfaults import _short_column, _TrapPlan
+    from repro.dram.traps import Trap, sample_occupancy_series
+
+    cases = [(0.7, 0.7), (0.34, 0.34), (_GEOM_SEARCH_P,) * 2, (0.97, 0.97),
+             (0.05, 0.05), (0.6, 0.02)]
+    for seed, probs in enumerate(cases):
         ref_rng = Generator(PCG64(seed))
         mirror_rng = Generator(PCG64(seed))
-        reference = ref_rng.geometric(np.array(probs))
-        mirrored = []
-        for p in probs:
-            if p >= _GEOM_SEARCH_P:
-                u = mirror_rng.random()
-                q = 1.0 - p
-                total_p = p
-                prod = p
-                length = 1
-                while u > total_p:
-                    prod *= q
-                    total_p += prod
-                    length += 1
-            else:
-                draw = mirror_rng.standard_exponential()
-                length = min(math.ceil(-draw / math.log1p(-p)), _INT64_MAX)
-            mirrored.append(length)
-        if list(reference) != mirrored:
+        reference = sample_occupancy_series(Trap(0.1, *probs), 200, ref_rng)
+        if _short_column(_TrapPlan(0.1, *probs), 200, mirror_rng) != reference.tolist():
             return False
         if ref_rng.bit_generator.state != mirror_rng.bit_generator.state:
             return False
@@ -315,13 +287,22 @@ class ConditionFactors:
 
 
 class _ConditionState:
-    """Sequential latent state of one row under one condition."""
+    """Sequential latent state of one row under one condition, with the
+    row's factors, per-weak-cell flip margins (``weak_cell_bits`` order)
+    and per-trap ``log(1 - effective depth)`` terms (by ``math.log1p``)
+    under that condition."""
 
-    __slots__ = ("occupancy", "latent_rdt", "rng", "measurement_index")
+    __slots__ = (
+        "occupancy", "rng", "factors", "margins", "log_terms",
+        "latent_rdt", "measurement_index",
+    )
 
-    def __init__(self, occupancy: List[bool], rng: np.random.Generator):
-        self.occupancy = occupancy
-        self.rng = rng
+    def __init__(self, occupancy, rng, factors, margins, log_terms):
+        self.occupancy: List[bool] = occupancy
+        self.rng: np.random.Generator = rng
+        self.factors: ConditionFactors = factors
+        self.margins: np.ndarray = margins
+        self.log_terms: List[float] = log_terms
         self.latent_rdt: float = math.nan
         self.measurement_index: int = 0
 
@@ -329,278 +310,50 @@ class _ConditionState:
 class RowVrdProcess:
     """The VRD stochastic process of a single DRAM row.
 
-    Construction consumes a dedicated RNG stream so a (module, bank, row)
-    triple always produces the same physical row. Per-condition sequential
-    state uses further derived streams.
+    Its parameters (base RDT, trap plans, residual sigma, weak cells and
+    condition responses) come from a one-row
+    :class:`~repro.dram.fastfaults.BankVrdState`, the one constructor of
+    the device model, so a (module, bank, row) triple always produces the
+    same physical row. This object adds the sequential chain: per-condition
+    latent state on further derived streams, carried over between callers.
     """
 
-    def __init__(
-        self,
-        params: VrdModelParams,
-        row_bits: int,
-        seed: int,
-        identity: Tuple[str, int, int],
-        true_cell_lookup=None,
-    ):
-        if row_bits < params.weak_cells:
-            raise ConfigurationError(
-                f"row has {row_bits} bits but model needs {params.weak_cells} weak cells"
-            )
-        self.params = params
-        self.row_bits = row_bits
-        self.identity = identity
-        self._seed = seed
-        module_id, bank, row = identity
-        rng = derive(seed, "vrd-row", module_id, bank, row)
-
-        # Spatial variation: base RDT of this row.
-        self.base_rdt = float(
-            params.mean_rdt * np.exp(rng.normal(0.0, params.spatial_sigma))
-        )
-        # Vulnerable (low base RDT) rows carry proportionally deeper traps.
-        coupling = float(
-            np.clip(
-                (params.mean_rdt / self.base_rdt)
-                ** params.vulnerability_coupling,
-                0.5,
-                3.0,
-            )
-        )
-        self.severity_multiplier = coupling
-
-        # Shallow fast traps.
-        self.traps: List[Trap] = []
-        n_small = int(rng.poisson(params.trap_count_mean))
-        for _ in range(n_small):
-            depth = float(
-                np.clip(
-                    rng.exponential(
-                        params.depth_scale * params.severity * coupling
-                    ),
-                    1e-4,
-                    0.5,
-                )
-            )
-            pi = float(rng.beta(2.0, 2.0))
-            # Fast traps resample every measurement (dwell ~ one sweep):
-            # successive measurements are independent, matching Finding 3
-            # (most states last one measurement) and Finding 4 (no
-            # temporal structure detectable even by portmanteau tests).
-            self.traps.append(
-                Trap(
-                    depth=depth,
-                    p_occupy=max(1e-6, pi),
-                    p_release=max(1e-6, 1.0 - pi),
-                )
-            )
-
-        # Slow shallow trap whose rare occupancy defines the series minimum.
-        self.has_rare_trap = bool(rng.random() < params.rare_trap_prob)
-        if self.has_rare_trap:
-            depth = float(
-                np.clip(
-                    rng.uniform(0.85, 1.15) * params.rare_trap_depth * coupling,
-                    5e-3,
-                    0.3,
-                )
-            )
-            pi = float(
-                np.exp(rng.uniform(np.log(params.rare_pi_lo),
-                                   np.log(params.rare_pi_hi)))
-            )
-            # Near-unit release probability keeps dip dwell at about one
-            # measurement, so the minimum appears as isolated excursions.
-            speed = float(rng.uniform(0.8, 1.0))
-            self.traps.append(
-                Trap(
-                    depth=depth,
-                    p_occupy=max(1e-7, speed * pi),
-                    p_release=max(1e-7, speed * (1.0 - pi)),
-                )
-            )
-
-        # Occasional slow deep trap: rare excursions to a much lower RDT.
-        self.has_big_trap = bool(rng.random() < params.big_trap_prob)
-        if self.has_big_trap:
-            depth = float(
-                np.clip(
-                    rng.uniform(0.5, 1.0)
-                    * params.big_trap_depth
-                    * params.severity,
-                    0.02,
-                    0.8,
-                )
-            )
-            pi = float(np.exp(rng.uniform(np.log(0.002), np.log(0.2))))
-            speed = float(rng.uniform(0.2, 1.0))
-            self.traps.append(
-                Trap(
-                    depth=depth,
-                    p_occupy=max(1e-6, speed * pi),
-                    p_release=max(1e-6, speed * (1.0 - pi)),
-                )
-            )
-
-        # Residual measurement-to-measurement noise.
-        self.sigma_resid = float(
-            params.sigma_resid * coupling * np.exp(rng.normal(0.0, 0.4))
-        )
-
-        # Per-row condition responses, jittered around module-level values.
-        # The wide per-row pattern jitter drives Fig. 7's max-over-config
-        # CV well above the typical single-config CV.
-        self._pattern_depth = {
-            key: value * float(np.exp(rng.normal(0.0, 0.30)))
-            for key, value in params.pattern_depth.items()
-        }
-        self._pattern_rdt = {
-            key: value * float(np.exp(rng.normal(0.0, 0.02)))
-            for key, value in params.pattern_rdt.items()
-        }
-        self._taggon_depth_slope = params.taggon_depth_slope + float(
-            rng.normal(0.0, 0.01)
-        )
-        self._temp_depth_coeff = params.temp_depth_coeff * float(
-            np.exp(rng.normal(0.0, 0.3))
-        )
-
-        # Weak cells: bit positions, increasing margins, polarity. Margin
-        # gaps grow geometrically: a handful of cells sit within ~15% of
-        # the weakest, but even deep threshold dips (big-trap excursions)
-        # only reach a few more — matching the paper's observation of at
-        # most ~5 unique flipping cells per row at a 10% safety margin.
-        positions = rng.choice(row_bits, size=params.weak_cells, replace=False)
-        self.weak_cell_bits = np.sort(positions.astype(np.int64))
-        rng.shuffle(self.weak_cell_bits)  # margin order independent of position
-        growth = 2.0 ** np.arange(params.weak_cells)
-        gaps = rng.exponential(params.cell_margin_scale, params.weak_cells)
-        gaps = gaps * growth
-        gaps[0] = 0.0
-        self.weak_cell_margins = np.cumsum(gaps)
-        if true_cell_lookup is None:
-            self.weak_cell_true = np.ones(params.weak_cells, dtype=bool)
-        else:
-            self.weak_cell_true = np.array(
-                [true_cell_lookup(row, int(bit)) for bit in self.weak_cell_bits],
-                dtype=bool,
-            )
-        self.uncharged_penalty = float(rng.uniform(0.03, 0.15))
-
+    def __init__(self, state):
+        self._bank = state
+        self.params = state.params
+        self.identity = (state.module_id, state.bank, state.rows[0])
+        self.base_rdt = float(state.base_rdt[0])
+        self.sigma_resid = float(state.sigma_resid[0])
+        self.weak_cell_bits = state.weak_cell_bits[0]
+        #: The row's trap plans (:class:`~repro.dram.fastfaults._TrapPlan`).
+        self.traps = state._row_plans[0]
         self._condition_states: Dict[Condition, _ConditionState] = {}
 
-    # ------------------------------------------------------------------
-    # Condition factors
-    # ------------------------------------------------------------------
-
-    def _taggon_rdt_factor(self, t_agg_on: float) -> float:
-        """RowPress RDT factor, normalized to 1 at the reference on-time."""
-        params = self.params
-
-        def g(t: float) -> float:
-            return 1.0 / (1.0 + (t / params.taggon_rdt_tau_ns) ** params.taggon_rdt_alpha)
-
-        return g(t_agg_on) / g(REFERENCE_T_AGG_ON)
-
-    def _charged_under_pattern(self, pattern: str) -> np.ndarray:
-        """Which weak cells hold charge under a canonical pattern's victim data."""
-        if pattern not in PATTERN_VICTIM_BYTE:
-            return np.ones(len(self.weak_cell_bits), dtype=bool)
-        byte = PATTERN_VICTIM_BYTE[pattern]
-        bit_values = (byte >> (self.weak_cell_bits % 8)) & 1
-        return (bit_values == 1) == self.weak_cell_true
-
-    def _cell_margins_for(self, pattern: str) -> np.ndarray:
-        """Per-weak-cell flip margins including the uncharged penalty."""
-        charged = self._charged_under_pattern(pattern)
-        return self.weak_cell_margins + np.where(charged, 0.0, self.uncharged_penalty)
-
     def factors(self, condition: Condition) -> ConditionFactors:
-        """Resolve the condition multipliers for this row."""
-        condition = condition.canonical()
-        pattern = condition.pattern
-        undervolt = REFERENCE_WORDLINE_VOLTAGE - condition.wordline_voltage
-        rdt_factor = (
-            self._pattern_rdt.get(pattern, 1.0)
-            * self._taggon_rdt_factor(condition.t_agg_on)
-            * max(0.05, 1.0 + self.params.temp_rdt_coeff
-                  * (condition.temperature - REFERENCE_TEMPERATURE))
-            * max(0.05, 1.0 + self.params.voltage_rdt_coeff * undervolt)
-        )
-        decades = math.log10(condition.t_agg_on / REFERENCE_T_AGG_ON)
-        taggon_term = (
-            1.0
-            + self._taggon_depth_slope * decades
-            + self.params.taggon_depth_quad * decades * decades
-        )
-        depth_factor = (
-            self._pattern_depth.get(pattern, 1.0)
-            * max(0.05, taggon_term)
-            * max(0.05, 1.0 + self._temp_depth_coeff
-                  * (condition.temperature - REFERENCE_TEMPERATURE))
-            * max(0.05, 1.0 + self.params.voltage_depth_coeff * undervolt)
-        )
-        margins = self._cell_margins_for(pattern)
-        return ConditionFactors(
-            rdt_factor=float(rdt_factor),
-            depth_factor=float(depth_factor),
-            first_flip_margin=float(margins.min()),
-        )
+        """The condition multipliers of this row."""
+        rdt, depth, _, first_flip, _ = self._bank._factors(condition.canonical())
+        return ConditionFactors(float(rdt[0]), float(depth[0]), float(first_flip[0]))
 
     # ------------------------------------------------------------------
     # Fast path: vectorized measurement series
     # ------------------------------------------------------------------
 
-    def latent_blocks(
-        self,
-        condition: Condition,
-        n: int,
-        stream: str = "series",
-    ):
+    def latent_blocks(self, condition: Condition, n: int, stream: str = "series"):
         """:meth:`latent_series` in blocks: an iterator of ``(start,
         values)`` pairs, one per :data:`~repro.dram.traps.SERIES_BLOCK`
-        measurements.
-
-        Every trap's occupancy is drawn before this returns (bit-packed
-        when the series spans several blocks);
-        the residual normals are drawn block by block as the iterator is
-        consumed, after all traps, so the stream order is that of one
-        ``normal(0, sigma, n)`` draw.
-        """
-        check_series_length(n)
-        condition = condition.canonical()
-        factors = self.factors(condition)
-        module_id, bank, row = self.identity
-        rng = derive(
-            self._seed, "vrd-series", module_id, bank, row,
-            condition.pattern, str(condition.t_agg_on),
-            str(condition.temperature), str(condition.wordline_voltage),
-            stream,
-        )
-        occupancy = new_occupancy(len(self.traps), n)
-        for trap, out in zip(self.traps, trap_outputs(occupancy)):
-            sample_occupancy(trap, n, rng, out)
-        log_terms = log_depth_terms(
-            np.array([trap.depth for trap in self.traps]), factors.depth_factor
-        )
-        level = self.base_rdt * factors.rdt_factor * (1.0 + factors.first_flip_margin)
-        return latent_blocks(occupancy, n, log_terms, level, self.sigma_resid, rng)
+        measurements (see :meth:`~repro.dram.fastfaults.BankVrdState
+        .latent_blocks`)."""
+        return self._bank.latent_blocks(self.identity[2], condition, n, stream)
 
     def latent_series(
-        self,
-        condition: Condition,
-        n: int,
-        stream: str = "series",
+        self, condition: Condition, n: int, stream: str = "series"
     ) -> np.ndarray:
         """Latent first-flip thresholds for ``n`` successive measurements.
 
         One entry corresponds to one RDT measurement of Algorithm 1; the
         measurement layer quantizes these onto its hammer-count grid.
         """
-        blocks = self.latent_blocks(condition, n, stream)
-        out = np.empty(n)
-        for start, values in blocks:
-            out[start:start + values.size] = values
-        return out
+        return self._bank.latent_series_bulk(condition, n, stream)[0]
 
     # ------------------------------------------------------------------
     # Sequential path: bit-level trials
@@ -612,49 +365,53 @@ class RowVrdProcess:
         if state is None:
             module_id, bank, row = self.identity
             rng = derive(
-                self._seed, "vrd-seq", module_id, bank, row,
+                self._bank.seed, "vrd-seq", module_id, bank, row,
                 condition.pattern, str(condition.t_agg_on),
                 str(condition.temperature), str(condition.wordline_voltage),
             )
-            occupancy = [trap.sample_initial(rng) for trap in self.traps]
-            state = _ConditionState(occupancy, rng)
-            self._refresh_latent(condition, state)
+            occupancy = [bool(rng.random() < trap.stationary) for trap in self.traps]
+            factors = self.factors(condition)
+            log_terms = [
+                math.log1p(-min(trap.depth * factors.depth_factor, 0.95))
+                for trap in self.traps
+            ]
+            margins = self._bank._factors(condition)[2][0]
+            state = _ConditionState(occupancy, rng, factors, margins, log_terms)
+            self._refresh_latent(state)
             self._condition_states[condition] = state
         return state
 
-    def _refresh_latent(self, condition: Condition, state: _ConditionState) -> None:
-        factors = self.factors(condition)
+    def _refresh_latent(self, state: _ConditionState) -> None:
         log_mult = 0.0
-        for trap, occupied in zip(self.traps, state.occupancy):
+        for term, occupied in zip(state.log_terms, state.occupancy):
             if occupied:
-                log_mult += math.log1p(-min(trap.depth * factors.depth_factor, 0.95))
+                log_mult += term
         noise = math.exp(state.rng.normal(0.0, self.sigma_resid))
         state.latent_rdt = (
-            self.base_rdt * factors.rdt_factor * math.exp(log_mult) * noise
+            self.base_rdt * state.factors.rdt_factor * math.exp(log_mult) * noise
         )
 
     def begin_measurement(self, condition: Condition) -> None:
-        """Advance the latent chain one measurement step (the fault clock)."""
-        condition = condition.canonical()
+        """Advance the latent chain one measurement step (the fault clock):
+        each trap leaves its state with probability ``p_release`` when
+        occupied and ``p_occupy`` when not, one uniform per trap."""
         state = self._state(condition)
+        rng = state.rng
         state.occupancy = [
-            trap.step(occupied, state.rng)
+            occupied != (rng.random() < (trap.p_release if occupied else trap.p_occupy))
             for trap, occupied in zip(self.traps, state.occupancy)
         ]
-        self._refresh_latent(condition, state)
+        self._refresh_latent(state)
         state.measurement_index += 1
 
     def current_threshold(self, condition: Condition) -> float:
         """The hammer count at which the current measurement first flips."""
-        condition = condition.canonical()
         state = self._state(condition)
-        factors = self.factors(condition)
-        return state.latent_rdt * (1.0 + factors.first_flip_margin)
+        return state.latent_rdt * (1.0 + state.factors.first_flip_margin)
 
     def _chain_latents(
         self,
         state: _ConditionState,
-        factors: ConditionFactors,
         uniforms: np.ndarray,
         residuals: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -679,11 +436,7 @@ class RowVrdProcess:
         """
         p_occupy = np.array([trap.p_occupy for trap in self.traps])
         p_release = np.array([trap.p_release for trap in self.traps])
-        # ``_refresh_latent``'s per-trap term, with its exact operations.
-        log_terms = np.array([
-            math.log1p(-min(trap.depth * factors.depth_factor, 0.95))
-            for trap in self.traps
-        ])
+        log_terms = np.array(state.log_terms)
         n, traps = uniforms.shape
         occupy = uniforms < p_occupy
         keep = uniforms >= p_release
@@ -708,7 +461,7 @@ class RowVrdProcess:
         np.multiply(occupancy, log_terms, out=log_mult[:, 1:])
         log_mult = np.add.accumulate(log_mult, axis=1)[:, -1]
         noise = _math_exp(0.0 + self.sigma_resid * residuals)
-        base = self.base_rdt * factors.rdt_factor
+        base = self.base_rdt * state.factors.rdt_factor
         return (base * _math_exp(log_mult)) * noise, occupancy
 
     def threshold_series(
@@ -723,24 +476,22 @@ class RowVrdProcess:
 
         State- and stream-identical to the same number of
         ``begin_measurement(condition)`` + ``current_threshold(condition)``
-        pairs. Every window's draws (one uniform per trap in ``Trap.step``
-        order, then the residual normal) come from one
-        :func:`repro.rng.step_draws` block, the chain is resolved over all
-        windows at once (:meth:`_chain_latents`), and the generator is
-        rewound to just after the first exceeded window.
+        pairs. Every window's draws (one uniform per trap, as
+        :meth:`begin_measurement` draws them, then the residual normal)
+        come from one :func:`repro.rng.step_draws` block, the chain is
+        resolved over all windows at once (:meth:`_chain_latents`), and
+        the generator is rewound to just after the first exceeded window.
         """
-        condition = condition.canonical()
         state = self._state(condition)
         exposures = np.asarray(exposures, dtype=float)
         n = exposures.size
         if n == 0:
             return np.empty(0)
-        factors = self.factors(condition)
         draws = step_draws(state.rng, n, len(self.traps), 1)
         latent, occupancy = self._chain_latents(
-            state, factors, draws.uniforms, draws.normals[:, 0]
+            state, draws.uniforms, draws.normals[:, 0]
         )
-        thresholds = latent * (1.0 + factors.first_flip_margin)
+        thresholds = latent * (1.0 + state.factors.first_flip_margin)
         exceeded = np.flatnonzero(exposures >= thresholds)
         stop = int(exceeded[0]) + 1 if exceeded.size else n
         draws.rewind(stop)
@@ -764,9 +515,8 @@ class RowVrdProcess:
         """
         if effective_hammers < 0:
             raise ConfigurationError("effective hammer count must be >= 0")
-        condition = condition.canonical()
         state = self._state(condition)
-        margins = self._cell_margins_for(condition.pattern)
+        margins = state.margins
         weakest = int(np.argmin(margins))
         flips: List[int] = []
         for index, (bit, margin) in enumerate(
@@ -802,10 +552,10 @@ class RowVrdProcess:
         trials, as :func:`repro.core.guardband.margin_bitflip_experiment`
         does.
 
-        A trial draws one uniform per trap (``Trap.step`` order), then the
-        residual normal, then one jitter normal per non-weakest cell; all
-        ``n`` trials' draws come from one :func:`repro.rng.step_draws`
-        block. The chain is resolved over all trials at once
+        A trial draws one uniform per trap (as :meth:`begin_measurement`
+        does), then the residual normal, then one jitter normal per
+        non-weakest cell; all ``n`` trials' draws come from one
+        :func:`repro.rng.step_draws` block. The chain is resolved over all trials at once
         (:meth:`_chain_latents`), and cell jitters are only exponentiated
         (``math.exp``) for candidate cells: ``exp(abs(z)) >= 1``, so a
         cell with ``effective_hammers`` below its unjittered threshold can
@@ -813,10 +563,8 @@ class RowVrdProcess:
         """
         if effective_hammers < 0:
             raise ConfigurationError("effective hammer count must be >= 0")
-        condition = condition.canonical()
         state = self._state(condition)
-        factors = self.factors(condition)
-        margins = self._cell_margins_for(condition.pattern)
+        margins = state.margins
         weakest = int(np.argmin(margins))
         n_cells = len(margins)
         flips = np.zeros((n, n_cells), dtype=bool)
@@ -824,9 +572,7 @@ class RowVrdProcess:
             return flips
         draws = step_draws(state.rng, n, len(self.traps), n_cells)
         z = draws.normals
-        latent, occupancy = self._chain_latents(
-            state, factors, draws.uniforms, z[:, 0]
-        )
+        latent, occupancy = self._chain_latents(state, draws.uniforms, z[:, 0])
         thresholds = latent[:, None] * (1.0 + margins)
         candidates = effective_hammers >= thresholds
         flips[:, weakest] = candidates[:, weakest]
@@ -896,23 +642,15 @@ class ModuleFaultModel:
         self._bank_states: Dict[int, Tuple[Tuple[int, ...], object]] = {}
 
     def process(self, bank: int, row: int) -> RowVrdProcess:
-        """The (lazily created) VRD process of one row."""
+        """The (lazily created) VRD process of one row, built from a
+        one-row packed state."""
         key = (bank, row)
         existing = self._processes.get(key)
         if existing is None:
-            existing = RowVrdProcess(
-                self.params,
-                self.row_bits,
-                self._seed_for_rows(),
-                (self.module_id, bank, row),
-                true_cell_lookup=self._true_cell_lookup,
-            )
+            existing = RowVrdProcess(self._new_state(bank, (row,)))
             self._processes[key] = existing
             obs.active().counter_add("faults.process.build")
         return existing
-
-    def _seed_for_rows(self) -> int:
-        return self.seed
 
     def probe_guess_means(
         self,
@@ -945,24 +683,22 @@ class ModuleFaultModel:
         """
         return self._packed_state(bank, rows, cache=True)
 
-    def _packed_state(self, bank: int, rows: "list[int]", cache: bool):
+    def _new_state(self, bank: int, rows: Tuple[int, ...]):
         from repro.dram.fastfaults import BankVrdState
 
+        return BankVrdState(
+            self.params, self.row_bits, self.seed, self.module_id, bank, rows,
+            true_cell_lookup=self._true_cell_lookup,
+        )
+
+    def _packed_state(self, bank: int, rows: "list[int]", cache: bool):
         rows = tuple(int(row) for row in rows)
         cached = self._bank_states.get(bank)
         if cached is not None and cached[0] == rows:
             obs.active().counter_add("faults.bank_state.reuse")
             return cached[1]
         obs.active().counter_add("faults.bank_state.build")
-        state = BankVrdState(
-            self.params,
-            self.row_bits,
-            self._seed_for_rows(),
-            self.module_id,
-            bank,
-            rows,
-            true_cell_lookup=self._true_cell_lookup,
-        )
+        state = self._new_state(bank, rows)
         if cache:
             self._bank_states[bank] = (rows, state)
         return state

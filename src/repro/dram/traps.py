@@ -88,19 +88,6 @@ class Trap:
         """Long-run fraction of time the trap spends occupied."""
         return self.p_occupy / (self.p_occupy + self.p_release)
 
-    @property
-    def switch_rate(self) -> float:
-        """Stationary per-step probability that the state changes."""
-        pi = self.stationary_occupancy
-        return pi * self.p_release + (1.0 - pi) * self.p_occupy
-
-    def step(self, occupied: bool, rng: np.random.Generator) -> bool:
-        """Advance the chain one step and return the new state."""
-        p_leave = self.p_release if occupied else self.p_occupy
-        if rng.random() < p_leave:
-            return not occupied
-        return occupied
-
     def sample_initial(self, rng: np.random.Generator) -> bool:
         """Draw the initial state from the stationary distribution."""
         return bool(rng.random() < self.stationary_occupancy)
@@ -226,39 +213,29 @@ def fill_occupancy(
             state = not state
 
 
-def sample_occupancy(
+def sample_occupancy_series(
     trap: Trap,
     n: int,
     rng: np.random.Generator,
-    out: np.ndarray,
-    initial: "bool | None" = None,
+    out: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Simulate ``n`` steps of a trap's occupancy into ``out`` (see
-    :func:`fill_occupancy`); ``True`` or a set bit means occupied."""
+    """Simulate ``n`` steps of a trap's occupancy, vectorized (see
+    :func:`fill_occupancy`), from a stationary initial state.
+
+    Returns ``out`` (a new bool array of ``n`` steps unless given); ``True``
+    or a set bit means occupied.
+    """
     check_series_length(n)
+    if out is None:
+        out = np.empty(n, dtype=bool)
     if n == 0:
         return out
-    state = trap.sample_initial(rng) if initial is None else bool(initial)
+    state = trap.sample_initial(rng)
     p_occupy = min(max(trap.p_occupy, _MIN_P), _MAX_P)
     p_release = min(max(trap.p_release, _MIN_P), _MAX_P)
     mean_run = 0.5 * (1.0 / p_occupy + 1.0 / p_release)
     fill_occupancy(out, n, state, mean_run, geometric_runs(rng, p_occupy, p_release))
     return out
-
-
-def sample_occupancy_series(
-    trap: Trap,
-    n: int,
-    rng: np.random.Generator,
-    initial: "bool | None" = None,
-) -> np.ndarray:
-    """Simulate ``n`` steps of a trap's occupancy, vectorized.
-
-    Returns:
-        Boolean array of length ``n``; ``True`` means occupied.
-    """
-    check_series_length(n)
-    return sample_occupancy(trap, n, rng, np.empty(n, dtype=bool), initial)
 
 
 def new_occupancy(n_traps: int, n: int) -> np.ndarray:

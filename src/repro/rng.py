@@ -180,17 +180,27 @@ class _SeedState(ISeedSequence):
         return self._words
 
 
+#: Fewest seeds :func:`generators` hashes in one array pass: the pass
+#: costs about 90 us whatever the count, numpy's own SeedSequence about
+#: 10 us per seed (process time on a 2-core x86 host).
+_ARRAY_SEEDING_MIN = 8
+
+
 def generators(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
     """``Generator(PCG64(s))`` for every seed, in order, bit-identical.
 
     Building a generator from an integer seed runs numpy's SeedSequence
     hashing in Python-level code, about ten times the cost of the
-    generator itself; this derives all seeds' state words in one array
-    pass (:func:`seed_sequence_state`) and feeds them through numpy's
-    public ``ISeedSequence`` interface. The pass costs about 120 small
-    numpy calls whatever the count, so it pays from about ten seeds on;
-    its callers open one stream per packed row.
+    generator itself; from :data:`_ARRAY_SEEDING_MIN` seeds on, this
+    derives all seeds' state words in one array pass
+    (:func:`seed_sequence_state`) and feeds them through numpy's public
+    ``ISeedSequence`` interface. Its callers open one stream per packed
+    row: thousands for a row probe, one for a single row.
     """
+    if len(seeds) < _ARRAY_SEEDING_MIN:
+        for seed in seeds:
+            yield Generator(PCG64(seed))
+        return
     for words in seed_sequence_state(seeds):
         yield Generator(PCG64(_SeedState(words)))
 

@@ -20,7 +20,7 @@ from repro.core.patterns import ALL_PATTERNS, DataPattern
 from repro.core.store import FORMAT_VERSION
 from repro.errors import ConfigurationError, MeasurementError
 from repro.store import KIND_CAMPAIGN
-from tests.differential.harness import reference_selection
+from tests.differential.harness import reference_row, reference_selection
 
 MODULE_ID = "M1"
 SEED = 1234
@@ -135,9 +135,9 @@ PROBE_CASES = {
 
 @pytest.mark.parametrize("case", list(PROBE_CASES), ids=list(PROBE_CASES))
 def test_batched_probe_equals_per_row_guesses(case):
-    """guess_rdt_batch must reproduce guess_rdt bit-for-bit across row
-    mappings, cell-polarity layouts, pattern canonicalization, and models
-    without a polarity lookup."""
+    """guess_rdt_batch must reproduce each row's reference guess stream
+    bit-for-bit across row mappings, cell-polarity layouts, pattern
+    canonicalization, and models without a polarity lookup."""
     module_id, pattern, keep_lookup = PROBE_CASES[case]
     module = build_module(module_id, seed=7)
     module.disable_interference_sources()
@@ -147,7 +147,12 @@ def test_batched_probe_equals_per_row_guesses(case):
     config = TestConfig(pattern, t_agg_on_ns=module.timing.tRAS)
     rows = [0, 5, 9, 13, 64, 200, 600, 1030]
     batch = meter.guess_rdt_batch(rows, config, repeats=10)
-    singles = np.array([meter.guess_rdt(row, config) for row in rows])
+    condition = config.condition(module.timing)
+    singles = [
+        reference_row(module.fault_model, 0, module.bank(0).mapping.to_physical(row))
+        .latent_series(condition, 10, stream="guess").mean()
+        for row in rows
+    ]
     np.testing.assert_array_equal(batch, singles)
 
 

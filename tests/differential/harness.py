@@ -16,9 +16,9 @@ name                oracle                              fast path
 engine              uncached ``module_campaign``        ``CampaignCache`` hit, same recipe
 campaign            per-row selection + campaign loops  bank-batched selection/run
 memsim              ``reference_memsim_run``            ``MemorySystem.run``
-fastfaults          per-row ``RowVrdProcess``           packed ``BankVrdState``
-long-series         ``reference_latent_series``         block-wise ``latent_series``
-probe               per-row ``guess_rdt``               batched ``guess_rdt_batch``
+fastfaults          per-row ``ReferenceRow``            packed ``BankVrdState``
+long-series         ``ReferenceRow.latent_series``      block-wise ``latent_series``
+probe               ``ReferenceRow`` guess streams      batched ``guess_rdt_batch``
 bender              ``interpreted_trial``               ``DramBender.run_trial``
 ecc                 ``reference_monte_carlo``           ``monte_carlo_outcomes``
 adaptive            per-row ``measure_requests``        batched ``measure_requests``
@@ -45,10 +45,25 @@ test_montecarlo.py`` holds the closed forms of
 from __future__ import annotations
 
 import contextlib
+import math
 import random
 from dataclasses import astuple, dataclass
 from functools import lru_cache, partial
+from types import SimpleNamespace
 from typing import Callable, List
+
+import numpy as np
+
+from repro.dram.faults import (
+    PATTERN_VICTIM_BYTE,
+    REFERENCE_T_AGG_ON,
+    REFERENCE_TEMPERATURE,
+    REFERENCE_WORDLINE_VOLTAGE,
+    ConditionFactors,
+)
+from repro.dram.traps import Trap
+from repro.errors import ConfigurationError
+from repro.rng import derive
 
 #: Deterministically randomized seeds: drawn from a fixed-seed PRNG so runs
 #: are reproducible while still exercising arbitrary workload shapes.
@@ -408,7 +423,271 @@ def memsim_fast(seed: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# fastfaults: per-row scalar VRD processes vs packed bank state
+# The reference row: the specification of one row of the device model
+# ----------------------------------------------------------------------
+
+
+class ReferenceRow:
+    """The VRD process of one DRAM row, row at a time with one ``Trap``
+    object per trap: a scalar constructor, scalar condition factors, a
+    one-shot series sampler and a per-step sequential chain.
+
+    The specification of the device model: the packed ``BankVrdState``
+    (the one constructor in ``src/``) draws each row's ``vrd-row`` stream
+    in this constructor's order, its ``_factors`` resolves these factors
+    for many rows at once, and ``RowVrdProcess`` steps this chain.
+    """
+
+    def __init__(self, params, row_bits, seed, identity, true_cell_lookup=None):
+        self.params = params
+        self.identity = identity
+        self._seed = seed
+        module_id, bank, row = identity
+        rng = derive(seed, "vrd-row", module_id, bank, row)
+
+        # Spatial variation: base RDT of this row.
+        self.base_rdt = float(
+            params.mean_rdt * np.exp(rng.normal(0.0, params.spatial_sigma))
+        )
+        # Vulnerable (low base RDT) rows carry proportionally deeper traps.
+        coupling = float(np.clip(
+            (params.mean_rdt / self.base_rdt) ** params.vulnerability_coupling,
+            0.5, 3.0,
+        ))
+
+        # Shallow fast traps, resampled every measurement.
+        self.traps = []
+        for _ in range(int(rng.poisson(params.trap_count_mean))):
+            depth = float(np.clip(
+                rng.exponential(params.depth_scale * params.severity * coupling),
+                1e-4, 0.5,
+            ))
+            pi = float(rng.beta(2.0, 2.0))
+            # Dwell ~ one measurement: successive measurements are
+            # independent (Findings 3 and 4).
+            self.traps.append(
+                Trap(depth=depth, p_occupy=max(1e-6, pi), p_release=max(1e-6, 1.0 - pi))
+            )
+        # Slow shallow trap whose rare occupancy defines the series minimum.
+        if rng.random() < params.rare_trap_prob:
+            depth = float(np.clip(
+                rng.uniform(0.85, 1.15) * params.rare_trap_depth * coupling,
+                5e-3, 0.3,
+            ))
+            pi = float(np.exp(
+                rng.uniform(np.log(params.rare_pi_lo), np.log(params.rare_pi_hi))
+            ))
+            # Near-unit release: the minimum appears as isolated excursions.
+            speed = float(rng.uniform(0.8, 1.0))
+            self.traps.append(Trap(
+                depth=depth,
+                p_occupy=max(1e-7, speed * pi),
+                p_release=max(1e-7, speed * (1.0 - pi)),
+            ))
+        # Occasional slow deep trap: rare excursions to a much lower RDT.
+        if rng.random() < params.big_trap_prob:
+            depth = float(np.clip(
+                rng.uniform(0.5, 1.0) * params.big_trap_depth * params.severity,
+                0.02, 0.8,
+            ))
+            pi = float(np.exp(rng.uniform(np.log(0.002), np.log(0.2))))
+            speed = float(rng.uniform(0.2, 1.0))
+            self.traps.append(Trap(
+                depth=depth,
+                p_occupy=max(1e-6, speed * pi),
+                p_release=max(1e-6, speed * (1.0 - pi)),
+            ))
+
+        # Residual measurement-to-measurement noise.
+        self.sigma_resid = float(
+            params.sigma_resid * coupling * np.exp(rng.normal(0.0, 0.4))
+        )
+        # Per-row condition responses, jittered around module-level values;
+        # the wide pattern jitter drives Fig. 7's max-over-config CV.
+        self._pattern_depth = {
+            key: value * float(np.exp(rng.normal(0.0, 0.30)))
+            for key, value in params.pattern_depth.items()
+        }
+        self._pattern_rdt = {
+            key: value * float(np.exp(rng.normal(0.0, 0.02)))
+            for key, value in params.pattern_rdt.items()
+        }
+        self._taggon_depth_slope = params.taggon_depth_slope + float(
+            rng.normal(0.0, 0.01)
+        )
+        self._temp_depth_coeff = params.temp_depth_coeff * float(
+            np.exp(rng.normal(0.0, 0.3))
+        )
+
+        # Weak cells: bit positions, increasing margins, polarity. Margin
+        # gaps grow geometrically, so at most ~5 cells flip at a 10% margin.
+        positions = rng.choice(row_bits, size=params.weak_cells, replace=False)
+        self.weak_cell_bits = np.sort(positions.astype(np.int64))
+        rng.shuffle(self.weak_cell_bits)  # margin order independent of position
+        gaps = rng.exponential(params.cell_margin_scale, params.weak_cells)
+        gaps = gaps * 2.0 ** np.arange(params.weak_cells)
+        gaps[0] = 0.0
+        self.weak_cell_margins = np.cumsum(gaps)
+        lookup = true_cell_lookup or (lambda row, bit: True)
+        self.weak_cell_true = np.array(
+            [lookup(row, int(bit)) for bit in self.weak_cell_bits], dtype=bool
+        )
+        self.uncharged_penalty = float(rng.uniform(0.03, 0.15))
+        self._states = {}
+
+    def _taggon_rdt_factor(self, t_agg_on: float) -> float:
+        """RowPress RDT factor, normalized to 1 at the reference on-time."""
+        params = self.params
+
+        def g(t: float) -> float:
+            return 1.0 / (1.0 + (t / params.taggon_rdt_tau_ns) ** params.taggon_rdt_alpha)
+
+        return g(t_agg_on) / g(REFERENCE_T_AGG_ON)
+
+    def _cell_margins_for(self, pattern: str):
+        """Per-weak-cell flip margins including the uncharged penalty."""
+        if pattern in PATTERN_VICTIM_BYTE:
+            bit_values = (PATTERN_VICTIM_BYTE[pattern] >> (self.weak_cell_bits % 8)) & 1
+            charged = (bit_values == 1) == self.weak_cell_true
+        else:
+            charged = np.ones(len(self.weak_cell_bits), dtype=bool)
+        return self.weak_cell_margins + np.where(charged, 0.0, self.uncharged_penalty)
+
+    def factors(self, condition):
+        """Resolve the condition multipliers for this row."""
+        condition = condition.canonical()
+        pattern = condition.pattern
+        params = self.params
+        undervolt = REFERENCE_WORDLINE_VOLTAGE - condition.wordline_voltage
+        rdt_factor = (
+            self._pattern_rdt.get(pattern, 1.0)
+            * self._taggon_rdt_factor(condition.t_agg_on)
+            * max(0.05, 1.0 + params.temp_rdt_coeff
+                  * (condition.temperature - REFERENCE_TEMPERATURE))
+            * max(0.05, 1.0 + params.voltage_rdt_coeff * undervolt)
+        )
+        decades = math.log10(condition.t_agg_on / REFERENCE_T_AGG_ON)
+        taggon_term = (
+            1.0
+            + self._taggon_depth_slope * decades
+            + params.taggon_depth_quad * decades * decades
+        )
+        depth_factor = (
+            self._pattern_depth.get(pattern, 1.0)
+            * max(0.05, taggon_term)
+            * max(0.05, 1.0 + self._temp_depth_coeff
+                  * (condition.temperature - REFERENCE_TEMPERATURE))
+            * max(0.05, 1.0 + params.voltage_depth_coeff * undervolt)
+        )
+        margins = self._cell_margins_for(pattern)
+        return ConditionFactors(
+            rdt_factor=float(rdt_factor),
+            depth_factor=float(depth_factor),
+            first_flip_margin=float(margins.min()),
+        )
+
+    def latent_series(self, condition, n: int, stream: str = "series"):
+        """Latent thresholds of ``n`` measurements as one product: every
+        trap's bool column (:func:`reference_occupancy_series`),
+        ``np.stack``, one ``@`` with the log depth terms, then one
+        ``normal(0, sigma, n)`` draw."""
+        condition = condition.canonical()
+        factors = self.factors(condition)
+        module_id, bank, row = self.identity
+        rng = derive(
+            self._seed, "vrd-series", module_id, bank, row,
+            condition.pattern, str(condition.t_agg_on),
+            str(condition.temperature), str(condition.wordline_voltage),
+            stream,
+        )
+        if self.traps:
+            columns = [reference_occupancy_series(trap, n, rng) for trap in self.traps]
+            occupancy = np.stack(columns, axis=1)
+            depths = np.array([trap.depth for trap in self.traps])
+            log_terms = np.log1p(-np.minimum(depths * factors.depth_factor, 0.95))
+            with single_threaded_blas():
+                mult = np.exp(occupancy @ log_terms)
+        else:
+            mult = np.ones(n)
+        noise = np.exp(rng.normal(0.0, self.sigma_resid, n))
+        level = self.base_rdt * factors.rdt_factor * (1.0 + factors.first_flip_margin)
+        return level * mult * noise
+
+    def _state(self, condition):
+        condition = condition.canonical()
+        state = self._states.get(condition)
+        if state is None:
+            module_id, bank, row = self.identity
+            rng = derive(
+                self._seed, "vrd-seq", module_id, bank, row,
+                condition.pattern, str(condition.t_agg_on),
+                str(condition.temperature), str(condition.wordline_voltage),
+            )
+            state = SimpleNamespace(
+                occupancy=[trap.sample_initial(rng) for trap in self.traps],
+                rng=rng, latent_rdt=math.nan, measurement_index=0,
+            )
+            self._refresh_latent(condition, state)
+            self._states[condition] = state
+        return state
+
+    def _refresh_latent(self, condition, state) -> None:
+        factors = self.factors(condition)
+        log_mult = 0.0
+        for trap, occupied in zip(self.traps, state.occupancy):
+            if occupied:
+                log_mult += math.log1p(-min(trap.depth * factors.depth_factor, 0.95))
+        noise = math.exp(state.rng.normal(0.0, self.sigma_resid))
+        state.latent_rdt = (
+            self.base_rdt * factors.rdt_factor * math.exp(log_mult) * noise
+        )
+
+    def begin_measurement(self, condition) -> None:
+        """Advance the latent chain one measurement step: each trap leaves
+        its state when a uniform falls below its leave probability, then
+        the residual is drawn afresh."""
+        state = self._state(condition)
+        occupancy = []
+        for trap, occupied in zip(self.traps, state.occupancy):
+            p_leave = trap.p_release if occupied else trap.p_occupy
+            occupancy.append(not occupied if state.rng.random() < p_leave else occupied)
+        state.occupancy = occupancy
+        self._refresh_latent(condition, state)
+        state.measurement_index += 1
+
+    def current_threshold(self, condition) -> float:
+        """The hammer count at which the current measurement first flips."""
+        state = self._state(condition)
+        return state.latent_rdt * (1.0 + self.factors(condition).first_flip_margin)
+
+    def trial_flips(self, condition, effective_hammers: float) -> list:
+        """Bit positions that flip in one trial: the weakest cell at the
+        latent threshold, every other cell under a per-trial jitter."""
+        state = self._state(condition)
+        margins = self._cell_margins_for(condition.canonical().pattern)
+        weakest = int(np.argmin(margins))
+        flips = []
+        for index, (bit, margin) in enumerate(zip(self.weak_cell_bits, margins)):
+            threshold = state.latent_rdt * (1.0 + margin)
+            if index != weakest:
+                threshold *= math.exp(
+                    abs(state.rng.normal(0.0, self.params.cell_jitter_sigma))
+                )
+            if effective_hammers >= threshold:
+                flips.append(int(bit))
+        return flips
+
+
+def reference_row(model, bank: int, row: int) -> ReferenceRow:
+    """The reference row of ``row`` of ``bank`` in a ``ModuleFaultModel``."""
+    return ReferenceRow(
+        model.params, model.row_bits, model.seed, (model.module_id, bank, row),
+        true_cell_lookup=model._true_cell_lookup,
+    )
+
+
+# ----------------------------------------------------------------------
+# fastfaults: per-row reference rows vs packed bank state
 # ----------------------------------------------------------------------
 
 #: Series lengths of the fastfaults pairs: empty, one step, both sides of
@@ -434,23 +713,22 @@ def _fault_workload(seed: int):
 
 
 def _fault_series(model, rows, condition, fast: bool) -> tuple:
-    """Every length of :data:`_FAULT_SERIES_NS` for ``rows`` of bank 0:
-    one packed bank query per length, or one ``RowVrdProcess`` per row."""
+    """Every length of :data:`_FAULT_SERIES_NS` for ``rows`` of bank 0,
+    then each row's condition factors (a last-bit change in a depth
+    factor rarely reaches a series value): one packed bank query per
+    length and the state's factor routine, or one reference row per row."""
     if fast:
+        state = model.bank_state(0, rows)
+        rdt, depth, _, first_flip, _ = state._factors(condition.canonical())
         return tuple(
-            tuple(
-                tuple(series.tolist())
-                for series in model.latent_series_bank(0, rows, condition, n)
-            )
+            tuple(map(tuple, state.latent_series_bulk(condition, n).tolist()))
             for n in _FAULT_SERIES_NS
-        )
+        ) + (tuple(zip(rdt.tolist(), depth.tolist(), first_flip.tolist())),)
+    references = [reference_row(model, 0, row) for row in rows]
     return tuple(
-        tuple(
-            tuple(model.process(0, row).latent_series(condition, n).tolist())
-            for row in rows
-        )
+        tuple(tuple(ref.latent_series(condition, n).tolist()) for ref in references)
         for n in _FAULT_SERIES_NS
-    )
+    ) + (tuple(astuple(ref.factors(condition)) for ref in references),)
 
 
 def _fastfaults(seed: int, fast: bool) -> tuple:
@@ -525,8 +803,6 @@ def fastfaults_hbm2_fast(seed: int) -> tuple:
 def reference_occupancy_series(trap, n: int, rng):
     """One trap's occupancy as one bool array: whole geometric batches,
     each expanded with ``np.repeat`` (the sampler before bit packing)."""
-    import numpy as np
-
     from repro.dram.traps import _MAX_P, _MIN_BATCH, _MIN_P, check_series_length
 
     check_series_length(n)
@@ -606,39 +882,6 @@ def single_threaded_blas():
         setter(threads)
 
 
-def reference_latent_series(process, condition, n: int, stream: str = "series"):
-    """``RowVrdProcess.latent_series`` as one product: every trap's bool
-    column, ``np.stack``, one ``@`` with the log depth terms, then one
-    ``normal(0, sigma, n)`` draw."""
-    import numpy as np
-
-    from repro.rng import derive
-
-    condition = condition.canonical()
-    factors = process.factors(condition)
-    module_id, bank, row = process.identity
-    rng = derive(
-        process._seed, "vrd-series", module_id, bank, row,
-        condition.pattern, str(condition.t_agg_on),
-        str(condition.temperature), str(condition.wordline_voltage),
-        stream,
-    )
-    if process.traps:
-        columns = [
-            reference_occupancy_series(trap, n, rng) for trap in process.traps
-        ]
-        occupancy = np.stack(columns, axis=1)
-        depths = np.array([trap.depth for trap in process.traps])
-        log_terms = np.log1p(-np.minimum(depths * factors.depth_factor, 0.95))
-        with single_threaded_blas():
-            mult = np.exp(occupancy @ log_terms)
-    else:
-        mult = np.ones(n)
-    noise = np.exp(rng.normal(0.0, process.sigma_resid, n))
-    level = process.base_rdt * factors.rdt_factor * (1.0 + factors.first_flip_margin)
-    return level * mult * noise
-
-
 def _long_lengths() -> tuple:
     """Series lengths around the block size (up to ``block + 1`` a series
     is one block), two blocks whose one-row tail joins the second, and
@@ -670,7 +913,7 @@ def _long_series_rows(seed: int) -> list:
         module.disable_interference_sources()
         row = next(
             row for row in range(module.geometry.n_rows)
-            if len(module.fault_model.process(0, row).traps) == count
+            if len(reference_row(module.fault_model, 0, row).traps) == count
         )
         found.append((module, row))
     return found
@@ -687,11 +930,10 @@ def _long_series(seed: int, route: str) -> tuple:
         model = module.fault_model
         for n in _long_lengths():
             if route == "oracle":
-                series = reference_latent_series(
-                    model.process(0, row), condition, n
-                )
-            elif route == "row":
-                series = model.process(0, row).latent_series(condition, n)
+                series = reference_row(model, 0, row).latent_series(condition, n)
+            elif route == "blocks":
+                blocks = model.process(0, row).latent_blocks(condition, n)
+                series = np.concatenate([values for _, values in blocks] + [np.zeros(0)])
             else:
                 series = model.latent_series_bank(0, [row], condition, n)[0]
             out.append(series.tobytes())
@@ -704,13 +946,14 @@ def long_series_oracle(seed: int) -> tuple:
 
 
 def long_series_fast(seed: int) -> tuple:
-    """The block-wise ``RowVrdProcess`` route, then the packed
-    ``BankVrdState`` route, over the same rows and lengths."""
-    return _long_series(seed, "row") + _long_series(seed, "bank")
+    """The streaming ``RowVrdProcess.latent_blocks`` route (what
+    ``measure`` consumes), then the packed bank route, over the same rows
+    and lengths."""
+    return _long_series(seed, "blocks") + _long_series(seed, "bank")
 
 
 # ----------------------------------------------------------------------
-# probe: per-row guess_rdt vs the batched row probe of row selection
+# probe: per-row reference guess streams vs the batched row probe
 # ----------------------------------------------------------------------
 
 _PROBE_MODULES = ["M0", "M1", "H1", "S0", "S3", "Chip0"]
@@ -741,9 +984,17 @@ _PROBE_REPEATS = (1, 5, 10, 16)
 
 
 def probe_oracle(seed: int) -> tuple:
+    """Each row's reference guess-stream mean: what ``guess_rdt`` returns."""
     meter, rows, config = _probe_workload(seed)
+    module = meter.module
+    condition = config.condition(module.timing)
+    physical = [module.bank(0).mapping.to_physical(row) for row in rows]
+    references = [reference_row(module.fault_model, 0, row) for row in physical]
     return tuple(
-        tuple(meter.guess_rdt(row, config, repeats=repeats) for row in rows)
+        tuple(
+            float(reference.latent_series(condition, repeats, stream="guess").mean())
+            for reference in references
+        )
         for repeats in _PROBE_REPEATS
     )
 
@@ -771,7 +1022,6 @@ def interpreted_trial(
     this is the specification it is held to (flips, clock, command counts
     and device state).
     """
-    import numpy as np
 
     program = bender.trial_program(
         bank, victim, pattern, hammer_count, t_agg_on
@@ -983,8 +1233,6 @@ def reference_monte_carlo(code, ber: float, trials: int, rng):
     """The unblocked Monte Carlo loop: per chunk, one ``(chunk, k_bits)``
     data draw and one ``(chunk, n_bits)`` uniform draw, then every codeword
     encoded and decoded one at a time."""
-    import numpy as np
-
     from repro.ecc.analysis import _MC_CHUNK, MonteCarloOutcome
     from repro.ecc.base import DecodeOutcome
 
@@ -1029,7 +1277,6 @@ def _ecc_runs(seed: int) -> list:
 
 
 def ecc_oracle(seed: int) -> tuple:
-    import numpy as np
 
     return tuple(
         astuple(
@@ -1042,8 +1289,6 @@ def ecc_oracle(seed: int) -> tuple:
 
 
 def ecc_fast(seed: int) -> tuple:
-    import numpy as np
-
     from repro.ecc.analysis import monte_carlo_outcomes
 
     return tuple(
@@ -1186,7 +1431,6 @@ def exposure_per_window(
     ``max_exposure`` caps the unmitigated case at what a refresh window
     physically allows (~650K activations at DDR4 timings).
     """
-    from repro.errors import ConfigurationError
     from repro.mitigations.para import para_probability
     from repro.mitigations.prac import quantize_pow2
 
@@ -1233,9 +1477,6 @@ def attack_window_loop(
     """The scalar reference of :func:`repro.security.attack.attack_escape`:
     one ``begin_measurement`` + ``current_threshold`` + scalar exposure
     draw per refresh window."""
-    import math
-
-    from repro.rng import derive
     from repro.security.attack import AttackOutcome
 
     mapping = module.bank(bank).mapping
@@ -1436,8 +1677,6 @@ def _subset_minima(data, n: int, iterations: int, rng):
     chunk replaces ``iterations`` ``rng.choice`` calls. Chunked to bound
     the key matrix at a few megabytes for long series.
     """
-    import numpy as np
-
     from repro.errors import MeasurementError
 
     m = data.size
@@ -1458,7 +1697,6 @@ def _subset_minima(data, n: int, iterations: int, rng):
 
 
 def _valid_values(values):
-    import numpy as np
 
     data = np.asarray(values, dtype=float)
     return data[~np.isnan(data)]
@@ -1469,8 +1707,6 @@ def probability_of_min_monte_carlo(
 ) -> float:
     """The paper's Monte Carlo estimate of
     :func:`repro.core.montecarlo.probability_of_min`."""
-    import numpy as np
-
     from repro.errors import MeasurementError
 
     data = _valid_values(values)
@@ -1488,7 +1724,6 @@ def expected_normalized_min_monte_carlo(
 ) -> float:
     """The paper's Monte Carlo estimate of
     :func:`repro.core.montecarlo.expected_normalized_min`."""
-    import numpy as np
 
     data = _valid_values(values)
     if rng is None:

@@ -1,23 +1,19 @@
-"""Tests for the packed device-model fast path (repro.dram.fastfaults).
+"""Tests for the packed device model (repro.dram.fastfaults).
 
-The scalar :class:`~repro.dram.faults.RowVrdProcess` is the specification;
-every fast-path query must be *bit-identical* to it — same RNG draws in
-the same order, same floats out — across conditions, streams, and both
-geometric-sampler routes (searchsorted run tables and the direct
-``rng.geometric`` fallback).
+The harness reference row (:class:`tests.differential.harness
+.ReferenceRow`) is the specification; every packed query must be
+*bit-identical* to it — same RNG draws in the same order, same floats
+out — across conditions, streams, and both geometric-sampler routes
+(searchsorted run tables and the direct ``rng.geometric`` fallback).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.dram import faults, fastfaults, traps
+from repro.dram import faults
 from repro.dram.cells import CellLayout, CellLayoutKind
-from repro.dram.faults import (
-    Condition,
-    ModuleFaultModel,
-    RowVrdProcess,
-    VrdModelParams,
-)
+from repro.dram.faults import Condition, ModuleFaultModel, VrdModelParams
 from repro.dram.fastfaults import (
     BankVrdState,
     _attach_run_tables,
@@ -28,7 +24,7 @@ from repro.dram.fastfaults import (
 from repro.dram.traps import Trap, sample_occupancy_series
 from repro.errors import ConfigurationError
 from repro.rng import derive
-from tests.differential.harness import reference_occupancy_series
+from tests.differential.harness import ReferenceRow, reference_occupancy_series
 
 ROW_BITS = 8192
 SEED = 11
@@ -56,9 +52,9 @@ def make_state(params=None, rows=ROWS) -> BankVrdState:
     return BankVrdState(params, ROW_BITS, SEED, MODULE, BANK, rows)
 
 
-def make_process(row: int, params=None) -> RowVrdProcess:
+def make_reference(row: int, params=None) -> ReferenceRow:
     params = params or make_params()
-    return RowVrdProcess(params, ROW_BITS, SEED, (MODULE, BANK, row))
+    return ReferenceRow(params, ROW_BITS, SEED, (MODULE, BANK, row))
 
 
 class TestLatentSeriesBitIdentity:
@@ -78,7 +74,7 @@ class TestLatentSeriesBitIdentity:
         state = make_state()
         bulk = state.latent_series_bulk(condition, n, stream=stream)
         for index, row in enumerate(ROWS):
-            reference = make_process(row).latent_series(
+            reference = make_reference(row).latent_series(
                 condition, n, stream=stream
             )
             np.testing.assert_array_equal(bulk[index], reference)
@@ -88,30 +84,25 @@ class TestLatentSeriesBitIdentity:
         subset = [ROWS[5], ROWS[1], ROWS[5]]
         bulk = state.latent_series_bulk(REF, 64, rows=subset)
         assert bulk.shape == (3, 64)
-        np.testing.assert_array_equal(bulk[0], bulk[2])
         for index, row in enumerate(subset):
+            reference = make_reference(row).latent_series(REF, 64)
+            np.testing.assert_array_equal(bulk[index], reference)
             np.testing.assert_array_equal(
-                bulk[index], state.latent_series(row, REF, 64)
-            )
-            np.testing.assert_array_equal(
-                bulk[index], make_process(row).latent_series(REF, 64)
+                state.latent_series_bulk(REF, 64, rows=[row])[0], reference
             )
 
     def test_guess_means_match_scalar_guess_stream(self):
         state = make_state()
         means = state.guess_means(REF, repeats=10)
         for index, row in enumerate(ROWS):
-            series = make_process(row).latent_series(REF, 10, stream="guess")
+            series = make_reference(row).latent_series(REF, 10, stream="guess")
             assert means[index] == float(series.mean())
 
     def test_empty_and_single_measurement_series(self):
+        """Single measurements are one of ``test_matches_scalar_process``'s
+        lengths."""
         state = make_state()
         assert state.latent_series_bulk(REF, 0).shape == (len(ROWS), 0)
-        bulk = state.latent_series_bulk(REF, 1)
-        for index, row in enumerate(ROWS):
-            np.testing.assert_array_equal(
-                bulk[index], make_process(row).latent_series(REF, 1)
-            )
 
     def test_negative_length_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -124,7 +115,7 @@ class TestLatentSeriesBitIdentity:
         state = make_state(params=params)
         bulk = state.latent_series_bulk(REF, 100)
         for index, row in enumerate(ROWS):
-            reference = make_process(row, params=params).latent_series(
+            reference = make_reference(row, params=params).latent_series(
                 REF, 100
             )
             np.testing.assert_array_equal(bulk[index], reference)
@@ -188,7 +179,7 @@ class TestMirrorGate:
         bulk = state.latent_series_bulk(REF, 150)
         for index, row in enumerate(ROWS):
             np.testing.assert_array_equal(
-                bulk[index], make_process(row).latent_series(REF, 150)
+                bulk[index], make_reference(row).latent_series(REF, 150)
             )
 
     def test_probe_result_cached_per_process(self, monkeypatch):
@@ -206,13 +197,59 @@ class TestMirrorGate:
         assert any(plan.table_occ is not None for plan in plans)
 
 
+def _row_view(state, row, query, condition):
+    """Everything ``state`` holds and emits for ``row``: its constructor
+    columns at every index it occupies, then its series and guess mean
+    from a query of the rows ``query``."""
+    columns = [
+        (
+            state.base_rdt[i], state.sigma_resid[i], state.uncharged_penalty[i],
+            state._taggon_depth_slope[i], state._temp_depth_coeff[i],
+            tuple(values[i] for values in state._pattern_depth.values()),
+            tuple(values[i] for values in state._pattern_rdt.values()),
+            state.weak_cell_bits[i].tolist(), state.weak_cell_margins[i].tolist(),
+            state.weak_cell_true[i].tolist(),
+            [(t.depth, t.p_occupy, t.p_release) for t in state._row_plans[i]],
+        )
+        for i, packed in enumerate(state.rows) if packed == row
+    ]
+    k = query.index(row)
+    outputs = [
+        state.latent_series_bulk(condition, n, stream=stream, rows=query)[k].tolist()
+        for n in (10, 40) for stream in ("series", "guess")
+    ]
+    return columns, outputs + [state.guess_means(condition, rows=query)[k]]
+
+
+@given(row=st.integers(0, 4095), pick=st.randoms(use_true_random=False))
+@settings(max_examples=6, deadline=None)
+def test_row_does_not_depend_on_its_batch(row, pick):
+    """A row's constructor columns and outputs are the same alone, in a
+    shuffled 64-row batch, duplicated, and as a subset of a cached state."""
+    condition = CONDITIONS[3]
+    others = pick.sample([other for other in range(4096) if other != row], 63)
+    batch = others + [row]
+    pick.shuffle(batch)
+    alone = _row_view(make_state(rows=[row]), row, [row], condition)
+    assert _row_view(make_state(rows=batch), row, [row], condition) == alone
+    (column,), outputs = alone
+    duplicated = make_state(rows=[row, others[0], row])
+    assert _row_view(duplicated, row, [row], condition) == ([column] * 2, outputs)
+    model = ModuleFaultModel(make_params(), ROW_BITS, SEED, MODULE)
+    cached = model.bank_state(BANK, batch)
+    subset = [others[1], row, others[2]]
+    assert _row_view(cached, row, subset, condition) == alone
+
+
 class TestModuleFacade:
     def test_latent_series_bank_matches_processes(self):
         model = ModuleFaultModel(make_params(), ROW_BITS, SEED, MODULE)
         bulk = model.latent_series_bank(BANK, ROWS, REF, 120)
         for index, row in enumerate(ROWS):
-            reference = model.process(BANK, row).latent_series(REF, 120)
+            reference = make_reference(row).latent_series(REF, 120)
             np.testing.assert_array_equal(bulk[index], reference)
+            process = model.process(BANK, row)
+            np.testing.assert_array_equal(process.latent_series(REF, 120), reference)
 
     def test_bank_state_cached_by_rows_tuple(self):
         model = ModuleFaultModel(make_params(), ROW_BITS, SEED, MODULE)
@@ -232,9 +269,7 @@ class TestModuleFacade:
         guesses = model.probe_guess_means(BANK, others, REF)
         assert model.bank_state(BANK, ROWS) is state
         for guess, row in zip(guesses, others):
-            series = model.process(BANK, row).latent_series(
-                REF, 10, stream="guess"
-            )
+            series = make_reference(row).latent_series(REF, 10, stream="guess")
             assert guess == float(series.mean())
 
 
@@ -257,11 +292,11 @@ def test_weak_cell_polarity_matches_process(lookup):
     condition = Condition("rowstripe1", 35.0, 50.0)
     means = state.guess_means(condition)
     for index, row in enumerate(ROWS):
-        process = RowVrdProcess(
+        reference = ReferenceRow(
             params, ROW_BITS, SEED, (MODULE, BANK, row), true_cell_lookup=lookup
         )
         np.testing.assert_array_equal(
-            state.weak_cell_true[index], process.weak_cell_true
+            state.weak_cell_true[index], reference.weak_cell_true
         )
-        series = process.latent_series(condition, 10, stream="guess")
+        series = reference.latent_series(condition, 10, stream="guess")
         assert means[index] == float(series.mean())

@@ -12,7 +12,7 @@ import repro.rng
 from repro.dram.faults import (
     _GEOM_SEARCH_P,
     Condition,
-    RowVrdProcess,
+    ModuleFaultModel,
     VrdModelParams,
     geometric_mirror_ok,
 )
@@ -23,15 +23,18 @@ from repro.dram.fastfaults import (
     _TrapPlan,
 )
 from repro.dram.traps import _MAX_P, _MIN_P, Trap, sample_occupancy_series
+from tests.differential.harness import ReferenceRow
 
 
-def make_process(seed=7):
-    return RowVrdProcess(
-        VrdModelParams(mean_rdt=2000.0),
-        row_bits=8192,
-        seed=seed,
-        identity=("P", 0, 3),
-    )
+def make_process(seed=7, params=None):
+    params = params or VrdModelParams(mean_rdt=2000.0)
+    return ModuleFaultModel(params, 8192, seed, "P").process(0, 3)
+
+
+def make_reference(seed=7, params=None):
+    """The specification of :func:`make_process`'s row."""
+    params = params or VrdModelParams(mean_rdt=2000.0)
+    return ReferenceRow(params, 8192, seed, ("P", 0, 3))
 
 
 conditions = st.builds(
@@ -116,8 +119,7 @@ def test_trial_flips_monotone_in_drive(hammers, condition):
 
 
 def test_weak_cell_margins_sorted_and_growing():
-    process = make_process()
-    margins = process.weak_cell_margins
+    margins = make_process()._bank.weak_cell_margins[0]
     assert margins[0] == 0.0
     assert np.all(np.diff(margins) >= 0)
     # Geometric growth: the last gap dwarfs the first nonzero one.
@@ -166,11 +168,15 @@ trap_overrides = st.one_of(
 )
 
 
-def _walk_process(params, traps, seed):
-    process = RowVrdProcess(params, 8192, seed, ("W", 0, 5))
+def _walk_pair(params, traps, seed):
+    """A row's ``RowVrdProcess`` and its reference row, with the traps
+    replaced by ``traps`` unless it is ``None``."""
+    process = make_process(seed, params)
+    reference = make_reference(seed, params)
     if traps is not None:
-        process.traps = list(traps)
-    return process
+        process.traps = [_TrapPlan(t.depth, t.p_occupy, t.p_release) for t in traps]
+        reference.traps = list(traps)
+    return process, reference
 
 
 def _chain_state(process, condition):
@@ -212,8 +218,7 @@ def test_threshold_series_matches_scalar_pair(
         exposures = np.full(windows, 1e12)
     else:
         exposures = np.random.default_rng(seed).uniform(0.0, 4000.0, windows)
-    walk = _walk_process(params, traps, seed)
-    reference = _walk_process(params, traps, seed)
+    walk, reference = _walk_pair(params, traps, seed)
     # Two calls on the same chain: the second resumes where the first
     # stopped, as consecutive attacks on one victim do.
     for _ in range(2):
@@ -241,7 +246,7 @@ def test_threshold_series_empty_exposures_leave_state_untouched():
 def test_threshold_series_flips_when_exposure_equals_threshold():
     """``exposure >= threshold`` flips, as in the scalar attack loop."""
     condition = Condition("checkered0", 35.0, 50.0)
-    exact = _scalar_pair(make_process(), condition, np.zeros(5))
+    exact = _scalar_pair(make_reference(), condition, np.zeros(5))
     thresholds = make_process().threshold_series(condition, np.array(exact))
     assert thresholds.tolist() == exact[:1]
 
@@ -286,8 +291,7 @@ def _scalar_trials(process, condition, drive, n):
 def test_trial_flip_series_matches_scalar_pair(
     params, traps, n, drive_kind, seed, condition
 ):
-    kernel = _walk_process(params, traps, seed)
-    reference = _walk_process(params, traps, seed)
+    kernel, reference = _walk_pair(params, traps, seed)
     if drive_kind == "zero":
         drive = 0.0
     elif drive_kind == "huge":
@@ -296,8 +300,8 @@ def test_trial_flip_series_matches_scalar_pair(
         # About 1.1x the row's trap-free threshold, so the weakest cell
         # flips on most trials; or just past the second-weakest cell's
         # unjittered threshold, so its jitter decides.
-        margins = np.sort(kernel._cell_margins_for(condition.canonical().pattern))
-        level = kernel.base_rdt * kernel.factors(condition).rdt_factor
+        margins = np.sort(reference._cell_margins_for(condition.canonical().pattern))
+        level = reference.base_rdt * reference.factors(condition).rdt_factor
         if drive_kind == "near" or margins.size == 1:
             drive = 1.1 * level
         else:
@@ -327,15 +331,13 @@ def test_walks_add_trap_terms_left_to_right():
     depths = [0.773, 0.04, 0.659, 0.166, 0.778, 0.492, 0.277, 0.386,
               0.035, 0.121, 0.607, 0.586]
     traps = [Trap(depth=d, p_occupy=1.0, p_release=1e-9) for d in depths]
-    probe = make_process()
-    factor = probe.factors(condition).depth_factor
+    walk, reference = _walk_pair(VrdModelParams(mean_rdt=2000.0), traps, 7)
+    factor = reference.factors(condition).depth_factor
     terms = [math.log1p(-min(d * factor, 0.95)) for d in depths]
     left_to_right = 0.0
     for term in terms:
         left_to_right += term
     assert left_to_right != float(np.sum(np.array([0.0] + terms)))
-    walk, reference = make_process(), make_process()
-    walk.traps = reference.traps = traps
     exposures = np.zeros(50)
     assert walk.threshold_series(condition, exposures).tolist() == (
         _scalar_pair(reference, condition, exposures)

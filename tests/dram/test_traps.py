@@ -10,7 +10,6 @@ from repro.dram.traps import (
     latent_blocks,
     log_depth_terms,
     new_occupancy,
-    sample_occupancy,
     sample_occupancy_series,
     trap_outputs,
 )
@@ -30,12 +29,6 @@ def test_trap_validation():
 def test_stationary_occupancy():
     trap = Trap(depth=0.1, p_occupy=0.2, p_release=0.8)
     assert trap.stationary_occupancy == pytest.approx(0.2)
-
-
-def test_switch_rate():
-    trap = Trap(depth=0.1, p_occupy=0.5, p_release=0.5)
-    # Symmetric fast trap: switches half the time.
-    assert trap.switch_rate == pytest.approx(0.5)
 
 
 def test_series_matches_stationary_distribution():
@@ -68,7 +61,8 @@ def test_series_matches_sequential_stepping_distribution():
     state = trap.sample_initial(rng)
     slow = np.empty(50_000, dtype=bool)
     for index in range(50_000):
-        state = trap.step(state, rng)
+        if rng.random() < (trap.p_release if state else trap.p_occupy):
+            state = not state
         slow[index] = state
 
     assert fast.mean() == pytest.approx(slow.mean(), abs=0.03)
@@ -94,7 +88,7 @@ def _occupancy(traps, n, rng):
     """Every trap's occupancy, in the form :func:`latent_blocks` takes."""
     occupancy = new_occupancy(len(traps), n)
     for trap, out in zip(traps, trap_outputs(occupancy)):
-        sample_occupancy(trap, n, rng, out)
+        sample_occupancy_series(trap, n, rng, out)
     return occupancy
 
 
@@ -128,7 +122,9 @@ def test_long_series_matches_one_shot_sampler(trap, packed):
     n = 200_003
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     if packed:
-        bits = sample_occupancy(trap, n, rng, np.empty((n + 7) // 8, np.uint8))
+        bits = sample_occupancy_series(
+            trap, n, rng, np.empty((n + 7) // 8, np.uint8)
+        )
         series = np.unpackbits(bits, count=n).view(bool)
     else:
         series = sample_occupancy_series(trap, n, rng)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro.rng
 from repro.rng import (
+    _ARRAY_SEEDING_MIN,
     _PROBE_SEED,
     _PROBE_SHAPE,
     _ZIGGURAT_KI,
@@ -78,7 +79,10 @@ def test_seed_sequence_state_matches_numpy(seeds):
     np.testing.assert_array_equal(state, expected)
 
 
-@pytest.mark.parametrize("count", [0, 1, 7, 8, 40])
+@pytest.mark.parametrize(
+    "count",
+    [0, 1, _ARRAY_SEEDING_MIN - 1, _ARRAY_SEEDING_MIN, _ARRAY_SEEDING_MIN + 1, 40],
+)
 def test_generators_equal_integer_seeded_generators(count):
     """Each yielded generator is the one ``Generator(PCG64(seed))``
     builds, draw for draw."""
