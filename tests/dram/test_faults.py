@@ -173,9 +173,41 @@ class TestEffectiveHammers:
 
 
 class TestTrialFlipSeries:
-    """Input checks of the batched trial kernel; its equality with the
-    reference row's scalar rounds is a property in
-    ``test_faults_properties.py``."""
+    """The batched trial kernel vs n scalar begin/trial rounds."""
+
+    def test_matches_scalar_rounds(self):
+        for hammers in (500.0, 1500.0, 2500.0):
+            batched = make_process()
+            scalar = make_process()
+            matrix = batched.trial_flip_series(REF, hammers, 300)
+            rows = []
+            for _ in range(300):
+                scalar.begin_measurement(REF)
+                flips = scalar.trial_flips(REF, hammers)
+                row = np.zeros(matrix.shape[1], dtype=bool)
+                bit_of = {
+                    int(bit): index
+                    for index, bit in enumerate(scalar.weak_cell_bits)
+                }
+                for bit in flips:
+                    row[bit_of[int(bit)]] = True
+                rows.append(row)
+            np.testing.assert_array_equal(matrix, np.array(rows))
+            # Post-run state: the stateful stream continues identically.
+            batched.begin_measurement(REF)
+            scalar.begin_measurement(REF)
+            assert batched.current_threshold(REF) == scalar.current_threshold(
+                REF
+            )
+
+    def test_empty_series_is_a_no_op(self):
+        batched = make_process()
+        scalar = make_process()
+        matrix = batched.trial_flip_series(REF, 1000.0, 0)
+        assert matrix.shape[0] == 0
+        batched.begin_measurement(REF)
+        scalar.begin_measurement(REF)
+        assert batched.current_threshold(REF) == scalar.current_threshold(REF)
 
     def test_negative_hammers_rejected(self):
         with pytest.raises(ConfigurationError):
