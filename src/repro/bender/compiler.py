@@ -44,6 +44,14 @@ design:
   closed when it starts (the builder idioms always end closed) and
   refuses otherwise.
 
+Timing is certified at compile time, too. A rigid plan's command stream
+is a time-translation between replays, so its legality is a property of
+the plan: ``compile_trial`` feeds the stream of every hammer-count class,
+back to back, through a :class:`~repro.dram.checker.TimingChecker` with
+the protocol's full rule table (tFAW windows included) and raises
+``TimingViolationError`` on a violation (:meth:`CompiledTrial._certify`).
+Replays carry no check.
+
 :class:`CompiledTrial` makes the hammer count a replay operand, so one
 compilation serves a whole ``RdtMeter.measure_series`` sweep grid, and row
 writes skip the template copy entirely when the stored row is provably
@@ -54,7 +62,8 @@ unchanged since the previous replay (tracked through the stress ledger's
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import math
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,15 +72,10 @@ from repro.bender.interpreter import Interpreter
 from repro.bender.isa import Act, Hammer, Pre, ReadRow, Wait, WriteRow
 from repro.bender.program import Program
 from repro.dram.bank import _RowStress
-from repro.dram.commands import (
-    Command,
-    CommandBurst,
-    CommandKind,
-    HammerBlock,
-    RepeatBlock,
-)
+from repro.dram.checker import TimingChecker
+from repro.dram.commands import Command, CommandBurst, CommandKind, HammerBlock
 from repro.dram.module import DramModule
-from repro.errors import CommandSequenceError, ProgramError
+from repro.errors import CommandSequenceError, ProgramError, TimingViolationError
 
 # Lowered opcodes (plain ints: tuple dispatch beats isinstance chains).
 OP_ACT = 0
@@ -87,6 +91,10 @@ OP_HAMMER = 4
 #:   (OP_READ, bank, logical, physical, tag)
 #:   (OP_HAMMER, bank, logical_rows, t_on, count)
 Step = Tuple
+
+#: Activations in one tFAW window: the hammer counts whose loops hold
+#: fewer activations than this are certified one by one.
+_WINDOW_ACTS = 4
 
 
 def _lower(program: Program, module: DramModule) -> Tuple[List[Step], Dict[str, int]]:
@@ -229,6 +237,8 @@ class CompiledTrial:
     interpreting the same trial program and comparing the victim byte for
     byte, including the bank timing state, stress accounting, TRR
     sampling, and fault-model RNG consumption it leaves behind.
+    Construction certifies the plan's timing against the protocol's full
+    rule table (:meth:`_certify`), so no replay checks it again.
 
     Beyond dispatch, two trial-specific shortcuts hold the speedup:
 
@@ -282,11 +292,7 @@ class CompiledTrial:
         self._static_counts["PRE"] = counts.get("PRE", 0) - placeholder
         self._static_acts = sum(1 for step in steps if step[0] == OP_ACT)
         self._placed: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        # Checked replays: a rigid plan's command stream is a pure time
-        # translation of any earlier replay's stream (parametric in the
-        # hammer count), so the full rule walk runs once and later
-        # replays are validated from junction checks alone.
-        self._certified: Optional[dict] = None
+        self._certify()
 
     @staticmethod
     def _rigid_stream(steps) -> bool:
@@ -322,68 +328,96 @@ class CompiledTrial:
                 seen_hammer = True
         return not is_open
 
-    @staticmethod
-    def _segment_template(entries, anchor: float):
-        """Per-(kind, bank) first/last occurrences of a logged segment,
-        as ``(kind, bank, rel_time, rel_index)`` offsets from ``anchor``
-        — the junction summary ``TimingChecker.feed_certified`` takes."""
-        firsts: Dict[Tuple[str, int], Tuple[str, int, float, int]] = {}
-        lasts: Dict[Tuple[str, int], Tuple[str, int, float, int]] = {}
-        index = 0
-        for entry in entries:
-            kind = entry.kind.value
-            if isinstance(entry, Command):
-                t_first = t_last = entry.issued_at
-                count = 1
-            else:  # CommandBurst — rigid trials log nothing else here
-                t_first = entry.start
-                t_last = entry.last_at
-                count = entry.count
-            key = (kind, entry.bank)
-            if key not in firsts:
-                firsts[key] = (kind, entry.bank, t_first - anchor, index)
-            lasts[key] = (
-                kind, entry.bank, t_last - anchor, index + count - 1
-            )
-            index += count
-        return tuple(firsts.values()), tuple(lasts.values()), index
+    def _certify(self) -> None:
+        """Check the plan's command stream once, against the full rule
+        table of the module's protocol (tFAW windows included).
 
-    def _capture_template(self, log, start: int, hammer_end: float) -> None:
-        """Summarize the stream a full-walk replay just logged.
-
-        The prefix (before the hammer block) is anchored at its opening
-        ACT; the tail at the hammer's end time. Both anchors translate
-        rigidly between replays with nonzero hammer counts — the hammer
-        leaves the bank a count-independent offset before its end — so
-        the captured relative offsets certify every later replay against
-        this log.
+        A replay's stream is a rigid translation of the plan's (see
+        :meth:`_rigid_stream`) and depends on nothing but its hammer
+        count. The count reaches the rules only through how many
+        activations the hammer loop puts between the plan's head and tail,
+        up to one tFAW window: every count from ``k`` on (``k`` the first
+        with at least four activations) has the same head, tail and loop
+        cadence, so the counts ``0..k`` stand for all of them. One stream
+        from a closed, idle bank feeds each of them twice back to back,
+        which also checks the junction of the plan's end with its next
+        start; a violation refuses the plan.
         """
-        entries = log.entries
-        split = next(
-            (
-                i for i in range(start, len(entries))
-                if isinstance(entries[i], HammerBlock)
-            ),
-            None,
-        )
-        if split is None:
-            return  # no hammer block logged; re-try on a later replay
-        prefix = entries[start:split]
-        tail = entries[split + 1:]
-        if not prefix or not tail:
-            return
-        anchor = prefix[0].issued_at  # the opening ACT of a rigid plan
-        self._certified = {
-            "log": log,
-            "prefix": (
-                *self._segment_template(prefix, anchor),
-                (start, split - start), anchor,
-            ),
-            "tail": (
-                *self._segment_template(tail, hammer_end),
-                (split + 1, len(entries) - split - 1), hammer_end,
-            ),
-        }
+        last = -(-_WINDOW_ACTS // self._hammer_rows)
+        counts = [count for count in range(last + 1) for _ in range(2)]
+        self.certified_counts: Tuple[int, ...] = tuple(counts)
+        module = self.module
+        checker = TimingChecker(timing=module.timing, geometry=module.geometry)
+        for entry in self.command_stream(counts):
+            checker.feed(entry)
+        if not checker.report.ok:
+            raise TimingViolationError(
+                f"trial plan {self.name!r} breaks {module.timing.name}: "
+                f"{checker.report.violations[0].describe()}"
+            )
+
+    def command_stream(
+        self, hammer_counts: Sequence[int]
+    ) -> Iterator[Union[Command, CommandBurst, HammerBlock]]:
+        """The commands of back-to-back replays at ``hammer_counts``, from
+        a closed, idle bank at t = 0.
+
+        Walks :meth:`replay`'s ready-time chain (the interpreter's, operand
+        for operand, and ``Bank.bulk_hammer``'s for the loop) on local
+        state; no device is touched. ``tests/bender/test_compiler.py``
+        pins it, command for command, to the interpreted trial's stream.
+        """
+        timing = self.module.timing
+        tRP = timing.tRP
+        tRC = timing.tRC
+        tCCD_L = timing.tCCD_L
+        tCCD_L_WR = timing.tCCD_L_WR
+        columns = self.module.geometry.columns_per_row
+        write_tail = (columns - 1) * tCCD_L_WR
+        read_tail = (columns - 1) * tCCD_L
+        bank = self.bank_index
+        now = 0.0
+        opened_at = last_activate = last_precharge = last_write_end = -math.inf
+        for count in hammer_counts:
+            for step in self._steps:
+                op = step[0]
+                if op == OP_ACT:
+                    now = max(now, last_precharge + tRP, last_activate + tRC)
+                    opened_at = last_activate = now
+                    yield Command(CommandKind.ACT, now, bank=bank, row=step[2])
+                elif op == OP_WRITE:
+                    first = max(now, opened_at + timing.tRCD)
+                    now = last_write_end = first + write_tail
+                    yield CommandBurst(
+                        CommandKind.WR, first, tCCD_L_WR, columns,
+                        bank=bank, row=step[2],
+                    )
+                elif op == OP_PRE:
+                    now = max(
+                        now, opened_at + timing.tRAS,
+                        last_write_end + timing.tWR,
+                    )
+                    if step[2] is not None:
+                        now = max(now, opened_at + step[2])
+                    last_precharge = now
+                    yield Command(CommandKind.PRE, now, bank=bank)
+                elif op == OP_READ:
+                    first = max(now, opened_at + timing.tRCD)
+                    now = first + read_tail + timing.tRTP
+                    yield CommandBurst(
+                        CommandKind.RD, first, tCCD_L, columns,
+                        bank=bank, row=step[2],
+                    )
+                else:  # OP_HAMMER
+                    rows, t_on = step[2], step[3]
+                    now = max(now, last_precharge + tRP)
+                    if count:
+                        yield HammerBlock(
+                            bank, tuple(rows), count, t_on, tRP, now
+                        )
+                        now += count * (len(rows) * (t_on + tRP))
+                        last_activate = now - t_on - tRP
+                        last_precharge = now - tRP
 
     def replay(self, interpreter: Interpreter, hammer_count: int) -> List[int]:
         """One trial at ``hammer_count``; returns flipped bit positions."""
@@ -423,40 +457,6 @@ class CompiledTrial:
         skip_ok = not module.refresh_enabled
         placed = self._placed
         flips: List[int] = []
-        record = interpreter.record if interpreter.log is not None else None
-        bank_index = self.bank_index
-        # Checked replays of a rigid plan go through the certified fast
-        # path: the first one runs the full per-command walk and captures
-        # a junction template; later ones validate in O(1) per segment.
-        # ``record_hammer`` stays live either way — the hammer count is a
-        # per-call operand, so its block always feeds the checker.
-        record_hammer = record
-        cert = None
-        capture_start = None
-        hammer_end = 0.0
-        if record is not None and hammer_count > 0:
-            checker = interpreter._checker
-            if checker.supports_certified:
-                template = self._certified
-                if (
-                    template is not None
-                    and template["log"] is interpreter.log
-                ):
-                    cert = template
-                    record = None
-                    t0 = max(
-                        now,
-                        last_precharge + tRP,
-                        last_activate + tRC,
-                    )
-                    firsts, lasts, n_cmds, slc, anchor = cert["prefix"]
-                    interpreter.log.append(
-                        RepeatBlock(slc[0], slc[1], t0 - anchor, n_cmds)
-                    )
-                    if checker.feed_certified(firsts, lasts, n_cmds, t0):
-                        checker.report.raise_if_violations()
-                else:
-                    capture_start = len(interpreter.log.entries)
 
         for step in self._steps:
             op = step[0]
@@ -464,11 +464,6 @@ class CompiledTrial:
                 physical = step[3]
                 first_wr = max(now, opened_at + tRCD)
                 finish = first_wr + write_tail
-                if record is not None:
-                    record(CommandBurst(
-                        CommandKind.WR, first_wr, timing.tCCD_L_WR,
-                        columns, bank=bank_index, row=step[2],
-                    ))
                 stress = stress_map.get(physical)
                 mine = placed.get(physical)
                 if (
@@ -496,17 +491,11 @@ class CompiledTrial:
                 last_activate = ready
                 if trr is not None:
                     trr.observe(step[3])
-                if record is not None:
-                    record(Command(
-                        CommandKind.ACT, ready, bank=bank_index, row=step[2]
-                    ))
                 now = ready
             elif op == OP_PRE:
                 ready = max(now, opened_at + tRAS, last_write_end + tWR)
                 if step[2] is not None:
                     ready = max(ready, opened_at + step[2])
-                if record is not None:
-                    record(Command(CommandKind.PRE, ready, bank=bank_index))
                 on_time = ready - opened_at
                 below = step[3]
                 if below >= 0:
@@ -530,11 +519,6 @@ class CompiledTrial:
                 physical = step[3]
                 first_rd = max(now, opened_at + tRCD)
                 finish = first_rd + read_tail + tRTP
-                if record is not None:
-                    record(CommandBurst(
-                        CommandKind.RD, first_rd, timing.tCCD_L,
-                        columns, bank=bank_index, row=step[2],
-                    ))
                 if physical not in storage:
                     data = bank._powerup_content(physical)
                     storage[physical] = data
@@ -548,17 +532,9 @@ class CompiledTrial:
             else:  # OP_HAMMER — the real module call keeps TRR/stress exact
                 bank.last_precharge = last_precharge
                 bank.last_activate = last_activate
-                if record_hammer is not None:
-                    first_act = max(now, last_precharge + tRP)
                 now = module.bulk_hammer(
                     self.bank_index, step[2], hammer_count, step[3], now
                 )
-                hammer_end = now
-                if record_hammer is not None and hammer_count > 0:
-                    record_hammer(HammerBlock(
-                        bank_index, tuple(step[2]), hammer_count, step[3],
-                        tRP, first_act,
-                    ))
                 last_precharge = bank.last_precharge
                 last_activate = bank.last_activate
 
@@ -569,18 +545,6 @@ class CompiledTrial:
         bank.last_write_end = last_write_end
         bank.activation_count += self._static_acts
         interpreter.now = now
-
-        if cert is not None:
-            firsts, lasts, n_cmds, slc, anchor = cert["tail"]
-            interpreter.log.append(
-                RepeatBlock(slc[0], slc[1], hammer_end - anchor, n_cmds)
-            )
-            if checker.feed_certified(firsts, lasts, n_cmds, hammer_end):
-                checker.report.raise_if_violations()
-        elif capture_start is not None:
-            self._capture_template(
-                interpreter.log, capture_start, hammer_end
-            )
 
         total_activations = hammer_count * self._hammer_rows
         for kind, amount in self._static_counts.items():
@@ -606,5 +570,9 @@ class CompiledTrial:
 
 
 def compile_trial(program: Program, module: DramModule) -> CompiledTrial:
-    """Compile a single-bank Algorithm 1 trial for hammer-count replay."""
+    """Compile a single-bank Algorithm 1 trial for hammer-count replay.
+
+    Raises :class:`~repro.errors.TimingViolationError` when the plan's
+    command stream breaks a rule of the module's protocol.
+    """
     return CompiledTrial(program, module)

@@ -6,6 +6,12 @@ matching the "tightly scheduled" command streams of the paper's Appendix A.
 It also keeps full command counts so test-time/energy estimation
 (:mod:`repro.testtime`) can audit real executions against the analytic
 model.
+
+The interpreter is the specification of a compiled trial's replay
+(:mod:`repro.bender.compiler`), and the timing of every compiled trial's
+command stream is certified when its plan is compiled. The interpreter
+itself keeps no command log: the time of each command it sends is the
+``at`` operand of the module call it makes.
 """
 
 from __future__ import annotations
@@ -18,29 +24,8 @@ import numpy as np
 from repro import obs
 from repro.bender.isa import Act, Hammer, Pre, ReadRow, Wait, WriteRow
 from repro.bender.program import Program
-from repro.dram.checker import TimingChecker, timing_check_enabled
-from repro.dram.commands import (
-    Command,
-    CommandBurst,
-    CommandKind,
-    CommandLog,
-    HammerBlock,
-    LogEntry,
-)
 from repro.dram.module import DramModule
 from repro.errors import ProgramError
-
-#: Rules the interpreter's scheduler guarantees by construction (the
-#: compiled plans share this wiring through :meth:`Interpreter.record`).
-#: The interpreter keeps one global cursor plus per-bank timestamps, so
-#: same-bank row-cycle constraints and refresh recovery hold on every
-#: stream it emits. Rank-level ACT pacing (tRRD_S/L, tFAW) and column
-#: cadence across instructions (tCCD_*) are not scheduled for — co-timed
-#: ACTs to different banks are legal in the simulator — and tREFI cannot
-#: bound streams that (per the methodology) disable refresh. The full
-#: rule table still applies to replayed logs via
-#: :func:`repro.dram.checker.check_log`.
-CHECKED_RULES = ("tRC", "tRAS", "tRP", "tRCD", "tRTP", "tWR", "tRFC")
 
 
 @dataclass
@@ -63,42 +48,15 @@ class Interpreter:
     interpreter can run many programs back-to-back, which is how the
     methodology strings initialization, hammering, and readback together
     while staying within one refresh window.
-
-    With timing checking enabled (``check_timing=True`` or
-    ``VRD_TIMING_CHECK=1``) every issued command is also recorded into
-    :attr:`log` and validated against the module's protocol rule table;
-    the first violation raises. With it off (the default) no log exists
-    and the execution path is untouched.
     """
 
-    def __init__(
-        self,
-        module: DramModule,
-        start_ns: float = 0.0,
-        check_timing: "bool | None" = None,
-    ):
+    def __init__(self, module: DramModule, start_ns: float = 0.0):
         self.module = module
         self.now = float(start_ns)
         self._counts: Dict[str, int] = {}
-        self.log: "CommandLog | None" = None
-        self._checker: "TimingChecker | None" = None
-        if timing_check_enabled(check_timing):
-            self.log = CommandLog()
-            self._checker = TimingChecker(
-                timing=module.timing,
-                geometry=module.geometry,
-                rule_names=CHECKED_RULES,
-            )
 
     def _bump(self, kind: str, amount: int = 1) -> None:
         self._counts[kind] = self._counts.get(kind, 0) + amount
-
-    def record(self, entry: LogEntry) -> None:
-        """Log one entry and validate it; raises on a timing violation."""
-        self.log.append(entry)
-        violations = self._checker.feed(entry)
-        if violations:
-            self._checker.report.raise_if_violations()
 
     def run(self, program: Program) -> ExecutionResult:
         """Execute a program; returns reads and timing/command accounting."""
@@ -122,11 +80,6 @@ class Interpreter:
                     bank.last_activate + timing.tRC,
                 )
                 self.module.activate(instruction.bank, instruction.row, ready)
-                if self.log is not None:
-                    self.record(Command(
-                        CommandKind.ACT, ready,
-                        bank=instruction.bank, row=instruction.row,
-                    ))
                 self.now = ready
                 bump("ACT")
             elif isinstance(instruction, Pre):
@@ -141,10 +94,6 @@ class Interpreter:
                     if instruction.min_on_ns is not None:
                         ready = max(ready, bank.opened_at + instruction.min_on_ns)
                 self.module.precharge(instruction.bank, ready)
-                if self.log is not None:
-                    self.record(Command(
-                        CommandKind.PRE, ready, bank=instruction.bank
-                    ))
                 self.now = ready
                 bump("PRE")
             elif isinstance(instruction, WriteRow):
@@ -159,11 +108,6 @@ class Interpreter:
                 finish = first_wr + ((columns - 1) * timing.tCCD_L_WR)
                 data = instruction.data(self.module.geometry.row_bytes)
                 self.module.write_row(instruction.bank, instruction.row, data, finish)
-                if self.log is not None:
-                    self.record(CommandBurst(
-                        CommandKind.WR, first_wr, timing.tCCD_L_WR,
-                        columns, bank=instruction.bank, row=instruction.row,
-                    ))
                 self.now = finish
                 bump("WR", columns)
             elif isinstance(instruction, ReadRow):
@@ -180,24 +124,12 @@ class Interpreter:
                 if instruction.tag in reads:
                     raise ProgramError(f"duplicate read tag {instruction.tag!r}")
                 reads[instruction.tag] = data
-                if self.log is not None:
-                    self.record(CommandBurst(
-                        CommandKind.RD, first_rd, timing.tCCD_L,
-                        columns, bank=instruction.bank, row=instruction.row,
-                    ))
                 self.now = finish
                 bump("RD", columns)
             elif isinstance(instruction, Wait):
                 self.now += instruction.duration_ns
             elif isinstance(instruction, Hammer):
                 t_on = max(instruction.t_agg_on, timing.tRAS)
-                if self.log is not None:
-                    # Mirror Bank.bulk_hammer's start clamp before it
-                    # mutates the bank state.
-                    bank = self.module.bank(instruction.bank)
-                    first_act = max(
-                        self.now, bank.last_precharge + timing.tRP
-                    )
                 end = self.module.bulk_hammer(
                     instruction.bank,
                     list(instruction.rows),
@@ -205,11 +137,6 @@ class Interpreter:
                     t_on,
                     self.now,
                 )
-                if self.log is not None and instruction.total_activations:
-                    self.record(HammerBlock(
-                        instruction.bank, tuple(instruction.rows),
-                        instruction.count, t_on, timing.tRP, first_act,
-                    ))
                 self.now = end
                 bump("ACT", instruction.total_activations)
                 bump("PRE", instruction.total_activations)
@@ -237,7 +164,5 @@ class Interpreter:
     def issue_refresh(self) -> None:
         """Issue one REF command at the current time (tRFC long)."""
         self.module.refresh(self.now)
-        if self.log is not None:
-            self.record(Command(CommandKind.REF, self.now))
         self.now += self.module.timing.tRFC
         self._bump("REF")

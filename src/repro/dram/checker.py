@@ -1,35 +1,33 @@
 """Table-driven DRAM command-stream timing validation.
 
-The :class:`TimingChecker` replays any command stream — a Bender program
-on the interpreter, a Bender trial replay, or the memory-system
-simulator's synthesized activity — against the declarative rule table its protocol induces
+The :class:`TimingChecker` replays a command stream against the
+declarative rule table its protocol induces
 (:func:`repro.dram.timing.rule_table`), reporting violations with logical
 command indices. The idiom follows the controller test models of real
 LPDDR4/LiteX-style verification environments: the rules are plain data,
 the checker is a small state machine over per-bank / per-bank-group /
 per-pseudo-channel last-command times.
 
-Compressed entries keep checker-on runs cheap. A uniform column burst is
-validated with a constant number of comparisons (the first command against
-history, the internal step against cadence rules). A hammer block feeds
-only its leading ACT/PRE pairs through the full rule walk — enough to
-cover every pair class against pre-block history and, because the loop's
-spacing is uniform, every later pair — then fast-forwards the state to
-the loop's closed-form end. Bender trials go further: every
-``DramBender.run_trial`` replays a compiled plan whose command stream is
-a rigid time-translation between replays, so the full walk runs once and
-later replays are validated through :meth:`TimingChecker.feed_certified`
-junction checks (logged as :class:`~repro.dram.commands.RepeatBlock`
-entries). That keeps a checker-on measurement sweep O(1) per trial
-instead of O(commands), which is how a Bender series stays within its
-overhead budget.
+Two producers feed it:
 
-Opt-in wiring: set ``VRD_TIMING_CHECK=1`` (or pass ``check_timing=True`` /
-``--check-timing``) and the Bender interpreter, the trial replays, and
-the memory-system reference loop record their streams and raise
-:class:`~repro.errors.TimingViolationError` on the first violation. With
-the flag off (the default), no log exists and every path is bit-identical
-to the unchecked build.
+* **Compiled Bender trials, always.** A compiled trial plan is a rigid
+  time-translation between replays, so its legality is a property of the
+  plan: ``compile_trial`` feeds the plan's stream through the full rule
+  table, tFAW windows included, once per hammer-count class, and refuses
+  the plan with :class:`~repro.errors.TimingViolationError` on a
+  violation (see :mod:`repro.bender.compiler`).
+* **The memory-system simulator, opt in.** With ``VRD_TIMING_CHECK=1``
+  (or ``fig14 --check-timing``) every REF/PRE/ACT the loop schedules is
+  checked against the rules that loop models, and the first violation
+  raises.
+
+Compressed entries keep checking cheap. A uniform column burst is
+validated with a constant number of comparisons (the first command
+against history, the internal step against cadence rules). A hammer
+block feeds only its leading ACT/PRE pairs through the full rule walk —
+enough to cover every pair class against pre-block history and, because
+the loop's spacing is uniform, every later pair — then fast-forwards the
+state to the loop's closed-form end.
 """
 
 from __future__ import annotations
@@ -37,23 +35,13 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.dram.commands import (
-    Command,
-    CommandBurst,
-    CommandKind,
-    CommandLog,
-    HammerBlock,
-    LogEntry,
-    RepeatBlock,
-)
+from repro.dram.commands import Command, CommandBurst, CommandKind, HammerBlock
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import (
     RULE_MAX_GAP,
     RULE_MIN_GAP,
-    RULE_WINDOW,
-    SCOPE_CHANNEL,
     SCOPE_CROSS_GROUP,
     SCOPE_SAME_BANK,
     SCOPE_SAME_GROUP,
@@ -63,7 +51,8 @@ from repro.dram.timing import (
 )
 from repro.errors import ConfigurationError, TimingViolationError
 
-#: Environment variable enabling the opt-in timing-check pass.
+#: Environment variable enabling the memory-system simulator's opt-in
+#: timing-check pass.
 TIMING_CHECK_ENV_VAR = "VRD_TIMING_CHECK"
 
 #: Slack for float-exact schedules: gaps that equal the rule delay up to
@@ -75,10 +64,10 @@ EPS = 1e-9
 def _tol(at: float) -> float:
     """Comparison slack for a command at absolute time ``at``.
 
-    The base EPS plus a proportional term: certified replays and hammer
-    fast-forwards re-compose times as ``anchor + offset``, which can land
-    a few ULP off the interpreter's own float association once absolute
-    times grow large. 1e-13 relative is ~450 double ULP of headroom while
+    The base EPS plus a proportional term: hammer fast-forwards
+    re-compose times as ``first_act + i * period``, which can land a few
+    ULP off a scheduler's own float association once absolute times grow
+    large. 1e-13 relative is ~450 double ULP of headroom while
     staying far below any physically meaningful timing margin.
     """
     return EPS + 1e-13 * abs(at)
@@ -89,10 +78,14 @@ _RANK_KINDS = (CommandKind.REF, CommandKind.RFM)
 
 
 def timing_check_enabled(override: Optional[bool] = None) -> bool:
-    """Resolve the opt-in flag: explicit override, else the environment.
+    """Resolve the memory-system simulator's opt-in check: explicit
+    override, else the environment.
 
     ``VRD_TIMING_CHECK`` set to ``1``/``true``/``on`` (any case) enables
     the pass; unset, empty, ``0``, ``false``, or ``off`` disables it.
+    Only :meth:`repro.memsim.system.MemorySystem.run` (and a ``fig14``
+    sweep, which then skips its stored result) reads it: compiled Bender
+    trials are certified at compile time whatever it says.
     """
     if override is not None:
         return bool(override)
@@ -162,11 +155,11 @@ class TimingChecker:
     table is derived) or an explicit rule sequence; the geometry supplies
     the bank-group / pseudo-channel topology the rule scopes use.
     ``rule_names`` restricts checking to a subset — the memory-system
-    simulator checks exactly the rules its model schedules for.
+    simulator checks exactly the rules its model schedules for; a
+    compiled Bender trial is certified against the whole table.
 
-    One instance checks one stream: call :meth:`feed` per entry (the
-    wiring used by the execution paths) or :meth:`check` for a whole
-    :class:`~repro.dram.commands.CommandLog`.
+    One instance checks one stream: call :meth:`feed` once per entry, in
+    time order.
     """
 
     def __init__(
@@ -357,8 +350,10 @@ class TimingChecker:
         self._note(kind, bank, at, index)
         return found
 
-    def feed(self, entry: LogEntry) -> List[Violation]:
-        """Check one log entry; returns any violations it introduced."""
+    def feed(
+        self, entry: Union[Command, CommandBurst, HammerBlock]
+    ) -> List[Violation]:
+        """Check one stream entry; returns any violations it introduced."""
         if isinstance(entry, Command):
             index = self._n
             self._n += 1
@@ -370,12 +365,7 @@ class TimingChecker:
             return self._feed_burst(entry)
         if isinstance(entry, HammerBlock):
             return self._feed_hammer(entry)
-        if isinstance(entry, RepeatBlock):
-            raise ConfigurationError(
-                "repeat blocks reference earlier log entries; feed them "
-                "through check(log) or feed_certified()"
-            )
-        raise ConfigurationError(f"unknown log entry {entry!r}")
+        raise ConfigurationError(f"unknown stream entry {entry!r}")
 
     def _feed_burst(self, burst: CommandBurst) -> List[Violation]:
         kind = burst.kind.value
@@ -444,83 +434,3 @@ class TimingChecker:
                         (block.first_act + i * period, base + 2 * i)
                     )
         return found
-
-    # -- certified replays ---------------------------------------------
-
-    @property
-    def supports_certified(self) -> bool:
-        """Whether :meth:`feed_certified` is sound for this rule set.
-
-        Junction-only checking cannot reconstruct the sliding ACT
-        windows that span a whole block, so window rules (tFAW) force
-        the full walk.
-        """
-        return not self._windows
-
-    def feed_certified(
-        self,
-        firsts: Sequence[Tuple[str, int, float, int]],
-        lasts: Sequence[Tuple[str, int, float, int]],
-        n_commands: int,
-        anchor: float,
-    ) -> List[Violation]:
-        """Check a certified block — a rigid time-translation of a
-        template this checker (or an equivalent one) already fed in
-        full — in O(distinct command kinds) instead of O(commands).
-
-        ``firsts`` / ``lasts`` hold the block's earliest / latest
-        occurrence per ``(kind, bank)`` as ``(kind, bank, rel_time,
-        rel_index)`` offsets from ``anchor``. In-block pairs were
-        validated when the template was fed; translation preserves their
-        gaps. Pre-block history only tightens against a block command
-        through the *earliest* in-scope occurrence (state times are
-        monotone), so checking each first suffices. Requires
-        :attr:`supports_certified` and a block without rank-level or
-        max-gap-triggering commands (blocks contain no REF/RFM).
-        """
-        if self._windows:
-            raise ConfigurationError(
-                "certified blocks are unsound with window rules active"
-            )
-        base = self._n
-        found: List[Violation] = []
-        for kind, bank, rel, rel_index in firsts:
-            at = anchor + rel
-            tol = _tol(at)
-            for rule in self._min_gap.get(kind, ()):
-                prior = self._candidate(rule, rule.prev, bank)
-                if prior is None:
-                    continue
-                gap = at - prior[0]
-                if -tol <= gap < rule.delay - tol:
-                    found.append(self._violate(
-                        rule, base + rel_index, at, gap, bank, prior[1]
-                    ))
-        self._n += n_commands
-        self.report.n_commands += n_commands
-        for kind, bank, rel, rel_index in lasts:
-            self._note(kind, bank, anchor + rel, base + rel_index)
-        return found
-
-    def check(self, log: CommandLog) -> CheckReport:
-        """Feed a whole log; returns the (cumulative) report."""
-        for entry in log.entries:
-            if isinstance(entry, RepeatBlock):
-                for command in log.expand_repeat(entry):
-                    self.feed(command)
-            else:
-                self.feed(entry)
-        return self.report
-
-
-def check_log(
-    log: CommandLog,
-    timing: TimingParams,
-    geometry: Optional[DramGeometry] = None,
-    rule_names: Optional[Iterable[str]] = None,
-) -> CheckReport:
-    """One-shot validation of a command log against a parameter set."""
-    checker = TimingChecker(
-        timing=timing, geometry=geometry, rule_names=rule_names
-    )
-    return checker.check(log)

@@ -1,15 +1,18 @@
 """DRAM command vocabulary.
 
-The memory controller (and the DRAM Bender interpreter) drive the simulated
-module with these commands; the module enforces legal sequencing and the
-timing parameters of :mod:`repro.dram.timing`.
+The streams the :class:`~repro.dram.checker.TimingChecker` validates
+against the timing parameters of :mod:`repro.dram.timing` are made of
+these entries: single commands, uniform column bursts, and hammer loops
+in closed periodic form. A compiled Bender trial certifies its plan's
+stream in these terms (:mod:`repro.bender.compiler`), and the
+memory-system simulator feeds its REF/PRE/ACT stream as single commands.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Iterator, Optional, Tuple
 
 
 class CommandKind(enum.Enum):
@@ -44,7 +47,6 @@ class Command:
     bank: Optional[int] = None
     row: Optional[int] = None
     column: Optional[int] = None
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind is CommandKind.ACT and self.row is None:
@@ -69,11 +71,11 @@ class Command:
 class CommandBurst:
     """``count`` same-kind commands at a uniform ``step`` cadence.
 
-    The interpreter's column sweeps (128 RD/WR commands per row access)
-    are logged as one burst instead of 128 :class:`Command` objects: the
-    uniform spacing means a checker can validate the whole burst with a
-    constant number of comparisons (the first command against history,
-    the internal ``step`` against same-kind cadence rules).
+    A row access's column sweep (128 RD/WR commands) is one burst
+    instead of 128 :class:`Command` objects: the uniform spacing means a
+    checker can validate the whole burst with a constant number of
+    comparisons (the first command against history, the internal
+    ``step`` against same-kind cadence rules).
     """
 
     kind: CommandKind
@@ -88,10 +90,6 @@ class CommandBurst:
             raise ValueError(f"burst needs >= 1 command, got {self.count}")
         if self.count > 1 and self.step <= 0:
             raise ValueError("multi-command bursts need a positive step")
-
-    @property
-    def n_commands(self) -> int:
-        return self.count
 
     @property
     def last_at(self) -> float:
@@ -112,9 +110,9 @@ class HammerBlock:
 
     ``count`` rounds over ``rows``; activation ``i`` (cycling the rows)
     opens at ``first_act + i * (t_on + t_pre)`` and precharges ``t_on``
-    later. Recording the loop this way keeps checker-on runs O(rows)
-    per loop — the same complexity class as ``Bank.bulk_hammer`` itself —
-    instead of expanding ``2 * count * len(rows)`` commands.
+    later. Describing the loop this way keeps checking it O(rows) — the
+    same complexity class as ``Bank.bulk_hammer`` itself — instead of
+    expanding ``2 * count * len(rows)`` commands.
     """
 
     bank: int
@@ -142,211 +140,9 @@ class HammerBlock:
     def n_commands(self) -> int:
         return 2 * self.total_activations
 
-    @property
-    def last_precharge(self) -> float:
-        return self.first_act + (
-            self.total_activations - 1
-        ) * self.period + self.t_on
-
     def expand(self) -> Iterator[Command]:
         for i in range(self.total_activations):
             act_at = self.first_act + i * self.period
             row = self.rows[i % len(self.rows)]
             yield Command(CommandKind.ACT, act_at, bank=self.bank, row=row)
             yield Command(CommandKind.PRE, act_at + self.t_on, bank=self.bank)
-
-
-@dataclass(frozen=True)
-class RepeatBlock:
-    """A time-shifted repeat of an earlier slice of the same log.
-
-    The compiled Bender replay certifies a trial plan's command stream
-    once (one fully fed, fully validated template) and records each later
-    identical replay as a single RepeatBlock: the ``n_entries`` log
-    entries starting at ``first_entry`` re-issued ``dt`` later. The log
-    stays complete and serializable — :meth:`CommandLog.iter_commands`
-    expands the referenced slice with the shift applied — while
-    checker-on measurement sweeps stay O(1) per trial. The referenced
-    slice must not itself contain a RepeatBlock.
-    """
-
-    first_entry: int
-    n_entries: int
-    dt: float
-    n_commands: int
-
-    def __post_init__(self) -> None:
-        if self.first_entry < 0 or self.n_entries < 1:
-            raise ValueError("repeat block needs a valid entry slice")
-        if self.n_commands < 1:
-            raise ValueError("repeat block needs >= 1 command")
-
-
-#: Anything a :class:`CommandLog` holds.
-LogEntry = Union[Command, CommandBurst, HammerBlock, RepeatBlock]
-
-
-class CommandLog:
-    """An append-only, compression-aware command stream.
-
-    Single commands, uniform bursts, and hammer blocks share one logical
-    index space: entry expansion order defines command indices, which is
-    what checker violations report. The log is what both Bender execution
-    paths and the memory-system simulator hand to the
-    :class:`~repro.dram.checker.TimingChecker`.
-    """
-
-    def __init__(self, entries: Optional[Iterable[LogEntry]] = None):
-        self.entries: List[LogEntry] = []
-        self._n_commands = 0
-        if entries:
-            for entry in entries:
-                self.append(entry)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_commands(self) -> int:
-        """Total logical commands (bursts and hammer loops expanded)."""
-        return self._n_commands
-
-    def append(self, entry: LogEntry) -> None:
-        self.entries.append(entry)
-        self._n_commands += getattr(entry, "n_commands", 1)
-
-    def command(
-        self,
-        kind: CommandKind,
-        at: float,
-        bank: Optional[int] = None,
-        row: Optional[int] = None,
-    ) -> None:
-        self.append(Command(kind, at, bank=bank, row=row))
-
-    def burst(
-        self,
-        kind: CommandKind,
-        start: float,
-        step: float,
-        count: int,
-        bank: Optional[int] = None,
-        row: Optional[int] = None,
-    ) -> None:
-        self.append(CommandBurst(kind, start, step, count, bank=bank, row=row))
-
-    def hammer(
-        self,
-        bank: int,
-        rows: Iterable[int],
-        count: int,
-        t_on: float,
-        t_pre: float,
-        first_act: float,
-    ) -> None:
-        self.append(
-            HammerBlock(bank, tuple(rows), count, t_on, t_pre, first_act)
-        )
-
-    def iter_commands(self) -> Iterator[Command]:
-        """Expand every entry into individual commands, in issue order."""
-        for entry in self.entries:
-            if isinstance(entry, Command):
-                yield entry
-            elif isinstance(entry, RepeatBlock):
-                yield from self.expand_repeat(entry)
-            else:
-                yield from entry.expand()
-
-    def expand_repeat(self, block: RepeatBlock) -> Iterator[Command]:
-        """Expand a repeat entry against this log's referenced slice."""
-        stop = block.first_entry + block.n_entries
-        if stop > len(self.entries):
-            raise ValueError("repeat block references beyond the log")
-        for entry in self.entries[block.first_entry:stop]:
-            if isinstance(entry, Command):
-                yield Command(
-                    entry.kind, entry.issued_at + block.dt,
-                    bank=entry.bank, row=entry.row, column=entry.column,
-                )
-            elif isinstance(entry, CommandBurst):
-                yield from CommandBurst(
-                    entry.kind, entry.start + block.dt, entry.step,
-                    entry.count, bank=entry.bank, row=entry.row,
-                ).expand()
-            elif isinstance(entry, HammerBlock):
-                yield from HammerBlock(
-                    entry.bank, entry.rows, entry.count, entry.t_on,
-                    entry.t_pre, entry.first_act + block.dt,
-                ).expand()
-            else:
-                raise ValueError("repeat blocks must not nest")
-
-    # -- serialization (golden conformance corpora) --------------------
-
-    def to_payload(self) -> list:
-        """Plain-JSON form, one object per entry."""
-        payload = []
-        for entry in self.entries:
-            if isinstance(entry, Command):
-                item = {"cmd": entry.kind.value, "at": entry.issued_at}
-                if entry.bank is not None:
-                    item["bank"] = entry.bank
-                if entry.row is not None:
-                    item["row"] = entry.row
-            elif isinstance(entry, CommandBurst):
-                item = {
-                    "burst": entry.kind.value,
-                    "at": entry.start,
-                    "step": entry.step,
-                    "count": entry.count,
-                }
-                if entry.bank is not None:
-                    item["bank"] = entry.bank
-                if entry.row is not None:
-                    item["row"] = entry.row
-            elif isinstance(entry, HammerBlock):
-                item = {
-                    "hammer": list(entry.rows),
-                    "bank": entry.bank,
-                    "count": entry.count,
-                    "t_on": entry.t_on,
-                    "t_pre": entry.t_pre,
-                    "at": entry.first_act,
-                }
-            else:
-                item = {
-                    "repeat": entry.first_entry,
-                    "entries": entry.n_entries,
-                    "dt": entry.dt,
-                    "commands": entry.n_commands,
-                }
-            payload.append(item)
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Iterable[dict]) -> "CommandLog":
-        log = cls()
-        for item in payload:
-            if "cmd" in item:
-                log.command(
-                    CommandKind(item["cmd"]), item["at"],
-                    bank=item.get("bank"), row=item.get("row"),
-                )
-            elif "burst" in item:
-                log.burst(
-                    CommandKind(item["burst"]), item["at"], item["step"],
-                    item["count"], bank=item.get("bank"),
-                    row=item.get("row"),
-                )
-            elif "hammer" in item:
-                log.hammer(
-                    item["bank"], item["hammer"], item["count"],
-                    item["t_on"], item["t_pre"], item["at"],
-                )
-            else:
-                log.append(RepeatBlock(
-                    item["repeat"], item["entries"], item["dt"],
-                    item["commands"],
-                ))
-        return log

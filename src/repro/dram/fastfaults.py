@@ -91,6 +91,7 @@ import numpy as np
 from numpy.random import Generator
 
 from repro import obs
+from repro.dram.cells import CellLayout
 from repro.dram.faults import (
     PATTERN_VICTIM_BYTE,
     REFERENCE_T_AGG_ON,
@@ -323,30 +324,6 @@ def _short_column(plan: _TrapPlan, n: int, rng: Generator) -> List[bool]:
             draws = rng.random(batch).tolist()
 
 
-def _weak_cell_polarity(
-    true_cell_lookup, rows: Sequence[int], bits: np.ndarray
-) -> np.ndarray:
-    """Every row's weak-cell polarities (true cell or not): one vectorized
-    call when the lookup is a :class:`~repro.dram.cells.CellLayout`'s
-    ``bit_is_true_cell``, one lookup per cell for any other callable."""
-    if true_cell_lookup is None:
-        return np.ones(bits.shape, dtype=bool)
-    layout = getattr(true_cell_lookup, "__self__", None)
-    if getattr(true_cell_lookup, "__name__", None) == "bit_is_true_cell" and (
-        hasattr(layout, "bits_are_true_cells")
-    ):
-        return layout.bits_are_true_cells(
-            np.array(rows, dtype=np.int64)[:, None], bits
-        )
-    return np.array(
-        [
-            [true_cell_lookup(row, int(bit)) for bit in row_bits]
-            for row, row_bits in zip(rows, bits)
-        ],
-        dtype=bool,
-    ).reshape(bits.shape)
-
-
 class BankVrdState:
     """Rows of one bank, packed for bulk device-model queries.
 
@@ -375,7 +352,7 @@ class BankVrdState:
         module_id: str,
         bank: int,
         rows: Sequence[int],
-        true_cell_lookup=None,
+        cell_layout: Optional[CellLayout] = None,
     ):
         if row_bits < params.weak_cells:
             raise ConfigurationError(
@@ -490,9 +467,14 @@ class BankVrdState:
         gaps[:, 0] = 0.0
         self.weak_cell_margins = np.cumsum(gaps, axis=1)
         self.weak_cell_bits = weak_bits
-        self.weak_cell_true = _weak_cell_polarity(
-            true_cell_lookup, self.rows, weak_bits
-        )
+        # Every row's weak-cell polarities (true cell or not); no layout
+        # means all cells are true cells.
+        if cell_layout is None:
+            self.weak_cell_true = np.ones(weak_bits.shape, dtype=bool)
+        else:
+            self.weak_cell_true = cell_layout.bits_are_true_cells(
+                np.array(self.rows, dtype=np.int64)[:, None], weak_bits
+            )
 
         recorder = obs.active()
         if recorder.enabled:

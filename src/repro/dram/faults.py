@@ -41,6 +41,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 
 from repro import obs
+from repro.dram.cells import CellLayout
 from repro.errors import ConfigurationError
 from repro.rng import derive, step_draws
 
@@ -627,13 +628,15 @@ class ModuleFaultModel:
         row_bits: int,
         seed: int,
         module_id: str,
-        true_cell_lookup=None,
+        cell_layout: Optional[CellLayout] = None,
     ):
         self.params = params
         self.row_bits = row_bits
         self.seed = seed
         self.module_id = module_id
-        self._true_cell_lookup = true_cell_lookup
+        #: Cell polarities of the module's weak cells; ``None`` means all
+        #: cells are true cells.
+        self.cell_layout = cell_layout
         self._processes: Dict[Tuple[int, int], RowVrdProcess] = {}
         # Per-bank packed fast state (repro.dram.fastfaults), one entry per
         # bank keyed by the exact rows tuple it was built for: campaigns
@@ -688,7 +691,7 @@ class ModuleFaultModel:
 
         return BankVrdState(
             self.params, self.row_bits, self.seed, self.module_id, bank, rows,
-            true_cell_lookup=self._true_cell_lookup,
+            cell_layout=self.cell_layout,
         )
 
     def _packed_state(self, bank: int, rows: "list[int]", cache: bool):

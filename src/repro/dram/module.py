@@ -126,13 +126,12 @@ class DramModule:
             )
 
         params = vrd_params or VrdModelParams()
-        true_lookup = self.cell_layout.bit_is_true_cell
         self.fault_model = ModuleFaultModel(
             params,
             self.geometry.row_bits,
             seed,
             module_id,
-            true_cell_lookup=true_lookup,
+            cell_layout=self.cell_layout,
         )
         self.retention = RetentionModel(
             self.geometry.row_bits, timing.tREFW, seed, module_id

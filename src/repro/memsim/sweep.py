@@ -210,18 +210,23 @@ def run_sweep(
             Kept only because the benchmark harness (``bench/``) still
             passes ``n_jobs=1``; ROADMAP item 5 removes it.
         cache: Optional :class:`~repro.store.db.ResultStore`; a hit under
-            :func:`sweep_key` skips simulation entirely.
+            :func:`sweep_key` skips simulation entirely. A checked run
+            (``VRD_TIMING_CHECK=1``, as ``fig14 --check-timing`` sets)
+            never reads the store, so every simulated command reaches the
+            timing checker; it still saves its result.
     """
     if n_jobs not in (None, 1):
         raise ConfigurationError(
             f"the sweep runs in one process; n_jobs must be None or 1, "
             f"got {n_jobs!r}"
         )
+    from repro.dram.checker import timing_check_enabled
+
     spec = spec or SweepSpec()
     recorder = obs.active()
 
     with recorder.span("sweep.run"):
-        if cache is not None:
+        if cache is not None and not timing_check_enabled():
             cached = cache.load(
                 sweep_key(spec), KIND_SWEEP, SweepResult.from_payload
             )

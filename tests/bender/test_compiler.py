@@ -6,7 +6,10 @@ specification: ``DramBender.run_trial`` replays a compiled plan of
 (``tests.differential.harness.interpreted_trial``) bit for bit — same
 flips, same clock, same command counts, same device state — and malformed
 programs must fail with the interpreter's exception classes (raised up
-front at compile time instead of mid-run).
+front at compile time instead of mid-run). Every plan's timing is
+certified at compile time against its protocol's full rule table; the
+stream the certificate feeds is pinned here to the one interpreted
+trials send.
 """
 
 from functools import partial
@@ -22,10 +25,23 @@ from repro.bender.isa import Hammer, ReadRow, WriteRow
 from repro.bender.program import Program, ProgramBuilder
 from repro.core.config import TestConfig
 from repro.core.patterns import ALL_PATTERNS, CHECKERED0, ROWSTRIPE0
+from repro.chips import build_module
+from repro.chips.catalog import EXTENDED_SPECS
 from repro.core.rdt import FastRdtMeter, HammerSweep, RdtMeter
-from repro.errors import CommandSequenceError, ProgramError, ReproError
+from repro.dram.checker import _tol
+from repro.errors import (
+    CommandSequenceError,
+    ProgramError,
+    ReproError,
+    TimingViolationError,
+)
 from tests.conftest import make_module
-from tests.differential.harness import interpreted_trial
+from tests.differential.harness import (
+    expand_stream,
+    interpreted_trial,
+    recording,
+    with_timing,
+)
 
 
 def fresh_module(seed=1234, **kwargs):
@@ -379,14 +395,10 @@ def test_rdt_meter_series_compiled_equals_scalar():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("checked", ["0", "1"])
-def test_host_recompiles_its_one_plan_exactly_across_victims(
-    monkeypatch, checked
-):
+def test_host_recompiles_its_one_plan_exactly_across_victims():
     """Trials that alternate between victims recompile the host's single
     plan, repeats of one victim reuse it, and every trial matches the
-    interpreted oracle, with the timing checker off and on."""
-    monkeypatch.setenv("VRD_TIMING_CHECK", checked)
+    interpreted oracle."""
     oracle = DramBender(fresh_module())
     replay = DramBender(fresh_module())
     t_on = replay.module.timing.tRAS
@@ -403,4 +415,73 @@ def test_host_recompiles_its_one_plan_exactly_across_victims(
             victims[index] == victims[index - 1]
         )
     assert snapshot(replay.interpreter) == snapshot(oracle.interpreter)
-    assert (replay.interpreter.log is None) == (checked == "0")
+
+
+# ---------------------------------------------------------------------------
+# The compile-time timing certificate
+# ---------------------------------------------------------------------------
+
+
+def catalog_module(module_id, **overrides):
+    module = build_module(module_id, seed=7)
+    module.disable_interference_sources()
+    return with_timing(module, **overrides) if overrides else module
+
+
+@pytest.mark.parametrize(
+    "module_id", [device.module_id for device in EXTENDED_SPECS]
+)
+def test_every_catalog_device_compiles_under_the_full_table(module_id):
+    """DDR4, DDR5 and HBM2 trial plans meet every rule of their protocol,
+    tFAW windows included, at the paper's init radius and both ends of
+    the tAggOn range."""
+    module = catalog_module(module_id)
+    bender = DramBender(module, init_radius=8)
+    for t_agg_on in (module.timing.tRAS, module.timing.max_row_open):
+        for victim in (0, 100):
+            plan = bender.compiled_trial(0, victim, CHECKERED0, t_agg_on)
+            assert plan.certified_counts[-1] * len(
+                bender.aggressors_for(0, victim)
+            ) >= 4
+
+
+@pytest.mark.parametrize("module_id", ["M1", "D0", "Chip0"])
+@pytest.mark.parametrize("rule,factor", [("tFAW", 4.0), ("tRRD_L", 1.5)])
+def test_compile_refuses_a_preset_the_trial_breaks(module_id, rule, factor):
+    """A trial's hammer loop activates every tRC, so a four-activate
+    window of 4 tRC or a same-group ACT gap of 1.5 tRC cannot hold: the
+    plan is refused at compile time, naming the rule. Neither rule is one
+    the interpreter paces for."""
+    module = catalog_module(module_id)
+    module = with_timing(module, **{rule: factor * module.timing.tRC})
+    bender = DramBender(module)
+    with pytest.raises(TimingViolationError, match=f"violates {rule}:"):
+        bender.compiled_trial(0, 100, CHECKERED0, module.timing.tRAS)
+
+
+@pytest.mark.parametrize("module_id", ["M1", "D0", "Chip0"])
+@pytest.mark.parametrize("victim", [0, 100], ids=["edge", "inner"])
+@pytest.mark.parametrize("t_agg_on", [35.0, 300.0])
+def test_certified_stream_is_the_interpreted_stream(module_id, victim, t_agg_on):
+    """The stream the certificate feeds equals, command for command, the
+    stream interpreted trials send at the same hammer counts from a
+    fresh module: every hammer-count class, back to back, within the
+    checker's float slack."""
+    module = catalog_module(module_id)
+    bender = DramBender(module, init_radius=3)
+    plan = bender.compiled_trial(0, victim, CHECKERED0, t_agg_on)
+    with recording(module) as stream:
+        for count in plan.certified_counts:
+            bender.interpreter.run(
+                bender.trial_program(0, victim, CHECKERED0, count, t_agg_on)
+            )
+    certified = list(expand_stream(plan.command_stream(plan.certified_counts)))
+    recorded = list(expand_stream(stream))
+    assert len(certified) == len(recorded)
+    for ours, theirs in zip(certified, recorded):
+        assert (ours.kind, ours.bank, ours.row, ours.column) == (
+            theirs.kind, theirs.bank, theirs.row, theirs.column
+        )
+        assert abs(ours.issued_at - theirs.issued_at) <= _tol(
+            theirs.issued_at
+        )

@@ -142,7 +142,7 @@ def test_batched_probe_equals_per_row_guesses(case):
     module = build_module(module_id, seed=7)
     module.disable_interference_sources()
     if not keep_lookup:
-        module.fault_model._true_cell_lookup = None
+        module.fault_model.cell_layout = None
     meter = FastRdtMeter(module, bank=0)
     config = TestConfig(pattern, t_agg_on_ns=module.timing.tRAS)
     rows = [0, 5, 9, 13, 64, 200, 600, 1030]

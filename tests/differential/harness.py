@@ -30,9 +30,13 @@ victim              per-row scan + ``find_victim``      memoized batched scan
 
 Cross-protocol variants rerun the fastfaults and bender pairs on catalog
 devices whose geometry exercises DDR5 bank groups (``D0``) and HBM2
-pseudo channels (``Chip0``); the ``checker-*`` pairs run the same
-fast path with ``VRD_TIMING_CHECK=1`` forced on versus off, proving the
-opt-in timing validation pass never perturbs a single bit.
+pseudo channels (``Chip0``). The ``checker-bender`` pair holds
+``compile_trial``'s timing certificate to the full rule table's verdict
+on the stream :func:`recording` reads off interpreted trials (random
+catalog devices and trials, some with tFAW or tRRD_L stretched past what
+the trial meets); ``checker-memsim`` runs the memory-system loop with
+``VRD_TIMING_CHECK=1`` forced on versus off, proving its opt-in timing
+check never perturbs a single bit.
 
 Two oracles here are statistical rather than bit-identical: the paper's
 Monte Carlo minimum-RDT procedure (``probability_of_min_monte_carlo``,
@@ -680,9 +684,10 @@ class ReferenceRow:
 
 def reference_row(model, bank: int, row: int) -> ReferenceRow:
     """The reference row of ``row`` of ``bank`` in a ``ModuleFaultModel``."""
+    layout = model.cell_layout
     return ReferenceRow(
         model.params, model.row_bits, model.seed, (model.module_id, bank, row),
-        true_cell_lookup=model._true_cell_lookup,
+        true_cell_lookup=None if layout is None else layout.bit_is_true_cell,
     )
 
 
@@ -1104,7 +1109,164 @@ def bender_hbm2_fast(seed: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# checker: timing validation on vs off must be invisible in results
+# checker-bender: the recorded interpreted trial under the full rule
+# table vs compile_trial's certificate
+# ----------------------------------------------------------------------
+
+@contextlib.contextmanager
+def recording(module):
+    """Record the command stream interpreters send to ``module``.
+
+    The command times are read off the module calls the interpreter already
+    makes, by shadowing them on the instance while the context is open;
+    the yielded list collects :mod:`repro.dram.commands` entries in time
+    order. A row write or read passes its finish time, so the recorded
+    burst starts that time less the burst's tail (``tRTP`` included for a
+    read), which can sit a few ULP off the scheduler's own start: within
+    the checker's ``_tol``.
+    """
+    from repro.dram.commands import (
+        Command, CommandBurst, CommandKind, HammerBlock,
+    )
+
+    stream: list = []
+    timing = module.timing
+    columns = module.geometry.columns_per_row
+
+    def activate(bank, row, at):
+        stream.append(Command(CommandKind.ACT, at, bank=bank, row=row))
+        calls["activate"](bank, row, at)
+
+    def precharge(bank, at):
+        stream.append(Command(CommandKind.PRE, at, bank=bank))
+        calls["precharge"](bank, at)
+
+    def write_row(bank, row, data, at):
+        first = at - (columns - 1) * timing.tCCD_L_WR
+        stream.append(CommandBurst(
+            CommandKind.WR, first, timing.tCCD_L_WR, columns,
+            bank=bank, row=row,
+        ))
+        calls["write_row"](bank, row, data, at)
+
+    def read_row(bank, row, at):
+        first = at - timing.tRTP - (columns - 1) * timing.tCCD_L
+        stream.append(CommandBurst(
+            CommandKind.RD, first, timing.tCCD_L, columns,
+            bank=bank, row=row,
+        ))
+        return calls["read_row"](bank, row, at)
+
+    def bulk_hammer(bank, rows, count, t_agg_on, start):
+        first_act = max(start, module.bank(bank).last_precharge + timing.tRP)
+        if count and rows:
+            stream.append(HammerBlock(
+                bank, tuple(rows), count, t_agg_on, timing.tRP, first_act
+            ))
+        return calls["bulk_hammer"](bank, rows, count, t_agg_on, start)
+
+    def refresh(at):
+        stream.append(Command(CommandKind.REF, at))
+        calls["refresh"](at)
+
+    # Every module call an interpreter makes with a command time.
+    shims = (activate, precharge, write_row, read_row, bulk_hammer, refresh)
+    calls = {shim.__name__: getattr(module, shim.__name__) for shim in shims}
+    for shim in shims:
+        setattr(module, shim.__name__, shim)
+    try:
+        yield stream
+    finally:
+        for shim in shims:
+            delattr(module, shim.__name__)
+
+
+def expand_stream(entries):
+    """Every single command of a stream of entries, in order."""
+    from repro.dram.commands import Command
+
+    for entry in entries:
+        if isinstance(entry, Command):
+            yield entry
+        else:
+            yield from entry.expand()
+
+
+def with_timing(module, **overrides):
+    """``module`` with its timing preset overridden, banks included."""
+    timing = module.timing.with_overrides(**overrides)
+    module.timing = timing
+    for bank in module.banks:
+        bank.timing = timing
+    return module
+
+
+def _checker_bender_case(seed: int) -> tuple:
+    """A random Algorithm 1 trial (device, victim, pattern, tAggOn, init
+    radius) whose timing preset may stretch tFAW or tRRD_L — rules the
+    interpreter does not pace for — past what the trial meets."""
+    from repro.bender.host import DramBender
+    from repro.chips import build_module
+    from repro.chips.catalog import EXTENDED_SPECS
+    from repro.core.patterns import ALL_PATTERNS
+
+    # The offset makes SEEDS cover a clean HBM2 plan, a DDR5 tRRD_L
+    # refusal and a DDR4 tFAW refusal.
+    pick = random.Random(seed + 279)
+    module = build_module(pick.choice(EXTENDED_SPECS).module_id, seed=seed)
+    module.disable_interference_sources()
+    timing = module.timing
+    rule = pick.choice(("tFAW", "tRRD_L", None))
+    if rule is not None:
+        with_timing(module, **{rule: timing.tRC * pick.uniform(0.5, 4.5)})
+    bender = DramBender(module, init_radius=pick.randint(1, 4))
+    victim = pick.randrange(module.geometry.n_rows)
+    t_agg_on = pick.choice((timing.tRAS, 2 * timing.tRAS, 300.0))
+    return bender, victim, pick.choice(ALL_PATTERNS), t_agg_on
+
+
+def checker_bender_oracle(seed: int) -> tuple:
+    """The full rule table's first violation, if any, on the recorded
+    stream of interpreted trials: from a fresh module, each hammer count
+    up to the first with a full tFAW window of activations, twice."""
+    from repro.dram.checker import TimingChecker
+
+    bender, victim, pattern, t_agg_on = _checker_bender_case(seed)
+    module = bender.module
+    last = -(-4 // len(bender.aggressors_for(0, victim)))
+    with recording(module) as stream:
+        for count in range(last + 1):
+            for _ in range(2):
+                bender.interpreter.run(bender.trial_program(
+                    0, victim, pattern, count, t_agg_on
+                ))
+    checker = TimingChecker(timing=module.timing, geometry=module.geometry)
+    for entry in stream:
+        checker.feed(entry)
+    first = [(v.index, v.rule) for v in checker.report.violations[:1]]
+    return module.module_id, victim, first
+
+
+def checker_bender_fast(seed: int) -> tuple:
+    """``compile_trial``'s verdict on the same trial: the violation its
+    :class:`~repro.errors.TimingViolationError` names, if it refuses."""
+    import re
+
+    from repro.errors import TimingViolationError
+
+    bender, victim, pattern, t_agg_on = _checker_bender_case(seed)
+    try:
+        bender.compiled_trial(0, victim, pattern, t_agg_on)
+    except TimingViolationError as exc:
+        found = re.search(r"command #(\d+) .* violates (\w+):", str(exc))
+        return bender.module.module_id, victim, [
+            (int(found[1]), found[2])
+        ]
+    return bender.module.module_id, victim, []
+
+
+# ----------------------------------------------------------------------
+# checker-memsim: timing validation on vs off must be invisible in results
 # ----------------------------------------------------------------------
 
 def _checked(workload: Callable[[int], tuple], seed: int) -> tuple:
@@ -1124,14 +1286,6 @@ def _checked(workload: Callable[[int], tuple], seed: int) -> tuple:
             del os.environ[TIMING_CHECK_ENV_VAR]
         else:
             os.environ[TIMING_CHECK_ENV_VAR] = previous
-
-
-def checker_bender_oracle(seed: int) -> tuple:
-    return bender_ddr5_fast(seed)
-
-
-def checker_bender_fast(seed: int) -> tuple:
-    return _checked(bender_ddr5_fast, seed)
 
 
 def checker_memsim_oracle(seed: int) -> tuple:

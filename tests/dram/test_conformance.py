@@ -1,10 +1,13 @@
 """Golden cross-protocol conformance suite for the TimingChecker.
 
 ``tests/dram/conformance/`` holds one committed corpus per protocol:
-known-legal and known-illegal command streams (in the
-:meth:`~repro.dram.commands.CommandLog.to_payload` JSON form) with the
-checker's exact expected verdict — the full ordered list of
-``(index, rule)`` violations, empty for legal streams. Each protocol
+known-legal and known-illegal command streams with the checker's exact
+expected verdict — the full ordered list of ``(index, rule)``
+violations, empty for legal streams. A stream is a JSON list with one
+object per entry: ``{"cmd", "at", "bank"?, "row"?}`` for one command,
+``{"burst", "at", "step", "count", "bank"?, "row"?}`` for a uniform
+column burst and ``{"hammer": rows, "bank", "count", "t_on", "t_pre",
+"at"}`` for a hammer loop. Each protocol
 covers at least four timing rules with both a legal-boundary stream
 (gaps exactly at the JEDEC minimum never flag) and a violating stream.
 
@@ -20,10 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.dram.checker import check_log
-from repro.dram.commands import CommandLog
+from repro.dram.checker import TimingChecker
+from repro.dram.commands import Command, CommandBurst, CommandKind, HammerBlock
 from repro.dram.geometry import DramGeometry
 from repro.dram.timing import PRESETS, rule_table
+from tests.differential.harness import expand_stream
 
 CORPUS_DIR = Path(__file__).parent / "conformance"
 
@@ -31,6 +35,26 @@ CORPUS_DIR = Path(__file__).parent / "conformance"
 def _corpora():
     for path in sorted(CORPUS_DIR.glob("*.json")):
         yield path.stem, json.loads(path.read_text())
+
+
+def _entries(stream):
+    """A corpus stream's checker entries, in order."""
+    for item in stream:
+        if "cmd" in item:
+            yield Command(
+                CommandKind(item["cmd"]), item["at"],
+                bank=item.get("bank"), row=item.get("row"),
+            )
+        elif "burst" in item:
+            yield CommandBurst(
+                CommandKind(item["burst"]), item["at"], item["step"],
+                item["count"], bank=item.get("bank"), row=item.get("row"),
+            )
+        else:
+            yield HammerBlock(
+                item["bank"], tuple(item["hammer"]), item["count"],
+                item["t_on"], item["t_pre"], item["at"],
+            )
 
 
 def _cases():
@@ -43,14 +67,17 @@ def _cases():
 def test_conformance_verdict(payload, case):
     params = PRESETS[payload["preset"]]
     geometry = DramGeometry(**payload["geometry"])
-    log = CommandLog.from_payload(case["stream"])
-    report = check_log(log, params, geometry=geometry)
+    entries = list(_entries(case["stream"]))
+    checker = TimingChecker(timing=params, geometry=geometry)
+    for entry in entries:
+        checker.feed(entry)
+    report = checker.report
     got = [{"index": v.index, "rule": v.rule} for v in report.violations]
     assert got == case["violations"], (
         f"{payload['preset']} {case['name']}: expected "
         f"{case['violations']}, checker said:\n{report.describe()}"
     )
-    assert report.n_commands == log.n_commands
+    assert report.n_commands == sum(1 for _ in expand_stream(entries))
 
 
 def test_corpus_covers_every_protocol():

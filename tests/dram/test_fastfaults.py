@@ -274,26 +274,26 @@ class TestModuleFacade:
 
 
 @pytest.mark.parametrize(
-    "lookup",
+    "layout",
     [
-        CellLayout(CellLayoutKind.MIXED).bit_is_true_cell,
-        CellLayout(CellLayoutKind.ROW_BLOCKS, block_rows=4).bit_is_true_cell,
-        CellLayout(CellLayoutKind.ALTERNATE_ROWS).bit_is_true_cell,
-        CellLayout(CellLayoutKind.ALL_TRUE).bit_is_true_cell,
-        lambda row, bit: (bit + row) % 3 == 0,  # any other callable
+        CellLayout(CellLayoutKind.MIXED),
+        CellLayout(CellLayoutKind.ROW_BLOCKS, block_rows=4),
+        CellLayout(CellLayoutKind.ALTERNATE_ROWS),
+        CellLayout(CellLayoutKind.ALL_TRUE),
     ],
-    ids=["mixed", "row-blocks", "alternate-rows", "all-true", "callable"],
+    ids=["mixed", "row-blocks", "alternate-rows", "all-true"],
 )
-def test_weak_cell_polarity_matches_process(lookup):
+def test_weak_cell_polarity_matches_process(layout):
     params = make_params()
     state = BankVrdState(
-        params, ROW_BITS, SEED, MODULE, BANK, ROWS, true_cell_lookup=lookup
+        params, ROW_BITS, SEED, MODULE, BANK, ROWS, cell_layout=layout
     )
     condition = Condition("rowstripe1", 35.0, 50.0)
     means = state.guess_means(condition)
     for index, row in enumerate(ROWS):
         reference = ReferenceRow(
-            params, ROW_BITS, SEED, (MODULE, BANK, row), true_cell_lookup=lookup
+            params, ROW_BITS, SEED, (MODULE, BANK, row),
+            true_cell_lookup=layout.bit_is_true_cell,
         )
         np.testing.assert_array_equal(
             state.weak_cell_true[index], reference.weak_cell_true

@@ -124,12 +124,8 @@ CHECKED_RUNS = {
 }
 
 
-def test_check_timing_flag_feeds_the_checker(monkeypatch, capsys):
-    """A subcommand offers ``--check-timing`` only if its run feeds DRAM
-    commands to a :class:`~repro.dram.checker.TimingChecker`."""
-    import argparse
-
-    from repro.cli import _build_parser
+def _built_checkers(monkeypatch) -> list:
+    """Collects every TimingChecker built from now on."""
     from repro.dram.checker import TIMING_CHECK_ENV_VAR, TimingChecker
 
     # The flag sets the variable for the process; restore it afterwards.
@@ -142,6 +138,17 @@ def test_check_timing_flag_feeds_the_checker(monkeypatch, capsys):
         built.append(self)
 
     monkeypatch.setattr(TimingChecker, "__init__", recording_init)
+    return built
+
+
+def test_check_timing_flag_feeds_the_checker(monkeypatch, capsys):
+    """A subcommand offers ``--check-timing`` only if its run feeds DRAM
+    commands to a :class:`~repro.dram.checker.TimingChecker`."""
+    import argparse
+
+    from repro.cli import _build_parser
+
+    built = _built_checkers(monkeypatch)
     subparsers = next(
         action for action in _build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
@@ -157,6 +164,20 @@ def test_check_timing_flag_feeds_the_checker(monkeypatch, capsys):
         fed = sum(checker.report.n_commands for checker in built)
         assert fed > 0, f"{name} --check-timing fed no command"
     capsys.readouterr()
+
+
+def test_check_timing_simulates_a_stored_sweep(monkeypatch, capsys, tmp_path):
+    """A checked ``fig14`` run reads no stored sweep: on a store warmed by
+    an unchecked run it still feeds every command to the checker, and
+    prints the same table."""
+    built = _built_checkers(monkeypatch)
+    run = ["fig14", "--mixes", "1", "--window", "2000",
+           "--cache-dir", str(tmp_path)]
+    assert main(run) == 0
+    warm = capsys.readouterr().out
+    assert main(run + ["--check-timing"]) == 0
+    assert sum(checker.report.n_commands for checker in built) > 0
+    assert capsys.readouterr().out == warm
 
 
 def test_unknown_command_rejected():

@@ -52,8 +52,10 @@ CLI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
      "ci-cache", "-o", "second.json", "--trace"),
     ("analyze", "second.json"),
     ("store", "stats", "--store", "ci-cache/results.sqlite"),
-    ("fig14", "--mixes", "1", "--window", "5000", "--no-cache",
-     "--check-timing"),
+    ("fig14", "--mixes", "1", "--window", "5000", "--cache-dir",
+     "ci-cache"),
+    ("fig14", "--mixes", "1", "--window", "5000", "--cache-dir",
+     "ci-cache", "--check-timing"),
     ("devices",),
     ("table3",),
     ("attack", "M1"),
