@@ -338,13 +338,25 @@ class CompiledTrial:
         activations the hammer loop puts between the plan's head and tail,
         up to one tFAW window: every count from ``k`` on (``k`` the first
         with at least four activations) has the same head, tail and loop
-        cadence, so the counts ``0..k`` stand for all of them. One stream
-        from a closed, idle bank feeds each of them twice back to back,
-        which also checks the junction of the plan's end with its next
-        start; a violation refuses the plan.
+        cadence, so the counts ``0..k`` stand for all of them. A replay's
+        tFAW window can also reach into the next replay, so the junction
+        of the plan's end with its next start depends on both counts. One
+        stream from a closed, idle bank feeds the counts in an order where
+        every ordered pair of them follows back to back
+        (``certified_counts``); a violation refuses the plan.
         """
         last = -(-_WINDOW_ACTS // self._hammer_rows)
-        counts = [count for count in range(last + 1) for _ in range(2)]
+        # ``0, 0``, then for each ``m``: ``m, m``, ``j, m`` for every
+        # ``0 < j < m``, then ``0`` -- which adds every pair with ``m``.
+        counts = [0, 0]
+        for m in range(1, last + 1):
+            counts += [m, m]
+            for j in range(1, m):
+                counts += [j, m]
+            counts.append(0)
+        #: The hammer counts certified, in order: ``0..k`` such that every
+        #: ordered pair ``(a, b)`` occurs back to back (``0, 0, 1, 1, 0, 2,
+        #: 2, 1, 2, 0`` for ``k = 2``).
         self.certified_counts: Tuple[int, ...] = tuple(counts)
         module = self.module
         checker = TimingChecker(timing=module.timing, geometry=module.geometry)

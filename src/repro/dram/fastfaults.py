@@ -13,11 +13,12 @@ them into flat arrays, then serves whole-bank latent-series queries (what
 consume) and the batched ``guess_RDT`` probe of row selection;
 :class:`~repro.dram.faults.RowVrdProcess` takes one row's parameters from
 a one-row state. The per-row series is generated by a mirror of
-``traps.sample_occupancy_series``: short series replay numpy's geometric
-sampler value by value, longer ones feed the one sampler
-(``traps.fill_occupancy``) with run lengths resolved by a cumulative
-run-length table and one ``np.searchsorted`` per sub-draw, and take the
-blocked product (``traps.latent_blocks``).
+``traps.sample_occupancy_series``: short series (``n <= 16``, the guess
+probe) are resolved from raw PCG64 words for all queried rows at once,
+longer ones feed the one sampler (``traps.fill_occupancy``) with run
+lengths resolved by a cumulative run-length table and one
+``np.searchsorted`` per sub-draw, and take the blocked product
+(``traps.latent_blocks``).
 
 The stream-mirror rule
 ----------------------
@@ -44,16 +45,25 @@ here are:
   ``ISeedSequence`` interface (both the ``vrd-row`` constructor streams
   and the ``vrd-series``/``guess`` streams);
 * ``standard_normal(k) * sigmas`` for a run of ``normal(0, sigma_i)``
-  draws (``loc + scale * z`` with ``loc == 0``), in the constructor and
-  for a short series' residual normals;
+  draws (``loc + scale * z`` with ``loc == 0``), in the constructor;
 * ``standard_exponential(k) * scale`` for ``exponential(scale, k)``
   (the weak-cell margin gaps);
-* for ``rng.geometric(p)`` in short series (``n <= 16``, which one batch
-  always covers): numpy's own algorithm, value by value — one uniform and
+* for a short series (``0 < n <= 16``; one geometric batch always covers
+  it), the whole series stream from one block of raw words per row
+  (``bit_generator.random_raw``, :func:`_short_columns`): per trap an
+  initial-state uniform, a batch of ``rng.geometric(p)`` values, then
+  the residual normals. numpy's geometric sampler takes one uniform and
   the search recurrence for ``p >= 1/3``, one standard exponential and
-  ``ceil(-e / log1p(-p))`` below it (see :func:`_short_column`); a trap
-  with both leave probabilities on the search branch draws its
-  initial-state uniform and its batch in one ``rng.random(batch + 1)``;
+  ``ceil(-e / log1p(-p))`` below it. A uniform is ``(word >> 11) *
+  2**-53``; an exponential runs numpy's exponential ziggurat, a normal
+  its normal ziggurat (the ``repro.rng`` word mirror). With every draw on
+  its ziggurat's fast path each takes one word, so the layout is static
+  (:class:`_ShortLayout`); the rare off-path draws that shift it are
+  resolved row by row in word order (:func:`_word_shifts`), and the rest
+  runs as array operations over rows x traps x draws: initial states,
+  run lengths (the search recurrence read off per-trap tables of its
+  successive totals), columns from cumulative run ends. Rows are served
+  :data:`_PROBE_CHUNK` at a time, so memory stays bounded by the chunk;
 * for ``rng.geometric(p)`` with ``p >= 1/3`` in longer series:
   ``np.searchsorted(T, u, side="left") + 1`` where ``T`` is the
   cumulative table of the search recurrence, built with the same
@@ -73,8 +83,13 @@ from ``np.log1p`` (``traps.log_depth_terms``), the chain from
 
 Both geometric mirrors are gated on
 :func:`repro.dram.faults.geometric_mirror_ok` (a once-per-process probe of
-numpy's private geometric sampler); when the mirror is off, run lengths
-come from ``rng.geometric`` itself — slower, still bit-identical.
+numpy's private geometric sampler), the short-series route also on
+:func:`repro.rng.word_mirror_ok` (a once-per-process probe of the word
+mirror of numpy's uniform, normal and exponential samplers). When a gate
+is off, a short series takes the general route (:meth:`BankVrdState
+._row_blocks`, bit-identical for every ``n``) and run lengths come from
+``rng.geometric`` itself — slower, still bit-identical. So does a row
+whose draws run past its block of words.
 
 ``tests/dram/test_fastfaults.py`` and the ``fastfaults*``, ``probe`` and
 ``long-series`` pairs of ``tests/differential`` assert exact equality
@@ -84,7 +99,9 @@ with the reference row.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from bisect import bisect_right
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,7 +115,6 @@ from repro.dram.faults import (
     REFERENCE_TEMPERATURE,
     REFERENCE_WORDLINE_VOLTAGE,
     _GEOM_SEARCH_P,
-    _INT64_MAX,
     Condition,
     VrdModelParams,
     geometric_mirror_ok,
@@ -116,7 +132,19 @@ from repro.dram.traps import (
     trap_outputs,
 )
 from repro.errors import ConfigurationError
-from repro.rng import encode_element, generators, hasher_prefix, seed_from_prefix
+from repro.rng import (
+    _ELEVEN,
+    _fast_exponentials,
+    _fast_normals,
+    _normal_at,
+    _slow_exponential,
+    bit_generators,
+    encode_element,
+    generators,
+    hasher_prefix,
+    seed_from_prefix,
+    word_mirror_ok,
+)
 
 #: Uniform length of the precomputed cumulative run-length tables. The
 #: search branch only applies for ``p >= 1/3`` (``q <= 2/3``), where the
@@ -164,21 +192,15 @@ class _TrapPlan:
     sequential chain (``RowVrdProcess.begin_measurement``) and the
     stationary distribution (``Trap.sample_initial`` uses them unclamped);
     the clamped pair ``p_occ``/``p_rel`` feeds run-length sampling,
-    mirroring ``sample_occupancy_series``. ``c_occ``/``c_rel`` and
-    ``s_occ``/``s_rel`` serve :func:`_short_column`: ``s_*`` tells whether
-    the clamped probability is on numpy's geometric search branch, and
-    ``c_*`` is then the search recurrence's ``q = 1 - p``, otherwise the
-    inversion divisor ``log1p(-p)``; ``both_search`` is whether both are.
-    ``table_occ``/``table_rel`` are the searchsorted run tables, or
-    ``None`` when this trap must use ``rng.geometric`` directly
-    (inversion-branch probability, unsaturated table, or mirror
-    disabled).
+    mirroring ``sample_occupancy_series``. ``table_occ``/``table_rel`` are
+    the searchsorted run tables, or ``None`` when this trap must use
+    ``rng.geometric`` directly (inversion-branch probability, unsaturated
+    table, or mirror disabled).
     """
 
     __slots__ = (
         "depth", "p_occupy", "p_release", "p_occ", "p_rel", "stationary",
-        "mean_run", "c_occ", "c_rel", "s_occ", "s_rel", "both_search",
-        "table_occ", "table_rel",
+        "mean_run", "table_occ", "table_rel",
     )
 
     def __init__(self, depth: float, p_occupy: float, p_release: float):
@@ -191,26 +213,26 @@ class _TrapPlan:
         self.p_rel = p_rel
         self.stationary = p_occupy / (p_occupy + p_release)
         self.mean_run = 0.5 * (1.0 / p_occ + 1.0 / p_rel)
-        self.s_occ = s_occ = p_occ >= _GEOM_SEARCH_P
-        self.s_rel = s_rel = p_rel >= _GEOM_SEARCH_P
-        self.c_occ = 1.0 - p_occ if s_occ else math.log1p(-p_occ)
-        self.c_rel = 1.0 - p_rel if s_rel else math.log1p(-p_rel)
-        self.both_search = s_occ and s_rel
         self.table_occ: Optional[np.ndarray] = None
         self.table_rel: Optional[np.ndarray] = None
 
 
 def _attach_run_tables(plans: Sequence[_TrapPlan]) -> None:
-    """Give every eligible plan its searchsorted run tables, in one batch.
+    """Give every eligible plan its searchsorted run tables, in one batch,
+    when the process-wide mirror probe passed (see :func:`_build_tables`)."""
+    if geometric_mirror_ok():
+        _build_tables(plans)
 
-    Eligible means both clamped probabilities sit on the geometric search
-    branch (``p >= 1/3``) and the process-wide mirror probe passed; a trap
-    whose built table does not saturate to :data:`_MAX_UNIFORM` keeps
-    ``None`` tables and takes the direct ``rng.geometric`` route.
-    """
-    if not geometric_mirror_ok():
-        return
-    eligible = [plan for plan in plans if plan.both_search]
+
+def _build_tables(plans: Sequence[_TrapPlan]) -> None:
+    """Eligible means both clamped probabilities sit on the geometric
+    search branch (``p >= 1/3``); a trap whose built table does not
+    saturate to :data:`_MAX_UNIFORM` keeps ``None`` tables and takes the
+    direct ``rng.geometric`` route."""
+    eligible = [
+        plan for plan in plans
+        if plan.p_occ >= _GEOM_SEARCH_P and plan.p_rel >= _GEOM_SEARCH_P
+    ]
     if not eligible:
         return
     ps = np.empty(2 * len(eligible))
@@ -266,62 +288,278 @@ def _trap_column(
     return out
 
 
-def _short_column(plan: _TrapPlan, n: int, rng: Generator) -> List[bool]:
-    """Mirror of ``traps.sample_occupancy_series`` for one planned trap,
-    replaying numpy's geometric sampler value by value.
+#: Steps of a short series, and whether each is odd.
+_STEPS = np.arange(_MIN_BATCH + 1)
+_ODD = _STEPS % 2 == 1
 
-    ``rng.geometric(p)`` consumes one uniform and runs the search
-    recurrence for ``p >= 1/3``, and otherwise one standard exponential
-    ``e`` with value ``ceil(-e / log1p(-p))`` clipped to int64. Each
-    batch is drawn whole: when both leave probabilities are on the search
-    branch, in one ``rng.random`` call (the first one also carries the
-    initial-state uniform), otherwise one scalar draw per value. Run
-    lengths are only evaluated until the series is covered. For
-    ``n <= _MIN_BATCH`` the first batch always covers it, so this costs a
-    few Python operations per run where :func:`_trap_column` pays numpy
-    call overhead per batch.
+#: Rows the short-series route serves in one pass: its word block and its
+#: traps x draws temporaries stay this size, whatever the query.
+_PROBE_CHUNK = 256
+
+#: Words each row's block holds beyond its static layout, for the extra
+#: words of off-path draws; a row whose draws need more is served by the
+#: general route.
+_ROW_SLACK = 32
+
+#: ``2**53``: a uniform ``(word >> 11) * 2**-53`` is below ``x`` exactly
+#: when ``word >> 11`` is below ``x * 2**53`` (a power-of-two scaling).
+_SCALE = 2.0 ** 53
+
+
+def _short_constants(p_occupy: np.ndarray, p_release: np.ndarray) -> np.ndarray:
+    """Per-trap constants of the short-series route, from the raw
+    transition probabilities, as one ``(traps, 8)`` array: the stationary
+    occupancy scaled by ``2**53``, the mean run length, then for the
+    occupy and the release leave probability (clamped) the triple
+    ``(p, divisor, search)``. ``search`` (1.0 or 0.0) is whether numpy's
+    geometric sampler takes its search branch (``p >= 1/3``), ``divisor``
+    its ``q = 1 - p`` there and ``log1p(-p)`` otherwise (``math.log1p``:
+    numpy's C code calls ``log1p``, which ``np.log1p`` may not equal in
+    the last ULP)."""
+    constants = np.empty((p_occupy.size, 8))
+    leave = constants[:, 2:].reshape(-1, 2, 3)
+    leave[:, 0, 0] = p_occupy
+    leave[:, 1, 0] = p_release
+    p = leave[:, :, 0]
+    np.clip(p, _MIN_P, _MAX_P, out=p)
+    search = p >= _GEOM_SEARCH_P
+    divisor = 1.0 - p
+    divisor[~search] = np.fromiter(map(math.log1p, (-p[~search]).tolist()), np.float64)
+    leave[:, :, 1] = divisor
+    leave[:, :, 2] = search
+    constants[:, 0] = p_occupy / (p_occupy + p_release) * _SCALE
+    constants[:, 1] = 0.5 * (1.0 / p[:, 0] + 1.0 / p[:, 1])
+    return constants
+
+
+class _ShortLayout:
+    """Where every draw of a short-series query (``0 < n <=
+    _MIN_BATCH``) over some rows starts, if each draw takes one word.
+
+    Row ``k`` owns ``counts[k]`` traps, entries ``bounds[k]:bounds[k +
+    1]`` of the per-trap arrays, and its block ``base[k]:base[k + 1]``
+    of the query's words. A trap draws its initial-state uniform at word
+    ``starts[j]``, then its geometric batch (``max(_MIN_BATCH, int(n /
+    mean_run * 1.5) + 8)`` values, as ``fill_occupancy`` sizes it; one
+    batch always covers ``n`` steps); ``draws`` holds the words of each
+    trap's first ``n`` draws. After its traps, at ``ends[k]``, the row
+    draws its ``n`` residual normals; :data:`_ROW_SLACK` words follow.
     """
-    column: List[bool] = []
-    if n == 0:
-        return column
-    batch = max(_MIN_BATCH, int(n / plan.mean_run * 1.5) + 8)
-    if plan.both_search:
-        draws = rng.random(batch + 1).tolist()
-        state = draws.pop(0) < plan.stationary
-    else:
-        state = rng.random() < plan.stationary
-    occ = (plan.p_occ, plan.c_occ, plan.s_occ)
-    rel = (plan.p_rel, plan.c_rel, plan.s_rel)
-    samplers = (rng.standard_exponential, rng.random)  # indexed by ``search``
-    while True:
-        # An occupied trap's first run ends with ``p_rel``.
-        pair = (rel, occ) if state else (occ, rel)
-        if not plan.both_search:
-            calls = (samplers[pair[0][2]], samplers[pair[1][2]]) * ((batch + 1) // 2)
-            draws = [call() for call in calls[:batch]]
-        occupied = state
-        for i, draw in enumerate(draws):
-            p, c, search = pair[i & 1]
-            if search:
-                total = prod = p
-                length = 1
-                while draw > total:
-                    prod *= c
-                    total += prod
-                    length += 1
-            else:
-                length = min(math.ceil(-draw / c), _INT64_MAX)
-            left = n - len(column)
-            if length >= left:
-                column.extend([occupied] * left)
-                return column
-            column.extend([occupied] * length)
-            occupied = not occupied
-        if batch & 1:  # the next batch opens opposite the last run's state
-            state = not state
-        batch = max(_MIN_BATCH, int((n - len(column)) / plan.mean_run * 1.5) + 8)
-        if plan.both_search:
-            draws = rng.random(batch).tolist()
+
+    __slots__ = (
+        "n", "bounds", "base", "sizes", "starts", "ends", "draws",
+        "stationary", "branch", "tables", "pass_lists",
+    )
+
+    def __init__(self, n: int, counts: np.ndarray, constants: np.ndarray):
+        self.n = n
+        self.bounds = bounds = np.zeros(counts.size + 1, dtype=np.intp)
+        np.cumsum(counts, out=bounds[1:])
+        batch = (n / constants[:, 1] * 1.5).astype(np.int64)
+        batch += 9  # the batch and the initial-state uniform
+        np.maximum(batch, _MIN_BATCH + 1, out=batch)
+        trap_ends = np.zeros(batch.size + 1, dtype=np.int64)
+        np.cumsum(batch, out=trap_ends[1:])
+        # Every row's block adds ``n + _ROW_SLACK`` words to its traps'.
+        spare = (n + _ROW_SLACK) * np.arange(counts.size + 1)
+        self.base = base = trap_ends[bounds] + spare
+        self.sizes = np.diff(base).tolist()
+        self.ends = base[1:] - (n + _ROW_SLACK)
+        self.starts = starts = trap_ends[:-1] + spare[:-1].repeat(counts)
+        self.draws = starts[:, None] + _STEPS[1:n + 1]
+        self.stationary = constants[:, 0]
+        self.branch = constants[:, 2:].reshape(-1, 2, 3)
+        # numpy's geometric search branch is ``total = prod = p; while u >
+        # total: prod *= q; total += prod``. Row ``[j, leave]`` holds the
+        # first ``n - 1`` successive ``total`` values for trap ``j``'s
+        # occupy (0) or release (1) probability, scaled by ``2**53``:
+        # accumulations along ``[p, q, q, ...]`` in the sequential order,
+        # as :func:`_build_run_tables` builds them. As ``total`` never
+        # decreases, a draw's value, capped at ``n``, is one plus the count
+        # of them below its uniform. (Inversion-branch rows are unused.)
+        tables = np.empty((max(n - 1, 1), constants.shape[0], 2))
+        tables[0] = self.branch[:, :, 0]
+        tables[1:] = self.branch[:, :, 1]
+        np.multiply.accumulate(tables, axis=0, out=tables)
+        np.add.accumulate(tables, axis=0, out=tables)
+        tables *= _SCALE
+        self.tables = np.ascontiguousarray(tables[:n - 1].transpose(1, 2, 0))
+        # What the per-row pass of :func:`_word_shifts` reads, as lists.
+        self.pass_lists = (
+            base.tolist(), bounds.tolist(), starts.tolist(), self.ends.tolist(),
+            self.stationary.tolist(), self.branch[:, :, 2].ravel().tolist(),
+        )
+
+
+def _short_columns(layout: _ShortLayout, seeds: Sequence[int]) -> tuple:
+    """Every trap's occupancy column over ``layout.n`` steps, resolved
+    from one block of raw words per row (row ``k`` draws from
+    ``PCG64(seeds[k])``), bit for bit what ``traps.sample_occupancy_series``
+    draws trap after trap.
+
+    A geometric value is one uniform on the search branch and one
+    standard exponential otherwise; :func:`_word_shifts` resolves, row
+    by row, the exponentials that leave the ziggurat's fast path and the
+    words they shift. The rest is array operations over all traps:
+    initial states, the run lengths of each trap's first ``n`` draws
+    (those cover the series; the rest of the batch only takes words),
+    and the columns from cumulative run ends.
+
+    Returns ``(occupancy, words, used, failed)``: the ``(traps, n)`` bool
+    columns, the words, each row's shift past its traps (its normals
+    start at ``layout.ends + used``), and the rows whose draws ran past
+    their block (their columns are not valid).
+    """
+    n = layout.n
+    words = np.empty(layout.base[-1], dtype=np.uint64)
+    base = layout.base
+    for k, (bit_generator, size) in enumerate(zip(bit_generators(seeds), layout.sizes)):
+        words[base[k]:base[k + 1]] = bit_generator.random_raw(size)
+    exponentials, fast = _fast_exponentials(words)
+    totals, failed, moved = _word_shifts(words, (~fast).nonzero()[0], layout)
+    starts, draws = layout.starts, layout.draws
+    if moved[0]:
+        # Each draw's word: its laid-out word plus the extra words of the
+        # off-path draws before it in its row.
+        shifts = np.zeros(words.size + 1, dtype=np.int64)
+        shifts[moved[0]] = moved[1]
+        shifts[base[1:]] -= totals
+        np.cumsum(shifts, out=shifts)
+        starts = starts + shifts[starts]
+        draws = draws + shifts[draws]
+
+    # Draw ``d`` ends a run opened in the initial state when ``d`` is
+    # even: it leaves with the release probability exactly when that
+    # state XOR ``d``'s parity is occupied.
+    magnitudes = (words >> _ELEVEN).astype(np.float64)
+    occupied = magnitudes[starts] < layout.stationary
+    release = (occupied[:, None] != _ODD[:n]).view(np.int8)
+    traps = np.arange(starts.size)[:, None]
+    branch = layout.branch[traps, release]
+    # Both branches' lengths for every draw (the other branch's value is
+    # discarded): a uniform's on the search branch, an exponential's
+    # ``ceil(-e / log1p(-p))`` on the inversion branch.
+    searched = np.add.reduce(
+        magnitudes[draws][:, :, None] > layout.tables[traps, release], axis=2
+    )
+    values = exponentials[draws]
+    if moved[2]:
+        values[moved[2], moved[3]] = moved[4]
+    np.negative(values, out=values)
+    values /= branch[:, :, 1]
+    inverted = np.ceil(values, out=values)
+    np.minimum(inverted, n, out=inverted)
+    lengths = np.add(searched, 1, out=inverted, where=branch[:, :, 2] != 0)
+    if not lengths.all():
+        # A zero-length run (an exponential of exactly 0) may leave the
+        # series uncovered; its rows take the general route.
+        zero = (lengths == 0).any(axis=1).nonzero()[0]
+        failed.update((layout.bounds.searchsorted(zero, side="right") - 1).tolist())
+    # A new run starts at each run end; the occupancy toggles there.
+    ends = np.add.accumulate(lengths, axis=1)
+    np.minimum(ends, n, out=ends)
+    toggles = np.zeros((starts.size, n + 1), dtype=bool)
+    toggles[traps, ends.astype(np.intp)] = True
+    occupancy = np.logical_xor.accumulate(toggles[:, :n], axis=1)
+    occupancy ^= occupied[:, None]
+    return occupancy, words, totals, failed
+
+
+def _word_shifts(words: np.ndarray, slow: np.ndarray, layout: _ShortLayout) -> tuple:
+    """The off-path exponentials of each row's traps, resolved in word
+    order: ``(totals, failed, moved)``.
+
+    ``slow`` lists the words off the exponential fast path. A slow word
+    is a draw's start when it lies past the last resolved draw; the
+    layout tells which trap and draw, and the trap's initial state (read
+    from its moved start word) whether the draw is an exponential
+    (inversion branch) or a uniform (search branch). An exponential takes
+    its wedge or tail words and shifts every later draw of its row.
+
+    ``totals`` is each row's shift past its traps; ``failed`` the set of
+    rows whose draws run past their block (their shifts are dropped).
+    ``moved`` holds five lists: for every resolved exponential the word
+    one past its laid-out word and its extra words, and for those among
+    their trap's first ``n`` draws the trap, the draw and the value.
+    """
+    base, bounds, starts, ends, stationary, search = layout.pass_lists
+    n = layout.n
+    totals = np.zeros(len(bounds) - 1, dtype=np.int64)
+    failed = set()
+    moved: Tuple[List[int], ...] = ([], [], [], [], [])
+    slow_words = slow.tolist()
+    cuts = slow.searchsorted(base).tolist()
+    for row, (low, high) in enumerate(zip(cuts, cuts[1:])):
+        if low == high:
+            continue
+        first, last, end = bounds[row], bounds[row + 1], ends[row]
+        shift = free = 0
+        current = opened = -1
+        row_moves = []
+        try:
+            for word in slow_words[low:high]:
+                if word < free:
+                    continue
+                static = word - shift
+                if static >= end:
+                    break
+                trap = bisect_right(starts, static, first, last) - 1
+                draw = static - starts[trap] - 1
+                if draw < 0:  # the initial-state uniform
+                    continue
+                if trap != current:
+                    current, opened = trap, shift
+                occupied = (int(words[starts[trap] + opened]) >> 11) < stationary[trap]
+                if search[2 * trap + (occupied != (draw % 2 == 1))]:
+                    continue
+                value, free = _slow_exponential(words, word)
+                row_moves.append((static + 1, free - word - 1, trap, draw, value))
+                shift += free - word - 1
+        except IndexError:
+            failed.add(row)
+            continue
+        if end + shift + n > base[row + 1]:
+            failed.add(row)
+            continue
+        totals[row] = shift
+        for static, extra, trap, draw, value in row_moves:
+            moved[0].append(static)
+            moved[1].append(extra)
+            if draw < n:
+                moved[2].append(trap)
+                moved[3].append(draw)
+                moved[4].append(value)
+    return totals, failed, moved
+
+
+def _residual_normals(
+    words: np.ndarray, layout: _ShortLayout, totals: np.ndarray, failed: set
+) -> np.ndarray:
+    """Each row's ``n`` residual standard normals, drawn from word
+    ``layout.ends[k] + totals[k]`` on, as an ``(R, n)`` array. A row with
+    a normal off the fast path draws its normals from the first such one
+    on one by one; if they run past its block, the row joins ``failed``."""
+    n = layout.n
+    starts = layout.ends + totals
+    at = starts[:, None] + _STEPS[:n]
+    values, fast = _fast_normals(words[at].ravel())
+    values = values.reshape(at.shape)
+    if fast.all():
+        return values
+    slow = ~fast.reshape(at.shape)
+    for row in slow.any(axis=1).nonzero()[0].tolist():
+        if row in failed:
+            continue
+        first = int(slow[row].argmax())
+        position = int(starts[row]) + first
+        try:
+            for draw in range(first, n):
+                values[row, draw], position = _normal_at(words, position)
+        except IndexError:
+            position = words.size + 1
+        if position > layout.base[row + 1]:
+            failed.add(row)
+    return values
 
 
 class BankVrdState:
@@ -396,7 +634,9 @@ class BankVrdState:
         normals = np.empty((n_rows, len(normal_sigmas)))
         weak_bits = np.empty((n_rows, n_cells), dtype=np.int64)
         gaps = np.empty((n_rows, n_cells))
-        row_plans: List[List[_TrapPlan]] = []
+        # Every trap's depth and raw transition probabilities, row by row.
+        trap_depths, trap_occupy, trap_release = (array("d") for _ in range(3))
+        trap_counts = np.empty(n_rows, dtype=np.intp)
         row_rngs = generators(
             [seed_from_prefix(row_prefix, tail) for tail in self._row_tails]
         )
@@ -407,31 +647,33 @@ class BankVrdState:
             coupling = (params.mean_rdt / base) ** params.vulnerability_coupling
             coupling = min(max(coupling, 0.5), 3.0)
 
-            plans: List[_TrapPlan] = []
+            before = len(trap_depths)
             n_small = int(rng.poisson(params.trap_count_mean))
             trap_scale = small_scale * coupling
             for _ in range(n_small):
-                depth = float(min(max(rng.exponential(trap_scale), 1e-4), 0.5))
+                trap_depths.append(
+                    float(min(max(rng.exponential(trap_scale), 1e-4), 0.5))
+                )
                 pi = float(rng.beta(2.0, 2.0))
-                plans.append(_TrapPlan(depth, max(1e-6, pi), max(1e-6, 1.0 - pi)))
+                trap_occupy.append(max(1e-6, pi))
+                trap_release.append(max(1e-6, 1.0 - pi))
             if rng.random() < params.rare_trap_prob:
-                depth = float(min(max(
+                trap_depths.append(float(min(max(
                     rng.uniform(0.85, 1.15) * params.rare_trap_depth * coupling,
-                    5e-3), 0.3))
+                    5e-3), 0.3)))
                 pi = float(np.exp(rng.uniform(log_rare_lo, log_rare_hi)))
                 speed = float(rng.uniform(0.8, 1.0))
-                plans.append(_TrapPlan(
-                    depth, max(1e-7, speed * pi), max(1e-7, speed * (1.0 - pi))
-                ))
+                trap_occupy.append(max(1e-7, speed * pi))
+                trap_release.append(max(1e-7, speed * (1.0 - pi)))
             if rng.random() < params.big_trap_prob:
-                depth = float(min(max(
+                trap_depths.append(float(min(max(
                     rng.uniform(0.5, 1.0) * params.big_trap_depth * params.severity,
-                    0.02), 0.8))
+                    0.02), 0.8)))
                 pi = float(np.exp(rng.uniform(log_big_lo, log_big_hi)))
                 speed = float(rng.uniform(0.2, 1.0))
-                plans.append(_TrapPlan(
-                    depth, max(1e-6, speed * pi), max(1e-6, speed * (1.0 - pi))
-                ))
+                trap_occupy.append(max(1e-6, speed * pi))
+                trap_release.append(max(1e-6, speed * (1.0 - pi)))
+            trap_counts[index] = len(trap_depths) - before
 
             rng.standard_normal(out=normals[index])
             bits = weak_bits[index]
@@ -444,7 +686,6 @@ class BankVrdState:
 
             base_rdt[index] = base
             coupling_col[index] = coupling
-            row_plans.append(plans)
 
         # The draw-free remainder of the constructor, for every row at
         # once: elementwise numpy ops and row-wise cumulative sums perform
@@ -483,20 +724,43 @@ class BankVrdState:
 
         self.base_rdt = base_rdt
         self.uncharged_penalty = penalty_col
-        self._row_plans = row_plans
         # Row ``i``'s traps are entries ``_trap_starts[i]:_trap_starts[i + 1]``
         # of the flat per-trap arrays.
-        self._trap_counts = np.array([len(plans) for plans in row_plans], dtype=np.intp)
-        self._trap_starts = [0] + np.cumsum(self._trap_counts).tolist()
-        self._trap_depths = np.array([plan.depth for plans in row_plans for plan in plans])
+        self._trap_counts = trap_counts
+        self._trap_starts = [0] + np.cumsum(trap_counts).tolist()
+        self._trap_first = np.array(self._trap_starts[:-1], dtype=np.intp)
+        self._trap_depths = np.array(trap_depths)
+        self._trap_occupy = np.array(trap_occupy)
+        self._trap_release = np.array(trap_release)
+        self._plans: Optional[List[List[_TrapPlan]]] = None
+        self._constants: Optional[np.ndarray] = None
+        self._layouts: Dict[int, _ShortLayout] = {}
         self._tables_attached = False
         self._ones = np.ones(n_rows)
         self._factors_cache: Dict[Condition, tuple] = {}
         self._suffix_cache: Dict[Tuple[Condition, str], bytes] = {}
 
+    @property
+    def _row_plans(self) -> List[List[_TrapPlan]]:
+        """Every row's trap plans, built from the flat trap columns on
+        first use: the sequential chain and the long-series route step
+        plans, the short-series route reads the columns."""
+        if self._plans is None:
+            plans = [
+                _TrapPlan(*trap) for trap in zip(
+                    self._trap_depths.tolist(), self._trap_occupy.tolist(),
+                    self._trap_release.tolist(),
+                )
+            ]
+            starts = self._trap_starts
+            self._plans = [
+                plans[starts[i]:starts[i + 1]] for i in range(len(self.rows))
+            ]
+        return self._plans
+
     def _attach_tables(self) -> None:
         """Build the searchsorted run tables of every trap, once, on the
-        first series query that :func:`_short_column` does not serve."""
+        first series query that the short-series route does not serve."""
         self._tables_attached = True
         plans = [plan for row in self._row_plans for plan in row]
         _attach_run_tables(plans)
@@ -597,9 +861,9 @@ class BankVrdState:
     def _series_inputs(
         self, condition: Condition, n: int, stream: str, indices: Sequence[int]
     ) -> tuple:
-        """``(level, log_terms, rngs)`` of a series query over the packed
+        """``(level, log_terms, seeds)`` of a series query over the packed
         rows ``indices``: every row's level, every trap's log multiplier,
-        and one series generator per queried row."""
+        and the series stream's seed of every queried row."""
         check_series_length(n)
         condition = condition.canonical()
         _, depth_factor, _, _, level = self._factors(condition)
@@ -608,16 +872,16 @@ class BankVrdState:
         if recorder.enabled:
             recorder.counter_add("fastfaults.series_rows", len(indices))
             recorder.counter_add("fastfaults.series_values", len(indices) * n)
-        series_rngs = generators([
+        seeds = [
             seed_from_prefix(self._series_prefix, self._row_tails[i], suffix)
             for i in indices
-        ])
+        ]
         # Every trap's log multiplier at once: elementwise, each is the
         # reference's ``log_depth_terms`` entry for its row.
         log_terms = log_depth_terms(
             self._trap_depths, np.repeat(depth_factor, self._trap_counts)
         )
-        return level, log_terms, series_rngs
+        return level, log_terms, seeds
 
     def latent_series_bulk(
         self,
@@ -633,17 +897,27 @@ class BankVrdState:
         physical row.
         """
         indices = self._local_indices(rows)
-        level, log_terms, series_rngs = self._series_inputs(
-            condition, n, stream, indices
-        )
-        if 0 < n <= _MIN_BATCH and geometric_mirror_ok():
-            return self._short_series(indices, level, n, series_rngs, log_terms)
+        level, log_terms, seeds = self._series_inputs(condition, n, stream, indices)
         out = np.empty((len(indices), n))
-        for k, (i, srng) in enumerate(zip(indices, series_rngs)):
-            blocks = self._row_blocks(i, log_terms, float(level[i]), n, srng)
-            for start, values in blocks:
-                out[k, start:start + values.size] = values
+        if 0 < n <= _MIN_BATCH and word_mirror_ok() and geometric_mirror_ok():
+            whole = rows is None and len(seeds) <= _PROBE_CHUNK
+            indices = np.asarray(indices, dtype=np.intp)
+            for start in range(0, len(seeds), _PROBE_CHUNK):
+                stop = start + _PROBE_CHUNK
+                out[start:stop] = self._short_chunk(
+                    indices[start:stop], seeds[start:stop], n, level, log_terms,
+                    whole,
+                )
+            return out
+        for k, (i, srng) in enumerate(zip(indices, generators(seeds))):
+            self._fill_row(out[k], i, log_terms, float(level[i]), n, srng)
         return out
+
+    def _fill_row(self, out, i, log_terms, level, n, srng) -> None:
+        """Write packed row ``i``'s series into ``out`` from
+        :meth:`_row_blocks`."""
+        for start, values in self._row_blocks(i, log_terms, level, n, srng):
+            out[start:start + values.size] = values
 
     def latent_blocks(
         self, row: int, condition: Condition, n: int, stream: str = "series"
@@ -660,7 +934,8 @@ class BankVrdState:
         ``normal(0, sigma, n)`` draw.
         """
         i = self._index_of[int(row)]
-        level, log_terms, (srng,) = self._series_inputs(condition, n, stream, [i])
+        level, log_terms, seeds = self._series_inputs(condition, n, stream, [i])
+        srng, = generators(seeds)
         return self._row_blocks(i, log_terms, float(level[i]), n, srng)
 
     def guess_means(
@@ -678,48 +953,65 @@ class BankVrdState:
         # ``series.mean()`` sums the row alone.
         return samples.mean(axis=1)
 
-    def _short_series(
-        self,
-        indices: Sequence[int],
-        level: np.ndarray,
-        n: int,
-        series_rngs: Iterable[Generator],
-        log_terms: np.ndarray,
-    ) -> np.ndarray:
-        """Mirror of ``latent_series`` for ``0 < n <= _MIN_BATCH`` and the
-        packed rows ``indices``, as an ``(R, n)`` matrix.
+    # ------------------------------------------------------------------
+    # Short series (n <= _MIN_BATCH) from raw words
+    # ------------------------------------------------------------------
 
-        Each row's stream draws what the reference draws, in its order:
-        every trap's column (:func:`_short_column`), then the residual
-        normals, as standard normals (``normal(0, sigma)`` is ``sigma *
-        z``). Each row's occupancy product is its own ``(n, traps) @
-        (traps,)`` call, as the reference makes it; the elementwise rest
-        of :func:`~repro.dram.traps.block_values` then runs once for all
-        rows.
+    def _short_chunk(
+        self,
+        rows: np.ndarray,
+        seeds: Sequence[int],
+        n: int,
+        level: np.ndarray,
+        log_terms: np.ndarray,
+        whole: bool = False,
+    ) -> np.ndarray:
+        """The reference series of the packed rows ``rows`` for ``0 < n <=
+        _MIN_BATCH``, as an ``(R, n)`` matrix: every trap's column from
+        :func:`_short_columns`, then the residual normals from the words
+        after the row's traps. Each row's occupancy product stays its own
+        ``(n, traps) @ (traps,)`` call, as the reference makes it; the
+        elementwise rest of :func:`~repro.dram.traps.block_values` runs
+        once for all rows. A row whose draws run past its block of words
+        is served by :meth:`_row_blocks` instead. The layout of a query
+        of every row (``whole``: a one-row process, a probe state) is
+        kept for the next such query.
         """
+        layout = self._layouts.get(n) if whole else None
+        if layout is None:
+            if self._constants is None:
+                self._constants = _short_constants(self._trap_occupy, self._trap_release)
+            counts = self._trap_counts[rows]
+            # The rows' traps, row by row, as indices into the flat columns.
+            offsets = self._trap_first[rows] - counts.cumsum() + counts
+            traps = np.arange(counts.sum()) + offsets.repeat(counts)
+            layout = _ShortLayout(n, counts, self._constants[traps])
+            if whole:
+                self._layouts[n] = layout
+        occupancy, words, totals, failed = _short_columns(layout, seeds)
+        sums = np.zeros((rows.size, n))
         starts = self._trap_starts
-        sums = np.zeros((len(indices), n))
-        normals = np.empty((len(indices), n))
-        for k, (i, srng) in enumerate(zip(indices, series_rngs)):
-            plans = self._row_plans[i]
-            columns: List[bool] = []
-            for plan in plans:
-                columns += _short_column(plan, n, srng)
-            if plans:
+        bounds = layout.pass_lists[1]
+        for k, i in enumerate(rows.tolist()):
+            low, high = bounds[k], bounds[k + 1]
+            if low < high:
                 # C-ordered ``(n, traps)`` and a fresh term array: the
                 # reference's operand layout, so BLAS sums it the same way.
-                occupancy = np.array(columns, dtype=bool).reshape(len(plans), n)
                 np.matmul(
-                    occupancy.T.copy(), log_terms[starts[i]:starts[i + 1]].copy(),
+                    occupancy[low:high].T.copy(),
+                    log_terms[starts[i]:starts[i + 1]].copy(),
                     out=sums[k],
                 )
-            srng.standard_normal(out=normals[k])
-        rows = np.array(indices, dtype=np.intp)
+        normals = _residual_normals(words, layout, totals, failed)
         normals *= self.sigma_resid[rows, None]
-        values = np.exp(sums)
-        values *= level[rows, None]
-        values *= np.exp(normals)
-        return values
+        out = np.exp(sums)
+        out *= level[rows, None]
+        out *= np.exp(normals)
+        for k in sorted(failed):
+            i = int(rows[k])
+            srng, = generators([seeds[k]])
+            self._fill_row(out[k], i, log_terms, float(level[i]), n, srng)
+        return out
 
     def _row_blocks(
         self,

@@ -74,30 +74,30 @@ REFERENCE_WORDLINE_VOLTAGE = 2.5
 #: this value it uses the search method, which consumes exactly one uniform
 #: double from the bit stream per drawn value; below it, the inversion
 #: method consumes one ziggurat standard exponential instead. The packed
-#: fast path (:mod:`repro.dram.fastfaults`) serves search-branch traps from
-#: bulk ``rng.random()`` calls and mirrors the inversion branch with scalar
-#: ``standard_exponential`` draws.
+#: fast path (:mod:`repro.dram.fastfaults`) serves long series'
+#: search-branch traps from bulk ``rng.random()`` calls and resolves short
+#: series' run lengths, on both branches, from raw words.
 _GEOM_SEARCH_P = 0.333333333333333333
-
-#: numpy clips geometric inversion values to the int64 ceiling.
-_INT64_MAX = 9223372036854775807
 
 
 def _geometric_search_mirror_ok() -> bool:
-    """One-time check that our geometric sampler mirror is exact.
+    """One-time check that our geometric sampler mirrors are exact.
 
     The packed series re-derives ``rng.geometric(p)`` from numpy's private
-    algorithm (see :func:`repro.dram.fastfaults._short_column`): one
-    uniform and the search recurrence for ``p >= 1/3``, one ziggurat
-    standard exponential and ``ceil(-e / log1p(-p))`` below it. So we
-    verify once that the mirror samples what ``sample_occupancy_series``
-    samples (the same column, the same generator state after) for traps
-    on both branches, at the boundary and with one probability on each;
-    on any mismatch (e.g. a future numpy changes the sampler) the fast
-    path silently falls back to calling ``rng.geometric`` for every trap
-    — slower, but still bit-identical to the reference path.
+    algorithm: one uniform and the search recurrence for ``p >= 1/3``
+    (the run tables of :func:`repro.dram.fastfaults._trap_column`, and the
+    short-series route), one ziggurat standard exponential and ``ceil(-e
+    / log1p(-p))`` below it (the short-series route). So we verify once
+    that the table route samples what ``sample_occupancy_series`` samples
+    (the same column, the same generator state after) for traps on the
+    search branch, at the boundary and with one probability on each, and
+    that inversion-branch values are that quotient of the exponentials a
+    twin generator draws. On any mismatch (e.g. a future numpy changes the
+    sampler) the fast path silently falls back to calling
+    ``rng.geometric`` for every trap — slower, but still bit-identical to
+    the reference path.
     """
-    from repro.dram.fastfaults import _short_column, _TrapPlan
+    from repro.dram.fastfaults import _build_tables, _trap_column, _TrapPlan
     from repro.dram.traps import Trap, sample_occupancy_series
 
     cases = [(0.7, 0.7), (0.34, 0.34), (_GEOM_SEARCH_P,) * 2, (0.97, 0.97),
@@ -106,9 +106,16 @@ def _geometric_search_mirror_ok() -> bool:
         ref_rng = Generator(PCG64(seed))
         mirror_rng = Generator(PCG64(seed))
         reference = sample_occupancy_series(Trap(0.1, *probs), 200, ref_rng)
-        if _short_column(_TrapPlan(0.1, *probs), 200, mirror_rng) != reference.tolist():
+        plan = _TrapPlan(0.1, *probs)
+        _build_tables([plan])
+        if not np.array_equal(_trap_column(plan, 200, mirror_rng), reference):
             return False
         if ref_rng.bit_generator.state != mirror_rng.bit_generator.state:
+            return False
+    for seed, p in enumerate([1e-9, 0.05, float(np.nextafter(_GEOM_SEARCH_P, 0))]):
+        values = Generator(PCG64(seed)).geometric(p, 200)
+        exponentials = Generator(PCG64(seed)).standard_exponential(200)
+        if not np.array_equal(values, np.ceil(-exponentials / math.log1p(-p))):
             return False
     return True
 

@@ -440,9 +440,26 @@ def test_every_catalog_device_compiles_under_the_full_table(module_id):
     for t_agg_on in (module.timing.tRAS, module.timing.max_row_open):
         for victim in (0, 100):
             plan = bender.compiled_trial(0, victim, CHECKERED0, t_agg_on)
-            assert plan.certified_counts[-1] * len(
+            assert max(plan.certified_counts) * len(
                 bender.aggressors_for(0, victim)
             ) >= 4
+
+
+@pytest.mark.parametrize("victim", [0, 100], ids=["edge", "inner"])
+def test_certificate_feeds_every_junction(victim):
+    """Every ordered pair ``(a, b)`` of the certified hammer-count
+    classes ``0..k`` follows back to back in the certified stream, so a
+    replay's end is checked against the start of every class after it,
+    descending junctions (``k -> 0``, ``1 -> 0``) included."""
+    module = catalog_module("M1")
+    bender = DramBender(module, init_radius=3)
+    counts = bender.compiled_trial(0, victim, CHECKERED0, 35.0).certified_counts
+    k = max(counts)
+    assert k == -(-4 // len(bender.aggressors_for(0, victim)))
+    assert set(counts) == set(range(k + 1))
+    assert set(zip(counts, counts[1:])) == {
+        (a, b) for a in range(k + 1) for b in range(k + 1)
+    }
 
 
 @pytest.mark.parametrize("module_id", ["M1", "D0", "Chip0"])

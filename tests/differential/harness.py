@@ -1227,19 +1227,23 @@ def _checker_bender_case(seed: int) -> tuple:
 
 def checker_bender_oracle(seed: int) -> tuple:
     """The full rule table's first violation, if any, on the recorded
-    stream of interpreted trials: from a fresh module, each hammer count
-    up to the first with a full tFAW window of activations, twice."""
+    stream of interpreted trials: from a fresh module, the hammer counts
+    up to the first with a full tFAW window of activations, ``k``, in the
+    order ``0, 0``, then for each ``m`` in ``1..k``: ``m, m``, ``j, m``
+    for ``0 < j < m``, and ``0`` -- every ordered pair back to back."""
     from repro.dram.checker import TimingChecker
 
     bender, victim, pattern, t_agg_on = _checker_bender_case(seed)
     module = bender.module
     last = -(-4 // len(bender.aggressors_for(0, victim)))
+    counts = [0, 0]
+    for m in range(1, last + 1):
+        counts += [m, m] + [count for j in range(1, m) for count in (j, m)] + [0]
     with recording(module) as stream:
-        for count in range(last + 1):
-            for _ in range(2):
-                bender.interpreter.run(bender.trial_program(
-                    0, victim, pattern, count, t_agg_on
-                ))
+        for count in counts:
+            bender.interpreter.run(bender.trial_program(
+                0, victim, pattern, count, t_agg_on
+            ))
     checker = TimingChecker(timing=module.timing, geometry=module.geometry)
     for entry in stream:
         checker.feed(entry)

@@ -3,27 +3,35 @@
 The harness reference row (:class:`tests.differential.harness
 .ReferenceRow`) is the specification; every packed query must be
 *bit-identical* to it — same RNG draws in the same order, same floats
-out — across conditions, streams, and both geometric-sampler routes
-(searchsorted run tables and the direct ``rng.geometric`` fallback).
+out — across conditions, streams, both geometric-sampler routes
+(searchsorted run tables and the direct ``rng.geometric`` fallback) and
+both short-series routes (raw words and the general route).
 """
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.dram import faults
+import repro.rng
+from repro.chips.catalog import build_module
+from repro.dram import fastfaults, faults
 from repro.dram.cells import CellLayout, CellLayoutKind
-from repro.dram.faults import Condition, ModuleFaultModel, VrdModelParams
+from repro.dram.faults import _GEOM_SEARCH_P, Condition, ModuleFaultModel, VrdModelParams
 from repro.dram.fastfaults import (
     BankVrdState,
     _attach_run_tables,
-    _short_column,
+    _short_columns,
+    _short_constants,
+    _ShortLayout,
     _trap_column,
     _TrapPlan,
 )
-from repro.dram.traps import Trap, sample_occupancy_series
+from repro.dram.traps import _MAX_P, _MIN_BATCH, _MIN_P, Trap, sample_occupancy_series
 from repro.errors import ConfigurationError
-from repro.rng import derive
+from repro.rng import child_seed, derive
 from tests.differential.harness import ReferenceRow, reference_occupancy_series
 
 ROW_BITS = 8192
@@ -55,6 +63,19 @@ def make_state(params=None, rows=ROWS) -> BankVrdState:
 def make_reference(row: int, params=None) -> ReferenceRow:
     params = params or make_params()
     return ReferenceRow(params, ROW_BITS, SEED, (MODULE, BANK, row))
+
+
+def word_route_column(trap: Trap, n: int, seed: int):
+    """One trap's column through the short-series word route
+    (:func:`_short_columns` on a one-trap row), and the generator that
+    route leaves: ``PCG64(seed)`` advanced past the words the trap used."""
+    constants = _short_constants(np.array([trap.p_occupy]), np.array([trap.p_release]))
+    layout = _ShortLayout(n, np.array([1]), constants)
+    occupancy, _, shifts, failed = _short_columns(layout, [seed])
+    assert not failed
+    bit_generator = np.random.PCG64(seed)
+    bit_generator.advance(int(layout.ends[0] + shifts[0]))
+    return occupancy[0], np.random.Generator(bit_generator)
 
 
 class TestLatentSeriesBitIdentity:
@@ -149,12 +170,19 @@ class TestTrapColumnMirror:
     @pytest.mark.parametrize("trap", EDGE_TRAPS)
     @pytest.mark.parametrize("n", [1, 7, 16, 40])
     def test_short_column(self, trap, n):
-        plan = _TrapPlan(trap.depth, trap.p_occupy, trap.p_release)
-        rng = derive(5, "short", n)
-        fast = _short_column(plan, n, rng)
+        """The word route's column, and the words it used, for one trap;
+        a series past one batch's reach (``n = 40``) takes the table
+        route instead, as a packed state's query does."""
+        if n <= _MIN_BATCH:
+            fast, rng = word_route_column(trap, n, child_seed(5, "short", n))
+        else:
+            plan = _TrapPlan(trap.depth, trap.p_occupy, trap.p_release)
+            _attach_run_tables([plan])
+            rng = derive(5, "short", n)
+            fast = _trap_column(plan, n, rng)
         ref_rng = derive(5, "short", n)
         reference = sample_occupancy_series(trap, n, ref_rng)
-        assert fast == reference.tolist()
+        np.testing.assert_array_equal(fast, reference)
         # The whole batch is consumed, exactly as the reference draws it.
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -195,6 +223,132 @@ class TestMirrorGate:
         assert all(plan.table_occ is None for plan in plans)
         state.latent_series_bulk(REF, 17)
         assert any(plan.table_occ is not None for plan in plans)
+
+
+#: Transition probabilities at and past both clamps (1e-12 and 1.0 clamp
+#: to ``_MIN_P``/``_MAX_P``), on both sides of numpy's geometric branch
+#: point (inversion below 1/3, search at and above it), and free.
+word_route_probabilities = st.one_of(
+    st.sampled_from([
+        1e-12, _MIN_P, 1e-6, float(np.nextafter(_GEOM_SEARCH_P, 0.0)),
+        _GEOM_SEARCH_P, 0.5, _MAX_P, 1.0,
+    ]),
+    st.floats(min_value=1e-12, max_value=1.0),
+)
+
+
+def _set_trap_probabilities(state, references, probabilities):
+    """Give the packed rows and their reference rows the same trap
+    transition probabilities, cycling through ``probabilities``."""
+    cycle = iter(probabilities * (len(state._trap_depths) // len(probabilities) + 1))
+    occupy, release = [], []
+    for i, row in enumerate(state.rows):
+        traps = references[row].traps
+        for j in range(state._trap_starts[i], state._trap_starts[i + 1]):
+            p_occupy, p_release = next(cycle)
+            occupy.append(p_occupy)
+            release.append(p_release)
+            k = j - state._trap_starts[i]
+            traps[k] = Trap(traps[k].depth, p_occupy, p_release)
+    state._trap_occupy = np.array(occupy)
+    state._trap_release = np.array(release)
+
+
+class TestWordRoute:
+    """The short-series route (``0 < n <= _MIN_BATCH``) from raw words
+    against the reference row, and against the general route it falls
+    back to."""
+
+    @given(
+        n=st.integers(1, _MIN_BATCH),
+        trap_count_mean=st.sampled_from([0.0, 0.5, 9.0]),
+        probabilities=st.lists(
+            st.tuples(word_route_probabilities, word_route_probabilities),
+            max_size=12,
+        ),
+        query=st.lists(st.sampled_from(ROWS[:6]), min_size=1, max_size=9),
+        stream=st.sampled_from(["series", "guess"]),
+    )
+    @example(n=1, trap_count_mean=0.0, probabilities=[], query=ROWS[:6], stream="guess")
+    @example(
+        n=16, trap_count_mean=9.0, probabilities=[(1e-12, 1.0), (1.0, 1e-12)],
+        query=[ROWS[3], ROWS[0], ROWS[3]], stream="series",
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_on_both_routes(
+        self, n, trap_count_mean, probabilities, query, stream
+    ):
+        """Clamped and branch-edge probabilities, zero-trap rows and
+        repeated, unsorted row subsets: the word route and, with the word
+        mirror's probe forced false, the general route."""
+        params = make_params(
+            trap_count_mean=trap_count_mean, rare_trap_prob=0.5, big_trap_prob=0.5
+        )
+        state = make_state(params=params, rows=ROWS[:6])
+        references = {row: make_reference(row, params=params) for row in ROWS[:6]}
+        if probabilities:
+            _set_trap_probabilities(state, references, probabilities)
+        expected = [
+            references[row].latent_series(REF, n, stream=stream) for row in query
+        ]
+        words = state.latent_series_bulk(REF, n, stream=stream, rows=query)
+        with mock.patch.object(repro.rng, "_WORD_MIRROR_OK", False):
+            general = state.latent_series_bulk(REF, n, stream=stream, rows=query)
+        expected = np.array(expected).view(np.uint64)
+        for got in (words, general):
+            np.testing.assert_array_equal(got.view(np.uint64), expected)
+
+    def test_serves_every_row_from_words(self):
+        """No catalog-sized row needs the general route: every row's
+        draws fit its block."""
+        state = make_state(rows=list(range(512)))
+        with mock.patch.object(
+            BankVrdState, "_row_blocks", side_effect=AssertionError("general route")
+        ):
+            state.guess_means(REF)
+
+    def test_rows_past_their_block_take_the_general_route(self, monkeypatch):
+        """Without slack, every row with an off-path draw runs past its
+        block and is served by the general route, bit for bit."""
+        monkeypatch.setattr(fastfaults, "_ROW_SLACK", 0)
+        state = make_state()
+        calls = []
+        fill_row = BankVrdState._fill_row
+        monkeypatch.setattr(
+            BankVrdState, "_fill_row",
+            lambda self, *args: calls.append(args[1]) or fill_row(self, *args),
+        )
+        bulk = state.latent_series_bulk(REF, 16)
+        assert 0 < len(calls) < len(ROWS)
+        for index, row in enumerate(ROWS):
+            np.testing.assert_array_equal(
+                bulk[index], make_reference(row).latent_series(REF, 16)
+            )
+
+    def test_chunks_join_bit_for_bit(self, monkeypatch):
+        state = make_state()
+        whole = state.guess_means(REF)
+        monkeypatch.setattr(fastfaults, "_PROBE_CHUNK", 3)
+        np.testing.assert_array_equal(state.guess_means(REF), whole)
+
+
+def test_probe_memory_is_bounded_by_its_chunk():
+    """A whole bank's probe query (the 4,096 rows of a catalog device's
+    compact bank) holds one chunk's words and traps x draws temporaries
+    at a time: its traced peak stays a few MB above its O(rows) inputs
+    and output, where the bank's word block alone would take about 8 MB
+    and its temporaries several times that."""
+    module = build_module("M1")
+    rows = list(range(module.geometry.n_rows))
+    state = module.fault_model.bank_state(0, rows)
+    state.guess_means(REF, rows=rows[:8])  # the probes and factors, once
+    tracemalloc.start()
+    try:
+        state.guess_means(REF)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
 
 
 def _row_view(state, row, query, condition):

@@ -18,12 +18,12 @@ from repro.dram.faults import (
 )
 from repro.dram.fastfaults import (
     _attach_run_tables,
-    _short_column,
     _trap_column,
     _TrapPlan,
 )
-from repro.dram.traps import _MAX_P, _MIN_P, Trap, sample_occupancy_series
+from repro.dram.traps import _MAX_P, _MIN_BATCH, _MIN_P, Trap, sample_occupancy_series
 from tests.differential.harness import ReferenceRow
+from tests.dram.test_fastfaults import word_route_column
 
 
 def make_process(seed=7, params=None):
@@ -384,22 +384,25 @@ sampler_probabilities = st.one_of(
         p_occupy=sampler_probabilities,
         p_release=sampler_probabilities,
     ),
-    n=st.sampled_from([0, 1, 16, 17, 300]),
+    n=st.sampled_from([0, 1, 7, 16, 17, 300]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=200, deadline=None)
 def test_series_samplers_match_reference(trap, n, seed):
-    """``_trap_column`` (with and without run tables) and
-    ``_short_column`` draw exactly what ``sample_occupancy_series`` draws:
-    the same column and the same generator state afterwards."""
+    """``_trap_column`` (with and without run tables) and, for a short
+    series, the word route draw exactly what ``sample_occupancy_series``
+    draws: the same column and the same generator state afterwards."""
     reference_rng = np.random.default_rng(seed)
     reference = sample_occupancy_series(trap, n, reference_rng).tolist()
-    routes = [(_trap_column, False), (_trap_column, True), (_short_column, False)]
-    for sampler, tables in routes:
+    for tables in (False, True):
         plan = _TrapPlan(trap.depth, trap.p_occupy, trap.p_release)
         if tables:
             _attach_run_tables([plan])
         rng = np.random.default_rng(seed)
-        column = np.asarray(sampler(plan, n, rng), dtype=bool)
-        assert column.tolist() == reference, (sampler.__name__, tables)
+        column = _trap_column(plan, n, rng)
+        assert column.tolist() == reference, tables
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+    if 0 < n <= _MIN_BATCH:
+        column, rng = word_route_column(trap, n, seed)
+        assert column.tolist() == reference
         assert rng.bit_generator.state == reference_rng.bit_generator.state

@@ -7,10 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 import repro.rng
 from repro.rng import (
     _ARRAY_SEEDING_MIN,
+    _EXPONENTIAL_KE,
+    _EXPONENTIAL_WE,
+    _PROBE_EXPONENTIALS,
     _PROBE_SEED,
     _PROBE_SHAPE,
     _ZIGGURAT_KI,
     _ZIGGURAT_WI,
+    _exponential_block,
+    _normal_at,
     _word_layout,
     child_seed,
     derive,
@@ -315,3 +320,102 @@ def test_probe_stream_takes_every_branch():
     counts = _branch_counts(words, starts, is_normal)
     assert all(counts.values()), counts
     assert word_mirror_ok()
+
+
+# ----------------------------------------------------------------------
+# The exponential ziggurat (the word route of short series)
+# ----------------------------------------------------------------------
+
+
+def _takes_one_word_exponential(word):
+    rng = _crafted(word)
+    rng.standard_exponential()
+    return rng.bit_generator.state["state"]["state"] == word
+
+
+def test_exponential_ziggurat_tables_match_numpy():
+    """Re-derive ``we`` and ``ke`` of all 256 layers from numpy itself.
+
+    A word with layer ``i`` (bits 3-10) and magnitude ``ri = word >> 11``
+    of 1 draws ``we[i]`` (layer 1, whose ``ke`` is 0, through an accepted
+    wedge); the smallest magnitude whose draw takes more than one word is
+    ``ke[i]``.
+    """
+    for layer in range(256):
+        assert _crafted((1 << 11) | (layer << 3)).standard_exponential() == (
+            _EXPONENTIAL_WE[layer]
+        )
+        low, high = 0, 2**53  # one word below ``low``, more at ``high``
+        while low < high:
+            middle = (low + high) // 2
+            if _takes_one_word_exponential((middle << 11) | (layer << 3)):
+                low = middle + 1
+            else:
+                high = middle
+        assert low == int(_EXPONENTIAL_KE[layer]), layer
+    assert _EXPONENTIAL_KE[1] == 0
+
+
+def _exponential_branches(words, starts):
+    """How each exponential draw starting at ``starts[:-1]`` leaves its
+    first word: the fast path (one word), the layer-0 tail (exactly two),
+    an accepted wedge (exactly two) or a rejected wedge (a restart)."""
+    first = words[starts[:-1]]
+    used = np.diff(starts)
+    layer = ((first >> np.uint64(3)) & np.uint64(0xFF)).astype(np.int64)
+    slow = (first >> np.uint64(11)) >= _EXPONENTIAL_KE[layer]
+    assert np.all(used[~slow] == 1)
+    tail = slow & (layer == 0)
+    assert np.all(used[tail] == 2)
+    wedge = slow & (layer > 0)
+    return {
+        "fast": int((~slow).sum()),
+        "tail": int(tail.sum()),
+        "wedge_accept": int((wedge & (used == 2)).sum()),
+        "wedge_reject": int((wedge & (used > 2)).sum()),
+    }
+
+
+def test_exponential_probe_stream_takes_every_branch():
+    """The probe block of :func:`word_mirror_ok` reaches every branch of
+    the exponential ziggurat, so the gate checks each of them."""
+    seed, count = _PROBE_EXPONENTIALS
+    words = _pcg64(seed).bit_generator.random_raw(2 * count)
+    values, starts = _exponential_block(words, count)
+    counts = _exponential_branches(words, np.array(starts))
+    assert all(counts.values()), counts
+    np.testing.assert_array_equal(values, _pcg64(seed).standard_exponential(count))
+    assert word_mirror_ok()
+
+
+@given(seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=30, deadline=None)
+def test_exponential_block_equals_numpy(seed):
+    """Values and words used of a block of standard exponentials resolved
+    from raw words equal numpy's draws and final state."""
+    words = _pcg64(seed).bit_generator.random_raw(4096)
+    values, starts = _exponential_block(words, 2000)
+    reference = _pcg64(seed)
+    np.testing.assert_array_equal(values, reference.standard_exponential(2000))
+    mirrored = _pcg64(seed)
+    mirrored.bit_generator.advance(starts[-1])
+    assert mirrored.bit_generator.state == reference.bit_generator.state
+
+
+def test_normal_at_walks_every_branch_bit_for_bit():
+    """One normal at a time from raw words, as the short-series route
+    resolves off-path residuals: equal to numpy's draws and words used,
+    over a stream that takes every branch of the normal ziggurat."""
+    words = _pcg64(7).bit_generator.random_raw(41_000)
+    starts, values = [0], []
+    for _ in range(40_000):
+        value, position = _normal_at(words, starts[-1])
+        values.append(value)
+        starts.append(position)
+    reference = _pcg64(7)
+    np.testing.assert_array_equal(values, reference.standard_normal(40_000))
+    mirrored = _pcg64(7)
+    mirrored.bit_generator.advance(starts[-1])
+    assert mirrored.bit_generator.state == reference.bit_generator.state
+    counts = _branch_counts(words, np.array(starts), slice(None))
+    assert all(counts.values()), counts
