@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fig14.add_argument(
         "--check-timing", action="store_true",
         help="validate every simulated REF/PRE/ACT against the JEDEC "
-             "timing rule table (same switch as VRD_TIMING_CHECK=1); the "
+             "timing rule table, simulating even a stored sweep; the "
              "first violation aborts the run",
     )
     _add_trace_flags(fig14)
@@ -562,15 +562,9 @@ def _cmd_fig14(args: argparse.Namespace) -> int:
     from repro.memsim.sweep import SweepSpec, run_sweep
     from repro.store import ResultStore
 
-    if args.check_timing:
-        import os
-
-        from repro.dram.checker import TIMING_CHECK_ENV_VAR
-
-        os.environ[TIMING_CHECK_ENV_VAR] = "1"
     spec = SweepSpec(n_mixes=args.mixes, window_ns=args.window)
     cache = None if args.no_cache else ResultStore.resolve(args.cache_dir)
-    result = run_sweep(spec, cache=cache)
+    result = run_sweep(spec, cache=cache, check_timing=args.check_timing)
     rows = []
     for rdt in spec.rdts:
         for margin in spec.margins:

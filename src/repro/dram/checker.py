@@ -16,9 +16,10 @@ Two producers feed it:
   table, tFAW windows included, once per hammer-count class, and refuses
   the plan with :class:`~repro.errors.TimingViolationError` on a
   violation (see :mod:`repro.bender.compiler`).
-* **The memory-system simulator, opt in.** With ``VRD_TIMING_CHECK=1``
-  (or ``fig14 --check-timing``) every REF/PRE/ACT the loop schedules is
-  checked against the rules that loop models, and the first violation
+* **The memory-system simulator, opt in.** With
+  ``SystemConfig.check_timing`` (which ``run_sweep(check_timing=True)``
+  and ``fig14 --check-timing`` set) every REF/PRE/ACT the loop schedules
+  is checked against the rules that loop models, and the first violation
   raises.
 
 Compressed entries keep checking cheap. A uniform column burst is
@@ -32,7 +33,6 @@ state to the loop's closed-form end.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -50,10 +50,6 @@ from repro.dram.timing import (
     rule_table,
 )
 from repro.errors import ConfigurationError, TimingViolationError
-
-#: Environment variable enabling the memory-system simulator's opt-in
-#: timing-check pass.
-TIMING_CHECK_ENV_VAR = "VRD_TIMING_CHECK"
 
 #: Slack for float-exact schedules: gaps that equal the rule delay up to
 #: one part in 10^9 ns never flag (the interpreter schedules many
@@ -75,22 +71,6 @@ def _tol(at: float) -> float:
 #: Rank-level command kinds (no bank address; they occupy every pseudo
 #: channel for scoped rules).
 _RANK_KINDS = (CommandKind.REF, CommandKind.RFM)
-
-
-def timing_check_enabled(override: Optional[bool] = None) -> bool:
-    """Resolve the memory-system simulator's opt-in check: explicit
-    override, else the environment.
-
-    ``VRD_TIMING_CHECK`` set to ``1``/``true``/``on`` (any case) enables
-    the pass; unset, empty, ``0``, ``false``, or ``off`` disables it.
-    Only :meth:`repro.memsim.system.MemorySystem.run` (and a ``fig14``
-    sweep, which then skips its stored result) reads it: compiled Bender
-    trials are certified at compile time whatever it says.
-    """
-    if override is not None:
-        return bool(override)
-    raw = os.environ.get(TIMING_CHECK_ENV_VAR, "").strip().lower()
-    return raw not in ("", "0", "false", "off")
 
 
 @dataclass(frozen=True)

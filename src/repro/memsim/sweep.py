@@ -19,7 +19,7 @@ four-core workload mixes — of independent simulations:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -166,11 +166,10 @@ def sweep_key(spec: SweepSpec) -> str:
 
 
 def _sweep_cells(
-    spec: SweepSpec, cells: Sequence[Cell]
+    spec: SweepSpec, config: SystemConfig, cells: Sequence[Cell]
 ) -> Dict[Cell, Dict[str, float]]:
-    """Every cell's per-mix speedups. Mixes, their shared streams and
-    baselines are built once and serve every cell."""
-    config = spec.config()
+    """Every cell's per-mix speedups under ``config``. Mixes, their shared
+    streams and baselines are built once and serve every cell."""
     mixes = spec.mixes()
     streams: Dict[str, List[CoreStream]] = {}
     baselines = {}
@@ -199,6 +198,7 @@ def run_sweep(
     spec: Optional[SweepSpec] = None,
     n_jobs: Optional[int] = None,
     cache: Optional[ResultStore] = None,
+    check_timing: bool = False,
 ) -> SweepResult:
     """Run (or reload) one Fig. 14 sweep.
 
@@ -210,23 +210,24 @@ def run_sweep(
             Kept only because the benchmark harness (``bench/``) still
             passes ``n_jobs=1``; ROADMAP item 5 removes it.
         cache: Optional :class:`~repro.store.db.ResultStore`; a hit under
-            :func:`sweep_key` skips simulation entirely. A checked run
-            (``VRD_TIMING_CHECK=1``, as ``fig14 --check-timing`` sets)
+            :func:`sweep_key` skips simulation entirely.
+        check_timing: Run every simulation with
+            :attr:`~repro.memsim.system.SystemConfig.check_timing`, which
+            feeds each REF, PRE and ACT to a timing checker. A checked run
             never reads the store, so every simulated command reaches the
-            timing checker; it still saves its result.
+            checker; it still saves its result under the same key.
     """
     if n_jobs not in (None, 1):
         raise ConfigurationError(
             f"the sweep runs in one process; n_jobs must be None or 1, "
             f"got {n_jobs!r}"
         )
-    from repro.dram.checker import timing_check_enabled
-
     spec = spec or SweepSpec()
+    config = replace(spec.config(), check_timing=check_timing)
     recorder = obs.active()
 
     with recorder.span("sweep.run"):
-        if cache is not None and not timing_check_enabled():
+        if cache is not None and not check_timing:
             cached = cache.load(
                 sweep_key(spec), KIND_SWEEP, SweepResult.from_payload
             )
@@ -235,7 +236,9 @@ def run_sweep(
 
         cells = spec.cells()
         recorder.counter_add("sweep.cells", len(cells))
-        result = SweepResult(spec=spec, per_mix=_sweep_cells(spec, cells))
+        result = SweepResult(
+            spec=spec, per_mix=_sweep_cells(spec, config, cells)
+        )
 
         if cache is not None:
             cache.save(sweep_key(spec), KIND_SWEEP, result.to_payload())

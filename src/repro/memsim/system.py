@@ -120,8 +120,7 @@ class SystemConfig:
     #: exercise window-boundary behavior without 32 ms simulations.
     t_refw_ns: float = _T_REFW
     #: Opt-in timing-check pass: validate the synthesized ACT/PRE/REF
-    #: stream against the loop's DDR5-class timing rules. ``False`` still
-    #: honors ``VRD_TIMING_CHECK=1`` in the environment.
+    #: stream against the loop's DDR5-class timing rules.
     check_timing: bool = False
 
     def __post_init__(self) -> None:
@@ -250,10 +249,9 @@ class MemorySystem:
                 them the system's own address generators are consumed, so
                 each instance should be run once.
 
-        With ``config.check_timing`` (or ``VRD_TIMING_CHECK=1``) every
-        REF, PRE and ACT the loop schedules is fed to a
-        :class:`~repro.dram.checker.TimingChecker`, which raises on the
-        first violation.
+        With ``config.check_timing`` every REF, PRE and ACT the loop
+        schedules is fed to a :class:`~repro.dram.checker.TimingChecker`,
+        which raises on the first violation.
         """
         recorder = obs.active()
         with recorder.span("memsim.run"):
@@ -271,10 +269,8 @@ class MemorySystem:
         elif len(streams) != 4:
             raise SimulationError("need one stream per core")
 
-        from repro.dram.checker import timing_check_enabled
-
         checker = None
-        if timing_check_enabled(True if config.check_timing else None):
+        if config.check_timing:
             from repro.dram.commands import Command, CommandKind
 
             checker = _checker_for(config)

@@ -1,13 +1,14 @@
 """Durable, shared result store for campaign/adaptive/sweep payloads.
 
-One sqlite database (WAL mode, pragma-tuned, busy-timeout retried) holds
-every cached result the reproduction produces, content-addressed by the
-recipe keys of :meth:`~repro.core.engine.CampaignCache.key` and
+One sqlite database (WAL mode, busy timeout) holds every cached result
+the reproduction produces, content-addressed by the recipe keys of
+:meth:`~repro.core.engine.CampaignCache.key` and
 :func:`~repro.memsim.sweep.sweep_key`, with a ``kind`` column
-discriminating campaign, adaptive and sweep payloads. Concurrent
-processes share the database without aliasing or corruption.
-:class:`~repro.store.db.ResultStore` is the store itself: checksummed
-payloads, batched multi-row writes inside one transaction, and one typed
+discriminating campaign, adaptive and sweep payloads and a ``protocol``
+column naming each result's DRAM protocol. Concurrent processes share
+the database without aliasing or corruption.
+:class:`~repro.store.db.ResultStore` is the store itself: one lazily
+opened connection per store, checksummed payloads, and one typed
 read/write pair (:meth:`~repro.store.db.ResultStore.load` /
 :meth:`~repro.store.db.ResultStore.save`) through which every cached
 result passes, so corrupt entries (bad checksum, torn page, tampered

@@ -1,35 +1,30 @@
 """The shared sqlite result store.
 
-Design notes (the concurrency story):
-
-* **WAL journal.** Readers never block the single writer and vice versa;
-  concurrent CLI runs and benchmark processes share one database
-  file. ``synchronous=NORMAL`` is the documented safe pairing with WAL —
-  a crash can lose the last transactions but can never tear the database.
-* **Busy handling.** Every connection sets ``busy_timeout``; on top of
-  that, writes retry a few times with backoff on ``database is locked``
-  (the pragma does not cover every contention window, e.g. schema setup
-  racing between processes).
-* **Batched writes.** :meth:`ResultStore.put_many` lands any number of
-  entries inside one ``BEGIN IMMEDIATE`` transaction — one fsync for a
-  whole batch instead of one per entry.
-* **Checksummed payloads.** Every row stores a blake2b digest of its
-  payload blob. A mismatch (torn write, tampering, bit rot) is detected
-  on read, counted (``store.corrupt``), the row is evicted, and the
-  caller sees a miss and recomputes. A malformed database *file*
-  (truncated page, overwritten header) is detected the same way;
-  recovery resets the whole database so subsequent work recomputes
-  cleanly instead of crashing.
-* **Lazy open.** Constructing a store (or resolving one for pure key
-  computation) touches no files; the database and its schema are created
-  on the first read or write.
-
-Connections are per-thread (sqlite3 objects must not hop threads); a
-generation counter invalidates them after a corruption reset.
+* **One connection per store**, opened on the first read or write (a
+  new store touches no files), its pragmas set once, every statement run
+  under one lock, so threads may share a store.
+* **WAL journal** with ``synchronous=NORMAL``: concurrent processes share
+  one file, readers never block the writer, and a crash can lose the last
+  transactions but never tear the database. A contended statement waits
+  up to :data:`BUSY_TIMEOUT_S` (only the switch to WAL at open retries);
+  every write is one autocommitted put.
+* **The protocol is a column**: :meth:`ResultStore.put` records each
+  result's DRAM protocol, so :meth:`ResultStore.stats` reads no payload.
+* **Checksummed payloads**: a kind or blake2b checksum mismatch, or an
+  undecodable payload, is counted (``store.corrupt``) and evicted, and
+  the caller recomputes. A malformed database *file* is counted the same
+  way by whichever statement meets it, and reset.
+* **Schema version**: a file of another ``meta.schema_version`` (an older
+  version's) is rebuilt empty on first open, in one ``BEGIN IMMEDIATE``
+  transaction, and its results recompute.
+* **An unopenable path** (a directory, a parent that is a file) raises
+  :class:`~repro.errors.ConfigurationError` naming it at the first call;
+  a read that meets lock contention is a miss.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -37,8 +32,9 @@ import os
 import sqlite3
 import threading
 import time
+from collections import Counter
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 from repro import obs
 from repro.errors import ConfigurationError, ReproError
@@ -61,41 +57,39 @@ KIND_SWEEP = "sweep"
 KINDS = (KIND_CAMPAIGN, KIND_ADAPTIVE, KIND_SWEEP)
 
 #: Exceptions by which a decoder rejects a payload whose checksum matched
-#: (wrong types, missing keys, an unknown format version): the entry is
-#: corrupt, not a hit.
-_CORRUPT_PAYLOAD_ERRORS = (
-    ReproError,
-    ValueError,
-    KeyError,
-    TypeError,
-    AttributeError,
-)
+#: (wrong types, missing keys, an unknown format version): corrupt.
+_CORRUPT_PAYLOAD_ERRORS = (ReproError, ValueError, KeyError, TypeError,
+                           AttributeError)
 
 #: Schema version recorded in the ``meta`` table.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-#: Seconds a connection waits for a lock before erroring (pragma).
+#: Seconds a statement waits for a lock before erroring.
 BUSY_TIMEOUT_S = 5.0
 
-#: Explicit retries layered over the busy timeout.
-_LOCK_RETRIES = 5
-_LOCK_BACKOFF_S = 0.05
+#: Attempts at switching a connection to WAL: processes that open one new
+#: file at once can meet a lock sqlite's busy handler does not wait on.
+_WAL_ATTEMPTS = 5
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS results (
-    key        TEXT PRIMARY KEY,
-    kind       TEXT NOT NULL,
-    checksum   TEXT NOT NULL,
-    payload    BLOB NOT NULL,
-    nbytes     INTEGER NOT NULL,
-    created_at REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS results_kind ON results (kind);
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
-"""
+#: Builds the results table of :data:`SCHEMA_VERSION`, empty. The payload
+#: is the last column, so a statement reading only the small columns stops
+#: short of its overflow pages; the index covers :meth:`ResultStore.stats`.
+_REBUILD = (
+    "DROP TABLE IF EXISTS results",
+    "CREATE TABLE results ("
+    "key TEXT PRIMARY KEY, kind TEXT NOT NULL, protocol TEXT NOT NULL, "
+    "nbytes INTEGER NOT NULL, created_at REAL NOT NULL, "
+    "checksum TEXT NOT NULL, payload BLOB NOT NULL)",
+    "CREATE INDEX results_kind ON results (kind, protocol, nbytes)",
+    "INSERT OR REPLACE INTO meta (key, value) "
+    f"VALUES ('schema_version', '{SCHEMA_VERSION}')",
+)
+
+_INSERT = (
+    "INSERT OR REPLACE INTO results "
+    "(key, kind, protocol, nbytes, created_at, checksum, payload) "
+    "VALUES (?, ?, ?, ?, ?, ?, ?)"
+)
 
 
 def payload_checksum(blob: bytes) -> str:
@@ -110,24 +104,20 @@ def encode_payload(payload: dict) -> bytes:
     ).encode("utf-8")
 
 
-#: Bytes of a payload read at a time by :func:`_is_nul_free_ascii`.
-_SCAN_CHUNK_BYTES = 16 * 1024
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ConfigurationError(
+            f"unknown result kind {kind!r}; expected one of {KINDS}"
+        )
 
 
-def _is_nul_free_ascii(conn: sqlite3.Connection, rowid: int) -> bool:
-    """Whether row ``rowid``'s payload is ASCII without a NUL byte (as all
-    :func:`encode_payload` writes), read in chunks so no whole payload
-    is held."""
-    with conn.blobopen("results", "payload", rowid, readonly=True) as blob:
-        while chunk := blob.read(_SCAN_CHUNK_BYTES):
-            if not chunk.isascii() or b"\0" in chunk:
-                return False
-    return True
-
-
-def _protocol_of_module(module_id) -> str:
-    """The catalog protocol of a payload's ``module_id``, or
-    ``"unknown"`` for a non-string or non-catalog id."""
+def _protocol(kind: str, payload: dict) -> str:
+    """The DRAM protocol a result is counted under: ``"DDR5"`` for a
+    sweep (the memory-system model's substrate), else the catalog
+    protocol of the payload's ``module_id``, or ``"unknown"``."""
+    if kind == KIND_SWEEP:
+        return "DDR5"
+    module_id = payload.get("module_id")
     if not isinstance(module_id, str):
         return "unknown"
     # Lazy import: the catalog pulls numpy, which the store layer
@@ -138,6 +128,36 @@ def _protocol_of_module(module_id) -> str:
         return catalog_spec(module_id).protocol
     except ReproError:
         return "unknown"
+
+
+def _set_pragmas(conn: sqlite3.Connection) -> None:
+    for attempt in range(_WAL_ATTEMPTS):
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            break
+        except sqlite3.OperationalError:
+            if attempt == _WAL_ATTEMPTS - 1:
+                raise
+            time.sleep(0.05 * (attempt + 1))
+    conn.execute("PRAGMA synchronous=NORMAL")
+    conn.execute("PRAGMA temp_store=MEMORY")
+    conn.execute("PRAGMA cache_size=-16000")  # 16 MB page cache
+
+
+def _ensure_schema(conn: sqlite3.Connection) -> None:
+    """Create the schema, or rebuild another version's file empty."""
+    with conn:
+        conn.execute("BEGIN IMMEDIATE")
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS meta "
+            "(key TEXT PRIMARY KEY, value TEXT NOT NULL)"
+        )
+        version = conn.execute(
+            "SELECT value FROM meta WHERE key = 'schema_version'"
+        ).fetchone()
+        if version != (str(SCHEMA_VERSION),):
+            for statement in _REBUILD:
+                conn.execute(statement)
 
 
 def resolve_store_path(
@@ -158,9 +178,7 @@ def resolve_store_path(
         return Path(cache_dir) / DEFAULT_STORE_FILENAME
     env_path = os.environ.get(STORE_PATH_ENV_VAR)
     if env_path is not None:
-        if not env_path.strip():
-            return None
-        return Path(env_path)
+        return Path(env_path) if env_path.strip() else None
     return Path(DEFAULT_CACHE_DIR) / DEFAULT_STORE_FILENAME
 
 
@@ -173,10 +191,8 @@ class ResultStore:
 
     def __init__(self, path: "Path | str"):
         self.path = Path(path)
-        self._local = threading.local()
-        self._generation = 0
-        self._open_lock = threading.Lock()
-        self._opened = False
+        self._conn: Optional[sqlite3.Connection] = None
+        self._lock = threading.Lock()
 
     @classmethod
     def resolve(
@@ -189,145 +205,98 @@ class ResultStore:
         path = resolve_store_path(cache_dir, store_path)
         return None if path is None else cls(path)
 
-    # -- connection management -----------------------------------------
+    # -- the connection ------------------------------------------------
 
-    def _configure(self, conn: sqlite3.Connection) -> None:
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_S * 1000)}")
-        conn.execute("PRAGMA temp_store=MEMORY")
-        conn.execute("PRAGMA cache_size=-16000")  # 16 MB page cache
-
-    def _connection(self) -> sqlite3.Connection:
-        """Thread-local connection, (re)opened lazily and invalidated by
-        corruption resets."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None and self._local.generation == self._generation:
-            return conn
-        if conn is not None:
+    def _open(self) -> sqlite3.Connection:
+        """The store's connection, opened on first use (lock held)."""
+        if self._conn is None:
             try:
-                conn.close()
-            except sqlite3.Error:
-                pass
-        self._ensure_created()
-        conn = sqlite3.connect(
-            str(self.path), timeout=BUSY_TIMEOUT_S, isolation_level=None
-        )
-        self._configure(conn)
-        self._local.conn = conn
-        self._local.generation = self._generation
-        return conn
-
-    def _ensure_created(self) -> None:
-        """Create the database file and its schema (once per file)."""
-        with self._open_lock:
-            if self._opened and self.path.exists():
-                return
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(
-                str(self.path), timeout=BUSY_TIMEOUT_S, isolation_level=None
-            )
-            try:
-                self._configure(conn)
-                conn.executescript(_SCHEMA)
-                conn.execute(
-                    "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                    ("schema_version", str(SCHEMA_VERSION)),
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                conn = sqlite3.connect(
+                    self.path, timeout=BUSY_TIMEOUT_S, isolation_level=None,
+                    check_same_thread=False,
                 )
-            finally:
+            except (OSError, sqlite3.OperationalError) as error:
+                raise ConfigurationError(
+                    f"cannot open the result store {self.path}: {error}"
+                ) from None
+            try:
+                _set_pragmas(conn)
+                _ensure_schema(conn)
+            except BaseException:
                 conn.close()
-            self._opened = True
+                raise
+            self._conn = conn
+        return self._conn
+
+    def _execute(self, sql: str, params: tuple = ()) -> Optional[tuple]:
+        """``(rows, rowcount)`` of one statement, or ``None`` when it met a
+        malformed database file, which is then counted under
+        ``store.corrupt`` and reset. Lock contention past the busy timeout
+        raises :class:`sqlite3.OperationalError`."""
+        with self._lock:
+            try:
+                cursor = self._open().execute(sql, params)
+                return cursor.fetchall(), cursor.rowcount
+            except sqlite3.OperationalError:
+                raise
+            except sqlite3.DatabaseError:
+                obs.active().counter_add("store.corrupt")
+                self._reset_database()
+                return None
 
     def close(self) -> None:
-        """Close this thread's connection (other threads close their own)."""
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
-            try:
-                conn.close()
-            except sqlite3.Error:
-                pass
-            self._local.conn = None
+        """Close the store's connection; the next call reopens it."""
+        with self._lock:
+            self._disconnect()
+
+    def _disconnect(self) -> None:
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
     def _reset_database(self) -> None:
         """Last-resort recovery from a malformed database file: drop it
-        (plus WAL/SHM sidecars) and start empty, so every entry becomes a
-        clean miss that recomputes."""
-        self.close()
-        with self._open_lock:
-            self._generation += 1
-            self._opened = False
-            for suffix in ("", "-wal", "-shm"):
-                try:
-                    Path(f"{self.path}{suffix}").unlink()
-                except OSError:
-                    pass
-
-    # -- retry plumbing ------------------------------------------------
-
-    @staticmethod
-    def _is_locked(error: sqlite3.OperationalError) -> bool:
-        message = str(error).lower()
-        return "locked" in message or "busy" in message
-
-    def _with_retry(self, operation):
-        """Run ``operation(conn)``, retrying on lock contention."""
-        last: Optional[BaseException] = None
-        for attempt in range(_LOCK_RETRIES):
-            try:
-                return operation(self._connection())
-            except sqlite3.OperationalError as error:
-                if not self._is_locked(error):
-                    raise
-                last = error
-                time.sleep(_LOCK_BACKOFF_S * (attempt + 1))
-        raise last  # noqa: B904 — the original lock error, after retries
+        (plus WAL/SHM sidecars), so the next statement opens an empty
+        store and every entry recomputes. The caller holds the lock."""
+        self._disconnect()
+        for suffix in ("", "-wal", "-shm"):
+            with contextlib.suppress(OSError):
+                Path(f"{self.path}{suffix}").unlink()
 
     # -- reads ---------------------------------------------------------
 
     def fetch(self, key: str, kind: str) -> Tuple[Optional[dict], str]:
-        """``(payload, status)`` for one entry.
-
-        Status is ``"hit"`` (payload verified and decoded), ``"miss"``
-        (absent, or the database is unreadable — permissions/races — in
-        which case nothing is evicted), or ``"corrupt"`` (checksum or
-        kind mismatch, undecodable payload, or a malformed database;
-        counted under ``store.corrupt``, evicted, payload ``None``).
-        """
+        """``(payload, status)`` for one entry: ``"hit"`` (verified and
+        decoded), ``"miss"`` (absent, or the read met lock contention;
+        nothing is evicted) or ``"corrupt"`` (kind or checksum mismatch,
+        undecodable payload, or a malformed database; counted under
+        ``store.corrupt`` and evicted)."""
         recorder = obs.active()
         if not self.path.exists():
             # Nothing stored yet: stay lazy.
             recorder.counter_add("store.miss")
             return None, "miss"
         try:
-            row = self._with_retry(
-                lambda conn: conn.execute(
-                    "SELECT kind, checksum, payload FROM results "
-                    "WHERE key = ?",
-                    (key,),
-                ).fetchone()
+            result = self._execute(
+                "SELECT kind, checksum, payload FROM results WHERE key = ?",
+                (key,),
             )
         except sqlite3.OperationalError:
-            recorder.counter_add("store.miss")
-            return None, "miss"  # unreadable (open/permission races)
-        except sqlite3.DatabaseError:
-            # Torn page, truncated file, not-a-database header: the file
-            # itself is damaged. Reset so everything recomputes.
-            recorder.counter_add("store.corrupt")
-            self._reset_database()
+            result = [], 0  # lock contention: a miss, nothing evicted
+        if result is None:
             return None, "corrupt"
-        if row is None:
+        if not result[0]:
             recorder.counter_add("store.miss")
             return None, "miss"
-        stored_kind, checksum, blob = row
-        if stored_kind != kind or payload_checksum(blob) != checksum:
-            recorder.counter_add("store.corrupt")
-            self.evict(key)
-            return None, "corrupt"
+        stored_kind, checksum, blob = result[0][0]
         try:
+            if stored_kind != kind or payload_checksum(blob) != checksum:
+                raise ValueError("kind or checksum mismatch")
             payload = json.loads(blob.decode("utf-8"))
             if not isinstance(payload, dict):
                 raise ValueError("payload root must be an object")
-        except (ValueError, UnicodeDecodeError):
+        except ValueError:  # UnicodeDecodeError included
             recorder.counter_add("store.corrupt")
             self.evict(key)
             return None, "corrupt"
@@ -362,160 +331,45 @@ class ResultStore:
         return None
 
     def stats(self) -> Dict[str, object]:
-        """Entry counts per kind plus total payload bytes.
-
-        The ``per_protocol`` map attributes every entry to a DRAM
-        protocol (see :meth:`protocol_breakdown`), so ``store stats``
-        can show which protocols a shared cache actually holds.
-        """
-        per_kind: Dict[str, int] = {}
-        total_bytes = 0
-        if self.path.exists():
-            rows = self._with_retry(
-                lambda conn: conn.execute(
-                    "SELECT kind, COUNT(*), COALESCE(SUM(nbytes), 0) "
-                    "FROM results GROUP BY kind"
-                ).fetchall()
-            )
-            for kind, count, nbytes in rows:
-                per_kind[kind] = int(count)
-                total_bytes += int(nbytes)
+        """Entry counts per kind and per DRAM protocol (as :meth:`put`
+        recorded it), plus total payload bytes, from one ``GROUP BY`` that
+        reads no payload. A malformed file is reset: an empty store."""
+        per_kind, per_protocol, total_bytes = Counter(), Counter(), 0
+        result = self._execute(
+            "SELECT kind, protocol, COUNT(*), SUM(nbytes) FROM results "
+            "GROUP BY kind, protocol"
+        ) if self.path.exists() else None
+        for kind, protocol, count, nbytes in result[0] if result else ():
+            per_kind[kind] += count
+            per_protocol[protocol] += count
+            total_bytes += nbytes
         return {
             "path": str(self.path),
             "entries": sum(per_kind.values()),
-            "per_kind": per_kind,
+            "per_kind": dict(per_kind),
             "payload_bytes": total_bytes,
-            "per_protocol": self.protocol_breakdown(),
+            "per_protocol": dict(sorted(per_protocol.items())),
         }
-
-    def protocol_breakdown(self) -> Dict[str, int]:
-        """Entry counts per DRAM protocol, best-effort.
-
-        Attribution per kind:
-
-        * ``campaign``/``adaptive`` — the payload's ``module_id``
-          resolved through the device catalog;
-        * ``sweep`` — ``"DDR5"`` (the memory-system model's substrate).
-
-        Entries that cannot be attributed (non-catalog module ids,
-        undecodable payloads) count under ``"unknown"``.
-
-        SQLite's JSON functions read each ``module_id`` in place, and the
-        payload is scanned in fixed-size chunks, so the count holds no
-        whole payload in memory. The SQL read is taken only where it must
-        agree with decoding the payload with ``json``: an ASCII payload
-        without NUL bytes (SQLite reads text up to the first) that SQLite
-        parses, names ``module_id`` at most once (SQLite keeps the first
-        of two, ``json`` the last) and yields an id that is valid UTF-8.
-        Every other payload (corrupt bytes, the ``NaN``/``Infinity``
-        literals ``json`` writes and reads) is decoded whole in Python,
-        one at a time, as the reader would.
-        """
-        if not self.path.exists():
-            return {}
-
-        def count(conn) -> Dict[str, int]:
-            counts: Dict[str, int] = {}
-            cursor = conn.execute(
-                "SELECT rowid, kind, parsed, CASE WHEN parsed THEN "
-                "CASE json_type(doc, '$.module_id') WHEN 'text' "
-                "THEN CAST(json_extract(doc, '$.module_id') AS BLOB) END END "
-                "FROM (SELECT rowid, kind, doc, CASE "
-                "WHEN kind = ? OR NOT json_valid(doc) THEN 0 "
-                "ELSE (SELECT COUNT(*) FROM json_each(doc) "
-                "WHERE key = 'module_id') < 2 END AS parsed "
-                "FROM (SELECT rowid, kind, CAST(payload AS TEXT) AS doc "
-                "FROM results))",
-                (KIND_SWEEP,),
-            )
-            for rowid, kind, parsed, module_id in cursor:
-                if kind == KIND_SWEEP:
-                    label = "DDR5"
-                elif parsed and _is_nul_free_ascii(conn, rowid):
-                    try:
-                        label = _protocol_of_module(
-                            None if module_id is None
-                            else module_id.decode("utf-8")
-                        )
-                    except UnicodeDecodeError:  # a lone surrogate escape
-                        label = self._protocol_of_rowid(conn, kind, rowid)
-                else:
-                    label = self._protocol_of_rowid(conn, kind, rowid)
-                counts[label] = counts.get(label, 0) + 1
-            return counts
-
-        return dict(sorted(self._with_retry(count).items()))
-
-    @classmethod
-    def _protocol_of_rowid(cls, conn, kind: str, rowid: int) -> str:
-        (blob,) = conn.execute(
-            "SELECT payload FROM results WHERE rowid = ?", (rowid,)
-        ).fetchone()
-        return cls._protocol_of_entry(kind, blob)
-
-    @staticmethod
-    def _protocol_of_entry(kind: str, blob: bytes) -> str:
-        if kind == KIND_SWEEP:
-            return "DDR5"
-        try:
-            payload = json.loads(blob)
-        except (ValueError, TypeError, UnicodeDecodeError):
-            return "unknown"
-        if not isinstance(payload, dict):
-            return "unknown"
-        return _protocol_of_module(payload.get("module_id"))
 
     # -- writes --------------------------------------------------------
 
     def put(self, key: str, kind: str, payload: dict) -> None:
-        """Insert or replace one entry."""
-        self.put_many([(key, kind, payload)])
+        """Insert or replace one entry, in one autocommitted statement."""
+        _check_kind(kind)
+        blob = encode_payload(payload)
+        row = (
+            key, kind, _protocol(kind, payload), len(blob), time.time(),
+            payload_checksum(blob), blob,
+        )
+        if self._execute(_INSERT, row) is None:
+            # The file was malformed and has been reset: write afresh.
+            self._execute(_INSERT, row)
+        obs.active().counter_add("store.put")
 
     def save(self, key: str, kind: str, payload: dict) -> None:
         """:meth:`put` one computed result, counted under ``cache.store``."""
         self.put(key, kind, payload)
         obs.active().counter_add("cache.store")
-
-    def put_many(
-        self, entries: Iterable[Tuple[str, str, dict]]
-    ) -> int:
-        """Insert or replace many entries inside one transaction.
-
-        Returns the number of entries written: one transaction, one
-        fsync for the whole batch.
-        """
-        rows = []
-        now = time.time()
-        for key, kind, payload in entries:
-            if kind not in KINDS:
-                raise ConfigurationError(
-                    f"unknown result kind {kind!r}; expected one of {KINDS}"
-                )
-            blob = encode_payload(payload)
-            rows.append(
-                (key, kind, payload_checksum(blob), blob, len(blob), now)
-            )
-        if not rows:
-            return 0
-
-        def write(conn: sqlite3.Connection):
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                conn.executemany(
-                    "INSERT OR REPLACE INTO results "
-                    "(key, kind, checksum, payload, nbytes, created_at) "
-                    "VALUES (?, ?, ?, ?, ?, ?)",
-                    rows,
-                )
-                conn.execute("COMMIT")
-            except BaseException:
-                conn.execute("ROLLBACK")
-                raise
-            return len(rows)
-
-        written = self._with_retry(write)
-        obs.active().counter_add("store.put", written)
-        return written
 
     def prune(
         self,
@@ -525,16 +379,11 @@ class ResultStore:
         """Delete entries by kind and/or age; returns how many went.
 
         ``older_than_s`` keeps entries written within the last that-many
-        seconds (the ``created_at`` column); it must be finite and
-        non-negative, since a negative age would put the cutoff in the
-        future and select every entry. With both arguments ``None``
-        every entry is deleted. Rows of a kind outside :data:`KINDS`,
-        left by older versions, are still selected by age alone.
-        """
-        if kind is not None and kind not in KINDS:
-            raise ConfigurationError(
-                f"unknown result kind {kind!r}; expected one of {KINDS}"
-            )
+        seconds; it must be finite and non-negative (a negative age would
+        select every entry). With both arguments ``None`` every entry
+        goes."""
+        if kind is not None:
+            _check_kind(kind)
         if older_than_s is not None and not (
             math.isfinite(older_than_s) and older_than_s >= 0
         ):
@@ -552,29 +401,19 @@ class ResultStore:
             clauses.append("created_at < ?")
             params.append(time.time() - older_than_s)
         where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
-
-        def delete(conn: sqlite3.Connection) -> int:
-            return conn.execute(
-                f"DELETE FROM results{where}", params  # noqa: S608 — fixed
-            ).rowcount
-
         try:
-            pruned = int(self._with_retry(delete))
-        except sqlite3.DatabaseError:
+            result = self._execute(
+                f"DELETE FROM results{where}", tuple(params)  # noqa: S608
+            )
+        except sqlite3.OperationalError:
             return 0
+        pruned = 0 if result is None else result[1]
         if pruned:
             obs.active().counter_add("store.pruned", pruned)
         return pruned
 
     def evict(self, key: str) -> None:
         """Remove one entry (no-op if absent or the database is gone)."""
-        if not self.path.exists():
-            return
-        try:
-            self._with_retry(
-                lambda conn: conn.execute(
-                    "DELETE FROM results WHERE key = ?", (key,)
-                )
-            )
-        except sqlite3.DatabaseError:
-            pass
+        if self.path.exists():
+            with contextlib.suppress(sqlite3.OperationalError):
+                self._execute("DELETE FROM results WHERE key = ?", (key,))

@@ -306,19 +306,15 @@ def _inject_raw(cache, key, blob, kind="campaign"):
     version-skewed entry that passes integrity checks but fails to
     decode/validate."""
     import sqlite3
-    import time
 
     from repro.store.db import payload_checksum
 
     store = cache.result_store
-    store._ensure_created()
+    store.put(key, kind, {})
     with sqlite3.connect(store.path) as conn:
         conn.execute(
-            "INSERT OR REPLACE INTO results "
-            "(key, kind, checksum, payload, nbytes, created_at) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            (key, kind, payload_checksum(blob), blob, len(blob),
-             time.time()),
+            "UPDATE results SET payload = ?, checksum = ? WHERE key = ?",
+            (blob, payload_checksum(blob), key),
         )
 
 
@@ -370,19 +366,29 @@ def test_corrupt_entry_recomputes_to_identical_result(tmp_path, serial_result):
     assert recorder.counters.get("cache.hit") == 1
 
 
-def test_unreadable_store_is_a_plain_miss(tmp_path):
+def test_unreadable_store_is_a_plain_miss(tmp_path, monkeypatch):
+    import sqlite3
+
     from repro import obs
 
+    monkeypatch.setattr("repro.store.db.BUSY_TIMEOUT_S", 0.05)
     cache = CampaignCache(tmp_path / "cache")
-    # Occupy the database path with a directory: sqlite cannot open it
-    # (OSError-equivalent), which must degrade to a plain miss — not a
+    cache.result_store.put("deadbeef", "campaign", {"a": 1})
+    cache.result_store.close()
+    # Another connection holds the file locked past the busy timeout:
+    # the read fails, which must degrade to a plain miss — not a
     # corruption event, and nothing to evict.
-    cache.result_store.path.mkdir(parents=True)
-    with obs.tracing() as recorder:
-        assert cache.load("deadbeef") is None
+    holder = sqlite3.connect(cache.result_store.path, isolation_level=None)
+    holder.execute("PRAGMA locking_mode=EXCLUSIVE")
+    holder.execute("BEGIN EXCLUSIVE")
+    try:
+        with obs.tracing() as recorder:
+            assert cache.load("deadbeef") is None
+    finally:
+        holder.close()
     assert recorder.counters.get("cache.miss") == 1
     assert "cache.corrupt" not in recorder.counters
-    assert cache.result_store.path.exists()  # left alone: nothing to repair
+    assert _stored_entries(cache) == 1  # left alone: nothing to repair
 
 
 def test_cache_resolve_env(tmp_path, monkeypatch):

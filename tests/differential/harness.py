@@ -35,7 +35,7 @@ pseudo channels (``Chip0``). The ``checker-bender`` pair holds
 on the stream :func:`recording` reads off interpreted trials (random
 catalog devices and trials, some with tFAW or tRRD_L stretched past what
 the trial meets); ``checker-memsim`` runs the memory-system loop with
-``VRD_TIMING_CHECK=1`` forced on versus off, proving its opt-in timing
+``SystemConfig.check_timing`` on versus off, proving its opt-in timing
 check never perturbs a single bit.
 
 Two oracles here are statistical rather than bit-identical: the paper's
@@ -387,7 +387,7 @@ _MEMSIM_MITIGATIONS = ["Graphene", "PRAC", "PARA", "MINT", "BlockHammer"]
 _MEMSIM_WINDOW_NS = 5_000.0
 
 
-def _memsim_workload(seed: int):
+def _memsim_workload(seed: int, check_timing: bool = False):
     """A 5 us run; two of three tREFW choices put tracking-window
     boundaries inside it."""
     from repro.memsim.system import _T_REFW, MemorySystem, SystemConfig
@@ -400,7 +400,8 @@ def _memsim_workload(seed: int):
     threshold = pick.choice([256.0, 1024.0])
     t_refw_ns = pick.choice([_T_REFW, 1_200.0, 2_700.0])
     config = SystemConfig(
-        window_ns=_MEMSIM_WINDOW_NS, seed=seed, t_refw_ns=t_refw_ns
+        window_ns=_MEMSIM_WINDOW_NS, seed=seed, t_refw_ns=t_refw_ns,
+        check_timing=check_timing,
     )
     return MemorySystem(mix, config, build_mitigation(name, threshold))
 
@@ -1273,31 +1274,14 @@ def checker_bender_fast(seed: int) -> tuple:
 # checker-memsim: timing validation on vs off must be invisible in results
 # ----------------------------------------------------------------------
 
-def _checked(workload: Callable[[int], tuple], seed: int) -> tuple:
-    """Run ``workload`` with ``VRD_TIMING_CHECK=1`` forced on — results
-    must match the unchecked run bit for bit (and legal streams must not
-    raise)."""
-    import os
-
-    from repro.dram.checker import TIMING_CHECK_ENV_VAR
-
-    previous = os.environ.get(TIMING_CHECK_ENV_VAR)
-    os.environ[TIMING_CHECK_ENV_VAR] = "1"
-    try:
-        return workload(seed)
-    finally:
-        if previous is None:
-            del os.environ[TIMING_CHECK_ENV_VAR]
-        else:
-            os.environ[TIMING_CHECK_ENV_VAR] = previous
-
-
 def checker_memsim_oracle(seed: int) -> tuple:
     return memsim_fast(seed)
 
 
 def checker_memsim_fast(seed: int) -> tuple:
-    return _checked(memsim_fast, seed)
+    """The memsim workload with its timing check on: results must match
+    the unchecked run bit for bit (and legal streams must not raise)."""
+    return memsim_fingerprint(_memsim_workload(seed, check_timing=True).run())
 
 
 # ----------------------------------------------------------------------

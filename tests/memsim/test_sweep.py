@@ -106,7 +106,6 @@ class CommandRecorder:
 
 
 def test_checked_sweep_feeds_the_oracle_command_stream(monkeypatch):
-    from repro.dram.checker import TIMING_CHECK_ENV_VAR
     from repro.dram.commands import CommandKind
 
     spec = SweepSpec(
@@ -117,8 +116,7 @@ def test_checked_sweep_feeds_the_oracle_command_stream(monkeypatch):
     monkeypatch.setattr(
         "repro.memsim.system._checker_for", lambda config: fed
     )
-    monkeypatch.setenv(TIMING_CHECK_ENV_VAR, "1")
-    checked = run_sweep(spec)
+    checked = run_sweep(spec, check_timing=True)
 
     expected = CommandRecorder()
     assert oracle_sweep(spec, expected) == checked.per_mix
@@ -154,18 +152,14 @@ def _inject_raw(store, key, blob, kind="sweep"):
     """Plant a raw payload blob under ``key`` with a matching checksum
     (tampered/version-skewed entry: integrity passes, decoding fails)."""
     import sqlite3
-    import time
 
     from repro.store.db import payload_checksum
 
-    store._ensure_created()
+    store.put(key, kind, {})
     with sqlite3.connect(store.path) as conn:
         conn.execute(
-            "INSERT OR REPLACE INTO results "
-            "(key, kind, checksum, payload, nbytes, created_at) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            (key, kind, payload_checksum(blob), blob, len(blob),
-             time.time()),
+            "UPDATE results SET payload = ?, checksum = ? WHERE key = ?",
+            (blob, payload_checksum(blob), key),
         )
 
 

@@ -31,10 +31,13 @@ def _write_batch(task):
         (f"w{writer_id}-k{i}", KIND_CAMPAIGN, _expected_payload(writer_id, i))
         for i in range(ENTRIES_PER_WRITER)
     ]
-    # Interleave singles and a batch so both write paths race.
+    # Every entry is one put: the writers race on single-statement writes.
     for key, kind, payload in entries[: ENTRIES_PER_WRITER // 2]:
         store.put(key, kind, payload)
-    written = store.put_many(entries[ENTRIES_PER_WRITER // 2:])
+    written = 0
+    for key, kind, payload in entries[ENTRIES_PER_WRITER // 2:]:
+        store.put(key, kind, payload)
+        written += 1
     store.close()
     return ENTRIES_PER_WRITER // 2 + written
 
@@ -87,10 +90,8 @@ def test_truncated_database_page_detect_reset_recompute(tmp_path):
     store = ResultStore(db_path)
     # Enough payload bytes to span several database pages, so a torn-off
     # tail removes real table content.
-    store.put_many(
-        (f"k{i}", KIND_CAMPAIGN, {"i": i, "pad": "y" * 600})
-        for i in range(50)
-    )
+    for i in range(50):
+        store.put(f"k{i}", KIND_CAMPAIGN, {"i": i, "pad": "y" * 600})
     store.close()
     size = db_path.stat().st_size
     with open(db_path, "r+b") as handle:

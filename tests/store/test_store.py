@@ -1,11 +1,13 @@
 """The sqlite ResultStore's core contract.
 
 Content addressing, kind discrimination, checksum verification, lazy
-open, resolution precedence, batched writes, age-based pruning, and the
-corrupt-entry detect/evict/recompute behavior.
+open, resolution precedence, the schema-version rebuild, the protocol
+column, age-based pruning, and the corrupt-entry detect/evict/recompute
+behavior.
 """
 
 import json
+import re
 import sqlite3
 import time
 
@@ -97,14 +99,11 @@ def test_checksum_mismatch_is_corrupt(store):
 
 def test_undecodable_payload_with_valid_checksum_is_corrupt(store):
     blob = b"{not json"
-    store.put("seed", KIND_CAMPAIGN, {})  # create the schema
+    store.put("k1", KIND_CAMPAIGN, {})
     with sqlite3.connect(store.path) as conn:
         conn.execute(
-            "INSERT OR REPLACE INTO results "
-            "(key, kind, checksum, payload, nbytes, created_at) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            ("k1", KIND_CAMPAIGN, payload_checksum(blob), blob, len(blob),
-             time.time()),
+            "UPDATE results SET payload = ?, checksum = ? WHERE key = ?",
+            (blob, payload_checksum(blob), "k1"),
         )
     payload, status = store.fetch("k1", KIND_CAMPAIGN)
     assert payload is None and status == "corrupt"
@@ -132,29 +131,31 @@ def test_malformed_database_resets_and_recomputes(store):
     assert store.fetch("k1", KIND_CAMPAIGN) == (None, "miss")
 
 
-def test_unopenable_database_path_is_a_miss(tmp_path):
+def test_unopenable_database_path_is_a_configuration_error(tmp_path):
+    """A store whose connection cannot be opened names its path in a
+    ConfigurationError at the first call, a read included."""
     path = tmp_path / DEFAULT_STORE_FILENAME
     path.mkdir()  # sqlite cannot open a directory
-    store = ResultStore(path)
-    payload, status = store.fetch("k", KIND_CAMPAIGN)
-    assert payload is None and status == "miss"
+    for call in (
+        lambda store: store.fetch("k", KIND_CAMPAIGN),
+        lambda store: store.put("k", KIND_CAMPAIGN, {}),
+        lambda store: store.stats(),
+        lambda store: store.prune(kind=KIND_CAMPAIGN),
+    ):
+        with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+            call(ResultStore(path))
+    # A parent directory that is a file cannot be created either.
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    store = ResultStore(blocked / DEFAULT_STORE_FILENAME)
+    with pytest.raises(ConfigurationError, match=re.escape(str(blocked))):
+        store.put("k", KIND_CAMPAIGN, {})
 
 
-def test_put_many_is_transactional_and_counted(store):
-    entries = [
-        (f"k{i}", KIND_CAMPAIGN if i % 2 else KIND_SWEEP, {"i": i})
-        for i in range(10)
-    ]
-    with obs.tracing() as recorder:
-        written = store.put_many(entries)
-    assert written == 10
-    assert recorder.counters.get("store.put") == 10
-    assert store.stats()["per_kind"] == {KIND_CAMPAIGN: 5, KIND_SWEEP: 5}
-
-
-def test_put_many_rejects_unknown_kind(store):
+def test_put_rejects_unknown_kind(store):
     with pytest.raises(ConfigurationError):
-        store.put_many([("k", "bogus", {})])
+        store.put("k", "bogus", {})
+    assert not store.path.exists()
 
 
 @pytest.mark.parametrize(
@@ -242,6 +243,41 @@ def test_threaded_connections_are_isolated(store):
     assert errors == []
 
 
+def test_threads_sharing_one_store_lose_no_write(store):
+    """Threads outnumbering the cores write distinct keys through one
+    store's one connection, with frequent thread switches: every write
+    lands and reads back."""
+    import sys
+    import threading
+
+    n_threads, per_thread = 8, 25
+
+    def writer(t):
+        for i in range(per_thread):
+            store.put(f"t{t}-{i}", KIND_CAMPAIGN, {"t": t, "i": i})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=writer, args=(t,))
+            for t in range(n_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert store.stats()["entries"] == n_threads * per_thread
+    for t in range(n_threads):
+        for i in range(per_thread):
+            assert store.fetch(f"t{t}-{i}", KIND_CAMPAIGN) == (
+                {"t": t, "i": i}, "hit"
+            )
+
+
 def test_stats_protocol_breakdown(store):
     store.put("c1", KIND_CAMPAIGN, {"module_id": "M1", "observations": []})
     store.put("c2", KIND_CAMPAIGN, {"module_id": "D0", "observations": []})
@@ -252,152 +288,61 @@ def test_stats_protocol_breakdown(store):
     assert breakdown == {"DDR4": 1, "DDR5": 2, "unknown": 1}
 
 
-def _insert_raw(store, key: str, kind: str, blob: bytes) -> None:
-    with sqlite3.connect(store.path) as conn:
-        conn.execute(
-            "INSERT INTO results "
-            "(key, kind, checksum, payload, nbytes, created_at) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            (key, kind, payload_checksum(blob), blob, len(blob), time.time()),
-        )
-
-
-def test_protocol_breakdown_reads_module_ids_as_the_json_decoder_does(store):
-    """The in-SQL ``module_id`` read attributes every entry exactly as
-    decoding its payload with ``json`` does, corrupt ones included."""
-    store.put("ok", KIND_CAMPAIGN, {"module_id": "M1", "x": [1.5, "a"]})
-    store.put("nan", KIND_ADAPTIVE, {"module_id": "D0", "ci": float("nan")})
-    store.put("inf", KIND_CAMPAIGN, {"module_id": "M1", "ci": float("inf")})
-    store.put("num", KIND_CAMPAIGN, {"module_id": 7})
-    store.put("none", KIND_CAMPAIGN, {"module_id": None})
-    store.put("missing", KIND_CAMPAIGN, {"observations": []})
-    store.put("nested", KIND_CAMPAIGN, {"spec": {"module_id": "M1"}})
-    store.put("sweep", KIND_SWEEP, {"module_id": "M1"})
-    raw = {
-        "escaped": b'{"module_id": "M\\u0031"}',
-        "list": b'["M1"]',
-        "string": b'"M1"',
-        "truncated": b'{"module_id": "M1"',
-        "binary": b"\xff\xfe\x00{",
-        "empty": b"",
-        "bom": b'\xef\xbb\xbf{"module_id": "M1"}',
-        "unicode": '{"module_id": "Mé"}'.encode("utf-8"),
-        "flipped-id": b'{"module_id": "M\xb1"}',
-        "stray-byte": b'{"module_id": "M1", "x": "\xe1"}',
-        "surrogate": b'{"module_id": "\\ud800"}',
-        "pair": b'{"module_id": "\\ud83d\\ude00"}',
-        "duplicate": b'{"module_id": "M1", "module_id": "X"}',
-        "nul-tail": b'{"module_id": "M1"}\x00}',
-        "form-feed": b'\x0c{"module_id": "M1"}',
+def test_stats_reads_no_payload(store):
+    """``stats()`` counts kinds, protocols and bytes from the columns
+    ``put`` filled: junk payloads change nothing and evict nothing."""
+    store.put("c1", KIND_CAMPAIGN, {"module_id": "M1", "x": [1.5]})
+    store.put("a1", KIND_ADAPTIVE, {"module_id": "Chip0"})
+    store.put("n1", KIND_CAMPAIGN, {"module_id": 7})
+    store.put("sw", KIND_SWEEP, {"module_id": "M1"})
+    before = store.stats()
+    assert before["per_kind"] == {
+        KIND_CAMPAIGN: 2, KIND_ADAPTIVE: 1, KIND_SWEEP: 1
     }
-    for key, blob in raw.items():
-        _insert_raw(store, key, KIND_CAMPAIGN, blob)
-    _insert_raw(store, "sweep-junk", KIND_SWEEP, b"\xff")
-
+    assert before["per_protocol"] == {"DDR4": 1, "DDR5": 1, "HBM2": 1,
+                                      "unknown": 1}
     with sqlite3.connect(store.path) as conn:
-        rows = conn.execute("SELECT kind, payload FROM results").fetchall()
-    expected = {}
-    for kind, blob in rows:
-        label = ResultStore._protocol_of_entry(kind, blob)
-        expected[label] = expected.get(label, 0) + 1
-    assert store.protocol_breakdown() == dict(sorted(expected.items()))
-    assert store.stats()["per_protocol"] == {"DDR4": 4, "DDR5": 3, "unknown": 17}
-
-
-def test_protocol_breakdown_of_bit_flipped_payloads_matches_the_decoder(store):
-    """Every single-bit flip of a stored payload is attributed as
-    decoding it with ``json`` attributes it."""
-    payload = {"ci": [1.5, -2e-3], "module_id": "M1", "n": "a b"}
-    store.put("intact", KIND_CAMPAIGN, payload)
-    blob = encode_payload(payload)
-    for i in range(len(blob) * 8):
-        flipped = bytearray(blob)
-        flipped[i // 8] ^= 1 << (i % 8)
-        _insert_raw(store, f"flip{i}", KIND_CAMPAIGN, bytes(flipped))
+        conn.execute("UPDATE results SET payload = ?", (b"\xff\x00junk",))
+    assert store.stats() == before
     with sqlite3.connect(store.path) as conn:
-        blobs = [b for (b,) in conn.execute("SELECT payload FROM results")]
-    expected = {}
-    for flipped in blobs:
-        label = ResultStore._protocol_of_entry(KIND_CAMPAIGN, flipped)
-        expected[label] = expected.get(label, 0) + 1
-    assert store.protocol_breakdown() == dict(sorted(expected.items()))
+        (count,) = conn.execute("SELECT COUNT(*) FROM results").fetchone()
+    assert count == 4
 
 
-def test_sqlite_json_valid_agrees_with_json_on_ascii_payloads():
-    """``protocol_breakdown`` trusts SQLite's ``json_valid`` for ASCII
-    payloads without NUL: every ASCII byte inserted at, or written over,
-    every position of a stored payload is accepted by both parsers or by
-    neither."""
-    blob = encode_payload({"ci": [1.5, -2e-3], "module_id": "M1", "n": "a b"})
-    conn = sqlite3.connect(":memory:")
-    for pos in range(len(blob) + 1):
-        for byte in range(1, 128):
-            for doc in (
-                blob[:pos] + bytes([byte]) + blob[pos:],
-                blob[:pos] + bytes([byte]) + blob[pos + 1:],
-            ):
-                (sqlite_ok,) = conn.execute(
-                    "SELECT json_valid(CAST(? AS TEXT))", (doc,)
-                ).fetchone()
-                try:
-                    json.loads(doc)
-                except ValueError:
-                    json_ok = False
-                else:
-                    json_ok = True
-                assert bool(sqlite_ok) == json_ok, doc
-
-
-def test_stats_memory_does_not_grow_with_payload_size(tmp_path):
-    """``stats()`` reads each entry's module id in SQL; its traced Python
-    peak stays flat when every payload is 200x larger."""
-    import tracemalloc
-
-    def peak(entry_bytes: int) -> int:
-        store = ResultStore(tmp_path / f"{entry_bytes}.sqlite")
-        store.put_many([
-            (f"k{i}", KIND_CAMPAIGN, {"module_id": "M1", "blob": "x" * entry_bytes})
-            for i in range(20)
-        ])
-        store.stats()  # warm: connection, catalog import
-        tracemalloc.start()
-        try:
-            assert store.stats()["per_protocol"] == {"DDR4": 20}
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    small, large = peak(1_000), peak(200_000)
-    # 20 decoded 200 kB payloads would be 4 MB; allow allocator noise only.
-    assert large < small + 64_000, (small, large)
-
-
-def test_legacy_kind_rows_are_counted_and_prunable(store):
-    """Rows of a kind this version no longer writes (older releases
-    stored ``kind='fleet'`` checkpoints) stay visible to ``stats`` and
-    ``prune`` and do not disturb campaign reads and writes."""
-    store.put("c1", KIND_CAMPAIGN, {"module_id": "M1"})
-    blob = encode_payload({"spec": {"n_modules": 4}})
-    with sqlite3.connect(store.path) as conn:
-        conn.execute(
-            "INSERT INTO results "
-            "(key, kind, checksum, payload, nbytes, created_at) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            ("legacy", "fleet", payload_checksum(blob), blob, len(blob),
-             time.time() - 60.0),
+def _write_v1_store(path) -> None:
+    """A schema-1 file as older versions wrote it, holding one entry."""
+    blob = encode_payload({"module_id": "M1"})
+    with sqlite3.connect(path) as conn:
+        conn.executescript(
+            "CREATE TABLE results (key TEXT PRIMARY KEY, kind TEXT NOT NULL,"
+            " checksum TEXT NOT NULL, payload BLOB NOT NULL,"
+            " nbytes INTEGER NOT NULL, created_at REAL NOT NULL);"
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+            "INSERT INTO meta VALUES ('schema_version', '1');"
         )
-    store.put("c2", KIND_CAMPAIGN, {"module_id": "M1"})
-    assert store.fetch("c1", KIND_CAMPAIGN) == ({"module_id": "M1"}, "hit")
-    assert store.fetch("c2", KIND_CAMPAIGN) == ({"module_id": "M1"}, "hit")
-    stats = store.stats()
-    assert stats["entries"] == 3
-    assert stats["per_kind"] == {KIND_CAMPAIGN: 2, "fleet": 1}
-    assert stats["per_protocol"] == {"DDR4": 2, "unknown": 1}
+        conn.execute(
+            "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?)",
+            ("k1", KIND_CAMPAIGN, payload_checksum(blob), blob, len(blob),
+             time.time()),
+        )
 
-    assert store.prune(older_than_s=0) == 3
+
+def test_older_schema_is_rebuilt_empty(store):
+    """A file of schema 1 is rebuilt empty on first open: its entry is a
+    plain miss (it recomputes), and the rebuilt store works."""
+    _write_v1_store(store.path)
+    with obs.tracing() as recorder:
+        assert store.fetch("k1", KIND_CAMPAIGN) == (None, "miss")
+    assert "store.corrupt" not in recorder.counters
     assert store.stats()["entries"] == 0
-    store.put("c3", KIND_CAMPAIGN, {"module_id": "M1"})
-    assert store.fetch("c3", KIND_CAMPAIGN) == ({"module_id": "M1"}, "hit")
+    with sqlite3.connect(store.path) as conn:
+        (version,) = conn.execute(
+            "SELECT value FROM meta WHERE key = 'schema_version'"
+        ).fetchone()
+    assert version == "2"
+    store.put("k1", KIND_CAMPAIGN, {"module_id": "M1"})
+    assert store.fetch("k1", KIND_CAMPAIGN) == ({"module_id": "M1"}, "hit")
+    assert store.stats()["per_protocol"] == {"DDR4": 1}
 
 
 def test_load_and_save_count_every_outcome(store):

@@ -126,10 +126,8 @@ CHECKED_RUNS = {
 
 def _built_checkers(monkeypatch) -> list:
     """Collects every TimingChecker built from now on."""
-    from repro.dram.checker import TIMING_CHECK_ENV_VAR, TimingChecker
+    from repro.dram.checker import TimingChecker
 
-    # The flag sets the variable for the process; restore it afterwards.
-    monkeypatch.setenv(TIMING_CHECK_ENV_VAR, "0")
     built = []
     original_init = TimingChecker.__init__
 
@@ -234,9 +232,13 @@ def test_profile_adaptive(capsys, tmp_path):
      "-o", "{tmp}/missing/x.json"],
     ["fig14", "--mixes", "1", "--window", "nan", "--no-cache"],
     ["fig14", "--mixes", "1", "--window", "inf", "--no-cache"],
+    ["fig14", "--mixes", "1", "--window", "2000",
+     "--cache-dir", "{tmp}/unopenable"],
 ])
 def test_library_error_prints_one_line_and_exits_2(capsys, tmp_path, argv):
     (tmp_path / "latin1.json").write_bytes(b'{"module_id": "\xe9"}')
+    # A store path that is a directory cannot be opened.
+    (tmp_path / "unopenable" / "results.sqlite").mkdir(parents=True)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -270,6 +272,22 @@ def test_store_prune_command(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "sweep" not in out
     assert "campaign" in out
+
+
+def test_store_commands_reset_a_malformed_file(capsys, tmp_path):
+    """``store stats`` and ``store prune`` on a file that is not a
+    database reset it and report an empty store, with exit 0."""
+    path = tmp_path / "results.sqlite"
+    for junk in (b"not a database\n" * 64, b"SQLite format 3\x00\x10"):
+        path.write_bytes(junk)
+        assert main(["store", "stats", "--store", str(path)]) == 0
+        assert "total  0" in capsys.readouterr().out
+        path.write_bytes(junk)
+        assert main(["store", "prune", "--store", str(path),
+                     "--kind", "sweep"]) == 0
+        assert "pruned 0 sweep entries; store now holds 0 entries" in (
+            capsys.readouterr().out
+        )
 
 
 @pytest.mark.parametrize("age", ["-1", "nan", "inf"])
