@@ -33,7 +33,6 @@ def test_ablation_vulnerability_coupling(benchmark):
                 f"CPL{coupling:g}", geometry=GEOMETRY, vrd_params=params,
                 seed=5,
             )
-            module.disable_interference_sources()
             meter = FastRdtMeter(module)
             config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
             guesses = sorted(

@@ -43,7 +43,6 @@ def test_ablation_trap_count_prior(benchmark):
             module = DramModule(
                 f"ABL-{count:g}", geometry=GEOMETRY, vrd_params=params, seed=5
             )
-            module.disable_interference_sources()
             meter = FastRdtMeter(module)
             config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
             passes = 0

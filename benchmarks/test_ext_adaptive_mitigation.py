@@ -28,7 +28,6 @@ CONSERVATIVE_THRESHOLD = 64.0
 def test_ext_adaptive_mitigation(benchmark):
     def run():
         module = build_module("M1", seed=11)
-        module.disable_interference_sources()
         config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
 
         # Offline reference: the device's long-run minimum with a 20% band.

@@ -22,7 +22,6 @@ BUDGET_PER_WINDOW_NS = 640_000.0
 def test_ext_online_profiling_convergence(benchmark):
     def run():
         module = build_module("M1", seed=11)
-        module.disable_interference_sources()
         config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
         meter = FastRdtMeter(module)
         true_minima = {

@@ -24,7 +24,6 @@ SCENARIOS = (
 def test_ext_security_matrix(benchmark):
     def run():
         module = build_module("M1", seed=21)
-        module.disable_interference_sources()
         config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
         table = {}
         for kind in KINDS:

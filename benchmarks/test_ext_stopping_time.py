@@ -27,7 +27,6 @@ ROWS = list(range(64, 88))
 def test_ext_stopping_time_and_predictability(benchmark):
     def run():
         module = build_module("M1", seed=11)
-        module.disable_interference_sources()
         meter = FastRdtMeter(module)
         config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
         analyses = []

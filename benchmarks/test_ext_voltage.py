@@ -20,7 +20,6 @@ ROWS = list(range(64, 84))
 def test_ext_wordline_voltage(benchmark):
     def run():
         module = build_module("M1", seed=11)
-        module.disable_interference_sources()
         meter = FastRdtMeter(module)
         output = []
         for voltage in VOLTAGES:

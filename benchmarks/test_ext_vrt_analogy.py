@@ -19,7 +19,6 @@ from repro.core.montecarlo import probability_of_min
 def test_ext_vrt_vrd_analogy(benchmark):
     def run():
         module = build_module("M1", seed=11)
-        module.disable_interference_sources()
         config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
         meter = FastRdtMeter(module)
 

@@ -14,7 +14,6 @@ from benchmarks.conftest import N_MEASUREMENTS
 def test_fig13_true_vs_anti_cells(benchmark):
     def run():
         module = build_module("M0")
-        module.disable_interference_sources()
         layout = module.cell_layout
         meter = FastRdtMeter(module)
         # 50 rows straddling a polarity block boundary (the measured M0

@@ -23,7 +23,6 @@ def test_fig16_margin_bitflips(benchmark):
         geometry = None
         for module_id in MODULES:
             module = build_module(module_id)
-            module.disable_interference_sources()
             geometry = module.geometry
             config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
             rows = select_vulnerable_rows(
@@ -47,7 +46,7 @@ def test_fig16_margin_bitflips(benchmark):
 
     outcomes, geometry = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    # Histogram of unique flips at the 10% margin (the published figure).
+    # The histogram of unique flips at the 10% margin (the published figure).
     at_ten = [o for o in outcomes if o.margin == 0.10]
     histogram = Counter(o.n_unique_flips for o in at_ten)
     rows = [(flips, histogram[flips]) for flips in sorted(histogram)]

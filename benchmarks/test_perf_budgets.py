@@ -88,7 +88,6 @@ def _checker_module():
         "BENCH", geometry=geometry,
         vrd_params=VrdModelParams(mean_rdt=2000.0), seed=1234,
     )
-    module.disable_interference_sources()
     return module, TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
 
 

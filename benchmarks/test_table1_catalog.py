@@ -64,7 +64,6 @@ def test_table1_devices_adjacency_is_discovered():
     for device in EXTENDED_SPECS:
         module = build_module(device.module_id)
         bender = DramBender(module)
-        bender.prepare_for_characterization()
         mapping = module.bank(0).mapping
         n_rows = module.geometry.n_rows
         rows = (0, 63, n_rows // 2 + 9)

@@ -20,7 +20,6 @@ VICTIMS = range(80, 92)
 
 def main() -> None:
     module = build_module("M1", seed=21)
-    module.disable_interference_sources()
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
 
     rows = []

@@ -23,7 +23,6 @@ from repro.ecc import Secded72, monte_carlo_outcomes, table3
 
 def main() -> None:
     module = build_module("M1", seed=3)
-    module.disable_interference_sources()
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
 
     rows = select_vulnerable_rows(

@@ -22,7 +22,6 @@ from repro.profiling import GuardbandedMinPolicy, OnlineRdtProfiler
 
 def main() -> None:
     module = build_module("M1", seed=11)
-    module.disable_interference_sources()
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     rows = list(range(64, 80))
 

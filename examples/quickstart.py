@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Quickstart: observe variable read disturbance on a simulated chip.
 
-Builds the catalog module M1 (a Micron 16Gb-F DDR4 device), prepares the
-testbed per the paper's methodology (Sec. 3.1), runs Algorithm 1 through
-the full DRAM-Bender trial path for a handful of measurements, then uses
-the fast measurement path for a 1000-measurement series and prints the VRD
-statistics the paper's findings are built on.
+Builds the catalog module M1 (a Micron 16Gb-F DDR4 device), settles the
+testbed's temperature per the paper's methodology (Sec. 3.1), runs
+Algorithm 1 through the full DRAM-Bender trial path for a handful of
+measurements, then uses the fast measurement path for a 1000-measurement
+series and prints the VRD statistics the paper's findings are built on.
 
 Run:
     python examples/quickstart.py
@@ -24,10 +24,10 @@ def main() -> None:
     print(f"device: {module.module_id} ({module.kind}, "
           f"{module.geometry.n_banks} banks x {module.geometry.n_rows} rows)")
 
-    # 2. Testbed preparation: disable refresh (and thus TRR) and ECC,
-    #    settle the heater at 50 C.
+    # 2. Testbed preparation: settle the heater at 50 C. The simulated
+    #    device has no refresh, TRR or on-die ECC to disable: Sec. 3.1
+    #    switches all three off on real chips before testing.
     bender = DramBender(module, controller=PidTemperatureController())
-    bender.prepare_for_characterization()
     settled = bender.set_temperature(50.0)
     print(f"temperature settled at {settled:.2f} C")
 

@@ -22,8 +22,7 @@ Quickstart::
     from repro.chips import build_module
     from repro.core import FastRdtMeter, TestConfig, CHECKERED0
 
-    module = build_module("M1")
-    module.disable_interference_sources()
+    module = build_module("M1")  # no refresh, TRR or on-die ECC (Sec. 3.1)
     meter = FastRdtMeter(module)
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     series = meter.measure_series(victim=100, config=config, n=1000)

@@ -59,7 +59,6 @@ def _victim_probe(
     and a cached module would share per-row chain state between callers.
     """
     module = build_module(spec(module_id), seed=seed)
-    module.disable_interference_sources()
     meter = FastRdtMeter(module, bank=0)
     rows = range(candidate_rows)
     guesses = meter.guess_rdt_batch(rows, _reference_config(module))
@@ -92,7 +91,6 @@ def foundational_victim(
     """
     device = spec(module_id)
     module = build_module(device, seed=seed)
-    module.disable_interference_sources()
     n_rows = module.geometry.n_rows
     if not 1 <= candidate_rows <= n_rows:
         raise MeasurementError(
@@ -200,7 +198,6 @@ def _module_campaign(
 ) -> CampaignResult:
     device = spec(module_id)
     module = build_module(device, seed=seed)
-    module.disable_interference_sources()
     configs = list(
         standard_configs(
             module.timing,
@@ -270,7 +267,6 @@ def adaptive_module_campaign(
     with recorder.span("figures.adaptive_module_campaign"):
         device = spec(module_id)
         module = build_module(device, seed=seed)
-        module.disable_interference_sources()
         configs = list(
             standard_configs(
                 module.timing,

@@ -19,7 +19,7 @@ modules of :mod:`repro.dram`:
   (MaxWell FT200-style, +/-0.5 C precision);
 * :mod:`repro.bender.host` — the high-level host API used by the
   characterization methodology (initialize / hammer / compare, adjacency
-  reverse engineering, interference-source control);
+  reverse engineering, temperature control);
 * :mod:`repro.bender.platform` — FPGA board descriptors for the three
   boards the paper uses.
 """

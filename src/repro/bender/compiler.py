@@ -56,8 +56,8 @@ Replays carry no check.
 compilation serves a whole ``RdtMeter.measure_series`` sweep grid, and row
 writes skip the template copy entirely when the stored row is provably
 unchanged since the previous replay (tracked through the stress ledger's
-``flipped`` set; the skip is disabled while refresh is enabled, since
-``refresh_row`` clears the ledger without restoring content).
+``flipped`` set; the simulated device has no refresh that could clear the
+ledger without restoring content).
 """
 
 from __future__ import annotations
@@ -235,8 +235,8 @@ class CompiledTrial:
     the init → double-sided hammer → readback trace with a per-call hammer
     count and returns the victim's flipped bit positions — bit-identical to
     interpreting the same trial program and comparing the victim byte for
-    byte, including the bank timing state, stress accounting, TRR
-    sampling, and fault-model RNG consumption it leaves behind.
+    byte, including the bank timing state, stress accounting, and
+    fault-model RNG consumption it leaves behind.
     Construction certifies the plan's timing against the protocol's full
     rule table (:meth:`_certify`), so no replay checks it again.
 
@@ -249,14 +249,13 @@ class CompiledTrial:
       provably equals the template (flips only materialize on read and are
       always ledgered), so the 1–8 KiB copy is skipped. Any external write
       replaces the object and any read that flips is ledgered, so mixing
-      replays with interpreted programs stays exact; the shortcut disarms
-      while refresh is enabled because ``refresh_row`` clears the ledger
-      without restoring content.
+      replays with interpreted programs stays exact. Only a write resets
+      the ledger: the simulated device has no refresh (the methodology
+      switches it off, Sec. 3.1), so the shortcut is always armed.
     * **Ledger reads.** The victim is written with the pattern byte each
       trial, so its post-read XOR against the expected image is exactly
       the stress ledger's ``flipped`` set — no row copy, no ``unpackbits``.
-      With on-die ECC enabled, words with exactly one flip read back
-      corrected and are excluded, mirroring the module's ECC view.
+      The device has no on-die ECC, so every ledgered flip reads back.
     """
 
     def __init__(self, program: Program, module: DramModule):
@@ -465,8 +464,6 @@ class CompiledTrial:
         storage = bank._storage
         stress_map = bank._stress
         freshness = bank._freshness
-        trr = module._trr if module.mode.trr_enabled else None
-        skip_ok = not module.refresh_enabled
         placed = self._placed
         flips: List[int] = []
 
@@ -479,8 +476,7 @@ class CompiledTrial:
                 stress = stress_map.get(physical)
                 mine = placed.get(physical)
                 if (
-                    skip_ok
-                    and mine is not None
+                    mine is not None
                     and mine[1] is step[4]
                     and storage.get(physical) is mine[0]
                     and (stress is None or not stress.flipped)
@@ -501,8 +497,6 @@ class CompiledTrial:
                 ready = max(now, last_precharge + tRP, last_activate + tRC)
                 opened_at = ready
                 last_activate = ready
-                if trr is not None:
-                    trr.observe(step[3])
                 now = ready
             elif op == OP_PRE:
                 ready = max(now, opened_at + tRAS, last_write_end + tWR)
@@ -541,12 +535,10 @@ class CompiledTrial:
                 if stress is not None and stress.flipped:
                     flips = sorted(stress.flipped)
                 now = finish
-            else:  # OP_HAMMER — the real module call keeps TRR/stress exact
+            else:  # OP_HAMMER — the bank's own loop keeps stress exact
                 bank.last_precharge = last_precharge
                 bank.last_activate = last_activate
-                now = module.bulk_hammer(
-                    self.bank_index, step[2], hammer_count, step[3], now
-                )
+                now = bank.bulk_hammer(step[2], hammer_count, step[3], now)
                 last_precharge = bank.last_precharge
                 last_activate = bank.last_activate
 
@@ -571,13 +563,6 @@ class CompiledTrial:
                 recorder.counter_add(f"bender.commands.{kind}", amount)
             recorder.counter_add("bender.commands.ACT", total_activations)
             recorder.counter_add("bender.commands.PRE", total_activations)
-
-        if module.mode.ecc_enabled and flips:
-            per_word: Dict[int, int] = {}
-            for bit in flips:
-                word = bit // 64
-                per_word[word] = per_word.get(word, 0) + 1
-            flips = [bit for bit in flips if per_word[bit // 64] != 1]
         return flips
 
 

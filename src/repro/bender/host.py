@@ -1,8 +1,7 @@
 """High-level DRAM Bender host API.
 
 The host is what the characterization methodology programs against: it
-prepares the device (disabling interference sources per Sec. 3.1), controls
-temperature, reverse-engineers row adjacency, and executes the
+controls temperature, reverse-engineers row adjacency, and executes the
 initialize / hammer / compare trials that Algorithm 1 is built from. Each
 trial replays a cached compiled plan of its program
 (:mod:`repro.bender.compiler`); other programs, such as the adjacency
@@ -64,10 +63,6 @@ class DramBender:
     # ------------------------------------------------------------------
     # Testbed preparation (paper Sec. 3.1)
     # ------------------------------------------------------------------
-
-    def prepare_for_characterization(self) -> None:
-        """Disable refresh (and thereby TRR) and on-die ECC."""
-        self.module.disable_interference_sources()
 
     def set_temperature(self, target_c: float) -> float:
         """Bring the device to the target temperature and hold it there."""

@@ -160,9 +160,3 @@ class Interpreter:
     def total_counts(self) -> Dict[str, int]:
         """Cumulative command counts across all runs."""
         return dict(self._counts)
-
-    def issue_refresh(self) -> None:
-        """Issue one REF command at the current time (tRFC long)."""
-        self.module.refresh(self.now)
-        self.now += self.module.timing.tRFC
-        self._bump("REF")

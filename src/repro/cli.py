@@ -338,7 +338,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     from repro.rng import DEFAULT_SEED
 
     module = build_module(args.module, seed=args.seed or DEFAULT_SEED)
-    module.disable_interference_sources()
     config = TestConfig(
         pattern_by_name(args.pattern),
         t_agg_on_ns=module.timing.tRAS,
@@ -509,7 +508,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
                  ConfigurationError)
 
     module = build_module(args.module)
-    module.disable_interference_sources()
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     outcome = profile_and_attack(
         module, args.row, config, args.kind,
@@ -666,7 +664,6 @@ def _cmd_verify() -> int:
     checks: List[tuple] = []
 
     module = build_module("M1")
-    module.disable_interference_sources()
     meter = FastRdtMeter(module)
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     guesses = sorted((meter.guess_rdt(r, config), r) for r in range(128))
@@ -735,7 +732,6 @@ def _report_workload(seed: int) -> None:
         vrd_params=VrdModelParams(mean_rdt=2000.0),
         seed=seed,
     )
-    module.disable_interference_sources()
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
 
     meter = FastRdtMeter(module)

@@ -812,10 +812,6 @@ class AdaptiveDriver:
             )
             for reason, count in result.stopping_reasons().items():
                 recorder.counter_add(f"adaptive.stop.{reason}", count)
-            for estimate in result.estimates:
-                recorder.histogram_observe(
-                    "adaptive.row_measurements", estimate.n_measured
-                )
         return result
 
 

@@ -79,7 +79,7 @@ def prediction_gains(values: np.ndarray, warmup: int = 50) -> Dict[str, float]:
     ar1 = mean + phi * (data[warmup - 1:-1] - mean)
     gains["ar1"] = _mse(ar1, target) / baseline_mse
 
-    # Histogram mode of everything seen so far (cheap online mode).
+    # The histogram mode of everything seen so far (cheap online mode).
     modes = np.empty(target.size)
     counts: Dict[float, int] = {}
     best_value, best_count = data[0], 0

@@ -45,7 +45,7 @@ def run_lengths(values: np.ndarray) -> np.ndarray:
 
 
 def run_length_histogram(values: np.ndarray) -> Dict[int, int]:
-    """Histogram of run lengths, Fig. 5 style (x = consecutive identical
+    """Run-length histogram, Fig. 5 style (x = consecutive identical
     measurements, y = occurrences)."""
     lengths = run_lengths(values)
     unique, counts = np.unique(lengths, return_counts=True)

@@ -34,7 +34,7 @@ from repro.dram.faults import (
     VrdModelParams,
 )
 from repro.dram.bank import Bank
-from repro.dram.module import DramModule, ModeRegisters
+from repro.dram.module import DramModule
 
 __all__ = [
     "DramGeometry",
@@ -62,5 +62,4 @@ __all__ = [
     "ModuleFaultModel",
     "Bank",
     "DramModule",
-    "ModeRegisters",
 ]

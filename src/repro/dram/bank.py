@@ -81,7 +81,7 @@ class Bank:
 
         self._storage: Dict[int, np.ndarray] = {}
         self._stress: Dict[int, _RowStress] = {}
-        self._freshness: Dict[int, float] = {}  # last write/refresh time
+        self._freshness: Dict[int, float] = {}  # last write or power-up time
         self.activation_count: int = 0
 
     # ------------------------------------------------------------------
@@ -229,15 +229,6 @@ class Bank:
         self._apply_disturbance(physical, at)
         self._apply_retention(physical, at)
         return self._storage[physical].copy()
-
-    def refresh_row(self, physical_row: int, at: float) -> None:
-        """Internally refresh one row: restore charge, clear stress."""
-        if not 0 <= physical_row < self.geometry.n_rows:
-            return
-        stress = self._stress.get(physical_row)
-        if stress is not None:
-            stress.reset()
-        self._freshness[physical_row] = at
 
     # ------------------------------------------------------------------
     # Introspection used by tests and the methodology layer

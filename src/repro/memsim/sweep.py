@@ -215,7 +215,9 @@ def run_sweep(
             :attr:`~repro.memsim.system.SystemConfig.check_timing`, which
             feeds each REF, PRE and ACT to a timing checker. A checked run
             never reads the store, so every simulated command reaches the
-            checker; it still saves its result under the same key.
+            checker; it still saves its result under the same key, and
+            opens the store before it simulates, so a store that cannot be
+            opened fails first.
     """
     if n_jobs not in (None, 1):
         raise ConfigurationError(
@@ -227,7 +229,9 @@ def run_sweep(
     recorder = obs.active()
 
     with recorder.span("sweep.run"):
-        if cache is not None and not check_timing:
+        if cache is not None and check_timing:
+            cache._connect()
+        elif cache is not None:
             cached = cache.load(
                 sweep_key(spec), KIND_SWEEP, SweepResult.from_payload
             )

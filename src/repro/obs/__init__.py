@@ -7,9 +7,7 @@ Usage from instrumented code::
     rec = obs.active()             # NOOP unless tracing is enabled
     with rec.span("sweep.run"):
         ...
-        rec.counter_add("cache.hit")
-        if rec.enabled:            # gate anything per-iteration
-            rec.histogram_observe("adaptive.row_measurements", n)
+        rec.counter_add("cache.hit")  # gate per-iteration work on rec.enabled
 
 Enable via ``VRD_TRACE=1``, :func:`enable`, or scoped :func:`tracing`.
 See :mod:`repro.obs.recorder` for the overhead/determinism/merge
@@ -18,16 +16,12 @@ contracts and ``docs/observability.md`` for the full model.
 
 from repro.obs.recorder import (  # noqa: F401
     NOOP,
-    N_BUCKETS,
     SNAPSHOT_FORMAT,
     TRACE_ENV_VAR,
-    Histogram,
     NoopRecorder,
     Recorder,
     SpanStats,
     active,
-    bucket_index,
-    bucket_upper_bound,
     disable,
     enable,
     enabled,
@@ -42,10 +36,8 @@ from repro.obs.report import (  # noqa: F401
 
 __all__ = [
     "NOOP",
-    "N_BUCKETS",
     "SNAPSHOT_FORMAT",
     "TRACE_ENV_VAR",
-    "Histogram",
     "NoopRecorder",
     "Recorder",
     "SpanStats",
@@ -53,8 +45,6 @@ __all__ = [
     "REPORT_FORMAT",
     "REPORT_KIND",
     "active",
-    "bucket_index",
-    "bucket_upper_bound",
     "disable",
     "enable",
     "enabled",

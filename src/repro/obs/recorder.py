@@ -24,9 +24,9 @@ Three design rules keep it safe to wire through every hot loop:
   vs. off therefore cannot change a scientific output;
   ``tests/differential`` asserts bit-identity with tracing toggled.
 * **Aggregated, not logged.** Spans aggregate by path (count, total,
-  min/max), counters add, histograms count log2 buckets, and gauges are
-  last-write-wins process-wide facts (e.g. whether the geometric mirror
-  is active). :meth:`Recorder.snapshot` is their JSON-able copy.
+  min/max), counters add, and gauges are last-write-wins process-wide
+  facts (e.g. whether the geometric mirror is active).
+  :meth:`Recorder.snapshot` is their JSON-able copy.
 
 Enable tracing with ``VRD_TRACE=1`` (checked at import), programmatically
 via :func:`enable`/:func:`disable`, or scoped with :func:`tracing`.
@@ -34,7 +34,6 @@ via :func:`enable`/:func:`disable`, or scoped with :func:`tracing`.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from typing import Callable, Dict, List, Optional
@@ -44,71 +43,7 @@ from typing import Callable, Dict, List, Optional
 TRACE_ENV_VAR = "VRD_TRACE"
 
 #: Snapshot format version, checked by :mod:`repro.obs.report`.
-SNAPSHOT_FORMAT = 1
-
-#: Histogram bucket count. Buckets are powers of two: observation ``v``
-#: lands in the bucket whose upper bound is the smallest ``2**k >= v``
-#: (clamped at both ends), giving a deterministic log-scale summary
-#: without storing raw samples.
-N_BUCKETS = 64
-
-#: ``math.frexp(v)[1]`` exponent mapped to bucket 0. Offset 16 covers
-#: values down to ``2**-16`` before clamping — ample for ratios and
-#: nanosecond timings alike.
-_BUCKET_OFFSET = 16
-
-
-def bucket_index(value: float) -> int:
-    """Deterministic log2 bucket for one observation."""
-    if value <= 0:
-        return 0
-    return min(N_BUCKETS - 1, max(0, math.frexp(value)[1] + _BUCKET_OFFSET))
-
-
-def bucket_upper_bound(index: int) -> float:
-    """Upper bound of bucket ``index`` (``inf`` for the last bucket)."""
-    if index >= N_BUCKETS - 1:
-        return math.inf
-    return 2.0 ** (index - _BUCKET_OFFSET)
-
-
-class Histogram:
-    """Log-bucketed summary of a stream of non-negative observations."""
-
-    __slots__ = ("count", "total", "min", "max", "buckets")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        #: Sparse bucket-index -> count map (most metrics span few buckets).
-        self.buckets: Dict[int, int] = {}
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        index = bucket_index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_payload(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": None if self.count == 0 else self.min,
-            "max": None if self.count == 0 else self.max,
-            "buckets": {str(index): count for index, count in sorted(self.buckets.items())},
-        }
-
+SNAPSHOT_FORMAT = 2
 
 class SpanStats:
     """Aggregated timings of every entry into one span path."""
@@ -213,7 +148,6 @@ class Recorder:
         self.spans: Dict[str, SpanStats] = {}
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, Histogram] = {}
 
     # -- recording -----------------------------------------------------
 
@@ -226,12 +160,6 @@ class Recorder:
 
     def gauge_set(self, name: str, value: float) -> None:
         self.gauges[name] = float(value)
-
-    def histogram_observe(self, name: str, value: float) -> None:
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram()
-        histogram.observe(value)
 
     # -- snapshots -----------------------------------------------------
 
@@ -248,10 +176,6 @@ class Recorder:
             },
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-            "histograms": {
-                name: histogram.to_payload()
-                for name, histogram in self.histograms.items()
-            },
         }
 
     def clear(self) -> None:
@@ -259,7 +183,6 @@ class Recorder:
         self.spans.clear()
         self.counters.clear()
         self.gauges.clear()
-        self.histograms.clear()
 
 
 class NoopRecorder:
@@ -282,16 +205,12 @@ class NoopRecorder:
     def gauge_set(self, name: str, value: float) -> None:
         pass
 
-    def histogram_observe(self, name: str, value: float) -> None:
-        pass
-
     def snapshot(self) -> dict:
         return {
             "format": SNAPSHOT_FORMAT,
             "spans": {},
             "counters": {},
             "gauges": {},
-            "histograms": {},
         }
 
     def clear(self) -> None:

@@ -9,7 +9,6 @@ JSON schema is covered by a golden-file test
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Union
@@ -19,7 +18,7 @@ from repro.obs.recorder import SNAPSHOT_FORMAT, Recorder
 
 #: Report file identity, checked on load.
 REPORT_KIND = "vrd-run-report"
-REPORT_FORMAT = 1
+REPORT_FORMAT = 2
 
 
 def _format_ns(ns: float) -> str:
@@ -56,7 +55,6 @@ class RunReport:
     spans: Dict[str, dict] = field(default_factory=dict)
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, dict] = field(default_factory=dict)
 
     @classmethod
     def from_recorder(cls, recorder: Recorder, **meta: object) -> "RunReport":
@@ -66,7 +64,6 @@ class RunReport:
             spans=snapshot["spans"],
             counters=snapshot["counters"],
             gauges=snapshot["gauges"],
-            histograms=snapshot["histograms"],
         )
 
     # -- serialization -------------------------------------------------
@@ -80,7 +77,6 @@ class RunReport:
             "spans": self.spans,
             "counters": self.counters,
             "gauges": self.gauges,
-            "histograms": self.histograms,
         }
 
     @classmethod
@@ -96,7 +92,6 @@ class RunReport:
             spans=dict(payload["spans"]),
             counters=dict(payload["counters"]),
             gauges=dict(payload["gauges"]),
-            histograms=dict(payload["histograms"]),
         )
 
     def to_json(self, indent: int = 2) -> str:
@@ -112,7 +107,7 @@ class RunReport:
     # -- rendering -----------------------------------------------------
 
     def render(self) -> str:
-        """Human-readable report (spans, counters, gauges, histograms)."""
+        """Human-readable report (spans, counters, gauges)."""
         sections = []
         meta_bits = ", ".join(
             f"{key}={value}" for key, value in sorted(self.meta.items())
@@ -152,22 +147,6 @@ class RunReport:
                 for name, value in sorted(self.gauges.items())
             ]
             sections.append(_render_table("gauges", ["gauge", "value"], rows))
-
-        if self.histograms:
-            rows = []
-            for name, payload in sorted(self.histograms.items()):
-                count = payload["count"]
-                mean = payload["total"] / count if count else math.nan
-                rows.append((
-                    name,
-                    count,
-                    f"{mean:g}" if count else "-",
-                    f"{payload['min']:g}" if count else "-",
-                    f"{payload['max']:g}" if count else "-",
-                ))
-            sections.append(_render_table(
-                "histograms", ["histogram", "count", "mean", "min", "max"], rows
-            ))
 
         if len(sections) == 1:
             sections.append("(no spans or metrics recorded)")

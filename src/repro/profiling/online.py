@@ -59,10 +59,8 @@ class OnlineRdtProfiler:
     """Idle-time RDT profiler for one bank of one module.
 
     Args:
-        module: Device under profile (interference sources need not be
-            disabled — profiling measurements run between refreshes, and
-            the simulated measurement path models exactly the trial
-            window).
+        module: Device under profile (the simulated measurement path
+            models exactly the trial window, between refreshes).
         rows: The rows to keep profiled.
         config: Test condition used for the measurements.
         bank: Bank under profile.

@@ -245,6 +245,12 @@ class ResultStore:
                 self._reset_database()
                 return None
 
+    def _connect(self) -> None:
+        """Open the connection now, reading no entry, so that a store that
+        cannot be opened raises :class:`~repro.errors.ConfigurationError`
+        before the caller's work rather than at its first write."""
+        self._execute("SELECT 1")
+
     def close(self) -> None:
         """Close the store's connection; the next call reopens it."""
         with self._lock:

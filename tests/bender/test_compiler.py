@@ -45,9 +45,7 @@ from tests.differential.harness import (
 
 
 def fresh_module(seed=1234, **kwargs):
-    module = make_module(seed=seed, **kwargs)
-    module.disable_interference_sources()
-    return module
+    return make_module(seed=seed, **kwargs)
 
 
 def snapshot(interpreter):
@@ -342,17 +340,24 @@ def test_compiled_trial_matches_run_trial_over_hammer_range():
     )
 
 
-def test_compiled_trial_with_interference_sources_enabled():
-    # TRR + ECC stay on: the compiled replay must drive the same TRR
-    # sampler decisions and the same on-die ECC view of the flips.
-    scalar = DramBender(make_module(seed=77))
-    compiled = DramBender(make_module(seed=77))
-    t_on = scalar.module.timing.tRAS
-    for count in (800, 1600, 2400):
-        assert compiled.run_trial(
-            0, 52, ROWSTRIPE0, count, t_on
-        ) == interpreted_trial(scalar, 0, 52, ROWSTRIPE0, count, t_on)
-    assert compiled.module._trr.counts == scalar.module._trr.counts
+def test_replays_on_a_built_module_skip_the_victims_template_copy():
+    """On a catalog module as ``build_module`` returns it, a replay whose
+    victim did not flip leaves the victim's stored image in place (the
+    skip-copy write), and every replay equals the interpreted trial."""
+    oracle = DramBender(build_module("M1", seed=7))
+    replay = DramBender(build_module("M1", seed=7))
+    t_on = replay.module.timing.tRAS
+    victim = 40
+    bank = replay.module.bank(0)
+    physical = bank.mapping.to_physical(victim)
+    images = []
+    for count in (0, 10, 20):
+        assert replay.run_trial(0, victim, ROWSTRIPE0, count, t_on) == (
+            interpreted_trial(oracle, 0, victim, ROWSTRIPE0, count, t_on)
+        ) == []
+        images.append(bank._storage[physical])
+    assert images[1] is images[0] and images[2] is images[0]
+    assert snapshot(replay.interpreter) == snapshot(oracle.interpreter)
 
 
 def test_mixed_scalar_and_compiled_trials_share_state():
@@ -424,7 +429,6 @@ def test_host_recompiles_its_one_plan_exactly_across_victims():
 
 def catalog_module(module_id, **overrides):
     module = build_module(module_id, seed=7)
-    module.disable_interference_sources()
     return with_timing(module, **overrides) if overrides else module
 
 

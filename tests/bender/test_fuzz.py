@@ -45,7 +45,6 @@ instructions = st.one_of(
 @settings(max_examples=120, deadline=None)
 def test_random_programs_fail_cleanly(sequence):
     module = make_module(seed=99)
-    module.disable_interference_sources()
     interpreter = Interpreter(module)
 
     # A sentinel row the fuzzed program never touches (rows <= 63 only;

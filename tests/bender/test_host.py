@@ -15,16 +15,7 @@ from tests.conftest import SMALL_GEOMETRY, make_module
 
 def make_bender(seed=1234, **kwargs):
     module = make_module(seed=seed)
-    module.disable_interference_sources()
     return DramBender(module, **kwargs)
-
-
-def test_prepare_for_characterization():
-    module = make_module()
-    bender = DramBender(module)
-    bender.prepare_for_characterization()
-    assert not module.refresh_enabled
-    assert not module.mode.ecc_enabled
 
 
 def test_set_temperature_with_controller():
@@ -46,7 +37,6 @@ def test_probe_neighbors_finds_physical_adjacency():
         mapping_factory=ScrambledBlockMapping,
         seed=9,
     )
-    module.disable_interference_sources()
     bender = DramBender(module)
     row = 40
     flipped = bender.probe_neighbors(0, row)
@@ -61,7 +51,6 @@ def test_discover_adjacency_matches_catalog_mapping(module_id):
     discovery must find both aggressors of every victim."""
     module = build_module(module_id, seed=0)
     bender = DramBender(module)
-    bender.prepare_for_characterization()
     rows = range(100, 116)
     adjacency = bender.discover_adjacency(0, rows)
     mapping = module.bank(0).mapping
@@ -77,7 +66,6 @@ def test_discover_adjacency_feeds_aggressors_for():
         mapping_factory=ScrambledBlockMapping,
         seed=9,
     )
-    module.disable_interference_sources()
     bender = DramBender(module)
     adjacency = bender.discover_adjacency(0, [40])
     assert bender.aggressors_for(0, 40) == adjacency[40]

@@ -11,7 +11,6 @@ from tests.conftest import make_module
 
 def test_write_then_read_roundtrip():
     module = make_module()
-    module.disable_interference_sources()
     interp = Interpreter(module)
     builder = ProgramBuilder()
     builder.write_row(0, 5, 0xC3).read_row(0, 5, "out")
@@ -73,7 +72,6 @@ def test_column_without_open_row_rejected():
 
 def test_duplicate_read_tag_rejected():
     module = make_module()
-    module.disable_interference_sources()
     interp = Interpreter(module)
     builder = ProgramBuilder()
     builder.read_row(0, 5, "v").read_row(0, 6, "v")
@@ -90,11 +88,3 @@ def test_time_persists_across_runs():
     interp.run(builder.build())
     assert interp.now == 20.0
     assert interp.total_counts == {}
-
-
-def test_issue_refresh_accounting():
-    module = make_module()
-    interp = Interpreter(module)
-    interp.issue_refresh()
-    assert interp.now == module.timing.tRFC
-    assert interp.total_counts["REF"] == 1

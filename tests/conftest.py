@@ -57,9 +57,7 @@ def make_module(
 
 @pytest.fixture
 def module() -> DramModule:
-    mod = make_module()
-    mod.disable_interference_sources()
-    return mod
+    return make_module()
 
 
 @pytest.fixture

@@ -29,9 +29,7 @@ ROWS = [3, 17, 40, 77, 105, 128]
 
 
 def _module(seed=SEED):
-    module = build_module(MODULE_ID, seed=seed)
-    module.disable_interference_sources()
-    return module
+    return build_module(MODULE_ID, seed=seed)
 
 
 def _configs(module):
@@ -140,7 +138,6 @@ def test_batched_probe_equals_per_row_guesses(case):
     canonicalization, and models without a polarity lookup."""
     module_id, pattern, keep_lookup = PROBE_CASES[case]
     module = build_module(module_id, seed=7)
-    module.disable_interference_sources()
     if not keep_lookup:
         module.fault_model.cell_layout = None
     meter = FastRdtMeter(module, bank=0)
@@ -167,7 +164,6 @@ def test_batched_probe_rejects_empty_guess(repeats):
 
 def test_batched_selection_equals_reference_selection():
     module = build_module(MODULE_ID, seed=SEED)
-    module.disable_interference_sources()
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     fast = select_vulnerable_rows(module, config, block_rows=48, per_block=6)
     reference = reference_selection(module, config, block_rows=48, per_block=6)

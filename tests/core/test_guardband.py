@@ -193,7 +193,6 @@ class TestVectorizedEquality:
             ("oracle", margin_trial_loop),
         ):
             module = make_module(seed=21)
-            module.disable_interference_sources()
             config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
             outcomes[name] = [
                 (
@@ -217,7 +216,6 @@ class TestMarginChunks:
 
     def _setup(self):
         module = make_module(seed=5)
-        module.disable_interference_sources()
         config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
         return module, config
 

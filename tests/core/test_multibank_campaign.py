@@ -11,7 +11,6 @@ from repro.errors import MeasurementError
 
 def test_run_pairs_across_banks():
     module = build_module("Chip0")
-    module.disable_interference_sources()
     configs = list(
         standard_configs(
             module.timing,

@@ -128,7 +128,6 @@ class TestBenderMeter:
 
     def test_unflippable_row_raises(self):
         module = make_module(mean_rdt=5e7)
-        module.disable_interference_sources()
         meter = RdtMeter(DramBender(module))
         with pytest.raises(MeasurementError):
             meter.guess_rdt(100, REF)
@@ -202,7 +201,6 @@ def test_measure_series_memory_is_bounded_per_value():
     from repro.chips import build_module
 
     module = build_module("M1")
-    module.disable_interference_sources()
     meter = FastRdtMeter(module)
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     sweep = HammerSweep.from_guess(meter.guess_rdt(100, config))
@@ -225,7 +223,6 @@ def test_measure_series_batch_memory_is_bounded_by_its_output():
     from repro.chips import build_module
 
     module = build_module("M1")
-    module.disable_interference_sources()
     meter = FastRdtMeter(module)
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     rows = [100, 101, 102, 103]

@@ -216,7 +216,6 @@ def _campaign_workload(seed: int):
 
     pick = random.Random(seed + 12)
     module = build_module("M1", seed=seed)
-    module.disable_interference_sources()
     configs = [
         TestConfig(
             pick.choice(ALL_PATTERNS),
@@ -705,7 +704,6 @@ def _fault_workload(seed: int):
     from tests.conftest import make_module
 
     module = make_module("DIFF", seed=seed)
-    module.disable_interference_sources()
     pick = random.Random(seed + 1)
     rows = sorted(pick.sample(range(module.geometry.n_rows), 4))
     from repro.core import CHECKERED0, TestConfig
@@ -746,7 +744,6 @@ def _fastfaults(seed: int, fast: bool) -> tuple:
         "DIFF", seed=seed,
         trap_count_mean=0.0, rare_trap_prob=0.0, big_trap_prob=0.0,
     )
-    bare.disable_interference_sources()
     return (
         _fault_series(module.fault_model, rows, condition, fast),
         _fault_series(bare.fault_model, rows[:1], condition, fast),
@@ -769,7 +766,6 @@ def _catalog_fault_workload(seed: int, module_id: str):
     from repro.core import CHECKERED0, TestConfig
 
     module = build_module(module_id, seed=seed)
-    module.disable_interference_sources()
     pick = random.Random(seed + 7)
     rows = sorted(pick.sample(range(module.geometry.n_rows), 4))
     config = TestConfig(
@@ -916,7 +912,6 @@ def _long_series_rows(seed: int) -> list:
             rare_trap_prob=1.0 if extra else 0.0,
             big_trap_prob=1.0 if extra else 0.0,
         )
-        module.disable_interference_sources()
         row = next(
             row for row in range(module.geometry.n_rows)
             if len(reference_row(module.fault_model, 0, row).traps) == count
@@ -974,7 +969,6 @@ def _probe_workload(seed: int):
 
     pick = random.Random(seed + 8)
     module = build_module(pick.choice(_PROBE_MODULES), seed=seed)
-    module.disable_interference_sources()
     rows = sorted(pick.sample(range(module.geometry.n_rows), 12))
     config = TestConfig(
         pick.choice(ALL_PATTERNS),
@@ -1070,7 +1064,6 @@ def _bender_trials(
             pick.sample(range(floor // 3, floor + floor // 5), 3)
         ) + [3 * floor]
         module = build_module(module_id, seed=seed)
-    module.disable_interference_sources()
     bender = DramBender(module)
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     bender.begin_measurement(0, victim, config.pattern, config.t_agg_on_ns)
@@ -1166,12 +1159,8 @@ def recording(module):
             ))
         return calls["bulk_hammer"](bank, rows, count, t_agg_on, start)
 
-    def refresh(at):
-        stream.append(Command(CommandKind.REF, at))
-        calls["refresh"](at)
-
     # Every module call an interpreter makes with a command time.
-    shims = (activate, precharge, write_row, read_row, bulk_hammer, refresh)
+    shims = (activate, precharge, write_row, read_row, bulk_hammer)
     calls = {shim.__name__: getattr(module, shim.__name__) for shim in shims}
     for shim in shims:
         setattr(module, shim.__name__, shim)
@@ -1215,7 +1204,6 @@ def _checker_bender_case(seed: int) -> tuple:
     # refusal and a DDR4 tFAW refusal.
     pick = random.Random(seed + 279)
     module = build_module(pick.choice(EXTENDED_SPECS).module_id, seed=seed)
-    module.disable_interference_sources()
     timing = module.timing
     rule = pick.choice(("tFAW", "tRRD_L", None))
     if rule is not None:
@@ -1296,7 +1284,6 @@ def _adaptive_workload(seed: int):
     from repro.core import CHECKERED0, AdaptiveConfig, TestConfig
 
     module = build_module("M1", seed=seed)
-    module.disable_interference_sources()
     configs = [TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)]
     pick = random.Random(seed + 4)
     rows = sorted(pick.sample(range(256), 4))
@@ -1470,7 +1457,6 @@ def _store_workloads(seed: int):
     from repro.memsim.sweep import SweepSpec, run_sweep
 
     module = build_module("M1", seed=seed)
-    module.disable_interference_sources()
     configs = [TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)]
     campaign = Campaign(module, configs, n_measurements=_STORE_N).run(
         _STORE_ROWS
@@ -1671,7 +1657,6 @@ def _attack_matrix(seed: int, fast: bool) -> tuple:
     from repro.security.attack import profile_and_attack
 
     module = build_module("M1", seed=seed)
-    module.disable_interference_sources()
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     victims = sorted(random.Random(seed + 9).sample(range(64, 192), 2))
     fingerprint = []
@@ -1780,7 +1765,6 @@ def _guardband_matrix(seed: int, fast: bool) -> tuple:
     from repro.core.patterns import CHECKERED1
 
     module = build_module("M1", seed=seed)
-    module.disable_interference_sources()
     rows = sorted(random.Random(seed + 10).sample(range(64, 192), 3))
     run = margin_bitflip_experiment if fast else margin_trial_loop
     fingerprint = []
@@ -1891,7 +1875,6 @@ def scalar_victim_scan(module_id, seed, candidate_rows, threshold=None):
 
     device = spec(module_id)
     module = build_module(device, seed=seed)
-    module.disable_interference_sources()
     meter = FastRdtMeter(module, bank=0)
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     guesses = sorted(

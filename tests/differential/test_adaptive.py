@@ -29,7 +29,6 @@ def _workload(seed: int):
     from repro.chips import build_module
 
     module = build_module("M1", seed=seed)
-    module.disable_interference_sources()
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     return module, config
 

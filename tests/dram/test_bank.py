@@ -92,7 +92,6 @@ class TestTimings:
 class TestDataPath:
     def test_write_then_read_roundtrip(self):
         module = make_module()
-        module.disable_interference_sources()
         t = module.timing
         end = write_full(module, 0, 5, 0xA5, REF_T)
         module.activate(0, 5, end)
@@ -159,7 +158,6 @@ class TestStressAccounting:
 class TestDisturbance:
     def test_hammering_past_threshold_flips_victim(self):
         module = make_module()
-        module.disable_interference_sources()
         t = module.timing
         now = write_full(module, 0, 100, 0x55, REF_T)
         now = write_full(module, 0, 99, 0xAA, now)
@@ -175,7 +173,6 @@ class TestDisturbance:
 
     def test_insufficient_hammering_no_flips(self):
         module = make_module()
-        module.disable_interference_sources()
         t = module.timing
         now = write_full(module, 0, 100, 0x55, REF_T)
         now = write_full(module, 0, 99, 0xAA, now)
@@ -187,7 +184,6 @@ class TestDisturbance:
 
     def test_reading_twice_does_not_unflip(self):
         module = make_module()
-        module.disable_interference_sources()
         t = module.timing
         now = write_full(module, 0, 100, 0x55, REF_T)
         now = write_full(module, 0, 99, 0xAA, now)

@@ -58,7 +58,6 @@ def _module(module_id: str):
         bank.open_row is not None for bank in cached.banks
     ):
         cached = build_module(module_id, seed=7)
-        cached.disable_interference_sources()
         _MODULES[module_id] = cached
     return cached
 

@@ -1,94 +1,9 @@
-"""Tests for module-level features: refresh, TRR, on-die ECC."""
+"""Tests for module-level features: temperature and protocol kind."""
 
-import numpy as np
 import pytest
 
-from repro.dram.faults import Condition
 from repro.errors import ConfigurationError
-from tests.dram.test_bank import write_full
 from tests.conftest import make_module
-
-
-def hammer_past_threshold(module, factor=1.5):
-    """Initialize rows 99-101 and hammer past the current threshold."""
-    t = module.timing
-    now = write_full(module, 0, 100, 0x55, 1000.0)
-    now = write_full(module, 0, 99, 0xAA, now)
-    now = write_full(module, 0, 101, 0xAA, now)
-    process = module.fault_model.process(0, 100)
-    threshold = process.current_threshold(Condition("checkered0", t.tRAS, 50.0))
-    now = module.bulk_hammer(0, [99, 101], int(threshold * factor), t.tRAS, now)
-    return now
-
-
-def read_victim(module, now):
-    t = module.timing
-    module.activate(0, 100, now + t.tRP)
-    return module.read_row(0, 100, now + t.tRP + t.tRCD)
-
-
-def test_disable_interference_sources():
-    module = make_module()
-    module.disable_interference_sources()
-    assert not module.refresh_enabled
-    assert not module.mode.ecc_enabled
-
-
-def test_trr_masks_bitflips_when_refresh_enabled():
-    """With refresh on, the TRR sampler refreshes the hammered rows'
-    victims at each REF, preventing the flip a disabled-refresh run sees.
-    """
-    protected = make_module(seed=99)
-    unprotected = make_module(seed=99)
-    unprotected.disable_interference_sources()
-
-    now_p = hammer_past_threshold(protected)
-    now_u = hammer_past_threshold(unprotected)
-    # The unprotected module flips.
-    assert np.any(read_victim(unprotected, now_u) != 0x55)
-    # A REF lands between hammering and the read on the protected module.
-    protected.refresh(now_p + 10)
-    data = read_victim(protected, now_p + 10 + protected.timing.tRFC)
-    assert np.all(data == 0x55)
-
-
-def test_refresh_pointer_covers_bank():
-    module = make_module()
-    assert module.rows_per_refresh >= 1
-    start = module._refresh_pointer
-    module.refresh(50.0)
-    assert module._refresh_pointer == (
-        (start + module.rows_per_refresh) % module.geometry.n_rows
-    )
-
-
-def test_on_die_ecc_corrects_single_flip():
-    module = make_module(seed=5)
-    module.refresh_enabled = False
-    module.mode.ecc_enabled = True
-    now = hammer_past_threshold(module, factor=1.05)
-    data = read_victim(module, now)
-    flips = module.bank(0).injected_flips(100)
-    # Words with exactly one flip read back corrected.
-    per_word = {}
-    for bit in flips:
-        per_word.setdefault(bit // 64, []).append(bit)
-    expected_visible = sum(len(v) for v in per_word.values() if len(v) > 1)
-    observed = int(np.unpackbits(data ^ np.uint8(0x55), bitorder="little").sum())
-    assert observed == expected_visible
-
-
-def test_flips_by_chip_grouping():
-    module = make_module(seed=42)
-    module.disable_interference_sources()
-    now = hammer_past_threshold(module, factor=2.0)
-    read_victim(module, now)
-    grouped = module.flips_by_chip(0, 100)
-    flips = module.bank(0).injected_flips(100)
-    assert sum(len(bits) for bits in grouped.values()) == len(flips)
-    for chip, bits in grouped.items():
-        for bit in bits:
-            assert module.geometry.chip_of_bit(bit) == chip
 
 
 def test_temperature_bounds():
@@ -104,20 +19,3 @@ def test_unknown_kind_rejected():
         make_module()  # fine
         from repro.dram.module import DramModule
         DramModule("X", kind="DDR9")
-
-
-def test_trr_observe_repeat_matches_scalar_loop():
-    """The closed-form bulk TRR update equals k successive observes."""
-    from repro.dram.module import _TrrSampler
-
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        fast = _TrrSampler(table_size=4)
-        scalar = _TrrSampler(table_size=4)
-        for _ in range(rng.integers(1, 12)):
-            row = int(rng.integers(0, 8))
-            repeats = int(rng.integers(0, 70))
-            fast.observe_repeat(row, repeats)
-            for _ in range(repeats):
-                scalar.observe(row)
-            assert fast.counts == scalar.counts

@@ -16,10 +16,9 @@ from tests.conftest import SMALL_GEOMETRY, make_module
 
 def test_algorithm1_full_pipeline():
     """find_victim -> guess -> 30 measurements through the Bender path,
-    with temperature control and interference sources disabled."""
+    with temperature control (the device has no refresh, TRR or ECC)."""
     module = make_module(seed=2024)
     bender = DramBender(module, controller=PidTemperatureController())
-    bender.prepare_for_characterization()
     bender.set_temperature(50.0)
     meter = RdtMeter(bender)
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
@@ -38,7 +37,6 @@ def test_algorithm1_full_pipeline():
 
 def test_fast_and_bender_meters_statistically_agree():
     module = make_module(seed=7)
-    module.disable_interference_sources()
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     victim = 123
 
@@ -55,7 +53,6 @@ def test_measurement_fits_within_refresh_window():
     """Sec. 3.1: every trial must complete inside tREFW so retention
     failures cannot interfere. Verify for a realistic sweep trial."""
     module = make_module()
-    module.disable_interference_sources()
     bender = DramBender(module)
     start = bender.elapsed_ns
     bender.run_trial(0, 100, CHECKERED0, 3000, module.timing.tRAS)
@@ -70,7 +67,6 @@ def test_scrambled_mapping_transparent_to_methodology():
         "FOLD", geometry=SMALL_GEOMETRY, mapping_factory=MirroredFoldMapping,
         seed=5,
     )
-    module.disable_interference_sources()
     bender = DramBender(module)
     victim = 40  # in a folded region
     bender.discover_adjacency(0, [victim])
@@ -84,7 +80,6 @@ def test_pattern_sweep_changes_profile():
     """Finding 12 at small scale: at least two patterns differ in mean
     measured RDT for the same row."""
     module = make_module(seed=31)
-    module.disable_interference_sources()
     meter = FastRdtMeter(module)
     means = {}
     for pattern in ALL_PATTERNS:
@@ -98,7 +93,6 @@ def test_run_length_statistics_on_measured_series():
     """Finding 3's shape: most RDT states persist for only one
     measurement."""
     module = make_module(seed=11)
-    module.disable_interference_sources()
     meter = FastRdtMeter(module)
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     series = meter.measure_series(200, config, 2000)
@@ -109,7 +103,6 @@ def test_run_length_statistics_on_measured_series():
 def test_acf_indistinguishable_from_noise_on_measured_series():
     """Finding 4: no temporal structure in the measured series."""
     module = make_module(seed=13)
-    module.disable_interference_sources()
     meter = FastRdtMeter(module)
     config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
     series = meter.measure_series(300, config, 5000)

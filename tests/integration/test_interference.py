@@ -1,15 +1,15 @@
-"""Integration: the Sec. 3.1 interference sources actually interfere.
+"""Integration: retention decay is the one hazard the methodology must
+still respect.
 
-The methodology disables refresh/TRR/ECC and stays within the retention
-window *because these factors corrupt RDT measurements*. These tests
-demonstrate each hazard end to end on the simulated testbed — the reason
-the guards exist.
+The simulated device has no refresh, TRR or on-die ECC (the paper's
+Sec. 3.1 switches them off), so an experiment that overstays the
+retention window sees retention flips it cannot tell from disturbance
+flips. These tests show that hazard end to end on the simulated testbed.
 """
 
 import numpy as np
 
-from repro.dram.module import DramModule
-from tests.conftest import SMALL_GEOMETRY, make_module
+from tests.conftest import make_module
 from tests.dram.test_bank import write_full
 
 
@@ -18,7 +18,6 @@ def test_overstaying_retention_window_corrupts_reads():
     back with retention flips — indistinguishable from disturbance flips
     unless the experiment stays within tREFW."""
     module = make_module(seed=5)
-    module.disable_interference_sources()
     write_full(module, 0, 50, 0x55, 1000.0)
     horizon = module.retention.horizon_ns(0, 50)
     late = 1000.0 + horizon * 5.0
@@ -29,65 +28,7 @@ def test_overstaying_retention_window_corrupts_reads():
 
 def test_reading_within_window_is_clean():
     module = make_module(seed=5)
-    module.disable_interference_sources()
     end = write_full(module, 0, 50, 0x55, 1000.0)
     module.activate(0, 50, end)
     data = module.read_row(0, 50, end + module.timing.tRCD)
     assert np.all(data == 0x55)
-
-
-def test_refresh_extends_retention():
-    """Periodic refresh resets the retention clock: with refresh enabled
-    and REF commands covering the row, the late read stays clean."""
-    module = make_module(seed=5)
-    module.refresh_enabled = True
-    write_full(module, 0, 50, 0x55, 1000.0)
-    horizon = module.retention.horizon_ns(0, 50)
-    # Issue enough refreshes to sweep the whole bank several times.
-    refreshes = (module.geometry.n_rows // module.rows_per_refresh + 1) * 2
-    step = horizon / refreshes
-    now = 1000.0
-    for _ in range(refreshes):
-        now += step
-        module.refresh(now)
-    module.activate(0, 50, now + 10)
-    data = module.read_row(0, 50, now + 10 + module.timing.tRCD)
-    assert np.all(data == 0x55)
-
-
-def test_on_die_ecc_hides_single_retention_flip():
-    """HBM2 on-die ECC masks isolated flips — why the methodology clears
-    the ECC mode-register bit before characterizing."""
-    module = make_module(seed=9)
-    module.refresh_enabled = False
-    write_full(module, 0, 60, 0x55, 1000.0)
-    horizon = module.retention.horizon_ns(0, 60)
-    late = 1000.0 + horizon * 1.2  # exactly one weak cell decayed
-    module.activate(0, 60, late)
-    module.mode.ecc_enabled = True
-    corrected = module.read_row(0, 60, late + module.timing.tRCD)
-    module.mode.ecc_enabled = False
-    raw = module.read_row(0, 60, late + module.timing.tRCD + 10)
-    flips_corrected = int(
-        np.unpackbits(corrected ^ np.uint8(0x55), bitorder="little").sum()
-    )
-    flips_raw = int(
-        np.unpackbits(raw ^ np.uint8(0x55), bitorder="little").sum()
-    )
-    assert flips_raw >= 1
-    assert flips_corrected < flips_raw
-
-
-def test_temperature_sensor_tracks_setting():
-    module = make_module()
-    module.set_temperature(65.0)
-    reading = module.read_temperature_sensor(at=5_000.0)
-    assert abs(reading - 65.0) <= 2.0
-    assert reading == module.read_temperature_sensor(at=5_000.0)
-    # Stability check the paper performs for HBM2 chips 1-3: readings over
-    # a long idle period deviate by at most ~2 C.
-    readings = [
-        module.read_temperature_sensor(at=t)
-        for t in np.linspace(0, 1e9, 25)
-    ]
-    assert max(readings) - min(readings) <= 4.0

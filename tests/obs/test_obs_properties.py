@@ -7,14 +7,12 @@ them exactly. Values are kept integral so snapshot equality can be
 """
 
 import json
-import math
 import random
 import time
 
 import pytest
 
 from repro import obs
-from repro.obs.recorder import N_BUCKETS, bucket_index, bucket_upper_bound
 
 
 class ManualClock:
@@ -45,14 +43,9 @@ def random_ops(rng: random.Random, n: int):
     collide on metric names) and integral values."""
     ops = []
     for _ in range(n):
-        kind = rng.choice(("counter", "histogram", "span", "gauge"))
+        kind = rng.choice(("counter", "span", "gauge"))
         if kind == "counter":
             ops.append(("counter", f"c{rng.randrange(4)}", rng.randint(1, 50)))
-        elif kind == "histogram":
-            ops.append((
-                "histogram", f"h{rng.randrange(3)}",
-                rng.choice((0, 1, 3, 1024, 10**6, 10**9)) + rng.randint(0, 9),
-            ))
         elif kind == "gauge":
             ops.append(("gauge", f"g{rng.randrange(2)}", rng.randint(0, 99)))
         else:
@@ -67,8 +60,6 @@ def apply_ops(recorder, wall, cpu, ops) -> None:
     for op in ops:
         if op[0] == "counter":
             recorder.counter_add(op[1], op[2])
-        elif op[0] == "histogram":
-            recorder.histogram_observe(op[1], op[2])
         elif op[0] == "gauge":
             recorder.gauge_set(op[1], op[2])
         else:
@@ -152,8 +143,8 @@ def test_random_span_trees_close_their_stack(seed):
 @pytest.mark.parametrize("seed", [5, 55])
 def test_snapshot_totals_match_ops_and_survive_json(seed):
     """A snapshot is the JSON-able aggregate of exactly the recorded ops:
-    counters sum, spans count their entries, histograms count their
-    observations, and gauges keep the last write."""
+    counters sum, spans count their entries, and gauges keep the last
+    write."""
     rng = random.Random(seed)
     recorder, wall, cpu = make_recorder()
     ops = random_ops(rng, 30)
@@ -161,14 +152,12 @@ def test_snapshot_totals_match_ops_and_survive_json(seed):
     snapshot = recorder.snapshot()
     assert json.loads(json.dumps(snapshot)) == snapshot
 
-    counters, spans, histograms, gauges = {}, {}, {}, {}
+    counters, spans, gauges = {}, {}, {}
     for op in ops:
         if op[0] == "counter":
             counters[op[1]] = counters.get(op[1], 0) + op[2]
         elif op[0] == "span":
             spans[op[1]] = spans.get(op[1], 0) + 1
-        elif op[0] == "histogram":
-            histograms[op[1]] = histograms.get(op[1], 0) + 1
         else:
             gauges[op[1]] = float(op[2])
     assert snapshot["counters"] == counters
@@ -176,42 +165,6 @@ def test_snapshot_totals_match_ops_and_survive_json(seed):
     assert {
         path: stats["count"] for path, stats in snapshot["spans"].items()
     } == spans
-    assert {
-        name: payload["count"]
-        for name, payload in snapshot["histograms"].items()
-    } == histograms
-
-
-# ----------------------------------------------------------------------
-# Histograms
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", [3, 33, 333])
-def test_histogram_summary_matches_observations(seed):
-    rng = random.Random(seed)
-    values = [rng.randint(0, 10**9) for _ in range(rng.randint(1, 200))]
-    histogram = obs.Histogram()
-    for value in values:
-        histogram.observe(value)
-    assert histogram.count == len(values)
-    assert histogram.total == sum(values)
-    assert histogram.min == min(values)
-    assert histogram.max == max(values)
-    assert histogram.mean == sum(values) / len(values)
-    assert sum(histogram.buckets.values()) == len(values)
-
-
-def test_bucket_bounds_are_consistent():
-    for value in (0, 1, 2, 3, 1023, 1024, 1025, 10**12, 2.0**60):
-        index = bucket_index(value)
-        assert 0 <= index < N_BUCKETS
-        if 0 < index < N_BUCKETS - 1:
-            # frexp buckets are [2**(e-1), 2**e): closed below, open above.
-            assert bucket_upper_bound(index - 1) <= value < bucket_upper_bound(index)
-    assert bucket_upper_bound(N_BUCKETS - 1) == math.inf
-    assert bucket_index(-5.0) == 0  # negatives clamp, never crash
-
 
 # ----------------------------------------------------------------------
 # Active-recorder plumbing

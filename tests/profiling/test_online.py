@@ -170,7 +170,6 @@ class TestDeterminism:
         first = make_profiler(module, reference_config, keep_history=True)
         # Fresh module with the same seed for the twin profiler.
         twin_module = make_module()
-        twin_module.disable_interference_sources()
         twin = make_profiler(twin_module, reference_config, keep_history=True)
         for _ in range(10):
             first.idle_tick(1.0)

@@ -83,7 +83,6 @@ class TestAttack:
             windows=100, seed=9,
         )
         module2 = make_module()
-        module2.disable_interference_sources()
         b = attack_escape(
             module2, 101, reference_config, "para", threshold=500.0,
             windows=100, seed=9,
@@ -161,9 +160,7 @@ class TestBatchedAttack:
     def test_attack_escape_batched_equals_scalar(self):
         for kind in ("para", "mint", "graphene", "none"):
             batched_module = make_module(seed=5)
-            batched_module.disable_interference_sources()
             scalar_module = make_module(seed=5)
-            scalar_module.disable_interference_sources()
             config = TestConfig(
                 CHECKERED0, t_agg_on_ns=batched_module.timing.tRAS
             )
@@ -228,7 +225,6 @@ class TestAttackChunks:
             monkeypatch.setattr(attack_module, "_MIN_CHUNK", chunks[0])
             monkeypatch.setattr(attack_module, "_MAX_CHUNK", chunks[1])
             module = make_module(seed=5)
-            module.disable_interference_sources()
             config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
             outcomes = [
                 attack_escape(

@@ -178,6 +178,23 @@ def test_check_timing_simulates_a_stored_sweep(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().out == warm
 
 
+def test_checked_sweep_opens_the_store_before_it_simulates(
+    monkeypatch, capsys, tmp_path
+):
+    """A checked run reads no stored sweep, but a store that cannot be
+    opened still fails before the first cell is simulated."""
+    from repro.memsim import sweep
+
+    def simulate(*args):
+        raise AssertionError("a cell was simulated")
+
+    monkeypatch.setattr(sweep, "_sweep_cells", simulate)
+    (tmp_path / "results.sqlite").mkdir()
+    assert main(["fig14", "--mixes", "1", "--window", "2000",
+                 "--cache-dir", str(tmp_path), "--check-timing"]) == 2
+    assert "cannot open the result store" in capsys.readouterr().err
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
@@ -234,6 +251,8 @@ def test_profile_adaptive(capsys, tmp_path):
     ["fig14", "--mixes", "1", "--window", "inf", "--no-cache"],
     ["fig14", "--mixes", "1", "--window", "2000",
      "--cache-dir", "{tmp}/unopenable"],
+    ["fig14", "--mixes", "1", "--window", "2000",
+     "--cache-dir", "{tmp}/unopenable", "--check-timing"],
 ])
 def test_library_error_prints_one_line_and_exits_2(capsys, tmp_path, argv):
     (tmp_path / "latin1.json").write_bytes(b'{"module_id": "\xe9"}')

@@ -16,6 +16,11 @@ functions are entries of their own, and their lines also count toward the
 enclosing function's. Everything runs in a temporary working directory,
 with output discarded; each step's exit status is printed at the end.
 
+It exits 1 when a step exits non-zero (the reproduction broke) or when
+more than :data:`CEILING` functions go unreached (dead code grew), so CI's
+smoke job runs it as one step. Lower ``CEILING`` when a change deletes
+unreached code.
+
 Run from anywhere (about two minutes on a 2-core x86 host)::
 
     python tools/reach.py
@@ -36,9 +41,13 @@ from typing import Dict, List, Set, Tuple
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
-#: CI's smoke-job CLI commands (``.github/workflows/ci.yml``) plus the
-#: documented ``devices``, ``table3``, ``attack``, ``testtime``,
-#: ``verify`` and ``store prune`` commands.
+#: Most unreached ``src/`` functions a run may report before it fails.
+CEILING = 140
+
+#: CI's smoke-job CLI commands (``.github/workflows/ci.yml``), the CLI
+#: commands of the smoke steps this tool replaces, plus the documented
+#: ``devices``, ``table3``, ``attack``, ``testtime``, ``verify`` and
+#: ``store prune`` commands.
 CLI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
     ("measure", "M1", "--row", "100", "-n", "200", "--adaptive"),
     ("profile", "M1", "--rows-per-block", "1", "-n", "100", "--adaptive",
@@ -53,9 +62,9 @@ CLI_COMMANDS: Tuple[Tuple[str, ...], ...] = (
     ("analyze", "second.json"),
     ("store", "stats", "--store", "ci-cache/results.sqlite"),
     ("fig14", "--mixes", "1", "--window", "5000", "--cache-dir",
-     "ci-cache"),
-    ("fig14", "--mixes", "1", "--window", "5000", "--cache-dir",
      "ci-cache", "--check-timing"),
+    ("fig14", "--mixes", "1", "--window", "5000", "--cache-dir",
+     "ci-cache", "--trace"),
     ("devices",),
     ("table3",),
     ("attack", "M1"),
@@ -107,7 +116,7 @@ def function_inventory(root: Path = SRC) -> Dict[Key, Tuple[str, int]]:
     return inventory
 
 
-def _run_quietly(label: str, step, statuses: List[str]) -> None:
+def _run_quietly(label: str, step, statuses: Dict[str, object]) -> None:
     with open(os.devnull, "w") as sink:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             try:
@@ -116,10 +125,10 @@ def _run_quietly(label: str, step, statuses: List[str]) -> None:
                 status = stop.code
             except Exception as error:  # noqa: BLE001 - reported, not fatal
                 status = f"{type(error).__name__}: {error}"
-    statuses.append(f"{label}: exit {status if status is not None else 0}")
+    statuses[label] = 0 if status is None else status
 
 
-def run_workloads(statuses: List[str]) -> Set[Key]:
+def run_workloads(statuses: Dict[str, object]) -> Set[Key]:
     """Run every workload under the profile hook; the reached keys."""
     import pytest
 
@@ -158,7 +167,7 @@ def run_workloads(statuses: List[str]) -> Set[Key]:
 def main() -> int:
     sys.path.insert(0, str(SRC))
     inventory = function_inventory()
-    statuses: List[str] = []
+    statuses: Dict[str, object] = {}
     with tempfile.TemporaryDirectory(prefix="vrd-reach-") as scratch:
         previous = os.getcwd()
         os.environ["VRD_STORE_PATH"] = str(Path(scratch) / "results.sqlite")
@@ -184,10 +193,20 @@ def main() -> int:
     lines = sum(inventory[key][1] for key in unreached)
     print(
         f"\nunreached: {len(unreached)} of {len(inventory)} functions, "
-        f"{lines} function lines"
+        f"{lines} function lines (ceiling {CEILING})"
     )
-    print("\n".join(statuses), file=sys.stderr)
-    return 0
+    for label, status in statuses.items():
+        print(f"{label}: exit {status}", file=sys.stderr)
+    failed = [label for label, status in statuses.items() if status != 0]
+    if failed:
+        print(f"FAILED: {len(failed)} step(s) exited non-zero", file=sys.stderr)
+    if len(unreached) > CEILING:
+        print(
+            f"FAILED: {len(unreached)} unreached functions exceed the "
+            f"ceiling of {CEILING}",
+            file=sys.stderr,
+        )
+    return 1 if failed or len(unreached) > CEILING else 0
 
 
 if __name__ == "__main__":
