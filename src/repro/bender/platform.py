@@ -50,10 +50,6 @@ class Testbed:
                 f"{self.board.name} does not support {self.module.kind} devices"
             )
 
-    @property
-    def temperature_controlled(self) -> bool:
-        return self.controller is not None
-
 
 def board_for(module: DramModule) -> FpgaBoard:
     """Pick the paper's board for a module kind (U200 for DDR4, U50 HBM2)."""

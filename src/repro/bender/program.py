@@ -29,22 +29,6 @@ class Program:
     def __len__(self) -> int:
         return len(self.instructions)
 
-    def command_estimate(self, columns_per_row: int) -> int:
-        """Rough raw-command count (Appendix A style accounting)."""
-        total = 0
-        for instruction in self.instructions:
-            if isinstance(instruction, (Act, Pre)):
-                total += 1
-            elif isinstance(instruction, (WriteRow, ReadRow)):
-                total += columns_per_row
-            elif isinstance(instruction, Hammer):
-                total += 2 * instruction.total_activations
-            elif isinstance(instruction, Wait):
-                pass
-            else:  # pragma: no cover - exhaustive over the ISA
-                raise ProgramError(f"unknown instruction {instruction!r}")
-        return total
-
 
 class ProgramBuilder:
     """Fluent builder for DRAM Bender test programs."""

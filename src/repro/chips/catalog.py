@@ -78,10 +78,6 @@ class ModuleSpec:
         """The protocol family the device declares (= its standard)."""
         return self.standard
 
-    @property
-    def density_gb(self) -> int:
-        return int(self.density.rstrip("Gb"))
-
     def label(self) -> str:
         return f"{self.module_id} ({self.density}-{self.die_rev}, {self.org})"
 

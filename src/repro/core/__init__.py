@@ -22,7 +22,6 @@ from repro.core.rdt import (
     RdtMeasurementResult,
     RdtMeter,
     find_victim,
-    guess_rdt,
 )
 from repro.core.montecarlo import (
     MinRdtEstimate,
@@ -61,7 +60,6 @@ __all__ = [
     "RdtMeter",
     "FastRdtMeter",
     "RdtMeasurementResult",
-    "guess_rdt",
     "find_victim",
     "stats",
     "MinRdtEstimate",

@@ -99,14 +99,6 @@ class CampaignResult:
     def rows(self) -> List[int]:
         return sorted({obs.row for obs in self.observations})
 
-    def for_row(self, row: int) -> List[RowObservation]:
-        return [obs for obs in self.observations if obs.row == row]
-
-    def filter(
-        self, predicate: Callable[[RowObservation], bool]
-    ) -> List[RowObservation]:
-        return [obs for obs in self.observations if predicate(obs)]
-
     # ------------------------------------------------------------------
     # Paper metrics
     # ------------------------------------------------------------------

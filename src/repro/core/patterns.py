@@ -39,13 +39,6 @@ class DataPattern:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
 
-    def __reduce__(self):
-        """A Table 2 pattern unpickles to its canonical instance, so an
-        unpickled result filters with ``is`` like the original."""
-        if _BY_NAME.get(self.name) == self:
-            return pattern_by_name, (self.name,)
-        return DataPattern, (self.name, self.victim_byte)
-
 
 ROWSTRIPE0 = DataPattern("rowstripe0", 0x00)
 ROWSTRIPE1 = DataPattern("rowstripe1", 0xFF)

@@ -121,9 +121,6 @@ class RecordAnalysis:
         """E[#records] for an i.i.d. continuous series: the harmonic sum."""
         return float(np.sum(1.0 / np.arange(1, self.n + 1)))
 
-    def records_up_to(self, n: int) -> int:
-        return sum(1 for index in self.record_indices if index < n)
-
 
 def record_minima(values: np.ndarray) -> RecordAnalysis:
     """Indices where the running minimum strictly improves.

@@ -372,11 +372,6 @@ class FastRdtMeter:
         return series
 
 
-def guess_rdt(meter, victim: int, config: TestConfig, repeats: int = 10) -> float:
-    """Module-level convenience mirroring Algorithm 1's guess_RDT."""
-    return meter.guess_rdt(victim, config, repeats)
-
-
 #: Rows probed per chunk when find_victim batches its guesses. Chunking
 #: keeps the early-exit property: a qualifying row in the first chunk
 #: costs one batched probe, not a scan of the full candidate list.

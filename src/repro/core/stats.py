@@ -100,18 +100,6 @@ def histogram_unique_bins(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return counts, edges
 
 
-def coefficient_of_variation(values: np.ndarray) -> float:
-    """Standard deviation normalized to the mean."""
-    data = np.asarray(values, dtype=float)
-    data = data[~np.isnan(data)]
-    if data.size == 0:
-        raise MeasurementError("cannot compute CV of an empty series")
-    mean = data.mean()
-    if mean == 0:
-        raise MeasurementError("cannot compute CV of a zero-mean series")
-    return float(data.std() / mean)
-
-
 def chi_square_normal_fit(
     values: np.ndarray,
     min_expected: float = 5.0,
@@ -279,24 +267,6 @@ def white_noise_acf_bound(n: int, confidence: float = 0.95) -> float:
     return float(z / np.sqrt(n))
 
 
-def acf_indistinguishable_from_noise(
-    values: np.ndarray,
-    max_lag: int = 50,
-    confidence: float = 0.95,
-    tolerated_excess: float = 0.1,
-) -> bool:
-    """Fig. 6's conclusion as a predicate.
-
-    True when at most ``tolerated_excess`` of the nonzero lags fall outside
-    the white-noise confidence band (5% are expected outside by chance at
-    95% confidence).
-    """
-    acf = autocorrelation(values, max_lag)
-    bound = white_noise_acf_bound(len(np.asarray(values)), confidence)
-    outside = np.abs(acf[1:]) > bound
-    return float(outside.mean()) <= tolerated_excess
-
-
 def ljung_box_test(
     values: np.ndarray, lags: int = 20
 ) -> Tuple[float, float]:
@@ -374,10 +344,6 @@ class BoxStats:
     q3: float
     maximum: float
     mean: float
-
-    @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
 
     def row(self) -> Tuple[float, float, float, float, float, float]:
         return (self.minimum, self.q1, self.median, self.q3, self.maximum, self.mean)

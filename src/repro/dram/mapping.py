@@ -40,10 +40,6 @@ class RowMapping(ABC):
     def to_physical(self, logical: int) -> int:
         """Map a logical row address to its physical row."""
 
-    @abstractmethod
-    def to_logical(self, physical: int) -> int:
-        """Map a physical row address back to the logical address."""
-
     def _check(self, address: int) -> None:
         if not 0 <= address < self.n_rows:
             raise AddressError(
@@ -174,14 +170,3 @@ def reverse_engineer_adjacency(
         victims = sorted(set(probe_victims(row)))
         adjacency[row] = victims
     return adjacency
-
-
-def verify_mapping_against_adjacency(
-    mapping: RowMapping, adjacency: Dict[int, List[int]]
-) -> bool:
-    """Check that a candidate mapping explains observed neighbor sets."""
-    for row, victims in adjacency.items():
-        expected = sorted(mapping.aggressors_for_victim(row))
-        if sorted(victims) != expected:
-            return False
-    return True

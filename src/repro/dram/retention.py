@@ -108,10 +108,6 @@ class RetentionModel:
             self._rows[key] = entry
         return entry
 
-    def horizon_ns(self, bank: int, row: int) -> float:
-        """This row's retention horizon in nanoseconds."""
-        return self._row(bank, row)[0]
-
     def vrt_cell(self, bank: int, row: int, cell_index: int = 0) -> "VrtCell":
         """A VRT-afflicted cell on this row (Sec. 4.2 analogy support)."""
         horizon, cells = self._row(bank, row)

@@ -8,7 +8,7 @@ nanoseconds (see :mod:`repro.units`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.errors import ConfigurationError
@@ -178,27 +178,6 @@ class TimingParams:
     def tRC(self) -> float:
         """Row cycle time: minimum ACT-to-ACT to the same bank."""
         return self.tRAS + self.tRP
-
-    @property
-    def max_row_open(self) -> float:
-        """Maximum time a row may stay open: nine refresh intervals.
-
-        The paper's largest tested ``tAggOn`` (Sec. 5) is ``9 x tREFI``, the
-        longest a row can legally remain open per the DDR4/HBM2 standards.
-        """
-        return 9.0 * self.tREFI
-
-    def with_overrides(self, **overrides: float) -> "TimingParams":
-        """Return a copy with selected parameters replaced (for ablations)."""
-        return replace(self, **overrides)
-
-    def activations_per_refresh_window(self, t_agg_on: float) -> int:
-        """Upper bound on single-row activations within one refresh window."""
-        if t_agg_on < self.tRAS:
-            raise ConfigurationError(
-                f"tAggOn {t_agg_on} below minimum tRAS {self.tRAS}"
-            )
-        return int(self.tREFW // (t_agg_on + self.tRP))
 
 
 def rule_table(params: TimingParams) -> Tuple[TimingRule, ...]:

@@ -1,7 +1,7 @@
 """Error-correcting codes (paper Sec. 6.4, Table 3).
 
-Bit-exact codecs for the three ECC schemes the paper evaluates against
-VRD-induced bitflips:
+Bit-exact batched codecs for the three ECC schemes the paper evaluates
+against VRD-induced bitflips:
 
 * **SEC** — single-error-correcting Hamming-style code over a 72-bit
   codeword (64 data bits);
@@ -14,8 +14,7 @@ Plus the analytic error-outcome probabilities behind Table 3
 (:mod:`repro.ecc.analysis`), validated against the codecs by Monte Carlo.
 """
 
-from repro.ecc.base import DecodeOutcome, DecodeResult, EccCode
-from repro.ecc.gf import GF256
+from repro.ecc.base import EccCode
 from repro.ecc.hamming import Sec72, Secded72
 from repro.ecc.chipkill import ChipkillSsc
 from repro.ecc.analysis import (
@@ -27,9 +26,6 @@ from repro.ecc.analysis import (
 
 __all__ = [
     "EccCode",
-    "DecodeOutcome",
-    "DecodeResult",
-    "GF256",
     "Sec72",
     "Secded72",
     "ChipkillSsc",

@@ -15,8 +15,6 @@ from repro.ecc.base import (
     OUTCOME_CLEAN,
     OUTCOME_CORRECTED,
     OUTCOME_DETECTED,
-    DecodeOutcome,
-    DecodeResult,
     EccCode,
 )
 from repro.ecc.gf import FIELD
@@ -39,24 +37,9 @@ class ChipkillSsc(EccCode):
         # Precompute alpha^i for each symbol position.
         self._alpha = [FIELD.pow_alpha(i) for i in range(_SYMBOLS)]
         # Solve the 2x2 parity system once: positions 16, 17 hold parity.
-        a16, a17 = self._alpha[16], self._alpha[17]
-        self._denominator = FIELD.add(a16, a17)  # alpha^16 + alpha^17
+        self._denominator = self._alpha[16] ^ self._alpha[17]
 
-    # ------------------------------------------------------------------
-    # Bit <-> symbol packing (symbol i = bits [8i, 8i+8), LSB first)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _to_symbols(bits: np.ndarray) -> np.ndarray:
-        return np.packbits(
-            bits.reshape(-1, _BITS_PER_SYMBOL), axis=1, bitorder="little"
-        ).reshape(-1)
-
-    @staticmethod
-    def _to_bits(symbols: np.ndarray) -> np.ndarray:
-        return np.unpackbits(
-            symbols.astype(np.uint8)[:, None], axis=1, bitorder="little"
-        ).reshape(-1)
+    # Bit <-> symbol packing: symbol i = bits [8i, 8i+8), LSB first.
 
     @staticmethod
     def _to_symbols_batch(bits: np.ndarray) -> np.ndarray:
@@ -73,68 +56,6 @@ class ChipkillSsc(EccCode):
         return np.unpackbits(
             symbols.astype(np.uint8)[:, :, None], axis=2, bitorder="little"
         ).reshape(trials, -1)
-
-    def symbol_of_bit(self, bit_index: int) -> int:
-        """Which symbol a codeword bit belongs to."""
-        return bit_index // _BITS_PER_SYMBOL
-
-    # ------------------------------------------------------------------
-    # Codec
-    # ------------------------------------------------------------------
-
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        bits = self._check_data(data)
-        symbols = np.zeros(_SYMBOLS, dtype=np.uint8)
-        symbols[:_DATA_SYMBOLS] = self._to_symbols(bits)
-        s0 = 0
-        s1 = 0
-        for index in range(_DATA_SYMBOLS):
-            value = int(symbols[index])
-            s0 = FIELD.add(s0, value)
-            s1 = FIELD.add(s1, FIELD.mul(value, self._alpha[index]))
-        # Choose parity p16, p17 so both syndromes vanish:
-        #   p16 + p17 = s0;  p16*a16 + p17*a17 = s1.
-        a16 = self._alpha[16]
-        numerator = FIELD.add(s1, FIELD.mul(s0, a16))
-        p17 = FIELD.div(numerator, self._denominator)
-        p16 = FIELD.add(s0, p17)
-        symbols[16] = p16
-        symbols[17] = p17
-        return self._to_bits(symbols)
-
-    def _syndromes(self, symbols: np.ndarray) -> "tuple[int, int]":
-        s0 = 0
-        s1 = 0
-        for index in range(_SYMBOLS):
-            value = int(symbols[index])
-            if value:
-                s0 = FIELD.add(s0, value)
-                s1 = FIELD.add(s1, FIELD.mul(value, self._alpha[index]))
-        return s0, s1
-
-    def decode(self, codeword: np.ndarray) -> DecodeResult:
-        bits = self._check_codeword(codeword)
-        symbols = self._to_symbols(bits)
-        s0, s1 = self._syndromes(symbols)
-        if s0 == 0 and s1 == 0:
-            return DecodeResult(bits[: self.k_bits].copy(), DecodeOutcome.CLEAN)
-        if s0 != 0 and s1 != 0:
-            # Single symbol error of value s0 at position log(s1/s0).
-            position = FIELD.log_alpha(FIELD.div(s1, s0))
-            if position < _SYMBOLS:
-                repaired = symbols.copy()
-                repaired[position] = FIELD.add(int(repaired[position]), s0)
-                repaired_bits = self._to_bits(repaired)
-                return DecodeResult(
-                    repaired_bits[: self.k_bits], DecodeOutcome.CORRECTED
-                )
-        # s0 == 0 with s1 != 0 (or vice versa), or locator out of range:
-        # inconsistent with any single-symbol error.
-        return DecodeResult(bits[: self.k_bits].copy(), DecodeOutcome.DETECTED)
-
-    # ------------------------------------------------------------------
-    # Batched codec (vectorized Monte Carlo path)
-    # ------------------------------------------------------------------
 
     def encode_batch(self, data: np.ndarray) -> np.ndarray:
         """Encode a ``(trials, 128)`` batch into ``(trials, 144)`` bits."""
@@ -157,11 +78,12 @@ class ChipkillSsc(EccCode):
     def decode_batch(
         self, codewords: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Vectorized :meth:`decode` over a ``(trials, 144)`` batch.
+        """Decode a ``(trials, 144)`` batch.
 
-        Returns ``(data, outcomes)`` exactly as the scalar decoder would
-        per codeword: ``(trials, 128)`` data-bit estimates and a
-        ``(trials,)`` int8 array of outcome codes.
+        Returns ``(data, outcomes)``: ``(trials, 128)`` data-bit estimates
+        and a ``(trials,)`` int8 array of outcome codes. Nonzero syndromes
+        ``s0``, ``s1`` locate one symbol error of value ``s0`` at
+        ``log(s1 / s0)``; anything else is detected.
         """
         bits = self._check_codeword_batch(codewords)
         symbols = self._to_symbols_batch(bits).astype(np.int64)

@@ -31,42 +31,12 @@ class GF256:
         self._exp = exp
         self._log = log
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Addition (= subtraction) is XOR."""
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[self._log[a] + self._log[b]])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise EccError("zero has no multiplicative inverse in GF(256)")
-        return int(self._exp[255 - self._log[a]])
-
-    def div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise EccError("division by zero in GF(256)")
-        if a == 0:
-            return 0
-        return int(self._exp[(self._log[a] - self._log[b]) % 255])
-
     def pow_alpha(self, power: int) -> int:
         """alpha ** power for the field generator alpha = 2."""
         return int(self._exp[power % 255])
 
-    def log_alpha(self, value: int) -> int:
-        """Discrete log base alpha; value must be nonzero."""
-        if value == 0:
-            raise EccError("discrete log of zero is undefined")
-        return int(self._log[value])
-
-    # ------------------------------------------------------------------
-    # Array forms: the same log/antilog lookups on whole symbol batches
-    # (broadcasting as numpy does), for the vectorized Monte Carlo codecs.
-    # ------------------------------------------------------------------
+    # Array forms: log/antilog lookups on whole symbol batches
+    # (broadcasting as numpy does), for the vectorized codecs.
 
     def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise GF(256) product of two symbol arrays."""

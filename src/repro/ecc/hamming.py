@@ -22,8 +22,6 @@ from repro.ecc.base import (
     OUTCOME_CLEAN,
     OUTCOME_CORRECTED,
     OUTCOME_DETECTED,
-    DecodeOutcome,
-    DecodeResult,
     EccCode,
 )
 
@@ -58,57 +56,26 @@ class _HammingBase(EccCode):
         if set(data_columns) & set(parity_columns):
             raise ValueError("data columns must not collide with parity columns")
         self._columns = np.array(data_columns + parity_columns, dtype=np.int64)
-        # column -> codeword position for O(1) syndrome lookup
-        self._position = {int(col): idx for idx, col in enumerate(self._columns)}
         # Bit matrix of the data columns for vectorized parity computation.
         self._data_matrix = (
             (self._columns[:_DATA, None] >> np.arange(_PARITY)) & 1
         ).astype(np.uint8)  # shape (64, 8)
-        # Batched-decoder tables: the full (72, 8) column bit matrix plus
-        # dense syndrome -> position (-1 = no matching column) and
-        # syndrome -> correctable lookups covering all 256 syndromes.
+        # Decoder tables: the full (72, 8) column bit matrix plus dense
+        # syndrome -> position (-1 = no matching column) and syndrome ->
+        # correctable lookups covering all 256 syndromes.
         self._full_matrix = (
             (self._columns[:, None] >> np.arange(_PARITY)) & 1
         ).astype(np.uint8)
         self._syndrome_position = np.full(256, -1, dtype=np.int64)
-        for column, index in self._position.items():
-            self._syndrome_position[column] = index
+        self._syndrome_position[self._columns] = np.arange(_TOTAL)
         self._syndrome_correctable = np.array(
             [self._correctable(syndrome) for syndrome in range(256)],
             dtype=bool,
         )
 
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        bits = self._check_data(data)
-        parity = (bits @ self._data_matrix) & 1
-        return np.concatenate([bits, parity.astype(np.uint8)])
-
-    def _syndrome(self, codeword: np.ndarray) -> int:
-        bits = codeword.astype(bool)
-        syndrome = 0
-        for column in self._columns[bits]:
-            syndrome ^= int(column)
-        return syndrome
-
-    def decode(self, codeword: np.ndarray) -> DecodeResult:
-        bits = self._check_codeword(codeword)
-        syndrome = self._syndrome(bits)
-        if syndrome == 0:
-            return DecodeResult(bits[:_DATA].copy(), DecodeOutcome.CLEAN)
-        position = self._position.get(syndrome)
-        if position is not None and self._correctable(syndrome):
-            repaired = bits.copy()
-            repaired[position] ^= 1
-            return DecodeResult(repaired[:_DATA], DecodeOutcome.CORRECTED)
-        return DecodeResult(bits[:_DATA].copy(), DecodeOutcome.DETECTED)
-
     def _correctable(self, syndrome: int) -> bool:
         """Whether a column-matching syndrome should be corrected."""
         return True
-
-    # ------------------------------------------------------------------
-    # Batched codec (vectorized Monte Carlo path)
-    # ------------------------------------------------------------------
 
     def encode_batch(self, data: np.ndarray) -> np.ndarray:
         """Encode a ``(trials, 64)`` batch into ``(trials, 72)`` codewords."""
@@ -119,12 +86,12 @@ class _HammingBase(EccCode):
     def decode_batch(
         self, codewords: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Vectorized :meth:`decode` over a ``(trials, 72)`` batch.
+        """Decode a ``(trials, 72)`` batch.
 
         Returns ``(data, outcomes)``: the ``(trials, 64)`` corrected data
         estimates and a ``(trials,)`` int8 array of outcome codes
-        (:data:`~repro.ecc.base.OUTCOME_CLEAN` and friends), matching the
-        scalar decoder codeword for codeword.
+        (:data:`~repro.ecc.base.OUTCOME_CLEAN` and friends). A nonzero
+        syndrome equal to one column flips that bit, if correctable.
         """
         bits = self._check_codeword_batch(codewords)
         # XOR-folding the set columns equals, per parity bit, the popcount

@@ -22,10 +22,12 @@ buffers every activation the batcher proves action-free (outside its
 state is three flat lists and actions travel as plain tuples.
 
 Its oracle is ``reference_memsim_run`` in ``tests/differential/
-harness.py``, one iteration per request and one ``on_activate`` per
-activation: same requests and latency sums per core (the same float
-operations in the same order), hit/miss split, preventive-refresh and
-rank-block counts, and the same REF/PRE/ACT stream for the timing checker.
+harness.py``, one iteration per request (each address popped off the
+core's ``AddressGenerator`` by the harness's ``next_address``) and one
+``on_activate`` per activation: same requests and latency sums per core
+(the same float operations in the same order), hit/miss split,
+preventive-refresh and rank-block counts, and the same REF/PRE/ACT stream
+for the timing checker.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro import obs
-from repro.errors import SimulationError
+from repro.errors import SimulationError, TimingViolationError
 from repro.memsim.trace import AddressGenerator, WorkloadMix
 from repro.mitigations.base import Mitigation, VICTIM_REFRESH_NS
 from repro.mitigations.fast import make_batcher
@@ -101,8 +103,12 @@ def _checker_for(config: "SystemConfig"):
 
 
 def _feed(checker, entry) -> None:
-    if checker.feed(entry):
-        checker.report.raise_if_violations()
+    found = checker.feed(entry)
+    if found:
+        raise TimingViolationError(
+            f"{len(found)} timing violation(s); first: "
+            f"{found[0].describe()}"
+        )
 
 
 @dataclass
@@ -149,28 +155,6 @@ class SimulationResult:
     row_misses: int = 0
     preventive_refreshes: int = 0
     rank_blocks: int = 0
-
-    @property
-    def total_requests(self) -> int:
-        return sum(self.requests_per_core)
-
-    def throughput_per_core(self) -> List[float]:
-        """Requests per microsecond, per core."""
-        return [count / (self.window_ns / 1000.0) for count in self.requests_per_core]
-
-    def mean_latency_per_core(self) -> List[float]:
-        """Average memory latency in nanoseconds, per core."""
-        return [
-            total / count if count else 0.0
-            for total, count in zip(
-                self.total_latency_per_core, self.requests_per_core
-            )
-        ]
-
-    @property
-    def row_hit_rate(self) -> float:
-        accesses = self.row_hits + self.row_misses
-        return self.row_hits / accesses if accesses else 0.0
 
 
 class CoreStream:

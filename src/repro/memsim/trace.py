@@ -48,10 +48,6 @@ class SyntheticWorkload:
         if self.hot_rows < 1:
             raise ConfigurationError(f"{self.name}: hot_rows must be >= 1")
 
-    @property
-    def is_highly_memory_intensive(self) -> bool:
-        return self.mpki >= 20.0
-
     def gap_ns(self, core_freq_ghz: float = 4.0, base_ipc: float = 2.0) -> float:
         """Average compute time between LLC misses when never stalled."""
         instructions_per_miss = 1000.0 / self.mpki
@@ -113,8 +109,8 @@ def standard_mixes(count: int = 15, seed: int = 7) -> List[WorkloadMix]:
 
 
 #: Addresses generated per RNG batch. Fixed so the stream is identical no
-#: matter how it is consumed (``next_address`` one at a time, or ``take``
-#: in arbitrary slices): draws always happen in whole-chunk batches.
+#: matter how it is consumed (one address at a time, or ``take`` in
+#: arbitrary slices): draws always happen in whole-chunk batches.
 ADDRESS_CHUNK = 1024
 
 
@@ -123,10 +119,9 @@ class AddressGenerator:
 
     Addresses are generated in vectorized chunks of :data:`ADDRESS_CHUNK`
     (locality coin flips, bank picks, and Zipf row picks each batched into
-    one RNG call) and served from an internal buffer. ``next_address``
-    pops one address; :meth:`take` hands out whole arrays for the fast
-    simulation core. Both views consume the same buffer, so the stream a
-    core sees is bit-identical whichever API drives it.
+    one RNG call) and served from an internal buffer: :meth:`take` hands
+    out whole arrays for the simulation loop, in any slicing, from the
+    same stream.
     """
 
     def __init__(
@@ -205,21 +200,8 @@ class AddressGenerator:
         self._last_row = int(rows[-1])
         self._primed = True
 
-    def next_address(self) -> "tuple[int, int]":
-        """(bank, row) of the next LLC miss."""
-        if self._cursor >= self._buf_banks.size:
-            self._refill()
-        cursor = self._cursor
-        self._cursor = cursor + 1
-        return int(self._buf_banks[cursor]), int(self._buf_rows[cursor])
-
     def take(self, n: int) -> "tuple[np.ndarray, np.ndarray]":
-        """The next ``n`` addresses as ``(banks, rows)`` arrays.
-
-        Consumes the same buffered stream as :meth:`next_address`, so
-        interleaving the two APIs (or choosing either exclusively) yields
-        identical addresses.
-        """
+        """The next ``n`` LLC misses as ``(banks, rows)`` arrays."""
         if n < 1:
             raise ConfigurationError("take needs at least one address")
         banks_parts = []

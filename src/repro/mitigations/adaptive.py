@@ -46,10 +46,6 @@ class AdaptiveMitigation(Mitigation):
         self._acts_since_check = 0
         self.reconfigurations = 0
 
-    @property
-    def inner(self) -> Mitigation:
-        return self._inner
-
     def _maybe_reconfigure(self) -> float:
         """Returns the extra rank stall if a rebuild happened."""
         target = self.policy.threshold()

@@ -43,7 +43,12 @@ to per-call draws.
 with screened epochs and exact steps produces byte-identical actions,
 action positions, and final counters to calling the reference
 mitigation's ``on_activate`` once per activation
-(``tests/mitigations/test_fast.py`` asserts this directly). Any
+(``tests/mitigations/test_fast.py`` asserts this directly, and the
+``memsim`` pair's ``reference_memsim_run`` in ``tests/differential/
+harness.py`` drives the reference mitigations through a whole
+simulation). The reference mitigations stay in :mod:`repro.mitigations`
+as that oracle; their ``on_refresh_window`` and the batchers' run when a
+simulated window crosses tREFW (``fig14 --window`` above 32 ms). Any
 behavioral change to a reference mitigation MUST be mirrored here.
 """
 

@@ -9,8 +9,6 @@ and the overhead grows inversely with the configured threshold.
 
 from __future__ import annotations
 
-import math
-
 from repro.mitigations.base import Mitigation, PreventiveAction, neighbors_of
 from repro.rng import derive
 
@@ -38,17 +36,7 @@ class Para(Mitigation):
             )
         return PreventiveAction()
 
-    @property
-    def expected_refreshes_per_activation(self) -> float:
-        """Analytic overhead rate: 2p victim refreshes per ACT."""
-        return 2.0 * self.p
-
 
 def para_probability(threshold: float, failure_probability: float = 1e-10) -> float:
     """The p PARA needs for a given threshold (exposed for analysis)."""
     return min(1.0, 1.0 - failure_probability ** (1.0 / threshold))
-
-
-def para_overhead_bound(threshold: float) -> float:
-    """Rule-of-thumb ln(1/Pfail)/T used in the literature."""
-    return min(1.0, math.log(1e10) / threshold)

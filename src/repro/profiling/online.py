@@ -228,18 +228,6 @@ class OnlineRdtProfiler:
                 break
         return performed
 
-    def profile(self) -> Dict[int, RowProfile]:
-        """The live per-row profiles."""
-        return dict(self._profiles)
-
-    def min_estimate(self, row: int) -> float:
-        profile = self._profiles.get(row)
-        if profile is None:
-            raise MeasurementError(f"row {row} is not being profiled")
-        if not profile.has_estimate:
-            raise MeasurementError(f"row {row} has no measurements yet")
-        return profile.min_rdt
-
     def min_holder(self) -> Optional[int]:
         """The row currently holding the global minimum estimate."""
         best_row = None

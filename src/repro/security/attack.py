@@ -111,10 +111,6 @@ class AttackOutcome:
     min_rdt_seen: float
     min_exposure_margin: float  # min over windows of (rdt - exposure)/rdt
 
-    @property
-    def survived(self) -> bool:
-        return not self.flipped
-
 
 def attack_escape(
     module: DramModule,

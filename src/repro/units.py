@@ -23,16 +23,6 @@ def ms(value: float) -> float:
     return value * NS_PER_MS
 
 
-def seconds(value: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return value * NS_PER_S
-
-
-def ns_to_us(value_ns: float) -> float:
-    """Convert nanoseconds to microseconds."""
-    return value_ns / NS_PER_US
-
-
 def ns_to_ms(value_ns: float) -> float:
     """Convert nanoseconds to milliseconds."""
     return value_ns / NS_PER_MS

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bender.compiler import compile_trial
 from repro.bender.host import DramBender
 from repro.bender.interpreter import Interpreter
-from repro.bender.isa import Hammer, ReadRow, WriteRow
+from repro.bender.isa import Hammer, ReadRow, Wait, WriteRow
 from repro.bender.program import Program, ProgramBuilder
 from repro.core.config import TestConfig
 from repro.core.patterns import ALL_PATTERNS, CHECKERED0, ROWSTRIPE0
@@ -225,10 +225,25 @@ def test_compiled_matches_interpreter_across_seeds(sequence, seed, radius):
     assert_trials_match(sequence, seed=seed, radius=radius)
 
 
+def command_estimate(program, columns: int) -> int:
+    """Raw DRAM commands of a program by Appendix A's accounting: one per
+    ACT or PRE, one per column of a row write or read, and an ACT and a
+    PRE per hammer activation."""
+    total = 0
+    for instruction in program:
+        if isinstance(instruction, (WriteRow, ReadRow)):
+            total += columns
+        elif isinstance(instruction, Hammer):
+            total += 2 * instruction.total_activations
+        elif not isinstance(instruction, Wait):
+            total += 1
+    return total
+
+
 def test_command_estimate_matches_executed_counts():
-    """``Program.command_estimate`` equals the executed command totals for
-    builder-generated sweep programs (Appendix A accounting), on the
-    interpreter and on a trial plan replayed at the same hammer count."""
+    """The executed command totals of builder-generated sweep programs
+    follow Appendix A's accounting, on the interpreter and on a trial plan
+    replayed at the same hammer count."""
     module = fresh_module()
     columns = module.geometry.columns_per_row
     for hammers in (0, 1, 777):
@@ -241,14 +256,14 @@ def test_command_estimate_matches_executed_counts():
         program = builder.build()
 
         result = Interpreter(fresh_module()).run(program)
-        assert sum(result.command_counts.values()) == program.command_estimate(
-            columns
+        assert sum(result.command_counts.values()) == command_estimate(
+            program, columns
         )
 
         interpreter = Interpreter(module)
         compile_trial(program, module).replay(interpreter, hammers)
         assert sum(interpreter.total_counts.values()) == (
-            program.command_estimate(columns)
+            command_estimate(program, columns)
         )
         module = fresh_module()
 
@@ -441,7 +456,7 @@ def test_every_catalog_device_compiles_under_the_full_table(module_id):
     the tAggOn range."""
     module = catalog_module(module_id)
     bender = DramBender(module, init_radius=8)
-    for t_agg_on in (module.timing.tRAS, module.timing.max_row_open):
+    for t_agg_on in (module.timing.tRAS, 9 * module.timing.tREFI):
         for victim in (0, 100):
             plan = bender.compiled_trial(0, victim, CHECKERED0, t_agg_on)
             assert max(plan.certified_counts) * len(

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.bender.isa import Hammer, Pre, ReadRow, Wait, WriteRow
+from repro.bender.interpreter import Interpreter
 from repro.bender.program import ProgramBuilder
 from repro.core.patterns import CHECKERED0
 from repro.errors import ProgramError
+from tests.conftest import make_module
 
 
 def test_write_row_fill_byte():
@@ -86,6 +88,11 @@ def test_double_sided_round_rejects_many_aggressors():
 def test_command_estimate():
     builder = ProgramBuilder()
     builder.write_row(0, 5, 0).hammer(0, [4, 6], 10, 35.0).read_row(0, 5, "v")
-    estimate = builder.build().command_estimate(columns_per_row=128)
-    # ACT+PRE (2) + 128 writes + 40 hammer commands + ACT+PRE (2) + 128 reads
-    assert estimate == 2 + 128 + 40 + 2 + 128
+    module = make_module()
+    columns = module.geometry.columns_per_row
+    result = Interpreter(module).run(builder.build())
+    # ACT+PRE (2) + one write per column + 40 hammer commands + ACT+PRE (2)
+    # + one read per column
+    assert result.command_counts == {
+        "ACT": 22, "PRE": 22, "WR": columns, "RD": columns
+    }

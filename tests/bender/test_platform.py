@@ -31,4 +31,4 @@ def test_testbed_rejects_mismatched_board():
 
 def test_testbed_without_controller_is_room_controlled():
     testbed = Testbed(board=ALVEO_U200, module=make_module())
-    assert not testbed.temperature_controlled
+    assert testbed.controller is None

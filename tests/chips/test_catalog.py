@@ -14,6 +14,7 @@ from repro.chips import (
     vrd_params_for,
 )
 from repro.chips.vendors import VENDORS, vendor
+from repro.dram.cells import CellLayoutKind
 from repro.errors import CatalogError
 
 
@@ -110,14 +111,14 @@ def test_build_module_kinds_and_determinism():
 def test_m0_has_row_uniform_layout():
     # Sec. 5.6 measures whole true-/anti-cell rows on module M0.
     m0 = build_module("M0")
-    assert m0.cell_layout.row_uniform
+    assert m0.cell_layout.kind is CellLayoutKind.ROW_BLOCKS
     other = build_module("M1")
-    assert not other.cell_layout.row_uniform
+    assert other.cell_layout.kind is CellLayoutKind.MIXED
 
 
 def test_density_parsing_and_labels():
     device = spec("S4")
-    assert device.density_gb == 4
+    assert device.density == "4Gb"
     assert "S4" in device.label()
 
 

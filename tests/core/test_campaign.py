@@ -49,7 +49,7 @@ def test_campaign_runs_all_pairs(module):
     result = campaign.run([10, 20, 30])
     assert len(result) == len(configs) * 3
     assert result.rows() == [10, 20, 30]
-    assert len(result.for_row(10)) == len(configs)
+    assert sum(obs.row == 10 for obs in result.observations) == len(configs)
 
 
 def test_campaign_metrics(module):
@@ -70,7 +70,10 @@ def test_campaign_metrics(module):
 def test_campaign_filter_by_pattern(module):
     configs = small_configs(module)
     result = Campaign(module, configs, n_measurements=100).run([10])
-    only = result.filter(lambda obs: obs.config.pattern.name == "rowstripe0")
+    only = [
+        obs for obs in result.observations
+        if obs.config.pattern.name == "rowstripe0"
+    ]
     assert len(only) == 1
 
 

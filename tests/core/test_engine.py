@@ -6,7 +6,6 @@ both directly — array equality, not statistical closeness.
 """
 
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from repro.core import CHECKERED0, ROWSTRIPE0, FastRdtMeter, TestConfig
 from repro.core.adaptive import AdaptiveScheduler
 from repro.core.campaign import Campaign, CampaignResult, select_vulnerable_rows
 from repro.core.engine import CampaignCache
-from repro.core.patterns import ALL_PATTERNS, DataPattern
+from repro.core.patterns import DataPattern
 from repro.core.store import FORMAT_VERSION
 from repro.errors import ConfigurationError, MeasurementError
 from repro.store import KIND_CAMPAIGN
@@ -92,16 +91,6 @@ def assert_identical(left: CampaignResult, right: CampaignResult):
         assert (a.bank, a.row, a.config) == (b.bank, b.row, b.config)
         np.testing.assert_array_equal(a.series.values, b.series.values)
         assert a.series.grid_step == b.series.grid_step
-
-
-def test_table2_patterns_unpickle_to_canonical_instances():
-    """Figures filter observations with ``config.pattern is p``; a pickled
-    copy of a result must keep the canonical Table 2 pattern objects."""
-    assert pickle.loads(pickle.dumps(CHECKERED0)) is CHECKERED0
-    for pattern in ALL_PATTERNS:
-        assert pickle.loads(pickle.dumps(pattern)) is pattern
-    custom = DataPattern("custom", 0x3C)
-    assert pickle.loads(pickle.dumps(custom)) == custom
 
 
 def test_engine_rejects_empty_rows():

@@ -75,9 +75,8 @@ class TestRecordMinima:
     def test_records_up_to(self):
         values = np.array([5.0, 4.0, 6.0, 3.0] + [7.0] * 8)
         analysis = record_minima(values)
-        assert analysis.records_up_to(2) == 2
-        assert analysis.records_up_to(4) == 3
-        assert analysis.records_up_to(12) == 3
+        # New running minima at measurements 0, 1 and 3, none after.
+        assert analysis.record_indices == [0, 1, 3]
 
     def test_stopping_time_quantiles(self):
         rng = np.random.default_rng(4)

@@ -51,13 +51,14 @@ from __future__ import annotations
 import contextlib
 import math
 import random
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from functools import lru_cache, partial
 from types import SimpleNamespace
 from typing import Callable, List
 
 import numpy as np
 
+from repro.dram.cells import CellLayoutKind
 from repro.dram.faults import (
     PATTERN_VICTIM_BYTE,
     REFERENCE_T_AGG_ON,
@@ -263,6 +264,16 @@ class _BankState:
     last_act: float = -1e9
 
 
+def next_address(generator) -> "tuple[int, int]":
+    """(bank, row) of a core's next LLC miss, popped one at a time off
+    the ``AddressGenerator`` buffer that ``take`` hands out in slices."""
+    if generator._cursor >= generator._buf_banks.size:
+        generator._refill()
+    cursor = generator._cursor
+    generator._cursor = cursor + 1
+    return int(generator._buf_banks[cursor]), int(generator._buf_rows[cursor])
+
+
 def reference_memsim_run(system, checker=None):
     """One simulation window, one Python iteration per request, calling the
     mitigation's own ``on_activate`` on every activation.
@@ -298,7 +309,7 @@ def reference_memsim_run(system, checker=None):
         arrival = arrivals[core]
         if arrival >= config.window_ns:
             break
-        bank_index, row = system._generators[core].next_address()
+        bank_index, row = next_address(system._generators[core])
         bank = banks[bank_index]
 
         start = max(arrival, bank.ready, rank_blocked_until)
@@ -431,6 +442,31 @@ def memsim_fast(seed: int) -> tuple:
 # ----------------------------------------------------------------------
 
 
+def bit_is_true_cell(layout, row: int, bit: int) -> bool:
+    """Polarity of one cell of a ``CellLayout`` (all true cells without
+    one): the specification of ``CellLayout.bits_are_true_cells``."""
+    if layout is None:
+        return True
+    if layout.kind is CellLayoutKind.MIXED:
+        return ((bit >> 3) + row) % 2 == 0
+    return layout.row_is_true_cell(row)
+
+
+def charged_mask(layout, row: int, data_bits) -> np.ndarray:
+    """The cells of a row that hold charge for the stored bits: true cells
+    storing 1, anti cells storing 0. A weak cell of ``BankVrdState`` flips
+    at its margin when charged and at a higher one when not;
+    ``tests/dram/test_fastfaults.py`` holds its margins to this mask."""
+    bits = np.asarray(data_bits, dtype=bool)
+    true_cells = [bit_is_true_cell(layout, row, bit) for bit in range(bits.size)]
+    return np.where(true_cells, bits, ~bits)
+
+
+def bytes_to_bits(data) -> np.ndarray:
+    """Unpack a uint8 row buffer to bits, LSB first within each byte."""
+    return np.unpackbits(np.asarray(data, dtype=np.uint8), bitorder="little")
+
+
 class ReferenceRow:
     """The VRD process of one DRAM row, row at a time with one ``Trap``
     object per trap: a scalar constructor, scalar condition factors, a
@@ -442,7 +478,7 @@ class ReferenceRow:
     for many rows at once, and ``RowVrdProcess`` steps this chain.
     """
 
-    def __init__(self, params, row_bits, seed, identity, true_cell_lookup=None):
+    def __init__(self, params, row_bits, seed, identity, cell_layout=None):
         self.params = params
         self.identity = identity
         self._seed = seed
@@ -532,9 +568,10 @@ class ReferenceRow:
         gaps = gaps * 2.0 ** np.arange(params.weak_cells)
         gaps[0] = 0.0
         self.weak_cell_margins = np.cumsum(gaps)
-        lookup = true_cell_lookup or (lambda row, bit: True)
         self.weak_cell_true = np.array(
-            [lookup(row, int(bit)) for bit in self.weak_cell_bits], dtype=bool
+            [bit_is_true_cell(cell_layout, row, int(bit))
+             for bit in self.weak_cell_bits],
+            dtype=bool,
         )
         self.uncharged_penalty = float(rng.uniform(0.03, 0.15))
         self._states = {}
@@ -684,10 +721,9 @@ class ReferenceRow:
 
 def reference_row(model, bank: int, row: int) -> ReferenceRow:
     """The reference row of ``row`` of ``bank`` in a ``ModuleFaultModel``."""
-    layout = model.cell_layout
     return ReferenceRow(
         model.params, model.row_bits, model.seed, (model.module_id, bank, row),
-        true_cell_lookup=None if layout is None else layout.bit_is_true_cell,
+        cell_layout=model.cell_layout,
     )
 
 
@@ -1184,7 +1220,7 @@ def expand_stream(entries):
 
 def with_timing(module, **overrides):
     """``module`` with its timing preset overridden, banks included."""
-    timing = module.timing.with_overrides(**overrides)
+    timing = replace(module.timing, **overrides)
     module.timing = timing
     for bank in module.banks:
         bank.timing = timing
@@ -1354,6 +1390,142 @@ def adaptive_fast(seed: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
+# ecc: the scalar codecs, one codeword at a time
+# ----------------------------------------------------------------------
+#
+# The specification of the batched codecs in ``repro.ecc``: GF(256)
+# arithmetic by shift-and-add rather than the log tables, and each
+# codeword encoded and decoded symbol by symbol. ``tests/ecc/
+# test_batch.py`` holds ``encode_batch``/``decode_batch`` and the field's
+# array operations to these, trial for trial.
+
+
+@lru_cache(maxsize=None)
+def gf_mul(a: int, b: int) -> int:
+    """GF(256) product, reducing by x^8 + x^4 + x^3 + x^2 + 1 (0x11D)."""
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11D
+        b >>= 1
+    return product
+
+
+@lru_cache(maxsize=None)
+def gf_pow(a: int, power: int) -> int:
+    result = 1
+    for _ in range(power):
+        result = gf_mul(result, a)
+    return result
+
+
+def gf_div(a: int, b: int) -> int:
+    """``a / b`` as ``a * b^254`` (the multiplicative group has order 255)."""
+    return gf_mul(a, gf_pow(b, 254))
+
+
+@lru_cache(maxsize=None)
+def gf_log(value: int) -> int:
+    """Discrete log base alpha = 2 of a nonzero element."""
+    power, element = 0, 1
+    while element != value:
+        power, element = power + 1, gf_mul(element, 2)
+        if power == 255:
+            raise ConfigurationError(f"{value} is not a power of alpha")
+    return power
+
+
+def _hamming_syndrome(code, bits) -> int:
+    """XOR of the parity-check columns of the set bits."""
+    syndrome = 0
+    for column, bit in zip(code._columns.tolist(), bits):
+        if bit:
+            syndrome ^= column
+    return syndrome
+
+
+def _to_symbols(bits) -> list:
+    """Byte symbols of a bit array, symbol i = bits [8i, 8i+8), LSB first."""
+    return np.packbits(
+        np.asarray(bits, dtype=np.uint8).reshape(-1, 8), axis=1,
+        bitorder="little",
+    ).reshape(-1).tolist()
+
+
+def _to_bits(symbols) -> np.ndarray:
+    return np.unpackbits(
+        np.array(symbols, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+    ).reshape(-1)
+
+
+def _chipkill_syndromes(symbols) -> "tuple[int, int]":
+    s0 = s1 = 0
+    for index, value in enumerate(symbols):
+        s0 ^= value
+        s1 ^= gf_mul(value, gf_pow(2, index))
+    return s0, s1
+
+
+def scalar_encode(code, data) -> np.ndarray:
+    """One codeword of ``code`` (``Sec72``, ``Secded72`` or
+    ``ChipkillSsc``): the data followed by its check bits or symbols."""
+    from repro.ecc.chipkill import ChipkillSsc
+
+    data = np.asarray(data, dtype=np.uint8)
+    if not isinstance(code, ChipkillSsc):
+        syndrome = _hamming_syndrome(code, data)
+        parity = [(syndrome >> bit) & 1 for bit in range(code.n_bits - 64)]
+        return np.concatenate([data, np.array(parity, dtype=np.uint8)])
+    # Check symbols p16, p17 make both syndromes vanish:
+    #   p16 + p17 = s0;  p16 * alpha^16 + p17 * alpha^17 = s1.
+    symbols = _to_symbols(data)
+    s0, s1 = _chipkill_syndromes(symbols)
+    a16, a17 = gf_pow(2, 16), gf_pow(2, 17)
+    p17 = gf_div(s1 ^ gf_mul(s0, a16), a16 ^ a17)
+    return _to_bits(symbols + [s0 ^ p17, p17])
+
+
+def scalar_decode(code, codeword) -> "tuple[np.ndarray, int]":
+    """The data estimate of one received codeword and the decoder's
+    outcome code (``repro.ecc.base.OUTCOME_CLEAN`` and friends).
+
+    SEC and SECDED correct the one bit whose column equals the syndrome
+    (SECDED only for odd-weight syndromes); Chipkill corrects one symbol
+    error of value ``s0`` at ``log(s1 / s0)``. Anything else is detected.
+    """
+    from repro.ecc.base import OUTCOME_CLEAN, OUTCOME_CORRECTED, OUTCOME_DETECTED
+    from repro.ecc.chipkill import ChipkillSsc
+    from repro.ecc.hamming import Secded72
+
+    bits = np.asarray(codeword, dtype=np.uint8)
+    k = code.k_bits
+    if not isinstance(code, ChipkillSsc):
+        syndrome = _hamming_syndrome(code, bits)
+        if syndrome == 0:
+            return bits[:k].copy(), OUTCOME_CLEAN
+        columns = code._columns.tolist()
+        odd = bin(syndrome).count("1") % 2 == 1
+        if syndrome in columns and (odd or not isinstance(code, Secded72)):
+            repaired = bits.copy()
+            repaired[columns.index(syndrome)] ^= 1
+            return repaired[:k], OUTCOME_CORRECTED
+        return bits[:k].copy(), OUTCOME_DETECTED
+    symbols = _to_symbols(bits)
+    s0, s1 = _chipkill_syndromes(symbols)
+    if s0 == 0 and s1 == 0:
+        return bits[:k].copy(), OUTCOME_CLEAN
+    if s0 and s1:
+        position = gf_log(gf_div(s1, s0))
+        if position < len(symbols):
+            symbols[position] ^= s0
+            return _to_bits(symbols)[:k], OUTCOME_CORRECTED
+    return bits[:k].copy(), OUTCOME_DETECTED
+
+
+# ----------------------------------------------------------------------
 # ecc: whole-chunk draws + per-codeword decode vs blocked batch decode
 # ----------------------------------------------------------------------
 
@@ -1363,7 +1535,7 @@ def reference_monte_carlo(code, ber: float, trials: int, rng):
     data draw and one ``(chunk, n_bits)`` uniform draw, then every codeword
     encoded and decoded one at a time."""
     from repro.ecc.analysis import _MC_CHUNK, MonteCarloOutcome
-    from repro.ecc.base import DecodeOutcome
+    from repro.ecc.base import OUTCOME_DETECTED
 
     wrong = silent_wrong = detected = 0
     for done in range(0, trials, _MC_CHUNK):
@@ -1371,9 +1543,11 @@ def reference_monte_carlo(code, ber: float, trials: int, rng):
         data = rng.integers(0, 2, (chunk, code.k_bits), dtype=np.uint8)
         errors = (rng.random((chunk, code.n_bits)) < ber).astype(np.uint8)
         for index in range(chunk):
-            result = code.decode(code.encode(data[index]) ^ errors[index])
-            is_detected = result.outcome is DecodeOutcome.DETECTED
-            data_wrong = not np.array_equal(result.data, data[index])
+            decoded, outcome = scalar_decode(
+                code, scalar_encode(code, data[index]) ^ errors[index]
+            )
+            is_detected = outcome == OUTCOME_DETECTED
+            data_wrong = not np.array_equal(decoded, data[index])
             detected += is_detected
             wrong += data_wrong
             silent_wrong += data_wrong and not is_detected

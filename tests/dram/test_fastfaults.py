@@ -32,7 +32,12 @@ from repro.dram.fastfaults import (
 from repro.dram.traps import _MAX_P, _MIN_BATCH, _MIN_P, Trap, sample_occupancy_series
 from repro.errors import ConfigurationError
 from repro.rng import child_seed, derive
-from tests.differential.harness import ReferenceRow, reference_occupancy_series
+from tests.differential.harness import (
+    ReferenceRow,
+    bytes_to_bits,
+    charged_mask,
+    reference_occupancy_series,
+)
 
 ROW_BITS = 8192
 SEED = 11
@@ -447,10 +452,22 @@ def test_weak_cell_polarity_matches_process(layout):
     for index, row in enumerate(ROWS):
         reference = ReferenceRow(
             params, ROW_BITS, SEED, (MODULE, BANK, row),
-            true_cell_lookup=layout.bit_is_true_cell,
+            cell_layout=layout,
         )
         np.testing.assert_array_equal(
             state.weak_cell_true[index], reference.weak_cell_true
         )
         series = reference.latent_series(condition, 10, stream="guess")
         assert means[index] == float(series.mean())
+    # A weak cell's flip margin carries the uncharged penalty exactly when
+    # the Table 2 pattern leaves it discharged.
+    for pattern, byte in faults.PATTERN_VICTIM_BYTE.items():
+        image = bytes_to_bits(np.full(ROW_BITS // 8, byte, dtype=np.uint8))
+        margins = state._factors(Condition(pattern, 35.0, 50.0).canonical())[2]
+        for index, row in enumerate(ROWS):
+            charged = charged_mask(layout, row, image)[state.weak_cell_bits[index]]
+            np.testing.assert_array_equal(
+                margins[index],
+                state.weak_cell_margins[index]
+                + np.where(charged, 0.0, state.uncharged_penalty[index]),
+            )

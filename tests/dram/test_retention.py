@@ -21,7 +21,7 @@ def test_no_flips_within_refresh_window():
 
 def test_flips_far_beyond_horizon():
     model = make_model()
-    horizon = model.horizon_ns(0, 3)
+    horizon = model.vrt_cell(0, 3).high_retention_ns
     flips = model.retention_flips(0, 3, horizon * 10)
     assert len(flips) == model.weak_cells
     assert all(0 <= bit < 8192 for bit in flips)
@@ -29,7 +29,7 @@ def test_flips_far_beyond_horizon():
 
 def test_gradual_decay():
     model = make_model()
-    horizon = model.horizon_ns(0, 3)
+    horizon = model.vrt_cell(0, 3).high_retention_ns
     early = model.retention_flips(0, 3, horizon * 1.1)
     late = model.retention_flips(0, 3, horizon * 3.0)
     assert len(early) <= len(late)
@@ -38,13 +38,13 @@ def test_gradual_decay():
 def test_horizon_above_window():
     model = make_model()
     for row in range(100):
-        assert model.horizon_ns(0, row) > ms(64.0)
+        assert model.vrt_cell(0, row).high_retention_ns > ms(64.0)
 
 
 def test_deterministic_per_row():
     a = make_model()
     b = make_model()
-    assert a.horizon_ns(1, 9) == b.horizon_ns(1, 9)
+    assert a.vrt_cell(1, 9).high_retention_ns == b.vrt_cell(1, 9).high_retention_ns
 
 
 def test_validation():

@@ -1,9 +1,13 @@
 """Tests for JEDEC timing presets."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.dram import timing as t
 from repro.errors import ConfigurationError
+from tests.conftest import make_module
+from tests.differential.harness import with_timing
 
 
 def test_table6_values_exact():
@@ -30,29 +34,20 @@ def test_trc_is_tras_plus_trp():
         assert preset.tRC == pytest.approx(preset.tRAS + preset.tRP)
 
 
-def test_max_row_open_is_nine_trefi():
-    assert t.DDR4_3200.max_row_open == pytest.approx(9 * t.DDR4_3200.tREFI)
-
-
-def test_activations_per_refresh_window():
-    preset = t.DDR4_3200
-    count = preset.activations_per_refresh_window(preset.tRAS)
-    assert count == int(preset.tREFW // (preset.tRAS + preset.tRP))
-    with pytest.raises(ConfigurationError):
-        preset.activations_per_refresh_window(1.0)
-
-
 def test_with_overrides():
-    modified = t.DDR4_3200.with_overrides(tRAS=40.0)
-    assert modified.tRAS == 40.0
-    assert modified.tRCD == t.DDR4_3200.tRCD
+    module = make_module()
+    before = module.timing
+    with_timing(module, tRAS=40.0)
+    assert module.timing.tRAS == 40.0
+    assert module.timing.tRCD == before.tRCD
+    assert all(bank.timing is module.timing for bank in module.banks)
 
 
 def test_invalid_timing_rejected():
     with pytest.raises(ConfigurationError):
-        t.DDR4_3200.with_overrides(tRP=-1.0)
+        replace(t.DDR4_3200, tRP=-1.0)
     with pytest.raises(ConfigurationError):
-        t.DDR4_3200.with_overrides(tRAS=1.0)  # below tRCD
+        replace(t.DDR4_3200, tRAS=1.0)  # below tRCD
 
 
 def test_presets_lookup():

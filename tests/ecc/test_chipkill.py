@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ecc.base import DecodeOutcome
+from repro.ecc.base import OUTCOME_CLEAN, OUTCOME_CORRECTED, OUTCOME_DETECTED
 from repro.ecc.chipkill import ChipkillSsc
 
 
@@ -21,53 +21,42 @@ def test_dimensions(code):
 
 
 def test_clean_roundtrip(code):
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        data = rng.integers(0, 2, 128, dtype=np.uint8)
-        assert code.roundtrip_clean(data)
+    data = np.random.default_rng(0).integers(0, 2, (20, 128), dtype=np.uint8)
+    decoded, outcomes = code.decode_batch(code.encode_batch(data))
+    assert np.array_equal(decoded, data)
+    assert np.all(outcomes == OUTCOME_CLEAN)
 
 
 def test_any_error_within_one_symbol_corrected(code):
     rng = np.random.default_rng(1)
-    data = rng.integers(0, 2, 128, dtype=np.uint8)
-    codeword = code.encode(data)
+    data = rng.integers(0, 2, (1, 128), dtype=np.uint8)
+    patterns = np.unpackbits(
+        np.array([0x01, 0x81, 0xFF, 0x5A], dtype=np.uint8)[:, None],
+        axis=1, bitorder="little",
+    )
+    errors = np.zeros((code.n_symbols, len(patterns), 144), dtype=np.uint8)
     for symbol in range(code.n_symbols):
-        for pattern in (0x01, 0x81, 0xFF, 0x5A):
-            corrupted = codeword.copy()
-            for bit in range(8):
-                if pattern & (1 << bit):
-                    corrupted[symbol * 8 + bit] ^= 1
-            result = code.decode(corrupted)
-            assert result.outcome is DecodeOutcome.CORRECTED
-            assert np.array_equal(result.data, data), (symbol, pattern)
+        errors[symbol, :, symbol * 8:symbol * 8 + 8] = patterns
+    decoded, outcomes = code.decode_batch(
+        code.encode_batch(data) ^ errors.reshape(-1, 144)
+    )
+    assert np.all(outcomes == OUTCOME_CORRECTED)
+    assert np.array_equal(decoded, np.repeat(data, len(decoded), axis=0))
 
 
 def test_two_symbol_errors_not_silently_wrong_often(code):
     """Two-symbol errors exceed the correction power; the decoder either
     detects them or (rarely) miscorrects — it must never return CLEAN."""
     rng = np.random.default_rng(2)
-    data = rng.integers(0, 2, 128, dtype=np.uint8)
-    codeword = code.encode(data)
-    outcomes = {"detected": 0, "miscorrected": 0}
-    for _ in range(1000):
+    data = rng.integers(0, 2, (1, 128), dtype=np.uint8)
+    corrupted = np.repeat(code.encode_batch(data), 1000, axis=0)
+    for row in corrupted:
         s1, s2 = rng.choice(code.n_symbols, size=2, replace=False)
-        corrupted = codeword.copy()
-        corrupted[s1 * 8 + int(rng.integers(8))] ^= 1
-        corrupted[s2 * 8 + int(rng.integers(8))] ^= 1
-        result = code.decode(corrupted)
-        assert result.outcome is not DecodeOutcome.CLEAN
-        if result.outcome is DecodeOutcome.DETECTED:
-            outcomes["detected"] += 1
-        elif not np.array_equal(result.data, data):
-            outcomes["miscorrected"] += 1
-    assert outcomes["detected"] > 0
-
-
-def test_symbol_of_bit(code):
-    assert code.symbol_of_bit(0) == 0
-    assert code.symbol_of_bit(7) == 0
-    assert code.symbol_of_bit(8) == 1
-    assert code.symbol_of_bit(143) == 17
+        row[s1 * 8 + int(rng.integers(8))] ^= 1
+        row[s2 * 8 + int(rng.integers(8))] ^= 1
+    _, outcomes = code.decode_batch(corrupted)
+    assert not np.any(outcomes == OUTCOME_CLEAN)
+    assert np.any(outcomes == OUTCOME_DETECTED)
 
 
 @given(
@@ -78,12 +67,11 @@ def test_symbol_of_bit(code):
 @settings(max_examples=60, deadline=None)
 def test_single_symbol_correction_property(data, symbol, pattern):
     code = ChipkillSsc()
-    bits = np.array(data, dtype=np.uint8)
-    codeword = code.encode(bits)
-    corrupted = codeword.copy()
+    bits = np.array([data], dtype=np.uint8)
+    corrupted = code.encode_batch(bits)
     for bit in range(8):
         if pattern & (1 << bit):
-            corrupted[symbol * 8 + bit] ^= 1
-    result = code.decode(corrupted)
-    assert result.outcome is DecodeOutcome.CORRECTED
-    assert np.array_equal(result.data, bits)
+            corrupted[0, symbol * 8 + bit] ^= 1
+    decoded, outcomes = code.decode_batch(corrupted)
+    assert outcomes[0] == OUTCOME_CORRECTED
+    assert np.array_equal(decoded, bits)

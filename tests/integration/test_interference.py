@@ -19,7 +19,7 @@ def test_overstaying_retention_window_corrupts_reads():
     unless the experiment stays within tREFW."""
     module = make_module(seed=5)
     write_full(module, 0, 50, 0x55, 1000.0)
-    horizon = module.retention.horizon_ns(0, 50)
+    horizon = module.retention.vrt_cell(0, 50).high_retention_ns
     late = 1000.0 + horizon * 5.0
     module.activate(0, 50, late)
     data = module.read_row(0, 50, late + module.timing.tRCD)

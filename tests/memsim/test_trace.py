@@ -14,7 +14,7 @@ from repro.memsim.trace import (
 
 def test_pool_is_highly_memory_intensive():
     assert len(HIGH_MPKI_WORKLOADS) == 15
-    assert all(w.is_highly_memory_intensive for w in HIGH_MPKI_WORKLOADS)
+    assert all(w.mpki >= 20.0 for w in HIGH_MPKI_WORKLOADS)
 
 
 def test_gap_ns_inverse_of_mpki():
@@ -48,7 +48,7 @@ def test_mix_requires_four():
 def test_address_generator_locality():
     workload = SyntheticWorkload("w", 30.0, 0.9, hot_rows=16)
     gen = AddressGenerator(workload, core=0, n_banks=8, n_rows=4096, seed=0)
-    addresses = [gen.next_address() for _ in range(2000)]
+    addresses = list(zip(*gen.take(2000)))
     repeats = sum(a == b for a, b in zip(addresses, addresses[1:]))
     assert repeats / len(addresses) > 0.8
 
@@ -58,12 +58,10 @@ def test_address_generator_bounds_and_hot_bias():
     gen = AddressGenerator(workload, core=1, n_banks=8, n_rows=4096, seed=0)
     from collections import Counter
 
-    rows = Counter()
-    for _ in range(5000):
-        bank, row = gen.next_address()
-        assert 0 <= bank < 8
-        assert 0 <= row < 4096
-        rows[row] += 1
+    banks, picks = gen.take(5000)
+    assert banks.min() >= 0 and banks.max() < 8
+    assert picks.min() >= 0 and picks.max() < 4096
+    rows = Counter(picks.tolist())
     assert len(rows) <= 16
     counts = sorted(rows.values(), reverse=True)
     assert counts[0] > counts[-1] * 2  # zipf bias
@@ -71,8 +69,8 @@ def test_address_generator_bounds_and_hot_bias():
 
 def test_cores_use_disjoint_regions():
     workload = SyntheticWorkload("w", 30.0, 0.0, hot_rows=16)
-    rows0 = {AddressGenerator(workload, 0, 8, 4096, 0).next_address()[1]
+    rows0 = {AddressGenerator(workload, 0, 8, 4096, 0).take(1)[1][0]
              for _ in range(200)}
-    rows1 = {AddressGenerator(workload, 1, 8, 4096, 0).next_address()[1]
+    rows1 = {AddressGenerator(workload, 1, 8, 4096, 0).take(1)[1][0]
              for _ in range(200)}
     assert not rows0 & rows1

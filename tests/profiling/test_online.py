@@ -48,14 +48,14 @@ class TestProfiler:
         profiler = make_profiler(module, reference_config)
         for _ in range(len(ROWS)):
             profiler.idle_tick(budget_ns=1.0)  # exactly one measurement each
-        counts = [p.n_measurements for p in profiler.profile().values()]
+        counts = [p.n_measurements for p in profiler._profiles.values()]
         assert all(count == 1 for count in counts)
 
     def test_focus_min_strategy_revisits_holder(self, module, reference_config):
         profiler = make_profiler(module, reference_config, strategy="focus_min")
         for _ in range(40):
             profiler.idle_tick(budget_ns=1.0)
-        profiles = profiler.profile()
+        profiles = profiler._profiles
         holder = profiler.min_holder()
         counts = {row: p.n_measurements for row, p in profiles.items()}
         assert counts[holder] >= max(
@@ -84,7 +84,7 @@ class TestProfiler:
     def test_history_tracking(self, module, reference_config):
         profiler = make_profiler(module, reference_config, keep_history=True)
         profiler.idle_tick(budget_ns=5e6)
-        assert any(p.history for p in profiler.profile().values())
+        assert any(p.history for p in profiler._profiles.values())
 
     def test_history_is_bounded_ring(self, module, reference_config):
         profiler = make_profiler(
@@ -92,7 +92,7 @@ class TestProfiler:
         )
         for _ in range(8 * len(ROWS)):
             profiler.idle_tick(budget_ns=1.0)  # one measurement per tick
-        for profile in profiler.profile().values():
+        for profile in profiler._profiles.values():
             successes = profile.n_measurements - profile.failed_sweeps
             assert len(profile.history) == min(3, successes)
             # The ring keeps the most recent value, not the oldest.
@@ -107,9 +107,9 @@ class TestProfiler:
             profiler.idle_tick(budget_ns=1.0)
         totals = [
             p.n_measurements - p.failed_sweeps
-            for p in profiler.profile().values()
+            for p in profiler._profiles.values()
         ]
-        lengths = [len(p.history) for p in profiler.profile().values()]
+        lengths = [len(p.history) for p in profiler._profiles.values()]
         assert lengths == totals
 
     def test_history_limit_validation(self, module, reference_config):
@@ -125,9 +125,7 @@ class TestProfiler:
         with pytest.raises(ConfigurationError):
             profiler.idle_tick(budget_ns=0.0)
         with pytest.raises(MeasurementError):
-            profiler.min_estimate(40)  # nothing measured yet
-        with pytest.raises(MeasurementError):
-            profiler.global_min_estimate()
+            profiler.global_min_estimate()  # nothing measured yet
 
 
 class TestPolicies:
@@ -162,7 +160,7 @@ class TestHistoryAllocation:
     def test_no_history_storage_when_disabled(self, module, reference_config):
         profiler = make_profiler(module, reference_config)
         profiler.idle_tick(1e9)
-        assert all(p.history is None for p in profiler.profile().values())
+        assert all(p.history is None for p in profiler._profiles.values())
 
 
 class TestDeterminism:
@@ -175,8 +173,8 @@ class TestDeterminism:
             first.idle_tick(1.0)
             twin.idle_tick(1.0)
         for row in ROWS:
-            assert list(first.profile()[row].history) == list(
-                twin.profile()[row].history
+            assert list(first._profiles[row].history) == list(
+                twin._profiles[row].history
             )
 
 

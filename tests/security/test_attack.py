@@ -58,7 +58,7 @@ class TestAttack:
             module, 100, reference_config, "graphene", threshold=50.0,
             windows=500,
         )
-        assert outcome.survived
+        assert not outcome.flipped
         assert outcome.min_exposure_margin > 0
 
     def test_overconfigured_tracker_fails(self, module, reference_config):

@@ -13,15 +13,17 @@ Runs, in this one process under a ``sys.setprofile`` hook:
 It then prints every ``src/`` function that never started, with its line
 count, and the totals. A function is reached when its code starts; nested
 functions are entries of their own, and their lines also count toward the
-enclosing function's. Everything runs in a temporary working directory,
-with output discarded; each step's exit status is printed at the end.
+enclosing function's. The hook is installed before anything imports
+``repro``, so functions that run at import time count. Everything runs in
+a temporary working directory, with output discarded; each step's exit
+status is printed at the end.
 
 It exits 1 when a step exits non-zero (the reproduction broke) or when
 more than :data:`CEILING` functions go unreached (dead code grew), so CI's
 smoke job runs it as one step. Lower ``CEILING`` when a change deletes
 unreached code.
 
-Run from anywhere (about two minutes on a 2-core x86 host)::
+Run from anywhere (37 s on a 2-core x86 Xeon host)::
 
     python tools/reach.py
 """
@@ -35,6 +37,7 @@ import runpy
 import sys
 import tempfile
 import threading
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
@@ -42,7 +45,7 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 #: Most unreached ``src/`` functions a run may report before it fails.
-CEILING = 140
+CEILING = 81
 
 #: CI's smoke-job CLI commands (``.github/workflows/ci.yml``), the CLI
 #: commands of the smoke steps this tool replaces, plus the documented
@@ -128,40 +131,52 @@ def _run_quietly(label: str, step, statuses: Dict[str, object]) -> None:
     statuses[label] = 0 if status is None else status
 
 
-def run_workloads(statuses: Dict[str, object]) -> Set[Key]:
-    """Run every workload under the profile hook; the reached keys."""
-    import pytest
+def run_traced(steps, statuses: Dict[str, object]) -> Set[Key]:
+    """Run each ``(label, step)`` under the profile hook, quietly, and
+    record its exit status; the keys of every function that started.
 
-    from repro.cli import main
-
+    The hook is installed before the first step runs, so functions that
+    modules call while they are being imported count as reached.
+    """
     codes: Set[object] = set()
 
     def hook(frame, event, arg):
         if event == "call":
             codes.add(frame.f_code)
 
+    previous = sys.getprofile(), threading.getprofile()
     sys.setprofile(hook)
     threading.setprofile(hook)
     try:
-        _run_quietly(
-            "pytest benchmarks", lambda: int(pytest.main(list(SUITE_ARGS))),
-            statuses,
-        )
-        for example in sorted((REPO / "examples").glob("*.py")):
-            _run_quietly(
-                f"examples/{example.name}",
-                lambda: runpy.run_path(str(example), run_name="__main__")
-                and 0,
-                statuses,
-            )
-        for argv in CLI_COMMANDS:
-            _run_quietly(
-                "repro " + " ".join(argv), lambda: main(list(argv)), statuses
-            )
+        for label, step in steps:
+            _run_quietly(label, step, statuses)
     finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
+        sys.setprofile(previous[0])
+        threading.setprofile(previous[1])
     return {(code.co_filename, code.co_firstlineno) for code in codes}
+
+
+def _run_example(path: Path) -> int:
+    runpy.run_path(str(path), run_name="__main__")
+    return 0
+
+
+def _run_cli(argv: Tuple[str, ...]) -> object:
+    from repro.cli import main
+
+    return main(list(argv))
+
+
+def workloads():
+    """``(label, step)`` pairs: the cold figure suite, every example and
+    every CLI command. No step imports ``repro`` before it runs."""
+    import pytest
+
+    yield "pytest benchmarks", lambda: int(pytest.main(list(SUITE_ARGS)))
+    for example in sorted((REPO / "examples").glob("*.py")):
+        yield f"examples/{example.name}", partial(_run_example, example)
+    for argv in CLI_COMMANDS:
+        yield "repro " + " ".join(argv), partial(_run_cli, argv)
 
 
 def main() -> int:
@@ -173,7 +188,7 @@ def main() -> int:
         os.environ["VRD_STORE_PATH"] = str(Path(scratch) / "results.sqlite")
         os.chdir(scratch)
         try:
-            reached = run_workloads(statuses)
+            reached = run_traced(workloads(), statuses)
         finally:
             os.chdir(previous)
     unreached = sorted(key for key in inventory if key not in reached)
