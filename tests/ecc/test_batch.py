@@ -44,6 +44,12 @@ class TestGfArrays:
         for value, log in zip(values, logs):
             assert log == gf_log(int(value))
 
+    def test_zero_divisor_and_zero_log_rejected(self):
+        with pytest.raises(EccError):
+            FIELD.div_arrays(np.array([1, 2]), np.array([3, 0]))
+        with pytest.raises(EccError):
+            FIELD.log_alpha_arrays(np.array([5, 0]))
+
 
 @pytest.mark.parametrize("code", CODES, ids=lambda c: type(c).__name__)
 class TestBatchCodecEquality:

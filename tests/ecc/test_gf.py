@@ -12,6 +12,15 @@ A, B = (grid.ravel() for grid in np.meshgrid(np.arange(256), np.arange(256)))
 NONZERO = B != 0
 
 
+def test_addition_is_xor_and_self_inverse():
+    # Addition is plain XOR on symbols: 0 is its identity, every element
+    # is its own negative, and multiplication distributes over it.
+    assert np.array_equal(A ^ 0, A)
+    assert not np.any(A ^ A)
+    assert np.all((A ^ B) < 256)
+    assert not np.any(FIELD.mul_arrays(A, B ^ B))
+
+
 def test_multiplication_associative_commutative():
     mul = FIELD.mul_arrays
     assert np.array_equal(mul(A, B), mul(B, A))
@@ -39,9 +48,11 @@ def test_division():
 
 def test_zero_division_rejected():
     with pytest.raises(EccError):
-        FIELD.div_arrays(np.array([1, 2]), np.array([3, 0]))
+        FIELD.div_arrays(1, 0)
     with pytest.raises(EccError):
-        FIELD.log_alpha_arrays(np.array([5, 0]))
+        FIELD.div_arrays(A, B)
+    with pytest.raises(EccError):
+        FIELD.log_alpha_arrays(0)
 
 
 def test_alpha_powers():
