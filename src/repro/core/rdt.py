@@ -24,7 +24,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import TestConfig
-from repro.core.patterns import CHECKERED0, DataPattern  # noqa: F401 (DataPattern re-exported for callers)
+from repro.core.patterns import CHECKERED0
 from repro.core.series import RdtSeries
 from repro.dram import fastfaults
 from repro.dram.module import DramModule

@@ -14,18 +14,20 @@ multicore workloads:
 
 :meth:`MemorySystem.run` is one epoch-batched loop. Each core's addresses
 are drawn :data:`STREAM_CHUNK` at a time into a :class:`CoreStream`, which
-a sweep shares across every run of a mix. The mitigation's counters live
-in the array-backed batchers of :mod:`repro.mitigations.fast`: the loop
-buffers every activation the batcher proves action-free (outside its
-*danger set*, within its epoch *budget*) and absorbs the buffer in one
-``on_activate_many`` call; only the other activations step exactly. Bank
-state is three flat lists and actions travel as plain tuples.
+a sweep shares across every run of a mix. The mitigation keeps its
+counters in array-backed tables (:mod:`repro.mitigations.base`) that the
+loop drives directly: it buffers every activation the mitigation proves
+action-free (outside its *danger set*, within its epoch *budget*) and
+absorbs the buffer in one ``on_activate_many`` call; only the other
+activations step exactly. Bank state is three flat lists and actions
+travel as plain tuples.
 
 Its oracle is ``reference_memsim_run`` in ``tests/differential/
 harness.py``, one iteration per request (each address popped off the
 core's ``AddressGenerator`` by the harness's ``next_address``) and one
-``on_activate`` per activation: same requests and latency sums per core
-(the same float operations in the same order), hit/miss split,
+``on_activate`` of the mechanism's reference (``tests/differential/
+mitigation_oracle.py``) per activation: same requests and latency sums
+per core (the same float operations in the same order), hit/miss split,
 preventive-refresh and rank-block counts, and the same REF/PRE/ACT stream
 for the timing checker.
 """
@@ -40,7 +42,6 @@ from repro import obs
 from repro.errors import SimulationError, TimingViolationError
 from repro.memsim.trace import AddressGenerator, WorkloadMix
 from repro.mitigations.base import Mitigation, VICTIM_REFRESH_NS
-from repro.mitigations.fast import make_batcher
 
 #: DDR5-class access latencies in nanoseconds.
 _T_RCD = 14.1
@@ -265,10 +266,6 @@ class MemorySystem:
         epochs = 0
         exact_steps = 0
 
-        batcher = None
-        if mitigation is not None:
-            batcher = make_batcher(mitigation, config.n_banks, config.n_rows)
-
         window_ns = config.window_ns
         t_refw = config.t_refw_ns
         n_banks = config.n_banks
@@ -294,10 +291,12 @@ class MemorySystem:
 
         pending_banks: List[int] = []
         pending_rows: List[int] = []
-        if batcher is not None:
-            budget = batcher.budget()
-            danger = batcher.danger  # mutated in place, never rebound
-            danger_by_bank = batcher.danger_by_bank
+        if mitigation is not None:
+            # Every run starts from fresh tables and zeroed counters.
+            mitigation.start(n_banks, n_rows)
+            budget = mitigation.budget()
+            danger = mitigation.danger  # mutated in place, never rebound
+            danger_by_bank = mitigation.danger_by_bank
         else:
             budget = _NO_MITIGATION
             danger = ()
@@ -347,14 +346,14 @@ class MemorySystem:
                     _feed(checker, Command(CommandKind.REF, next_ref))
                 next_ref += _T_REFI
             # Tracking-window boundary for the mitigation.
-            if batcher is not None and start >= next_window:
+            if mitigation is not None and start >= next_window:
                 if pending_banks:
-                    batcher.on_activate_many(pending_banks, pending_rows)
+                    mitigation.on_activate_many(pending_banks, pending_rows)
                     pending_banks = []
                     pending_rows = []
-                batcher.on_refresh_window(start)
+                mitigation.on_refresh_window()
                 next_window += t_refw
-                budget = batcher.budget()
+                budget = mitigation.budget()
                 epochs += 1
 
             open_row = bank_open[bank_index]
@@ -390,30 +389,30 @@ class MemorySystem:
             bank_open[bank_index] = row
             bank_ready[bank_index] = completion
 
-            if needs_act and batcher is not None:
+            if needs_act and mitigation is not None:
                 key = bank_index if danger_by_bank else bank_index * n_rows + row
                 take_step = key in danger
                 if not take_step:
                     if budget < 0:  # stale since the last exact step
-                        budget = batcher.budget()
+                        budget = mitigation.budget()
                     if budget > 0:
                         pending_banks.append(bank_index)
                         pending_rows.append(row)
                         budget -= 1
                         if budget == 0:
-                            batcher.on_activate_many(pending_banks, pending_rows)
+                            mitigation.on_activate_many(pending_banks, pending_rows)
                             pending_banks = []
                             pending_rows = []
-                            budget = batcher.budget()
+                            budget = mitigation.budget()
                     else:
                         take_step = True
                 if take_step:
                     exact_steps += 1
                     if pending_banks:
-                        batcher.on_activate_many(pending_banks, pending_rows)
+                        mitigation.on_activate_many(pending_banks, pending_rows)
                         pending_banks = []
                         pending_rows = []
-                    action = batcher.step(bank_index, row, start)
+                    action = mitigation.step(bank_index, row)
                     if action is not None:
                         victims, rank_block_ns, bank_delays = action
                         for victim_bank, victim_row in victims:
@@ -444,10 +443,8 @@ class MemorySystem:
             latency_sums[core] += completion - arrival
             arrivals[core] = completion + gaps[core]
 
-        if batcher is not None:
-            if pending_banks:
-                batcher.on_activate_many(pending_banks, pending_rows)
-            batcher.finalize()
+        if pending_banks:
+            mitigation.on_activate_many(pending_banks, pending_rows)
 
         result = SimulationResult(
             mix_name=self.mix.name,
@@ -467,13 +464,12 @@ class MemorySystem:
             recorder.counter_add("memsim.requests", sum(completed))
             recorder.counter_add("memsim.row_hits", row_hits)
             recorder.counter_add("memsim.row_misses", row_misses)
-            if batcher is not None:
+            if mitigation is not None:
                 recorder.counter_add("memsim.epochs", epochs)
                 recorder.counter_add("memsim.exact_steps", exact_steps)
                 recorder.counter_add(
                     "memsim.batched_activations", row_misses - exact_steps
                 )
-            if mitigation is not None:
                 recorder.counter_add(
                     f"mitigations.{mitigation.name}.preventive_refreshes",
                     result.preventive_refreshes,

@@ -13,7 +13,7 @@ a guardband); lower thresholds force more frequent preventive actions,
 which is exactly the performance cost the paper quantifies.
 """
 
-from repro.mitigations.base import Mitigation, PreventiveAction, apply_guardband
+from repro.mitigations.base import Mitigation, apply_guardband
 from repro.mitigations.graphene import Graphene
 from repro.mitigations.para import Para
 from repro.mitigations.prac import Prac
@@ -23,7 +23,6 @@ from repro.mitigations.blockhammer import BlockHammer
 
 __all__ = [
     "Mitigation",
-    "PreventiveAction",
     "apply_guardband",
     "Graphene",
     "Para",

@@ -37,8 +37,9 @@ import numpy as np
 from repro.core.config import TestConfig
 from repro.dram.module import DramModule
 from repro.errors import ConfigurationError
+from repro.mitigations.mint import RFM_DIVISOR
 from repro.mitigations.para import para_probability
-from repro.mitigations.prac import quantize_pow2
+from repro.mitigations.prac import BACKOFF_HEADROOM, quantize_pow2
 from repro.rng import derive
 
 #: Supported mitigation kinds.
@@ -72,9 +73,8 @@ def exposure_windows(
     if key == "graphene":
         return np.full(windows, min(threshold / 2.0, max_exposure))
     if key == "prac":
-        return np.full(
-            windows, min(float(quantize_pow2(threshold * 0.8)), max_exposure)
-        )
+        backoff_at = quantize_pow2(threshold * BACKOFF_HEADROOM)
+        return np.full(windows, min(float(backoff_at), max_exposure))
     if key == "para":
         p = para_probability(threshold)
         per_hammer = 1.0 - (1.0 - p) ** 2
@@ -83,7 +83,7 @@ def exposure_windows(
         draws = rng.geometric(per_hammer, size=windows).astype(float)
         return np.minimum(draws, max_exposure)
     if key == "mint":
-        interval = quantize_pow2(threshold / 4.0)
+        interval = quantize_pow2(threshold / RFM_DIVISOR)
         survive = min(max(mint_dilution, 0.0), 0.999)
         per_interval = interval * (1.0 - survive) / 2.0
         intervals = rng.geometric(1.0 - survive, size=windows).astype(float)

@@ -9,7 +9,7 @@ from repro.core.patterns import CHECKERED0
 from repro.dram.faults import Condition
 from repro.dram.mapping import ScrambledBlockMapping
 from repro.dram.module import DramModule
-from repro.errors import MeasurementError, ProgramError
+from repro.errors import ProgramError
 from tests.conftest import SMALL_GEOMETRY, make_module
 
 

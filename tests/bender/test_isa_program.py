@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bender.isa import Hammer, Pre, ReadRow, Wait, WriteRow
+from repro.bender.isa import Hammer, Wait, WriteRow
 from repro.bender.interpreter import Interpreter
 from repro.bender.program import ProgramBuilder
 from repro.core.patterns import CHECKERED0

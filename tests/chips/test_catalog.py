@@ -1,7 +1,5 @@
 """Tests for the tested-device catalog (Tables 1 and 7)."""
 
-import math
-
 import pytest
 
 from repro.chips import (

@@ -22,7 +22,6 @@ from repro.core.adaptive import (
 )
 from repro.core.rdt import FastRdtMeter, HammerSweep
 from repro.errors import ConfigurationError, MeasurementError
-from tests.conftest import make_module
 
 
 def _config(module, pattern=CHECKERED0):

@@ -7,7 +7,6 @@ from repro.core.campaign import Campaign, select_vulnerable_rows
 from repro.core.config import TestConfig, standard_configs
 from repro.core.patterns import ALL_PATTERNS, CHECKERED0
 from repro.errors import MeasurementError
-from tests.conftest import make_module
 from tests.differential.harness import reference_campaign
 
 

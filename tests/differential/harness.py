@@ -276,13 +276,15 @@ def next_address(generator) -> "tuple[int, int]":
 
 def reference_memsim_run(system, checker=None):
     """One simulation window, one Python iteration per request, calling the
-    mitigation's own ``on_activate`` on every activation.
+    mitigation's per-activation reference (:func:`~tests.differential.
+    mitigation_oracle.oracle_of`) on every activation.
 
     ``MemorySystem.run`` is held to this loop: requests and latency sums
     per core, row hits/misses, preventive refreshes and rank blocks. With a
     ``checker`` (anything with the ``TimingChecker.feed`` shape), every REF,
     PRE and ACT is fed to it in issue order. Consumes ``system``'s address
-    sources, so each system should be run once.
+    sources, so each system should be run once. Like ``MemorySystem.run``,
+    it leaves the run's counters on ``system.mitigation``.
     """
     from repro.dram.commands import Command, CommandKind
     from repro.memsim.system import (
@@ -290,9 +292,12 @@ def reference_memsim_run(system, checker=None):
         SimulationResult, _feed,
     )
     from repro.mitigations.base import VICTIM_REFRESH_NS
+    from tests.differential.mitigation_oracle import oracle_of
 
     config = system.config
-    mitigation = system.mitigation
+    mitigation = None
+    if system.mitigation is not None:
+        mitigation = oracle_of(system.mitigation)
     banks = [_BankState() for _ in range(config.n_banks)]
     arrivals = [0.0] * 4  # next request arrival per core
     completed = [0] * 4
@@ -324,7 +329,7 @@ def reference_memsim_run(system, checker=None):
             next_ref += _T_REFI
         # Tracking-window boundary for the mitigation.
         if mitigation is not None and start >= next_window:
-            mitigation.on_refresh_window(start)
+            mitigation.on_refresh_window()
             next_window += config.t_refw_ns
 
         needs_act = bank.open_row != row
@@ -355,9 +360,12 @@ def reference_memsim_run(system, checker=None):
         bank.open_row = row
         bank.ready = completion
 
+        action = None
         if needs_act and mitigation is not None:
-            action = mitigation.on_activate(bank_index, row, start)
-            for victim_bank, _ in action.victim_refreshes:
+            action = mitigation.on_activate(bank_index, row)
+        if action is not None:
+            victims, rank_block_ns, bank_delays = action
+            for victim_bank, _ in victims:
                 if not 0 <= victim_bank < config.n_banks:
                     continue
                 target = banks[victim_bank]
@@ -365,11 +373,11 @@ def reference_memsim_run(system, checker=None):
                 # The refresh activates the victim row, closing whatever
                 # was open in that bank.
                 target.open_row = None
-            if action.rank_block_ns > 0:
+            if rank_block_ns > 0:
                 rank_blocked_until = (
-                    max(rank_blocked_until, completion) + action.rank_block_ns
+                    max(rank_blocked_until, completion) + rank_block_ns
                 )
-            for delayed_bank, delay_ns in action.bank_delays:
+            for delayed_bank, delay_ns in bank_delays:
                 if 0 <= delayed_bank < config.n_banks:
                     target = banks[delayed_bank]
                     target.ready = max(target.ready, completion) + delay_ns
@@ -390,6 +398,10 @@ def reference_memsim_run(system, checker=None):
     if mitigation is not None:
         result.preventive_refreshes = mitigation.preventive_refreshes
         result.rank_blocks = mitigation.rank_blocks
+        for counter in ("preventive_refreshes", "rank_blocks",
+                        "throttled_activations"):
+            if hasattr(mitigation, counter):
+                setattr(system.mitigation, counter, getattr(mitigation, counter))
     return result
 
 

@@ -8,6 +8,7 @@ preventive-refresh and rank-block counts — for every mitigation.
 
 import pytest
 
+from repro import obs
 from repro.errors import SimulationError
 from repro.memsim import CoreStream, MemorySystem, SystemConfig, standard_mixes
 from repro.mitigations import (
@@ -84,15 +85,26 @@ def test_blockhammer_throttle_counter_writeback():
     )
 
 
-def test_adaptive_mitigation_generic_path():
-    # AdaptiveMitigation has no array batcher; it runs through the exact
-    # per-activation generic path and must still match.
+def test_adaptive_mitigation_equivalence():
+    # AdaptiveMitigation forwards the epoch protocol to its Graphene, with
+    # the budget capped at its next policy check, and must still match.
     def build():
-        return AdaptiveMitigation(
-            Graphene, StaticThresholdPolicy(256.0), check_every=512
-        )
+        adaptive = AdaptiveMitigation(Graphene, StaticThresholdPolicy(256.0))
+        adaptive.check_every = 512
+        return adaptive
 
     assert_equivalent(MIXES[0], CONFIG, build)
+
+
+def test_adaptive_mitigation_takes_batched_epochs():
+    # The wrapper buffers activations between its policy checks instead of
+    # stepping every one of them.
+    adaptive = AdaptiveMitigation(Graphene, StaticThresholdPolicy(256.0))
+    with obs.tracing() as recorder:
+        MemorySystem(MIXES[0], CONFIG, adaptive).run()
+    assert recorder.counters["memsim.exact_steps"] < (
+        recorder.counters["memsim.row_misses"]
+    )
 
 
 @pytest.mark.parametrize(

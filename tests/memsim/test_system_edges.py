@@ -13,7 +13,7 @@ from repro.memsim import MemorySystem, SystemConfig, standard_mixes
 from repro.memsim.system import _T_RFC
 from repro.memsim.trace import SyntheticWorkload, WorkloadMix
 from repro.mitigations import Mint
-from repro.mitigations.base import Mitigation, PreventiveAction
+from repro.mitigations.base import Mitigation
 from tests.differential.harness import (
     memsim_fingerprint as fingerprint,
     reference_memsim_run,
@@ -63,7 +63,7 @@ def test_rank_block_overlapping_victim_refresh():
 
 
 class WindowCounter(Mitigation):
-    """Counts tREFW boundaries, never acts."""
+    """Counts tREFW boundaries, never acts; its own reference."""
 
     name = "WindowCounter"
 
@@ -71,10 +71,19 @@ class WindowCounter(Mitigation):
         super().__init__(1024.0)
         self.windows_seen = 0
 
-    def on_activate(self, bank: int, row: int, now: float) -> PreventiveAction:
-        return PreventiveAction()
+    def start(self, n_banks: int, n_rows: int) -> None:
+        pass  # no tables: only the boundaries a run crosses count
 
-    def on_refresh_window(self, now: float) -> None:
+    def budget(self) -> int:
+        return 1 << 30
+
+    def on_activate_many(self, banks, rows) -> None:
+        pass
+
+    def on_activate(self, bank: int, row: int):
+        return None
+
+    def on_refresh_window(self) -> None:
         self.windows_seen += 1
 
 
@@ -99,7 +108,8 @@ def test_refresh_window_fires_without_actions():
 
 
 class StrayVictimRefresher(Mitigation):
-    """Issues victim refreshes that include out-of-range banks."""
+    """Issues victim refreshes that include out-of-range banks; steps every
+    activation (a zero budget), so it is its own reference."""
 
     name = "StrayVictims"
 
@@ -109,13 +119,17 @@ class StrayVictimRefresher(Mitigation):
         self.every = every
         self._acts = 0
 
-    def on_activate(self, bank: int, row: int, now: float) -> PreventiveAction:
+    def budget(self) -> int:
+        return 0
+
+    def step(self, bank: int, row: int):
         self._acts += 1
         if self._acts % self.every == 0:
-            return self._count_action(
-                PreventiveAction(victim_refreshes=list(self.victims))
-            )
-        return PreventiveAction()
+            self.preventive_refreshes += len(self.victims)
+            return (list(self.victims), 0.0, ())
+        return None
+
+    on_activate = step
 
 
 def test_out_of_range_victim_banks_skipped():

@@ -6,6 +6,7 @@ import pytest
 from repro.core.config import TestConfig
 from repro.core.patterns import CHECKERED0
 from repro.errors import ConfigurationError
+from repro.mitigations import Mint, Prac
 from repro.security import attack as attack_module
 from repro.security import attack_escape, exposure_windows, profile_and_attack
 from tests.conftest import make_module
@@ -37,6 +38,16 @@ class TestExposure:
     def test_none_is_unbounded(self):
         rng = np.random.default_rng(0)
         assert exposure_per_window("none", 1.0, rng) == 1e7
+
+    @pytest.mark.parametrize("threshold", [8.0, 115.2, 128.0, 1000.0, 1e9])
+    def test_prac_and_mint_match_their_mechanisms(self, threshold):
+        rng = np.random.default_rng(0)
+        backoff = exposure_windows("prac", threshold, rng, 3)
+        assert backoff.tolist() == [min(Prac(threshold).backoff_at, 1e7)] * 3
+        # Without dilution every RFM interval mitigates the aggressor, so
+        # one window's exposure is exactly one interval.
+        interval = exposure_windows("mint", threshold, rng, 3, mint_dilution=0.0)
+        assert interval.tolist() == [min(Mint(threshold).rfm_every, 1e7)] * 3
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
