@@ -16,11 +16,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.chips import ModuleSpec, build_module, spec
 from repro.core import FastRdtMeter, RdtSeries, TestConfig
-from repro.core.adaptive import (
-    AdaptiveConfig,
-    AdaptiveResult,
-    AdaptiveScheduler,
-)
 from repro.core.campaign import Campaign, CampaignResult
 from repro.core.config import standard_configs
 from repro.core.engine import CampaignCache
@@ -237,77 +232,3 @@ def _module_campaign(
     if cache is not None and cache_key is not None:
         cache.store(cache_key, result)
     return result
-
-
-def adaptive_module_campaign(
-    module_id: str,
-    rows_per_block: int = 10,
-    n_measurements: int = 1000,
-    patterns=ALL_PATTERNS,
-    temperatures: Sequence[float] = (50.0,),
-    t_agg_on_values: Optional[Sequence[float]] = None,
-    seed: int = DEFAULT_SEED,
-    cache: Union[CampaignCache, str, Path, None] = None,
-    select_block_rows: int = 256,
-    adaptive: Optional[AdaptiveConfig] = None,
-) -> AdaptiveResult:
-    """:func:`module_campaign` under the adaptive schedule.
-
-    Same device/row-selection/configuration recipe, but measurement runs
-    through :mod:`repro.core.adaptive` — coarse-to-fine search plus
-    sequential early stopping — and returns an
-    :class:`~repro.core.adaptive.AdaptiveResult` (per-row threshold
-    estimates with confidence intervals and trials accounting) instead of
-    full series. ``n_measurements`` caps the per-row measurement count
-    (the exhaustive series length it replaces). Cache entries are keyed by
-    the full adaptive parameterization and can never alias an exhaustive
-    campaign's entry.
-    """
-    recorder = obs.active()
-    with recorder.span("figures.adaptive_module_campaign"):
-        device = spec(module_id)
-        module = build_module(device, seed=seed)
-        configs = list(
-            standard_configs(
-                module.timing,
-                patterns=patterns,
-                temperatures=temperatures,
-                t_agg_on_values=(
-                    t_agg_on_values
-                    if t_agg_on_values is not None
-                    else (module.timing.tRAS,)
-                ),
-            )
-        )
-        if adaptive is None:
-            adaptive = AdaptiveConfig(max_measurements=n_measurements)
-        if isinstance(cache, (str, Path)):
-            cache = CampaignCache(cache)
-        cache_key = None
-        if cache is not None:
-            cache_key = cache.key(
-                seed=seed,
-                module_id=module_id,
-                configs=configs,
-                n_measurements=n_measurements,
-                extra={
-                    "driver": "module_campaign",
-                    "rows_per_block": rows_per_block,
-                    "block_rows": select_block_rows,
-                },
-                schedule="adaptive",
-                adaptive=adaptive,
-                protocol=device.protocol,
-            )
-            cached = cache.load_adaptive(cache_key)
-            if cached is not None:
-                return cached
-        rows = select_test_rows(
-            module, per_block=rows_per_block, block_rows=select_block_rows
-        )
-        result = AdaptiveScheduler(module, configs, adaptive).run(rows)
-        if cache is not None and cache_key is not None:
-            cache.store_adaptive(cache_key, result)
-        return result
-
-

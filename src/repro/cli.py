@@ -3,13 +3,18 @@
 Small, scriptable entry points onto the library's main experiments:
 
 * ``devices`` — list the catalog (Table 1);
-* ``measure`` — RDT series statistics for one row of one device;
+* ``measure`` — RDT series statistics for one row of one device (Sec. 4:
+  its minimum, how often it appears and how late it first does);
 * ``profile`` — a Sec. 5-style characterization summary for one device;
+* ``analyze`` — minimum-RDT and CV summaries of a campaign saved by
+  ``profile -o``;
 * ``table3`` — the ECC outcome probabilities at a chosen bit error rate;
 * ``testtime`` — Appendix A testing-cost headline scenarios;
 * ``attack`` — profile-and-attack security check for one mitigation;
 * ``fig14`` — mitigation-overhead sweep (cached);
 * ``store`` — result-store maintenance (``stats``, ``prune``);
+* ``verify`` — quick self-check that headline results land in their
+  paper bands;
 * ``report`` — instrumented smoke workload + observability run report.
 
 The cost of reproducing the paper is measured by ``bench/run.py``
@@ -17,12 +22,6 @@ The cost of reproducing the paper is measured by ``bench/run.py``
 
 A library error (any :class:`repro.errors.ReproError`) prints one line,
 ``repro <command>: <message>``, to stderr and exits 2.
-
-``measure`` and ``profile`` accept ``--adaptive`` (plus ``--budget``,
-``--confidence``, ``--precision``): the run switches to the DiscoRD-style
-adaptive schedule of :mod:`repro.core.adaptive` — coarse-to-fine hammer
-search with sequential early stopping — and reports threshold estimates
-with confidence intervals and trials saved instead of full series.
 
 Long-running commands (``measure``, ``profile``, ``fig14``) accept
 ``--trace`` / ``--trace-out FILE``: the command runs under a
@@ -49,38 +48,6 @@ def _add_trace_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="write the run report as JSON to FILE (implies --trace)",
-    )
-
-
-def _add_adaptive_flags(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--adaptive", action="store_true",
-        help="DiscoRD-style adaptive schedule: coarse-to-fine search with "
-             "sequential early stopping instead of exhaustive series",
-    )
-    command.add_argument(
-        "--budget", type=int, default=None, metavar="TRIALS",
-        help="total trial budget for the adaptive run (default: unlimited)",
-    )
-    command.add_argument(
-        "--confidence", type=float, default=0.99,
-        help="confidence level of adaptive per-row intervals (default 0.99)",
-    )
-    command.add_argument(
-        "--precision", type=float, default=0.05,
-        help="adaptive stopping target: CI half-width as a fraction of the "
-             "running mean (default 0.05)",
-    )
-
-
-def _adaptive_config(args: argparse.Namespace):
-    from repro.core.adaptive import AdaptiveConfig
-
-    return AdaptiveConfig(
-        confidence=args.confidence,
-        rel_precision=args.precision,
-        max_measurements=args.measurements,
-        budget=args.budget,
     )
 
 
@@ -162,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     measure.add_argument("--temperature", type=float, default=50.0)
     measure.add_argument("--voltage", type=float, default=2.5)
     measure.add_argument("--seed", type=int, default=None)
-    _add_adaptive_flags(measure)
     _add_trace_flags(measure)
 
     profile = sub.add_parser(
@@ -195,7 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=None,
         help="save the campaign result to this JSON file",
     )
-    _add_adaptive_flags(profile)
     _add_trace_flags(profile)
 
     table3_cmd = sub.add_parser(
@@ -344,30 +309,6 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         temperature_c=args.temperature,
         wordline_voltage_v=args.voltage,
     )
-    if args.adaptive:
-        from repro.core.adaptive import AdaptiveScheduler
-
-        result = AdaptiveScheduler(
-            module, [config], _adaptive_config(args)
-        ).run([args.row])
-        estimate = result.estimates[0]
-        print(
-            f"{args.module} row {args.row} | adaptive RDT estimate "
-            f"{estimate.estimate:,.0f} ± {estimate.ci_half_width:,.0f} "
-            f"({estimate.confidence:.0%} CI)"
-        )
-        print(
-            f"stopped after {estimate.n_measured} measurements "
-            f"({estimate.stopping_reason}); min seen {estimate.minimum:,.0f}"
-        )
-        print(
-            f"trials: {estimate.trials} adaptive vs "
-            f"{estimate.exhaustive_trials} exhaustive for the same "
-            f"measurements ({result.trial_reduction_estimate:.1f}x fewer "
-            f"vs a full {args.measurements}-measurement series)"
-        )
-        return 0
-
     meter = FastRdtMeter(module)
     series = meter.measure_series(args.row, config, args.measurements)
     print(series.describe())
@@ -390,8 +331,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     _check_profile_size(args.rows_per_block, args.measurements)
     cache = None if args.no_cache else CampaignCache.resolve(args.cache_dir)
-    if args.adaptive:
-        return _cmd_profile_adaptive(args, cache)
     result = module_campaign(
         args.module,
         rows_per_block=args.rows_per_block,
@@ -414,55 +353,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
         save_campaign(result, args.output)
         print(f"campaign saved to {args.output}")
-    return 0
-
-
-def _cmd_profile_adaptive(args: argparse.Namespace, cache) -> int:
-    import numpy as np
-
-    from repro.analysis.figures import adaptive_module_campaign
-    from repro.analysis.tables import format_table
-    from repro.rng import DEFAULT_SEED
-
-    result = adaptive_module_campaign(
-        args.module,
-        rows_per_block=args.rows_per_block,
-        n_measurements=args.measurements,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        cache=cache,
-        adaptive=_adaptive_config(args),
-    )
-    reasons = result.stopping_reasons()
-    rows = []
-    for config in {e.config: None for e in result.estimates}:
-        estimates = result.for_config(config)
-        measured = [e.n_measured for e in estimates]
-        rows.append((
-            config.label(),
-            len(estimates),
-            sum(1 for e in estimates if e.converged),
-            f"{float(np.mean(measured)):.1f}",
-            sum(e.trials for e in estimates),
-        ))
-    print(format_table(
-        ["config", "rows", "converged", "mean n", "trials"],
-        rows,
-        title=f"{args.module} | adaptive VRD profile "
-              f"({len(result)} row-condition estimates)",
-    ))
-    print(
-        f"trials spent: {result.trials_spent:,} "
-        f"(~{result.trial_reduction_estimate:.1f}x fewer than exhaustive "
-        f"{args.measurements}-measurement series); "
-        f"rounds: {result.rounds}; stopping: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(reasons.items()))
-    )
-    if args.output:
-        import json as json_module
-
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json_module.dump(result.to_payload(), handle)
-        print(f"adaptive result saved to {args.output}")
     return 0
 
 

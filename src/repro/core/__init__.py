@@ -30,14 +30,6 @@ from repro.core.montecarlo import (
     probability_of_min,
 )
 from repro.core import stats
-from repro.core.adaptive import (
-    AdaptiveConfig,
-    AdaptiveDriver,
-    AdaptiveResult,
-    AdaptiveScheduler,
-    RowEstimate,
-    adaptive_search_trials,
-)
 from repro.core.campaign import Campaign, CampaignResult, RowObservation
 from repro.core.engine import CampaignCache
 from repro.core.guardband import (
@@ -66,12 +58,6 @@ __all__ = [
     "probability_of_min",
     "expected_normalized_min",
     "min_rdt_analysis",
-    "AdaptiveConfig",
-    "AdaptiveDriver",
-    "AdaptiveResult",
-    "AdaptiveScheduler",
-    "RowEstimate",
-    "adaptive_search_trials",
     "Campaign",
     "CampaignResult",
     "RowObservation",

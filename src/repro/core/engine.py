@@ -4,9 +4,8 @@
 shared sqlite result store (:mod:`repro.store` — ``VRD_STORE_PATH``,
 default ``.vrd-cache/results.sqlite``), so repeated benchmark/CLI
 sessions — and concurrent processes — reload instead of recomputing.
-:func:`repro.analysis.figures.module_campaign` and
-:func:`~repro.analysis.figures.adaptive_module_campaign` key a whole
-campaign, row selection included, before any work runs; a hit skips it.
+:func:`repro.analysis.figures.module_campaign` keys a whole campaign,
+row selection included, before any work runs; a hit skips it.
 
 Every stochastic quantity in a campaign flows from per-(module, row,
 condition) streams derived via :func:`repro.rng`, so a stored result is
@@ -18,7 +17,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.core.adaptive import AdaptiveConfig, AdaptiveResult
 from repro.core.campaign import CampaignResult
 from repro.core.config import TestConfig
 from repro.core.store import (
@@ -29,7 +27,6 @@ from repro.core.store import (
 from repro.errors import ConfigurationError
 from repro.store.db import (
     DEFAULT_STORE_FILENAME,
-    KIND_ADAPTIVE,
     KIND_CAMPAIGN,
     ResultStore,
     encode_payload,
@@ -96,8 +93,6 @@ class CampaignCache:
         n_measurements: int,
         pairs: Optional[Sequence["tuple[int, int]"]] = None,
         extra: Optional[dict] = None,
-        schedule: str = "exhaustive",
-        adaptive: Optional[AdaptiveConfig] = None,
         protocol: Optional[str] = None,
     ) -> str:
         """Hex digest addressing one campaign's full recipe.
@@ -108,20 +103,15 @@ class CampaignCache:
         runs — selection dominates campaign cost, and a cache hit must
         skip it too.
 
-        The measurement schedule and its full parameterization (budget,
-        confidence, precision, grid-refinement ceiling) are part of the
-        recipe: an adaptive run and an exhaustive run over the same rows
-        measure different things and must never alias to one entry.
+        The payload's ``"schedule": "exhaustive"`` and ``"adaptive": None``
+        entries are constants, kept so that campaigns stored before the
+        adaptive schedule was removed keep their keys.
 
         ``protocol`` names the device's DRAM protocol (``"DDR4"``,
         ``"DDR5"``, ``"HBM2"``) so same-shaped campaigns on different
         protocols never alias; ``None`` omits it from the payload,
         leaving every pre-existing key unchanged.
         """
-        if adaptive is not None and schedule != "adaptive":
-            raise ConfigurationError(
-                "adaptive cache-key parameters require schedule='adaptive'"
-            )
         payload = {
             "format": RECIPE_FORMAT,
             "seed": int(seed),
@@ -133,8 +123,8 @@ class CampaignCache:
                 else [[int(bank), int(row)] for bank, row in pairs]
             ),
             "extra": extra,
-            "schedule": schedule,
-            "adaptive": None if adaptive is None else adaptive.to_dict(),
+            "schedule": "exhaustive",
+            "adaptive": None,
         }
         if protocol is not None:
             payload["protocol"] = str(protocol)
@@ -148,15 +138,3 @@ class CampaignCache:
     def store(self, key: str, result: CampaignResult) -> None:
         """Persist a campaign under ``key`` (one store transaction)."""
         self.result_store.save(key, KIND_CAMPAIGN, campaign_to_dict(result))
-
-    def load_adaptive(self, key: str) -> Optional[AdaptiveResult]:
-        """The cached adaptive run for ``key``, or ``None``; an exhaustive
-        campaign under the key is corrupt (the ``kind`` discriminator
-        rejects it)."""
-        return self.result_store.load(
-            key, KIND_ADAPTIVE, AdaptiveResult.from_payload
-        )
-
-    def store_adaptive(self, key: str, result: AdaptiveResult) -> None:
-        """Persist an adaptive run under ``key`` (like :meth:`store`)."""
-        self.result_store.save(key, KIND_ADAPTIVE, result.to_payload())

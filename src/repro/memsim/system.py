@@ -262,7 +262,8 @@ class MemorySystem:
 
         # Aggregates are recorded once per run, after the loop; the only
         # tracing state the hot loop carries is two plain int increments on
-        # rare branches (epoch flush, exact step).
+        # rare branches: ``epochs`` counts every ``on_activate_many`` flush,
+        # ``exact_steps`` every ``step``.
         epochs = 0
         exact_steps = 0
 
@@ -349,12 +350,12 @@ class MemorySystem:
             if mitigation is not None and start >= next_window:
                 if pending_banks:
                     mitigation.on_activate_many(pending_banks, pending_rows)
+                    epochs += 1
                     pending_banks = []
                     pending_rows = []
                 mitigation.on_refresh_window()
                 next_window += t_refw
                 budget = mitigation.budget()
-                epochs += 1
 
             open_row = bank_open[bank_index]
             needs_act = open_row != row
@@ -401,6 +402,7 @@ class MemorySystem:
                         budget -= 1
                         if budget == 0:
                             mitigation.on_activate_many(pending_banks, pending_rows)
+                            epochs += 1
                             pending_banks = []
                             pending_rows = []
                             budget = mitigation.budget()
@@ -410,6 +412,7 @@ class MemorySystem:
                     exact_steps += 1
                     if pending_banks:
                         mitigation.on_activate_many(pending_banks, pending_rows)
+                        epochs += 1
                         pending_banks = []
                         pending_rows = []
                     action = mitigation.step(bank_index, row)
@@ -445,6 +448,7 @@ class MemorySystem:
 
         if pending_banks:
             mitigation.on_activate_many(pending_banks, pending_rows)
+            epochs += 1
 
         result = SimulationResult(
             mix_name=self.mix.name,

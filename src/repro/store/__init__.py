@@ -1,10 +1,10 @@
-"""Durable, shared result store for campaign/adaptive/sweep payloads.
+"""Durable, shared result store for campaign and sweep payloads.
 
 One sqlite database (WAL mode, busy timeout) holds every cached result
 the reproduction produces, content-addressed by the recipe keys of
 :meth:`~repro.core.engine.CampaignCache.key` and
 :func:`~repro.memsim.sweep.sweep_key`, with a ``kind`` column
-discriminating campaign, adaptive and sweep payloads and a ``protocol``
+discriminating campaign and sweep payloads and a ``protocol``
 column naming each result's DRAM protocol. Concurrent processes share
 the database without aliasing or corruption.
 :class:`~repro.store.db.ResultStore` is the store itself: one lazily
@@ -23,7 +23,6 @@ database file), else ``.vrd-cache/results.sqlite``. An empty
 from repro.store.db import (  # noqa: F401
     DEFAULT_CACHE_DIR,
     DEFAULT_STORE_FILENAME,
-    KIND_ADAPTIVE,
     KIND_CAMPAIGN,
     KIND_SWEEP,
     KINDS,
@@ -35,7 +34,6 @@ from repro.store.db import (  # noqa: F401
 __all__ = [
     "DEFAULT_CACHE_DIR",
     "DEFAULT_STORE_FILENAME",
-    "KIND_ADAPTIVE",
     "KIND_CAMPAIGN",
     "KIND_SWEEP",
     "KINDS",

@@ -52,9 +52,8 @@ DEFAULT_STORE_FILENAME = "results.sqlite"
 
 #: Payload kinds the schema discriminates.
 KIND_CAMPAIGN = "campaign"
-KIND_ADAPTIVE = "adaptive"
 KIND_SWEEP = "sweep"
-KINDS = (KIND_CAMPAIGN, KIND_ADAPTIVE, KIND_SWEEP)
+KINDS = (KIND_CAMPAIGN, KIND_SWEEP)
 
 #: Exceptions by which a decoder rejects a payload whose checksum matched
 #: (wrong types, missing keys, an unknown format version): corrupt.

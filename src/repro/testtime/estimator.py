@@ -103,53 +103,6 @@ class TestTimeEstimator:
             energy_j=one_energy * repeats,
         )
 
-    def adaptive_cost(
-        self,
-        hammer_count: int,
-        t_agg_on: float,
-        trials_per_row: Sequence[int],
-        n_banks: int = 1,
-    ) -> CostPoint:
-        """Cost of an adaptive campaign priced from its trial accounting.
-
-        The exhaustive protocol repeats one fixed schedule ``n_rows x
-        n_measurements`` times; the adaptive schedule
-        (:mod:`repro.core.adaptive`) instead spends a *per-row* trial
-        count discovered at run time — pass
-        :meth:`AdaptiveResult.trials_per_row()
-        <repro.core.adaptive.AdaptiveResult.trials_per_row>` here to price
-        Tables 4-6 for the adaptive family. Zero-trial rows (budget-starved
-        before their first probe) are legal and cost nothing. Bank
-        parallelism applies to the *total* trial count: hardware packs
-        trials of different rows into simultaneous per-bank schedules, so
-        the sequential rounds are ``ceil(total_trials / n_banks)``.
-        """
-        trials = [int(count) for count in trials_per_row]
-        if any(count < 0 for count in trials):
-            raise ConfigurationError("per-row trial counts must be >= 0")
-        if n_banks < 1:
-            raise ConfigurationError("bank count must be >= 1")
-        total = sum(trials)
-        if n_banks == 1:
-            schedule = single_bank_schedule(hammer_count, t_agg_on, self.timing)
-        else:
-            schedule = multi_bank_schedule(
-                hammer_count, t_agg_on, n_banks, self.timing
-            )
-        t_on = max(t_agg_on, self.timing.tRAS)
-        row_open_ns = 2.0 * hammer_count * t_on
-        one = schedule.total_ns
-        one_energy = self.energy.schedule_energy_j(schedule, row_open_ns)
-        rounds = -(-total // n_banks)  # ceil division; 0 when no trials
-        return CostPoint(
-            hammer_count=hammer_count,
-            n_banks=n_banks,
-            n_rows=len(trials),
-            n_measurements=total,
-            time_ns=one * rounds,
-            energy_j=one_energy * rounds,
-        )
-
     # ------------------------------------------------------------------
     # Figure sweeps
     # ------------------------------------------------------------------

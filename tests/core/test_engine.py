@@ -12,7 +12,6 @@ import pytest
 
 from repro.chips import build_module
 from repro.core import CHECKERED0, ROWSTRIPE0, FastRdtMeter, TestConfig
-from repro.core.adaptive import AdaptiveScheduler
 from repro.core.campaign import Campaign, CampaignResult, select_vulnerable_rows
 from repro.core.engine import CampaignCache
 from repro.core.patterns import DataPattern
@@ -46,35 +45,25 @@ def serial_result():
     return campaign.run(ROWS)
 
 
-def _campaign_key(cache, seed=SEED, adaptive=None):
+def _campaign_key(cache, seed=SEED):
     """The cache key of the campaign over ``ROWS``."""
-    recipe = dict(
+    return cache.key(
         seed=seed, module_id=MODULE_ID, configs=_configs(_module(seed)),
         n_measurements=N_MEASUREMENTS, pairs=[(0, row) for row in ROWS],
         protocol="DDR4",
     )
-    if adaptive is not None:
-        return cache.key(**recipe, schedule="adaptive", adaptive=adaptive)
-    return cache.key(**recipe)
 
 
 def _stored_entries(cache) -> int:
     return cache.result_store.stats()["entries"]
 
 
-def _cached_campaign(cache, seed=SEED, adaptive=None):
+def _cached_campaign(cache, seed=SEED):
     """The campaign over ``ROWS`` through ``cache``: a hit returns the
-    stored result; a miss runs it (the adaptive schedule when
-    ``adaptive`` is given) and stores it."""
+    stored result; a miss runs it and stores it."""
     module = _module(seed)
     configs = _configs(module)
-    key = _campaign_key(cache, seed, adaptive)
-    if adaptive is not None:
-        result = cache.load_adaptive(key)
-        if result is None:
-            result = AdaptiveScheduler(module, configs, adaptive).run(ROWS)
-            cache.store_adaptive(key, result)
-        return result
+    key = _campaign_key(cache, seed)
     result = cache.load(key)
     if result is None:
         campaign = Campaign(module, configs, n_measurements=N_MEASUREMENTS)
@@ -194,8 +183,6 @@ def test_cache_misses_on_different_seed(tmp_path):
 
 
 def test_cache_key_separates_every_recipe_axis():
-    from repro.core.adaptive import AdaptiveConfig
-
     cache_key_kwargs = dict(
         seed=1, module_id="M1",
         configs=[TestConfig(CHECKERED0, t_agg_on_ns=35.0)],
@@ -210,79 +197,29 @@ def test_cache_key_separates_every_recipe_axis():
         dict(n_measurements=101),
         dict(pairs=[(0, 2)]),
         dict(extra={"driver": "x"}),
-        dict(schedule="adaptive"),
-        dict(schedule="adaptive", adaptive=AdaptiveConfig()),
         dict(protocol="DDR4"),
         dict(protocol="HBM2"),
     ):
         assert cache.key(**{**cache_key_kwargs, **change}) != base
 
 
-def test_cache_key_separates_adaptive_parameters():
-    """Regression for the aliasing bug class: every adaptive knob —
-    budget, confidence, precision, grid-refinement ceiling — must change
-    the key, so adaptive runs with different stopping behavior (and
-    adaptive vs exhaustive runs) can never share a cache entry."""
-    from repro.core.adaptive import AdaptiveConfig
-
+def test_exhaustive_campaign_keys_are_pinned():
+    """The hex digests this recipe hashed to while the key still took a
+    schedule and adaptive parameters: stores written then must still
+    hit."""
     cache = CampaignCache.resolve(".")  # no writes: key() is pure
     recipe = dict(
         seed=1, module_id="M1",
-        configs=[TestConfig(CHECKERED0, t_agg_on_ns=35.0)],
-        n_measurements=100, pairs=[(0, 1)],
-        schedule="adaptive",
+        configs=[
+            TestConfig(CHECKERED0, t_agg_on_ns=35.0),
+            TestConfig(ROWSTRIPE0, t_agg_on_ns=35.0, temperature_c=80.0),
+        ],
+        n_measurements=100, pairs=[(0, 1), (2, 7)],
     )
-    base = cache.key(**recipe, adaptive=AdaptiveConfig())
-    variants = [
-        AdaptiveConfig(budget=1000),
-        AdaptiveConfig(confidence=0.95),
-        AdaptiveConfig(rel_precision=0.1),
-        AdaptiveConfig(abs_precision=50.0),
-        AdaptiveConfig(min_measurements=4),
-        AdaptiveConfig(max_measurements=500),
-    ]
-    keys = {base}
-    for adaptive in variants:
-        keys.add(cache.key(**recipe, adaptive=adaptive))
-    assert len(keys) == len(variants) + 1
-
-    with pytest.raises(ConfigurationError):
-        cache.key(**{**recipe, "schedule": "exhaustive"},
-                  adaptive=AdaptiveConfig())
-
-
-def test_adaptive_and_exhaustive_never_alias_on_disk(tmp_path):
-    """End-to-end: the same rows/configs/seed through both schedules must
-    produce two distinct cache entries, and each schedule must reload its
-    own result exactly."""
-    from repro.core.adaptive import AdaptiveConfig
-
-    cache = CampaignCache(tmp_path / "cache")
-    adaptive_config = AdaptiveConfig(max_measurements=N_MEASUREMENTS)
-    exhaustive = _cached_campaign(cache)
-    adaptive = _cached_campaign(cache, adaptive=adaptive_config)
-    assert _stored_entries(cache) == 2
-
-    reloaded_exhaustive = _cached_campaign(cache)
-    assert_identical(reloaded_exhaustive, exhaustive)
-    reloaded_adaptive = _cached_campaign(cache, adaptive=adaptive_config)
-    assert [e.to_dict() for e in reloaded_adaptive.estimates] == (
-        [e.to_dict() for e in adaptive.estimates]
+    assert cache.key(**recipe) == "fafbfa999de0f895fa84e34cc35de60a"
+    assert cache.key(**recipe, protocol="DDR4") == (
+        "cd2d03654d5e0f0850d3fe3855ae8014"
     )
-
-
-def test_load_adaptive_rejects_exhaustive_payload(tmp_path):
-    """A campaign payload under an adaptive key is corrupt, not a hit."""
-    from repro import obs
-
-    cache = CampaignCache(tmp_path / "cache")
-    first = _cached_campaign(cache)
-    assert first is not None
-    key = _campaign_key(cache)
-    with obs.tracing() as recorder:
-        assert cache.load_adaptive(key) is None
-    assert recorder.counters.get("cache.corrupt") == 1
-    assert _stored_entries(cache) == 0  # evicted
 
 
 def _inject_raw(cache, key, blob, kind="campaign"):

@@ -21,7 +21,6 @@ long-series         ``ReferenceRow.latent_series``      block-wise ``latent_seri
 probe               ``ReferenceRow`` guess streams      batched ``guess_rdt_batch``
 bender              ``interpreted_trial``               ``DramBender.run_trial``
 ecc                 ``reference_monte_carlo``           ``monte_carlo_outcomes``
-adaptive            per-row ``measure_requests``        batched ``measure_requests``
 store               in-memory result payloads           sqlite ``ResultStore`` round trip
 attack              per-window ``begin_measurement``    ``threshold_series`` walk
 guardband           per-trial ``trial_flips``           ``trial_flip_series`` kernel
@@ -1321,87 +1320,6 @@ def checker_memsim_fast(seed: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# adaptive: per-row measurement requests vs batched measure_requests
-# ----------------------------------------------------------------------
-
-_ADAPTIVE_N_MAX = 100
-
-
-def _adaptive_workload(seed: int):
-    from repro.chips import build_module
-    from repro.core import CHECKERED0, AdaptiveConfig, TestConfig
-
-    module = build_module("M1", seed=seed)
-    configs = [TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)]
-    pick = random.Random(seed + 4)
-    rows = sorted(pick.sample(range(256), 4))
-    adaptive = AdaptiveConfig(
-        max_measurements=_ADAPTIVE_N_MAX,
-        budget=pick.choice([None, 400]),
-    )
-    return module, configs, rows, adaptive
-
-
-def _adaptive_fingerprint(result) -> tuple:
-    return (
-        result.rounds,
-        result.budget_reallocations,
-        tuple(
-            (
-                estimate.bank,
-                estimate.row,
-                estimate.config.label(),
-                estimate.guess,
-                estimate.estimate,
-                estimate.ci_half_width,
-                estimate.n_measured,
-                estimate.trials,
-                estimate.stopping_reason,
-            )
-            for estimate in result.estimates
-        ),
-    )
-
-
-def reference_measure_requests(module, requests) -> list:
-    """``measure_requests`` one request at a time: a per-row
-    ``guess_rdt`` and a per-row ``measure_series``."""
-    from repro.core import FastRdtMeter
-
-    replies = []
-    for key, bank, row, config, start, stop in requests:
-        module.set_temperature(config.temperature_c)
-        meter = FastRdtMeter(module, bank)
-        guess = meter.guess_rdt(row, config)
-        series = meter.measure_series(row, config, stop)
-        replies.append((key, float(guess), series.values[start:].tolist()))
-    return replies
-
-
-def adaptive_oracle(seed: int) -> tuple:
-    from repro.core import AdaptiveDriver
-
-    module, configs, rows, adaptive = _adaptive_workload(seed)
-    driver = AdaptiveDriver(
-        module.module_id, [(0, row) for row in rows], configs, adaptive
-    )
-    while True:
-        requests = driver.next_requests()
-        if not requests:
-            break
-        driver.ingest(reference_measure_requests(module, requests))
-    return _adaptive_fingerprint(driver.finish())
-
-
-def adaptive_fast(seed: int) -> tuple:
-    from repro.core import AdaptiveScheduler
-
-    module, configs, rows, adaptive = _adaptive_workload(seed)
-    scheduler = AdaptiveScheduler(module, configs, adaptive)
-    return _adaptive_fingerprint(scheduler.run(rows))
-
-
-# ----------------------------------------------------------------------
 # ecc: the scalar codecs, one codeword at a time
 # ----------------------------------------------------------------------
 #
@@ -1625,21 +1543,15 @@ _STORE_N = 10
 
 
 def _store_workloads(seed: int):
-    """One (campaign, adaptive, sweep) result triple per seed, computed
-    once. Cached because both sides must see the *same* in-memory
-    results — the case is about storage fidelity, not measurement."""
+    """One (campaign, sweep) result pair per seed, computed once. Cached
+    because both sides must see the *same* in-memory results — the case
+    is about storage fidelity, not measurement."""
     cached = _STORE_WORKLOADS.get(seed)
     if cached is not None:
         return cached
 
     from repro.chips import build_module
-    from repro.core import (
-        CHECKERED0,
-        AdaptiveConfig,
-        AdaptiveScheduler,
-        Campaign,
-        TestConfig,
-    )
+    from repro.core import CHECKERED0, Campaign, TestConfig
     from repro.memsim.sweep import SweepSpec, run_sweep
 
     module = build_module("M1", seed=seed)
@@ -1647,9 +1559,6 @@ def _store_workloads(seed: int):
     campaign = Campaign(module, configs, n_measurements=_STORE_N).run(
         _STORE_ROWS
     )
-    adaptive = AdaptiveScheduler(
-        module, configs, AdaptiveConfig(max_measurements=_STORE_N * 2)
-    ).run(_STORE_ROWS)
     pick = random.Random(seed + 5)
     spec = SweepSpec(
         mitigations=("PARA",), rdts=(1024.0,),
@@ -1658,15 +1567,15 @@ def _store_workloads(seed: int):
         seed=seed % 997 + 1,
     )
     sweep = run_sweep(spec)
-    _STORE_WORKLOADS[seed] = (configs, campaign, adaptive, spec, sweep)
+    _STORE_WORKLOADS[seed] = (configs, campaign, spec, sweep)
     return _STORE_WORKLOADS[seed]
 
 
 _STORE_WORKLOADS: dict = {}
 
 
-def _store_fingerprint(campaign, adaptive, sweep) -> tuple:
-    """The three results' payloads as one canonical JSON string. A
+def _store_fingerprint(campaign, sweep) -> tuple:
+    """The two results' payloads as one canonical JSON string. A
     campaign payload carries each series as its float64 bytes, so equal
     fingerprints mean bit-identical series."""
     import json
@@ -1675,18 +1584,17 @@ def _store_fingerprint(campaign, adaptive, sweep) -> tuple:
 
     return (json.dumps({
         "campaign": campaign_to_dict(campaign),
-        "adaptive": adaptive.to_payload(),
         "sweep": sweep.to_payload(),
     }, sort_keys=True),)
 
 
 def store_oracle(seed: int) -> tuple:
-    _, campaign, adaptive, _, sweep = _store_workloads(seed)
-    return _store_fingerprint(campaign, adaptive, sweep)
+    _, campaign, _, sweep = _store_workloads(seed)
+    return _store_fingerprint(campaign, sweep)
 
 
 def store_fast(seed: int) -> tuple:
-    """Store the seed's three results in a fresh sqlite store, reload
+    """Store the seed's two results in a fresh sqlite store, reload
     them, and fingerprint what came back."""
     import tempfile
     from pathlib import Path
@@ -1695,7 +1603,7 @@ def store_fast(seed: int) -> tuple:
     from repro.memsim.sweep import SweepResult, sweep_key
     from repro.store import KIND_SWEEP
 
-    configs, campaign, adaptive, spec, sweep = _store_workloads(seed)
+    configs, campaign, spec, sweep = _store_workloads(seed)
     pairs = [(0, row) for row in _STORE_ROWS]
     with tempfile.TemporaryDirectory() as tmp:
         campaign_cache = CampaignCache(Path(tmp))
@@ -1704,17 +1612,10 @@ def store_fast(seed: int) -> tuple:
             seed=seed, module_id="M1", configs=configs,
             n_measurements=_STORE_N, pairs=pairs,
         )
-        adaptive_key = campaign_cache.key(
-            seed=seed, module_id="M1", configs=configs,
-            n_measurements=_STORE_N * 2, pairs=pairs,
-            schedule="adaptive", adaptive=adaptive.adaptive,
-        )
         campaign_cache.store(campaign_key, campaign)
-        campaign_cache.store_adaptive(adaptive_key, adaptive)
         store.save(sweep_key(spec), KIND_SWEEP, sweep.to_payload())
         fingerprint = _store_fingerprint(
             campaign_cache.load(campaign_key),
-            campaign_cache.load_adaptive(adaptive_key),
             store.load(sweep_key(spec), KIND_SWEEP, SweepResult.from_payload),
         )
         store.close()
@@ -2140,7 +2041,6 @@ CASES: List[DifferentialCase] = [
         "checker-memsim", checker_memsim_oracle, checker_memsim_fast
     ),
     DifferentialCase("ecc", ecc_oracle, ecc_fast),
-    DifferentialCase("adaptive", adaptive_oracle, adaptive_fast),
     DifferentialCase("store", store_oracle, store_fast),
     DifferentialCase("attack", attack_oracle, attack_fast),
     DifferentialCase("guardband", guardband_oracle, guardband_fast),

@@ -107,6 +107,25 @@ def test_adaptive_mitigation_takes_batched_epochs():
     )
 
 
+def test_epochs_count_every_batched_flush():
+    # A 60 us run crosses no tracking window; its epochs are the buffered
+    # activations the loop hands over in one on_activate_many call.
+    mint = build_mitigation("MINT", 128)
+    calls = []
+    flush = mint.on_activate_many
+
+    def counted(banks, rows):
+        calls.append(len(banks))
+        flush(banks, rows)
+
+    mint.on_activate_many = counted
+    with obs.tracing() as recorder:
+        MemorySystem(MIXES[0], SystemConfig(window_ns=60_000.0), mint).run()
+    counters = recorder.counters
+    assert counters["memsim.epochs"] == len(calls) > 0
+    assert counters["memsim.batched_activations"] == sum(calls)
+
+
 @pytest.mark.parametrize(
     "name", ["Graphene", "MINT", "PRAC", "PARA", "BlockHammer"]
 )

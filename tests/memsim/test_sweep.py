@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ConfigurationError, SimulationError
 from repro.memsim.metrics import normalized_weighted_speedup
 from repro.memsim.sweep import SweepResult, SweepSpec, run_sweep, sweep_key
-from repro.memsim.system import MemorySystem
+from repro.memsim.system import CoreStream, MemorySystem
 from repro.mitigations import apply_guardband, build_mitigation
 from repro.store import DEFAULT_STORE_FILENAME, KIND_SWEEP, ResultStore
 from tests.differential.harness import reference_memsim_run
@@ -223,3 +223,41 @@ def test_cache_resolve_env(monkeypatch, tmp_path):
     assert ResultStore.resolve() is None
     explicit = ResultStore.resolve(tmp_path / "explicit")
     assert explicit.path == tmp_path / "explicit" / DEFAULT_STORE_FILENAME
+
+
+#: The Fig. 14 grid the benchmark harness's ``implications`` workload
+#: sweeps at its seed 0.
+BENCH_SPEC = SweepSpec(
+    mitigations=("Graphene", "PRAC", "PARA", "MINT"),
+    rdts=(1024.0, 128.0),
+    margins=(0.0, 0.10, 0.25, 0.50),
+    n_mixes=3,
+    seed=11,
+)
+
+
+@pytest.mark.parametrize("rdt, margins, backs_off", [
+    (1024.0, (0.0, 0.10), False),  # thresholds 1024 and 921.6
+    (1024.0, (0.25, 0.50), False),
+    (128.0, (0.0, 0.10), False),
+    (128.0, (0.25, 0.50), True),  # back-off at 64 fires in every mix
+])
+def test_prac_cells_with_equal_backoff_are_duplicates(rdt, margins, backs_off):
+    """A PRAC run depends on its threshold only through ``backoff_at``:
+    two grid cells that quantize to the same back-off give identical
+    results on every mix. (MINT cells with equal ``rfm_every`` do not:
+    ``Mint.start`` seeds its draws with ``int(threshold)``.)"""
+    config = BENCH_SPEC.config()
+    built = [build_mitigation("PRAC", apply_guardband(rdt, margin))
+             for margin in margins]
+    assert built[0].threshold != built[1].threshold
+    assert built[0].backoff_at == built[1].backoff_at
+    for mix in BENCH_SPEC.mixes():
+        streams = [
+            CoreStream(source) for source in MemorySystem(mix, config)._generators
+        ]
+        first, second = (
+            MemorySystem(mix, config, prac).run(streams) for prac in built
+        )
+        assert first == second
+        assert (first.rank_blocks > 0) == backs_off

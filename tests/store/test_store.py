@@ -17,7 +17,6 @@ from repro import obs
 from repro.errors import ConfigurationError
 from repro.store import (
     DEFAULT_STORE_FILENAME,
-    KIND_ADAPTIVE,
     KIND_CAMPAIGN,
     KIND_SWEEP,
     ResultStore,
@@ -292,13 +291,11 @@ def test_stats_reads_no_payload(store):
     """``stats()`` counts kinds, protocols and bytes from the columns
     ``put`` filled: junk payloads change nothing and evict nothing."""
     store.put("c1", KIND_CAMPAIGN, {"module_id": "M1", "x": [1.5]})
-    store.put("a1", KIND_ADAPTIVE, {"module_id": "Chip0"})
+    store.put("a1", KIND_CAMPAIGN, {"module_id": "Chip0"})
     store.put("n1", KIND_CAMPAIGN, {"module_id": 7})
     store.put("sw", KIND_SWEEP, {"module_id": "M1"})
     before = store.stats()
-    assert before["per_kind"] == {
-        KIND_CAMPAIGN: 2, KIND_ADAPTIVE: 1, KIND_SWEEP: 1
-    }
+    assert before["per_kind"] == {KIND_CAMPAIGN: 3, KIND_SWEEP: 1}
     assert before["per_protocol"] == {"DDR4": 1, "DDR5": 1, "HBM2": 1,
                                       "unknown": 1}
     with sqlite3.connect(store.path) as conn:
@@ -345,6 +342,58 @@ def test_older_schema_is_rebuilt_empty(store):
     assert store.stats()["per_protocol"] == {"DDR4": 1}
 
 
+def test_stored_adaptive_row_is_counted_and_pruned(tmp_path, capsys):
+    """A store that still holds a row of the removed ``adaptive`` kind,
+    written as ``put`` wrote it, opens as usual: ``store stats`` counts
+    the row, campaign loads beside it are unaffected, and ``store prune``
+    without ``--kind`` deletes it."""
+    from repro.chips import build_module
+    from repro.cli import main
+    from repro.core import CHECKERED0, Campaign, TestConfig
+    from repro.core.engine import CampaignCache
+
+    module = build_module("M1", seed=3)
+    configs = [TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)]
+    campaign = Campaign(module, configs, n_measurements=5).run([3])
+    cache = CampaignCache(tmp_path)
+    key = cache.key(seed=3, module_id="M1", configs=configs,
+                    n_measurements=5, pairs=[(0, 3)], protocol="DDR4")
+    cache.store(key, campaign)
+    blob = encode_payload({"format": 1, "kind": "adaptive-campaign",
+                           "module_id": "M1", "estimates": []})
+    with sqlite3.connect(cache.result_store.path) as conn:
+        conn.execute(
+            "INSERT INTO results (key, kind, protocol, nbytes, created_at, "
+            "checksum, payload) VALUES (?, ?, ?, ?, ?, ?, ?)",
+            ("0d65a6ba17989e6a68fc3d94c55713d9", "adaptive", "DDR4",
+             len(blob), time.time() - 2 * 86400.0, payload_checksum(blob),
+             blob),
+        )
+    path = str(cache.result_store.path)
+
+    assert main(["store", "stats", "--store", path]) == 0
+    rows = re.findall(r"^(adaptive|campaign|total)\s+(\d+)",
+                      capsys.readouterr().out, re.M)
+    assert rows == [("adaptive", "1"), ("campaign", "1"), ("total", "2")]
+    assert cache.result_store.stats()["per_protocol"] == {"DDR4": 2}
+
+    with obs.tracing() as recorder:
+        loaded = cache.load(key)
+    assert recorder.counters.get("cache.hit") == 1
+    assert "cache.corrupt" not in recorder.counters
+    assert [o.series.values.tolist() for o in loaded.observations] == [
+        o.series.values.tolist() for o in campaign.observations
+    ]
+
+    assert main(["store", "prune", "--store", path,
+                 "--older-than", "1"]) == 0
+    assert "pruned 1 all kinds entries; store now holds 1 entries" in (
+        capsys.readouterr().out
+    )
+    assert cache.result_store.stats()["per_kind"] == {KIND_CAMPAIGN: 1}
+    assert cache.load(key) is not None
+
+
 def test_load_and_save_count_every_outcome(store):
     """``load``/``save`` are the one cached-result path: each call counts
     exactly one of ``cache.hit``/``miss``/``corrupt``/``store``, and a
@@ -373,13 +422,12 @@ def test_load_and_save_count_every_outcome(store):
 #: must still hit.
 RECORDED_KEYS = {
     "module_campaign": "374b25f5cb526bbcb732f68e77222e30",
-    "adaptive_module_campaign": "8d21acabda40ba379f3bacad9dff0a12",
     "sweep": "f8a82257ecba71e50f163390867e49a1",
 }
 
 
 def test_cache_keys_are_stable(tmp_path):
-    from repro.analysis.figures import adaptive_module_campaign, module_campaign
+    from repro.analysis.figures import module_campaign
     from repro.core.engine import CampaignCache
     from repro.memsim.sweep import SweepSpec, sweep_key
 
@@ -393,15 +441,8 @@ def test_cache_keys_are_stable(tmp_path):
             keys["module_campaign"] = key
             return "sentinel"
 
-        def load_adaptive(self, key):
-            keys["adaptive_module_campaign"] = key
-            return "sentinel"
-
     cache = KeyCapture(tmp_path)
     assert module_campaign(
-        "M1", rows_per_block=1, n_measurements=100, cache=cache
-    ) == "sentinel"
-    assert adaptive_module_campaign(
         "M1", rows_per_block=1, n_measurements=100, cache=cache
     ) == "sentinel"
     keys["sweep"] = sweep_key(SweepSpec())

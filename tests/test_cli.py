@@ -200,39 +200,18 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
-def test_measure_adaptive(capsys):
-    assert main([
-        "measure", "M1", "--row", "64", "-n", "200", "--adaptive",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "adaptive RDT estimate" in out
-    assert "99% CI" in out
-    assert "x fewer" in out
-
-
-def test_measure_adaptive_budget_and_confidence(capsys):
-    assert main([
-        "measure", "M1", "--row", "64", "-n", "200", "--adaptive",
-        "--budget", "50", "--confidence", "0.9", "--precision", "0.1",
-    ]) == 0
-    assert "90% CI" in capsys.readouterr().out
-
-
-def test_profile_adaptive(capsys, tmp_path):
-    import json
-
-    out_path = tmp_path / "adaptive.json"
-    assert main([
-        "profile", "M1", "--rows-per-block", "1", "-n", "100",
-        "--adaptive", "--no-cache", "--output", str(out_path),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "adaptive VRD profile" in out
-    assert "trials spent" in out
-    assert "converged" in out
-    payload = json.loads(out_path.read_text())
-    assert payload["kind"] == "adaptive-campaign"
-    assert payload["estimates"]
+@pytest.mark.parametrize("argv", [
+    ["measure", "M1", "--row", "100", "--adaptive"],
+    ["measure", "M1", "--budget", "50"],
+    ["profile", "M1", "--confidence", "0.9"],
+    ["profile", "M1", "--precision", "0.1"],
+])
+def test_adaptive_schedule_flags_are_gone(capsys, argv):
+    """The adaptive schedule's options are argparse errors (exit 2)."""
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -330,13 +309,13 @@ def test_store_prune_rejects_bad_age_without_deleting(capsys, tmp_path, age):
 @pytest.mark.parametrize("argv", [
     ["measure", "M1", "-n", "300000000"],
     ["measure", "M1", "-n", "0"],
-    ["measure", "M1", "-n", "300000000", "--adaptive"],
+    ["measure", "M1", "-n", "300000000", "--seed", "5"],
     ["profile", "M1", "-n", "1000001"],
-    ["profile", "M1", "-n", "-5", "--adaptive"],
+    ["profile", "M1", "-n", "-5", "--no-cache"],
     ["profile", "M1", "--rows-per-block", "0"],
     ["profile", "M1", "--rows-per-block", "257", "-n", "10"],
     ["profile", "M1", "--rows-per-block", "4", "-n", "1000000"],
-    ["profile", "M1", "--rows-per-block", "256", "-n", "20000", "--adaptive"],
+    ["profile", "M1", "--rows-per-block", "256", "-n", "20000", "--seed", "5"],
     ["attack", "M1", "--windows", "10000001"],
     ["attack", "M1", "--windows", "1000000000"],
     ["attack", "M1", "--profile-n", "0"],

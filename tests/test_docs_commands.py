@@ -62,7 +62,7 @@ COMMANDS = documented_commands()
 
 def test_the_docs_document_commands():
     names = {name for name, _ in COMMANDS}
-    assert {"README.md", "adaptive.md", "observability.md"} <= names
+    assert {"README.md", "architecture.md", "observability.md"} <= names
     assert len(COMMANDS) >= 15
 
 

@@ -81,3 +81,45 @@ def test_inventory_and_traced_reach(reach, tmp_path, monkeypatch):
     assert sorted(key for key in inventory if key in reached) == [
         (path, 4), (path, 21), (path, 22)
     ]
+
+
+STUBS = '''\
+import abc
+
+
+class Base(abc.ABC):
+    @abc.abstractmethod
+    def shape(self):
+        """Abstract, with a docstring only."""
+
+    def area(self):
+        """Left to subclasses."""
+        raise NotImplementedError
+
+    def volume(self):
+        raise NotImplementedError("no volume")
+
+    def refused(self):
+        """Real code: it decides before it raises."""
+        if self:
+            raise NotImplementedError
+        return 0
+
+    def other_error(self):
+        raise ValueError
+'''
+
+
+def test_abstract_stubs_are_set_apart(reach, tmp_path):
+    package = tmp_path / "stub_sample"
+    package.mkdir()
+    (package / "mod.py").write_text(STUBS)
+    path = str(package / "mod.py")
+
+    inventory = reach.function_inventory(tmp_path)
+    stubs = reach.abstract_stubs(tmp_path)
+    assert sorted(inventory[key][0] for key in stubs) == [
+        "Base.area", "Base.shape", "Base.volume"
+    ]
+    assert (path, 5) in stubs  # keyed by the decorator's line
+    assert len(inventory) == 5

@@ -159,67 +159,3 @@ class TestEstimator:
         a = est.measurement_cost(1000, 32.0, n_banks=16, n_rows=17)
         b = est.measurement_cost(1000, 32.0, n_banks=16, n_rows=32)
         assert a.time_ns == pytest.approx(b.time_ns)
-
-
-class TestAdaptiveCost:
-    def test_total_trials_match_measurement_cost(self):
-        """Pricing is per trial: an adaptive campaign whose trials sum to
-        ``n_rows * n_measurements`` costs exactly the exhaustive campaign
-        of that shape."""
-        est = TestTimeEstimator()
-        adaptive = est.adaptive_cost(1000, 32.0, [250, 250, 250, 250])
-        exhaustive = est.measurement_cost(
-            1000, 32.0, n_rows=4, n_measurements=250
-        )
-        assert adaptive.time_ns == pytest.approx(exhaustive.time_ns)
-        assert adaptive.energy_j == pytest.approx(exhaustive.energy_j)
-
-    def test_zero_trial_rows_are_free(self):
-        est = TestTimeEstimator()
-        with_zeros = est.adaptive_cost(1000, 32.0, [40, 0, 0, 25])
-        without = est.adaptive_cost(1000, 32.0, [40, 25])
-        assert with_zeros.time_ns == pytest.approx(without.time_ns)
-        assert with_zeros.n_rows == 4
-        assert with_zeros.n_measurements == 65
-
-    def test_all_rows_starved_costs_nothing(self):
-        point = TestTimeEstimator().adaptive_cost(1000, 32.0, [0, 0, 0])
-        assert point.time_ns == 0.0
-        assert point.energy_j == 0.0
-
-    def test_bank_parallelism_packs_trials(self):
-        est = TestTimeEstimator()
-        serial = est.adaptive_cost(1000, 32.0, [10] * 16, n_banks=1)
-        packed = est.adaptive_cost(1000, 32.0, [10] * 16, n_banks=16)
-        # 160 trials over 16 banks: 10 rounds of the (longer) multi-bank
-        # schedule instead of 160 single-bank rounds.
-        assert packed.time_ns < serial.time_ns
-
-    def test_adaptive_prices_real_run_below_exhaustive(self, module):
-        from repro.core import AdaptiveConfig, AdaptiveScheduler
-        from repro.core.config import TestConfig
-        from repro.core.patterns import CHECKERED0
-
-        config = TestConfig(CHECKERED0, t_agg_on_ns=module.timing.tRAS)
-        n_max = 100
-        result = AdaptiveScheduler(
-            module, [config], AdaptiveConfig(max_measurements=n_max)
-        ).run([3, 17, 40])
-        est = TestTimeEstimator()
-        adaptive = est.adaptive_cost(
-            1000, 32.0, result.trials_per_row(), n_banks=16
-        )
-        # The exhaustive campaign sweeps the grid linearly: its trial
-        # count is each row's average sweep cost times the full series.
-        exhaustive_trials = result.exhaustive_trials_baseline
-        exhaustive = est.adaptive_cost(
-            1000, 32.0, [exhaustive_trials], n_banks=16
-        )
-        assert adaptive.time_ns < exhaustive.time_ns / 10
-
-    def test_invalid_inputs(self):
-        est = TestTimeEstimator()
-        with pytest.raises(ConfigurationError):
-            est.adaptive_cost(1000, 32.0, [-1])
-        with pytest.raises(ConfigurationError):
-            est.adaptive_cost(1000, 32.0, [5], n_banks=0)
